@@ -23,7 +23,7 @@
 //! `t + block_interval` and the next proposer proposes when it fires. With
 //! the default 1.25 s interval this yields the paper's ~0.8 blocks/s.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use setchain_crypto::{
@@ -132,8 +132,11 @@ pub struct LedgerNode<A: Application> {
     first_proposal: HashMap<(u64, u32), BlockId>,
     /// Proposed blocks by (height, block id), kept until the height commits.
     proposal_store: HashMap<(u64, BlockId), Block<A::Tx>>,
-    prevotes: HashMap<(u64, u32, BlockId), HashSet<ProcessId>>,
-    precommits: HashMap<(u64, BlockId), HashSet<ProcessId>>,
+    /// Voters per candidate. Ordered sets: `try_commit` picks a
+    /// block-sync peer out of one, and the pick must not depend on a
+    /// per-process hash seed.
+    prevotes: HashMap<(u64, u32, BlockId), BTreeSet<ProcessId>>,
+    precommits: HashMap<(u64, BlockId), BTreeSet<ProcessId>>,
     precommit_sigs: HashMap<(u64, BlockId), Vec<Signature>>,
     voted_prevote: HashSet<(u64, u32)>,
     voted_precommit: HashSet<u64>,
@@ -587,7 +590,7 @@ impl<A: Application> LedgerNode<A> {
                 self.commit_block(block, cert, ctx);
             } else if let Some(voters) = self.precommits.get(&(height, block_id)) {
                 // We saw a commit quorum but missed the proposal: fetch the
-                // block from one of the precommitters.
+                // block from the lowest-id precommitter.
                 if let Some(peer) = voters.iter().find(|p| **p != self.id) {
                     ctx.send(*peer, NetMsg::BlockSyncRequest { height });
                 }

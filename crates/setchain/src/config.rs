@@ -104,9 +104,11 @@ pub struct StoreConfig {
     /// in RAM alongside the log.
     #[serde(default)]
     pub retain_epochs: Option<u64>,
-    /// Appends between element-index checkpoints; 0 disables checkpointing
-    /// (`#[serde(default)]`: 64).
-    #[serde(default = "default_checkpoint_every")]
+    /// **Ignored.** Was the cadence of the store's element-index
+    /// checkpoint, which no longer exists; the field stays only because the
+    /// frozen benchmark package reads it, and goes away with the next
+    /// benchmark-archetype PR.
+    #[serde(default)]
     pub checkpoint_every: u64,
 }
 
@@ -115,20 +117,15 @@ fn default_segment_bytes() -> u64 {
     8 << 20
 }
 
-/// Serde default for [`StoreConfig::checkpoint_every`].
-fn default_checkpoint_every() -> u64 {
-    64
-}
-
 impl StoreConfig {
-    /// A store rooted at `dir` with default segment budget and checkpoint
-    /// cadence and no eviction.
+    /// A store rooted at `dir` with the default segment budget and no
+    /// eviction.
     pub fn new(dir: impl Into<String>) -> Self {
         StoreConfig {
             dir: dir.into(),
             segment_bytes: default_segment_bytes(),
             retain_epochs: None,
-            checkpoint_every: default_checkpoint_every(),
+            checkpoint_every: 0,
         }
     }
 
@@ -142,12 +139,6 @@ impl StoreConfig {
     /// persisted epochs in RAM.
     pub fn with_retain_epochs(mut self, k: u64) -> Self {
         self.retain_epochs = Some(k);
-        self
-    }
-
-    /// Sets the index checkpoint cadence (0 disables).
-    pub fn with_checkpoint_every(mut self, appends: u64) -> Self {
-        self.checkpoint_every = appends;
         self
     }
 }
@@ -498,14 +489,11 @@ mod tests {
         // both read back with working values.
         assert_eq!(store.segment_bytes, default_segment_bytes());
         assert_eq!(store.retain_epochs, None);
-        assert_eq!(store.checkpoint_every, default_checkpoint_every());
         let tuned = StoreConfig::new("d")
             .with_segment_bytes(1024)
-            .with_retain_epochs(8)
-            .with_checkpoint_every(0);
+            .with_retain_epochs(8);
         assert_eq!(tuned.segment_bytes, 1024);
         assert_eq!(tuned.retain_epochs, Some(8));
-        assert_eq!(tuned.checkpoint_every, 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
 //! data dissemination.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -138,8 +138,9 @@ pub struct HashchainApp {
     /// signer) shares the contents instead of cloning the element vector.
     hash_to_batch: HashMap<Digest512, Arc<Batch>>,
     /// `hash_to_signers`: servers whose hash-batches for a hash have been
-    /// observed on the ledger.
-    hash_to_signers: HashMap<Digest512, HashSet<ProcessId>>,
+    /// observed on the ledger. Ordered, because `fail_request` picks its
+    /// next target out of it and the pick must repeat across runs.
+    hash_to_signers: HashMap<Digest512, BTreeSet<ProcessId>>,
     /// Hashes this server has already signed and appended a hash-batch for.
     my_signed: HashSet<Digest512>,
     /// Hashes that have already been consolidated into an epoch.
@@ -398,23 +399,24 @@ impl HashchainApp {
         };
         let hash = pending.hash;
         self.prefetched.remove(&hash);
-        // Candidate servers we have not asked yet: other observed signers of
-        // this hash (they all claim to have the batch).
-        let mut candidates: Vec<ProcessId> = self
+        // The first server we have not asked yet: other observed signers of
+        // this hash in id order (they all claim to have the batch), then
+        // the signers still queued, in ledger order.
+        let next = self
             .hash_to_signers
             .get(&hash)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        candidates.extend(
-            self.block_queue
-                .iter()
-                .filter(|hb| hb.hash == hash)
-                .map(|hb| hb.signer),
-        );
-        candidates.retain(|c| !pending.asked.contains(c) && *c != self.core.id());
-        candidates.dedup();
+            .into_iter()
+            .flatten()
+            .copied()
+            .chain(
+                self.block_queue
+                    .iter()
+                    .filter(|hb| hb.hash == hash)
+                    .map(|hb| hb.signer),
+            )
+            .find(|c| !pending.asked.contains(c) && *c != self.core.id());
         if pending.asked.len() < self.core.config.max_request_retries {
-            if let Some(next) = candidates.first().copied() {
+            if let Some(next) = next {
                 self.waiting = Some(pending);
                 self.send_request(hash, next, ctx);
                 return;

@@ -266,7 +266,7 @@ impl ServerCore {
     /// hardware error: this panics rather than silently running volatile.
     fn open_store(&mut self, cfg: &StoreConfig) {
         let dir = format!("{}/server-{}", cfg.dir, self.keys.id.server_index());
-        let store = DiskStore::open(&dir, cfg.segment_bytes, cfg.checkpoint_every)
+        let store = DiskStore::open(&dir, cfg.segment_bytes, 0)
             .unwrap_or_else(|e| panic!("setchain-store: cannot open {dir}: {e}"));
         let tip = store.tip();
         for epoch in 1..=tip {
@@ -332,8 +332,9 @@ impl ServerCore {
     /// at least `k` behind the durable frontier is dropped from RAM
     /// (elements only — digests and proofs stay resident, so epoch-proof
     /// serving and consistency checks are unaffected). Evicted contents are
-    /// read back from the store on demand by [`Self::fetch_epoch_elements`]
-    /// and covered by the [`Self::stamped_in_store`] membership fallback.
+    /// read back from the store on demand by [`Self::fetch_epoch_elements`];
+    /// their ids stay behind in `state` ([`SetchainState::was_evicted`]) so
+    /// membership checks still reject a re-add.
     fn apply_retention(&mut self) {
         let Some(retain) = self.config.store.as_ref().and_then(|s| s.retain_epochs) else {
             return;
@@ -343,19 +344,6 @@ impl ServerCore {
             let epoch = self.state.evicted_epochs() + 1;
             self.stats.elements_evicted += self.state.evict_epoch(epoch) as u64;
         }
-    }
-
-    /// True when `id` was stamped into an epoch that has since been evicted
-    /// from RAM: the store's element index is the authority for the evicted
-    /// prefix. Resident ids short-circuit before reaching here, and eviction
-    /// only removes durably stored epochs, so adding this fallback to a
-    /// membership check changes no verdict relative to an eviction-free run.
-    fn stamped_in_store(&self, id: ElementId) -> bool {
-        self.state.evicted_epochs() > 0
-            && self
-                .store
-                .as_ref()
-                .is_some_and(|s| s.epoch_of(id.0).is_some())
     }
 
     /// The elements of `epoch`, from RAM when resident, read back from the
@@ -687,7 +675,7 @@ impl ServerCore {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
-        if self.state.contains(&element.id) || self.stamped_in_store(element.id) {
+        if self.state.contains(&element.id) || self.state.was_evicted(&element.id) {
             self.stats.adds_rejected_duplicate += 1;
             return false;
         }
@@ -1082,7 +1070,7 @@ impl ServerCore {
     ) {
         if !validate {
             for e in elements {
-                if !self.state.in_history(&e.id) && !self.stamped_in_store(e.id) {
+                if !self.state.in_history(&e.id) && !self.state.was_evicted(&e.id) {
                     self.state.insert(e.id);
                 }
             }
@@ -1097,7 +1085,7 @@ impl ServerCore {
         // honest batches stay allocation-free.
         let mut rejected_ids: Option<FxHashSet<ElementId>> = None;
         for (e, ok) in elements.iter().zip(verdicts) {
-            if self.state.in_history(&e.id) || self.stamped_in_store(e.id) {
+            if self.state.in_history(&e.id) || self.state.was_evicted(&e.id) {
                 continue;
             }
             if ok {
@@ -1164,7 +1152,7 @@ impl ServerCore {
         let mut seen = FxHashSet::default();
         let mut candidates = Vec::new();
         for e in elements {
-            if self.state.in_history(&e.id) || self.stamped_in_store(e.id) || !seen.insert(e.id) {
+            if self.state.in_history(&e.id) || self.state.was_evicted(&e.id) || !seen.insert(e.id) {
                 continue;
             }
             candidates.push(*e);
@@ -1396,11 +1384,11 @@ mod tests {
         assert_eq!(core.state.evicted_epochs(), 3);
         assert_eq!(core.stats.elements_evicted, 12);
         assert!(core.state.epoch_elements(1).is_none(), "evicted from RAM");
-        // Membership of evicted elements survives through the store index.
+        // Membership of evicted elements survives in the state's id set.
         let evicted_id = ElementId::new(0, 10); // epoch 1, element 0
         assert!(!core.state.in_history(&evicted_id));
-        assert!(core.stamped_in_store(evicted_id));
-        assert!(!core.stamped_in_store(ElementId::new(0, 9999)));
+        assert!(core.state.was_evicted(&evicted_id));
+        assert!(!core.state.was_evicted(&ElementId::new(0, 9999)));
         // Evicted epochs read back from the store byte-identically.
         let read_back = core.fetch_epoch_elements(1).unwrap();
         assert_eq!(read_back.len(), 4);

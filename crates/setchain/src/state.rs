@@ -46,9 +46,11 @@ pub struct SetchainState {
     /// commitments and proofs stay resident). Eviction is strictly
     /// prefix-ordered. 0 (always, without a store) means fully resident.
     evicted_epochs: u64,
-    /// Elements dropped by eviction, so the *logical* set and history sizes
-    /// reported to clients stay correct.
-    evicted_elements: u64,
+    /// The ids of every evicted element: all that stays in RAM of an
+    /// evicted epoch's contents, so membership checks still reject a re-add
+    /// and the *logical* set and history sizes reported to clients stay
+    /// correct. The store keeps no element index; this is it.
+    evicted_ids: FxHashSet<ElementId>,
 }
 
 impl Default for SetchainState {
@@ -78,7 +80,7 @@ impl SetchainState {
             element_epoch: FxHashMap::default(),
             proofs: FxHashMap::default(),
             evicted_epochs: 0,
-            evicted_elements: 0,
+            evicted_ids: FxHashSet::default(),
         }
     }
 
@@ -102,7 +104,7 @@ impl SetchainState {
     /// plus elements evicted to the persistent store — the *logical* size,
     /// unchanged by eviction).
     pub fn the_set_len(&self) -> usize {
-        self.shard_sets.iter().map(FxHashSet::len).sum::<usize>() + self.evicted_elements as usize
+        self.shard_sets.iter().map(FxHashSet::len).sum::<usize>() + self.evicted_ids.len()
     }
 
     /// True if `the_set` contains the element.
@@ -119,6 +121,15 @@ impl SetchainState {
     /// (the algorithms' `e ∈ history` check).
     pub fn in_history(&self, id: &ElementId) -> bool {
         self.element_epoch.contains_key(id)
+    }
+
+    /// True when `id` was stamped into an epoch that has since been evicted
+    /// from RAM. [`Self::contains`] and [`Self::in_history`] only see
+    /// resident ids; every membership check ORs this in, so eviction
+    /// changes no verdict relative to an eviction-free run. Always false
+    /// (one lookup in an empty set) without `retain_epochs`.
+    pub fn was_evicted(&self, id: &ElementId) -> bool {
+        self.evicted_ids.contains(id)
     }
 
     /// The epoch an element was stamped with, if any.
@@ -139,7 +150,7 @@ impl SetchainState {
     /// Total number of elements across all epochs (logical: evicted epochs
     /// still count).
     pub fn history_elements(&self) -> u64 {
-        self.history.iter().map(|g| g.len() as u64).sum::<u64>() + self.evicted_elements
+        self.history.iter().map(|g| g.len() as u64).sum::<u64>() + self.evicted_ids.len() as u64
     }
 
     /// Creates a new epoch from `elements`, inserting them into `the_set`
@@ -229,12 +240,12 @@ impl SetchainState {
 
     /// Bounded-memory mode: drops epoch `epoch`'s elements from RAM —
     /// `shard_sets`, `element_epoch` and the `history` entry — keeping the
-    /// digest, sub-epoch commitments and proofs. Returns the number of
-    /// elements evicted.
+    /// digest, sub-epoch commitments, proofs and the bare ids (see
+    /// [`Self::was_evicted`]). Returns the number of elements evicted.
     ///
     /// The caller owns two obligations: the epoch must already be durable
-    /// in the persistent store (membership and readback fall back to it),
-    /// and eviction proceeds strictly in epoch order — `epoch` must be
+    /// in the persistent store (readback falls back to it), and eviction
+    /// proceeds strictly in epoch order — `epoch` must be
     /// exactly `evicted_epochs() + 1` and an existing epoch. The logical
     /// sizes ([`Self::the_set_len`], [`Self::history_elements`]) are
     /// unchanged by eviction.
@@ -246,12 +257,13 @@ impl SetchainState {
         );
         assert!(epoch <= self.epoch, "cannot evict an epoch not yet held");
         let elements = std::mem::take(&mut self.history[(epoch - 1) as usize]);
+        self.evicted_ids.reserve(elements.len());
         for e in &elements {
             self.shard_sets[self.ring.shard_of(e.id)].remove(&e.id);
             self.element_epoch.remove(&e.id);
+            self.evicted_ids.insert(e.id);
         }
         self.evicted_epochs = epoch;
-        self.evicted_elements += elements.len() as u64;
         elements.len()
     }
 
@@ -593,6 +605,28 @@ mod tests {
             assert!(st.check_consistent_with(&full));
             assert!(full.check_consistent_with(&st));
         }
+    }
+
+    #[test]
+    fn eviction_moves_ids_from_contains_to_was_evicted() {
+        let mut st = SetchainState::new();
+        let es = elements(0..6);
+        st.record_epoch(es[..4].to_vec());
+        st.record_epoch(es[4..].to_vec());
+        assert!(es
+            .iter()
+            .all(|e| st.contains(&e.id) && !st.was_evicted(&e.id)));
+        assert_eq!(st.evict_epoch(1), 4);
+        for e in &es[..4] {
+            assert!(!st.contains(&e.id) && !st.in_history(&e.id));
+            assert!(st.was_evicted(&e.id));
+        }
+        for e in &es[4..] {
+            assert!(st.contains(&e.id) && !st.was_evicted(&e.id));
+        }
+        assert!(!st.was_evicted(&ElementId::new(0, 9999)));
+        assert_eq!(st.the_set_len(), 6);
+        assert_eq!(st.history_elements(), 6);
     }
 
     #[test]

@@ -71,10 +71,13 @@ pub fn fnv64(parts: &[&[u8]]) -> u64 {
     hash
 }
 
-/// Encodes one epoch record as a frame.
-pub fn encode_frame(record: &EpochRecord) -> Vec<u8> {
+/// Encodes one epoch record as a frame into `buf`, replacing its contents.
+/// The append path keeps one buffer alive across epochs, so a steady-state
+/// append allocates nothing.
+pub fn encode_frame_into(record: &EpochRecord, buf: &mut Vec<u8>) {
     let payload_len = PAYLOAD_FIXED_LEN + record.elements.len() + record.proofs.len();
-    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload_len + FRAME_TRAILER_LEN);
+    buf.clear();
+    buf.reserve(FRAME_HEADER_LEN + payload_len + FRAME_TRAILER_LEN);
     buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
     buf.extend_from_slice(&record.epoch.to_le_bytes());
@@ -85,12 +88,21 @@ pub fn encode_frame(record: &EpochRecord) -> Vec<u8> {
     buf.extend_from_slice(&record.proofs);
     let checksum = fnv64(&[&buf[8..]]);
     buf.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// Encodes one epoch record as a freshly allocated frame.
+pub fn encode_frame(record: &EpochRecord) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_frame_into(record, &mut buf);
     buf
 }
 
-/// Decodes the frame at the start of `buf`. On success returns the record
-/// and the total number of bytes the frame occupies.
-pub fn decode_frame(buf: &[u8]) -> Result<(EpochRecord, usize), FrameError> {
+/// Fully verifies the frame at the start of `buf` — magic, lengths,
+/// checksum, section counts — without materialising it. On success returns
+/// the frame's epoch number and the total number of bytes it occupies.
+/// This is all the recovery scan needs; [`decode_frame`] accepts exactly
+/// the frames this does.
+pub fn peek_frame(buf: &[u8]) -> Result<(u64, usize), FrameError> {
     if buf.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Incomplete);
     }
@@ -116,29 +128,40 @@ pub fn decode_frame(buf: &[u8]) -> Result<(EpochRecord, usize), FrameError> {
     if fnv64(&[&buf[8..FRAME_HEADER_LEN + payload_len]]) != stored {
         return Err(FrameError::Corrupt("checksum mismatch"));
     }
-    let element_count = u32::from_le_bytes(payload[64..68].try_into().expect("4 bytes")) as usize;
-    let proof_count = u32::from_le_bytes(payload[68..72].try_into().expect("4 bytes")) as usize;
-    let expected = element_count
+    let (element_count, proof_count) = section_counts(payload);
+    let sections = element_count
         .checked_mul(ELEMENT_LEN)
-        .and_then(|e| proof_count.checked_mul(PROOF_LEN).map(|p| (e, p)));
-    match expected {
-        Some((e, p)) if PAYLOAD_FIXED_LEN + e + p == payload_len => {
-            let mut digest = [0u8; 64];
-            digest.copy_from_slice(&payload[..64]);
-            let elements = payload[PAYLOAD_FIXED_LEN..PAYLOAD_FIXED_LEN + e].to_vec();
-            let proofs = payload[PAYLOAD_FIXED_LEN + e..].to_vec();
-            Ok((
-                EpochRecord {
-                    epoch,
-                    digest,
-                    elements,
-                    proofs,
-                },
-                total,
-            ))
-        }
-        _ => Err(FrameError::Corrupt("section counts disagree with length")),
+        .zip(proof_count.checked_mul(PROOF_LEN))
+        .and_then(|(e, p)| e.checked_add(p)?.checked_add(PAYLOAD_FIXED_LEN));
+    if sections != Some(payload_len) {
+        return Err(FrameError::Corrupt("section counts disagree with length"));
     }
+    Ok((epoch, total))
+}
+
+/// The `(element_count, proof_count)` fields of a frame payload.
+fn section_counts(payload: &[u8]) -> (usize, usize) {
+    let count = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+    (count(64) as usize, count(68) as usize)
+}
+
+/// Decodes the frame at the start of `buf`. On success returns the record
+/// and the total number of bytes the frame occupies.
+pub fn decode_frame(buf: &[u8]) -> Result<(EpochRecord, usize), FrameError> {
+    let (epoch, total) = peek_frame(buf)?;
+    let payload = &buf[FRAME_HEADER_LEN..total - FRAME_TRAILER_LEN];
+    let elements_end = PAYLOAD_FIXED_LEN + section_counts(payload).0 * ELEMENT_LEN;
+    let mut digest = [0u8; 64];
+    digest.copy_from_slice(&payload[..64]);
+    Ok((
+        EpochRecord {
+            epoch,
+            digest,
+            elements: payload[PAYLOAD_FIXED_LEN..elements_end].to_vec(),
+            proofs: payload[elements_end..].to_vec(),
+        },
+        total,
+    ))
 }
 
 #[cfg(test)]
@@ -156,9 +179,14 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        for (e, p) in [(0usize, 0usize), (1, 1), (5, 3), (40, 4)] {
+        // One buffer reused across records of shrinking and growing size,
+        // as the append path does.
+        let mut frame = Vec::new();
+        for (e, p) in [(40usize, 4usize), (0, 0), (1, 1), (5, 3)] {
             let rec = record(9, e, p);
-            let frame = encode_frame(&rec);
+            encode_frame_into(&rec, &mut frame);
+            assert_eq!(frame, encode_frame(&rec));
+            assert_eq!(peek_frame(&frame), Ok((9, frame.len())));
             let (decoded, len) = decode_frame(&frame).expect("valid frame");
             assert_eq!(len, frame.len());
             assert_eq!(decoded, rec);
@@ -230,10 +258,12 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The decoder never panics on arbitrary bytes.
+            /// Neither decoder panics on arbitrary bytes, and the
+            /// non-allocating one accepts exactly what the full one does.
             #[test]
             fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-                let _ = decode_frame(&bytes);
+                let decoded = decode_frame(&bytes).map(|(rec, len)| (rec.epoch, len));
+                prop_assert_eq!(peek_frame(&bytes), decoded);
             }
 
             /// Any valid frame survives a roundtrip with arbitrary garbage

@@ -2,19 +2,25 @@
 //!
 //! The Setchain papers define the epoch-numbered committed set as the
 //! durable contract: epochs are append-only, totally ordered, and attested
-//! by `f + 1` epoch-proofs. This crate maps that contract onto disk as an
-//! append-only **segment log** of framed epoch records plus a **compacting
-//! element → epoch index**, so a restarted server replays its own log back
-//! to the exact committed set instead of paging peers, and a memory-bounded
-//! server can evict stored epochs from RAM and read them back on demand.
+//! by `f + 1` epoch-proofs, and a stamped epoch is immutable. This crate
+//! maps that contract onto disk as exactly that: an append-only **segment
+//! log** of framed epoch records, so a restarted server replays its own log
+//! back to the exact committed set instead of paging peers, and a
+//! memory-bounded server can evict stored epochs from RAM and read them
+//! back on demand.
+//!
+//! The store is an epoch log and nothing more. Membership (`the_set`,
+//! which element sits in which epoch) is *server* state: a server that
+//! evicts epochs remembers their ids itself
+//! (`SetchainState::was_evicted`), and recovery rebuilds that by replaying
+//! the log. The store keeps no per-element structure, so persisting an
+//! epoch costs O(its own bytes) however long the log is.
 //!
 //! The crate is deliberately a leaf: it depends on nothing else in the
 //! workspace and stores *opaque fixed-size byte records*. The `setchain`
 //! crate packs its `Element` (36 bytes, [`ELEMENT_LEN`]) and epoch-proof
-//! (80 bytes, [`PROOF_LEN`]) encodings into an [`EpochRecord`]; the only
-//! structural contract the store relies on is that the first 8 bytes of a
-//! packed element are its little-endian `u64` id, which is how the index
-//! is built without parsing elements.
+//! (80 bytes, [`PROOF_LEN`]) encodings into an [`EpochRecord`]; the store
+//! never looks inside either.
 //!
 //! Two [`StateStore`] backends exist: [`MemStore`] (volatile, used for
 //! trait conformance and as the differential oracle in tests) and
@@ -28,14 +34,12 @@
 pub mod disk;
 pub mod frame;
 
-use std::collections::HashMap;
 use std::io;
 
 pub use disk::DiskStore;
 pub use frame::{decode_frame, encode_frame, fnv64, FrameError};
 
-/// Packed length of one element (`setchain::Element::PACKED_LEN`). The
-/// first 8 bytes are the element's little-endian `u64` id.
+/// Packed length of one element (`setchain::Element::PACKED_LEN`).
 pub const ELEMENT_LEN: usize = 36;
 
 /// Packed length of one epoch-proof: epoch (8) ‖ signer id (8) ‖ MAC (64),
@@ -87,14 +91,6 @@ impl EpochRecord {
     pub fn proof_count(&self) -> usize {
         self.proofs.len() / PROOF_LEN
     }
-
-    /// The element ids in epoch order (the first 8 LE bytes of each packed
-    /// element — the one structural fact the store knows about elements).
-    pub fn element_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.elements
-            .chunks_exact(ELEMENT_LEN)
-            .map(|chunk| u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")))
-    }
 }
 
 /// Observable store counters, surfaced through `ServerStats`.
@@ -106,8 +102,6 @@ pub struct StoreStats {
     pub bytes: u64,
     /// Number of log segments.
     pub segments: u64,
-    /// Entries in the element → epoch index.
-    pub indexed_elements: u64,
 }
 
 /// Durable epoch storage. Epochs append strictly in order (`tip() + 1`);
@@ -127,21 +121,16 @@ pub trait StateStore: Send {
     /// `1..=tip()`.
     fn load_epoch(&self, epoch: u64) -> io::Result<Option<EpochRecord>>;
 
-    /// The epoch a stored element was committed in, if any — the compacting
-    /// index backing membership checks for evicted epochs.
-    fn epoch_of(&self, element_id: u64) -> Option<u64>;
-
     /// Current store counters.
     fn stats(&self) -> StoreStats;
 }
 
-/// Volatile [`StateStore`]: the same sequencing and index semantics as
-/// [`DiskStore`] with no files. Used for trait conformance tests and as the
+/// Volatile [`StateStore`]: the same sequencing semantics as [`DiskStore`]
+/// with no files. Used for trait conformance tests and as the
 /// differential oracle for the disk backend.
 #[derive(Debug, Default)]
 pub struct MemStore {
     records: Vec<EpochRecord>,
-    index: HashMap<u64, u64>,
     bytes: u64,
 }
 
@@ -166,9 +155,6 @@ impl StateStore for MemStore {
         }
         // Count the encoded size so Mem and Disk report comparable bytes.
         self.bytes += encode_frame(record).len() as u64;
-        for id in record.element_ids() {
-            self.index.insert(id, record.epoch);
-        }
         self.records.push(record.clone());
         Ok(())
     }
@@ -184,16 +170,11 @@ impl StateStore for MemStore {
         Ok(Some(self.records[(epoch - 1) as usize].clone()))
     }
 
-    fn epoch_of(&self, element_id: u64) -> Option<u64> {
-        self.index.get(&element_id).copied()
-    }
-
     fn stats(&self) -> StoreStats {
         StoreStats {
             epochs: self.tip(),
             bytes: self.bytes,
             segments: 0,
-            indexed_elements: self.index.len() as u64,
         }
     }
 }
@@ -202,13 +183,13 @@ impl StateStore for MemStore {
 pub(crate) mod testutil {
     use super::*;
 
-    /// A record whose element ids are distinct and derived from
-    /// `(epoch, index)`, so index assertions can predict them.
+    /// A record whose packed elements are distinct within and across
+    /// epochs (the first 8 bytes of each carry `epoch * 10_000 + index`).
     pub fn record(epoch: u64, elements: usize, proofs: usize) -> EpochRecord {
         let mut element_bytes = Vec::with_capacity(elements * ELEMENT_LEN);
         for i in 0..elements {
             let mut chunk = [0u8; ELEMENT_LEN];
-            chunk[..8].copy_from_slice(&element_id(epoch, i).to_le_bytes());
+            chunk[..8].copy_from_slice(&(epoch * 10_000 + i as u64).to_le_bytes());
             chunk[8..].fill((epoch as u8).wrapping_add(i as u8));
             element_bytes.extend_from_slice(&chunk);
         }
@@ -219,16 +200,11 @@ pub(crate) mod testutil {
             vec![0xA5; proofs * PROOF_LEN],
         )
     }
-
-    /// The id `record` gives element `i` of `epoch`.
-    pub fn element_id(epoch: u64, i: usize) -> u64 {
-        epoch * 10_000 + i as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{element_id, record};
+    use super::testutil::record;
     use super::*;
 
     #[test]
@@ -236,8 +212,6 @@ mod tests {
         let rec = record(3, 4, 2);
         assert_eq!(rec.element_count(), 4);
         assert_eq!(rec.proof_count(), 2);
-        let ids: Vec<u64> = rec.element_ids().collect();
-        assert_eq!(ids, vec![30_000, 30_001, 30_002, 30_003]);
     }
 
     #[test]
@@ -267,13 +241,9 @@ mod tests {
         assert_eq!(store.tip(), 5);
         for e in 1..=5u64 {
             assert_eq!(store.load_epoch(e).unwrap(), Some(record(e, 3, 2)));
-            assert_eq!(store.epoch_of(element_id(e, 0)), Some(e));
-            assert_eq!(store.epoch_of(element_id(e, 2)), Some(e));
         }
-        assert_eq!(store.epoch_of(999_999), None);
         let stats = store.stats();
         assert_eq!(stats.epochs, 5);
-        assert_eq!(stats.indexed_elements, 15);
         assert!(stats.bytes > 0);
         // Re-appending the tip is out of order too.
         assert!(store.append_epoch(&record(5, 1, 1)).is_err());

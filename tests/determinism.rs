@@ -22,6 +22,8 @@ struct RunFingerprint {
     committed: usize,
     /// Per-server: the element ids of every recorded epoch, in epoch order.
     epochs: Vec<Vec<BTreeSet<ElementId>>>,
+    /// Per-server: the signed digest of every recorded epoch.
+    digests: Vec<Vec<[u8; 64]>>,
 }
 
 fn run_once(algorithm: Algorithm, seed: u64) -> RunFingerprint {
@@ -38,18 +40,40 @@ fn run_once_sharded(
     auth: AuthMode,
     shards: usize,
 ) -> RunFingerprint {
+    run_once_at(algorithm, seed, auth, shards, 4, 400.0, 3)
+}
+
+/// One run of `injection_secs` at `rate` el/s plus a 9 s drain.
+fn run_once_at(
+    algorithm: Algorithm,
+    seed: u64,
+    auth: AuthMode,
+    shards: usize,
+    servers: usize,
+    rate: f64,
+    injection_secs: u64,
+) -> RunFingerprint {
+    let end = injection_secs + 9;
     let mut deployment = Deployment::builder(algorithm)
-        .servers(4)
-        .rate(400.0)
+        .servers(servers)
+        .rate(rate)
         .collector(32)
-        .injection_secs(3)
-        .max_run_secs(12)
+        .injection_secs(injection_secs)
+        .max_run_secs(end)
         .auth_mode(auth)
         .shards(shards)
         .seed(seed)
         .build();
-    deployment.sim.run_until(SimTime::from_secs(12));
-    let epochs = (0..4)
+    deployment.sim.run_until(SimTime::from_secs(end));
+    let digests = (0..servers)
+        .map(|i| {
+            let state = deployment.server(i).state();
+            (1..=state.epoch())
+                .map(|e| state.epoch_digest(e).expect("epoch in range").0)
+                .collect()
+        })
+        .collect();
+    let epochs = (0..servers)
         .map(|i| {
             let state = deployment.server(i).state();
             (1..=state.epoch())
@@ -68,8 +92,9 @@ fn run_once_sharded(
         events_processed: deployment.sim.events_processed(),
         messages_deferred: deployment.sim.messages_deferred(),
         added: deployment.trace.added_count(),
-        committed: deployment.trace.committed_count_by(SimTime::from_secs(12)),
+        committed: deployment.trace.committed_count_by(SimTime::from_secs(end)),
         epochs,
+        digests,
     }
 }
 
@@ -137,6 +162,36 @@ fn sharded_runs_reproduce_and_match_the_unsharded_schedule() {
              committed element sets"
         );
         assert!(first.committed > 0, "{algorithm:?}: nothing committed");
+    }
+}
+
+/// Above four servers a node can see a commit quorum before the proposal
+/// (`LedgerNode::try_commit` then picks a block-sync peer) and a Hashchain
+/// server can run out of batch holders to ask (`fail_request` picks the
+/// next one). Both picks used to iterate a `HashSet<ProcessId>`, whose
+/// order is seeded per instance, so same-seed runs diverged. The rates are
+/// the lowest at which nearly every rerun of the old code diverged: blocks
+/// must be large enough for votes to overtake proposals.
+#[test]
+fn same_seed_reproduces_the_exact_run_above_four_servers() {
+    for servers in [5, 7] {
+        for (algorithm, rate, secs) in [
+            (Algorithm::Vanilla, 2000.0, 3),
+            (Algorithm::Hashchain, 3000.0, 4),
+        ] {
+            let run = || run_once_at(algorithm, 71, AuthMode::PerElement, 1, servers, rate, secs);
+            let first = run();
+            assert_eq!(
+                first,
+                run(),
+                "{algorithm:?} at {servers} servers: same seed must reproduce \
+                 the run bit-for-bit"
+            );
+            assert!(
+                first.committed > 0,
+                "{algorithm:?} at {servers} servers: nothing committed"
+            );
+        }
     }
 }
 

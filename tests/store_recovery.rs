@@ -5,14 +5,16 @@
 //! prefix — identical element sets *and* identical signed epoch digests —
 //! of an uninterrupted run with the same seed; a restarted node recovers
 //! through its store without paging peers; bounded-memory eviction changes
-//! no observable result; and a torn segment tail truncates cleanly instead
-//! of poisoning recovery.
+//! no observable result, also across a restart; and a torn segment tail
+//! truncates cleanly instead of poisoning recovery.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use setchain::{Algorithm, ElementId, StoreConfig};
+use setchain::{Algorithm, ElementId, SetchainMsg, StoreConfig};
+use setchain_crypto::ProcessId;
+use setchain_ledger::NetMsg;
 use setchain_simnet::SimTime;
 use setchain_workload::{Deployment, DeploymentBuilder};
 
@@ -292,6 +294,51 @@ fn eviction_bounds_memory_without_changing_results() {
         let stats = evicting.server(i).stats();
         assert!(stats.store_bytes > 0, "server {i}: store bytes unreported");
     }
+}
+
+/// The store holds no element index: which ids sit in evicted epochs is
+/// server state, rebuilt at restart by replaying the log and re-applying
+/// retention. A re-add of an evicted element must still be a duplicate.
+#[test]
+fn restart_in_retain_mode_still_rejects_evicted_elements() {
+    let tmp = TempDir::new("retain-restart");
+    let mut killed = builder(Algorithm::Hashchain, 1)
+        .store(StoreConfig::new(tmp.path()))
+        .build();
+    killed.sim.run_until(SimTime::from_secs(9));
+    let old = killed
+        .server(0)
+        .state()
+        .epoch_elements(1)
+        .expect("resident")[0];
+    drop(killed);
+
+    let mut reopened = builder(Algorithm::Hashchain, 1)
+        .store(StoreConfig::new(tmp.path()).with_retain_epochs(1))
+        .injection_secs(0)
+        .build();
+    let state = reopened.server(0).state();
+    assert!(state.evicted_epochs() >= 1, "replay re-applied retention");
+    assert!(state.epoch_elements(1).is_none(), "epoch 1 not resident");
+    assert!(!state.contains(&old.id) && state.was_evicted(&old.id));
+    let set_len = state.the_set_len();
+    let before = reopened.server(0).stats();
+
+    reopened.sim.schedule_message(
+        SimTime::from_millis(100),
+        old.client,
+        ProcessId::server(0),
+        NetMsg::App(SetchainMsg::Add(old)),
+    );
+    reopened.sim.run_until(SimTime::from_secs(1));
+    let after = reopened.server(0).stats();
+    assert_eq!(
+        after.adds_rejected_duplicate,
+        before.adds_rejected_duplicate + 1,
+        "re-add of an evicted element was not rejected as a duplicate"
+    );
+    assert_eq!(after.adds_accepted, before.adds_accepted);
+    assert_eq!(reopened.server(0).state().the_set_len(), set_len);
 }
 
 /// A torn tail — a partial frame appended by a crash mid-write — must be
