@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 
 use setchain::{Algorithm, AuthMode, ElementId};
+use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
 use setchain_workload::Deployment;
 
@@ -24,6 +25,18 @@ struct RunFingerprint {
     epochs: Vec<Vec<BTreeSet<ElementId>>>,
     /// Per-server: the signed digest of every recorded epoch.
     digests: Vec<Vec<[u8; 64]>>,
+}
+
+impl RunFingerprint {
+    /// Hex SHA-256 over every server's signed epoch digests, in
+    /// (server, epoch) order.
+    fn digests_sha256(&self) -> String {
+        let mut hasher = Sha256::new();
+        for digest in self.digests.iter().flatten() {
+            hasher.update(digest);
+        }
+        hasher.finalize().to_hex()
+    }
 }
 
 fn run_once(algorithm: Algorithm, seed: u64) -> RunFingerprint {
@@ -219,5 +232,49 @@ fn correct_servers_agree_on_committed_epochs_within_a_run() {
             &other[..common],
             "server {i} diverged from server 0 on the common epoch prefix"
         );
+    }
+}
+
+/// One pinned run: `(algorithm, auth, servers, rate, injection_secs, seed)` →
+/// `(events_processed, messages_deferred, added, committed, digests_sha256)`.
+type Golden = (
+    (Algorithm, AuthMode, usize, f64, u64, u64),
+    (u64, u64, usize, usize, &'static str),
+);
+
+/// The cross-commit oracle. Every other test in this file compares two runs
+/// of the *same* binary, so none of them notices a refactor that changes a
+/// schedule; these values were recorded once and a change that moves one on
+/// purpose edits the table in its own diff. Every row drains.
+#[rustfmt::skip]
+const GOLDENS: &[Golden] = &[
+    ((Algorithm::Vanilla, AuthMode::PerElement, 4, 400.0, 3, 71), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Vanilla, AuthMode::BatchRoot, 4, 400.0, 3, 71), (10092, 420, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Compresschain, AuthMode::PerElement, 4, 400.0, 3, 71), (6900, 288, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
+    ((Algorithm::Compresschain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (8700, 418, 1200, 1200, "e3d810c0cafb34c8ab56147ed3c9c8ca6b119aa7bd2fabbeafab9980bab7ed5f")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 4, 400.0, 3, 71), (7561, 900, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Hashchain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (9359, 1027, 1200, 1200, "1e5787ce5eaa698673035bc1a9fae4842331b131c1a4ebd0ae38741ceba62733")),
+    ((Algorithm::Vanilla, AuthMode::PerElement, 7, 2000.0, 3, 71), (18205, 1110, 5999, 5999, "c66e5a6e8c29978a298e27a0b8a5e4a87c3c6fc97fb2aaa46712e9c5a905ea5a")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 7, 3000.0, 4, 71), (21285, 23905, 11998, 11998, "87028d05b520c2a158e2729c915f401c1cd7a43091d0219613a6d62813733c96")),
+    ((Algorithm::Vanilla, AuthMode::PerElement, 10, 500.0, 2, 71), (24464, 4309, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
+    ((Algorithm::Compresschain, AuthMode::PerElement, 10, 500.0, 2, 71), (16996, 3125, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 10, 500.0, 2, 71), (20247, 8255, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
+];
+
+#[test]
+fn runs_match_the_golden_fingerprints() {
+    for &(shape, want) in GOLDENS {
+        let (algorithm, auth, servers, rate, injection_secs, seed) = shape;
+        let fp = run_once_at(algorithm, seed, auth, 1, servers, rate, injection_secs);
+        let got = (
+            fp.events_processed,
+            fp.messages_deferred,
+            fp.added,
+            fp.committed,
+            fp.digests_sha256(),
+        );
+        let want = (want.0, want.1, want.2, want.3, want.4.to_string());
+        assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+        assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
     }
 }
