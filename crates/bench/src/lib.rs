@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod pipeline;
 
 use std::fs;
 use std::io::Write;

@@ -30,8 +30,7 @@
 //!
 //! The public API mirrors what the algorithm pseudocode needs:
 //! [`compress`] / [`decompress`] / [`compress_chunked`] /
-//! [`decompress_chunked`] plus a [`Codec`] trait so experiments can swap in
-//! the identity codec ("Compresschain light", Fig. 2 left ablation).
+//! [`decompress_chunked`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,144 +48,44 @@ pub use lz77::{
     MAX_DECLARED,
 };
 
-/// A reversible byte-level codec.
-///
-/// `Lz77Codec` is the default used by Compresschain; `IdentityCodec` is used
-/// by the "light" ablations and by Vanilla (which never compresses).
-pub trait Codec: Send + Sync {
-    /// Compresses `data`.
-    fn encode(&self, data: &[u8]) -> Vec<u8>;
-    /// Decompresses `data`, returning `None` on malformed input.
-    fn decode(&self, data: &[u8]) -> Option<Vec<u8>>;
-    /// Human-readable codec name (used in experiment output).
-    fn name(&self) -> &'static str;
-}
-
-/// LZ77-based codec producing single streams (the Brotli stand-in). Decoding
-/// sniffs the format, so it also accepts chunked frames.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Lz77Codec;
-
-impl Codec for Lz77Codec {
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        compress(data)
-    }
-
-    fn decode(&self, data: &[u8]) -> Option<Vec<u8>> {
-        decompress_any(data).ok()
-    }
-
-    fn name(&self) -> &'static str {
-        "lz77"
-    }
-}
-
-/// LZ77 codec producing chunked frames ([`DEFAULT_CHUNK_LEN`] chunks,
-/// compressed and decompressed in parallel). Decoding sniffs the format, so
-/// it also accepts single streams.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChunkedLz77Codec;
-
-impl Codec for ChunkedLz77Codec {
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        compress_chunked(data)
-    }
-
-    fn decode(&self, data: &[u8]) -> Option<Vec<u8>> {
-        decompress_any(data).ok()
-    }
-
-    fn name(&self) -> &'static str {
-        "lz77-chunked"
-    }
-}
-
-/// Identity (no-op) codec, used for ablations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityCodec;
-
-impl Codec for IdentityCodec {
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        data.to_vec()
-    }
-
-    fn decode(&self, data: &[u8]) -> Option<Vec<u8>> {
-        Some(data.to_vec())
-    }
-
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-}
-
-/// Measures the compression ratio (`original / compressed`) achieved by a
-/// codec on `data`. Returns 1.0 for empty input.
-pub fn compression_ratio<C: Codec>(codec: &C, data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    let compressed = codec.encode(data);
-    data.len() as f64 / compressed.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn identity_roundtrip() {
-        let c = IdentityCodec;
-        let data = b"hello world".to_vec();
-        assert_eq!(c.decode(&c.encode(&data)).unwrap(), data);
-        assert_eq!(c.name(), "identity");
-        assert!((compression_ratio(&c, &data) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn lz77_codec_roundtrip() {
-        let c = Lz77Codec;
         let data: Vec<u8> = b"abcabcabcabcabcabcabcabc".to_vec();
-        let enc = c.encode(&data);
-        assert_eq!(c.decode(&enc).unwrap(), data);
+        let enc = compress(&data);
+        assert_eq!(decompress(&enc).unwrap(), data);
         assert!(enc.len() < data.len());
-        assert_eq!(c.name(), "lz77");
     }
 
     #[test]
     fn chunked_codec_roundtrip_and_cross_decode() {
-        let chunked = ChunkedLz77Codec;
-        let single = Lz77Codec;
         let data: Vec<u8> = b"setchain epoch "
             .iter()
             .copied()
             .cycle()
             .take(150_000)
             .collect();
-        let frame = chunked.encode(&data);
-        assert_eq!(chunked.decode(&frame).unwrap(), data);
-        // Either codec decodes either format.
-        assert_eq!(single.decode(&frame).unwrap(), data);
-        assert_eq!(chunked.decode(&single.encode(&data)).unwrap(), data);
-        assert_eq!(chunked.name(), "lz77-chunked");
-        assert!(compression_ratio(&chunked, &data) > 2.0);
-    }
-
-    #[test]
-    fn ratio_of_empty_is_one() {
-        assert_eq!(compression_ratio(&Lz77Codec, b""), 1.0);
+        let frame = compress_chunked(&data);
+        assert_eq!(decompress_chunked(&frame).unwrap(), data);
+        // The sniffing decoder accepts either format.
+        assert_eq!(decompress_any(&frame).unwrap(), data);
+        assert_eq!(decompress_any(&compress(&data)).unwrap(), data);
+        assert!(data.len() > 2 * frame.len());
     }
 
     #[test]
     fn repetitive_data_compresses_well() {
         let data = vec![b'a'; 10_000];
-        assert!(compression_ratio(&Lz77Codec, &data) > 20.0);
-        assert!(compression_ratio(&ChunkedLz77Codec, &data) > 20.0);
+        assert!(data.len() > 20 * compress(&data).len());
+        assert!(data.len() > 20 * compress_chunked(&data).len());
     }
 
     #[test]
     fn decode_rejects_garbage() {
         // A length header promising far more data than present must not panic.
-        let garbage = vec![0xFF; 3];
-        assert!(Lz77Codec.decode(&garbage).is_none() || Lz77Codec.decode(&garbage).is_some());
+        assert!(decompress_any(&[0xFF; 3]).is_err());
     }
 }

@@ -34,7 +34,7 @@ pub use hmac::{
     hmac_sha256, hmac_sha512, mac_batch_root, verify_batch_root, HmacSha256Key, HmacSha512Key,
 };
 pub use keys::{KeyPair, KeyRegistry, ProcessId, PublicKey, SecretKey};
-pub use merkle::{domain_hash, framed_hash, merkle_root, MerkleProof, MerkleTree};
+pub use merkle::{framed_hash, merkle_root, MerkleProof, MerkleTree};
 pub use parallel::{default_threads, parallel_map, parallel_map_min, MIN_PARALLEL_LEN};
 pub use signature::{sign, sign_with, verify, verify_batch, SigVerifier, Signature, SIGNATURE_LEN};
 

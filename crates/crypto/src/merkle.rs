@@ -170,23 +170,6 @@ pub fn framed_hash<T: AsRef<[u8]>>(parts: &[T]) -> Digest256 {
     h.finalize()
 }
 
-/// Domain-separated [`framed_hash`]: the length-framed `domain` tag is
-/// absorbed before the parts, so two subsystems hashing identical payloads
-/// under different tags can never produce colliding digests. Used for
-/// commitments that live *next to* an existing hash format and must not be
-/// confusable with it (e.g. per-shard sub-epoch roots next to batch roots).
-pub fn domain_hash<T: AsRef<[u8]>>(domain: &[u8], parts: &[T]) -> Digest256 {
-    let mut h = Sha256::new();
-    h.update(&(domain.len() as u64).to_le_bytes());
-    h.update(domain);
-    for p in parts {
-        let p = p.as_ref();
-        h.update(&(p.len() as u64).to_le_bytes());
-        h.update(p);
-    }
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,25 +222,6 @@ mod tests {
         let a = framed_hash(&[b"ab".to_vec(), b"c".to_vec()]);
         let b = framed_hash(&[b"a".to_vec(), b"bc".to_vec()]);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn domain_hash_separates_domains_and_frames_parts() {
-        let parts = [b"ab".to_vec(), b"c".to_vec()];
-        let a = domain_hash(b"domain-a", &parts);
-        let b = domain_hash(b"domain-b", &parts);
-        assert_ne!(a, b, "different tags over identical payloads differ");
-        // The tag is length-framed too: moving bytes between the tag and the
-        // first part changes the digest.
-        let shifted = domain_hash(b"domain-aa", &[b"b".to_vec(), b"c".to_vec()]);
-        assert_ne!(a, shifted);
-        // Same framing rule as framed_hash within the parts.
-        assert_ne!(
-            domain_hash(b"d", &[b"ab".to_vec(), b"c".to_vec()]),
-            domain_hash(b"d", &[b"a".to_vec(), b"bc".to_vec()]),
-        );
-        // Deterministic across calls.
-        assert_eq!(a, domain_hash(b"domain-a", &parts));
     }
 
     #[test]

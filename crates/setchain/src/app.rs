@@ -45,7 +45,7 @@ use crate::element::Element;
 use crate::hashchain::{HashchainApp, SharedBatchRegistry};
 use crate::messages::SetchainMsg;
 use crate::proofs::EpochProof;
-use crate::server::{ServerStats, ShardStats};
+use crate::server::ServerStats;
 use crate::state::SetchainState;
 use crate::trace::SetchainTrace;
 use crate::tx::SetchainTx;
@@ -69,11 +69,6 @@ pub trait SetchainApp: Application<Tx = SetchainTx, Msg = SetchainMsg> {
 
     /// Server counters for tests and experiment reports.
     fn stats(&self) -> ServerStats;
-
-    /// Per-admission-shard counters ([`ShardStats`]), ring-ordered — one
-    /// entry per configured shard (a single entry for the default
-    /// unsharded pipeline). Deployments roll these up per server.
-    fn shard_stats(&self) -> Vec<ShardStats>;
 
     /// The deployment configuration this server runs with.
     fn config(&self) -> &SetchainConfig;

@@ -157,10 +157,6 @@ impl SetchainApp for CompresschainApp {
         self.core.stats
     }
 
-    fn shard_stats(&self) -> Vec<crate::server::ShardStats> {
-        self.core.shard_stats()
-    }
-
     fn config(&self) -> &SetchainConfig {
         &self.core.config
     }

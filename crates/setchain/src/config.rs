@@ -265,16 +265,6 @@ pub struct SetchainConfig {
     /// as [`AuthMode::PerElement`]).
     #[serde(default)]
     pub auth_mode: AuthMode,
-    /// Number of admission shards per server (see [`crate::shard`]): the
-    /// element-id space is partitioned by a deterministic consistent-hash
-    /// ring into this many independent admission caches, validation
-    /// pipelines and `the_set` partitions. Purely host-side organization —
-    /// verdicts, schedules and epoch digests are identical for every value
-    /// — so `1` (the unsharded pipeline) is the standing correctness
-    /// oracle. `#[serde(default = ...)]`: configurations written before
-    /// sharding existed read back unsharded.
-    #[serde(default = "default_shards")]
-    pub shards: usize,
     /// Persistent epoch storage; `None` (the default, and what
     /// configurations written before the store existed read back as) keeps
     /// the pure in-RAM path.
@@ -287,13 +277,6 @@ pub struct SetchainConfig {
     pub quota: Option<QuotaConfig>,
     /// CPU cost model.
     pub costs: CostModel,
-}
-
-/// Serde default for [`SetchainConfig::shards`]: pre-sharding
-/// configurations deserialize to the unsharded pipeline, not to zero
-/// shards.
-fn default_shards() -> usize {
-    1
 }
 
 impl SetchainConfig {
@@ -313,7 +296,6 @@ impl SetchainConfig {
             designated_signers: None,
             push_batches: false,
             auth_mode: AuthMode::default(),
-            shards: default_shards(),
             store: None,
             quota: None,
             costs: CostModel::default(),
@@ -368,14 +350,6 @@ impl SetchainConfig {
     /// [`AuthMode::PerElement`]).
     pub fn with_auth_mode(mut self, mode: AuthMode) -> Self {
         self.auth_mode = mode;
-        self
-    }
-
-    /// Sets the number of admission shards per server (default 1, the
-    /// unsharded pipeline).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard required");
-        self.shards = shards;
         self
     }
 
@@ -466,18 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_the_unsharded_pipeline() {
-        let cfg = SetchainConfig::new(4);
-        assert_eq!(cfg.shards, 1);
-        let cfg = cfg.with_shards(4);
-        assert_eq!(cfg.shards, 4);
-        // The serde default mirrors the constructor: pre-sharding
-        // configurations (no `shards` key) must read back as the unsharded
-        // pipeline, never as zero shards.
-        assert_eq!(default_shards(), 1);
-    }
-
-    #[test]
     fn store_defaults_to_in_memory() {
         let cfg = SetchainConfig::new(4);
         assert!(cfg.store.is_none(), "no store unless configured");
@@ -521,12 +483,6 @@ mod tests {
     #[should_panic(expected = "quota rate must be positive")]
     fn zero_quota_rate_panics() {
         let _ = QuotaConfig::new().with_rate(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = SetchainConfig::new(4).with_shards(0);
     }
 
     #[test]

@@ -515,10 +515,6 @@ impl SetchainApp for HashchainApp {
         self.core.stats
     }
 
-    fn shard_stats(&self) -> Vec<crate::server::ShardStats> {
-        self.core.shard_stats()
-    }
-
     fn config(&self) -> &SetchainConfig {
         &self.core.config
     }

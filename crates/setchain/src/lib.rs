@@ -69,8 +69,6 @@ pub mod messages;
 pub mod proofs;
 pub mod quota;
 pub mod server;
-pub mod shard;
-pub mod sortition;
 pub mod state;
 pub mod trace;
 pub mod tx;
@@ -94,9 +92,7 @@ pub use proofs::{
     prove_epoch_inclusion, verify_epoch_proof, EpochInclusionProof, EpochProof,
 };
 pub use quota::{QuotaState, QuotaVerdict, PENDING_RETRY};
-pub use server::{ServerCore, ServerStats, ShardStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};
-pub use shard::{aggregate_epoch, sub_epoch_commitment, ShardRing, ShardedEpoch, SubEpoch};
-pub use sortition::{round_seed, select_committee, verify_member, Candidate};
+pub use server::{ServerCore, ServerStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};
 pub use state::SetchainState;
 pub use trace::SetchainTrace;
 pub use tx::{CompressedBatch, HashBatch, SetchainTx};

@@ -8,20 +8,14 @@ use setchain_crypto::{Digest512, FxHashMap, FxHashSet};
 
 use crate::element::{Element, ElementId};
 use crate::messages::GetSnapshot;
-use crate::proofs::{epoch_hash, epoch_hash_for_root, epoch_root, EpochProof};
-use crate::shard::{aggregate_epoch, ShardRing, SubEpoch};
+use crate::proofs::{epoch_hash, EpochProof};
 
 /// The four components of a Setchain returned by `get()`:
 /// `(the_set, history, epoch, proofs)`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SetchainState {
-    /// Grow-only set of element ids that have been added, partitioned by
-    /// the admission ring: `shard_sets[s]` holds the ids the ring maps to
-    /// shard `s`. With one shard (the default) this is exactly the old
-    /// single `the_set`.
-    shard_sets: Vec<FxHashSet<ElementId>>,
-    /// The consistent-hash ring routing ids to `shard_sets` partitions.
-    ring: ShardRing,
+    /// Grow-only set of element ids that have been added.
+    the_set: FxHashSet<ElementId>,
     /// Current epoch number (`history` holds epochs `1..=epoch`).
     epoch: u64,
     /// `history[i - 1]` holds the elements stamped with epoch `i`.
@@ -30,10 +24,6 @@ pub struct SetchainState {
     /// once when the epoch is recorded. Every proof made or verified for the
     /// epoch reuses it instead of re-hashing the elements.
     epoch_digests: Vec<Digest512>,
-    /// `sub_epochs[i - 1]` holds epoch `i`'s per-shard sub-epoch
-    /// commitments when the state is sharded (empty for the unsharded
-    /// pipeline, whose digest path never computes them).
-    sub_epochs: Vec<Vec<SubEpoch>>,
     /// Reverse index: element id → epoch it was stamped with.
     element_epoch: FxHashMap<ElementId, u64>,
     /// Epoch-proofs received, per epoch, at most one per signer. The inner
@@ -41,23 +31,16 @@ pub struct SetchainState {
     /// signer sets are tiny (≤ n servers) so the linear dedup is cheap.
     proofs: FxHashMap<u64, Vec<EpochProof>>,
     /// Bounded-memory mode: epochs `1..=evicted_epochs` have had their
-    /// elements evicted from `shard_sets`, `history` and `element_epoch`
-    /// (they live in the persistent store instead; digests, sub-epoch
-    /// commitments and proofs stay resident). Eviction is strictly
-    /// prefix-ordered. 0 (always, without a store) means fully resident.
+    /// elements evicted from `the_set`, `history` and `element_epoch`
+    /// (they live in the persistent store instead; digests and proofs stay
+    /// resident). Eviction is strictly prefix-ordered. 0 (always, without a
+    /// store) means fully resident.
     evicted_epochs: u64,
     /// The ids of every evicted element: all that stays in RAM of an
     /// evicted epoch's contents, so membership checks still reject a re-add
     /// and the *logical* set and history sizes reported to clients stay
     /// correct. The store keeps no element index; this is it.
     evicted_ids: FxHashSet<ElementId>,
-}
-
-impl Default for SetchainState {
-    /// The unsharded empty state — identical to [`SetchainState::new`].
-    fn default() -> Self {
-        Self::with_shards(1)
-    }
 }
 
 impl SetchainState {
@@ -67,54 +50,25 @@ impl SetchainState {
         Self::default()
     }
 
-    /// Creates an empty state whose `the_set` is partitioned across
-    /// `shards` admission shards. `with_shards(1)` is exactly [`Self::new`].
-    pub fn with_shards(shards: usize) -> Self {
-        SetchainState {
-            shard_sets: (0..shards.max(1)).map(|_| FxHashSet::default()).collect(),
-            ring: ShardRing::new(shards.max(1)),
-            epoch: 0,
-            history: Vec::new(),
-            epoch_digests: Vec::new(),
-            sub_epochs: Vec::new(),
-            element_epoch: FxHashMap::default(),
-            proofs: FxHashMap::default(),
-            evicted_epochs: 0,
-            evicted_ids: FxHashSet::default(),
-        }
-    }
-
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Number of `the_set` partitions (1 for the unsharded pipeline).
-    pub fn shard_count(&self) -> usize {
-        self.shard_sets.len()
-    }
-
-    /// Number of elements the ring has routed to `the_set` partition
-    /// `shard`. The per-shard term of [`Self::the_set_len`].
-    pub fn shard_set_len(&self, shard: usize) -> usize {
-        self.shard_sets.get(shard).map(FxHashSet::len).unwrap_or(0)
-    }
-
-    /// Number of elements in `the_set` (the rollup across all partitions,
-    /// plus elements evicted to the persistent store — the *logical* size,
-    /// unchanged by eviction).
+    /// Number of elements in `the_set`, elements evicted to the persistent
+    /// store included — the *logical* size, unchanged by eviction.
     pub fn the_set_len(&self) -> usize {
-        self.shard_sets.iter().map(FxHashSet::len).sum::<usize>() + self.evicted_ids.len()
+        self.the_set.len() + self.evicted_ids.len()
     }
 
     /// True if `the_set` contains the element.
     pub fn contains(&self, id: &ElementId) -> bool {
-        self.shard_sets[self.ring.shard_of(*id)].contains(id)
+        self.the_set.contains(id)
     }
 
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
-        self.shard_sets[self.ring.shard_of(id)].insert(id)
+        self.the_set.insert(id)
     }
 
     /// True if the element has already been stamped with an epoch
@@ -162,12 +116,8 @@ impl SetchainState {
     pub fn record_epoch(&mut self, elements: Vec<Element>) -> u64 {
         self.epoch += 1;
         // Pre-size both per-element maps from the epoch's cardinality: one
-        // rehash check here instead of incremental growth mid-loop. (With
-        // multiple shards the per-partition counts are not known up front;
-        // the partitions grow incrementally instead.)
-        if self.shard_sets.len() == 1 {
-            self.shard_sets[0].reserve(elements.len());
-        }
+        // rehash check here instead of incremental growth mid-loop.
+        self.the_set.reserve(elements.len());
         self.element_epoch.reserve(elements.len());
         for e in &elements {
             debug_assert!(
@@ -175,42 +125,14 @@ impl SetchainState {
                 "element {:?} stamped twice",
                 e.id
             );
-            self.shard_sets[self.ring.shard_of(e.id)].insert(e.id);
+            self.the_set.insert(e.id);
             self.element_epoch.insert(e.id, self.epoch);
         }
         // The epoch digest is computed exactly once, here; every proof site
         // (signing our own proof, verifying up to n peer proofs) reuses it.
-        if self.ring.shards() == 1 {
-            // Unsharded: the original digest path, untouched.
-            self.epoch_digests.push(epoch_hash(self.epoch, &elements));
-            self.sub_epochs.push(Vec::new());
-        } else {
-            // Sharded: per-shard sub-roots merged by the cross-shard
-            // aggregator. The merged root is exactly `epoch_root`, so the
-            // signed digest is byte-identical to the unsharded pipeline —
-            // asserted in debug builds, proven differentially by
-            // `tests/shard_conformance.rs`.
-            let agg = aggregate_epoch(&self.ring, &elements);
-            debug_assert_eq!(agg.root, epoch_root(&elements));
-            self.epoch_digests.push(epoch_hash_for_root(
-                self.epoch,
-                elements.len() as u64,
-                &agg.root,
-            ));
-            self.sub_epochs.push(agg.sub_epochs);
-        }
+        self.epoch_digests.push(epoch_hash(self.epoch, &elements));
         self.history.push(elements);
         self.epoch
-    }
-
-    /// Epoch `i`'s per-shard sub-epoch commitments, if the state is sharded
-    /// and the epoch exists. The unsharded pipeline records none (its
-    /// digest path never computes them) and returns an empty slice.
-    pub fn epoch_sub_epochs(&self, epoch: u64) -> Option<&[SubEpoch]> {
-        if epoch == 0 || epoch > self.epoch {
-            return None;
-        }
-        Some(&self.sub_epochs[(epoch - 1) as usize])
     }
 
     /// Installs one epoch recovered through the catch-up protocol. The
@@ -239,9 +161,9 @@ impl SetchainState {
     }
 
     /// Bounded-memory mode: drops epoch `epoch`'s elements from RAM —
-    /// `shard_sets`, `element_epoch` and the `history` entry — keeping the
-    /// digest, sub-epoch commitments, proofs and the bare ids (see
-    /// [`Self::was_evicted`]). Returns the number of elements evicted.
+    /// `the_set`, `element_epoch` and the `history` entry — keeping the
+    /// digest, proofs and the bare ids (see [`Self::was_evicted`]). Returns
+    /// the number of elements evicted.
     ///
     /// The caller owns two obligations: the epoch must already be durable
     /// in the persistent store (readback falls back to it), and eviction
@@ -259,7 +181,7 @@ impl SetchainState {
         let elements = std::mem::take(&mut self.history[(epoch - 1) as usize]);
         self.evicted_ids.reserve(elements.len());
         for e in &elements {
-            self.shard_sets[self.ring.shard_of(e.id)].remove(&e.id);
+            self.the_set.remove(&e.id);
             self.element_epoch.remove(&e.id);
             self.evicted_ids.insert(e.id);
         }
@@ -516,95 +438,51 @@ mod tests {
     }
 
     #[test]
-    fn sharded_state_matches_the_unsharded_oracle() {
-        // The state-level slice of the conformance argument: same inserts
-        // and epochs, identical membership, lengths and — crucially —
-        // epoch digests, for every shard count.
-        let es1 = elements(0..40);
-        let es2 = elements(40..55);
-        let mut oracle = SetchainState::new();
-        oracle.record_epoch(es1.clone());
-        oracle.record_epoch(es2.clone());
-        for shards in [1usize, 2, 4, 8] {
-            let mut st = SetchainState::with_shards(shards);
-            assert_eq!(st.shard_count(), shards);
-            st.record_epoch(es1.clone());
-            st.record_epoch(es2.clone());
-            assert_eq!(st.the_set_len(), oracle.the_set_len());
-            assert_eq!(
-                (0..shards).map(|s| st.shard_set_len(s)).sum::<usize>(),
-                st.the_set_len(),
-                "partition rollup covers the_set"
-            );
-            for e in es1.iter().chain(&es2) {
-                assert!(st.contains(&e.id));
-                assert_eq!(st.epoch_of(&e.id), oracle.epoch_of(&e.id));
-            }
-            assert_eq!(st.epoch_digest(1), oracle.epoch_digest(1));
-            assert_eq!(st.epoch_digest(2), oracle.epoch_digest(2));
-            assert!(st.check_consistent_sets());
-            assert!(st.check_unique_epoch());
-            assert!(st.check_consistent_with(&oracle));
-            // Sub-epoch commitments exist exactly when sharded, and their
-            // counts cover each epoch.
-            let subs = st.epoch_sub_epochs(1).unwrap();
-            if shards == 1 {
-                assert!(subs.is_empty());
-            } else {
-                assert_eq!(subs.len(), shards);
-                assert_eq!(subs.iter().map(|s| s.count).sum::<u64>(), es1.len() as u64);
-            }
-        }
-    }
-
-    #[test]
     fn eviction_preserves_logical_sizes_and_digests() {
-        for shards in [1usize, 4] {
-            let mut st = SetchainState::with_shards(shards);
-            st.record_epoch(elements(0..5));
-            st.record_epoch(elements(5..8));
-            st.record_epoch(elements(8..12));
-            let digests: Vec<_> = (1..=3).map(|e| *st.epoch_digest(e).unwrap()).collect();
-            assert_eq!(st.evicted_epochs(), 0);
-            assert!(st.epoch_is_resident(1));
-            assert_eq!(st.evict_epoch(1), 5);
-            assert_eq!(st.evict_epoch(2), 3);
-            assert_eq!(st.evicted_epochs(), 2);
-            // Logical sizes are unchanged; residency and direct lookups are.
-            assert_eq!(st.the_set_len(), 12);
-            assert_eq!(st.history_elements(), 12);
-            assert!(!st.epoch_is_resident(2));
-            assert!(st.epoch_is_resident(3));
-            assert!(st.epoch_elements(1).is_none());
-            assert!(st.epoch_elements(2).is_none());
-            assert_eq!(st.epoch_elements(3).unwrap().len(), 4);
-            let evicted = elements(0..5);
-            assert!(!st.contains(&evicted[0].id));
-            assert!(!st.in_history(&evicted[0].id));
-            // Digests (what proofs verify against) are never evicted.
-            for (i, d) in digests.iter().enumerate() {
-                assert_eq!(st.epoch_digest(i as u64 + 1), Some(d));
-            }
-            // Snapshot still reports logical sizes.
-            let snap = st.snapshot(1);
-            assert_eq!(snap.the_set_len, 12);
-            assert_eq!(snap.history_elements, 12);
-            // New epochs keep recording on top of the evicted prefix.
-            st.record_epoch(elements(12..14));
-            assert_eq!(st.epoch(), 4);
-            assert_eq!(st.the_set_len(), 14);
-            // Consistency checks skip the evicted prefix instead of
-            // panicking, and still hold on the resident suffix.
-            assert!(st.check_consistent_sets());
-            assert!(st.check_unique_epoch());
-            let mut full = SetchainState::with_shards(shards);
-            full.record_epoch(elements(0..5));
-            full.record_epoch(elements(5..8));
-            full.record_epoch(elements(8..12));
-            full.record_epoch(elements(12..14));
-            assert!(st.check_consistent_with(&full));
-            assert!(full.check_consistent_with(&st));
+        let mut st = SetchainState::new();
+        st.record_epoch(elements(0..5));
+        st.record_epoch(elements(5..8));
+        st.record_epoch(elements(8..12));
+        let digests: Vec<_> = (1..=3).map(|e| *st.epoch_digest(e).unwrap()).collect();
+        assert_eq!(st.evicted_epochs(), 0);
+        assert!(st.epoch_is_resident(1));
+        assert_eq!(st.evict_epoch(1), 5);
+        assert_eq!(st.evict_epoch(2), 3);
+        assert_eq!(st.evicted_epochs(), 2);
+        // Logical sizes are unchanged; residency and direct lookups are.
+        assert_eq!(st.the_set_len(), 12);
+        assert_eq!(st.history_elements(), 12);
+        assert!(!st.epoch_is_resident(2));
+        assert!(st.epoch_is_resident(3));
+        assert!(st.epoch_elements(1).is_none());
+        assert!(st.epoch_elements(2).is_none());
+        assert_eq!(st.epoch_elements(3).unwrap().len(), 4);
+        let evicted = elements(0..5);
+        assert!(!st.contains(&evicted[0].id));
+        assert!(!st.in_history(&evicted[0].id));
+        // Digests (what proofs verify against) are never evicted.
+        for (i, d) in digests.iter().enumerate() {
+            assert_eq!(st.epoch_digest(i as u64 + 1), Some(d));
         }
+        // Snapshot still reports logical sizes.
+        let snap = st.snapshot(1);
+        assert_eq!(snap.the_set_len, 12);
+        assert_eq!(snap.history_elements, 12);
+        // New epochs keep recording on top of the evicted prefix.
+        st.record_epoch(elements(12..14));
+        assert_eq!(st.epoch(), 4);
+        assert_eq!(st.the_set_len(), 14);
+        // Consistency checks skip the evicted prefix instead of
+        // panicking, and still hold on the resident suffix.
+        assert!(st.check_consistent_sets());
+        assert!(st.check_unique_epoch());
+        let mut full = SetchainState::new();
+        full.record_epoch(elements(0..5));
+        full.record_epoch(elements(5..8));
+        full.record_epoch(elements(8..12));
+        full.record_epoch(elements(12..14));
+        assert!(st.check_consistent_with(&full));
+        assert!(full.check_consistent_with(&st));
     }
 
     #[test]

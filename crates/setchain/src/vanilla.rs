@@ -84,10 +84,6 @@ impl SetchainApp for VanillaApp {
         self.core.stats
     }
 
-    fn shard_stats(&self) -> Vec<crate::server::ShardStats> {
-        self.core.shard_stats()
-    }
-
     fn config(&self) -> &SetchainConfig {
         &self.core.config
     }

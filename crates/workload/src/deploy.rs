@@ -114,12 +114,6 @@ impl<'a> ServerHandle<'a> {
         self.app().stats()
     }
 
-    /// Per-admission-shard counters for this server, ring-ordered — a single
-    /// entry for the default unsharded pipeline.
-    pub fn shard_stats(&self) -> Vec<setchain::ShardStats> {
-        self.app().shard_stats()
-    }
-
     /// The algorithm-agnostic server core: admission caches, quota state,
     /// catch-up machinery — read-only inspection across all variants.
     pub fn core(&self) -> &'a setchain::ServerCore {
@@ -148,8 +142,7 @@ impl<'a> ServerHandle<'a> {
 }
 
 /// Fluent constructor for [`Deployment`]: scenario knobs and fault injection
-/// in one chain, replacing the old `Scenario::base(..).with_*` +
-/// `build`/`build_with_faults` split.
+/// in one chain.
 ///
 /// ```
 /// use setchain::{Algorithm, ServerByzMode};
@@ -268,14 +261,6 @@ impl DeploymentBuilder {
     /// ([`setchain::AuthMode::BatchRoot`]).
     pub fn auth_mode(mut self, mode: setchain::AuthMode) -> Self {
         self.scenario.auth_mode = mode;
-        self
-    }
-
-    /// Partitions each server's admission pipeline and `the_set` into
-    /// `shards` consistent-hash shards ([`setchain::ShardRing`]). `1` (the
-    /// default) is the exact unsharded code path.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.scenario = self.scenario.with_shards(shards);
         self
     }
 
@@ -510,24 +495,6 @@ impl Deployment {
         DeploymentBuilder::from_scenario(scenario.clone()).build()
     }
 
-    /// Builds a deployment injecting application-level faults
-    /// (`server_faults`) and/or consensus-level faults (`ledger_faults`),
-    /// both given as `(server index, behaviour)` pairs.
-    ///
-    /// Thin compatibility wrapper over [`Deployment::builder`]'s
-    /// [`server_fault`](DeploymentBuilder::server_fault) /
-    /// [`ledger_fault`](DeploymentBuilder::ledger_fault) options.
-    pub fn build_with_faults(
-        scenario: &Scenario,
-        server_faults: &[(usize, ServerByzMode)],
-        ledger_faults: &[(usize, ByzMode)],
-    ) -> Self {
-        let mut builder = DeploymentBuilder::from_scenario(scenario.clone());
-        builder.server_faults.extend_from_slice(server_faults);
-        builder.ledger_faults.extend_from_slice(ledger_faults);
-        builder.build()
-    }
-
     /// Typed access to server `i`, independent of the algorithm it runs.
     pub fn server(&self, i: usize) -> ServerHandle<'_> {
         let node = self
@@ -629,44 +596,6 @@ mod tests {
         assert!(s0.state().check_consistent_with(s1.state()));
         assert!(s0.state().check_unique_epoch());
         assert!(s0.state().check_consistent_sets());
-    }
-
-    #[test]
-    fn sharded_deployment_commits_the_same_set_and_rolls_up_shard_stats() {
-        let run = |shards: usize| {
-            let mut deployment = Deployment::builder(Algorithm::Hashchain)
-                .servers(4)
-                .rate(200.0)
-                .collector(50)
-                .injection_secs(2)
-                .max_run_secs(20)
-                .seed(5)
-                .shards(shards)
-                .build();
-            deployment.sim.run_until(SimTime::from_secs(20));
-            deployment
-        };
-        let oracle = run(1);
-        let sharded = run(4);
-        let (s0, o0) = (sharded.server(0), oracle.server(0));
-        assert_eq!(s0.state().epoch(), o0.state().epoch());
-        for epoch in 1..=s0.state().epoch() {
-            assert_eq!(
-                s0.state().epoch_digest(epoch),
-                o0.state().epoch_digest(epoch)
-            );
-        }
-        // Per-shard counters roll up to the server's aggregate view.
-        let shard_stats = s0.shard_stats();
-        assert_eq!(shard_stats.len(), 4);
-        assert_eq!(o0.shard_stats().len(), 1);
-        let sharded_len: u64 = shard_stats.iter().map(|s| s.set_len).sum();
-        let oracle_len: u64 = o0.shard_stats().iter().map(|s| s.set_len).sum();
-        assert!(sharded_len > 0);
-        assert_eq!(sharded_len, oracle_len);
-        for (shard, stats) in shard_stats.iter().enumerate() {
-            assert_eq!(stats.shard, shard);
-        }
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! * [`metrics`] — throughput-over-time series, efficiency, commit-time
 //!   percentiles and the per-stage latency CDF of Fig. 4.
 //! * [`analysis`] — the analytical throughput model of Appendix D.
-//! * [`sweep`] — runs independent scenarios across OS threads.
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@ pub mod metrics;
 pub mod runner;
 pub mod scenario;
 pub mod session;
-pub mod sweep;
 
 pub use adversary::{Adversary, AdversaryDriver};
 pub use analysis::{analytical_throughput, AnalysisParams};
@@ -71,4 +69,3 @@ pub use scenario::Scenario;
 pub use session::{
     AddReceipt, BatchReceipt, ClientSession, SessionOutcome, SnapshotView, VerifiedEpoch,
 };
-pub use sweep::run_scenarios;

@@ -57,14 +57,6 @@ pub struct Scenario {
     /// injected batch ([`AuthMode::BatchRoot`]).
     #[serde(default)]
     pub auth_mode: AuthMode,
-    /// Number of admission shards per server (see [`setchain::shard`]):
-    /// each server partitions its admission caches, validation fan-out and
-    /// `the_set` across this many shards. Host-side organization only —
-    /// schedules, verdicts and epoch digests are identical for every value,
-    /// so 1 (the default, the unsharded pipeline) is the correctness
-    /// oracle for every other setting.
-    #[serde(default = "default_shards")]
-    pub shards: usize,
     /// Persistent epoch storage (see [`setchain_store`](setchain::StoreConfig)):
     /// each server opens a segment store under `{dir}/server-{index}`,
     /// appends every committed epoch and recovers from it on restart.
@@ -90,12 +82,6 @@ pub struct Scenario {
     pub detailed_trace: bool,
     /// RNG seed.
     pub seed: u64,
-}
-
-/// Serde default for [`Scenario::shards`]: pre-sharding scenarios read back
-/// unsharded, never with zero shards.
-fn default_shards() -> usize {
-    1
 }
 
 impl Default for Scenario {
@@ -126,7 +112,6 @@ impl Scenario {
             designated_signers: None,
             push_batches: false,
             auth_mode: AuthMode::default(),
-            shards: default_shards(),
             store: None,
             quota: None,
             adversary: None,
@@ -219,14 +204,6 @@ impl Scenario {
         self
     }
 
-    /// Builder: sets the number of admission shards per server (default 1,
-    /// the unsharded pipeline).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard required");
-        self.shards = shards;
-        self
-    }
-
     /// Builder: enables persistent epoch storage (default in-memory).
     pub fn with_store(mut self, store: StoreConfig) -> Self {
         self.store = Some(store);
@@ -288,9 +265,7 @@ impl Scenario {
         if self.push_batches {
             config = config.with_push_batches();
         }
-        config = config
-            .with_auth_mode(self.auth_mode)
-            .with_shards(self.shards);
+        config = config.with_auth_mode(self.auth_mode);
         if let Some(store) = &self.store {
             config = config.with_store(store.clone());
         }
@@ -381,7 +356,6 @@ mod tests {
             .with_designated_signers(9)
             .with_push_batches()
             .with_auth_mode(AuthMode::BatchRoot)
-            .with_shards(4)
             .with_store(StoreConfig::new("/tmp/setchain-knob-test"))
             .with_quota(QuotaConfig::new().with_rate(500))
             .with_adversary(Adversary::FloodClient);
@@ -391,7 +365,6 @@ mod tests {
         assert_eq!(config.designated_signers, Some(9));
         assert!(config.push_batches);
         assert_eq!(config.auth_mode, AuthMode::BatchRoot);
-        assert_eq!(config.shards, 4);
         assert_eq!(
             config.store.as_ref().map(|s| s.dir.as_str()),
             Some("/tmp/setchain-knob-test")
@@ -401,7 +374,6 @@ mod tests {
         assert_eq!(s.adversary, Some(Adversary::FloodClient));
         let default_auth = Scenario::base(Algorithm::Hashchain).setchain_config();
         assert_eq!(default_auth.auth_mode, AuthMode::PerElement);
-        assert_eq!(default_auth.shards, 1, "unsharded pipeline by default");
         assert!(default_auth.store.is_none(), "in-memory by default");
         assert!(default_auth.quota.is_none(), "unmetered by default");
 

@@ -5,7 +5,7 @@
 use setchain::{Algorithm, ServerByzMode};
 use setchain_ledger::ByzMode;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, DeploymentBuilder, Scenario};
+use setchain_workload::{Deployment, DeploymentBuilder};
 
 fn builder(algorithm: Algorithm, servers: usize, seed: u64) -> DeploymentBuilder {
     Deployment::builder(algorithm)
@@ -202,25 +202,17 @@ fn a_server_dropping_client_adds_only_hurts_its_own_clients() {
 fn ten_servers_tolerate_multiple_mixed_faults() {
     // n = 10: f_ledger = 3, f_setchain = 4. Inject three application faults
     // and two consensus faults simultaneously.
-    // Exercise the legacy `build_with_faults` wrapper once: it must stay a
-    // faithful thin delegation to the builder path.
-    let scenario = Scenario::base(Algorithm::Hashchain)
-        .with_label("mixed faults")
-        .with_servers(10)
-        .with_rate(500.0)
-        .with_collector(50)
-        .with_injection_secs(4)
-        .with_max_run_secs(90)
-        .with_seed(7);
-    let deployment = Deployment::build_with_faults(
-        &scenario,
-        &[
-            (7, ServerByzMode::RefuseBatchService),
-            (8, ServerByzMode::ForgeProofs),
-            (9, ServerByzMode::InjectInvalidElements),
-        ],
-        &[(5, ByzMode::Silent), (6, ByzMode::WithholdPrecommit)],
-    );
+    let deployment = builder(Algorithm::Hashchain, 10, 7)
+        .label("mixed faults")
+        .rate(500.0)
+        .collector(50)
+        .injection_secs(4)
+        .server_fault(7, ServerByzMode::RefuseBatchService)
+        .server_fault(8, ServerByzMode::ForgeProofs)
+        .server_fault(9, ServerByzMode::InjectInvalidElements)
+        .ledger_fault(5, ByzMode::Silent)
+        .ledger_fault(6, ByzMode::WithholdPrecommit)
+        .build();
     let deployment = run(deployment, 90);
     let added = deployment.trace.added_count();
     let committed = deployment.trace.committed_count_by(SimTime::from_secs(90));

@@ -133,73 +133,6 @@ fn crashed_server_restarts_and_catches_up_for_every_variant() {
 }
 
 #[test]
-fn crashed_server_catches_up_under_sharded_admission() {
-    // The PR 8 sharded-admission variant of the crash/restart scenario:
-    // with each server's admission pipeline and `the_set` split across 4
-    // shards, the restart probe, ledger block sync and epoch catch-up must
-    // still rebuild the *full* committed set — catch-up replays epochs
-    // through the same `record_epoch` path, which routes every element onto
-    // its ring shard.
-    let plan = FaultPlan::new()
-        .at(
-            SimTime::from_secs(3),
-            FaultEvent::Crash(ProcessId::server(2)),
-        )
-        .at(
-            SimTime::from_secs(10),
-            FaultEvent::Restart(ProcessId::server(2)),
-        );
-    let mut deployment = Deployment::builder(Algorithm::Hashchain)
-        .servers(4)
-        .rate(300.0)
-        .collector(32)
-        .injection_secs(4)
-        .max_run_secs(40)
-        .seed(4022)
-        .shards(4)
-        .fault_plan(plan)
-        .build();
-    deployment.sim.run_until(SimTime::from_secs(40));
-
-    assert!(deployment.sim.dropped_crashed() > 0);
-    let s0 = deployment.server(0);
-    let s2 = deployment.server(2);
-    assert!(s0.state().epoch() > 0);
-    assert!(
-        s0.state().check_consistent_with(s2.state()),
-        "restarted sharded server diverged from the committed prefix"
-    );
-    assert!(
-        s2.state().epoch() + 1 >= s0.state().epoch(),
-        "server 2 stayed behind after restart: {} vs {}",
-        s2.state().epoch(),
-        s0.state().epoch()
-    );
-    assert!(s2.stats().catchup_requests >= 1);
-    // The caught-up server holds the full committed set, partitioned across
-    // its 4 shards: the per-shard spans together cover every committed
-    // element (`the_set` may additionally hold admitted elements a future
-    // epoch will stamp, so it is a superset).
-    let committed: BTreeSet<ElementId> = (1..=s2.state().epoch())
-        .flat_map(|e| {
-            s2.state()
-                .epoch_elements(e)
-                .expect("epoch in range")
-                .iter()
-                .map(|el| el.id)
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let stats = s2.shard_stats();
-    assert_eq!(stats.len(), 4);
-    assert!(
-        stats.iter().map(|s| s.set_len).sum::<u64>() >= committed.len() as u64,
-        "sharded the_set partition lost committed elements"
-    );
-    assert!(s2.state().check_consistent_sets());
-}
-
-#[test]
 fn lost_catchup_request_does_not_wedge_the_restarted_server() {
     // Regression test for the catch-up rate limiter (PR 7): the
     // `catchup_pending` entry suppresses duplicate requests while one is

@@ -44,16 +44,7 @@ fn run_once(algorithm: Algorithm, seed: u64) -> RunFingerprint {
 }
 
 fn run_once_with_auth(algorithm: Algorithm, seed: u64, auth: AuthMode) -> RunFingerprint {
-    run_once_sharded(algorithm, seed, auth, 1)
-}
-
-fn run_once_sharded(
-    algorithm: Algorithm,
-    seed: u64,
-    auth: AuthMode,
-    shards: usize,
-) -> RunFingerprint {
-    run_once_at(algorithm, seed, auth, shards, 4, 400.0, 3)
+    run_once_at(algorithm, seed, auth, 4, 400.0, 3)
 }
 
 /// One run of `injection_secs` at `rate` el/s plus a 9 s drain.
@@ -61,7 +52,6 @@ fn run_once_at(
     algorithm: Algorithm,
     seed: u64,
     auth: AuthMode,
-    shards: usize,
     servers: usize,
     rate: f64,
     injection_secs: u64,
@@ -74,7 +64,6 @@ fn run_once_at(
         .injection_secs(injection_secs)
         .max_run_secs(end)
         .auth_mode(auth)
-        .shards(shards)
         .seed(seed)
         .build();
     deployment.sim.run_until(SimTime::from_secs(end));
@@ -152,32 +141,6 @@ fn batch_root_same_seed_reproduces_the_exact_run_for_every_variant() {
     }
 }
 
-/// Sharded admission (PR 8) is host-side organization only: it repartitions
-/// each server's caches and `the_set` but charges, messages and verdicts are
-/// untouched. Two guarantees follow, both pinned here: same-seed sharded
-/// reruns are bit-identical, and the sharded fingerprint — scheduler
-/// counters included — *equals* the unsharded one, which is the strongest
-/// statement that `shards(1)` and `shards(4)` run the same simulation.
-#[test]
-fn sharded_runs_reproduce_and_match_the_unsharded_schedule() {
-    for algorithm in Algorithm::ALL {
-        let unsharded = run_once(algorithm, 71);
-        let first = run_once_sharded(algorithm, 71, AuthMode::PerElement, 4);
-        let second = run_once_sharded(algorithm, 71, AuthMode::PerElement, 4);
-        assert_eq!(
-            first, second,
-            "{algorithm:?}: same seed at 4 shards must reproduce the run \
-             bit-for-bit"
-        );
-        assert_eq!(
-            first, unsharded,
-            "{algorithm:?}: sharding leaked into the event schedule or the \
-             committed element sets"
-        );
-        assert!(first.committed > 0, "{algorithm:?}: nothing committed");
-    }
-}
-
 /// Above four servers a node can see a commit quorum before the proposal
 /// (`LedgerNode::try_commit` then picks a block-sync peer) and a Hashchain
 /// server can run out of batch holders to ask (`fail_request` picks the
@@ -192,7 +155,7 @@ fn same_seed_reproduces_the_exact_run_above_four_servers() {
             (Algorithm::Vanilla, 2000.0, 3),
             (Algorithm::Hashchain, 3000.0, 4),
         ] {
-            let run = || run_once_at(algorithm, 71, AuthMode::PerElement, 1, servers, rate, secs);
+            let run = || run_once_at(algorithm, 71, AuthMode::PerElement, servers, rate, secs);
             let first = run();
             assert_eq!(
                 first,
@@ -265,15 +228,15 @@ const GOLDENS: &[Golden] = &[
 fn runs_match_the_golden_fingerprints() {
     for &(shape, want) in GOLDENS {
         let (algorithm, auth, servers, rate, injection_secs, seed) = shape;
-        let fp = run_once_at(algorithm, seed, auth, 1, servers, rate, injection_secs);
+        let fp = run_once_at(algorithm, seed, auth, servers, rate, injection_secs);
+        let digests = fp.digests_sha256();
         let got = (
             fp.events_processed,
             fp.messages_deferred,
             fp.added,
             fp.committed,
-            fp.digests_sha256(),
+            digests.as_str(),
         );
-        let want = (want.0, want.1, want.2, want.3, want.4.to_string());
         assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
     }

@@ -51,14 +51,13 @@ const SERVERS: usize = 4;
 
 /// The determinism-harness deployment shape: 4 servers, 400 el/s for 3 s,
 /// 12 s window, seed 71.
-fn builder(algorithm: Algorithm, shards: usize) -> DeploymentBuilder {
+fn builder(algorithm: Algorithm) -> DeploymentBuilder {
     Deployment::builder(algorithm)
         .servers(SERVERS)
         .rate(400.0)
         .collector(32)
         .injection_secs(3)
         .max_run_secs(12)
-        .shards(shards)
         .seed(71)
 }
 
@@ -91,7 +90,7 @@ fn epoch_prints(deployment: &Deployment) -> EpochPrints {
 fn killed_runs_replay_to_the_exact_committed_prefix_for_every_variant() {
     for algorithm in Algorithm::ALL {
         // Reference: an uninterrupted in-memory run of the same seed.
-        let mut reference = builder(algorithm, 1).build();
+        let mut reference = builder(algorithm).build();
         reference.sim.run_until(SimTime::from_secs(12));
         let reference_prints = epoch_prints(&reference);
         drop(reference);
@@ -101,7 +100,7 @@ fn killed_runs_replay_to_the_exact_committed_prefix_for_every_variant() {
         // survive. 9 s is past the first commits of every variant but
         // before the drain completes, so the tail is genuinely torn off.
         let tmp = TempDir::new("kill");
-        let mut killed = builder(algorithm, 1)
+        let mut killed = builder(algorithm)
             .store(StoreConfig::new(tmp.path()))
             .build();
         killed.sim.run_until(SimTime::from_secs(9));
@@ -113,7 +112,7 @@ fn killed_runs_replay_to_the_exact_committed_prefix_for_every_variant() {
         // Reopen over the same directories: building the deployment opens
         // each server's store and replays it — no simulated time has
         // passed, so everything below is pure local recovery.
-        let reopened = builder(algorithm, 1)
+        let reopened = builder(algorithm)
             .store(StoreConfig::new(tmp.path()))
             .build();
         for i in 0..SERVERS {
@@ -165,11 +164,11 @@ fn killed_runs_replay_to_the_exact_committed_prefix_for_every_variant() {
 /// bit-identical schedule and committed results of an in-memory run.
 #[test]
 fn store_backed_runs_are_schedule_identical_to_in_memory_runs() {
-    let mut plain = builder(Algorithm::Hashchain, 1).build();
+    let mut plain = builder(Algorithm::Hashchain).build();
     plain.sim.run_until(SimTime::from_secs(12));
 
     let tmp = TempDir::new("identical");
-    let mut stored = builder(Algorithm::Hashchain, 1)
+    let mut stored = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()))
         .build();
     stored.sim.run_until(SimTime::from_secs(12));
@@ -195,14 +194,14 @@ fn store_backed_runs_are_schedule_identical_to_in_memory_runs() {
     assert!(persisted > 0, "nothing reached the store");
 }
 
-/// The PR 7 restart path, store-first: a sharded deployment restarted over
-/// its store directories recovers every server locally — the `on_start`
+/// The PR 7 restart path, store-first: a deployment restarted over its
+/// store directories recovers every server locally — the `on_start`
 /// catch-up probes find no peer ahead, so zero epochs arrive via peer
 /// catch-up.
 #[test]
-fn sharded_restart_recovers_through_the_store_without_peer_catchup() {
-    let tmp = TempDir::new("shards");
-    let mut first = builder(Algorithm::Hashchain, 4)
+fn restart_recovers_through_the_store_without_peer_catchup() {
+    let tmp = TempDir::new("restart");
+    let mut first = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()))
         .build();
     first.sim.run_until(SimTime::from_secs(12));
@@ -216,7 +215,7 @@ fn sharded_restart_recovers_through_the_store_without_peer_catchup() {
     // Restart: same directories, no injection. Run a couple of simulated
     // seconds so every server's `on_start` restart probe fires and any
     // would-be catch-up traffic completes.
-    let mut restarted = builder(Algorithm::Hashchain, 4)
+    let mut restarted = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()))
         .injection_secs(0)
         .build();
@@ -245,12 +244,12 @@ fn sharded_restart_recovers_through_the_store_without_peer_catchup() {
 /// digest match the in-memory reference; evicted contents remain readable.
 #[test]
 fn eviction_bounds_memory_without_changing_results() {
-    let mut plain = builder(Algorithm::Hashchain, 1).build();
+    let mut plain = builder(Algorithm::Hashchain).build();
     plain.sim.run_until(SimTime::from_secs(12));
     let reference_prints = epoch_prints(&plain);
 
     let tmp = TempDir::new("evict");
-    let mut evicting = builder(Algorithm::Hashchain, 1)
+    let mut evicting = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()).with_retain_epochs(1))
         .build();
     evicting.sim.run_until(SimTime::from_secs(12));
@@ -302,7 +301,7 @@ fn eviction_bounds_memory_without_changing_results() {
 #[test]
 fn restart_in_retain_mode_still_rejects_evicted_elements() {
     let tmp = TempDir::new("retain-restart");
-    let mut killed = builder(Algorithm::Hashchain, 1)
+    let mut killed = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()))
         .build();
     killed.sim.run_until(SimTime::from_secs(9));
@@ -313,7 +312,7 @@ fn restart_in_retain_mode_still_rejects_evicted_elements() {
         .expect("resident")[0];
     drop(killed);
 
-    let mut reopened = builder(Algorithm::Hashchain, 1)
+    let mut reopened = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()).with_retain_epochs(1))
         .injection_secs(0)
         .build();
@@ -347,7 +346,7 @@ fn restart_in_retain_mode_still_rejects_evicted_elements() {
 #[test]
 fn torn_segment_tail_is_truncated_on_reopen() {
     let tmp = TempDir::new("torn");
-    let mut run = builder(Algorithm::Vanilla, 1)
+    let mut run = builder(Algorithm::Vanilla)
         .store(StoreConfig::new(tmp.path()))
         .build();
     run.sim.run_until(SimTime::from_secs(9));
@@ -375,7 +374,7 @@ fn torn_segment_tail_is_truncated_on_reopen() {
     bytes.extend_from_slice(&[0xAB; 11]);
     std::fs::write(last, bytes).unwrap();
 
-    let reopened = builder(Algorithm::Vanilla, 1)
+    let reopened = builder(Algorithm::Vanilla)
         .store(StoreConfig::new(tmp.path()))
         .build();
     assert_eq!(
