@@ -8,10 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, AuthMode, ElementId};
+use setchain::{Algorithm, AuthMode, ElementId, ServerByzMode};
 use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
-use setchain_workload::Deployment;
+use setchain_workload::{Deployment, DeploymentBuilder};
 
 /// Full fingerprint of one deployment run: scheduler counters plus the
 /// per-server committed (stamped) element sets and epoch boundaries.
@@ -37,6 +37,11 @@ impl RunFingerprint {
         }
         hasher.finalize().to_hex()
     }
+
+    /// Every element id server 0 stamped into an epoch.
+    fn stamped_ids(&self) -> BTreeSet<ElementId> {
+        self.epochs[0].iter().flatten().copied().collect()
+    }
 }
 
 fn run_once(algorithm: Algorithm, seed: u64) -> RunFingerprint {
@@ -56,16 +61,22 @@ fn run_once_at(
     rate: f64,
     injection_secs: u64,
 ) -> RunFingerprint {
-    let end = injection_secs + 9;
-    let mut deployment = Deployment::builder(algorithm)
-        .servers(servers)
-        .rate(rate)
-        .collector(32)
-        .injection_secs(injection_secs)
-        .max_run_secs(end)
-        .auth_mode(auth)
-        .seed(seed)
-        .build();
+    run_builder(
+        Deployment::builder(algorithm)
+            .servers(servers)
+            .rate(rate)
+            .collector(32)
+            .injection_secs(injection_secs)
+            .auth_mode(auth)
+            .seed(seed),
+    )
+}
+
+/// Runs `builder`'s deployment for its injection window plus a 9 s drain.
+fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
+    let servers = builder.scenario().servers;
+    let end = builder.scenario().injection_secs + 9;
+    let mut deployment = builder.max_run_secs(end).build();
     deployment.sim.run_until(SimTime::from_secs(end));
     let digests = (0..servers)
         .map(|i| {
@@ -239,5 +250,98 @@ fn runs_match_the_golden_fingerprints() {
         );
         assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
+    }
+}
+
+/// A front-door branch no [`GOLDENS`] row reaches, as a builder tweak on the
+/// n = 4, 400 el/s, 3 s, seed 71 shape.
+#[derive(Clone, Copy, Debug)]
+enum Branch {
+    /// Server 1 appends a forged element next to every add it handles.
+    InjectInvalid,
+    /// Server 1 swallows its client's adds (and does not gossip envelopes).
+    DropClientAdds,
+    /// The algorithm's "light" ablation.
+    Light,
+    /// Hashchain's push-based batch dissemination.
+    PushBatches,
+}
+
+impl Branch {
+    fn apply(self, builder: DeploymentBuilder) -> DeploymentBuilder {
+        match self {
+            Branch::InjectInvalid => builder.server_fault(1, ServerByzMode::InjectInvalidElements),
+            Branch::DropClientAdds => builder.server_fault(1, ServerByzMode::DropClientAdds),
+            Branch::Light => builder.light(),
+            Branch::PushBatches => builder.push_batches(),
+        }
+    }
+
+    fn fault_free(self) -> bool {
+        matches!(self, Branch::Light | Branch::PushBatches)
+    }
+}
+
+/// `(algorithm, auth, branch)` → the same fingerprint tuple as [`GOLDENS`].
+type BranchGolden = (
+    (Algorithm, AuthMode, Branch),
+    (u64, u64, usize, usize, &'static str),
+);
+
+/// Pinned runs of the branches the shared add/get front door carries besides
+/// the fault-free path: the Byzantine server modes that act inside it and the
+/// light / push variants that change what a flushed batch does.
+#[rustfmt::skip]
+const BRANCH_GOLDENS: &[BranchGolden] = &[
+    ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
+    ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8774, 729, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6976, 303, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7236, 406, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
+    ((Algorithm::Compresschain, AuthMode::PerElement, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
+];
+
+#[test]
+fn front_door_branches_match_their_golden_fingerprints() {
+    for &(shape, want) in BRANCH_GOLDENS {
+        let (algorithm, auth, branch) = shape;
+        let fp = run_builder(
+            branch.apply(
+                Deployment::builder(algorithm)
+                    .servers(4)
+                    .rate(400.0)
+                    .collector(32)
+                    .injection_secs(3)
+                    .auth_mode(auth)
+                    .seed(71),
+            ),
+        );
+        let digests = fp.digests_sha256();
+        let got = (
+            fp.events_processed,
+            fp.messages_deferred,
+            fp.added,
+            fp.committed,
+            digests.as_str(),
+        );
+        assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+        if branch.fault_free() {
+            assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
+        }
+    }
+}
+
+/// Vanilla is the paper's reference point: the same seed and workload must
+/// put the same *elements* (not the same epochs) on the Setchain under all
+/// three algorithms.
+#[test]
+fn all_three_algorithms_stamp_the_same_element_set() {
+    let reference = run_once(Algorithm::Vanilla, 71).stamped_ids();
+    assert_eq!(reference.len(), 1200);
+    for algorithm in [Algorithm::Compresschain, Algorithm::Hashchain] {
+        assert_eq!(
+            run_once(algorithm, 71).stamped_ids(),
+            reference,
+            "{algorithm:?} stamped a different element set than Vanilla"
+        );
     }
 }
