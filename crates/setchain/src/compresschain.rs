@@ -213,21 +213,21 @@ impl Application for CompresschainApp {
                 // already holds. "Compresschain light" skips all of this.
                 if cb.origin != self.core.id() {
                     self.core.stats.batches_decompressed += 1;
-                    let element_bytes = cb.original_size as usize
-                        - cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
-                    let ok = setchain_compress::decompress_chunked_into(
-                        &cb.payload,
-                        &mut self.decode_buf,
-                    )
-                    .map(|n| n == element_bytes)
-                    .unwrap_or(false);
+                    let proof_bytes = cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
+                    let ok = (cb.original_size as usize)
+                        .checked_sub(proof_bytes)
+                        .is_some_and(|element_bytes| {
+                            setchain_compress::decompress_chunked_into(
+                                &cb.payload,
+                                &mut self.decode_buf,
+                            ) == Ok(element_bytes)
+                        });
                     if !ok {
-                        // Carried elements stay authoritative for the
-                        // simulated state; a frame that fails to decompress
-                        // is counted (and would be a codec bug, not a
-                        // Byzantine payload — those can't reach here).
-                        debug_assert!(ok, "batch payload failed to decompress");
+                        // Any server can put any bytes on the ledger: an
+                        // undecodable frame is an invalid batch, skipped by
+                        // every correct server alike.
                         self.core.stats.batch_decompress_failures += 1;
+                        continue;
                     }
                 }
             }

@@ -60,7 +60,8 @@ pub struct ServerStats {
     /// origin skips its own frames; 0 under the "light" ablation).
     pub batches_decompressed: u64,
     /// Compresschain: delivered batch frames that failed to decompress to
-    /// the declared element bytes (always 0 unless the codec is broken).
+    /// the declared element bytes — hostile transactions, skipped whole (0
+    /// when every origin is correct).
     pub batch_decompress_failures: u64,
     /// Hashchain: `Request_batch` calls sent.
     pub batch_requests_sent: u64,

@@ -7,13 +7,19 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, CompresschainApp, ElementId};
+use std::sync::Arc;
+
+use setchain::{
+    make_epoch_proof, Algorithm, CompresschainApp, CompressedBatch, ElementId, SetchainTx,
+};
+use setchain_crypto::ProcessId;
+use setchain_ledger::NetMsg;
 use setchain_simnet::SimTime;
 use setchain_workload::{Deployment, ServerHandle};
 
 const SIM_SECS: u64 = 10;
 
-fn run(light: bool) -> Deployment {
+fn build(light: bool) -> Deployment {
     // Injection stops six simulated seconds before the end: both runs fully
     // drain, so every accepted element reaches an epoch in both.
     let mut builder = Deployment::builder(Algorithm::Compresschain)
@@ -26,7 +32,11 @@ fn run(light: bool) -> Deployment {
     if light {
         builder = builder.light();
     }
-    let mut deployment = builder.build();
+    builder.build()
+}
+
+fn run(light: bool) -> Deployment {
+    let mut deployment = build(light);
     deployment.sim.run_until(SimTime::from_secs(SIM_SECS));
     deployment
 }
@@ -121,4 +131,69 @@ fn full_mode_really_decompresses_and_never_fails() {
             "server {i} reports implausible average ratio {ratio}"
         );
     }
+}
+
+/// Server 3 gossips `hostile` — a batch transaction whose frame is not a
+/// chunked-LZ77 frame — straight into server 0's mempool mid-run. It passes
+/// `check_tx` (the origin is a server of the deployment) and lands in a
+/// block; every correct server must count the frame as a decompress failure
+/// and skip the transaction instead of panicking on it.
+fn survives_hostile_frame(hostile: CompressedBatch) {
+    let mut deployment = build(false);
+    deployment.sim.schedule_message(
+        SimTime::from_secs(2),
+        ProcessId::server(3),
+        ProcessId::server(0),
+        NetMsg::TxGossip {
+            txs: vec![SetchainTx::Compressed(hostile)],
+        },
+    );
+    deployment.sim.run_until(SimTime::from_secs(SIM_SECS));
+
+    for i in 0..3 {
+        let server = deployment.server(i);
+        assert!(
+            server.stats().batch_decompress_failures >= 1,
+            "server {i} never saw the hostile frame"
+        );
+        assert!(server.state().check_unique_epoch());
+        assert!(server.state().check_consistent_sets());
+        assert!(deployment
+            .server(0)
+            .state()
+            .check_consistent_with(server.state()));
+    }
+    // The honest load still commits: servers 0-2 alone are an f + 1 quorum.
+    let added = deployment.trace.added_count();
+    let committed = deployment
+        .trace
+        .committed_count_by(SimTime::from_secs(SIM_SECS));
+    assert!(added > 1000, "clients injected too little");
+    assert_eq!(committed, added, "honest elements failed to commit");
+}
+
+fn garbage_frame(original_size: u32) -> CompressedBatch {
+    CompressedBatch {
+        origin: ProcessId::server(3),
+        seq: u64::MAX,
+        elements: vec![],
+        proofs: vec![],
+        payload: Arc::new(vec![0xFF; 40]),
+        compressed_size: 40,
+        original_size,
+    }
+}
+
+#[test]
+fn undecodable_frame_is_counted_and_skipped() {
+    survives_hostile_frame(garbage_frame(40));
+}
+
+#[test]
+fn frame_declaring_fewer_bytes_than_its_proofs_is_counted_and_skipped() {
+    let deployment = build(false);
+    let signer = deployment.registry.lookup(ProcessId::server(3)).unwrap();
+    let mut hostile = garbage_frame(0);
+    hostile.proofs = vec![make_epoch_proof(&signer, 1, &[])];
+    survives_hostile_frame(hostile);
 }
