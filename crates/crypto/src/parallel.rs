@@ -5,9 +5,8 @@
 //! each worker writes its results into its own output vector (no shared
 //! mutable state, no locks), and `std::thread::scope` joins everything
 //! before returning. It lives in the crypto crate — the root of the crate
-//! graph — so that both the execution layer (`setchain_exec::parallel_map`
-//! re-exports it) and the Setchain servers' batched element/signature
-//! validation can use it without a dependency cycle.
+//! graph — so the Setchain servers' batched element/signature validation
+//! and the chunked codec can use it without a dependency cycle.
 
 use std::num::NonZeroUsize;
 

@@ -6,7 +6,6 @@
 use setchain::{Algorithm, Element, ElementId, SetchainConfig, SetchainState};
 use setchain_compress::{compress, decompress};
 use setchain_crypto::{sha256, sign, verify, KeyPair, KeyRegistry, MerkleTree, ProcessId};
-use setchain_exec::{validate_and_execute, Address, ExecutionConfig, Transaction, WorldState};
 use setchain_ledger::Mempool;
 use setchain_simnet::{SimDuration, SimTime};
 use setchain_workload::{analytical_throughput, AnalysisParams, ArbitrumWorkload, Scenario};
@@ -93,19 +92,6 @@ fn setchain_entry_points() {
     assert_eq!(state.epoch(), 1);
     assert!(state.check_consistent_sets());
     assert!(state.check_unique_epoch());
-}
-
-#[test]
-fn exec_entry_points() {
-    let mut state = WorldState::new();
-    state.credit(Address(1), 1_000);
-    let supply = state.total_supply();
-    let txs = [Transaction::transfer(Address(1), Address(2), 250, 1, 0)];
-    let receipts = validate_and_execute(&mut state, &txs, &ExecutionConfig::default());
-    assert_eq!(receipts.applied, 1);
-    assert_eq!(receipts.void, 0);
-    assert_eq!(state.total_supply(), supply, "value is conserved");
-    assert_eq!(state.balance(Address(2)), 250);
 }
 
 #[test]
