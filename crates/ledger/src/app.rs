@@ -75,53 +75,6 @@ pub trait Application: Send + 'static {
     }
 }
 
-/// A boxed application is an application: every callback delegates to the
-/// boxed value. This is what lets a [`LedgerNode`](crate::node::LedgerNode)
-/// run a trait object (e.g. `LedgerNode<Box<dyn SetchainApp>>`), so one
-/// concrete node type serves every application variant without per-variant
-/// dispatch at the call sites.
-impl<A: Application + ?Sized> Application for Box<A> {
-    type Tx = A::Tx;
-    type Msg = A::Msg;
-
-    fn on_start(&mut self, ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>) {
-        (**self).on_start(ctx);
-    }
-
-    fn check_tx(&self, tx: &Self::Tx) -> bool {
-        (**self).check_tx(tx)
-    }
-
-    fn finalize_block(
-        &mut self,
-        block: &Block<Self::Tx>,
-        ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>,
-    ) {
-        (**self).finalize_block(block, ctx);
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: Self::Msg,
-        ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>,
-    ) {
-        (**self).on_message(from, msg, ctx);
-    }
-
-    fn on_messages(
-        &mut self,
-        batch: &mut Vec<(ProcessId, Self::Msg)>,
-        ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>,
-    ) {
-        (**self).on_messages(batch, ctx);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>) {
-        (**self).on_timer(token, ctx);
-    }
-}
-
 /// Context handed to the application during callbacks.
 pub struct AppCtx<'a, 'b, 'c, T, AM: Wire>
 where

@@ -1,163 +1,295 @@
-//! The variant-agnostic Setchain application API.
+//! The Setchain server: one ledger [`Application`] for all three algorithms.
 //!
-//! The journal Setchain papers define *one* distributed object by its API
-//! (`add`, `get`, `get_epoch`, epoch-proofs); Vanilla, Compresschain and
-//! Hashchain are three interchangeable implementations of it. This module
-//! encodes that framing in the type system:
-//!
-//! * [`SetchainApp`] — the object-safe trait every server application
-//!   implements. Deployments, benches and tests talk to `dyn SetchainApp`
-//!   and never dispatch on [`Algorithm`] themselves.
-//! * [`AppFactory`] — the **single** place where an [`Algorithm`] value is
-//!   turned into a concrete application. Everything downstream of the
-//!   factory is variant-agnostic; adding a fourth algorithm means one
-//!   `impl SetchainApp` plus one arm here.
-//!
-//! Variant-specific surfaces (Compresschain's measured compression ratio,
-//! Hashchain's known-batch count) intentionally stay on the concrete types;
-//! [`SetchainApp::as_any`] is the downcast hook for callers that need them:
+//! The paper presents Vanilla, Compresschain and Hashchain as three
+//! implementations of one object (`add`, `get`, epochs, epoch-proofs) that
+//! differ in exactly one step: how a batch of elements reaches the ledger.
+//! [`SetchainServer`] is that object. It owns the algorithm-agnostic
+//! [`ServerCore`] and writes the shared front door once — quota gate →
+//! batch-root check → gossip → `add(e)`, the `get` / catch-up service, the
+//! collector tick — and hands the steps that differ (what happens to an
+//! admitted element, `check_tx`, `finalize_block`, Hashchain's batch
+//! service) to the variant modules [`crate::vanilla`],
+//! [`crate::compresschain`] and [`crate::hashchain`].
 //!
 //! ```
-//! use setchain::{Algorithm, AppFactory, CompresschainApp, SetchainConfig, SetchainTrace};
+//! use setchain::{Algorithm, ServerCore, SetchainConfig, SetchainServer, SetchainTrace};
 //! use setchain_crypto::{KeyRegistry, ProcessId};
 //!
 //! let registry = KeyRegistry::bootstrap(7, 4, 1);
-//! let factory = AppFactory::new(Algorithm::Compresschain, registry.clone(), SetchainConfig::new(4));
 //! let keys = registry.lookup(ProcessId::server(0)).unwrap();
-//! let app = factory.build(keys, SetchainTrace::new(), setchain::ServerByzMode::Correct);
+//! let core = ServerCore::new(
+//!     keys,
+//!     registry,
+//!     SetchainConfig::new(4),
+//!     SetchainTrace::new(),
+//!     setchain::ServerByzMode::Correct,
+//! );
+//! let server = SetchainServer::new(Algorithm::Compresschain, core, Default::default());
 //!
-//! assert_eq!(app.algorithm(), Algorithm::Compresschain);
-//! assert_eq!(app.state().epoch(), 0);
-//! // Variant-specific surface through the downcast hook:
-//! let concrete = app.as_any().downcast_ref::<CompresschainApp>().unwrap();
-//! assert_eq!(concrete.average_ratio(), 1.0);
+//! assert_eq!(server.algorithm(), Algorithm::Compresschain);
+//! assert_eq!(server.state().epoch(), 0);
+//! assert_eq!(server.compression_ratio(), Some(1.0));
+//! assert_eq!(server.known_batches(), None);
 //! ```
 
-use std::any::Any;
+use setchain_crypto::ProcessId;
+use setchain_ledger::{Application, Block};
+use setchain_simnet::TimerToken;
 
-use setchain_crypto::{KeyPair, KeyRegistry};
-use setchain_ledger::Application;
-
+use crate::batch_auth::AuthedBatch;
 use crate::byzantine::ServerByzMode;
-use crate::compresschain::CompresschainApp;
+use crate::collector::Collector;
+use crate::compresschain::Compresschain;
 use crate::config::SetchainConfig;
 use crate::element::Element;
-use crate::hashchain::{HashchainApp, SharedBatchRegistry};
+use crate::hashchain::{Hashchain, SharedBatchRegistry};
 use crate::messages::SetchainMsg;
-use crate::proofs::EpochProof;
-use crate::server::ServerStats;
+use crate::server::{Ctx, ServerCore, ServerStats};
 use crate::state::SetchainState;
-use crate::trace::SetchainTrace;
 use crate::tx::SetchainTx;
-use crate::vanilla::VanillaApp;
-use crate::Algorithm;
+use crate::{vanilla, Algorithm};
 
-/// The variant-agnostic Setchain server application: the accessors shared by
-/// all three algorithms, on top of the ledger [`Application`] callbacks.
-///
-/// The trait is object-safe; deployments hold servers as
-/// `LedgerNode<Box<dyn SetchainApp>>` and never match on [`Algorithm`].
-/// Construction goes through [`AppFactory`] (or [`Algorithm::build`]), the
-/// one place variant dispatch is allowed.
-pub trait SetchainApp: Application<Tx = SetchainTx, Msg = SetchainMsg> {
-    /// Which of the paper's algorithms this application implements.
-    fn algorithm(&self) -> Algorithm;
+/// Timer token for the collector timeout tick.
+const COLLECTOR_TICK: TimerToken = 1;
+/// Timer token for Hashchain's batch-request timeouts.
+pub(crate) const REQUEST_TICK: TimerToken = 2;
 
-    /// The Setchain state of this server (`the_set`, `epoch`, `history`,
-    /// `proofs`) — the server-side view behind `get`/`get_epoch`.
-    fn state(&self) -> &SetchainState;
-
-    /// Server counters for tests and experiment reports.
-    fn stats(&self) -> ServerStats;
-
-    /// The deployment configuration this server runs with.
-    fn config(&self) -> &SetchainConfig;
-
-    /// The algorithm-agnostic server core: admission caches, quota state,
-    /// epoch machinery — shared by all three variants. Read-only inspection
-    /// hook for deployments, benches and tests.
-    fn core(&self) -> &crate::server::ServerCore;
-
-    /// Epoch-proofs held for `epoch`, borrowed from the state.
-    fn proofs_for(&self, epoch: u64) -> &[EpochProof] {
-        self.state().proofs_for(epoch)
-    }
-
-    /// Elements of epoch `epoch` (1-based), if this server has recorded it.
-    fn epoch_elements(&self, epoch: u64) -> Option<&[Element]> {
-        self.state().epoch_elements(epoch)
-    }
-
-    /// Downcast hook for variant-specific surfaces (e.g.
-    /// [`CompresschainApp::average_ratio`], [`HashchainApp::known_batches`]):
-    /// the concrete type behind the trait object.
-    fn as_any(&self) -> &dyn Any;
+/// The per-algorithm state behind a [`SetchainServer`]. Vanilla has none.
+enum Variant {
+    Vanilla,
+    Compresschain(Compresschain),
+    Hashchain(Box<Hashchain>),
 }
 
-/// Builds Setchain server applications of one algorithm for one deployment.
-///
-/// This is the single variant-dispatch site: `SetchainConfig` → application
-/// construction lives here and nowhere else. The factory also owns the
-/// [`SharedBatchRegistry`] that "Hashchain light" servers share, so every
-/// server built by one factory sees the same out-of-band batch availability.
-#[derive(Clone)]
-pub struct AppFactory {
-    algorithm: Algorithm,
-    registry: KeyRegistry,
-    config: SetchainConfig,
-    shared: SharedBatchRegistry,
-}
-
-impl AppFactory {
-    /// Creates a factory for `algorithm` with the deployment-wide PKI and
-    /// configuration. The configuration should already carry any light-mode
-    /// flags (see [`Algorithm::light_config`]).
-    pub fn new(algorithm: Algorithm, registry: KeyRegistry, config: SetchainConfig) -> Self {
-        AppFactory {
-            algorithm,
-            registry,
-            config,
-            shared: SharedBatchRegistry::new(),
+impl Variant {
+    /// The batch under construction, for the two collecting algorithms.
+    fn collector(&mut self) -> Option<&mut Collector> {
+        match self {
+            Variant::Vanilla => None,
+            Variant::Compresschain(c) => Some(&mut c.collector),
+            Variant::Hashchain(h) => Some(&mut h.collector),
         }
     }
 
-    /// The algorithm this factory builds.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+    /// `upon isReady(batch)`: the collected batch goes to the ledger the
+    /// algorithm's way — compressed, or as a signed hash.
+    fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
+        match self {
+            Variant::Vanilla => {}
+            Variant::Compresschain(c) => c.flush(core, ctx),
+            Variant::Hashchain(h) => h.flush(core, ctx),
+        }
     }
 
-    /// The configuration every built server shares.
-    pub fn config(&self) -> &SetchainConfig {
-        &self.config
-    }
-
-    /// The shared batch registry "Hashchain light" servers built by this
-    /// factory use for out-of-band batch availability.
-    pub fn shared_registry(&self) -> &SharedBatchRegistry {
-        &self.shared
-    }
-
-    /// Builds one server application.
-    ///
-    /// `byz` is ignored by "Hashchain light" servers (the ablation assumes
-    /// all servers correct, matching the paper's Fig. 2 left setup).
-    pub fn build(
-        &self,
-        keys: KeyPair,
-        trace: SetchainTrace,
-        byz: ServerByzMode,
-    ) -> Box<dyn SetchainApp> {
-        let registry = self.registry.clone();
-        let config = self.config.clone();
-        match self.algorithm {
-            Algorithm::Vanilla => Box::new(VanillaApp::new(keys, registry, config, trace, byz)),
-            Algorithm::Compresschain => {
-                Box::new(CompresschainApp::new(keys, registry, config, trace, byz))
+    /// What follows `add(e)`'s precondition check: an accepted element
+    /// becomes a ledger transaction (Vanilla) or joins the collector.
+    fn on_add(
+        &mut self,
+        core: &mut ServerCore,
+        element: Element,
+        accepted: bool,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        match self.collector() {
+            None => vanilla::on_add(core, element, accepted, ctx),
+            Some(collector) if accepted => {
+                collector.add_element(element);
+                if collector.is_ready() {
+                    self.flush(core, ctx);
+                }
             }
-            Algorithm::Hashchain if !self.config.hash_reversal => Box::new(
-                HashchainApp::new_light(keys, registry, config, trace, self.shared.clone()),
-            ),
-            Algorithm::Hashchain => Box::new(HashchainApp::new(keys, registry, config, trace, byz)),
+            Some(_) => {}
+        }
+    }
+}
+
+/// A Setchain server running one of the paper's three algorithms: the
+/// application a [`LedgerNode`](setchain_ledger::LedgerNode) drives.
+pub struct SetchainServer {
+    core: ServerCore,
+    variant: Variant,
+}
+
+impl SetchainServer {
+    /// Creates a server running `algorithm` on top of `core`.
+    ///
+    /// `shared` is the out-of-band batch availability every server of a
+    /// "Hashchain light" deployment (`hash_reversal` off) must share; the
+    /// ablation assumes all servers correct, so it also resets `core.byz`.
+    /// Every other configuration ignores it.
+    pub fn new(algorithm: Algorithm, mut core: ServerCore, shared: SharedBatchRegistry) -> Self {
+        let variant = match algorithm {
+            Algorithm::Vanilla => Variant::Vanilla,
+            Algorithm::Compresschain => Variant::Compresschain(Compresschain::new(&core.config)),
+            Algorithm::Hashchain => {
+                let light = !core.config.hash_reversal;
+                if light {
+                    core.byz = ServerByzMode::Correct;
+                }
+                Variant::Hashchain(Box::new(Hashchain::new(
+                    &core.config,
+                    light.then_some(shared),
+                )))
+            }
+        };
+        SetchainServer { core, variant }
+    }
+
+    /// Which of the paper's algorithms this server runs.
+    pub fn algorithm(&self) -> Algorithm {
+        match self.variant {
+            Variant::Vanilla => Algorithm::Vanilla,
+            Variant::Compresschain(_) => Algorithm::Compresschain,
+            Variant::Hashchain(_) => Algorithm::Hashchain,
+        }
+    }
+
+    /// The Setchain state of this server (`the_set`, `epoch`, `history`,
+    /// `proofs`) — the server-side view behind `get`/`get_epoch`.
+    pub fn state(&self) -> &SetchainState {
+        &self.core.state
+    }
+
+    /// Server counters for tests and experiment reports.
+    pub fn stats(&self) -> ServerStats {
+        self.core.stats
+    }
+
+    /// The algorithm-agnostic server core: configuration, admission caches,
+    /// quota state, epoch machinery. Read-only inspection hook.
+    pub fn core(&self) -> &ServerCore {
+        &self.core
+    }
+
+    /// Compresschain: average compression ratio measured on flushed batches
+    /// (1.0 before the first flush). `None` for the other algorithms.
+    pub fn compression_ratio(&self) -> Option<f64> {
+        match &self.variant {
+            Variant::Compresschain(c) => Some(c.average_ratio()),
+            _ => None,
+        }
+    }
+
+    /// Hashchain: number of batches whose contents this server knows.
+    /// `None` for the other algorithms.
+    pub fn known_batches(&self) -> Option<usize> {
+        match &self.variant {
+            Variant::Hashchain(h) => Some(h.known_batches()),
+            _ => None,
+        }
+    }
+
+    /// The add front door, shared by `Add`, `AddBatch` and `BatchedAdd`
+    /// (`envelope` is the sealed batch the elements arrived in, if any).
+    fn handle_adds(
+        &mut self,
+        from: ProcessId,
+        elements: &[Element],
+        envelope: Option<&AuthedBatch>,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        // The quota gate runs first: a shed submission costs zero
+        // authenticator or root verification.
+        if !self.core.admit_source(from, elements.len() as u64, ctx) {
+            return;
+        }
+        if let Some(batch) = envelope {
+            // One root-cache probe / MAC check authenticates the whole
+            // batch; the per-element admission probes inside `accept_add`
+            // then hit the warmed cache.
+            let valid = self.core.verify_batched_add(batch, ctx);
+            if from.is_server() {
+                // Peer-forwarded envelope: verifying it warmed this server's
+                // caches; the elements themselves arrive through the ledger
+                // (or hash reversal), where validation is then pure hits.
+                return;
+            }
+            if !valid {
+                self.core.stats.adds_rejected_invalid += elements.len() as u64;
+                return;
+            }
+            if self.core.byz != ServerByzMode::DropClientAdds {
+                self.core.gossip_batched_add(batch, ctx);
+            }
+        }
+        for &element in elements {
+            // The paper's `add(e)`: the shared precondition check, then the
+            // one step that differs.
+            let accepted = self.core.accept_add(&element, ctx);
+            self.variant.on_add(&mut self.core, element, accepted, ctx);
+        }
+    }
+}
+
+impl Application for SetchainServer {
+    type Tx = SetchainTx;
+    type Msg = SetchainMsg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+        if self.algorithm().uses_collector() {
+            ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
+        }
+        // After a restart (retained state) probe peers for missed epochs;
+        // a cold start is a no-op.
+        self.core.maybe_request_catchup(ctx);
+    }
+
+    fn check_tx(&self, tx: &SetchainTx) -> bool {
+        let config = &self.core.config;
+        match self.variant {
+            Variant::Vanilla => vanilla::check_tx(config, tx),
+            Variant::Compresschain(_) => Compresschain::check_tx(config, tx),
+            Variant::Hashchain(_) => Hashchain::check_tx(config, tx),
+        }
+    }
+
+    fn finalize_block(&mut self, block: &Block<SetchainTx>, ctx: &mut Ctx<'_, '_, '_>) {
+        match &mut self.variant {
+            Variant::Vanilla => vanilla::finalize_block(&mut self.core, block, ctx),
+            Variant::Compresschain(c) => c.finalize_block(&mut self.core, block, ctx),
+            Variant::Hashchain(h) => h.finalize_block(&mut self.core, block, ctx),
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: SetchainMsg, ctx: &mut Ctx<'_, '_, '_>) {
+        match msg {
+            SetchainMsg::Add(e) => self.handle_adds(from, &[e], None, ctx),
+            SetchainMsg::AddBatch(es) => self.handle_adds(from, &es, None, ctx),
+            SetchainMsg::BatchedAdd(batch) => {
+                self.handle_adds(from, &batch.elements, Some(&batch), ctx)
+            }
+            other => {
+                // `get`, `get_epoch` and catch-up are served by the core;
+                // what is left is Hashchain's batch service.
+                if !self.core.handle_get(from, &other, ctx) {
+                    if let Variant::Hashchain(h) = &mut self.variant {
+                        h.on_batch_message(&mut self.core, from, other, ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_, '_, '_>) {
+        match token {
+            COLLECTOR_TICK => {
+                // The timeout half of `isReady(batch)`.
+                let timeout = self.core.config.collector_timeout;
+                let timed_out = self
+                    .variant
+                    .collector()
+                    .is_some_and(|c| c.is_timed_out(ctx.now(), timeout));
+                if timed_out {
+                    self.variant.flush(&mut self.core, ctx);
+                }
+                ctx.set_app_timer(timeout, COLLECTOR_TICK);
+            }
+            REQUEST_TICK => {
+                if let Variant::Hashchain(h) = &mut self.variant {
+                    h.on_request_tick(&mut self.core, ctx);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -184,87 +316,48 @@ impl Algorithm {
             Algorithm::Hashchain => 2,
         }
     }
-
-    /// Builds one standalone boxed application of this variant — the
-    /// convenience form of [`AppFactory::new`] + [`AppFactory::build`].
-    ///
-    /// Deployments whose servers must share state across instances
-    /// ("Hashchain light" needs one [`SharedBatchRegistry`] for all servers)
-    /// should create a single [`AppFactory`] and reuse it instead.
-    pub fn build(
-        self,
-        keys: KeyPair,
-        registry: KeyRegistry,
-        config: SetchainConfig,
-        trace: SetchainTrace,
-        byz: ServerByzMode,
-    ) -> Box<dyn SetchainApp> {
-        AppFactory::new(self, registry, config).build(keys, trace, byz)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setchain_crypto::ProcessId;
+    use crate::trace::SetchainTrace;
+    use setchain_crypto::KeyRegistry;
 
-    fn factory(algorithm: Algorithm, light: bool) -> (AppFactory, KeyRegistry) {
+    fn server(algorithm: Algorithm, config: SetchainConfig, byz: ServerByzMode) -> SetchainServer {
         let registry = KeyRegistry::bootstrap(13, 4, 2);
-        let mut config = SetchainConfig::new(4);
-        if light {
-            config = algorithm.light_config(config);
-        }
-        (
-            AppFactory::new(algorithm, registry.clone(), config),
-            registry,
-        )
+        let keys = registry.lookup(ProcessId::server(0)).unwrap();
+        let core = ServerCore::new(keys, registry, config, SetchainTrace::new(), byz);
+        SetchainServer::new(algorithm, core, SharedBatchRegistry::new())
     }
 
     #[test]
-    fn factory_builds_every_algorithm() {
+    fn every_algorithm_starts_empty_and_reports_its_own_surface() {
         for algorithm in Algorithm::ALL {
-            let (factory, registry) = factory(algorithm, false);
-            let keys = registry.lookup(ProcessId::server(0)).unwrap();
-            let app = factory.build(keys, SetchainTrace::new(), ServerByzMode::Correct);
-            assert_eq!(app.algorithm(), algorithm);
-            assert_eq!(app.state().epoch(), 0);
-            assert_eq!(app.stats(), ServerStats::default());
-            assert_eq!(app.config().servers, 4);
-            assert!(app.proofs_for(1).is_empty());
-            assert!(app.epoch_elements(1).is_none());
+            let s = server(algorithm, SetchainConfig::new(4), ServerByzMode::Correct);
+            assert_eq!(s.algorithm(), algorithm);
+            assert_eq!(s.state().epoch(), 0);
+            assert_eq!(s.stats(), ServerStats::default());
+            assert_eq!(s.core().config.servers, 4);
+            assert_eq!(
+                s.compression_ratio(),
+                (algorithm == Algorithm::Compresschain).then_some(1.0)
+            );
+            assert_eq!(
+                s.known_batches(),
+                (algorithm == Algorithm::Hashchain).then_some(0)
+            );
         }
     }
 
     #[test]
-    fn downcast_hook_reaches_variant_surfaces() {
-        let (factory, registry) = factory(Algorithm::Hashchain, false);
-        let keys = registry.lookup(ProcessId::server(1)).unwrap();
-        let app = factory.build(keys, SetchainTrace::new(), ServerByzMode::Correct);
-        let concrete = app
-            .as_any()
-            .downcast_ref::<HashchainApp>()
-            .expect("hashchain app");
-        assert_eq!(concrete.known_batches(), 0);
-        assert!(app.as_any().downcast_ref::<VanillaApp>().is_none());
-    }
-
-    #[test]
-    fn light_hashchain_servers_share_one_registry() {
-        let (factory, registry) = factory(Algorithm::Hashchain, true);
-        assert!(!factory.config().hash_reversal);
-        let a = factory.build(
-            registry.lookup(ProcessId::server(0)).unwrap(),
-            SetchainTrace::new(),
-            ServerByzMode::Correct,
-        );
-        let _b = factory.build(
-            registry.lookup(ProcessId::server(1)).unwrap(),
-            SetchainTrace::new(),
-            ServerByzMode::Correct,
-        );
-        // Both servers resolve batches through the factory's registry.
-        assert!(factory.shared_registry().is_empty());
-        assert_eq!(a.algorithm(), Algorithm::Hashchain);
+    fn hashchain_light_assumes_every_server_correct() {
+        let fault = ServerByzMode::RefuseBatchService;
+        let full = server(Algorithm::Hashchain, SetchainConfig::new(4), fault);
+        assert_eq!(full.core().byz, fault);
+        let light_config = Algorithm::Hashchain.light_config(SetchainConfig::new(4));
+        let light = server(Algorithm::Hashchain, light_config, fault);
+        assert_eq!(light.core().byz, ServerByzMode::Correct);
     }
 
     #[test]
@@ -283,19 +376,5 @@ mod tests {
         for (i, algorithm) in Algorithm::ALL.iter().enumerate() {
             assert_eq!(algorithm.index(), i);
         }
-    }
-
-    #[test]
-    fn one_shot_build_constructs_an_app() {
-        let registry = KeyRegistry::bootstrap(17, 4, 1);
-        let keys = registry.lookup(ProcessId::server(2)).unwrap();
-        let app = Algorithm::Vanilla.build(
-            keys,
-            registry,
-            SetchainConfig::new(4),
-            SetchainTrace::new(),
-            ServerByzMode::Correct,
-        );
-        assert_eq!(app.algorithm(), Algorithm::Vanilla);
     }
 }

@@ -7,34 +7,27 @@
 //! bytes (with `r` the compression ratio, 2.5–3.5 in the paper). Epoch-proofs
 //! travel inside the batches. The "Compresschain light" ablation of Fig. 2
 //! (left) skips decompression and validation on delivery.
+//!
+//! [`Compresschain`] holds what only this algorithm needs — the collector,
+//! the codec buffers, the ratio accounting — and the steps that differ from
+//! the other two; the add/get front door that drives it lives in
+//! [`crate::app`].
 
-use setchain_crypto::{KeyPair, KeyRegistry, ProcessId};
-use setchain_ledger::{Application, Block};
-use setchain_simnet::TimerToken;
+use setchain_ledger::{Block, TxData};
 
-use crate::app::SetchainApp;
-use crate::byzantine::ServerByzMode;
 use crate::collector::Collector;
 use crate::config::SetchainConfig;
-use crate::element::Element;
-use crate::messages::SetchainMsg;
-use crate::server::{Ctx, ServerCore, ServerStats};
-use crate::state::SetchainState;
+use crate::server::{Ctx, ServerCore};
 use crate::tx::{CompressedBatch, SetchainTx};
-use crate::Algorithm;
-
-/// Timer token used for the collector timeout tick.
-const COLLECTOR_TICK: TimerToken = 1;
 
 /// Chunk length used when compressing batch bytes. Smaller than the codec's
 /// 64 KiB default so that even a collector-64 batch (~28 KiB) splits into
 /// chunks and a collector-256 batch fans out across several cores.
 const BATCH_CHUNK_LEN: usize = 16 * 1024;
 
-/// The Compresschain server application.
-pub struct CompresschainApp {
-    core: ServerCore,
-    collector: Collector,
+/// Compresschain's per-server state.
+pub(crate) struct Compresschain {
+    pub(crate) collector: Collector,
     next_batch_seq: u64,
     /// Sum of measured compression ratios and count, for reporting. Ratios
     /// are measured on the *shipped* chunked frame (headers included), so
@@ -48,19 +41,10 @@ pub struct CompresschainApp {
     decode_buf: Vec<u8>,
 }
 
-impl CompresschainApp {
-    /// Creates a Compresschain server.
-    pub fn new(
-        keys: KeyPair,
-        registry: KeyRegistry,
-        config: SetchainConfig,
-        trace: crate::trace::SetchainTrace,
-        byz: ServerByzMode,
-    ) -> Self {
-        let collector = Collector::new(config.collector_limit);
-        CompresschainApp {
-            core: ServerCore::new(keys, registry, config, trace, byz),
-            collector,
+impl Compresschain {
+    pub(crate) fn new(config: &SetchainConfig) -> Self {
+        Compresschain {
+            collector: Collector::new(config.collector_limit),
             next_batch_seq: 0,
             ratio_sum: 0.0,
             ratio_count: 0,
@@ -69,40 +53,23 @@ impl CompresschainApp {
         }
     }
 
-    /// The Setchain state of this server.
-    pub fn state(&self) -> &SetchainState {
-        &self.core.state
-    }
-
-    /// Server counters.
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats
-    }
-
     /// Average compression ratio measured on flushed batches.
-    pub fn average_ratio(&self) -> f64 {
+    pub(crate) fn average_ratio(&self) -> f64 {
         if self.ratio_count == 0 {
             return 1.0;
         }
         self.ratio_sum / self.ratio_count as f64
     }
 
-    fn handle_add(&mut self, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.core.accept_add(&element, ctx) {
-            self.collector.add_element(element);
-            self.maybe_flush(ctx);
-        }
-    }
-
     /// Flushes the collector when the size threshold is reached.
-    fn maybe_flush(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    fn maybe_flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         if self.collector.is_ready() {
-            self.flush(ctx);
+            self.flush(core, ctx);
         }
     }
 
     /// `upon isReady(batch)`: compress the batch and append it to the ledger.
-    fn flush(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         let batch = self.collector.flush(ctx.now());
         // Materialize the batch bytes once, into the reusable encode buffer,
         // and run the real compressor (chunked frame, chunk-parallel on
@@ -110,7 +77,7 @@ impl CompresschainApp {
         // bytes in blocks.
         let raw_len = batch.encode_elements_into(&mut self.encode_buf);
         let payload = setchain_compress::compress_chunked_with(&self.encode_buf, BATCH_CHUNK_LEN);
-        ctx.consume_cpu(self.core.config.costs.compress_cost(raw_len));
+        ctx.consume_cpu(core.config.costs.compress_cost(raw_len));
         // Proofs contribute their wire size but are high-entropy signatures;
         // account for them uncompressed. The compressed side charges the
         // whole shipped frame — chunk headers included — so reported ratios
@@ -122,9 +89,9 @@ impl CompresschainApp {
             self.ratio_sum += raw_len as f64 / payload.len().max(1) as f64;
             self.ratio_count += 1;
         }
-        self.core.stats.batches_flushed += 1;
-        let tx = CompressedBatch {
-            origin: self.core.id(),
+        core.stats.batches_flushed += 1;
+        let cb = CompressedBatch {
+            origin: core.id(),
             seq: self.next_batch_seq,
             elements: batch.elements,
             proofs: batch.proofs,
@@ -133,66 +100,31 @@ impl CompresschainApp {
             original_size,
         };
         self.next_batch_seq += 1;
-        let tx = SetchainTx::Compressed(tx);
-        let tx_id = setchain_ledger::TxData::tx_id(&tx);
+        let tx = SetchainTx::Compressed(cb);
+        let tx_id = tx.tx_id();
         if let SetchainTx::Compressed(cb) = &tx {
             for e in &cb.elements {
-                self.core.trace.record_tx_assignment(e.id, tx_id);
+                core.trace.record_tx_assignment(e.id, tx_id);
             }
         }
         ctx.append(tx);
     }
-}
 
-impl SetchainApp for CompresschainApp {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Compresschain
+    /// ABCI `CheckTx`: only batch transactions from a server of this
+    /// deployment enter the mempool.
+    pub(crate) fn check_tx(config: &SetchainConfig, tx: &SetchainTx) -> bool {
+        matches!(tx, SetchainTx::Compressed(b) if config.is_server(b.origin))
     }
 
-    fn state(&self) -> &SetchainState {
-        &self.core.state
-    }
-
-    fn stats(&self) -> ServerStats {
-        self.core.stats
-    }
-
-    fn config(&self) -> &SetchainConfig {
-        &self.core.config
-    }
-
-    fn core(&self) -> &ServerCore {
-        &self.core
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-impl Application for CompresschainApp {
-    type Tx = SetchainTx;
-    type Msg = SetchainMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
-        ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
-        // After a restart (retained state) probe peers for missed epochs;
-        // a cold start is a no-op.
-        self.core.maybe_request_catchup(ctx);
-    }
-
-    fn check_tx(&self, tx: &SetchainTx) -> bool {
-        match tx {
-            SetchainTx::Compressed(b) => {
-                b.origin.is_server() && b.origin.server_index() < self.core.config.servers
-            }
-            _ => false,
-        }
-    }
-
-    fn finalize_block(&mut self, block: &Block<SetchainTx>, ctx: &mut Ctx<'_, '_, '_>) {
+    /// `new_block(B)`: every batch of the block becomes one epoch.
+    pub(crate) fn finalize_block(
+        &mut self,
+        core: &mut ServerCore,
+        block: &Block<SetchainTx>,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         let now = ctx.now();
-        let validate = self.core.config.decompress_validate;
+        let validate = core.config.decompress_validate;
         for tx in &block.txs {
             let SetchainTx::Compressed(cb) = tx else {
                 continue;
@@ -200,19 +132,14 @@ impl Application for CompresschainApp {
             if validate {
                 // Decompress(B[i]) — charged as CPU time against the original
                 // (uncompressed) batch size.
-                ctx.consume_cpu(
-                    self.core
-                        .config
-                        .costs
-                        .decompress_cost(cb.original_size as usize),
-                );
+                ctx.consume_cpu(core.config.costs.decompress_cost(cb.original_size as usize));
                 // ...and performed for real on peer batches: the chunked
                 // frame decompresses chunk-parallel and the recovered byte
                 // count must equal the batch's declared element bytes. The
                 // origin skips its own frame — it built it from bytes it
                 // already holds. "Compresschain light" skips all of this.
-                if cb.origin != self.core.id() {
-                    self.core.stats.batches_decompressed += 1;
+                if cb.origin != core.id() {
+                    core.stats.batches_decompressed += 1;
                     let proof_bytes = cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
                     let ok = (cb.original_size as usize)
                         .checked_sub(proof_bytes)
@@ -226,7 +153,7 @@ impl Application for CompresschainApp {
                         // Any server can put any bytes on the ledger: an
                         // undecodable frame is an invalid batch, skipped by
                         // every correct server alike.
-                        self.core.stats.batch_decompress_failures += 1;
+                        core.stats.batch_decompress_failures += 1;
                         continue;
                     }
                 }
@@ -237,77 +164,14 @@ impl Application for CompresschainApp {
             }
             // Valid epoch-proofs of the batch.
             for p in &cb.proofs {
-                self.core.ingest_proof(*p, now, ctx);
+                core.ingest_proof(*p, now, ctx);
             }
             // G: valid elements not yet in an epoch.
-            let g = self
-                .core
-                .extract_epoch_candidates(&cb.elements, validate, ctx);
-            let (_, proof) = self.core.create_epoch(g, now, ctx);
+            let g = core.extract_epoch_candidates(&cb.elements, validate, ctx);
+            let (_, proof) = core.create_epoch(g, now, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
-            self.maybe_flush(ctx);
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SetchainMsg, ctx: &mut Ctx<'_, '_, '_>) {
-        match msg {
-            SetchainMsg::Add(e) => {
-                if self.core.admit_source(from, 1, ctx) {
-                    self.handle_add(e, ctx);
-                }
-            }
-            SetchainMsg::AddBatch(es) => {
-                if self.core.admit_source(from, es.len() as u64, ctx) {
-                    for e in es {
-                        self.handle_add(e, ctx);
-                    }
-                }
-            }
-            SetchainMsg::BatchedAdd(batch) => {
-                // The quota gate runs first: a shed batch costs zero root
-                // verification.
-                if !self
-                    .core
-                    .admit_source(from, batch.elements.len() as u64, ctx)
-                {
-                    return;
-                }
-                // One root-cache probe / MAC check authenticates the whole
-                // batch; the per-element admission probes inside
-                // `handle_add` then hit the warmed cache.
-                let valid = self.core.verify_batched_add(&batch, ctx);
-                if from.is_server() {
-                    // Peer-forwarded envelope: verifying it warmed this
-                    // server's caches; the elements themselves arrive in
-                    // compressed batches, whose delivery-time validation
-                    // is then pure cache hits.
-                } else if valid {
-                    if self.core.byz != ServerByzMode::DropClientAdds {
-                        self.core.gossip_batched_add(&batch, ctx);
-                    }
-                    for e in batch.elements {
-                        self.handle_add(e, ctx);
-                    }
-                } else {
-                    self.core.stats.adds_rejected_invalid += batch.elements.len() as u64;
-                }
-            }
-            other => {
-                let _ = self.core.handle_get(from, &other, ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_, '_, '_>) {
-        if token == COLLECTOR_TICK {
-            if self
-                .collector
-                .is_timed_out(ctx.now(), self.core.config.collector_timeout)
-            {
-                self.flush(ctx);
-            }
-            ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
+            self.maybe_flush(core, ctx);
         }
     }
 }

@@ -371,6 +371,12 @@ impl SetchainConfig {
         self.f + 1
     }
 
+    /// True if `id` names one of this deployment's servers — the structural
+    /// half of every signer check (`check_tx`, `valid_proof`, `valid_hash`).
+    pub fn is_server(&self, id: setchain_crypto::ProcessId) -> bool {
+        id.is_server() && id.server_index() < self.servers
+    }
+
     /// True if the server with this index participates in hash-batch
     /// counter-signing and epoch-proof emission (always true unless a
     /// designated signer set is configured).

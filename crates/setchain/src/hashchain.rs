@@ -21,31 +21,29 @@
 //! hash-batch validation (all servers assumed correct); batch availability is
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
 //! data dissemination.
+//!
+//! [`Hashchain`] holds what only this algorithm needs — the collector, the
+//! batch registry, the ledger-order queue and the request bookkeeping — and
+//! the steps that differ from the other two; the add/get front door that
+//! drives it lives in [`crate::app`].
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use setchain_crypto::{Digest512, KeyPair, KeyRegistry, ProcessId, Sha512};
-use setchain_ledger::{Application, Block};
-use setchain_simnet::{SimTime, TimerToken};
+use setchain_crypto::{Digest512, ProcessId, Sha512};
+use setchain_ledger::{Block, TxData};
+use setchain_simnet::SimTime;
 
-use crate::app::SetchainApp;
+use crate::app::REQUEST_TICK;
 use crate::byzantine::ServerByzMode;
 use crate::collector::{Batch, Collector};
 use crate::config::SetchainConfig;
 use crate::element::Element;
 use crate::messages::SetchainMsg;
 use crate::proofs::EpochProof;
-use crate::server::{Ctx, ServerCore, ServerStats};
-use crate::state::SetchainState;
+use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
-use crate::Algorithm;
-
-/// Timer token for the collector timeout tick.
-const COLLECTOR_TICK: TimerToken = 1;
-/// Timer token for batch-request timeouts.
-const REQUEST_TICK: TimerToken = 2;
 
 /// Canonical hash of a batch: binds element identities/metadata and the
 /// included proofs. CPU cost is charged separately against the full batch
@@ -129,10 +127,9 @@ struct PendingRequest {
     deadline: SimTime,
 }
 
-/// The Hashchain server application.
-pub struct HashchainApp {
-    core: ServerCore,
-    collector: Collector,
+/// Hashchain's per-server state.
+pub(crate) struct Hashchain {
+    pub(crate) collector: Collector,
     /// `hash_to_batch`: batches whose contents this server knows. Stored
     /// behind `Arc` so repeated queue processing (one pass per hash-batch
     /// signer) shares the contents instead of cloning the element vector.
@@ -161,19 +158,12 @@ pub struct HashchainApp {
     shared_registry: Option<SharedBatchRegistry>,
 }
 
-impl HashchainApp {
-    /// Creates a Hashchain server (full protocol, with hash reversal).
-    pub fn new(
-        keys: KeyPair,
-        registry: KeyRegistry,
-        config: SetchainConfig,
-        trace: crate::trace::SetchainTrace,
-        byz: ServerByzMode,
-    ) -> Self {
-        let collector = Collector::new(config.collector_limit);
-        HashchainApp {
-            core: ServerCore::new(keys, registry, config, trace, byz),
-            collector,
+impl Hashchain {
+    /// `shared` is the out-of-band batch availability of the "Hashchain
+    /// light" ablation; `None` runs the full protocol with hash reversal.
+    pub(crate) fn new(config: &SetchainConfig, shared: Option<SharedBatchRegistry>) -> Self {
+        Hashchain {
+            collector: Collector::new(config.collector_limit),
             hash_to_batch: HashMap::new(),
             hash_to_signers: HashMap::new(),
             my_signed: HashSet::new(),
@@ -181,63 +171,27 @@ impl HashchainApp {
             block_queue: VecDeque::new(),
             waiting: None,
             prefetched: HashMap::new(),
-            shared_registry: None,
+            shared_registry: shared,
         }
-    }
-
-    /// Creates a "Hashchain light" server: requires a configuration with
-    /// `hash_reversal` disabled and a shared batch registry standing in for
-    /// out-of-band availability.
-    pub fn new_light(
-        keys: KeyPair,
-        registry: KeyRegistry,
-        config: SetchainConfig,
-        trace: crate::trace::SetchainTrace,
-        shared: SharedBatchRegistry,
-    ) -> Self {
-        assert!(
-            !config.hash_reversal,
-            "light mode requires a config built with SetchainConfig::light_hashchain()"
-        );
-        let mut app = Self::new(keys, registry, config, trace, ServerByzMode::Correct);
-        app.shared_registry = Some(shared);
-        app
-    }
-
-    /// The Setchain state of this server.
-    pub fn state(&self) -> &SetchainState {
-        &self.core.state
-    }
-
-    /// Server counters.
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats
     }
 
     /// Number of batches whose contents this server knows.
-    pub fn known_batches(&self) -> usize {
+    pub(crate) fn known_batches(&self) -> usize {
         self.hash_to_batch.len()
     }
 
-    fn handle_add(&mut self, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.core.accept_add(&element, ctx) {
-            self.collector.add_element(element);
-            self.maybe_flush(ctx);
-        }
-    }
-
-    fn maybe_flush(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    fn maybe_flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         if self.collector.is_ready() {
-            self.flush(ctx);
+            self.flush(core, ctx);
         }
     }
 
     /// `upon isReady(batch)`: hash the batch, register it, and append the
     /// signed hash-batch to the ledger.
-    fn flush(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         let batch = self.collector.flush(ctx.now());
         let hash = batch_hash(&batch.elements, &batch.proofs);
-        ctx.consume_cpu(self.core.config.costs.hash_cost(batch.wire_size()));
+        ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
         // Register_batch(h, batch): keep the contents so other servers can
         // request them. The registry shares the same `Arc` — no copy.
         let batch = Arc::new(batch);
@@ -245,14 +199,14 @@ impl HashchainApp {
             shared.register(hash, Arc::clone(&batch));
         }
         self.hash_to_batch.insert(hash, Arc::clone(&batch));
-        ctx.consume_cpu(self.core.config.costs.sign);
-        let hb = self.core.make_hash_batch(hash);
+        ctx.consume_cpu(core.config.costs.sign);
+        let hb = core.make_hash_batch(hash);
         self.my_signed.insert(hash);
-        self.core.stats.batches_flushed += 1;
+        core.stats.batches_flushed += 1;
         let tx = SetchainTx::HashBatch(hb);
-        let tx_id = setchain_ledger::TxData::tx_id(&tx);
+        let tx_id = tx.tx_id();
         for e in &batch.elements {
-            self.core.trace.record_tx_assignment(e.id, tx_id);
+            core.trace.record_tx_assignment(e.id, tx_id);
         }
         ctx.append(tx);
         // Push-based dissemination variant: ship the batch contents to every
@@ -260,9 +214,9 @@ impl HashchainApp {
         // block they already hold the contents and skip `Request_batch`.
         // The batch is cloned into the message once and Arc-shared across
         // all recipients by `broadcast_app`.
-        if self.core.config.push_batches {
-            let me = self.core.id();
-            let peers = (0..self.core.config.servers)
+        if core.config.push_batches {
+            let me = core.id();
+            let peers = (0..core.config.servers)
                 .map(ProcessId::server)
                 .filter(|p| *p != me);
             ctx.broadcast_app(
@@ -294,7 +248,7 @@ impl HashchainApp {
 
     /// Processes queued hash-batches in ledger order, pausing when a batch
     /// request is outstanding.
-    fn process_queue(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    fn process_queue(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         loop {
             if self.waiting.is_some() {
                 return;
@@ -304,14 +258,14 @@ impl HashchainApp {
             };
             if let Some(batch) = self.lookup_batch(&hb.hash) {
                 self.block_queue.pop_front();
-                self.handle_hash_batch(hb, Some(batch), ctx);
+                self.handle_hash_batch(core, hb, Some(batch), ctx);
                 continue;
             }
-            if !self.core.config.hash_reversal {
+            if !core.config.hash_reversal {
                 // Light mode without contents anywhere: count the signer but
                 // consolidate an empty epoch.
                 self.block_queue.pop_front();
-                self.handle_hash_batch(hb, None, ctx);
+                self.handle_hash_batch(core, hb, None, ctx);
                 continue;
             }
             // Request_batch(h) from the signer of the hash-batch — unless a
@@ -324,8 +278,7 @@ impl HashchainApp {
             // instead of serialising, while a merely slow-but-correct signer
             // still gets the same patience the direct-request path grants.
             if let Some(&sent_at) = self.prefetched.get(&hb.hash) {
-                let deadline =
-                    sent_at + self.core.config.request_timeout + self.core.config.request_timeout;
+                let deadline = sent_at + core.config.request_timeout + core.config.request_timeout;
                 if ctx.now() < deadline {
                     self.waiting = Some(PendingRequest {
                         hash: hb.hash,
@@ -346,38 +299,50 @@ impl HashchainApp {
                     asked: vec![hb.signer],
                     deadline: ctx.now(),
                 });
-                self.fail_request(ctx);
+                self.fail_request(core, ctx);
                 return;
             }
-            self.send_request(hb.hash, hb.signer, ctx);
+            self.send_request(core, hb.hash, hb.signer, ctx);
             return;
         }
     }
 
     /// Sends a prefetch request for a hash whose contents are unknown, so the
     /// round trip overlaps with the processing of earlier queue entries.
-    fn prefetch(&mut self, hash: Digest512, signer: ProcessId, ctx: &mut Ctx<'_, '_, '_>) {
+    fn prefetch(
+        &mut self,
+        core: &mut ServerCore,
+        hash: Digest512,
+        signer: ProcessId,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         if self.hash_to_batch.contains_key(&hash)
             || self.prefetched.contains_key(&hash)
-            || signer == self.core.id()
+            || signer == core.id()
         {
             return;
         }
-        self.core.stats.batch_requests_sent += 1;
+        core.stats.batch_requests_sent += 1;
         ctx.send_app(signer, SetchainMsg::RequestBatch { hash });
         self.prefetched.insert(hash, ctx.now());
     }
 
-    fn send_request(&mut self, hash: Digest512, to: ProcessId, ctx: &mut Ctx<'_, '_, '_>) {
-        self.core.stats.batch_requests_sent += 1;
+    fn send_request(
+        &mut self,
+        core: &mut ServerCore,
+        hash: Digest512,
+        to: ProcessId,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        core.stats.batch_requests_sent += 1;
         ctx.send_app(to, SetchainMsg::RequestBatch { hash });
         self.prefetched.insert(hash, ctx.now());
-        let deadline = ctx.now() + self.core.config.request_timeout;
+        let deadline = ctx.now() + core.config.request_timeout;
         let asked = match &mut self.waiting {
             Some(pending) if pending.hash == hash => {
                 pending.asked.push(to);
                 pending.deadline = deadline;
-                ctx.set_app_timer(self.core.config.request_timeout, REQUEST_TICK);
+                ctx.set_app_timer(core.config.request_timeout, REQUEST_TICK);
                 return;
             }
             _ => vec![to],
@@ -387,13 +352,13 @@ impl HashchainApp {
             asked,
             deadline,
         });
-        ctx.set_app_timer(self.core.config.request_timeout, REQUEST_TICK);
+        ctx.set_app_timer(core.config.request_timeout, REQUEST_TICK);
     }
 
     /// Gives up on the current request (timeout or bad response): either
     /// retries with another signer or skips the hash-batch, mirroring the
     /// pseudocode's `continue`.
-    fn fail_request(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+    fn fail_request(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         let Some(pending) = self.waiting.take() else {
             return;
         };
@@ -414,16 +379,16 @@ impl HashchainApp {
                     .filter(|hb| hb.hash == hash)
                     .map(|hb| hb.signer),
             )
-            .find(|c| !pending.asked.contains(c) && *c != self.core.id());
-        if pending.asked.len() < self.core.config.max_request_retries {
+            .find(|c| !pending.asked.contains(c) && *c != core.id());
+        if pending.asked.len() < core.config.max_request_retries {
             if let Some(next) = next {
                 self.waiting = Some(pending);
-                self.send_request(hash, next, ctx);
+                self.send_request(core, hash, next, ctx);
                 return;
             }
         }
         // Give up: skip the hash-batch at the head of the queue.
-        self.core.stats.batch_requests_failed += 1;
+        core.stats.batch_requests_failed += 1;
         if self
             .block_queue
             .front()
@@ -432,7 +397,7 @@ impl HashchainApp {
         {
             self.block_queue.pop_front();
         }
-        self.process_queue(ctx);
+        self.process_queue(core, ctx);
     }
 
     /// Processes one hash-batch whose position in the ledger order has been
@@ -440,13 +405,15 @@ impl HashchainApp {
     /// unavailable.
     fn handle_hash_batch(
         &mut self,
+        core: &mut ServerCore,
         hb: HashBatch,
         batch: Option<Arc<Batch>>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let now = ctx.now();
         let hash = hb.hash;
-        let validate = self.core.config.hash_reversal;
+        let validate = core.config.hash_reversal;
+        let designated = core.config.is_designated(core.id().server_index());
 
         if let Some(batch) = &batch {
             // If we had to recover the batch (we are not its origin and have
@@ -454,168 +421,96 @@ impl HashchainApp {
             // so the f+1 consolidation quorum can form. In the designated-
             // signers variant only the configured signer set counter-signs;
             // the remaining servers still track signers and consolidate.
-            let designated = self
-                .core
-                .config
-                .is_designated(self.core.id().server_index());
             if designated && !self.my_signed.contains(&hash) {
-                ctx.consume_cpu(self.core.config.costs.sign);
-                let own = self.core.make_hash_batch(hash);
+                ctx.consume_cpu(core.config.costs.sign);
+                let own = core.make_hash_batch(hash);
                 self.my_signed.insert(hash);
                 ctx.append(SetchainTx::HashBatch(own));
             }
             // Valid epoch-proofs of the batch.
             for p in &batch.proofs {
-                self.core.ingest_proof(*p, now, ctx);
+                core.ingest_proof(*p, now, ctx);
             }
             // Valid elements join the_set immediately (they join history only
             // at consolidation); no candidate vector is materialized here.
-            self.core
-                .admit_batch_elements(&batch.elements, validate, ctx);
+            core.admit_batch_elements(&batch.elements, validate, ctx);
         }
 
         // Track the signer and consolidate at f + 1.
         let signers = self.hash_to_signers.entry(hash).or_default();
         signers.insert(hb.signer);
-        let enough = signers.len() >= self.core.config.proof_quorum();
+        let enough = signers.len() >= core.config.proof_quorum();
         if enough && !self.consolidated.contains(&hash) {
             self.consolidated.insert(hash);
             let g = match &batch {
-                Some(b) => self
-                    .core
-                    .extract_epoch_candidates(&b.elements, validate, ctx),
+                Some(b) => core.extract_epoch_candidates(&b.elements, validate, ctx),
                 None => Vec::new(),
             };
-            let (_, proof) = self.core.create_epoch(g, now, ctx);
+            let (_, proof) = core.create_epoch(g, now, ctx);
             // Epoch-proofs are only emitted by the designated signer set (all
             // servers unless the 2f+1 variant is configured); every server
             // still records the epoch locally.
-            if self
-                .core
-                .config
-                .is_designated(self.core.id().server_index())
-            {
+            if designated {
                 self.collector.add_proof(proof);
-                self.maybe_flush(ctx);
+                self.maybe_flush(core, ctx);
             }
         }
     }
-}
 
-impl SetchainApp for HashchainApp {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Hashchain
+    /// ABCI `CheckTx`: only hash-batches signed by a server of this
+    /// deployment enter the mempool.
+    pub(crate) fn check_tx(config: &SetchainConfig, tx: &SetchainTx) -> bool {
+        matches!(tx, SetchainTx::HashBatch(hb) if config.is_server(hb.signer))
     }
 
-    fn state(&self) -> &SetchainState {
-        &self.core.state
-    }
-
-    fn stats(&self) -> ServerStats {
-        self.core.stats
-    }
-
-    fn config(&self) -> &SetchainConfig {
-        &self.core.config
-    }
-
-    fn core(&self) -> &ServerCore {
-        &self.core
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-impl Application for HashchainApp {
-    type Tx = SetchainTx;
-    type Msg = SetchainMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
-        ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
-        // After a restart (retained state) probe peers for missed epochs;
-        // a cold start is a no-op.
-        self.core.maybe_request_catchup(ctx);
-    }
-
-    fn check_tx(&self, tx: &SetchainTx) -> bool {
-        match tx {
-            SetchainTx::HashBatch(hb) => {
-                hb.signer.is_server() && hb.signer.server_index() < self.core.config.servers
-            }
-            _ => false,
-        }
-    }
-
-    fn finalize_block(&mut self, block: &Block<SetchainTx>, ctx: &mut Ctx<'_, '_, '_>) {
+    /// `new_block(B)`: the block's valid hash-batches join the ledger-order
+    /// queue, which is then processed as far as known batch contents allow.
+    pub(crate) fn finalize_block(
+        &mut self,
+        core: &mut ServerCore,
+        block: &Block<SetchainTx>,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         for tx in &block.txs {
             let SetchainTx::HashBatch(hb) = tx else {
                 continue;
             };
-            if self.core.config.hash_reversal {
+            if core.config.hash_reversal {
                 // valid_hash(h, s_w, w)
-                ctx.consume_cpu(self.core.config.costs.verify_signature);
-                if !self.core.hash_batch_valid(hb) {
+                ctx.consume_cpu(core.config.costs.verify_signature);
+                if !core.hash_batch_valid(hb) {
                     continue;
                 }
                 // Start recovering unknown batch contents right away so the
                 // round trips overlap instead of serialising per hash-batch.
-                self.prefetch(hb.hash, hb.signer, ctx);
+                self.prefetch(core, hb.hash, hb.signer, ctx);
             }
             self.block_queue.push_back(*hb);
         }
-        self.process_queue(ctx);
+        self.process_queue(core, ctx);
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: SetchainMsg, ctx: &mut Ctx<'_, '_, '_>) {
+    /// True if the queue head is paused on a request for `hash`.
+    fn head_waits_for(&self, hash: &Digest512) -> bool {
+        self.waiting.as_ref().is_some_and(|p| p.hash == *hash)
+    }
+
+    /// The hash-reversal service between servers: `Request_batch`, its
+    /// response, and pushed batch contents. Any other message is ignored.
+    pub(crate) fn on_batch_message(
+        &mut self,
+        core: &mut ServerCore,
+        from: ProcessId,
+        msg: SetchainMsg,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
         match msg {
-            SetchainMsg::Add(e) => {
-                if self.core.admit_source(from, 1, ctx) {
-                    self.handle_add(e, ctx);
-                }
-            }
-            SetchainMsg::AddBatch(es) => {
-                if self.core.admit_source(from, es.len() as u64, ctx) {
-                    for e in es {
-                        self.handle_add(e, ctx);
-                    }
-                }
-            }
-            SetchainMsg::BatchedAdd(batch) => {
-                // The quota gate runs first: a shed batch costs zero root
-                // verification.
-                if !self
-                    .core
-                    .admit_source(from, batch.elements.len() as u64, ctx)
-                {
-                    return;
-                }
-                // One root-cache probe / MAC check authenticates the whole
-                // batch; the per-element admission probes inside
-                // `handle_add` then hit the warmed cache.
-                let valid = self.core.verify_batched_add(&batch, ctx);
-                if from.is_server() {
-                    // Peer-forwarded envelope: verifying it warmed this
-                    // server's caches, so recovered batch contents (push
-                    // or hash reversal) validate as pure cache hits.
-                } else if valid {
-                    if self.core.byz != ServerByzMode::DropClientAdds {
-                        self.core.gossip_batched_add(&batch, ctx);
-                    }
-                    for e in batch.elements {
-                        self.handle_add(e, ctx);
-                    }
-                } else {
-                    self.core.stats.adds_rejected_invalid += batch.elements.len() as u64;
-                }
-            }
             SetchainMsg::RequestBatch { hash } => {
-                if self.core.byz == ServerByzMode::RefuseBatchService {
+                if core.byz == ServerByzMode::RefuseBatchService {
                     return;
                 }
                 if let Some(batch) = self.hash_to_batch.get(&hash) {
-                    self.core.stats.batch_requests_served += 1;
+                    core.stats.batch_requests_served += 1;
                     ctx.send_app(
                         from,
                         SetchainMsg::BatchResponse {
@@ -631,27 +526,23 @@ impl Application for HashchainApp {
                 elements,
                 proofs,
             } => {
-                let head_waiting = self
-                    .waiting
-                    .as_ref()
-                    .map(|p| p.hash == hash)
-                    .unwrap_or(false);
+                let head_waiting = self.head_waits_for(&hash);
                 let expected = head_waiting || self.prefetched.contains_key(&hash);
                 if !expected || self.hash_to_batch.contains_key(&hash) {
                     return;
                 }
                 let batch = Batch { elements, proofs };
-                ctx.consume_cpu(self.core.config.costs.hash_cost(batch.wire_size()));
+                ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 if batch_hash(&batch.elements, &batch.proofs) == hash {
                     self.hash_to_batch.insert(hash, Arc::new(batch));
                     self.prefetched.remove(&hash);
                     if head_waiting {
                         self.waiting = None;
-                        self.process_queue(ctx);
+                        self.process_queue(core, ctx);
                     }
                 } else if head_waiting {
                     // The signer is lying about the contents: retry elsewhere.
-                    self.fail_request(ctx);
+                    self.fail_request(core, ctx);
                 } else {
                     // A bad prefetch answer: forget it so the head-of-queue
                     // path can re-request from another signer later.
@@ -670,50 +561,30 @@ impl Application for HashchainApp {
                     return;
                 }
                 let batch = Batch { elements, proofs };
-                ctx.consume_cpu(self.core.config.costs.hash_cost(batch.wire_size()));
+                ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 if batch_hash(&batch.elements, &batch.proofs) != hash {
                     return;
                 }
                 self.hash_to_batch.insert(hash, Arc::new(batch));
                 self.prefetched.remove(&hash);
-                let head_waiting = self
-                    .waiting
-                    .as_ref()
-                    .map(|p| p.hash == hash)
-                    .unwrap_or(false);
-                if head_waiting {
+                if self.head_waits_for(&hash) {
                     self.waiting = None;
-                    self.process_queue(ctx);
-                }
-            }
-            other => {
-                let _ = self.core.handle_get(from, &other, ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_, '_, '_>) {
-        match token {
-            COLLECTOR_TICK => {
-                if self
-                    .collector
-                    .is_timed_out(ctx.now(), self.core.config.collector_timeout)
-                {
-                    self.flush(ctx);
-                }
-                ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
-            }
-            REQUEST_TICK => {
-                let expired = self
-                    .waiting
-                    .as_ref()
-                    .map(|p| ctx.now() >= p.deadline)
-                    .unwrap_or(false);
-                if expired {
-                    self.fail_request(ctx);
+                    self.process_queue(core, ctx);
                 }
             }
             _ => {}
+        }
+    }
+
+    /// The request timer fired: give up on the outstanding request if its
+    /// deadline has passed (a superseded timer finds a later deadline).
+    pub(crate) fn on_request_tick(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
+        let expired = self
+            .waiting
+            .as_ref()
+            .is_some_and(|p| ctx.now() >= p.deadline);
+        if expired {
+            self.fail_request(core, ctx);
         }
     }
 }
@@ -799,35 +670,5 @@ mod tests {
         // Clones share the same storage.
         let alias = shared.clone();
         assert_eq!(alias.len(), 1);
-    }
-
-    #[test]
-    fn light_mode_requires_light_config() {
-        let reg = registry();
-        let keys = reg.lookup(ProcessId::server(0)).unwrap();
-        let config = SetchainConfig::new(4).light_hashchain();
-        let app = HashchainApp::new_light(
-            keys,
-            reg.clone(),
-            config,
-            crate::trace::SetchainTrace::new(),
-            SharedBatchRegistry::new(),
-        );
-        assert_eq!(app.known_batches(), 0);
-        assert_eq!(app.state().epoch(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "light mode requires")]
-    fn light_mode_with_full_config_panics() {
-        let reg = registry();
-        let keys = reg.lookup(ProcessId::server(0)).unwrap();
-        let _ = HashchainApp::new_light(
-            keys,
-            reg.clone(),
-            SetchainConfig::new(4),
-            crate::trace::SetchainTrace::new(),
-            SharedBatchRegistry::new(),
-        );
     }
 }

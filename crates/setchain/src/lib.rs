@@ -4,14 +4,15 @@
 //! algorithms that implement the Setchain distributed object on top of a
 //! block-based ledger.
 //!
-//! * [`VanillaApp`] — every element is appended to the ledger as its own
-//!   transaction; the valid elements of each ledger block form an epoch
-//!   (Appendix B of the paper).
-//! * [`CompresschainApp`] — elements are collected into batches, compressed,
-//!   and each compressed batch appended as a single ledger transaction that
-//!   becomes an epoch.
-//! * [`HashchainApp`] — batches are hashed; only the fixed-size signed hash
-//!   is appended to the ledger. A batch consolidates into an epoch once
+//! * **Vanilla** ([`vanilla`]) — every element is appended to the ledger as
+//!   its own transaction; the valid elements of each ledger block form an
+//!   epoch (Appendix B of the paper).
+//! * **Compresschain** ([`compresschain`]) — elements are collected into
+//!   batches, compressed, and each compressed batch appended as a single
+//!   ledger transaction that becomes an epoch.
+//! * **Hashchain** ([`hashchain`]) — batches are hashed; only the fixed-size
+//!   signed hash is appended to the ledger. A batch consolidates into an
+//!   epoch once
 //!   hash-batches from `f + 1` distinct servers are on the ledger, and batch
 //!   contents are recovered from their origin server through the
 //!   hash-reversal (`Request_batch`) service.
@@ -21,13 +22,14 @@
 //! single (possibly Byzantine) server can verify an epoch with `f + 1`
 //! consistent proofs ([`client::verify_epoch`]).
 //!
-//! All three implement the object-safe [`SetchainApp`] trait — the
-//! variant-agnostic application API (`state()`, `stats()`, epoch access) that
-//! deployments, benches and tests program against — and are constructed
-//! through [`AppFactory`], the single variant-dispatch site.
+//! They are one object with one step that differs — how a batch reaches the
+//! ledger — and the code says so: [`SetchainServer`] is the only server
+//! type. It writes the `add` / `get` front door once over the shared
+//! [`ServerCore`] and keeps the per-algorithm state as a private variant;
+//! the three modules above hold just the steps that differ.
 //!
-//! The algorithms are ABCI-style [`Application`](setchain_ledger::Application)s
-//! for the [`setchain-ledger`](setchain_ledger) substrate and run inside the
+//! [`SetchainServer`] is an ABCI-style [`Application`](setchain_ledger::Application)
+//! for the [`setchain-ledger`](setchain_ledger) substrate and runs inside the
 //! deterministic [`setchain-simnet`](setchain_simnet) simulator. The
 //! `setchain-workload` crate builds full deployments (servers + injection
 //! clients + metrics) on top of this crate.
@@ -75,17 +77,16 @@ pub mod tx;
 pub mod vanilla;
 
 pub use admission::AdmissionCache;
-pub use app::{AppFactory, SetchainApp};
+pub use app::SetchainServer;
 pub use batch_auth::{
     batch_root, batch_tree, prove_element, AuthedBatch, ElementProof, BATCH_CHUNK,
 };
 pub use byzantine::ServerByzMode;
 pub use client::{verify_epoch, EpochVerification, LightClient, RETRY_AFTER_PER_MISSING_PROOF};
 pub use collector::Collector;
-pub use compresschain::CompresschainApp;
 pub use config::{AuthMode, CostModel, QuotaConfig, SetchainConfig, StoreConfig};
 pub use element::{Element, ElementGenerator, ElementId};
-pub use hashchain::{HashchainApp, SharedBatchRegistry};
+pub use hashchain::SharedBatchRegistry;
 pub use messages::{CatchupEpoch, GetSnapshot, SetchainMsg};
 pub use proofs::{
     epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof, make_epoch_proof_with_key,
@@ -96,7 +97,6 @@ pub use server::{ServerCore, ServerStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};
 pub use state::SetchainState;
 pub use trace::SetchainTrace;
 pub use tx::{CompressedBatch, HashBatch, SetchainTx};
-pub use vanilla::VanillaApp;
 
 /// The paper's three Setchain algorithms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]

@@ -107,8 +107,8 @@ impl ServerStats {
     }
 }
 
-/// State and helpers shared by `VanillaApp`, `CompresschainApp` and
-/// `HashchainApp`.
+/// Everything a [`SetchainServer`](crate::SetchainServer) holds that does not
+/// depend on the algorithm it runs.
 pub struct ServerCore {
     /// This server's key pair.
     pub keys: KeyPair,
@@ -996,8 +996,7 @@ impl ServerCore {
     /// replaced by `digest`.
     pub fn proof_valid_digest(&mut self, proof: &EpochProof, digest: &Digest512) -> bool {
         proof.signature.signer == proof.signer
-            && proof.signer.is_server()
-            && proof.signer.server_index() < self.config.servers
+            && self.config.is_server(proof.signer)
             && self
                 .verifier
                 .verify(&self.registry, digest.as_bytes(), &proof.signature)
@@ -1007,8 +1006,7 @@ impl ServerCore {
     /// cache: same verdict as [`HashBatch::is_valid`], without rebuilding
     /// the signer's HMAC key pads per hash-batch.
     pub fn hash_batch_valid(&mut self, hb: &HashBatch) -> bool {
-        hb.signer.is_server()
-            && hb.signer.server_index() < self.config.servers
+        self.config.is_server(hb.signer)
             && hb.signature.signer == hb.signer
             && self
                 .verifier

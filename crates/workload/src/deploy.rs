@@ -4,11 +4,9 @@
 //! container per machine containing one client, one collector and one
 //! CometBFT server.
 //!
-//! Every server runs behind the variant-agnostic
-//! [`SetchainApp`] trait: the deployment holds
-//! `LedgerNode<Box<dyn SetchainApp>>` nodes and never dispatches on
-//! [`Algorithm`](setchain::Algorithm) itself — construction goes through
-//! [`setchain::AppFactory`], the single variant-dispatch site.
+//! Every server is the one concrete [`SetchainServer`] type: the deployment
+//! holds `LedgerNode<SetchainServer>` nodes and never dispatches on
+//! [`Algorithm`](setchain::Algorithm) itself.
 //!
 //! Deployments are assembled with the fluent [`Deployment::builder`]:
 //!
@@ -27,8 +25,8 @@
 //! ```
 
 use setchain::{
-    AppFactory, ServerByzMode, ServerStats, SetchainApp, SetchainConfig, SetchainMsg,
-    SetchainState, SetchainTrace, SetchainTx,
+    ServerByzMode, ServerCore, ServerStats, SetchainConfig, SetchainMsg, SetchainServer,
+    SetchainState, SetchainTrace, SetchainTx, SharedBatchRegistry,
 };
 use setchain_crypto::{KeyRegistry, ProcessId};
 use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace, NetMsg};
@@ -44,8 +42,8 @@ use crate::session::ClientSession;
 pub type Msg = NetMsg<SetchainTx, SetchainMsg>;
 
 /// The one concrete node type every deployment server uses, regardless of
-/// algorithm: a ledger validator driving a boxed [`SetchainApp`].
-pub type ServerNode = LedgerNode<Box<dyn SetchainApp>>;
+/// algorithm: a ledger validator driving a [`SetchainServer`].
+pub type ServerNode = LedgerNode<SetchainServer>;
 
 /// A built deployment, ready to run.
 pub struct Deployment {
@@ -67,19 +65,17 @@ pub struct Deployment {
 /// algorithm it runs.
 ///
 /// The handle wraps the deployment's one concrete node type
-/// ([`ServerNode`]); every accessor goes through the
-/// [`SetchainApp`] trait, so there is no per-variant dispatch here. Variant
-/// surfaces stay reachable through [`ServerHandle::downcast`]:
+/// ([`ServerNode`]). The two algorithm-specific readings are plain
+/// `Option`s, `None` on a server that runs another algorithm:
 ///
 /// ```no_run
-/// # use setchain::{Algorithm, CompresschainApp};
+/// # use setchain::Algorithm;
 /// # use setchain_workload::Deployment;
 /// # let deployment = Deployment::builder(Algorithm::Compresschain).build();
 /// let ratio = deployment
 ///     .server(0)
-///     .downcast::<CompresschainApp>()
-///     .expect("compresschain deployment")
-///     .average_ratio();
+///     .compression_ratio()
+///     .expect("compresschain deployment");
 /// ```
 #[derive(Clone, Copy)]
 pub struct ServerHandle<'a> {
@@ -87,37 +83,37 @@ pub struct ServerHandle<'a> {
 }
 
 impl<'a> ServerHandle<'a> {
-    /// The server's application behind the variant-agnostic trait.
-    pub fn app(&self) -> &'a dyn SetchainApp {
-        &**self.node.app()
+    /// Compresschain: average compression ratio of the batches this server
+    /// flushed. `None` under the other algorithms.
+    pub fn compression_ratio(&self) -> Option<f64> {
+        self.node.app().compression_ratio()
     }
 
-    /// The concrete application type, for variant-specific surfaces
-    /// (e.g. `CompresschainApp::average_ratio`,
-    /// `HashchainApp::known_batches`).
-    pub fn downcast<T: SetchainApp>(&self) -> Option<&'a T> {
-        self.app().as_any().downcast_ref::<T>()
+    /// Hashchain: number of batches whose contents this server knows.
+    /// `None` under the other algorithms.
+    pub fn known_batches(&self) -> Option<usize> {
+        self.node.app().known_batches()
     }
 
     /// The algorithm this server runs.
     pub fn algorithm(&self) -> setchain::Algorithm {
-        self.app().algorithm()
+        self.node.app().algorithm()
     }
 
     /// The server's Setchain state.
     pub fn state(&self) -> &'a SetchainState {
-        self.app().state()
+        self.node.app().state()
     }
 
     /// The server's application counters.
     pub fn stats(&self) -> ServerStats {
-        self.app().stats()
+        self.node.app().stats()
     }
 
     /// The algorithm-agnostic server core: admission caches, quota state,
     /// catch-up machinery — read-only inspection across all variants.
-    pub fn core(&self) -> &'a setchain::ServerCore {
-        self.app().core()
+    pub fn core(&self) -> &'a ServerCore {
+        self.node.app().core()
     }
 
     /// The server's per-client quota state, if quotas are enabled.
@@ -237,7 +233,7 @@ impl DeploymentBuilder {
     ///
     /// The light ablations assume all servers correct; for "Hashchain
     /// light" any [`server_fault`](Self::server_fault) is ignored by the
-    /// built servers (see [`AppFactory::build`]).
+    /// built servers (see [`SetchainServer::new`]).
     pub fn light(mut self) -> Self {
         self.scenario.light = true;
         self
@@ -348,8 +344,7 @@ impl DeploymentBuilder {
     }
 
     /// Builds the deployment. This is the only construction body: the
-    /// all-correct and faulty paths share it, and per-server application
-    /// construction goes through one [`AppFactory`].
+    /// all-correct and faulty paths share it.
     pub fn build(self) -> Deployment {
         let scenario = self.scenario;
         let n = scenario.servers;
@@ -366,11 +361,9 @@ impl DeploymentBuilder {
         };
 
         let setchain_config = scenario.setchain_config();
-        let factory = AppFactory::new(
-            scenario.algorithm,
-            registry.clone(),
-            setchain_config.clone(),
-        );
+        // Out-of-band batch availability, shared by every server of a
+        // "Hashchain light" deployment and ignored by all others.
+        let shared_batches = SharedBatchRegistry::new();
 
         let mut ledger_config = LedgerConfig::with_validators(n);
         ledger_config.max_block_bytes = scenario.block_bytes;
@@ -410,7 +403,14 @@ impl DeploymentBuilder {
             } else {
                 trace.clone()
             };
-            let app = factory.build(keys, server_trace, server_byz);
+            let core = ServerCore::new(
+                keys,
+                registry.clone(),
+                setchain_config.clone(),
+                server_trace,
+                server_byz,
+            );
+            let app = SetchainServer::new(scenario.algorithm, core, shared_batches.clone());
             sim.add_process(
                 id,
                 Box::new(LedgerNode::new(
@@ -552,7 +552,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setchain::{Algorithm, HashchainApp, VanillaApp};
+    use setchain::Algorithm;
 
     #[test]
     fn builds_all_three_algorithms() {
@@ -599,15 +599,15 @@ mod tests {
     }
 
     #[test]
-    fn handles_downcast_to_the_concrete_app() {
+    fn handles_expose_the_algorithm_specific_readings() {
         let deployment = Deployment::builder(Algorithm::Hashchain)
             .servers(4)
             .injection_secs(1)
             .max_run_secs(5)
             .build();
         let handle = deployment.server(0);
-        assert!(handle.downcast::<HashchainApp>().is_some());
-        assert!(handle.downcast::<VanillaApp>().is_none());
+        assert_eq!(handle.known_batches(), Some(0));
+        assert_eq!(handle.compression_ratio(), None);
         assert_eq!(handle.node().height(), 1);
         assert_eq!(handle.mempool_len(), 0);
     }

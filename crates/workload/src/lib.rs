@@ -9,9 +9,9 @@
 //!   collector size, server count, network delay) plus the scenario grids of
 //!   every figure.
 //! * [`deploy`] — builds a full simulated deployment: `n` ledger nodes each
-//!   running a Setchain server application behind the variant-agnostic
-//!   [`SetchainApp`](setchain::SetchainApp) trait, plus one injection client
-//!   per node (mirroring the paper's one-client-per-Docker-container setup).
+//!   running a [`SetchainServer`](setchain::SetchainServer), plus one
+//!   injection client per node (mirroring the paper's
+//!   one-client-per-Docker-container setup).
 //!   Assembled with the fluent [`Deployment::builder`].
 //! * [`session`] — typed client sessions (`add`/`add_batch`/`get`/`get_epoch`
 //!   returning [`AddReceipt`]/[`BatchReceipt`]/[`SnapshotView`]/

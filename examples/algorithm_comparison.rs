@@ -1,7 +1,7 @@
 //! Side-by-side comparison of the three Setchain algorithms on the same
 //! workload — a miniature version of the paper's Fig. 1 that runs in a few
-//! seconds. The loop body is identical for every algorithm: the deployment
-//! builder and the `SetchainApp` trait hide the variant entirely.
+//! seconds. The loop body is identical for every algorithm: the variant is a
+//! value handed to the deployment builder, never a type.
 //!
 //! ```sh
 //! cargo run --release -p setchain-bench --example algorithm_comparison

@@ -1,6 +1,7 @@
 //! The variant-agnostic API matrix test: the *same* scripted client session
-//! runs against all three Setchain algorithms through the `SetchainApp`
-//! trait, and every variant must expose the same distributed object — the
+//! runs against all three Setchain algorithms — one `SetchainServer` type,
+//! the algorithm a constructor argument — and every variant must expose the
+//! same distributed object — the
 //! identical committed element set, the same confirmed client adds, and
 //! verified epochs for all of them.
 //!
@@ -29,7 +30,7 @@ struct VariantRun {
 
 /// Runs the identical scripted session against one algorithm. Nothing in
 /// this function names a variant: the algorithm arrives as data and is
-/// resolved once, inside the deployment's `AppFactory`.
+/// resolved once, inside `SetchainServer::new`.
 ///
 /// Under [`AuthMode::BatchRoot`] the injection clients seal every tick into
 /// one root-MACed batch, and the session submits its five adds as a single
@@ -91,7 +92,7 @@ fn drive(algorithm: Algorithm, auth: AuthMode) -> VariantRun {
     // The handle reports the algorithm it actually runs.
     for i in 0..4 {
         assert_eq!(deployment.server(i).algorithm(), algorithm);
-        assert_eq!(deployment.server(i).app().config().servers, 4);
+        assert_eq!(deployment.server(i).core().config.servers, 4);
     }
 
     let outcome = session.outcome(&deployment);

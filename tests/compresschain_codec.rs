@@ -9,9 +9,7 @@ use std::collections::BTreeSet;
 
 use std::sync::Arc;
 
-use setchain::{
-    make_epoch_proof, Algorithm, CompresschainApp, CompressedBatch, ElementId, SetchainTx,
-};
+use setchain::{make_epoch_proof, Algorithm, CompressedBatch, ElementId, SetchainTx};
 use setchain_crypto::ProcessId;
 use setchain_ledger::NetMsg;
 use setchain_simnet::SimTime;
@@ -118,14 +116,12 @@ fn full_mode_really_decompresses_and_never_fails() {
 
     // Ratio accounting measures the actually shipped chunked frames: with
     // compressible batch payloads the average must be a real compression
-    // ratio, not a pass-through. The variant-specific surface is reached
-    // through the `SetchainApp` downcast hook.
+    // ratio, not a pass-through.
     for i in 0..4 {
         let ratio = full
             .server(i)
-            .downcast::<CompresschainApp>()
-            .expect("expected a Compresschain server")
-            .average_ratio();
+            .compression_ratio()
+            .expect("expected a Compresschain server");
         assert!(
             ratio > 1.02 && ratio < 10.0,
             "server {i} reports implausible average ratio {ratio}"

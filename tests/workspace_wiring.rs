@@ -61,21 +61,18 @@ fn setchain_entry_points() {
     assert_eq!(Algorithm::Hashchain.index(), 2);
     assert!(!Algorithm::Vanilla.uses_collector());
 
-    // The variant-agnostic application API: one factory builds any variant
-    // behind the object-safe `SetchainApp` trait.
+    // One server type runs any of the three algorithms.
     let registry = KeyRegistry::bootstrap(5, 4, 1);
-    let factory = setchain::AppFactory::new(
-        Algorithm::Compresschain,
-        registry.clone(),
-        SetchainConfig::new(4),
-    );
-    let app: Box<dyn setchain::SetchainApp> = factory.build(
+    let core = setchain::ServerCore::new(
         registry.lookup(ProcessId::server(0)).expect("server key"),
+        registry,
+        SetchainConfig::new(4),
         setchain::SetchainTrace::new(),
         setchain::ServerByzMode::Correct,
     );
-    assert_eq!(app.algorithm(), Algorithm::Compresschain);
-    assert_eq!(app.state().epoch(), 0);
+    let server = setchain::SetchainServer::new(Algorithm::Compresschain, core, Default::default());
+    assert_eq!(server.algorithm(), Algorithm::Compresschain);
+    assert_eq!(server.state().epoch(), 0);
 
     // f + 1 proofs form a quorum, with f = ⌊(n−1)/2⌋.
     let config = SetchainConfig::new(10);
