@@ -305,8 +305,8 @@ impl ServerCore {
     /// (elements only — digests and proofs stay resident, so epoch-proof
     /// serving and consistency checks are unaffected). Evicted contents are
     /// read back from the store on demand by [`Self::fetch_epoch_elements`];
-    /// their ids stay behind in `state` ([`SetchainState::was_evicted`]) so
-    /// membership checks still reject a re-add.
+    /// their ids never leave `state` (`the_set` is grow-only), so membership
+    /// checks still reject a re-add.
     fn apply_retention(&mut self) {
         let Some(retain) = self.config.store.as_ref().and_then(|s| s.retain_epochs) else {
             return;
@@ -571,7 +571,7 @@ impl ServerCore {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
-        if self.state.contains(&element.id) || self.state.was_evicted(&element.id) {
+        if self.state.contains(&element.id) {
             self.stats.adds_rejected_duplicate += 1;
             return false;
         }
@@ -961,7 +961,7 @@ impl ServerCore {
     ) {
         if !validate {
             for e in elements {
-                if !self.state.in_history(&e.id) && !self.state.was_evicted(&e.id) {
+                if !self.state.in_history(&e.id) {
                     self.state.insert(e.id);
                 }
             }
@@ -976,7 +976,7 @@ impl ServerCore {
         // honest batches stay allocation-free.
         let mut rejected_ids: Option<FxHashSet<ElementId>> = None;
         for (e, ok) in elements.iter().zip(verdicts) {
-            if self.state.in_history(&e.id) || self.state.was_evicted(&e.id) {
+            if self.state.in_history(&e.id) {
                 continue;
             }
             if ok {
@@ -1041,7 +1041,7 @@ impl ServerCore {
         let mut seen = FxHashSet::default();
         let mut candidates = Vec::new();
         for e in elements {
-            if self.state.in_history(&e.id) || self.state.was_evicted(&e.id) || !seen.insert(e.id) {
+            if self.state.in_history(&e.id) || !seen.insert(e.id) {
                 continue;
             }
             candidates.push(*e);
@@ -1264,9 +1264,9 @@ mod tests {
         assert_eq!(core.state.evicted_epochs(), 3);
         assert_eq!(core.stats.elements_evicted, 12);
         assert!(core.state.epoch_elements(1).is_none(), "evicted from RAM");
-        // Membership of evicted elements survives in the state's id set.
+        // Membership of evicted elements survives: `the_set` is grow-only.
         let evicted_id = ElementId::new(0, 10); // epoch 1, element 0
-        assert!(!core.state.in_history(&evicted_id));
+        assert!(core.state.contains(&evicted_id) && core.state.in_history(&evicted_id));
         assert!(core.state.was_evicted(&evicted_id));
         assert!(!core.state.was_evicted(&ElementId::new(0, 9999)));
         // Evicted epochs read back from the store byte-identically.

@@ -4,7 +4,7 @@
 
 use std::collections::HashSet;
 
-use setchain_crypto::{Digest512, FxHashMap, FxHashSet};
+use setchain_crypto::{Digest512, FxHashMap};
 
 use crate::element::{Element, ElementId};
 use crate::messages::GetSnapshot;
@@ -14,8 +14,13 @@ use crate::proofs::{epoch_hash, EpochProof};
 /// `(the_set, history, epoch, proofs)`.
 #[derive(Debug, Default)]
 pub struct SetchainState {
-    /// Grow-only set of element ids that have been added.
-    the_set: FxHashSet<ElementId>,
+    /// `the_set` and the reverse index in one grow-only map: every element
+    /// id that has been added, mapped to the epoch it was stamped with (0 =
+    /// added, not stamped yet). An id whose epoch is `<= evicted_epochs` has
+    /// had its contents evicted; the id itself never leaves.
+    members: FxHashMap<ElementId, u64>,
+    /// Number of stamped ids in `members` (the logical size of `history`).
+    stamped: u64,
     /// Current epoch number (`history` holds epochs `1..=epoch`).
     epoch: u64,
     /// `history[i - 1]` holds the elements stamped with epoch `i`.
@@ -24,23 +29,15 @@ pub struct SetchainState {
     /// once when the epoch is recorded. Every proof made or verified for the
     /// epoch reuses it instead of re-hashing the elements.
     epoch_digests: Vec<Digest512>,
-    /// Reverse index: element id → epoch it was stamped with.
-    element_epoch: FxHashMap<ElementId, u64>,
     /// Epoch-proofs received, per epoch, at most one per signer. The inner
     /// collection is a `Vec` so `proofs_for` can hand out a borrowed slice;
     /// signer sets are tiny (≤ n servers) so the linear dedup is cheap.
     proofs: FxHashMap<u64, Vec<EpochProof>>,
     /// Bounded-memory mode: epochs `1..=evicted_epochs` have had their
-    /// elements evicted from `the_set`, `history` and `element_epoch`
-    /// (they live in the persistent store instead; digests and proofs stay
-    /// resident). Eviction is strictly prefix-ordered. 0 (always, without a
-    /// store) means fully resident.
+    /// `history` entries evicted (they live in the persistent store instead;
+    /// ids, digests and proofs stay resident). Eviction is strictly
+    /// prefix-ordered. 0 (always, without a store) means fully resident.
     evicted_epochs: u64,
-    /// The ids of every evicted element: all that stays in RAM of an
-    /// evicted epoch's contents, so membership checks still reject a re-add
-    /// and the *logical* set and history sizes reported to clients stay
-    /// correct. The store keeps no element index; this is it.
-    evicted_ids: FxHashSet<ElementId>,
 }
 
 impl SetchainState {
@@ -55,40 +52,43 @@ impl SetchainState {
         self.epoch
     }
 
-    /// Number of elements in `the_set`, elements evicted to the persistent
-    /// store included — the *logical* size, unchanged by eviction.
+    /// Number of elements in `the_set` (grow-only: eviction never shrinks
+    /// it).
     pub fn the_set_len(&self) -> usize {
-        self.the_set.len() + self.evicted_ids.len()
+        self.members.len()
     }
 
     /// True if `the_set` contains the element.
     pub fn contains(&self, id: &ElementId) -> bool {
-        self.the_set.contains(id)
+        self.members.contains_key(id)
     }
 
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
-        self.the_set.insert(id)
+        match self.members.entry(id) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(0);
+                true
+            }
+            std::collections::hash_map::Entry::Occupied(_) => false,
+        }
     }
 
-    /// True if the element has already been stamped with an epoch
-    /// (the algorithms' `e ∈ history` check).
+    /// True if the element has already been stamped with an epoch (the
+    /// algorithms' `e ∈ history` check), resident or evicted.
     pub fn in_history(&self, id: &ElementId) -> bool {
-        self.element_epoch.contains_key(id)
+        self.epoch_of(id).is_some()
     }
 
-    /// True when `id` was stamped into an epoch that has since been evicted
-    /// from RAM. [`Self::contains`] and [`Self::in_history`] only see
-    /// resident ids; every membership check ORs this in, so eviction
-    /// changes no verdict relative to an eviction-free run. Always false
-    /// (one lookup in an empty set) without `retain_epochs`.
+    /// True when `id` was stamped into an epoch whose contents have since
+    /// been evicted from RAM. Membership verdicts do not depend on it.
     pub fn was_evicted(&self, id: &ElementId) -> bool {
-        self.evicted_ids.contains(id)
+        self.epoch_of(id).is_some_and(|e| e <= self.evicted_epochs)
     }
 
     /// The epoch an element was stamped with, if any.
     pub fn epoch_of(&self, id: &ElementId) -> Option<u64> {
-        self.element_epoch.get(id).copied()
+        self.members.get(id).copied().filter(|&e| e > 0)
     }
 
     /// Elements of epoch `i` (1-based), if it exists *and is resident* —
@@ -104,7 +104,7 @@ impl SetchainState {
     /// Total number of elements across all epochs (logical: evicted epochs
     /// still count).
     pub fn history_elements(&self) -> u64 {
-        self.history.iter().map(|g| g.len() as u64).sum::<u64>() + self.evicted_ids.len() as u64
+        self.stamped
     }
 
     /// Creates a new epoch from `elements`, inserting them into `the_set`
@@ -115,19 +115,18 @@ impl SetchainState {
     /// `history` (Unique-Epoch); this is asserted in debug builds.
     pub fn record_epoch(&mut self, elements: Vec<Element>) -> u64 {
         self.epoch += 1;
-        // Pre-size both per-element maps from the epoch's cardinality: one
-        // rehash check here instead of incremental growth mid-loop.
-        self.the_set.reserve(elements.len());
-        self.element_epoch.reserve(elements.len());
+        // Pre-size the map from the epoch's cardinality: one rehash check
+        // here instead of incremental growth mid-loop.
+        self.members.reserve(elements.len());
         for e in &elements {
+            let previous = self.members.insert(e.id, self.epoch);
             debug_assert!(
-                !self.element_epoch.contains_key(&e.id),
+                previous.unwrap_or(0) == 0,
                 "element {:?} stamped twice",
                 e.id
             );
-            self.the_set.insert(e.id);
-            self.element_epoch.insert(e.id, self.epoch);
         }
+        self.stamped += elements.len() as u64;
         // The epoch digest is computed exactly once, here; every proof site
         // (signing our own proof, verifying up to n peer proofs) reuses it.
         self.epoch_digests.push(epoch_hash(self.epoch, &elements));
@@ -160,10 +159,9 @@ impl SetchainState {
         epoch > self.evicted_epochs && epoch <= self.epoch
     }
 
-    /// Bounded-memory mode: drops epoch `epoch`'s elements from RAM —
-    /// `the_set`, `element_epoch` and the `history` entry — keeping the
-    /// digest, proofs and the bare ids (see [`Self::was_evicted`]). Returns
-    /// the number of elements evicted.
+    /// Bounded-memory mode: drops epoch `epoch`'s `history` entry from RAM,
+    /// keeping the digest, the proofs and the ids (`the_set` is grow-only).
+    /// Returns the number of elements evicted.
     ///
     /// The caller owns two obligations: the epoch must already be durable
     /// in the persistent store (readback falls back to it), and eviction
@@ -178,15 +176,8 @@ impl SetchainState {
             "eviction is strictly prefix-ordered"
         );
         assert!(epoch <= self.epoch, "cannot evict an epoch not yet held");
-        let elements = std::mem::take(&mut self.history[(epoch - 1) as usize]);
-        self.evicted_ids.reserve(elements.len());
-        for e in &elements {
-            self.the_set.remove(&e.id);
-            self.element_epoch.remove(&e.id);
-            self.evicted_ids.insert(e.id);
-        }
         self.evicted_epochs = epoch;
-        elements.len()
+        std::mem::take(&mut self.history[(epoch - 1) as usize]).len()
     }
 
     /// The cached digest `Hash(i, history[i])` of epoch `i` (1-based), if the
@@ -458,8 +449,8 @@ mod tests {
         assert!(st.epoch_elements(2).is_none());
         assert_eq!(st.epoch_elements(3).unwrap().len(), 4);
         let evicted = elements(0..5);
-        assert!(!st.contains(&evicted[0].id));
-        assert!(!st.in_history(&evicted[0].id));
+        assert!(st.contains(&evicted[0].id));
+        assert!(st.in_history(&evicted[0].id));
         // Digests (what proofs verify against) are never evicted.
         for (i, d) in digests.iter().enumerate() {
             assert_eq!(st.epoch_digest(i as u64 + 1), Some(d));
@@ -486,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_moves_ids_from_contains_to_was_evicted() {
+    fn eviction_keeps_ids_in_the_set_and_marks_them_evicted() {
         let mut st = SetchainState::new();
         let es = elements(0..6);
         st.record_epoch(es[..4].to_vec());
@@ -496,15 +487,19 @@ mod tests {
             .all(|e| st.contains(&e.id) && !st.was_evicted(&e.id)));
         assert_eq!(st.evict_epoch(1), 4);
         for e in &es[..4] {
-            assert!(!st.contains(&e.id) && !st.in_history(&e.id));
-            assert!(st.was_evicted(&e.id));
+            assert!(st.contains(&e.id) && st.was_evicted(&e.id));
+            assert_eq!(st.epoch_of(&e.id), Some(1));
         }
         for e in &es[4..] {
             assert!(st.contains(&e.id) && !st.was_evicted(&e.id));
         }
-        assert!(!st.was_evicted(&ElementId::new(0, 9999)));
         assert_eq!(st.the_set_len(), 6);
         assert_eq!(st.history_elements(), 6);
+        // An added-but-unstamped id is neither in history nor evicted.
+        let pending = ElementId::new(0, 9999);
+        assert!(st.insert(pending) && !st.insert(pending));
+        assert!(!st.in_history(&pending) && !st.was_evicted(&pending));
+        assert_eq!((st.the_set_len(), st.history_elements()), (7, 6));
     }
 
     #[test]

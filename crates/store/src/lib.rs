@@ -11,9 +11,8 @@
 //!
 //! The store is an epoch log and nothing more. Membership (`the_set`,
 //! which element sits in which epoch) is *server* state: a server that
-//! evicts epochs remembers their ids itself
-//! (`SetchainState::was_evicted`), and recovery rebuilds that by replaying
-//! the log. The store keeps no per-element structure, so persisting an
+//! evicts epochs keeps their ids in its grow-only `the_set`, and recovery
+//! rebuilds that by replaying the log. The store keeps no per-element structure, so persisting an
 //! epoch costs O(its own bytes) however long the log is.
 //!
 //! The crate is deliberately a leaf: it depends on nothing else in the

