@@ -373,7 +373,7 @@ impl SetchainConfig {
 
     /// True if `id` names one of this deployment's servers — the structural
     /// half of every signer check (`check_tx`, `valid_proof`, `valid_hash`).
-    pub fn is_server(&self, id: setchain_crypto::ProcessId) -> bool {
+    pub(crate) fn is_server(&self, id: setchain_crypto::ProcessId) -> bool {
         id.is_server() && id.server_index() < self.servers
     }
 
