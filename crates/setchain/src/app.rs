@@ -42,17 +42,16 @@ use crate::collector::Collector;
 use crate::compresschain::Compresschain;
 use crate::config::SetchainConfig;
 use crate::element::Element;
-use crate::hashchain::{Hashchain, SharedBatchRegistry};
+use crate::hashchain::{Hashchain, SharedBatchRegistry, REQUEST_TICK};
 use crate::messages::SetchainMsg;
 use crate::server::{Ctx, ServerCore, ServerStats};
 use crate::state::SetchainState;
 use crate::tx::SetchainTx;
 use crate::{vanilla, Algorithm};
 
-/// Timer token for the collector timeout tick.
+/// Timer token for the collector timeout tick ([`REQUEST_TICK`] is the only
+/// other application timer).
 const COLLECTOR_TICK: TimerToken = 1;
-/// Timer token for Hashchain's batch-request timeouts.
-pub(crate) const REQUEST_TICK: TimerToken = 2;
 
 /// The per-algorithm state behind a [`SetchainServer`]. Vanilla has none.
 enum Variant {

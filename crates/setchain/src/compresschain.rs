@@ -8,7 +8,7 @@
 //! travel inside the batches. The "Compresschain light" ablation of Fig. 2
 //! (left) skips decompression and validation on delivery.
 //!
-//! [`Compresschain`] holds what only this algorithm needs — the collector,
+//! `Compresschain` holds what only this algorithm needs — the collector,
 //! the codec buffers, the ratio accounting — and the steps that differ from
 //! the other two; the add/get front door that drives it lives in
 //! [`crate::app`].

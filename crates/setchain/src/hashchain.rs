@@ -22,7 +22,7 @@
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
 //! data dissemination.
 //!
-//! [`Hashchain`] holds what only this algorithm needs — the collector, the
+//! `Hashchain` holds what only this algorithm needs — the collector, the
 //! batch registry, the ledger-order queue and the request bookkeeping — and
 //! the steps that differ from the other two; the add/get front door that
 //! drives it lives in [`crate::app`].
@@ -33,9 +33,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use setchain_crypto::{Digest512, ProcessId, Sha512};
 use setchain_ledger::{Block, TxData};
-use setchain_simnet::SimTime;
+use setchain_simnet::{SimTime, TimerToken};
 
-use crate::app::REQUEST_TICK;
 use crate::byzantine::ServerByzMode;
 use crate::collector::{Batch, Collector};
 use crate::config::SetchainConfig;
@@ -44,6 +43,9 @@ use crate::messages::SetchainMsg;
 use crate::proofs::EpochProof;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
+
+/// Timer token for batch-request timeouts.
+pub(crate) const REQUEST_TICK: TimerToken = 2;
 
 /// Canonical hash of a batch: binds element identities/metadata and the
 /// included proofs. CPU cost is charged separately against the full batch

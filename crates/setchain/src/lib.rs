@@ -12,10 +12,9 @@
 //!   ledger transaction that becomes an epoch.
 //! * **Hashchain** ([`hashchain`]) — batches are hashed; only the fixed-size
 //!   signed hash is appended to the ledger. A batch consolidates into an
-//!   epoch once
-//!   hash-batches from `f + 1` distinct servers are on the ledger, and batch
-//!   contents are recovered from their origin server through the
-//!   hash-reversal (`Request_batch`) service.
+//!   epoch once hash-batches from `f + 1` distinct servers are on the
+//!   ledger, and batch contents are recovered from their origin server
+//!   through the hash-reversal (`Request_batch`) service.
 //!
 //! All three maintain *epoch-proofs* — server signatures over
 //! `Hash(epoch_number, epoch_elements)` — so that a light client talking to a

@@ -2,6 +2,7 @@
 //! `history` and `proofs`, plus helpers for the safety properties the paper
 //! proves (Consistent-Sets, Unique-Epoch, Consistent-Gets).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 
 use setchain_crypto::{Digest512, FxHashMap};
@@ -66,11 +67,11 @@ impl SetchainState {
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
         match self.members.entry(id) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
+            Entry::Vacant(slot) => {
                 slot.insert(0);
                 true
             }
-            std::collections::hash_map::Entry::Occupied(_) => false,
+            Entry::Occupied(_) => false,
         }
     }
 

@@ -38,6 +38,20 @@ impl RunFingerprint {
         hasher.finalize().to_hex()
     }
 
+    /// Asserts the pinned part of the fingerprint — `(events_processed,
+    /// messages_deferred, added, committed, digests_sha256)` — against `want`.
+    fn assert_golden(&self, want: (u64, u64, usize, usize, &str), shape: &dyn std::fmt::Debug) {
+        let digests = self.digests_sha256();
+        let got = (
+            self.events_processed,
+            self.messages_deferred,
+            self.added,
+            self.committed,
+            digests.as_str(),
+        );
+        assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+    }
+
     /// Every element id server 0 stamped into an epoch.
     fn stamped_ids(&self) -> BTreeSet<ElementId> {
         self.epochs[0].iter().flatten().copied().collect()
@@ -61,15 +75,31 @@ fn run_once_at(
     rate: f64,
     injection_secs: u64,
 ) -> RunFingerprint {
-    run_builder(
-        Deployment::builder(algorithm)
-            .servers(servers)
-            .rate(rate)
-            .collector(32)
-            .injection_secs(injection_secs)
-            .auth_mode(auth)
-            .seed(seed),
-    )
+    run_builder(builder_at(
+        algorithm,
+        seed,
+        auth,
+        servers,
+        rate,
+        injection_secs,
+    ))
+}
+
+fn builder_at(
+    algorithm: Algorithm,
+    seed: u64,
+    auth: AuthMode,
+    servers: usize,
+    rate: f64,
+    injection_secs: u64,
+) -> DeploymentBuilder {
+    Deployment::builder(algorithm)
+        .servers(servers)
+        .rate(rate)
+        .collector(32)
+        .injection_secs(injection_secs)
+        .auth_mode(auth)
+        .seed(seed)
 }
 
 /// Runs `builder`'s deployment for its injection window plus a 9 s drain.
@@ -240,15 +270,7 @@ fn runs_match_the_golden_fingerprints() {
     for &(shape, want) in GOLDENS {
         let (algorithm, auth, servers, rate, injection_secs, seed) = shape;
         let fp = run_once_at(algorithm, seed, auth, servers, rate, injection_secs);
-        let digests = fp.digests_sha256();
-        let got = (
-            fp.events_processed,
-            fp.messages_deferred,
-            fp.added,
-            fp.committed,
-            digests.as_str(),
-        );
-        assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+        fp.assert_golden(want, &shape);
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
     }
 }
@@ -304,26 +326,8 @@ const BRANCH_GOLDENS: &[BranchGolden] = &[
 fn front_door_branches_match_their_golden_fingerprints() {
     for &(shape, want) in BRANCH_GOLDENS {
         let (algorithm, auth, branch) = shape;
-        let fp = run_builder(
-            branch.apply(
-                Deployment::builder(algorithm)
-                    .servers(4)
-                    .rate(400.0)
-                    .collector(32)
-                    .injection_secs(3)
-                    .auth_mode(auth)
-                    .seed(71),
-            ),
-        );
-        let digests = fp.digests_sha256();
-        let got = (
-            fp.events_processed,
-            fp.messages_deferred,
-            fp.added,
-            fp.committed,
-            digests.as_str(),
-        );
-        assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+        let fp = run_builder(branch.apply(builder_at(algorithm, 71, auth, 4, 400.0, 3)));
+        fp.assert_golden(want, &shape);
         if branch.fault_free() {
             assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
         }
