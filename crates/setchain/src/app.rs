@@ -62,11 +62,11 @@ enum Variant {
 
 impl Variant {
     /// The batch under construction, for the two collecting algorithms.
-    fn collector(&mut self) -> Option<&mut Collector> {
+    fn collector(&self) -> Option<&Collector> {
         match self {
             Variant::Vanilla => None,
-            Variant::Compresschain(c) => Some(&mut c.collector),
-            Variant::Hashchain(h) => Some(&mut h.collector),
+            Variant::Compresschain(c) => Some(&c.collector),
+            Variant::Hashchain(h) => Some(&h.collector),
         }
     }
 
@@ -89,15 +89,11 @@ impl Variant {
         accepted: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        match self.collector() {
-            None => vanilla::on_add(core, element, accepted, ctx),
-            Some(collector) if accepted => {
-                collector.add_element(element);
-                if collector.is_ready() {
-                    self.flush(core, ctx);
-                }
-            }
-            Some(_) => {}
+        match self {
+            Variant::Vanilla => vanilla::on_add(core, element, accepted, ctx),
+            Variant::Compresschain(c) if accepted => c.collect(core, element, ctx),
+            Variant::Hashchain(h) if accepted => h.collect(core, element, ctx),
+            _ => {}
         }
     }
 }

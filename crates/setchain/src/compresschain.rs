@@ -17,6 +17,7 @@ use setchain_ledger::{Block, TxData};
 
 use crate::collector::Collector;
 use crate::config::SetchainConfig;
+use crate::element::Element;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{CompressedBatch, SetchainTx};
 
@@ -59,6 +60,17 @@ impl Compresschain {
             return 1.0;
         }
         self.ratio_sum / self.ratio_count as f64
+    }
+
+    /// An admitted element joins the batch under construction.
+    pub(crate) fn collect(
+        &mut self,
+        core: &mut ServerCore,
+        element: Element,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        self.collector.add_element(element);
+        self.maybe_flush(core, ctx);
     }
 
     /// Flushes the collector when the size threshold is reached.
@@ -133,29 +145,29 @@ impl Compresschain {
                 // Decompress(B[i]) — charged as CPU time against the original
                 // (uncompressed) batch size.
                 ctx.consume_cpu(core.config.costs.decompress_cost(cb.original_size as usize));
-                // ...and performed for real on peer batches: the chunked
-                // frame decompresses chunk-parallel and the recovered byte
-                // count must equal the batch's declared element bytes. The
-                // origin skips its own frame — it built it from bytes it
-                // already holds. "Compresschain light" skips all of this.
-                if cb.origin != core.id() {
-                    core.stats.batches_decompressed += 1;
-                    let proof_bytes = cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
-                    let ok = (cb.original_size as usize)
-                        .checked_sub(proof_bytes)
-                        .is_some_and(|element_bytes| {
-                            setchain_compress::decompress_chunked_into(
-                                &cb.payload,
-                                &mut self.decode_buf,
-                            ) == Ok(element_bytes)
-                        });
-                    if !ok {
-                        // Any server can put any bytes on the ledger: an
-                        // undecodable frame is an invalid batch, skipped by
-                        // every correct server alike.
-                        core.stats.batch_decompress_failures += 1;
-                        continue;
-                    }
+                // ...and performed for real: the chunked frame decompresses
+                // chunk-parallel and the recovered byte count must equal the
+                // batch's declared element bytes. Every server decodes every
+                // frame, its own included — `origin` is an unsigned field
+                // any sender can forge, so a verdict that looked at it would
+                // split correct servers. "Compresschain light" skips all of
+                // this.
+                core.stats.batches_decompressed += 1;
+                let proof_bytes = cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
+                let ok = (cb.original_size as usize)
+                    .checked_sub(proof_bytes)
+                    .is_some_and(|element_bytes| {
+                        setchain_compress::decompress_chunked_into(
+                            &cb.payload,
+                            &mut self.decode_buf,
+                        ) == Ok(element_bytes)
+                    });
+                if !ok {
+                    // Any server can put any bytes on the ledger: an
+                    // undecodable frame is an invalid batch, skipped by
+                    // every correct server alike.
+                    core.stats.batch_decompress_failures += 1;
+                    continue;
                 }
             }
             // `if batch_original = ∅ then continue`

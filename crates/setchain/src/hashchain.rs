@@ -182,6 +182,17 @@ impl Hashchain {
         self.hash_to_batch.len()
     }
 
+    /// An admitted element joins the batch under construction.
+    pub(crate) fn collect(
+        &mut self,
+        core: &mut ServerCore,
+        element: Element,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        self.collector.add_element(element);
+        self.maybe_flush(core, ctx);
+    }
+
     fn maybe_flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         if self.collector.is_ready() {
             self.flush(core, ctx);

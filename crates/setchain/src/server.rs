@@ -56,8 +56,8 @@ pub struct ServerStats {
     pub elements_rejected: u64,
     /// Batches flushed from the collector (0 for Vanilla).
     pub batches_flushed: u64,
-    /// Compresschain: peer batches decompressed on block delivery (the
-    /// origin skips its own frames; 0 under the "light" ablation).
+    /// Compresschain: batch frames decompressed on block delivery (every
+    /// frame, the server's own included; 0 under the "light" ablation).
     pub batches_decompressed: u64,
     /// Compresschain: delivered batch frames that failed to decompress to
     /// the declared element bytes — hostile transactions, skipped whole (0

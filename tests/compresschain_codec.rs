@@ -132,8 +132,10 @@ fn full_mode_really_decompresses_and_never_fails() {
 /// Server 3 gossips `hostile` — a batch transaction whose frame is not a
 /// chunked-LZ77 frame — straight into server 0's mempool mid-run. It passes
 /// `check_tx` (the origin is a server of the deployment) and lands in a
-/// block; every correct server must count the frame as a decompress failure
-/// and skip the transaction instead of panicking on it.
+/// block. `origin` is an unsigned field the sender is free to forge, so the
+/// verdict must not depend on it: every correct server — the named origin
+/// included — must count the frame as a decompress failure and skip the
+/// transaction instead of panicking on it or building an epoch from it.
 fn survives_hostile_frame(hostile: CompressedBatch) {
     let mut deployment = build(false);
     deployment.sim.schedule_message(
@@ -146,7 +148,7 @@ fn survives_hostile_frame(hostile: CompressedBatch) {
     );
     deployment.sim.run_until(SimTime::from_secs(SIM_SECS));
 
-    for i in 0..3 {
+    for i in 0..4 {
         let server = deployment.server(i);
         assert!(
             server.stats().batch_decompress_failures >= 1,
@@ -158,8 +160,13 @@ fn survives_hostile_frame(hostile: CompressedBatch) {
             .server(0)
             .state()
             .check_consistent_with(server.state()));
+        assert_eq!(
+            server.state().epoch(),
+            deployment.server(0).state().epoch(),
+            "server {i} numbers its epochs differently"
+        );
     }
-    // The honest load still commits: servers 0-2 alone are an f + 1 quorum.
+    // The honest load still commits.
     let added = deployment.trace.added_count();
     let committed = deployment
         .trace
@@ -168,9 +175,9 @@ fn survives_hostile_frame(hostile: CompressedBatch) {
     assert_eq!(committed, added, "honest elements failed to commit");
 }
 
-fn garbage_frame(original_size: u32) -> CompressedBatch {
+fn garbage_frame(origin: usize, original_size: u32) -> CompressedBatch {
     CompressedBatch {
-        origin: ProcessId::server(3),
+        origin: ProcessId::server(origin),
         seq: u64::MAX,
         elements: vec![],
         proofs: vec![],
@@ -180,16 +187,27 @@ fn garbage_frame(original_size: u32) -> CompressedBatch {
     }
 }
 
+/// A garbage frame that declares zero bytes yet carries one epoch-proof:
+/// the proof bytes alone exceed the declared size.
+fn undersized_frame(origin: usize) -> CompressedBatch {
+    let deployment = build(false);
+    let signer = deployment.registry.lookup(ProcessId::server(3)).unwrap();
+    let mut hostile = garbage_frame(origin, 0);
+    hostile.proofs = vec![make_epoch_proof(&signer, 1, &[])];
+    hostile
+}
+
 #[test]
 fn undecodable_frame_is_counted_and_skipped() {
-    survives_hostile_frame(garbage_frame(40));
+    survives_hostile_frame(garbage_frame(3, 40));
 }
 
 #[test]
 fn frame_declaring_fewer_bytes_than_its_proofs_is_counted_and_skipped() {
-    let deployment = build(false);
-    let signer = deployment.registry.lookup(ProcessId::server(3)).unwrap();
-    let mut hostile = garbage_frame(0);
-    hostile.proofs = vec![make_epoch_proof(&signer, 1, &[])];
-    survives_hostile_frame(hostile);
+    survives_hostile_frame(undersized_frame(3));
+}
+
+#[test]
+fn frame_with_a_forged_origin_is_skipped_by_the_named_origin_too() {
+    survives_hostile_frame(undersized_frame(0));
 }
