@@ -283,6 +283,9 @@ enum Branch {
     InjectInvalid,
     /// Server 1 swallows its client's adds (and does not gossip envelopes).
     DropClientAdds,
+    /// Server 2 signs every epoch-proof with a bogus signature, so every
+    /// correct server walks the rejected-proof branch of `ingest_proof`.
+    ForgeProofs,
     /// The algorithm's "light" ablation.
     Light,
     /// Hashchain's push-based batch dissemination.
@@ -294,6 +297,7 @@ impl Branch {
         match self {
             Branch::InjectInvalid => builder.server_fault(1, ServerByzMode::InjectInvalidElements),
             Branch::DropClientAdds => builder.server_fault(1, ServerByzMode::DropClientAdds),
+            Branch::ForgeProofs => builder.server_fault(2, ServerByzMode::ForgeProofs),
             Branch::Light => builder.light(),
             Branch::PushBatches => builder.push_batches(),
         }
@@ -312,11 +316,17 @@ type BranchGolden = (
 
 /// Pinned runs of the branches the shared add/get front door carries besides
 /// the fault-free path: the Byzantine server modes that act inside it and the
-/// light / push variants that change what a flushed batch does.
+/// light / push variants that change what a flushed batch does. The
+/// `ForgeProofs` row reads the same as the fault-free Hashchain row of
+/// [`GOLDENS`] on purpose: a rejected proof is charged the same simulated
+/// CPU and bytes as an accepted one, and f + 1 honest signers still commit
+/// every epoch — the row pins that the rejection branch of `ingest_proof`
+/// stays schedule-neutral.
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
     ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8774, 729, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::ForgeProofs), (7561, 900, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6976, 303, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7236, 406, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
     ((Algorithm::Compresschain, AuthMode::PerElement, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
