@@ -3,7 +3,10 @@
 //! costs behind the `CostModel` used by the simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use setchain_crypto::{sha256, sha512, sign, verify, KeyRegistry, MerkleTree, ProcessId};
+use setchain_crypto::{
+    merkle_root, sha256, sha256_backend, sha512, sign, verify, HmacSha256Key, KeyRegistry,
+    MerkleTree, ProcessId,
+};
 
 fn bench_hashing(c: &mut Criterion) {
     let mut group = c.benchmark_group("hashing");
@@ -52,5 +55,34 @@ fn bench_merkle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hashing, bench_signatures, bench_merkle);
+/// The two shapes the Setchain servers spend their SHA-256 time on: the
+/// element authenticator (one MAC over 20 bytes under a precomputed key — two
+/// compressions) and the Merkle root over an epoch's packed 36-byte
+/// elements. Prints the backend first, so every CI log names the path its
+/// SHA-256 rows ran on.
+fn bench_setchain_shapes(c: &mut Criterion) {
+    println!("sha256 backend: {}", sha256_backend());
+
+    let key = HmacSha256Key::new(&[0x42u8; 32]);
+    let msg = [0x17u8; 20];
+    let mut group = c.benchmark_group("hmac_sha256");
+    group.bench_function("20B", |b| b.iter(|| key.mac(&msg)));
+    group.finish();
+
+    let packed: Vec<[u8; 36]> = (0..65_536usize)
+        .map(|i| std::array::from_fn(|j| (i * 31 + j) as u8))
+        .collect();
+    let mut group = c.benchmark_group("merkle_root");
+    group.throughput(Throughput::Elements(packed.len() as u64));
+    group.bench_function("65536×36B", |b| b.iter(|| merkle_root(&packed)));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_setchain_shapes,
+    bench_hashing,
+    bench_signatures,
+    bench_merkle
+);
 criterion_main!(benches);

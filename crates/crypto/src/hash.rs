@@ -1,10 +1,17 @@
 //! SHA-256 and SHA-512 implemented from scratch following FIPS 180-4.
 //!
 //! Both hashers expose a streaming API (`update` / `finalize`) and one-shot
-//! convenience functions ([`sha256`], [`sha512`]). The implementations are
-//! straightforward, allocation-free block compressors; throughput is good
-//! enough for the simulation workloads (hundreds of MB/s in release builds)
-//! and the micro-benchmarks in `setchain-bench` measure it.
+//! convenience functions ([`sha256`], [`sha512`]); both are allocation-free
+//! block compressors.
+//!
+//! SHA-256 — every element authenticator and every Merkle node — has one
+//! block function, `compress_blocks`, with two backends chosen per call by
+//! the CPU it runs on: the SHA extensions where `is_x86_feature_detected!`
+//! finds them (`sha256_x86.rs`), the portable unrolled code everywhere else.
+//! Nothing but the platform selects the path, and the tests below run every
+//! known-answer vector through both. SHA-512 has the portable path only.
+//! `cargo bench -p setchain-bench --bench crypto` names the backend in use
+//! and measures both hashers.
 
 use std::fmt;
 
@@ -83,7 +90,7 @@ fn to_hex(bytes: &[u8]) -> String {
 // SHA-256
 // ---------------------------------------------------------------------------
 
-const SHA256_K: [u32; 64] = [
+pub(crate) const SHA256_K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -94,7 +101,7 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const SHA256_INIT: [u32; 8] = [
+pub(crate) const SHA256_INIT: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -132,8 +139,41 @@ impl Sha256 {
         self.total_len = 0;
     }
 
+    /// A hasher that has already absorbed `absorbed` bytes — a whole number
+    /// of blocks — leaving the chaining value `state`: how HMAC resumes from
+    /// its precomputed key pads.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0, "midstates sit on block boundaries");
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: absorbed,
+        }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress_blocks);
+    }
+
+    /// Finishes the hash and returns the digest.
+    pub fn finalize(mut self) -> Digest256 {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// Finishes the hash, returns the digest, and resets the hasher for the
+    /// next input. This is the reuse primitive behind [`sha256_many`]: a
+    /// single hasher streams through many inputs with zero per-input setup.
+    pub fn finalize_reset(&mut self) -> Digest256 {
+        let digest = self.finalize_with(compress_blocks);
+        self.reset();
+        digest
+    }
+
+    /// [`update`](Self::update) over an explicit block function, so the
+    /// tests can drive each backend by name.
+    fn update_with(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buffer_len > 0 {
@@ -142,75 +182,112 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block goes to the backend in one call, straight from
+        // the caller's slice.
+        let (whole, tail) = data.split_at(data.len() & !63);
+        if !whole.is_empty() {
+            compress(&mut self.state, whole);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffer_len = tail.len();
         }
     }
 
-    /// Finishes the hash and returns the digest.
-    pub fn finalize(mut self) -> Digest256 {
-        self.finalize_digest()
-    }
-
-    /// Finishes the hash, returns the digest, and resets the hasher for the
-    /// next input. This is the reuse primitive behind [`sha256_many`]: a
-    /// single hasher streams through many inputs with zero per-input setup.
-    pub fn finalize_reset(&mut self) -> Digest256 {
-        let digest = self.finalize_digest();
-        self.reset();
-        digest
-    }
-
-    fn finalize_digest(&mut self) -> Digest256 {
+    fn finalize_with(&mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest256 {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 64-bit big-endian length — written straight
         // into the block buffer (a byte-at-a-time `update` loop here would
-        // cost as much as the compression itself on short inputs, and every
-        // HMAC finalizes two short hashes).
+        // cost as much as the compression itself on short inputs).
         let n = self.buffer_len;
         self.buffer[n] = 0x80;
         if n + 1 > 56 {
             self.buffer[n + 1..].fill(0);
-            let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &self.buffer);
             self.buffer[..56].fill(0);
         } else {
             self.buffer[n + 1..56].fill(0);
         }
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest256(out)
+        compress(&mut self.state, &self.buffer);
+        digest_of_state(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        // Fully unrolled FIPS 180-4 compression: the message schedule lives
-        // in a 16-word ring extended in place, and the eight working
-        // variables rotate *roles* through the macro's argument order
-        // instead of being shuffled through eight moves per round. Both
-        // keep everything in registers — this function is the floor under
-        // every HMAC validation in the workspace (two compressions per
-        // authenticator check), so the hand-unroll is worth its bulk.
+/// Longest tail [`finish_in_one_block`] takes: it shares its block with
+/// the 0x80 marker and the 8-byte length.
+pub(crate) const ONE_BLOCK_TAIL_MAX: usize = 55;
+
+/// Finishes a hash that absorbed `absorbed` bytes — whole blocks, leaving
+/// the chaining value `state` — and then `tail`, at most
+/// [`ONE_BLOCK_TAIL_MAX`] bytes: the padded last block is built on the
+/// stack and costs exactly one [`compress_blocks`] call. Same digest as
+/// [`Sha256::resume`] + `update(tail)` + `finalize`.
+pub(crate) fn finish_in_one_block(mut state: [u32; 8], absorbed: u64, tail: &[u8]) -> Digest256 {
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    let bit_len = 8 * (absorbed + tail.len() as u64);
+    block[56..].copy_from_slice(&bit_len.to_be_bytes());
+    compress_blocks(&mut state, &block);
+    digest_of_state(&state)
+}
+
+/// The big-endian serialization of a chaining value: the digest, once the
+/// padded last block has been compressed.
+fn digest_of_state(state: &[u32; 8]) -> Digest256 {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest256(out)
+}
+
+/// The SHA-256 compression function over `blocks`, a whole number of
+/// 64-byte blocks, with the chaining value held in registers from the first
+/// block to the last. Everything SHA-256 in the workspace — the streaming
+/// hasher, HMAC's fixed-shape path, every Merkle node — comes through here,
+/// and here the CPU picks the backend: SHA-NI when it has it, the portable
+/// code otherwise.
+pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::compress_shani(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// Name of the backend `compress_blocks` uses on this host, for bench
+/// and CI logs.
+pub fn sha256_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_x86::shani_available() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+/// Portable backend of [`compress_blocks`]: the only path on non-x86 hosts
+/// and on x86 CPUs without the SHA extensions, and the reference the SHA-NI
+/// backend is tested against.
+///
+/// Fully unrolled FIPS 180-4 compression: the message schedule lives in a
+/// 16-word ring extended in place, and the eight working variables rotate
+/// *roles* through the macro's argument order instead of being shuffled
+/// through eight moves per round, so everything stays in registers.
+pub(crate) fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    let mut chain = *state;
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 16];
         for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             *wi = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = chain;
 
         macro_rules! rnd {
             ($a:ident,$b:ident,$c:ident,$d:ident,$e:ident,$f:ident,$g:ident,$h:ident,$k:expr,$w:expr) => {{
@@ -288,15 +365,11 @@ impl Sha256 {
         extend_sixteen!();
         sixteen!(48);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in chain.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
+    *state = chain;
 }
 
 /// One-shot SHA-256 of `data`.
@@ -479,7 +552,7 @@ impl Sha512 {
 
     fn finalize_digest(&mut self) -> Digest512 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Same direct padding as Sha256::finalize_digest (0x80, zeros,
+        // Same direct padding as Sha256::finalize_with (0x80, zeros,
         // 128-bit big-endian length), skipping the per-byte update path.
         let n = self.buffer_len;
         self.buffer[n] = 0x80;
@@ -502,7 +575,7 @@ impl Sha512 {
     }
 
     fn compress(&mut self, block: &[u8; 128]) {
-        // Same fully unrolled shape as `Sha256::compress` (rotating register
+        // Same fully unrolled shape as `compress_portable` (rotating register
         // roles, 16-word ring schedule); SHA-512 runs 80 rounds in five
         // blocks of 16. Batch/epoch hashing and every signature in the
         // workspace land here.
@@ -629,9 +702,143 @@ where
     out
 }
 
+/// Handles on the SHA-256 backends for this crate's tests: each backend is
+/// driven by name, through the same streaming code the dispatch uses — there
+/// is no switch to force a path globally.
+#[cfg(test)]
+pub(crate) mod backends {
+    use super::{Digest256, Sha256};
+
+    /// A SHA-256 block function.
+    pub(crate) type Compress = fn(&mut [u32; 8], &[u8]);
+
+    pub(crate) use super::compress_portable as portable;
+
+    /// The SHA-NI backend, or `None` on a host that cannot run it.
+    pub(crate) fn shani() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha256_x86::shani_available() {
+            return Some(|state, blocks| {
+                assert!(crate::sha256_x86::compress_shani(state, blocks));
+            });
+        }
+        None
+    }
+
+    /// [`shani`], printing a skip notice for `test` when there is none.
+    pub(crate) fn shani_or_skip(test: &str) -> Option<Compress> {
+        let backend = shani();
+        if backend.is_none() {
+            eprintln!("{test}: skipped, this CPU has no SHA extensions");
+        }
+        backend
+    }
+
+    /// A streaming SHA-256 over `chunks` on one named backend.
+    pub(crate) fn sha256_on<'a>(
+        compress: Compress,
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Digest256 {
+        let mut h = Sha256::new();
+        for chunk in chunks {
+            h.update_with(chunk, compress);
+        }
+        h.finalize_with(compress)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::backends::{portable, sha256_on, shani, shani_or_skip, Compress};
     use super::*;
+
+    /// The four NIST SHA-256 vectors plus `streaming_matches_one_shot`'s
+    /// irregular chunking, on one backend.
+    fn check_sha256_backend(compress: Compress) {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (input, want) in vectors {
+            assert_eq!(sha256_on(compress, [input]).to_hex(), want);
+        }
+
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let mut chunks = Vec::new();
+        let (mut off, mut step) = (0usize, 1usize);
+        while off < data.len() {
+            let end = (off + step).min(data.len());
+            chunks.push(&data[off..end]);
+            off = end;
+            step = (step * 7 + 3) % 257 + 1;
+        }
+        assert_eq!(
+            sha256_on(compress, chunks),
+            sha256_on(compress, [data.as_slice()])
+        );
+        assert_eq!(
+            sha256_on(compress, [data.as_slice()]),
+            sha256_on(portable, [data.as_slice()])
+        );
+    }
+
+    #[test]
+    fn portable_backend_passes_the_sha256_vectors() {
+        check_sha256_backend(portable);
+    }
+
+    #[test]
+    fn shani_backend_passes_the_sha256_vectors() {
+        if let Some(shani) = shani_or_skip("shani_backend_passes_the_sha256_vectors") {
+            check_sha256_backend(shani);
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // No `#[test]`: the wrapper below decides once, not per case,
+            // whether this host can run the SHA-NI side.
+            fn backends_agree_cases(
+                words in proptest::collection::vec(any::<u32>(), 8..9),
+                bytes in proptest::collection::vec(any::<u8>(), 64..513),
+            ) {
+                let shani = shani().expect("checked by the wrapper");
+                let blocks = &bytes[..bytes.len() & !63];
+                let state: [u32; 8] = words.try_into().expect("eight words");
+                let (mut a, mut b) = (state, state);
+                portable(&mut a, blocks);
+                shani(&mut b, blocks);
+                prop_assert_eq!(a, b);
+            }
+        }
+
+        /// Any chaining value, one to eight blocks: the two backends are the
+        /// same function.
+        #[test]
+        fn backends_agree_on_random_states_and_blocks() {
+            if shani_or_skip("backends_agree_on_random_states_and_blocks").is_some() {
+                backends_agree_cases();
+            }
+        }
+    }
 
     // NIST / well-known test vectors.
     #[test]

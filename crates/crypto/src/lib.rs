@@ -17,7 +17,10 @@
 //! nothing here should be used outside of this reproduction for real
 //! security purposes.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `sha256_x86` — the SHA-NI backend of the SHA-256 block
+// function — is the one module allowed to lift it. Every other crate of the
+// workspace keeps `forbid`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fxhash;
@@ -26,10 +29,13 @@ pub mod hmac;
 pub mod keys;
 pub mod merkle;
 pub mod parallel;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha256_x86;
 pub mod signature;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use hash::{sha256, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
+pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
 pub use hmac::{
     hmac_sha256, hmac_sha512, mac_batch_root, verify_batch_root, HmacSha256Key, HmacSha512Key,
 };

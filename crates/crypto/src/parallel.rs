@@ -15,7 +15,8 @@ use std::num::NonZeroUsize;
 pub const MIN_PARALLEL_LEN: usize = 256;
 
 /// Number of worker threads to use by default: the available parallelism,
-/// capped so tiny inputs do not pay thread spawn costs for nothing.
+/// uncapped. Keeping tiny inputs off the spawning path is the job of
+/// [`parallel_map_min`]'s length threshold, not of this value.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

@@ -864,6 +864,19 @@ impl ServerCore {
     /// (the paper's `valid_proof(j, p, w, history[j])` filter). When the
     /// proof count for the epoch reaches `f + 1`, the commit is reported to
     /// the experiment trace.
+    ///
+    /// A proof byte-identical — epoch, signer, signature — to one already
+    /// held for its epoch is accepted without recomputing the signature
+    /// MAC: the epoch digest is immutable once recorded, so the verdict is
+    /// a pure function of bytes this server stores, and Hashchain delivers
+    /// each proof once per hash-batch copy. The shortcut is sound whatever
+    /// route (ledger ingest, catch-up, store replay) put the held copy
+    /// there: a hit can only lead to `add_proof` on an `(epoch, signer)`
+    /// the state already holds, which is a no-op, so it can never add a
+    /// proof, a signer or a commit that the full check would not. A proof
+    /// that differs in any byte — a forgery reusing a held signer — takes
+    /// the full check. Simulated CPU is charged either way: host-side
+    /// shortcuts never skip a `consume_cpu`.
     pub fn ingest_proof(&mut self, proof: EpochProof, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
         ctx.consume_cpu(self.config.costs.verify_signature);
         // The digest of every recorded epoch is cached at creation time, so
@@ -877,7 +890,8 @@ impl ServerCore {
             }
             return;
         };
-        if !self.proof_valid_digest(&proof, &digest) {
+        let held = self.state.proofs_for(proof.epoch).contains(&proof);
+        if !held && !self.proof_valid_digest(&proof, &digest) {
             self.stats.proofs_rejected += 1;
             return;
         }
@@ -1279,6 +1293,125 @@ mod tests {
         // Logical sizes still count the evicted prefix.
         assert_eq!(core.state.the_set_len(), 16);
         assert_eq!(core.state.history_elements(), 16);
+    }
+
+    /// Hosts a `ServerCore` on a one-node ledger so a test can call the
+    /// `Ctx`-taking entry points: `on_start` hands the core and a live
+    /// context to the test body (and leaves `None` behind).
+    struct CtxProbe<F>(Option<(ServerCore, KeyRegistry, F)>);
+
+    impl<F> setchain_ledger::Application for CtxProbe<F>
+    where
+        F: FnOnce(&mut ServerCore, &KeyRegistry, &mut Ctx<'_, '_, '_>) + Send + 'static,
+    {
+        type Tx = SetchainTx;
+        type Msg = SetchainMsg;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+            let (mut core, registry, body) = self.0.take().expect("started once");
+            body(&mut core, &registry, ctx);
+        }
+
+        fn finalize_block(
+            &mut self,
+            _: &setchain_ledger::Block<SetchainTx>,
+            _: &mut Ctx<'_, '_, '_>,
+        ) {
+        }
+    }
+
+    /// Runs `body` against server 0's core — three committed epochs, each
+    /// holding the proofs of servers 0 and 1 — and a live context.
+    fn with_committed_core<F>(body: F)
+    where
+        F: FnOnce(&mut ServerCore, &KeyRegistry, &mut Ctx<'_, '_, '_>) + Send + 'static,
+    {
+        use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace};
+        use setchain_simnet::{Simulation, SimulationConfig};
+
+        let (mut core, registry) = core_with(101, 4, 2);
+        commit_epochs(&mut core, &registry, 3);
+        let id = ProcessId::server(0);
+        let probe = CtxProbe(Some((core, registry.clone(), body)));
+        let mut sim = Simulation::new(SimulationConfig::default());
+        sim.add_process(
+            id,
+            Box::new(LedgerNode::new(
+                id,
+                LedgerConfig::with_validators(4),
+                registry.lookup(id).unwrap(),
+                registry,
+                probe,
+                LedgerTrace::new(),
+                ByzMode::Correct,
+            )),
+        );
+        // The first step starts the node, which runs the body.
+        sim.step();
+        let node = sim.process::<LedgerNode<CtxProbe<F>>>(id).unwrap();
+        assert!(node.app().0.is_none(), "the test body never ran");
+    }
+
+    #[test]
+    fn identical_duplicate_of_a_held_proof_is_accepted_without_a_new_signer() {
+        with_committed_core(|core, _registry, ctx| {
+            let held = core.state.proofs_for(2)[1];
+            let before = core.state.proof_count(2);
+            core.ingest_proof(held, SimTime::ZERO, ctx);
+            assert_eq!(core.state.proof_count(2), before);
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(core.stats.proofs_rejected, 0);
+        });
+    }
+
+    #[test]
+    fn held_signer_with_one_flipped_signature_byte_is_rejected() {
+        with_committed_core(|core, _registry, ctx| {
+            let held = core.state.proofs_for(2)[1];
+            for byte in [0, setchain_crypto::SIGNATURE_LEN - 1] {
+                let mut forged = held;
+                forged.signature.bytes[byte] ^= 1;
+                core.ingest_proof(forged, SimTime::ZERO, ctx);
+            }
+            assert_eq!(core.stats.proofs_rejected, 2);
+            assert_eq!(core.stats.proofs_received, 0);
+            // The held proof is not displaced by the forgery.
+            assert_eq!(core.state.proofs_for(2)[1], held);
+            assert_eq!(core.state.proof_count(2), core.config.proof_quorum());
+        });
+    }
+
+    #[test]
+    fn new_signer_still_takes_the_full_check() {
+        // The memo only ever matches a held proof: a third server's valid
+        // proof is verified and added, its forged twin is not.
+        with_committed_core(|core, registry, ctx| {
+            let digest = *core.state.epoch_digest(2).unwrap();
+            let signer = registry.lookup(ProcessId::server(2)).unwrap();
+            let valid = make_epoch_proof_for_digest(&signer, 2, &digest);
+            let mut forged = valid;
+            forged.signature = Signature::forged(signer.id);
+            core.ingest_proof(forged, SimTime::ZERO, ctx);
+            assert_eq!(core.stats.proofs_rejected, 1);
+            assert_eq!(core.state.proof_count(2), 2);
+            core.ingest_proof(valid, SimTime::ZERO, ctx);
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(core.state.proof_count(2), 3);
+        });
+    }
+
+    #[test]
+    fn proof_for_an_unrecorded_epoch_asks_its_signer_for_catchup() {
+        with_committed_core(|core, registry, ctx| {
+            let signer = registry.lookup(ProcessId::server(1)).unwrap();
+            let ahead = make_epoch_proof_for_digest(&signer, 9, &epoch_hash(9, &[]));
+            core.ingest_proof(ahead, SimTime::ZERO, ctx);
+            assert_eq!(core.stats.proofs_rejected, 1);
+            assert_eq!(core.stats.proofs_received, 0);
+            assert_eq!(core.stats.catchup_requests, 1);
+            assert_eq!(core.catchup_pending, Some((4, SimTime::ZERO)));
+            assert_eq!(core.state.proof_count(9), 0);
+        });
     }
 
     #[test]
