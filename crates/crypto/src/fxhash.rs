@@ -11,7 +11,29 @@
 //! reproducibility guarantee.
 //!
 //! Not for adversarial input: anything keyed by attacker-controlled bytes
-//! should stay on the default hasher.
+//! should stay on the default hasher. The reason is structural: a bucket
+//! index is the hash's low bits, and multiplication only carries upwards, so
+//! the low bits of the result depend on the low bits of the key alone. Keys
+//! that differ only in their high bits — `ElementId`s with the same sequence
+//! number and different client indices — share one probe sequence, and
+//! inserting `n` of them costs `n²`.
+//!
+//! What is still keyed through it, and why that is safe or bounded:
+//!
+//! * epoch numbers (`SetchainState::proofs`, the trace's
+//!   `epoch_committed` / `epoch_consolidated`) — minted by the servers, dense;
+//! * `ProcessId`s (`ServerCore::client_keys`, `QuotaState::clients`, simnet's
+//!   overflow slots) — registered or network-authenticated identities;
+//! * digests (`AdmissionCache::roots`, the mempool's `TxId` sets) — hash
+//!   outputs, though a *claimed* batch root is sender-chosen;
+//! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'
+//!   in-batch dedup, `admit_batch_elements`' rejected ids), bounded by one
+//!   block's elements.
+//!
+//! The grow-only `ElementId` maps — `the_set`, the admission cache, the
+//! trace's per-element maps — are `setchain::IdMap`s, whose hash fallback is
+//! keyed through a full-avalanche finaliser because those ids are chosen by
+//! the sender.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -20,11 +20,13 @@
 
 use setchain_crypto::{Digest256, FxHashMap, ProcessId};
 
-use crate::element::{Element, ElementId};
+use crate::element::Element;
+use crate::idmap::IdMap;
 
 /// One memoized admission verdict: the exact identity of the element that
-/// was validated, plus the verdict. 29 bytes per element, bounded by the
-/// number of distinct element ids a server observes.
+/// was validated, plus the verdict. One 32-byte [`IdMap`] slot per element
+/// (29 bytes of fields, the `bool`'s spare values mark an empty slot),
+/// bounded by the number of distinct element ids a server observes.
 #[derive(Clone, Copy, Debug)]
 struct AdmissionEntry {
     client: ProcessId,
@@ -72,7 +74,7 @@ impl RootEntry {
 /// Memoized admission verdicts for one server (see the module docs).
 #[derive(Default)]
 pub struct AdmissionCache {
-    entries: FxHashMap<ElementId, AdmissionEntry>,
+    entries: IdMap<AdmissionEntry>,
     roots: FxHashMap<Digest256, RootEntry>,
     hits: u64,
     misses: u64,
@@ -139,13 +141,6 @@ impl AdmissionCache {
         );
     }
 
-    /// Pre-sizes the cache for `additional` upcoming insertions — called
-    /// with the observed miss count of a batch before its verdicts are
-    /// recorded, so bulk validation does not rehash the table mid-batch.
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
     /// The cached verdict for exactly this sealed batch, if present: same
     /// root, same owner, same MAC *and* the identical element list. On a
     /// hit, a re-gossiped batch is admitted (or re-rejected) with zero
@@ -198,6 +193,7 @@ impl AdmissionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::ElementId;
     use setchain_crypto::KeyRegistry;
 
     fn client_element(seq: u64) -> Element {
@@ -294,15 +290,5 @@ mod tests {
         // Rejections are cached the same way.
         cache.record_root(&forged, false);
         assert_eq!(cache.lookup_root(&forged), Some(false));
-    }
-
-    #[test]
-    fn reserve_is_observable_only_through_capacity() {
-        let mut cache = AdmissionCache::new();
-        cache.reserve(1000);
-        assert!(cache.is_empty());
-        let e = client_element(3);
-        cache.record(&e, true);
-        assert_eq!(cache.lookup(&e), Some(true));
     }
 }

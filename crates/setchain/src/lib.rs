@@ -66,6 +66,7 @@ pub mod compresschain;
 pub mod config;
 pub mod element;
 pub mod hashchain;
+pub mod idmap;
 pub mod messages;
 pub mod proofs;
 pub mod quota;
@@ -86,6 +87,7 @@ pub use collector::Collector;
 pub use config::{AuthMode, CostModel, QuotaConfig, SetchainConfig, StoreConfig};
 pub use element::{Element, ElementGenerator, ElementId};
 pub use hashchain::SharedBatchRegistry;
+pub use idmap::IdMap;
 pub use messages::{CatchupEpoch, GetSnapshot, SetchainMsg};
 pub use proofs::{
     epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof, make_epoch_proof_with_key,

@@ -145,6 +145,8 @@ pub struct ServerCore {
     miss_scratch: Vec<usize>,
     /// Reused element scratch for batched validation (pending checks).
     pending_scratch: Vec<Element>,
+    /// Reused in-batch dedup set of [`Self::extract_epoch_candidates`].
+    seen_scratch: FxHashSet<ElementId>,
     /// Worker threads for batched parallel validation (resolved once).
     threads: usize,
     /// Epochs this server has *derived* from the ledger (one
@@ -208,6 +210,7 @@ impl ServerCore {
             verifier: SigVerifier::new(),
             miss_scratch: Vec::new(),
             pending_scratch: Vec::new(),
+            seen_scratch: FxHashSet::default(),
             threads: setchain_crypto::default_threads(),
             derived_epochs: 0,
             catchup_pending: None,
@@ -489,9 +492,6 @@ impl ServerCore {
         let checked = parallel_map(&pending, self.threads, |e| {
             Self::verdict_with_key(e, keys.get(&e.client))
         });
-        // Pre-size the cache from the observed batch cardinality so the
-        // bulk insertions below do not rehash the table mid-batch.
-        self.admission.reserve(misses.len());
         for (&i, (e, (verdict, cacheable))) in misses.iter().zip(pending.iter().zip(checked)) {
             verdicts[i] = verdict;
             if cacheable {
@@ -615,7 +615,6 @@ impl ServerCore {
         if cacheable {
             self.admission.record_root(batch, verdict);
             if verdict {
-                self.admission.reserve(batch.elements.len());
                 for e in &batch.elements {
                     self.admission.record(e, true);
                 }
@@ -1052,14 +1051,17 @@ impl ServerCore {
         if validate {
             ctx.consume_cpu(self.config.costs.validate_cost(elements.len()));
         }
-        let mut seen = FxHashSet::default();
-        let mut candidates = Vec::new();
+        let mut seen = std::mem::take(&mut self.seen_scratch);
+        debug_assert!(seen.is_empty());
+        let mut candidates = Vec::with_capacity(elements.len());
         for e in elements {
             if self.state.in_history(&e.id) || !seen.insert(e.id) {
                 continue;
             }
             candidates.push(*e);
         }
+        seen.clear();
+        self.seen_scratch = seen;
         if !validate {
             return candidates;
         }

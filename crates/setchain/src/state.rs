@@ -2,12 +2,12 @@
 //! `history` and `proofs`, plus helpers for the safety properties the paper
 //! proves (Consistent-Sets, Unique-Epoch, Consistent-Gets).
 
-use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 
 use setchain_crypto::{Digest512, FxHashMap};
 
 use crate::element::{Element, ElementId};
+use crate::idmap::IdMap;
 use crate::messages::GetSnapshot;
 use crate::proofs::{epoch_hash, EpochProof};
 
@@ -19,7 +19,7 @@ pub struct SetchainState {
     /// id that has been added, mapped to the epoch it was stamped with (0 =
     /// added, not stamped yet). An id whose epoch is `<= evicted_epochs` has
     /// had its contents evicted; the id itself never leaves.
-    members: FxHashMap<ElementId, u64>,
+    members: IdMap<u64>,
     /// Number of stamped ids in `members` (the logical size of `history`).
     stamped: u64,
     /// Current epoch number (`history` holds epochs `1..=epoch`).
@@ -66,13 +66,11 @@ impl SetchainState {
 
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
-        match self.members.entry(id) {
-            Entry::Vacant(slot) => {
-                slot.insert(0);
-                true
-            }
-            Entry::Occupied(_) => false,
+        if self.members.contains_key(&id) {
+            return false;
         }
+        self.members.insert(id, 0);
+        true
     }
 
     /// True if the element has already been stamped with an epoch (the
@@ -116,9 +114,6 @@ impl SetchainState {
     /// `history` (Unique-Epoch); this is asserted in debug builds.
     pub fn record_epoch(&mut self, elements: Vec<Element>) -> u64 {
         self.epoch += 1;
-        // Pre-size the map from the epoch's cardinality: one rehash check
-        // here instead of incremental growth mid-loop.
-        self.members.reserve(elements.len());
         for e in &elements {
             let previous = self.members.insert(e.id, self.epoch);
             debug_assert!(

@@ -15,6 +15,7 @@ use setchain_ledger::TxId;
 use setchain_simnet::SimTime;
 
 use crate::element::ElementId;
+use crate::idmap::IdMap;
 
 /// Per-element record assembled after a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,11 +32,18 @@ pub struct ElementRecord {
 
 #[derive(Default)]
 struct TraceInner {
-    added: FxHashMap<ElementId, SimTime>,
-    element_epoch: FxHashMap<ElementId, u64>,
+    added: IdMap<SimTime>,
+    element_epoch: IdMap<u64>,
     epoch_committed: FxHashMap<u64, SimTime>,
     epoch_consolidated: FxHashMap<u64, SimTime>,
-    element_tx: FxHashMap<ElementId, TxId>,
+    element_tx: IdMap<TxId>,
+}
+
+/// First observation wins: stores `value` unless `id` already has one.
+fn insert_first<V: Copy>(map: &mut IdMap<V>, id: ElementId, value: V) {
+    if !map.contains_key(&id) {
+        map.insert(id, value);
+    }
 }
 
 /// Shared experiment trace for one Setchain run.
@@ -68,7 +76,7 @@ impl SetchainTrace {
         if !self.detailed {
             return;
         }
-        self.inner.lock().element_tx.entry(id).or_insert(tx);
+        insert_first(&mut self.inner.lock().element_tx, id, tx);
     }
 
     /// The ledger transaction an element was shipped in (detailed traces
@@ -80,7 +88,7 @@ impl SetchainTrace {
     /// Records that the client added `id` at `at` (called by the workload
     /// driver when it sends the `add`).
     pub fn record_add(&self, id: ElementId, at: SimTime) {
-        self.inner.lock().added.entry(id).or_insert(at);
+        insert_first(&mut self.inner.lock().added, id, at);
     }
 
     /// Batched form of [`Self::record_add`]: one lock acquisition for a
@@ -88,7 +96,7 @@ impl SetchainTrace {
     pub fn record_adds(&self, ids: impl IntoIterator<Item = ElementId>, at: SimTime) {
         let mut inner = self.inner.lock();
         for id in ids {
-            inner.added.entry(id).or_insert(at);
+            insert_first(&mut inner.added, id, at);
         }
     }
 
@@ -110,7 +118,7 @@ impl SetchainTrace {
         let mut inner = self.inner.lock();
         inner.epoch_consolidated.entry(epoch).or_insert(at);
         for id in ids {
-            inner.element_epoch.entry(id).or_insert(epoch);
+            insert_first(&mut inner.element_epoch, id, epoch);
         }
     }
 
@@ -156,10 +164,10 @@ impl SetchainTrace {
             .added
             .iter()
             .map(|(id, &added_at)| {
-                let epoch = inner.element_epoch.get(id).copied();
+                let epoch = inner.element_epoch.get(&id).copied();
                 let committed_at = epoch.and_then(|e| inner.epoch_committed.get(&e).copied());
                 ElementRecord {
-                    id: *id,
+                    id,
                     added_at,
                     epoch,
                     committed_at,
@@ -198,8 +206,8 @@ impl SetchainTrace {
         let inner = self.inner.lock();
         inner
             .added
-            .keys()
-            .filter(|id| {
+            .iter()
+            .filter(|(id, _)| {
                 inner
                     .element_epoch
                     .get(id)
@@ -215,8 +223,8 @@ impl SetchainTrace {
         self.inner
             .lock()
             .added
-            .values()
-            .filter(|&&at| at <= t)
+            .iter()
+            .filter(|(_, &at)| at <= t)
             .count()
     }
 }

@@ -18,8 +18,8 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, ElementId, QuotaConfig};
-use setchain_simnet::SimTime;
+use setchain::{Algorithm, Element, ElementId, QuotaConfig};
+use setchain_simnet::{SimDuration, SimTime};
 use setchain_workload::{Adversary, Deployment};
 
 /// Simulated horizon of every run: injection (and the attack) stop at 3 s,
@@ -275,4 +275,86 @@ fn quota_on_honest_run_is_schedule_identical_to_quota_off() {
             "server {i}: quota-on state diverged from quota-off"
         );
     }
+}
+
+/// What one server concluded in an id-placement run, with the scripted
+/// client's ids replaced by their position in the script so twin runs that
+/// differ only in those ids can be compared.
+#[derive(Debug, PartialEq, Eq)]
+struct PlacementView {
+    stats: setchain::ServerStats,
+    hits: u64,
+    misses: u64,
+    /// Per epoch, per element: the script position, or the id itself for
+    /// the injection clients' elements (the same in both runs).
+    epochs: Vec<Vec<Result<usize, ElementId>>>,
+}
+
+/// Runs the honest workload plus one registered client that submits 48
+/// elements — valid and forged alternating, each sent to two servers — under
+/// the ids `id_of` assigns, and returns every server's view.
+fn placement_run(id_of: impl Fn(u64) -> ElementId) -> Vec<PlacementView> {
+    const SCRIPTED: u64 = 48;
+    let mut deployment = protected_deployment(None, 5005);
+    let mut session = deployment.client_session(100, 777);
+    let ids: Vec<ElementId> = (0..SCRIPTED).map(&id_of).collect();
+    for (k, id) in ids.iter().enumerate() {
+        let element = if k % 2 == 0 {
+            Element::new(session.keys(), *id, 438, 9000 + k as u64)
+        } else {
+            Element::forged(session.id(), *id, 300)
+        };
+        let at = SimTime::from_millis(400 + 40 * k as u64);
+        session.add_element(at, k % 4, element);
+        // The re-send probes the verdict a peer may already hold.
+        session.add_element(at + SimDuration::from_millis(700), (k + 1) % 4, element);
+    }
+    session.install(&mut deployment);
+    run(&mut deployment);
+
+    (0..4)
+        .map(|i| {
+            let server = deployment.server(i);
+            let cache = server.core().admission_cache();
+            let state = server.state();
+            for id in ids.iter().step_by(2) {
+                assert!(state.in_history(id), "server {i}: valid {id:?} not stamped");
+            }
+            for id in ids.iter().skip(1).step_by(2) {
+                assert!(!state.contains(id), "server {i}: forged {id:?} admitted");
+            }
+            PlacementView {
+                stats: server.stats(),
+                hits: cache.hits(),
+                misses: cache.misses(),
+                epochs: (1..=state.epoch())
+                    .map(|e| {
+                        state
+                            .epoch_elements(e)
+                            .expect("epoch in range")
+                            .iter()
+                            .map(|el| ids.iter().position(|id| *id == el.id).ok_or(el.id))
+                            .collect()
+                    })
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn far_apart_ids_get_the_verdicts_of_their_near_twins() {
+    // Ids are chosen by the sender. Where the element index files an id —
+    // a dense row for `(100, k)`, the hash fallback for ids at the far
+    // corners of the id space — must not show in any verdict, counter or
+    // epoch: the twin runs differ in nothing but the scripted ids.
+    let near = placement_run(|k| ElementId::new(100, k));
+    let far = placement_run(|k| match k % 3 {
+        0 => ElementId::new(100, (1 << 40) - 1 - k),
+        1 => ElementId::new((1 << 24) - 1 - k as u32, k),
+        _ => ElementId::new(7_000 * k as u32, 1 << 39),
+    });
+    assert!(near[0].stats.adds_accepted > 0 && near[0].stats.adds_rejected_invalid > 0);
+    assert!(near.iter().all(|view| view.hits > 0 && view.misses > 0));
+    assert_eq!(near, far);
 }
