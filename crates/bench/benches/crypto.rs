@@ -1,12 +1,16 @@
 //! Micro-benchmarks of the cryptographic substrate: hashing, signing,
-//! verification and Merkle tree construction. These are the per-operation
-//! costs behind the `CostModel` used by the simulation.
+//! verification, Merkle tree construction and Hashchain's batch hash. These
+//! are the per-operation costs behind the `CostModel` used by the
+//! simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use setchain::hashchain::batch_hash;
+use setchain::make_epoch_proof;
 use setchain_crypto::{
-    merkle_root, sha256, sha256_backend, sha512, sign, verify, HmacSha256Key, KeyRegistry,
-    MerkleTree, ProcessId,
+    merkle_root, sha256, sha256_backend, sha512, sign, sign_with, verify, HmacSha256Key,
+    KeyRegistry, MerkleTree, ProcessId, SigVerifier, SigningKey,
 };
+use setchain_workload::ArbitrumWorkload;
 
 fn bench_hashing(c: &mut Criterion) {
     let mut group = c.benchmark_group("hashing");
@@ -23,14 +27,43 @@ fn bench_hashing(c: &mut Criterion) {
     group.finish();
 }
 
+/// The signature stand-in over a 64-byte digest, the shape every epoch-proof
+/// and hash-batch signs: `64B` through the precomputed schedules servers
+/// hold (`SigningKey`, `SigVerifier`), `64B_one_shot` re-deriving the keys
+/// per call like `sign` / `verify`.
 fn bench_signatures(c: &mut Criterion) {
     let registry = KeyRegistry::bootstrap(1, 4, 1);
     let keys = registry.lookup(ProcessId::server(0)).unwrap();
-    let msg = vec![0x42u8; 64];
+    let key = SigningKey::new(&keys.secret);
+    let msg = [0x42u8; 64];
     let sig = sign(&keys, &msg);
-    let mut group = c.benchmark_group("signatures");
-    group.bench_function("sign_64B", |b| b.iter(|| sign(&keys, &msg)));
-    group.bench_function("verify_64B", |b| b.iter(|| verify(&registry, &msg, &sig)));
+    let mut group = c.benchmark_group("sign");
+    group.bench_function("64B", |b| b.iter(|| sign_with(&key, keys.id, &msg)));
+    group.bench_function("64B_one_shot", |b| b.iter(|| sign(&keys, &msg)));
+    group.finish();
+    let mut verifier = SigVerifier::new();
+    let mut group = c.benchmark_group("verify");
+    group.bench_function("64B", |b| {
+        b.iter(|| assert!(verifier.verify(&registry, &msg, &sig)))
+    });
+    group.bench_function("64B_one_shot", |b| {
+        b.iter(|| assert!(verify(&registry, &msg, &sig)))
+    });
+    group.finish();
+}
+
+/// Hashchain's batch hash on a collector-64 batch carrying one epoch-proof:
+/// the chunked SHA-256 root of the packed elements plus one SHA-512 over
+/// the fixed header.
+fn bench_batch_hash(c: &mut Criterion) {
+    let registry = KeyRegistry::bootstrap(3, 1, 1);
+    let mut workload = ArbitrumWorkload::for_client(&registry, ProcessId::client(0), 11);
+    let elements = workload.take(64);
+    let server = registry.lookup(ProcessId::server(0)).unwrap();
+    let proofs = [make_epoch_proof(&server, 1, &elements[..8])];
+    let mut group = c.benchmark_group("batch_hash");
+    group.throughput(Throughput::Elements(elements.len() as u64));
+    group.bench_function("c64", |b| b.iter(|| batch_hash(&elements, &proofs)));
     group.finish();
 }
 
@@ -83,6 +116,7 @@ criterion_group!(
     bench_setchain_shapes,
     bench_hashing,
     bench_signatures,
+    bench_batch_hash,
     bench_merkle
 );
 criterion_main!(benches);

@@ -577,8 +577,8 @@ impl Sha512 {
     fn compress(&mut self, block: &[u8; 128]) {
         // Same fully unrolled shape as `compress_portable` (rotating register
         // roles, 16-word ring schedule); SHA-512 runs 80 rounds in five
-        // blocks of 16. Batch/epoch hashing and every signature in the
-        // workspace land here.
+        // blocks of 16. Only the fixed-size batch and epoch headers land
+        // here: element bytes and signatures go through SHA-256.
         let mut w = [0u64; 16];
         for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(8)) {
             *wi = u64::from_be_bytes(chunk.try_into().expect("8 bytes"));

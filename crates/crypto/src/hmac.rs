@@ -1,17 +1,16 @@
-//! HMAC (RFC 2104) over the in-repo SHA-2 hashers.
+//! HMAC-SHA-256 (RFC 2104) over the in-repo SHA-256.
 //!
-//! HMAC is used by the signature substitute ([`crate::signature`]) and is
-//! also exposed directly for tests and for deriving deterministic per-process
-//! key material in the simulator.
+//! HMAC is used by the element and batch-root authenticators and by the
+//! signature substitute ([`crate::signature`], two HMAC-SHA-256 halves), and
+//! is also exposed directly for tests.
 
 use crate::hash::{
-    compress_blocks, finish_in_one_block, sha256, Digest256, Digest512, Sha256, Sha512,
-    ONE_BLOCK_TAIL_MAX, SHA256_INIT,
+    compress_blocks, finish_in_one_block, sha256, Digest256, Sha256, ONE_BLOCK_TAIL_MAX,
+    SHA256_INIT,
 };
 use crate::keys::ProcessId;
 
 const BLOCK_256: usize = 64;
-const BLOCK_512: usize = 128;
 
 /// Domain-separation tag for batch-root MACs: a root MAC must never verify
 /// as an element authenticator or an epoch signature under the same key.
@@ -72,51 +71,6 @@ impl HmacSha256Key {
     }
 }
 
-/// A precomputed HMAC-SHA-512 key schedule (see [`HmacSha256Key`]).
-#[derive(Clone)]
-pub struct HmacSha512Key {
-    inner: Sha512,
-    outer: Sha512,
-}
-
-impl HmacSha512Key {
-    /// Precomputes the key schedule for `key`.
-    pub fn new(key: &[u8]) -> Self {
-        let mut key_block = [0u8; BLOCK_512];
-        if key.len() > BLOCK_512 {
-            let d = {
-                let mut h = Sha512::new();
-                h.update(key);
-                h.finalize()
-            };
-            key_block[..64].copy_from_slice(d.as_bytes());
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK_512];
-        let mut opad = [0u8; BLOCK_512];
-        for i in 0..BLOCK_512 {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
-        let mut inner = Sha512::new();
-        inner.update(&ipad);
-        let mut outer = Sha512::new();
-        outer.update(&opad);
-        HmacSha512Key { inner, outer }
-    }
-
-    /// HMAC-SHA-512 of `message` under this key.
-    pub fn mac(&self, message: &[u8]) -> Digest512 {
-        let mut h = self.inner.clone();
-        h.update(message);
-        let digest = h.finalize();
-        let mut o = self.outer.clone();
-        o.update(digest.as_bytes());
-        o.finalize()
-    }
-}
-
 /// The message a batch-root MAC binds: domain tag, owning process, element
 /// count and the Merkle root itself. The count is bound so a truncated or
 /// extended batch cannot reuse a root MAC even if its root collided.
@@ -154,11 +108,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest256 {
     HmacSha256Key::new(key).mac(message)
 }
 
-/// HMAC-SHA-512 of `message` under `key`.
-pub fn hmac_sha512(key: &[u8], message: &[u8]) -> Digest512 {
-    HmacSha512Key::new(key).mac(message)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +122,6 @@ mod tests {
             hmac_sha256(&key, msg).to_hex(),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
-        assert_eq!(
-            hmac_sha512(&key, msg).to_hex(),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
-                .replace(char::is_whitespace, "")
-        );
     }
 
     // RFC 4231 test case 2 ("Jefe").
@@ -189,12 +132,6 @@ mod tests {
         assert_eq!(
             hmac_sha256(key, msg).to_hex(),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(
-            hmac_sha512(key, msg).to_hex(),
-            "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
-             9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
-                .replace(char::is_whitespace, "")
         );
     }
 
@@ -296,7 +233,6 @@ mod tests {
     #[test]
     fn key_sensitivity() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
-        assert_ne!(hmac_sha512(b"k1", b"m"), hmac_sha512(b"k2", b"m"));
     }
 
     #[test]
@@ -339,17 +275,13 @@ mod tests {
     fn precomputed_keys_match_one_shots_across_messages() {
         let key = [0x42u8; 32];
         let k256 = HmacSha256Key::new(&key);
-        let k512 = HmacSha512Key::new(&key);
         for len in [0usize, 1, 20, 63, 64, 65, 127, 128, 129, 1000] {
             let msg: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             assert_eq!(k256.mac(&msg), hmac_sha256(&key, &msg), "len={len}");
-            assert_eq!(k512.mac(&msg), hmac_sha512(&key, &msg), "len={len}");
         }
         // Long keys go through the hash-the-key path.
         let long_key = [0xAAu8; 200];
         let k = HmacSha256Key::new(&long_key);
         assert_eq!(k.mac(b"m"), hmac_sha256(&long_key, b"m"));
-        let k = HmacSha512Key::new(&long_key);
-        assert_eq!(k.mac(b"m"), hmac_sha512(&long_key, b"m"));
     }
 }

@@ -2,14 +2,17 @@
 //!
 //! The paper relies on three cryptographic primitives:
 //!
-//! * **SHA-512** ([`sha512`]) for hashing batches and epochs (FIPS 180-4),
-//!   plus SHA-256 ([`sha256`]) used internally for identifiers.
+//! * **SHA-256** ([`sha256`]) for everything that scales with content:
+//!   element authenticators, the chunked Merkle roots batches and epochs
+//!   commit to, and the signature stand-in. **SHA-512** ([`sha512`], FIPS
+//!   180-4) only finishes the fixed-size batch and epoch headers into the
+//!   paper's 64-byte hashes.
 //! * **ed25519 signatures** under an assumed PKI. This crate substitutes a
-//!   deterministic keyed-hash signature scheme ([`sign`]) whose verification
-//!   is mediated by the PKI [`KeyRegistry`]; see `DESIGN.md` §3 for why the
-//!   substitution preserves the behaviour the protocols depend on. Signature
-//!   material is padded so that epoch-proofs and hash-batches have the same
-//!   wire length as in the paper (139 bytes).
+//!   deterministic keyed-hash signature scheme ([`sign`]: two HMAC-SHA-256
+//!   halves) whose verification is mediated by the PKI [`KeyRegistry`]; see
+//!   `DESIGN.md` §3 for why the substitution preserves the behaviour the
+//!   protocols depend on. Signatures are 64 bytes, so epoch-proofs and
+//!   hash-batches have the same wire length as in the paper (139 bytes).
 //! * A binary [`merkle`] tree, used by the ledger to commit to block
 //!   contents and by tests to cross-check batch hashing.
 //!
@@ -35,12 +38,10 @@ pub mod signature;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
-pub use hmac::{
-    hmac_sha256, hmac_sha512, mac_batch_root, verify_batch_root, HmacSha256Key, HmacSha512Key,
-};
+pub use hmac::{hmac_sha256, mac_batch_root, verify_batch_root, HmacSha256Key};
 pub use keys::{KeyPair, KeyRegistry, ProcessId, PublicKey, SecretKey};
-pub use merkle::{framed_hash, merkle_root, MerkleProof, MerkleTree};
-pub use signature::{sign, sign_with, verify, SigVerifier, Signature, SIGNATURE_LEN};
+pub use merkle::{framed_hash, leaf_hash, merkle_root, MerkleProof, MerkleTree};
+pub use signature::{sign, sign_with, verify, SigVerifier, Signature, SigningKey, SIGNATURE_LEN};
 
 /// Length in bytes of an epoch-proof / hash-batch on the wire, as reported in
 /// the paper's evaluation section (Section 4): 139 bytes.

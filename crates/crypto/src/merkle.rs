@@ -10,7 +10,7 @@ use crate::hash::{Digest256, Sha256};
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
-/// Streaming core of `leaf_hash`, reusing the caller's hasher (reset on
+/// Streaming core of [`leaf_hash`], reusing the caller's hasher (reset on
 /// return). [`MerkleTree::build`] feeds every leaf through one hasher; the
 /// one-shot wrappers below share this body so the domain separation cannot
 /// diverge between building and proof verification.
@@ -28,7 +28,10 @@ fn node_hash_into(h: &mut Sha256, left: &Digest256, right: &Digest256) -> Digest
     h.finalize_reset()
 }
 
-fn leaf_hash(data: &[u8]) -> Digest256 {
+/// The domain-separated hash of one leaf's bytes: what
+/// [`MerkleTree::from_leaf_hashes`] takes, for callers that produce leaf
+/// bytes in a reused buffer instead of a collection of items.
+pub fn leaf_hash(data: &[u8]) -> Digest256 {
     leaf_hash_into(&mut Sha256::new(), data)
 }
 
@@ -60,21 +63,23 @@ impl MerkleTree {
     /// Builds a tree over `items`. An empty item list produces a well-defined
     /// "empty root" (hash of the empty string with the leaf prefix).
     pub fn build<T: AsRef<[u8]>>(items: &[T]) -> Self {
-        if items.is_empty() {
+        Self::from_leaf_hashes(hash_leaves(items))
+    }
+
+    /// Builds the tree over leaves already hashed with [`leaf_hash`]: the
+    /// same tree [`build`](Self::build) makes over the leaves' bytes.
+    pub fn from_leaf_hashes(leaves: Vec<Digest256>) -> Self {
+        if leaves.is_empty() {
             return MerkleTree {
                 levels: vec![vec![leaf_hash(b"")]],
                 len: 0,
             };
         }
-        // One hasher serves every leaf and node of the build, recycled
-        // between inputs by the `*_into` helpers.
+        let len = leaves.len();
+        // One hasher serves every node of the build, recycled between
+        // inputs by `node_hash_into`.
         let mut h = Sha256::new();
-        let mut leaves = Vec::with_capacity(items.len());
-        for item in items {
-            leaves.push(leaf_hash_into(&mut h, item.as_ref()));
-        }
-        let mut levels: Vec<Vec<Digest256>> = Vec::new();
-        levels.push(leaves);
+        let mut levels: Vec<Vec<Digest256>> = vec![leaves];
         while levels.last().expect("non-empty").len() > 1 {
             let prev = levels.last().expect("non-empty");
             let mut next = Vec::with_capacity(prev.len().div_ceil(2));
@@ -89,10 +94,7 @@ impl MerkleTree {
             }
             levels.push(next);
         }
-        MerkleTree {
-            len: items.len(),
-            levels,
-        }
+        MerkleTree { len, levels }
     }
 
     /// Number of leaves.
@@ -151,6 +153,15 @@ impl MerkleProof {
         }
         acc == *root
     }
+}
+
+/// Every item's [`leaf_hash`], through one reused hasher.
+fn hash_leaves<T: AsRef<[u8]>>(items: &[T]) -> Vec<Digest256> {
+    let mut h = Sha256::new();
+    items
+        .iter()
+        .map(|item| leaf_hash_into(&mut h, item.as_ref()))
+        .collect()
 }
 
 /// Convenience: the Merkle root of a list of byte strings.
@@ -222,6 +233,20 @@ mod tests {
         let a = framed_hash(&[b"ab".to_vec(), b"c".to_vec()]);
         let b = framed_hash(&[b"a".to_vec(), b"bc".to_vec()]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn leaf_hash_tree_matches_the_item_tree_at_every_size() {
+        for n in 0..=33usize {
+            let items: Vec<Vec<u8>> = (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect();
+            let tree = MerkleTree::build(&items);
+            let leaves: Vec<Digest256> = items.iter().map(|i| leaf_hash(i)).collect();
+            assert_eq!(
+                MerkleTree::from_leaf_hashes(leaves).root(),
+                tree.root(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

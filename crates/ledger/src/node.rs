@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use setchain_crypto::{
-    sign_with, HmacSha512Key, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature,
+    sign_with, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature, SigningKey,
 };
 use setchain_simnet::{Context, Process, SimDuration, TimerToken};
 
@@ -118,9 +118,9 @@ pub struct LedgerNode<A: Application> {
     /// Reused buffer for the application messages of one coalesced
     /// delivery batch (see `Process::on_messages`).
     app_batch: Vec<(ProcessId, A::Msg)>,
-    /// This node's own HMAC key schedule, so signing a vote/proposal does
-    /// not rebuild the key pads per signature.
-    own_key: HmacSha512Key,
+    /// This node's own signing schedule, so signing a vote/proposal does
+    /// not re-derive the keys per signature.
+    own_key: SigningKey,
     /// Per-signer verification schedules for votes and proposals.
     verifier: SigVerifier,
 
@@ -188,7 +188,7 @@ impl<A: Application> LedgerNode<A> {
             peers,
             submitted_scratch: Vec::new(),
             app_batch: Vec::new(),
-            own_key: HmacSha512Key::new(&keys.secret.0),
+            own_key: SigningKey::new(&keys.secret),
             verifier: SigVerifier::new(),
             height: 1,
             round: 0,

@@ -26,7 +26,8 @@
 //! such change moves the recomputed root away from the MAC'd one.
 
 use setchain_crypto::{
-    mac_batch_root, verify_batch_root, Digest256, HmacSha256Key, MerkleProof, MerkleTree, ProcessId,
+    leaf_hash, mac_batch_root, verify_batch_root, Digest256, HmacSha256Key, MerkleProof,
+    MerkleTree, ProcessId,
 };
 
 use crate::element::Element;
@@ -37,20 +38,31 @@ use crate::element::Element;
 /// logarithmic path.
 pub const BATCH_CHUNK: usize = 8;
 
-/// The byte string hashed into one Merkle leaf: the packed identities of up
-/// to [`BATCH_CHUNK`] consecutive elements.
-fn chunk_bytes(chunk: &[Element]) -> Vec<u8> {
-    let mut leaf = Vec::with_capacity(chunk.len() * Element::PACKED_LEN);
-    for e in chunk {
-        leaf.extend_from_slice(&e.pack());
+/// The bytes of one Merkle leaf: the packed identities of up to
+/// [`BATCH_CHUNK`] consecutive elements.
+type LeafBuf = [u8; BATCH_CHUNK * Element::PACKED_LEN];
+
+/// Packs `chunk` into `buf` and returns the leaf's bytes.
+fn pack_chunk<'a>(chunk: &[Element], buf: &'a mut LeafBuf) -> &'a [u8] {
+    for (slot, e) in buf.chunks_exact_mut(Element::PACKED_LEN).zip(chunk) {
+        slot.copy_from_slice(&e.pack());
     }
-    leaf
+    &buf[..chunk.len() * Element::PACKED_LEN]
+}
+
+/// The leaf hash of every [`BATCH_CHUNK`]-element chunk of `elements`, each
+/// chunk packed into one reused stack buffer.
+fn chunk_leaf_hashes(elements: &[Element]) -> Vec<Digest256> {
+    let mut buf: LeafBuf = [0; BATCH_CHUNK * Element::PACKED_LEN];
+    elements
+        .chunks(BATCH_CHUNK)
+        .map(|chunk| leaf_hash(pack_chunk(chunk, &mut buf)))
+        .collect()
 }
 
 /// Builds the chunked Merkle tree over `elements` in the given order.
 pub fn batch_tree(elements: &[Element]) -> MerkleTree {
-    let leaves: Vec<Vec<u8>> = elements.chunks(BATCH_CHUNK).map(chunk_bytes).collect();
-    MerkleTree::build(&leaves)
+    MerkleTree::from_leaf_hashes(chunk_leaf_hashes(elements))
 }
 
 /// The chunked Merkle root of `elements` in the given order — what one
@@ -159,10 +171,13 @@ impl ElementProof {
 
     /// Verifies that `element` sits at this proof's position under `root`.
     pub fn verify(&self, element: &Element, root: &Digest256) -> bool {
+        let mut buf: LeafBuf = [0; BATCH_CHUNK * Element::PACKED_LEN];
         self.offset < self.chunk.len()
             && self.chunk.len() <= BATCH_CHUNK
             && self.chunk[self.offset] == *element
-            && self.leaf_proof.verify(chunk_bytes(&self.chunk), root)
+            && self
+                .leaf_proof
+                .verify(pack_chunk(&self.chunk, &mut buf), root)
     }
 }
 

@@ -22,8 +22,9 @@ use crate::server::{Ctx, ServerCore};
 use crate::tx::{CompressedBatch, SetchainTx};
 
 /// Chunk length used when compressing batch bytes. Smaller than the codec's
-/// 64 KiB default so that even a collector-64 batch (~28 KiB) splits into
-/// chunks and a collector-256 batch fans out across several cores.
+/// 64 KiB default, so even a collector-64 batch (~28 KiB) splits into
+/// chunks. Every chunk is coded on the simulation thread, one after
+/// another; the chunking bounds each match window, it does not parallelise.
 const BATCH_CHUNK_LEN: usize = 16 * 1024;
 
 /// Compresschain's per-server state.
@@ -178,8 +179,7 @@ impl Compresschain {
                 core.ingest_proof(*p, now, ctx);
             }
             // G: valid elements not yet in an epoch.
-            let g = core.extract_epoch_candidates(&cb.elements, validate, ctx);
-            let (_, proof) = core.create_epoch(g, now, ctx);
+            let proof = core.create_epoch(&cb.elements, None, validate, now, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);

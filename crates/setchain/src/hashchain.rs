@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use setchain_crypto::{Digest512, ProcessId, Sha512};
+use setchain_crypto::{Digest256, Digest512, ProcessId, Sha512};
 use setchain_ledger::{Block, TxData};
 use setchain_simnet::{SimTime, TimerToken};
 
@@ -40,34 +40,37 @@ use crate::collector::{Batch, Collector};
 use crate::config::SetchainConfig;
 use crate::element::Element;
 use crate::messages::SetchainMsg;
-use crate::proofs::EpochProof;
+use crate::proofs::{epoch_root, EpochProof};
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
 
 /// Timer token for batch-request timeouts.
 pub(crate) const REQUEST_TICK: TimerToken = 2;
 
-/// Canonical hash of a batch: binds element identities/metadata and the
-/// included proofs. CPU cost is charged separately against the full batch
-/// wire size, so hashing the compact representation here does not distort the
-/// performance model.
+/// Canonical hash of a batch: `SHA-512(domain ‖ count ‖ root ‖ proofs)`,
+/// where `root` is [`epoch_root`] of the elements — the chunked SHA-256
+/// Merkle root over their packed identities in ascending-id order. Only the
+/// fixed-size header goes through SHA-512; no element byte does.
+///
+/// Like an epoch, a batch is committed to as a set: reordering elements of
+/// distinct ids keeps the hash, while any field of any element, the
+/// multiplicity of an element, the order of same-id twins and every proof
+/// byte move it. Because the root is the one the epoch digest is built
+/// from, a batch that becomes an epoch whole is hashed once (see
+/// [`ServerCore::create_epoch`]). CPU cost is charged separately against the
+/// full batch wire size, so hashing the compact representation here does not
+/// distort the performance model.
 pub fn batch_hash(elements: &[Element], proofs: &[EpochProof]) -> Digest512 {
+    hash_and_root(elements, proofs).0
+}
+
+/// [`batch_hash`] together with the root it commits to.
+fn hash_and_root(elements: &[Element], proofs: &[EpochProof]) -> (Digest512, Digest256) {
+    let root = epoch_root(elements);
     let mut h = Sha512::new();
     h.update(b"setchain-batch");
     h.update(&(elements.len() as u64).to_le_bytes());
-    // One packed update per element (same field order as the original
-    // per-field updates, so the digest format is unchanged): batch hashing
-    // runs at every flush, every recovery response and every push, and the
-    // hasher's buffered-update bookkeeping dominates 4-8 byte updates.
-    let mut packed = [0u8; 36];
-    for e in elements {
-        packed[..8].copy_from_slice(&e.id.0.to_le_bytes());
-        packed[8..16].copy_from_slice(&e.client.0.to_le_bytes());
-        packed[16..20].copy_from_slice(&e.size.to_le_bytes());
-        packed[20..28].copy_from_slice(&e.content_seed.to_le_bytes());
-        packed[28..36].copy_from_slice(&e.auth.to_le_bytes());
-        h.update(&packed);
-    }
+    h.update(root.as_bytes());
     h.update(&(proofs.len() as u64).to_le_bytes());
     let mut packed = [0u8; 16];
     for p in proofs {
@@ -76,7 +79,7 @@ pub fn batch_hash(elements: &[Element], proofs: &[EpochProof]) -> Digest512 {
         h.update(&packed);
         h.update(&p.signature.bytes);
     }
-    h.finalize()
+    (h.finalize(), root)
 }
 
 /// Shared out-of-band batch availability used by the "Hashchain light"
@@ -121,6 +124,16 @@ impl SharedBatchRegistry {
     }
 }
 
+/// Batch contents this server knows, with the root its hash committed to
+/// when this server computed that hash itself (flushed, or verified a
+/// response or push); `None` for contents taken on trust from the light
+/// ablation's shared registry.
+#[derive(Clone)]
+struct KnownBatch {
+    batch: Arc<Batch>,
+    root: Option<Digest256>,
+}
+
 /// An outstanding `Request_batch`.
 #[derive(Debug)]
 struct PendingRequest {
@@ -135,7 +148,7 @@ pub(crate) struct Hashchain {
     /// `hash_to_batch`: batches whose contents this server knows. Stored
     /// behind `Arc` so repeated queue processing (one pass per hash-batch
     /// signer) shares the contents instead of cloning the element vector.
-    hash_to_batch: HashMap<Digest512, Arc<Batch>>,
+    hash_to_batch: HashMap<Digest512, KnownBatch>,
     /// `hash_to_signers`: servers whose hash-batches for a hash have been
     /// observed on the ledger. Ordered, because `fail_request` picks its
     /// next target out of it and the pick must repeat across runs.
@@ -203,7 +216,7 @@ impl Hashchain {
     /// signed hash-batch to the ledger.
     pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         let batch = self.collector.flush(ctx.now());
-        let hash = batch_hash(&batch.elements, &batch.proofs);
+        let (hash, root) = hash_and_root(&batch.elements, &batch.proofs);
         ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
         // Register_batch(h, batch): keep the contents so other servers can
         // request them. The registry shares the same `Arc` — no copy.
@@ -211,7 +224,7 @@ impl Hashchain {
         if let Some(shared) = &self.shared_registry {
             shared.register(hash, Arc::clone(&batch));
         }
-        self.hash_to_batch.insert(hash, Arc::clone(&batch));
+        self.remember(hash, Arc::clone(&batch), root);
         ctx.consume_cpu(core.config.costs.sign);
         let hb = core.make_hash_batch(hash);
         self.my_signed.insert(hash);
@@ -244,19 +257,16 @@ impl Hashchain {
     }
 
     /// Looks up the batch contents for `hash`, consulting the shared registry
-    /// in light mode. The returned `Arc` is a refcount bump, not a copy of
-    /// the batch contents.
-    fn lookup_batch(&mut self, hash: &Digest512) -> Option<Arc<Batch>> {
-        if let Some(b) = self.hash_to_batch.get(hash) {
-            return Some(Arc::clone(b));
+    /// in light mode. The returned batch shares its `Arc`: a refcount bump,
+    /// not a copy of the contents.
+    fn lookup_batch(&mut self, hash: &Digest512) -> Option<KnownBatch> {
+        if let Some(known) = self.hash_to_batch.get(hash) {
+            return Some(known.clone());
         }
-        if let Some(shared) = &self.shared_registry {
-            if let Some(b) = shared.get(hash) {
-                self.hash_to_batch.insert(*hash, Arc::clone(&b));
-                return Some(b);
-            }
-        }
-        None
+        let batch = self.shared_registry.as_ref()?.get(hash)?;
+        let known = KnownBatch { batch, root: None };
+        self.hash_to_batch.insert(*hash, known.clone());
+        Some(known)
     }
 
     /// Processes queued hash-batches in ledger order, pausing when a batch
@@ -414,13 +424,13 @@ impl Hashchain {
     }
 
     /// Processes one hash-batch whose position in the ledger order has been
-    /// reached. `batch` is `None` only in light mode when contents are
+    /// reached. `known` is `None` only in light mode when contents are
     /// unavailable.
     fn handle_hash_batch(
         &mut self,
         core: &mut ServerCore,
         hb: HashBatch,
-        batch: Option<Arc<Batch>>,
+        known: Option<KnownBatch>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let now = ctx.now();
@@ -428,7 +438,7 @@ impl Hashchain {
         let validate = core.config.hash_reversal;
         let designated = core.config.is_designated(core.id().server_index());
 
-        if let Some(batch) = &batch {
+        if let Some(KnownBatch { batch, .. }) = &known {
             // If we had to recover the batch (we are not its origin and have
             // not signed it yet), sign the hash and append our own hash-batch
             // so the f+1 consolidation quorum can form. In the designated-
@@ -455,11 +465,11 @@ impl Hashchain {
         let enough = signers.len() >= core.config.proof_quorum();
         if enough && !self.consolidated.contains(&hash) {
             self.consolidated.insert(hash);
-            let g = match &batch {
-                Some(b) => core.extract_epoch_candidates(&b.elements, validate, ctx),
-                None => Vec::new(),
+            let (elements, root) = match &known {
+                Some(known) => (known.batch.elements.as_slice(), known.root),
+                None => (&[][..], None),
             };
-            let (_, proof) = core.create_epoch(g, now, ctx);
+            let proof = core.create_epoch(elements, root, validate, now, ctx);
             // Epoch-proofs are only emitted by the designated signer set (all
             // servers unless the 2f+1 variant is configured); every server
             // still records the epoch locally.
@@ -522,7 +532,7 @@ impl Hashchain {
                 if core.byz == ServerByzMode::RefuseBatchService {
                     return;
                 }
-                if let Some(batch) = self.hash_to_batch.get(&hash) {
+                if let Some(KnownBatch { batch, .. }) = self.hash_to_batch.get(&hash) {
                     core.stats.batch_requests_served += 1;
                     ctx.send_app(
                         from,
@@ -546,8 +556,9 @@ impl Hashchain {
                 }
                 let batch = Batch { elements, proofs };
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
-                if batch_hash(&batch.elements, &batch.proofs) == hash {
-                    self.hash_to_batch.insert(hash, Arc::new(batch));
+                let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
+                if got == hash {
+                    self.remember(hash, Arc::new(batch), root);
                     self.prefetched.remove(&hash);
                     if head_waiting {
                         self.waiting = None;
@@ -575,10 +586,11 @@ impl Hashchain {
                 }
                 let batch = Batch { elements, proofs };
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
-                if batch_hash(&batch.elements, &batch.proofs) != hash {
+                let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
+                if got != hash {
                     return;
                 }
-                self.hash_to_batch.insert(hash, Arc::new(batch));
+                self.remember(hash, Arc::new(batch), root);
                 self.prefetched.remove(&hash);
                 if self.head_waits_for(&hash) {
                     self.waiting = None;
@@ -587,6 +599,13 @@ impl Hashchain {
             }
             _ => {}
         }
+    }
+
+    /// Keeps batch contents this server hashed itself — flushed, or
+    /// verified against `hash` — with the root that hash committed to.
+    fn remember(&mut self, hash: Digest512, batch: Arc<Batch>, root: Digest256) {
+        let root = Some(root);
+        self.hash_to_batch.insert(hash, KnownBatch { batch, root });
     }
 
     /// The request timer fired: give up on the outstanding request if its
@@ -621,21 +640,73 @@ mod tests {
     }
 
     #[test]
-    fn batch_hash_is_deterministic_and_content_sensitive() {
+    fn batch_hash_is_deterministic_order_insensitive_and_content_sensitive() {
         let reg = registry();
         let es = elements(&reg, 0..20);
         let server = reg.lookup(ProcessId::server(0)).unwrap();
         let proof = make_epoch_proof(&server, 1, &es[..5]);
         let a = batch_hash(&es, &[proof]);
-        let b = batch_hash(&es, &[proof]);
-        assert_eq!(a, b);
-        // Dropping an element, reordering, or dropping the proof all change
-        // the hash: the hash commits to the exact batch contents.
-        assert_ne!(a, batch_hash(&es[..19], &[proof]));
+        assert_eq!(a, batch_hash(&es, &[proof]));
+        // The batch is committed to as a set: reordering elements of
+        // distinct ids keeps the hash.
         let mut reordered = es.clone();
         reordered.swap(0, 1);
-        assert_ne!(a, batch_hash(&reordered, &[proof]));
+        assert_eq!(a, batch_hash(&reordered, &[proof]));
+        reordered.reverse();
+        assert_eq!(a, batch_hash(&reordered, &[proof]));
+        // Dropping an element or the proof changes it.
+        assert_ne!(a, batch_hash(&es[..19], &[proof]));
         assert_ne!(a, batch_hash(&es, &[]));
+    }
+
+    #[test]
+    fn batch_hash_moves_with_any_field_any_proof_byte_and_multiplicity() {
+        let reg = registry();
+        let es = elements(&reg, 0..20);
+        let server = reg.lookup(ProcessId::server(0)).unwrap();
+        let proof = make_epoch_proof(&server, 1, &es[..5]);
+        let a = batch_hash(&es, &[proof]);
+        // Any field of any element.
+        let tweaks: [fn(&mut Element); 5] = [
+            |e| e.id = ElementId(e.id.0 ^ (1 << 40)),
+            |e| e.client = ProcessId(e.client.0 ^ 1),
+            |e| e.size ^= 1,
+            |e| e.content_seed ^= 1,
+            |e| e.auth ^= 1,
+        ];
+        for i in 0..es.len() {
+            for (field, tweak) in tweaks.iter().enumerate() {
+                let mut tampered = es.clone();
+                tweak(&mut tampered[i]);
+                assert_ne!(
+                    a,
+                    batch_hash(&tampered, &[proof]),
+                    "element {i} field {field}"
+                );
+            }
+        }
+        // Any proof byte: epoch, signer, every signature byte.
+        let mut other = proof;
+        other.epoch += 1;
+        assert_ne!(a, batch_hash(&es, &[other]));
+        let mut other = proof;
+        other.signer = ProcessId::server(1);
+        assert_ne!(a, batch_hash(&es, &[other]));
+        for byte in 0..proof.signature.bytes.len() {
+            let mut other = proof;
+            other.signature.bytes[byte] ^= 1;
+            assert_ne!(a, batch_hash(&es, &[other]), "signature byte {byte}");
+        }
+        // Multiplicity: `[a]` is not `[a, a]`.
+        assert_ne!(batch_hash(&es[..1], &[]), batch_hash(&[es[0], es[0]], &[]));
+        // Same-id twins keep their relative order in the canonical order, so
+        // swapping them moves the hash.
+        let mut twin = es[3];
+        twin.content_seed ^= 0xff;
+        assert_ne!(
+            batch_hash(&[es[3], twin], &[]),
+            batch_hash(&[twin, es[3]], &[])
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!     .collect();
 //!
 //! let mut state = SetchainState::new();
-//! assert_eq!(state.record_epoch(elements), 1);
+//! assert_eq!(state.record_epoch(elements, None), 1);
 //! assert!(state.check_consistent_sets());
 //! assert!(state.check_unique_epoch());
 //! assert_eq!(Algorithm::ALL.len(), 3);

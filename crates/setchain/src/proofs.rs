@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 use setchain_crypto::{
-    sign, sign_with, verify, Digest256, Digest512, HmacSha512Key, KeyPair, KeyRegistry, ProcessId,
-    Sha512, Signature,
+    sign, sign_with, verify, Digest256, Digest512, KeyPair, KeyRegistry, ProcessId, Sha512,
+    Signature, SigningKey,
 };
 
 use crate::batch_auth::{batch_root, batch_tree, prove_element, ElementProof};
@@ -66,9 +66,16 @@ fn canonical_order(elements: &[Element]) -> Vec<Element> {
 /// The chunked Merkle root over the epoch's elements in canonical (ascending
 /// id) order — the commitment the epoch digest is built from, and the root
 /// element→epoch inclusion proofs verify against (see
-/// [`prove_epoch_inclusion`]).
+/// [`prove_epoch_inclusion`]). Hashchain's batch hash commits to the same
+/// root, so a batch that becomes an epoch whole is hashed once.
 pub fn epoch_root(elements: &[Element]) -> Digest256 {
-    batch_root(&canonical_order(elements))
+    // Already in canonical order (a batch of one client's adds usually is):
+    // hash in place instead of copying and sorting.
+    if elements.is_sorted_by_key(|e| e.id) {
+        batch_root(elements)
+    } else {
+        batch_root(&canonical_order(elements))
+    }
 }
 
 /// Canonical hash of an epoch: `Hash(i, history[i])`, computed as
@@ -182,11 +189,11 @@ pub fn make_epoch_proof_for_digest(keys: &KeyPair, epoch: u64, digest: &Digest51
     }
 }
 
-/// [`make_epoch_proof_for_digest`] through a precomputed HMAC key schedule
+/// [`make_epoch_proof_for_digest`] through a precomputed signing schedule
 /// for `signer`: servers sign one proof per epoch, and the schedule spares
-/// the per-signature key-pad absorptions.
+/// the per-signature key derivation.
 pub fn make_epoch_proof_with_key(
-    key: &HmacSha512Key,
+    key: &SigningKey,
     signer: ProcessId,
     epoch: u64,
     digest: &Digest512,

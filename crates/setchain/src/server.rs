@@ -2,8 +2,8 @@
 //! `get` handling, epoch-proof bookkeeping and epoch creation.
 
 use setchain_crypto::{
-    sign_with, Digest512, FxHashMap, FxHashSet, HmacSha256Key, HmacSha512Key, KeyPair, KeyRegistry,
-    ProcessId, SigVerifier, Signature,
+    sign_with, Digest256, Digest512, FxHashMap, FxHashSet, HmacSha256Key, KeyPair, KeyRegistry,
+    ProcessId, SigVerifier, Signature, SigningKey,
 };
 use setchain_ledger::AppCtx;
 use setchain_simnet::{SimDuration, SimTime};
@@ -136,9 +136,9 @@ pub struct ServerCore {
     /// still picked up; replacing an already-registered key mid-run is not
     /// supported by the cache.
     admission: AdmissionCache,
-    /// This server's own HMAC key schedule: signing proofs and hash-batches
-    /// does not rebuild the key pads per signature.
-    own_key: HmacSha512Key,
+    /// This server's own signing schedule: signing proofs and hash-batches
+    /// does not re-derive the keys per signature.
+    own_key: SigningKey,
     /// Per-signer verification schedules for peer proofs and hash-batches.
     verifier: SigVerifier,
     /// Reused index scratch for batched validation (cache misses).
@@ -191,7 +191,7 @@ impl ServerCore {
         trace: SetchainTrace,
         byz: ServerByzMode,
     ) -> Self {
-        let own_key = HmacSha512Key::new(&keys.secret.0);
+        let own_key = SigningKey::new(&keys.secret);
         let mut core = ServerCore {
             keys,
             registry,
@@ -245,7 +245,7 @@ impl ServerCore {
                 .unwrap_or_else(|| panic!("setchain-store: epoch {epoch} below tip missing"));
             let recorded = self
                 .state
-                .record_epoch(Self::unpack_elements(&record.elements));
+                .record_epoch(Self::unpack_elements(&record.elements), None);
             debug_assert_eq!(recorded, epoch, "segment scan enforces sequential epochs");
             let digest = self.state.epoch_digest(epoch).expect("just recorded");
             assert_eq!(
@@ -879,15 +879,28 @@ impl ServerCore {
         }
     }
 
-    /// Creates a new epoch from `elements` (which must already be filtered to
-    /// valid, not-yet-stamped elements), records it in the trace, and returns
-    /// the epoch number together with this server's epoch-proof for it.
+    /// Creates the next epoch out of one batch or block: its valid (unless
+    /// `validate` is false, for the light ablations), not-yet-stamped,
+    /// de-duplicated elements form `G`. The epoch is recorded in the state
+    /// and the trace, and this server's epoch-proof for it is returned.
+    ///
+    /// `root` is the batch's [`epoch_root`](crate::epoch_root) when the
+    /// caller already computed it (Hashchain's batch hash commits to it). It
+    /// is used only when nothing was filtered out: `G` is then the batch
+    /// itself, so the same multiset and the same canonical tree, and the
+    /// epoch digest is finished from the root without re-hashing a single
+    /// element. Any filtered element — a duplicate id, an already-stamped or
+    /// invalid element — takes the full [`epoch_hash`] instead.
     pub fn create_epoch(
         &mut self,
-        elements: Vec<Element>,
+        batch: &[Element],
+        root: Option<Digest256>,
+        validate: bool,
         now: SimTime,
         ctx: &mut Ctx<'_, '_, '_>,
-    ) -> (u64, EpochProof) {
+    ) -> EpochProof {
+        let elements = self.extract_epoch_candidates(batch, validate, ctx);
+        let root = root.filter(|_| elements.len() == batch.len());
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // Catch-up already installed this epoch (verified against f+1
@@ -905,9 +918,9 @@ impl ServerCore {
             if self.byz == ServerByzMode::ForgeProofs {
                 proof.signature = Signature::forged(self.keys.id);
             }
-            return (epoch, proof);
+            return proof;
         }
-        let epoch = self.state.record_epoch(elements);
+        let epoch = self.state.record_epoch(elements, root);
         debug_assert_eq!(
             epoch, self.derived_epochs,
             "ledger-derived epochs are sequential"
@@ -926,14 +939,14 @@ impl ServerCore {
         ctx.consume_cpu(self.config.costs.hash_cost(bytes));
         ctx.consume_cpu(self.config.costs.sign);
         // Sign over the digest `record_epoch` just cached — the one place
-        // the epoch's elements are actually hashed. The server's own key
-        // schedule is precomputed, so the signature costs two compressions.
+        // the epoch's elements are hashed, unless the batch root was reused.
+        // The server's own signing schedule is precomputed.
         let digest = self.state.epoch_digest(epoch).expect("just created");
         let mut proof = make_epoch_proof_with_key(&self.own_key, self.keys.id, epoch, digest);
         if self.byz == ServerByzMode::ForgeProofs {
             proof.signature = Signature::forged(self.keys.id);
         }
-        (epoch, proof)
+        proof
     }
 
     /// First-pass admission of a recovered batch's elements: validates
@@ -941,7 +954,7 @@ impl ServerCore {
     /// the epoch path uses) and inserts the valid, not-yet-stamped ids into
     /// `the_set`, without materializing a candidate vector. The epoch
     /// itself is built later, at consolidation, through
-    /// [`Self::extract_epoch_candidates`]; this is the "valid elements join
+    /// [`Self::create_epoch`]; this is the "valid elements join
     /// `the_set` immediately" half of batch processing.
     pub fn admit_batch_elements(
         &mut self,
@@ -1019,7 +1032,7 @@ impl ServerCore {
     /// Validation of the deduplicated candidates goes through
     /// [`validate_elements`](Self::validate_elements): batched and memoized
     /// per element.
-    pub fn extract_epoch_candidates(
+    fn extract_epoch_candidates(
         &mut self,
         elements: &[Element],
         validate: bool,
@@ -1059,7 +1072,7 @@ impl ServerCore {
 mod tests {
     use super::*;
     use crate::element::ElementId;
-    use crate::proofs::make_epoch_proof_for_digest;
+    use crate::proofs::{epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
         let registry = KeyRegistry::bootstrap(seed, servers, clients);
@@ -1164,7 +1177,7 @@ mod tests {
             let elements: Vec<Element> = (0..4)
                 .map(|i| Element::new(&client, ElementId::new(0, e * 10 + i), 100 + i as u32, i))
                 .collect();
-            assert_eq!(core.state.record_epoch(elements), e);
+            assert_eq!(core.state.record_epoch(elements, None), e);
             let digest = *core.state.epoch_digest(e).unwrap();
             for s in 0..core.config.proof_quorum() {
                 let signer = registry.lookup(ProcessId::server(s)).unwrap();
@@ -1305,11 +1318,20 @@ mod tests {
     where
         F: FnOnce(&mut ServerCore, &KeyRegistry, &mut Ctx<'_, '_, '_>) + Send + 'static,
     {
+        with_core(3, body);
+    }
+
+    /// Runs `body` against server 0's core, `epochs` committed epochs in,
+    /// and a live context.
+    fn with_core<F>(epochs: u64, body: F)
+    where
+        F: FnOnce(&mut ServerCore, &KeyRegistry, &mut Ctx<'_, '_, '_>) + Send + 'static,
+    {
         use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace};
         use setchain_simnet::{Simulation, SimulationConfig};
 
         let (mut core, registry) = core_with(101, 4, 2);
-        commit_epochs(&mut core, &registry, 3);
+        commit_epochs(&mut core, &registry, epochs);
         let id = ProcessId::server(0);
         let probe = CtxProbe(Some((core, registry.clone(), body)));
         let mut sim = Simulation::new(SimulationConfig::default());
@@ -1390,6 +1412,36 @@ mod tests {
             assert_eq!(core.stats.catchup_requests, 1);
             assert_eq!(core.catchup_pending, Some((4, SimTime::ZERO)));
             assert_eq!(core.state.proof_count(9), 0);
+        });
+    }
+
+    #[test]
+    fn a_filtered_batch_recomputes_its_epoch_digest() {
+        // The batch root stands in for the epoch's only when the batch
+        // becomes the epoch whole. A duplicate id or an already-stamped
+        // element is filtered out of `G`, so the supplied root (over the
+        // whole batch) no longer describes it and the digest is recomputed.
+        with_core(0, |core, registry, ctx| {
+            let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
+            let cases = [
+                vec![valid(1), valid(2)],           // clean: the root is reused
+                vec![valid(3), valid(4), valid(3)], // duplicate id
+                vec![valid(2), valid(5)],           // already stamped in epoch 1
+            ];
+            for (epoch, batch) in (1u64..).zip(cases) {
+                let root = epoch_root(&batch);
+                core.create_epoch(&batch, Some(root), true, SimTime::ZERO, ctx);
+                let stamped = core.state.epoch_elements(epoch).unwrap();
+                let recorded = *core.state.epoch_digest(epoch).unwrap();
+                assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
+                let whole = stamped.len() == batch.len();
+                assert_eq!(whole, epoch == 1, "epoch {epoch}");
+                if !whole {
+                    let reused = epoch_hash_for_root(epoch, batch.len() as u64, &root);
+                    assert_ne!(recorded, reused, "epoch {epoch}");
+                }
+            }
+            assert_eq!(core.state.epoch(), 3);
         });
     }
 

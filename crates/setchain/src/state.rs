@@ -4,12 +4,12 @@
 
 use std::collections::HashSet;
 
-use setchain_crypto::{Digest512, FxHashMap};
+use setchain_crypto::{Digest256, Digest512, FxHashMap};
 
 use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 use crate::messages::GetSnapshot;
-use crate::proofs::{epoch_hash, EpochProof};
+use crate::proofs::{epoch_hash, epoch_hash_for_root, EpochProof};
 
 /// The four components of a Setchain returned by `get()`:
 /// `(the_set, history, epoch, proofs)`.
@@ -112,7 +112,12 @@ impl SetchainState {
     ///
     /// Callers are responsible for having filtered out elements already in
     /// `history` (Unique-Epoch); this is asserted in debug builds.
-    pub fn record_epoch(&mut self, elements: Vec<Element>) -> u64 {
+    ///
+    /// `root`, when given, must be [`epoch_root`](crate::epoch_root) of
+    /// `elements`, already computed by the caller: the digest is then
+    /// finished from it without re-hashing the elements (asserted against
+    /// the full [`epoch_hash`] in debug builds).
+    pub fn record_epoch(&mut self, elements: Vec<Element>, root: Option<Digest256>) -> u64 {
         self.epoch += 1;
         for e in &elements {
             let previous = self.members.insert(e.id, self.epoch);
@@ -125,7 +130,19 @@ impl SetchainState {
         self.stamped += elements.len() as u64;
         // The epoch digest is computed exactly once, here; every proof site
         // (signing our own proof, verifying up to n peer proofs) reuses it.
-        self.epoch_digests.push(epoch_hash(self.epoch, &elements));
+        let digest = match root {
+            Some(root) => {
+                let digest = epoch_hash_for_root(self.epoch, elements.len() as u64, &root);
+                debug_assert_eq!(
+                    digest,
+                    epoch_hash(self.epoch, &elements),
+                    "a reused root must be the epoch's own canonical root"
+                );
+                digest
+            }
+            None => epoch_hash(self.epoch, &elements),
+        };
+        self.epoch_digests.push(digest);
         self.history.push(elements);
         self.epoch
     }
@@ -139,7 +156,7 @@ impl SetchainState {
         if epoch != self.epoch + 1 {
             return false;
         }
-        self.record_epoch(elements);
+        self.record_epoch(elements, None);
         true
     }
 
@@ -315,7 +332,7 @@ mod tests {
     fn record_epoch_updates_everything() {
         let mut st = SetchainState::new();
         let es = elements(0..5);
-        let epoch = st.record_epoch(es.clone());
+        let epoch = st.record_epoch(es.clone(), None);
         assert_eq!(epoch, 1);
         assert_eq!(st.epoch(), 1);
         assert_eq!(st.history_elements(), 5);
@@ -328,7 +345,7 @@ mod tests {
         assert!(st.check_consistent_sets());
         assert!(st.check_unique_epoch());
         // Second, disjoint epoch.
-        let epoch2 = st.record_epoch(elements(5..8));
+        let epoch2 = st.record_epoch(elements(5..8), None);
         assert_eq!(epoch2, 2);
         assert!(st.check_unique_epoch());
     }
@@ -339,14 +356,33 @@ mod tests {
         assert!(st.epoch_digest(0).is_none());
         assert!(st.epoch_digest(1).is_none());
         let es = elements(0..5);
-        st.record_epoch(es.clone());
-        st.record_epoch(elements(5..7));
+        st.record_epoch(es.clone(), None);
+        st.record_epoch(elements(5..7), None);
         assert_eq!(st.epoch_digest(1), Some(&epoch_hash(1, &es)));
         assert_eq!(
             st.epoch_digest(2),
             Some(&epoch_hash(2, st.epoch_elements(2).unwrap()))
         );
         assert!(st.epoch_digest(3).is_none());
+    }
+
+    #[test]
+    fn a_supplied_root_records_the_same_digest() {
+        let mut reversed = elements(0..9);
+        reversed.reverse();
+        let root = crate::proofs::epoch_root(&reversed);
+        let (mut with_root, mut without) = (SetchainState::new(), SetchainState::new());
+        with_root.record_epoch(reversed.clone(), Some(root));
+        without.record_epoch(reversed, None);
+        assert_eq!(with_root.epoch_digest(1), without.epoch_digest(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "canonical root")]
+    fn a_foreign_root_is_caught_in_debug_builds() {
+        let root = crate::proofs::epoch_root(&elements(0..4));
+        SetchainState::new().record_epoch(elements(0..5), Some(root));
     }
 
     #[test]
@@ -386,7 +422,7 @@ mod tests {
         let reg = KeyRegistry::bootstrap(1, 5, 1);
         let mut st = SetchainState::new();
         let es = elements(0..3);
-        st.record_epoch(es.clone());
+        st.record_epoch(es.clone(), None);
         for i in 0..3 {
             let keys = reg.lookup(ProcessId::server(i)).unwrap();
             let count = st.add_proof(make_epoch_proof(&keys, 1, &es));
@@ -413,23 +449,23 @@ mod tests {
         let mut b = SetchainState::new();
         let e1 = elements(0..4);
         let e2 = elements(4..6);
-        a.record_epoch(e1.clone());
-        a.record_epoch(e2.clone());
-        b.record_epoch(e1.clone());
+        a.record_epoch(e1.clone(), None);
+        a.record_epoch(e2.clone(), None);
+        b.record_epoch(e1.clone(), None);
         // b is one epoch behind: still consistent on the common prefix.
         assert!(a.check_consistent_with(&b));
         assert!(b.check_consistent_with(&a));
         // Divergent epoch 2 breaks consistency once both have it.
-        b.record_epoch(elements(6..8));
+        b.record_epoch(elements(6..8), None);
         assert!(!a.check_consistent_with(&b));
     }
 
     #[test]
     fn eviction_preserves_logical_sizes_and_digests() {
         let mut st = SetchainState::new();
-        st.record_epoch(elements(0..5));
-        st.record_epoch(elements(5..8));
-        st.record_epoch(elements(8..12));
+        st.record_epoch(elements(0..5), None);
+        st.record_epoch(elements(5..8), None);
+        st.record_epoch(elements(8..12), None);
         let digests: Vec<_> = (1..=3).map(|e| *st.epoch_digest(e).unwrap()).collect();
         assert_eq!(st.evicted_epochs(), 0);
         assert!(st.epoch_is_resident(1));
@@ -456,7 +492,7 @@ mod tests {
         assert_eq!(snap.the_set_len, 12);
         assert_eq!(snap.history_elements, 12);
         // New epochs keep recording on top of the evicted prefix.
-        st.record_epoch(elements(12..14));
+        st.record_epoch(elements(12..14), None);
         assert_eq!(st.epoch(), 4);
         assert_eq!(st.the_set_len(), 14);
         // Consistency checks skip the evicted prefix instead of
@@ -464,10 +500,10 @@ mod tests {
         assert!(st.check_consistent_sets());
         assert!(st.check_unique_epoch());
         let mut full = SetchainState::new();
-        full.record_epoch(elements(0..5));
-        full.record_epoch(elements(5..8));
-        full.record_epoch(elements(8..12));
-        full.record_epoch(elements(12..14));
+        full.record_epoch(elements(0..5), None);
+        full.record_epoch(elements(5..8), None);
+        full.record_epoch(elements(8..12), None);
+        full.record_epoch(elements(12..14), None);
         assert!(st.check_consistent_with(&full));
         assert!(full.check_consistent_with(&st));
     }
@@ -476,8 +512,8 @@ mod tests {
     fn eviction_keeps_ids_in_the_set_and_marks_them_evicted() {
         let mut st = SetchainState::new();
         let es = elements(0..6);
-        st.record_epoch(es[..4].to_vec());
-        st.record_epoch(es[4..].to_vec());
+        st.record_epoch(es[..4].to_vec(), None);
+        st.record_epoch(es[4..].to_vec(), None);
         assert!(es
             .iter()
             .all(|e| st.contains(&e.id) && !st.was_evicted(&e.id)));
@@ -502,8 +538,8 @@ mod tests {
     #[should_panic(expected = "prefix-ordered")]
     fn out_of_order_eviction_panics() {
         let mut st = SetchainState::new();
-        st.record_epoch(elements(0..3));
-        st.record_epoch(elements(3..5));
+        st.record_epoch(elements(0..3), None);
+        st.record_epoch(elements(3..5), None);
         let _ = st.evict_epoch(2);
     }
 
@@ -518,7 +554,7 @@ mod tests {
     fn unique_epoch_violation_detected() {
         let mut st = SetchainState::new();
         let es = elements(0..2);
-        st.record_epoch(es.clone());
+        st.record_epoch(es.clone(), None);
         // Bypass record_epoch's contract to simulate a buggy/Byzantine state.
         st.history.push(vec![es[0]]);
         st.epoch += 1;
@@ -540,7 +576,7 @@ mod tests {
                     break;
                 }
                 let end = (cursor + size.max(1)).min(pool.len());
-                st.record_epoch(pool[cursor..end].to_vec());
+                st.record_epoch(pool[cursor..end].to_vec(), None);
                 cursor = end;
             }
             (st, pool)
@@ -598,7 +634,7 @@ mod tests {
                 let reg = KeyRegistry::bootstrap(3, 8, 1);
                 let mut st = SetchainState::new();
                 let es = elements(0..4);
-                st.record_epoch(es.clone());
+                st.record_epoch(es.clone(), None);
                 for &s in &signers {
                     let keys = reg.lookup(ProcessId::server(s)).unwrap();
                     st.add_proof(make_epoch_proof(&keys, 1, &es));

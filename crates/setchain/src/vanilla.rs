@@ -84,8 +84,7 @@ pub(crate) fn finalize_block(
             _ => None,
         })
         .collect();
-    let g = core.extract_epoch_candidates(&elements, true, ctx);
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
-    let (_, proof) = core.create_epoch(g, now, ctx);
+    let proof = core.create_epoch(&elements, None, true, now, ctx);
     ctx.append(SetchainTx::Proof(proof));
 }

@@ -22,6 +22,8 @@
 //!   overload-protection path.
 //! * [`runner`] — runs a scenario to completion and collects a
 //!   [`runner::RunResult`].
+//! * [`invariants`] — [`check_setchain_invariants`], the one checker of the
+//!   Setchain properties on a deployment's servers.
 //! * [`metrics`] — throughput-over-time series, efficiency, commit-time
 //!   percentiles and the per-stage latency CDF of Fig. 4.
 //! * [`analysis`] — the analytical throughput model of Appendix D.
@@ -53,6 +55,7 @@ pub mod analysis;
 pub mod deploy;
 pub mod driver;
 pub mod generator;
+pub mod invariants;
 pub mod metrics;
 pub mod runner;
 pub mod scenario;
@@ -63,6 +66,7 @@ pub use analysis::{analytical_throughput, AnalysisParams};
 pub use deploy::{Deployment, DeploymentBuilder, ServerHandle, ServerNode};
 pub use driver::{ClientDriver, RequestClient, RetryAdd, RetryPolicy, RetryReport};
 pub use generator::ArbitrumWorkload;
+pub use invariants::{check_setchain_invariants, InvariantReport};
 pub use metrics::{CommitTimes, Efficiency, StageLatencies, ThroughputSeries};
 pub use runner::{run_scenario, RunResult};
 pub use scenario::Scenario;

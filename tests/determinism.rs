@@ -11,7 +11,9 @@ use std::collections::BTreeSet;
 use setchain::{Algorithm, AuthMode, ElementId, ServerByzMode};
 use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, DeploymentBuilder};
+use setchain_workload::{
+    check_setchain_invariants, Deployment, DeploymentBuilder, InvariantReport,
+};
 
 /// Full fingerprint of one deployment run: scheduler counters plus the
 /// per-server committed (stamped) element sets and epoch boundaries.
@@ -25,6 +27,8 @@ struct RunFingerprint {
     epochs: Vec<Vec<BTreeSet<ElementId>>>,
     /// Per-server: the signed digest of every recorded epoch.
     digests: Vec<Vec<[u8; 64]>>,
+    /// What the Setchain property checker covered at the end of the run.
+    invariants: InvariantReport,
 }
 
 impl RunFingerprint {
@@ -50,6 +54,20 @@ impl RunFingerprint {
             digests.as_str(),
         );
         assert_eq!(got, want, "{shape:?}: schedule moved off its golden");
+    }
+
+    /// The property check `run_builder` ran was not vacuous: every correct
+    /// server's committed epochs had their proofs and one inclusion proof
+    /// each verified.
+    fn assert_properties_checked(&self, shape: &dyn std::fmt::Debug) {
+        let report = &self.invariants;
+        assert!(report.servers >= 3, "{shape:?}: {report:?}");
+        assert!(report.committed_epochs > 0, "{shape:?}: {report:?}");
+        assert!(report.inclusion_proofs > 0, "{shape:?}: {report:?}");
+        assert!(
+            report.proofs_verified >= report.committed_epochs * 2,
+            "{shape:?}: {report:?}"
+        );
     }
 
     /// Every element id server 0 stamped into an epoch.
@@ -102,12 +120,15 @@ fn builder_at(
         .seed(seed)
 }
 
-/// Runs `builder`'s deployment for its injection window plus a 9 s drain.
+/// Runs `builder`'s deployment for its injection window plus a 9 s drain,
+/// and checks the Setchain properties on the final state.
 fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
     let servers = builder.scenario().servers;
     let end = builder.scenario().injection_secs + 9;
     let mut deployment = builder.max_run_secs(end).build();
     deployment.sim.run_until(SimTime::from_secs(end));
+    let invariants = check_setchain_invariants(&deployment)
+        .unwrap_or_else(|violation| panic!("Setchain property violated: {violation}"));
     let digests = (0..servers)
         .map(|i| {
             let state = deployment.server(i).state();
@@ -138,6 +159,7 @@ fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
         committed: deployment.trace.committed_count_by(SimTime::from_secs(end)),
         epochs,
         digests,
+        invariants,
     }
 }
 
@@ -271,6 +293,7 @@ fn runs_match_the_golden_fingerprints() {
         let (algorithm, auth, servers, rate, injection_secs, seed) = shape;
         let fp = run_once_at(algorithm, seed, auth, servers, rate, injection_secs);
         fp.assert_golden(want, &shape);
+        fp.assert_properties_checked(&shape);
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
     }
 }
@@ -338,6 +361,7 @@ fn front_door_branches_match_their_golden_fingerprints() {
         let (algorithm, auth, branch) = shape;
         let fp = run_builder(branch.apply(builder_at(algorithm, 71, auth, 4, 400.0, 3)));
         fp.assert_golden(want, &shape);
+        fp.assert_properties_checked(&shape);
         if branch.fault_free() {
             assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
         }

@@ -84,7 +84,7 @@ fn setchain_entry_points() {
         .map(|i| Element::new(&keys, ElementId::new(0, i), 64, i))
         .collect();
     let mut state = SetchainState::new();
-    let epoch = state.record_epoch(elements);
+    let epoch = state.record_epoch(elements, None);
     assert_eq!(epoch, 1);
     assert_eq!(state.epoch(), 1);
     assert!(state.check_consistent_sets());
