@@ -159,7 +159,7 @@ mod tests {
             height: 3,
             proposer: ProcessId::server(1),
             proposed_at: SimTime::ZERO,
-            txs: vec![Tx(1, 100), Tx(2, 200)],
+            txs: vec![Tx(1, 100), Tx(2, 200)].into(),
         }
     }
 
@@ -173,7 +173,10 @@ mod tests {
             block: b.clone(),
             signature: sig,
         };
-        assert!(proposal.wire_size() > 300);
+        // Pinned exactly: simulated bandwidth sets the schedule, so the size
+        // must not move with the field types. Header 96 + signature 64 +
+        // payload 300 + 8 per transaction.
+        assert_eq!(proposal.wire_size(), 476);
         let vote: NetMsg<Tx, AppMsg> = NetMsg::Vote {
             kind: VoteKind::Prevote,
             height: 3,
@@ -195,7 +198,8 @@ mod tests {
             block: b,
             certificate: vec![sig; 3],
         };
-        assert!(resp.wire_size() > 300 + 3 * 72);
+        // The proposal's 476 bytes plus 72 per certificate signature.
+        assert_eq!(resp.wire_size(), 476 + 3 * 72);
     }
 
     #[test]

@@ -141,7 +141,9 @@ pub struct LedgerNode<A: Application> {
     voted_prevote: HashSet<(u64, u32)>,
     voted_precommit: HashSet<u64>,
 
-    /// Committed blocks with their commit certificates, by height.
+    /// Committed blocks with their commit certificates, by height. Each
+    /// block's transaction list is the allocation the proposer made, shared
+    /// with every other validator that holds the block.
     committed: BTreeMap<u64, (Block<A::Tx>, Vec<Signature>)>,
     /// Highest height seen referenced by any peer (used to trigger sync).
     max_seen_height: u64,
@@ -339,7 +341,7 @@ impl<A: Application> LedgerNode<A> {
             height: self.height,
             proposer: self.id,
             proposed_at: ctx.now(),
-            txs,
+            txs: txs.into(),
         };
         self.stats.proposals_made += 1;
 
@@ -347,9 +349,14 @@ impl<A: Application> LedgerNode<A> {
             // Send two conflicting blocks: one with all transactions, one
             // with the order of the first two swapped, split across peers.
             // Each variant is built and signed exactly once and Arc-shared
-            // across its half of the recipients.
-            let mut alt = block.clone();
-            alt.txs.swap(0, 1);
+            // across its half of the recipients; only the swapped variant
+            // needs a transaction list of its own.
+            let mut swapped = block.txs.to_vec();
+            swapped.swap(0, 1);
+            let alt = Block {
+                txs: swapped.into(),
+                ..block.clone()
+            };
             let alt_signature = sign_with(
                 &self.own_key,
                 self.id,
@@ -676,6 +683,8 @@ impl<A: Application> LedgerNode<A> {
             return;
         }
         if let Some((block, cert)) = self.committed.get(&height) {
+            // `block.clone()` shares the transaction list: the requester
+            // commits the allocation this node holds.
             ctx.send(
                 from,
                 NetMsg::BlockSyncResponse {
@@ -962,7 +971,7 @@ mod tests {
             _ctx: &mut AppCtx<'_, '_, '_, TestTx, TestMsg>,
         ) {
             self.blocks_seen += 1;
-            for tx in &block.txs {
+            for tx in block.txs.iter() {
                 self.committed.push((block.height, tx.id));
             }
         }
@@ -1159,12 +1168,87 @@ mod tests {
         assert!(node.stats().round_timeouts >= 1);
     }
 
+    fn node(cluster: &Cluster, i: usize) -> &Node {
+        cluster
+            .sim
+            .process(ProcessId::server(i))
+            .expect("node exists")
+    }
+
+    /// Asserts that every height `of` committed holds the very transaction
+    /// list `reference` holds for it: one allocation per height, not a copy
+    /// per validator.
+    fn assert_blocks_shared(cluster: &Cluster, reference: usize, of: usize) {
+        let (r, o) = (node(cluster, reference), node(cluster, of));
+        let heights = o.committed_heights();
+        assert!(!heights.is_empty(), "node {of} committed nothing");
+        for h in heights {
+            let mine = &o.committed_block(h).unwrap().txs;
+            let theirs = &r.committed_block(h).expect("reference is ahead").txs;
+            assert!(
+                Arc::ptr_eq(mine, theirs),
+                "height {h}: node {of} holds its own copy"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_blocks_share_one_allocation_across_validators() {
+        // Node 3 misses the first 10 s and gets those blocks through
+        // `BlockSyncResponse`; the synced blocks are shared all the same.
+        let mut cluster = build_cluster(4, vec![], 11);
+        let minority = [ProcessId::server(3)];
+        let majority = [0, 1, 2].map(ProcessId::server);
+        cluster
+            .sim
+            .add_partition(setchain_simnet::Partition::between(minority, majority));
+        for i in 0..80u128 {
+            submit(
+                &mut cluster.sim,
+                100 + i as u64 * 200,
+                (i % 3) as usize,
+                i,
+                150,
+            );
+        }
+        cluster.sim.run_until(SimTime::from_secs(10));
+        cluster.sim.heal_all_partitions();
+        cluster.sim.run_until(SimTime::from_secs(30));
+        assert!(node(&cluster, 3).stats().synced_blocks > 0, "node 3 synced");
+        assert_eq!(node(&cluster, 0).stats().txs_committed, 80);
+        for of in 1..cluster.n {
+            assert_blocks_shared(&cluster, 0, of);
+        }
+    }
+
     #[test]
     fn equivocating_proposer_does_not_split_correct_nodes() {
         let mut cluster = build_cluster(4, vec![(1, ByzMode::EquivocatingProposer)], 8);
         for i in 0..30u128 {
             submit(&mut cluster.sim, 100 + i as u64 * 10, 0, i, 150);
         }
+        // Height 1 is server 1's: node 0 and the proposer itself receive the
+        // primary block, nodes 2 and 3 the swapped variant. Catch both in the
+        // proposal stores before the round times out.
+        cluster.sim.run_until(SimTime::from_millis(1500));
+        let proposal = |i: usize| {
+            let store = &node(&cluster, i).proposal_store;
+            assert_eq!(store.len(), 1, "node {i}: one proposal for height 1");
+            let block = store.values().next().unwrap();
+            assert_eq!(block.proposer, ProcessId::server(1));
+            (block.id(), Arc::clone(&block.txs))
+        };
+        let (primary_id, primary) = proposal(0);
+        let (alt_id, alt) = proposal(2);
+        assert_ne!(primary_id, alt_id);
+        assert!(primary.len() >= 2);
+        assert!(
+            !Arc::ptr_eq(&primary, &alt),
+            "the swap has its own allocation"
+        );
+        assert!(Arc::ptr_eq(&primary, &proposal(1).1));
+        assert!(Arc::ptr_eq(&alt, &proposal(3).1));
+
         cluster.sim.run_until(SimTime::from_secs(40));
         let a = committed_sequence(&cluster, 0);
         let b = committed_sequence(&cluster, 2);
@@ -1172,6 +1256,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert!(!a.is_empty());
+        for of in [2, 3] {
+            assert_blocks_shared(&cluster, 0, of);
+        }
     }
 
     #[test]
@@ -1323,7 +1410,7 @@ mod tests {
             height: 1,
             proposer: ProcessId::server(1),
             proposed_at: SimTime::ZERO,
-            txs: vec![TestTx { id: 1, size: 100 }],
+            txs: vec![TestTx { id: 1, size: 100 }].into(),
         };
         let bytes = certificate_sign_bytes(1, &block.id());
         let stranger = KeyPair::derive(ProcessId::server(50), 555);

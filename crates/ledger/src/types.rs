@@ -1,6 +1,7 @@
 //! Core ledger types: transactions, blocks and configuration.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use setchain_crypto::{Digest256, ProcessId, Sha256};
@@ -26,7 +27,10 @@ impl TxId {
 /// payload, it only needs an identifier for de-duplication and a wire size
 /// for block packing and bandwidth modelling. This mirrors CometBFT, for
 /// which transactions are opaque byte strings.
-pub trait TxData: Clone + Debug + Send + 'static {
+///
+/// `Sync` because a block's transaction list is one shared allocation that
+/// every validator holding the block reads (see [`Block::txs`]).
+pub trait TxData: Clone + Debug + Send + Sync + 'static {
     /// Unique identifier of this transaction.
     fn tx_id(&self) -> TxId;
     /// Serialized size in bytes (used for block packing and bandwidth).
@@ -47,7 +51,12 @@ pub struct Block<T> {
     /// Simulated time at which the proposer created the block.
     pub proposed_at: SimTime,
     /// Transactions, in the proposer-chosen (and therefore total) order.
-    pub txs: Vec<T>,
+    ///
+    /// Shared and immutable: the proposal fan-out, every validator's
+    /// proposal store and committed chain, and block-sync responses all
+    /// hold the one allocation the proposer made, so cloning a block is a
+    /// refcount bump.
+    pub txs: Arc<[T]>,
 }
 
 impl<T: TxData> Block<T> {
@@ -81,7 +90,7 @@ impl<T: TxData> Block<T> {
         let mut h = Sha256::new();
         frame(&mut h, &self.height.to_le_bytes());
         frame(&mut h, &self.proposer.0.to_le_bytes());
-        for tx in &self.txs {
+        for tx in self.txs.iter() {
             frame(&mut h, &tx.tx_id().0.to_le_bytes());
         }
         BlockId(h.finalize())
@@ -187,10 +196,10 @@ mod tests {
             height: 1,
             proposer: ProcessId::server(0),
             proposed_at: SimTime::ZERO,
-            txs: vec![DummyTx(1, 10), DummyTx(2, 20)],
+            txs: vec![DummyTx(1, 10), DummyTx(2, 20)].into(),
         };
         let mut b2 = b1.clone();
-        b2.txs.push(DummyTx(3, 5));
+        b2.txs = [&b1.txs[..], &[DummyTx(3, 5)]].concat().into();
         let mut b3 = b1.clone();
         b3.height = 2;
         assert_ne!(b1.id(), b2.id());
@@ -209,13 +218,13 @@ mod tests {
             height: 9,
             proposer: ProcessId::server(2),
             proposed_at: SimTime::ZERO,
-            txs: vec![DummyTx(11, 10), DummyTx(22, 20), DummyTx(33, 5)],
+            txs: vec![DummyTx(11, 10), DummyTx(22, 20), DummyTx(33, 5)].into(),
         };
         let mut parts: Vec<Vec<u8>> = vec![
             b.height.to_le_bytes().to_vec(),
             b.proposer.0.to_le_bytes().to_vec(),
         ];
-        for tx in &b.txs {
+        for tx in b.txs.iter() {
             parts.push(tx.tx_id().0.to_le_bytes().to_vec());
         }
         assert_eq!(b.id().0, setchain_crypto::framed_hash(&parts));

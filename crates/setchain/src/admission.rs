@@ -161,14 +161,15 @@ impl AdmissionCache {
     }
 
     /// Records the verdict for this exact sealed batch, replacing whatever
-    /// was cached under its root.
-    pub fn record_root(&mut self, batch: &crate::batch_auth::AuthedBatch, verdict: bool) {
+    /// was cached under its root. The entry keeps its own copy of the
+    /// element list: a later probe must match it element for element.
+    pub fn record_root(&mut self, sealed: &crate::batch_auth::AuthedBatch, verdict: bool) {
         self.roots.insert(
-            batch.root,
+            sealed.root,
             RootEntry {
-                client: batch.client,
-                mac: batch.mac,
-                elements: batch.elements.clone(),
+                client: sealed.client,
+                mac: sealed.mac,
+                elements: sealed.elements.clone(),
                 verdict,
             },
         );

@@ -174,6 +174,16 @@ impl SetchainServer {
         }
     }
 
+    /// Hashchain's per-server state, for tests that inspect its batch
+    /// registry.
+    #[cfg(test)]
+    pub(crate) fn hashchain(&self) -> Option<&Hashchain> {
+        match &self.variant {
+            Variant::Hashchain(h) => Some(h),
+            _ => None,
+        }
+    }
+
     /// The add front door, shared by `Add`, `AddBatch` and `BatchedAdd`
     /// (`envelope` is the sealed batch the elements arrived in, if any).
     fn handle_adds(

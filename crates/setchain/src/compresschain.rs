@@ -137,7 +137,7 @@ impl Compresschain {
     ) {
         let now = ctx.now();
         let validate = core.config.decompress_validate;
-        for tx in &block.txs {
+        for tx in block.txs.iter() {
             let SetchainTx::Compressed(cb) = tx else {
                 continue;
             };

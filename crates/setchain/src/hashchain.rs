@@ -128,6 +128,10 @@ impl SharedBatchRegistry {
 /// when this server computed that hash itself (flushed, or verified a
 /// response or push); `None` for contents taken on trust from the light
 /// ablation's shared registry.
+///
+/// `batch` is the flushing server's allocation: a response or push carries
+/// that `Arc`, and the receiver keeps it once it hashes right, so a run holds
+/// one copy of each batch however many servers know it.
 #[derive(Clone)]
 struct KnownBatch {
     batch: Arc<Batch>,
@@ -145,9 +149,10 @@ struct PendingRequest {
 /// Hashchain's per-server state.
 pub(crate) struct Hashchain {
     pub(crate) collector: Collector,
-    /// `hash_to_batch`: batches whose contents this server knows. Stored
-    /// behind `Arc` so repeated queue processing (one pass per hash-batch
-    /// signer) shares the contents instead of cloning the element vector.
+    /// `hash_to_batch`: batches whose contents this server knows, keyed by
+    /// the hash they were checked against. Each entry shares the origin's
+    /// `Arc` (see [`KnownBatch`]); queue processing, serving a request and
+    /// pushing all hand out refcount bumps, never a copy of the contents.
     hash_to_batch: HashMap<Digest512, KnownBatch>,
     /// `hash_to_signers`: servers whose hash-batches for a hash have been
     /// observed on the ledger. Ordered, because `fail_request` picks its
@@ -238,21 +243,13 @@ impl Hashchain {
         // Push-based dissemination variant: ship the batch contents to every
         // other server out of band, so that when the hash-batch lands in a
         // block they already hold the contents and skip `Request_batch`.
-        // The batch is cloned into the message once and Arc-shared across
-        // all recipients by `broadcast_app`.
+        // The message carries the registered `Arc` itself.
         if core.config.push_batches {
             let me = core.id();
             let peers = (0..core.config.servers)
                 .map(ProcessId::server)
                 .filter(|p| *p != me);
-            ctx.broadcast_app(
-                peers,
-                SetchainMsg::PushBatch {
-                    hash,
-                    elements: batch.elements.clone(),
-                    proofs: batch.proofs.clone(),
-                },
-            );
+            ctx.broadcast_app(peers, SetchainMsg::PushBatch { hash, batch });
         }
     }
 
@@ -494,7 +491,7 @@ impl Hashchain {
         block: &Block<SetchainTx>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        for tx in &block.txs {
+        for tx in block.txs.iter() {
             let SetchainTx::HashBatch(hb) = tx else {
                 continue;
             };
@@ -534,31 +531,22 @@ impl Hashchain {
                 }
                 if let Some(KnownBatch { batch, .. }) = self.hash_to_batch.get(&hash) {
                     core.stats.batch_requests_served += 1;
-                    ctx.send_app(
-                        from,
-                        SetchainMsg::BatchResponse {
-                            hash,
-                            elements: batch.elements.clone(),
-                            proofs: batch.proofs.clone(),
-                        },
-                    );
+                    let batch = Arc::clone(batch);
+                    ctx.send_app(from, SetchainMsg::BatchResponse { hash, batch });
                 }
             }
-            SetchainMsg::BatchResponse {
-                hash,
-                elements,
-                proofs,
-            } => {
+            SetchainMsg::BatchResponse { hash, batch } => {
                 let head_waiting = self.head_waits_for(&hash);
                 let expected = head_waiting || self.prefetched.contains_key(&hash);
                 if !expected || self.hash_to_batch.contains_key(&hash) {
                     return;
                 }
-                let batch = Batch { elements, proofs };
+                // Shared contents are checked exactly like owned ones: hashed
+                // and charged in full before the `Arc` is kept.
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
                 if got == hash {
-                    self.remember(hash, Arc::new(batch), root);
+                    self.remember(hash, batch, root);
                     self.prefetched.remove(&hash);
                     if head_waiting {
                         self.waiting = None;
@@ -573,24 +561,19 @@ impl Hashchain {
                     self.prefetched.remove(&hash);
                 }
             }
-            SetchainMsg::PushBatch {
-                hash,
-                elements,
-                proofs,
-            } => {
+            SetchainMsg::PushBatch { hash, batch } => {
                 // Push-based dissemination: accept the contents only if they
                 // really hash to the claimed value (a Byzantine pusher cannot
                 // plant wrong contents for a hash).
                 if self.hash_to_batch.contains_key(&hash) {
                     return;
                 }
-                let batch = Batch { elements, proofs };
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
                 if got != hash {
                     return;
                 }
-                self.remember(hash, Arc::new(batch), root);
+                self.remember(hash, batch, root);
                 self.prefetched.remove(&hash);
                 if self.head_waits_for(&hash) {
                     self.waiting = None;
@@ -624,9 +607,14 @@ impl Hashchain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::SetchainServer;
     use crate::element::{Element, ElementId};
     use crate::proofs::make_epoch_proof;
+    use crate::trace::SetchainTrace;
+    use crate::Algorithm;
     use setchain_crypto::KeyRegistry;
+    use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace, NetMsg};
+    use setchain_simnet::{NetworkConfig, Simulation, SimulationConfig};
 
     fn registry() -> KeyRegistry {
         KeyRegistry::bootstrap(31, 4, 2)
@@ -754,5 +742,151 @@ mod tests {
         // Clones share the same storage.
         let alias = shared.clone();
         assert_eq!(alias.len(), 1);
+    }
+
+    #[test]
+    fn a_shared_batch_that_hashes_wrong_is_dropped_and_fails_the_request() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let mut h = Hashchain::new(&core.config, None);
+            let honest = Arc::new(Batch {
+                elements: elements(registry, 0..10),
+                proofs: vec![],
+            });
+            let hash = batch_hash(&honest.elements, &honest.proofs);
+            // Servers 1 and 2 both put `hash` on the ledger; the queue head
+            // waits on server 1.
+            let [s1, s2] = [1, 2].map(ProcessId::server);
+            for s in [s1, s2] {
+                let keys = registry.lookup(s).unwrap();
+                h.block_queue.push_back(HashBatch::new(&keys, hash));
+            }
+            h.waiting = Some(PendingRequest {
+                hash,
+                asked: vec![s1],
+                deadline: ctx.now() + core.config.request_timeout,
+            });
+
+            // Server 1 answers with contents that miss one element.
+            let lie = Arc::new(Batch {
+                elements: elements(registry, 0..9),
+                proofs: vec![],
+            });
+            let batch = Arc::clone(&lie);
+            h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
+            assert!(!h.hash_to_batch.contains_key(&hash), "a lie is not kept");
+            assert_eq!(Arc::strong_count(&lie), 1, "nothing holds the lie");
+            // `fail_request` moved on to the other signer.
+            assert_eq!(h.waiting.as_ref().unwrap().asked, vec![s1, s2]);
+            assert_eq!(core.stats.batch_requests_sent, 1);
+            assert_eq!(core.stats.batch_requests_failed, 0);
+
+            // Server 2's honest answer is kept as the very allocation sent,
+            // and the queue drains into an epoch.
+            let batch = Arc::clone(&honest);
+            h.on_batch_message(core, s2, SetchainMsg::BatchResponse { hash, batch }, ctx);
+            assert!(Arc::ptr_eq(&h.hash_to_batch[&hash].batch, &honest));
+            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert_eq!(core.state.epoch(), 1);
+
+            // With no signer left to ask, a lie skips the hash-batch.
+            let hash = batch_hash(&elements(registry, 20..30), &[]);
+            let keys = registry.lookup(s1).unwrap();
+            h.block_queue.push_back(HashBatch::new(&keys, hash));
+            h.waiting = Some(PendingRequest {
+                hash,
+                asked: vec![s1],
+                deadline: ctx.now() + core.config.request_timeout,
+            });
+            let batch = Arc::clone(&lie);
+            h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
+            assert!(!h.hash_to_batch.contains_key(&hash));
+            assert_eq!(core.stats.batch_requests_failed, 1);
+            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert_eq!(core.state.epoch(), 1);
+        });
+    }
+
+    /// Runs a healthy four-server Hashchain deployment under `config`: one
+    /// client sends 600 elements over the first 3 s, round-robin over the
+    /// servers, and the run stops at 15 s.
+    fn healthy_run(config: SetchainConfig) -> Simulation<NetMsg<SetchainTx, SetchainMsg>> {
+        let n = config.servers;
+        let registry = KeyRegistry::bootstrap(41, n, 1);
+        let trace = SetchainTrace::new();
+        let mut sim = Simulation::new(SimulationConfig {
+            seed: 41,
+            network: NetworkConfig::lan(),
+        });
+        for i in 0..n {
+            let id = ProcessId::server(i);
+            let keys = registry.lookup(id).unwrap();
+            let core = ServerCore::new(
+                keys,
+                registry.clone(),
+                config.clone(),
+                trace.clone(),
+                ServerByzMode::Correct,
+            );
+            let app = SetchainServer::new(Algorithm::Hashchain, core, SharedBatchRegistry::new());
+            let node = LedgerNode::new(
+                id,
+                LedgerConfig::with_validators(n),
+                keys,
+                registry.clone(),
+                app,
+                LedgerTrace::new(),
+                ByzMode::Correct,
+            );
+            sim.add_process(id, Box::new(node));
+        }
+        for (k, chunk) in elements(&registry, 0..600).chunks(20).enumerate() {
+            sim.schedule_message(
+                SimTime::from_millis(100 + 100 * k as u64),
+                ProcessId::client(0),
+                ProcessId::server(k % n),
+                NetMsg::App(SetchainMsg::AddBatch(chunk.to_vec())),
+            );
+        }
+        sim.run_until(SimTime::from_secs(15));
+        sim
+    }
+
+    /// Every batch hash known anywhere in the run is one allocation: each
+    /// server that knows it holds the `Arc` its origin flushed.
+    fn assert_one_allocation_per_hash(config: SetchainConfig) {
+        let sim = healthy_run(config);
+        let servers: Vec<&Hashchain> = (0..4)
+            .map(|i| {
+                let node: &LedgerNode<SetchainServer> = sim.process(ProcessId::server(i)).unwrap();
+                node.app().hashchain().unwrap()
+            })
+            .collect();
+        let mut first: HashMap<Digest512, &Arc<Batch>> = HashMap::new();
+        for (i, server) in servers.iter().enumerate() {
+            for (hash, known) in &server.hash_to_batch {
+                let seen = *first.entry(*hash).or_insert(&known.batch);
+                assert!(
+                    Arc::ptr_eq(&known.batch, seen),
+                    "server {i} holds its own copy of a batch"
+                );
+            }
+        }
+        let known_everywhere = first
+            .keys()
+            .filter(|h| servers.iter().all(|s| s.hash_to_batch.contains_key(h)))
+            .count();
+        // 600 elements at collector limit 100 make at least six element
+        // batches, and epoch-proofs keep more coming; all reached everyone.
+        assert!(known_everywhere >= 6, "{known_everywhere} shared batches");
+    }
+
+    #[test]
+    fn every_server_shares_the_origin_batch_after_a_healthy_run() {
+        assert_one_allocation_per_hash(SetchainConfig::new(4));
+    }
+
+    #[test]
+    fn pushed_batches_share_the_origin_batch_too() {
+        assert_one_allocation_per_hash(SetchainConfig::new(4).with_push_batches());
     }
 }

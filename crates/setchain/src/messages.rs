@@ -1,10 +1,13 @@
 //! Application-level messages: the client-facing Setchain API (`add`, `get`)
 //! and the server-to-server hash-reversal protocol used by Hashchain.
 
+use std::sync::Arc;
+
 use setchain_crypto::Digest512;
 use setchain_simnet::Wire;
 
 use crate::batch_auth::AuthedBatch;
+use crate::collector::Batch;
 use crate::element::Element;
 use crate::proofs::{EpochProof, EPOCH_PROOF_WIRE_LEN};
 
@@ -81,10 +84,10 @@ pub enum SetchainMsg {
     BatchResponse {
         /// Hash of the batch (echoed).
         hash: Digest512,
-        /// Elements of the batch.
-        elements: Vec<Element>,
-        /// Epoch-proofs of the batch.
-        proofs: Vec<EpochProof>,
+        /// The batch contents: the responder's own allocation, which the
+        /// receiver keeps once it hashes to `hash`. On the wire this is the
+        /// elements and proofs in full (see `wire_size`).
+        batch: Arc<Batch>,
     },
     /// Proactive batch dissemination (the push-based Hashchain variant from
     /// the paper's discussion): the flushing server ships the batch contents
@@ -94,10 +97,9 @@ pub enum SetchainMsg {
     PushBatch {
         /// Hash of the pushed batch.
         hash: Digest512,
-        /// Elements of the batch.
-        elements: Vec<Element>,
-        /// Epoch-proofs of the batch.
-        proofs: Vec<EpochProof>,
+        /// The batch contents, shared with the flushing server as in
+        /// [`SetchainMsg::BatchResponse`].
+        batch: Arc<Batch>,
     },
     /// Overload shed (see [`crate::quota`]): the server refused an
     /// `Add`/`AddBatch`/`BatchedAdd` submission because the sender is over
@@ -173,16 +175,8 @@ impl Wire for SetchainMsg {
             SetchainMsg::CatchupResponse { epochs } => {
                 MSG_HEADER + epochs.iter().map(|b| b.wire_size()).sum::<usize>()
             }
-            SetchainMsg::BatchResponse {
-                elements, proofs, ..
-            }
-            | SetchainMsg::PushBatch {
-                elements, proofs, ..
-            } => {
-                MSG_HEADER
-                    + 64
-                    + elements.iter().map(|e| e.wire_size()).sum::<usize>()
-                    + proofs.len() * EPOCH_PROOF_WIRE_LEN
+            SetchainMsg::BatchResponse { batch, .. } | SetchainMsg::PushBatch { batch, .. } => {
+                MSG_HEADER + 64 + batch.wire_size()
             }
         }
     }
@@ -231,13 +225,23 @@ mod tests {
             40
         );
         // A batch response carrying the real batch contents is what makes
-        // hash reversal expensive on the wire.
-        let resp = SetchainMsg::BatchResponse {
-            hash: sha512(b"h"),
+        // hash reversal expensive on the wire. Sharing the batch behind an
+        // `Arc` must not change what it costs: header 32 + hash 64 + every
+        // element in full, pinned exactly because simulated bandwidth sets
+        // the schedule.
+        let batch = Arc::new(Batch {
             elements: vec![e; 100],
             proofs: vec![],
+        });
+        let hash = sha512(b"h");
+        let resp = SetchainMsg::BatchResponse {
+            hash,
+            batch: Arc::clone(&batch),
         };
-        assert!(resp.wire_size() > 100 * 438);
+        assert_eq!(resp.wire_size(), 32 + 64 + 100 * 438);
+        assert_eq!(resp.wire_size(), 43_896);
+        let push = SetchainMsg::PushBatch { hash, batch };
+        assert_eq!(push.wire_size(), 43_896);
     }
 
     #[test]

@@ -1069,7 +1069,7 @@ impl ServerCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::element::ElementId;
     use crate::proofs::{epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
@@ -1323,7 +1323,7 @@ mod tests {
 
     /// Runs `body` against server 0's core, `epochs` committed epochs in,
     /// and a live context.
-    fn with_core<F>(epochs: u64, body: F)
+    pub(crate) fn with_core<F>(epochs: u64, body: F)
     where
         F: FnOnce(&mut ServerCore, &KeyRegistry, &mut Ctx<'_, '_, '_>) + Send + 'static,
     {

@@ -69,7 +69,7 @@ pub(crate) fn finalize_block(
 ) {
     let now = ctx.now();
     // 1. Extract the valid epoch-proofs of the block.
-    for tx in &block.txs {
+    for tx in block.txs.iter() {
         if let SetchainTx::Proof(p) = tx {
             core.ingest_proof(*p, now, ctx);
         }

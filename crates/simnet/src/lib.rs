@@ -32,7 +32,12 @@
 //!   always safe;
 //! * a sender that retains a clone of the `Arc` it enqueued forces every
 //!   recipient down the clone path — hand the last `Arc` over to keep
-//!   deliveries copy-free.
+//!   deliveries copy-free;
+//! * a payload that receivers only read (a block's transactions, a
+//!   Hashchain batch) travels as an `Arc` field inside the message, so the
+//!   clone at delivery is a refcount bump and every recipient keeps the
+//!   sender's one allocation. Wire sizes are computed from the contents, so
+//!   sharing them changes no simulated byte.
 //!
 //! Determinism: given the same seed and the same set of processes, a
 //! simulation produces exactly the same schedule, which makes every figure in
