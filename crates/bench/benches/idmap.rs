@@ -4,9 +4,12 @@
 //! in collector-sized batches, and about four more times as a probe.
 //!
 //! `FxHashMap` is the container the servers used before `IdMap`, driven the
-//! way they drove it (`reserve` per batch). The hostile stream — ids that
-//! differ only above bit 40 — is what an `FxHasher`-keyed table degrades on
-//! and what `IdMap`'s fallback must take in linear time.
+//! way they drove it (`reserve` per batch). The quota-shed stream is one
+//! flooding client's admitted ids: runs of one tick's worth with the shed
+//! ticks' ids missing between them, which `IdMap`'s pages keep out of its
+//! fallback. The hostile stream — ids that differ only above bit 40 — is
+//! what an `FxHasher`-keyed table degrades on and what `IdMap`'s fallback
+//! must take in linear time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use setchain::{ElementId, IdMap};
@@ -19,6 +22,10 @@ const PROBES: usize = 4;
 /// The `FxHashMap` row is quadratic in this (80,000 ids take 11 s per
 /// iteration), so the smoke job gets a stream it can finish.
 const HOSTILE_IDS: u32 = 20_000;
+/// `hash_flood`'s shed pattern: one 20 ms tick of a 12,500 el/s flood is
+/// admitted, then the 2,000 el/s bucket sheds the next five.
+const SHED_RUN: u64 = 250;
+const SHED_STRIDE: u64 = 1_500;
 
 /// The two containers behind one face, so both run the same replay.
 trait Table: Default {
@@ -76,11 +83,21 @@ fn replay<T: Table>(ids: &[ElementId]) -> u64 {
     sum
 }
 
+/// How many of `ids` one `IdMap` files in its hash fallback.
+fn fallback_len(ids: &[ElementId]) -> usize {
+    let mut map = IdMap::default();
+    for id in ids {
+        map.insert(*id, id.0);
+    }
+    map.fallback_len()
+}
+
 fn bench_idmap(c: &mut Criterion) {
     // Four injection clients minting sequence numbers in step.
     let honest: Vec<ElementId> = (0..IDS)
         .map(|i| ElementId::new((i % 4) as u32, i / 4))
         .collect();
+    assert_eq!(fallback_len(&honest), 0);
     let mut group = c.benchmark_group("idmap/honest_4x500k");
     group.throughput(Throughput::Elements(IDS * TABLES as u64));
     group.bench_function("IdMap", |b| {
@@ -91,10 +108,26 @@ fn bench_idmap(c: &mut Criterion) {
     });
     group.finish();
 
+    // One quota-shed client, as many admitted ids as the honest stream.
+    let shed: Vec<ElementId> = (0..IDS)
+        .map(|i| ElementId::new(0, i / SHED_RUN * SHED_STRIDE + i % SHED_RUN))
+        .collect();
+    assert_eq!(fallback_len(&shed), 0);
+    let mut group = c.benchmark_group("idmap/quota_shed");
+    group.throughput(Throughput::Elements(IDS * TABLES as u64));
+    group.bench_function("IdMap", |b| {
+        b.iter(|| replay::<IdMap<u64>>(black_box(&shed)))
+    });
+    group.bench_function("FxHashMap", |b| {
+        b.iter(|| replay::<FxHashMap<ElementId, u64>>(black_box(&shed)))
+    });
+    group.finish();
+
     // Same `seq`, different client, far from any row: all fallback.
     let hostile: Vec<ElementId> = (0..HOSTILE_IDS)
         .map(|client| ElementId::new(client, 1 << 39))
         .collect();
+    assert_eq!(fallback_len(&hostile), HOSTILE_IDS as usize);
     let mut group = c.benchmark_group("idmap/same_seq_20k");
     group.throughput(Throughput::Elements(u64::from(HOSTILE_IDS) * TABLES as u64));
     group.bench_function("IdMap", |b| {

@@ -98,6 +98,12 @@ impl AdmissionCache {
         self.entries.is_empty()
     }
 
+    /// Number of cached verdicts held in the element index's hash fallback
+    /// rather than its per-client rows.
+    pub fn fallback_len(&self) -> usize {
+        self.entries.fallback_len()
+    }
+
     /// Probes that were answered from the cache.
     pub fn hits(&self) -> u64 {
         self.hits

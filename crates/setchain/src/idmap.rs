@@ -1,31 +1,50 @@
 //! The element index: a map keyed by [`ElementId`] that stores honest ids in
-//! dense per-client rows and everything else in a hash map.
+//! paged per-client rows and everything else in a hash map.
 //!
 //! An [`ElementId`] is `client_index << 40 | seq`, and honest clients mint
 //! `seq` = 0, 1, 2, …, so the entries of one client form an array: `rows[c]`
-//! holds client `c`'s values in slots indexed by `seq`. A lookup is two
-//! bounds checks, an insert of the next sequence number is a push, and no
-//! table is ever rehashed.
+//! holds client `c`'s values in slots indexed by `seq`. The slots come in
+//! pages of `PAGE` = 64, allocated on first use, and a per-row page table
+//! maps `seq / PAGE` to a page. A lookup is three bounds checks, the next
+//! id of a client fills the next slot of its last page, and no table is
+//! ever rehashed. Paging is what keeps a quota-shed client in its row: its
+//! admitted ids come in runs (one tick's worth) with long shed gaps between
+//! them, and a run only touches the few pages it covers.
 //!
-//! Ids are chosen by the sender and are not bound to the signer, so the dense
-//! part is sized by what it *holds*, never by what an id *claims*. A row
-//! accepts `seq` only if it is already covered (`seq < slots.len()`) or lies
-//! within twice the entries the row stores plus 64; the same rule decides
-//! which client indices get a row at all. Hence a row never has more than
-//! `2 · filled + 64` slots, and a forged id at `seq = 2^40 − 1` or
-//! `client_index = 2^24 − 1` allocates nothing. Whatever does not fit lands
-//! in the fallback hash map — still found, still counted, at the price every
-//! id paid before this container existed. An id parked in the fallback while
-//! its row was short is looked up there until its next insert, which moves it
-//! into the row.
+//! Ids are chosen by the sender and are not bound to the signer, so the rows
+//! are sized by what they *hold*, never by what an id *claims*:
+//!
+//! * a new page is allocated only while the row's pages hold at most
+//!   `2 · filled + 64` slots, so a row never holds more than
+//!   `2 · filled + 64 + PAGE` slots;
+//! * a page index is accepted only if it is already in the page table or is
+//!   at most `PAGE · pages + 64`, so the 4-byte table entries never outweigh
+//!   the pages they index;
+//! * a client index gets a row only if it is already covered or is at most
+//!   twice the live rows plus 64.
+//!
+//! A forged id at `seq = 2^40 − 1` or `client_index = 2^24 − 1` therefore
+//! allocates nothing. Whatever does not fit lands in the fallback hash map —
+//! still found, still counted, at the price every id paid before this
+//! container existed. An id parked in the fallback while its row was short
+//! is looked up there until its next overwriting insert, which moves it into
+//! the row.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::element::ElementId;
 
-/// Indices a row (or the row table) accepts beyond twice what it stores.
+/// Indices a row, its page table or the row table accept beyond what the
+/// entries they hold justify.
 const SLACK: u64 = 64;
+
+/// Slots per page.
+const PAGE: usize = 64;
+
+/// A page-table entry with no page behind it.
+const NO_PAGE: u32 = u32::MAX;
 
 type Fallback<V> = HashMap<ElementId, V, BuildHasherDefault<IdHasher>>;
 
@@ -67,18 +86,50 @@ impl Hasher for IdHasher {
     }
 }
 
-/// The density rule shared by rows and the row table: `index` is already
-/// covered, or within twice the stored entries plus [`SLACK`].
+/// The row-table rule: `index` is already covered, or within twice the live
+/// rows plus [`SLACK`].
 #[inline]
 fn fits(index: u64, len: usize, filled: usize) -> bool {
     index < len as u64 || index <= 2 * filled as u64 + SLACK
 }
 
-/// One client's values, indexed by sequence number.
+/// One client's values, indexed by sequence number through a page table.
 #[derive(Clone, Debug)]
 struct Row<V> {
-    slots: Vec<Option<V>>,
+    /// `table[seq / PAGE]` is the index in `pages` of the page holding
+    /// `seq`, or [`NO_PAGE`].
+    table: Vec<u32>,
+    /// Pages in allocation order; `seq`'s slot is `seq % PAGE` in its page.
+    pages: Vec<[Option<V>; PAGE]>,
     filled: usize,
+}
+
+impl<V> Default for Row<V> {
+    fn default() -> Self {
+        Row {
+            table: Vec::new(),
+            pages: Vec::new(),
+            filled: 0,
+        }
+    }
+}
+
+impl<V> Row<V> {
+    /// The page-table entry for `seq`: an index into `pages`, or
+    /// [`NO_PAGE`] when the table does not reach `seq`. `pages` never grows
+    /// to `NO_PAGE` entries (see `IdMap::place`), so a bounds check on
+    /// `pages` rejects both.
+    #[inline]
+    fn entry(&self, seq: u64) -> usize {
+        let page = seq / PAGE as u64;
+        // `seq < 2^40`, but compare before narrowing so a 32-bit `usize`
+        // cannot alias a far page onto a near one.
+        if page < self.table.len() as u64 {
+            self.table[page as usize] as usize
+        } else {
+            NO_PAGE as usize
+        }
+    }
 }
 
 /// A map from [`ElementId`] to `V` (see the module docs).
@@ -116,16 +167,19 @@ impl<V: Copy> IdMap<V> {
         self.len() == 0
     }
 
+    /// Number of entries held in the fallback hash map rather than the rows.
+    pub fn fallback_len(&self) -> usize {
+        self.fallback.len()
+    }
+
     /// The value stored under `id`, if any.
     #[inline]
     pub fn get(&self, id: &ElementId) -> Option<&V> {
+        let seq = id.seq();
         let slot = self
             .rows
             .get(id.client_index() as usize)
-            // `seq < 2^40`, but compare before narrowing so a 32-bit
-            // `usize` cannot alias a far slot onto a near one.
-            .filter(|row| id.seq() < row.slots.len() as u64)
-            .and_then(|row| row.slots[id.seq() as usize].as_ref());
+            .and_then(|row| row.pages.get(row.entry(seq))?[seq as usize % PAGE].as_ref());
         match slot {
             Some(value) => Some(value),
             None if self.fallback.is_empty() => None,
@@ -142,52 +196,110 @@ impl<V: Copy> IdMap<V> {
     /// Stores `value` under `id`, returning the value it replaces.
     #[inline]
     pub fn insert(&mut self, id: ElementId, value: V) -> Option<V> {
-        let (client, seq) = (id.client_index() as usize, id.seq());
-        let (slots, filled) = self
-            .rows
-            .get(client)
-            .map_or((0, 0), |row| (row.slots.len(), row.filled));
-        if !fits(client as u64, self.rows.len(), self.live_rows) || !fits(seq, slots, filled) {
-            return self.fallback.insert(id, value);
-        }
-        if client >= self.rows.len() {
-            self.rows.resize(
-                client + 1,
-                Row {
-                    slots: Vec::new(),
-                    filled: 0,
-                },
-            );
-        }
+        self.put(id, value, true)
+    }
+
+    /// Stores `value` under `id` only if `id` holds nothing yet; returns
+    /// whether it did. First observation wins, in one probe.
+    #[inline]
+    pub fn insert_if_absent(&mut self, id: ElementId, value: V) -> bool {
+        self.put(id, value, false).is_none()
+    }
+
+    /// Stores `value` under `id` if `overwrite` or `id` holds nothing;
+    /// returns the value held before either way.
+    #[inline]
+    fn put(&mut self, id: ElementId, value: V, overwrite: bool) -> Option<V> {
+        let Some((client, page)) = self.place(id) else {
+            return match self.fallback.entry(id) {
+                Entry::Occupied(mut held) if overwrite => Some(held.insert(value)),
+                Entry::Occupied(held) => Some(*held.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                    None
+                }
+            };
+        };
         let row = &mut self.rows[client];
-        let seq = seq as usize; // `fits` bounded it by a `usize` length
-        if seq >= row.slots.len() {
-            row.slots.resize(seq + 1, None);
+        let slot = &mut row.pages[page][id.seq() as usize % PAGE];
+        if let Some(previous) = *slot {
+            if overwrite {
+                *slot = Some(value);
+            }
+            return Some(previous);
         }
-        let previous = row.slots[seq].replace(value);
-        if previous.is_some() {
-            return previous;
-        }
+        // The id may have been parked in the fallback while this row was
+        // too short to take it: an overwrite moves it into the row, a
+        // first-wins insert leaves it where it is.
+        let parked = if self.fallback.is_empty() {
+            None
+        } else if overwrite {
+            self.fallback.remove(&id)
+        } else if let Some(held) = self.fallback.get(&id) {
+            return Some(*held);
+        } else {
+            None
+        };
+        *slot = Some(value);
         row.filled += 1;
         self.live_rows += usize::from(row.filled == 1);
         self.dense += 1;
-        // The id may have been parked in the fallback while this row was
-        // too short to take it: it lives in the row from now on.
-        if self.fallback.is_empty() {
-            None
-        } else {
-            self.fallback.remove(&id)
+        parked
+    }
+
+    /// The `(client, page)` whose page holds `id`'s slot, allocating the
+    /// row and the page if the density rules (see the module docs) allow.
+    /// `None` sends `id` to the fallback.
+    #[inline]
+    fn place(&mut self, id: ElementId) -> Option<(usize, usize)> {
+        let (client, seq) = (id.client_index() as usize, id.seq());
+        let (table, pages, filled) = match self.rows.get(client) {
+            Some(row) => {
+                let page = row.entry(seq);
+                if page < row.pages.len() {
+                    return Some((client, page));
+                }
+                (row.table.len(), row.pages.len(), row.filled)
+            }
+            None => (0, 0, 0),
+        };
+        let index = seq / PAGE as u64;
+        let slots = (PAGE * pages) as u64;
+        if !fits(client as u64, self.rows.len(), self.live_rows)
+            || !(index < table as u64 || index <= slots + SLACK)
+            || slots > 2 * filled as u64 + SLACK
+            || pages >= NO_PAGE as usize
+        {
+            return None;
         }
+        if client >= self.rows.len() {
+            self.rows.resize_with(client + 1, Row::default);
+        }
+        let row = &mut self.rows[client];
+        let index = index as usize; // bounded by the page-table rule above
+        if index >= row.table.len() {
+            row.table.resize(index + 1, NO_PAGE);
+        }
+        row.table[index] = pages as u32;
+        row.pages.push([None; PAGE]);
+        Some((client, pages))
     }
 
     /// Every entry, rows first (by client, then sequence number), then the
     /// fallback in its table order.
     pub fn iter(&self) -> impl Iterator<Item = (ElementId, &V)> {
         let dense = self.rows.iter().enumerate().flat_map(|(client, row)| {
-            row.slots.iter().enumerate().filter_map(move |(seq, slot)| {
-                let value = slot.as_ref()?;
-                Some((ElementId::new(client as u32, seq as u64), value))
-            })
+            row.table
+                .iter()
+                .enumerate()
+                .filter_map(move |(index, &page)| Some((index, row.pages.get(page as usize)?)))
+                .flat_map(move |(index, page)| {
+                    page.iter().enumerate().filter_map(move |(offset, slot)| {
+                        let value = slot.as_ref()?;
+                        let seq = (index * PAGE + offset) as u64;
+                        Some((ElementId::new(client as u32, seq), value))
+                    })
+                })
         });
         dense.chain(self.fallback.iter().map(|(id, value)| (*id, value)))
     }
@@ -201,12 +313,24 @@ mod tests {
     const MAX_SEQ: u64 = (1 << 40) - 1;
     const MAX_CLIENT: u32 = (1 << 24) - 1;
 
-    /// The density bound, checked on the row table and on every row.
+    /// The density bounds, checked on the row table and on every row: the
+    /// slots allocated, the page table's length, `filled`, and that every
+    /// page is indexed exactly once.
     fn assert_slot_bound<V: Copy>(map: &IdMap<V>) {
         assert!(map.rows.len() as u64 <= 2 * map.live_rows as u64 + SLACK + 1);
         for row in &map.rows {
-            assert!(row.slots.len() as u64 <= 2 * row.filled as u64 + SLACK);
-            assert_eq!(row.filled, row.slots.iter().flatten().count());
+            let slots = (PAGE * row.pages.len()) as u64;
+            assert!(slots <= 2 * row.filled as u64 + SLACK + PAGE as u64);
+            assert!(row.table.len() as u64 <= slots + SLACK);
+            assert_eq!(row.filled, row.pages.iter().flatten().flatten().count());
+            let mut indexed: Vec<u32> = row
+                .table
+                .iter()
+                .copied()
+                .filter(|&page| page != NO_PAGE)
+                .collect();
+            indexed.sort_unstable();
+            assert!(indexed.iter().copied().eq(0..row.pages.len() as u32));
         }
         assert_eq!(map.rows.iter().map(|r| r.filled).sum::<usize>(), map.dense);
     }
@@ -230,7 +354,7 @@ mod tests {
             }
         }
         assert_eq!(map.len(), 4000);
-        assert!(map.fallback.is_empty());
+        assert_eq!(map.fallback_len(), 0);
         assert_eq!(map.get(&ElementId::new(3, 999)), Some(&999));
         assert_eq!(map.insert(ElementId::new(3, 999), 7), Some(999));
         assert_eq!(map.len(), 4000);
@@ -242,48 +366,100 @@ mod tests {
     #[test]
     fn hostile_ids_allocate_no_slots() {
         let mut map = IdMap::default();
+        let table_edge = PAGE as u64 * SLACK;
         let hostile = [
             ElementId::new(0, MAX_SEQ),
             ElementId::new(MAX_CLIENT, 0),
             ElementId::new(MAX_CLIENT, MAX_SEQ),
-            ElementId::new(0, SLACK + 1),
+            ElementId::new(0, table_edge + PAGE as u64),
             ElementId::new(SLACK as u32 + 1, 0),
         ];
         for (i, id) in hostile.iter().enumerate() {
             assert_eq!(map.insert(*id, i), None);
         }
         assert_eq!(map.len(), hostile.len());
-        assert_eq!(map.fallback.len(), hostile.len());
+        assert_eq!(map.fallback_len(), hostile.len());
         assert!(map.rows.is_empty());
         for (i, id) in hostile.iter().enumerate() {
             assert_eq!(map.get(id), Some(&i));
         }
-        // The edge of the rule: exactly SLACK is taken by a fresh row.
-        assert_eq!(map.insert(ElementId::new(0, SLACK), 99), None);
-        assert_eq!(map.rows[0].slots.len() as u64, SLACK + 1);
+        // The edge of the page-table rule: page index exactly SLACK is
+        // taken by a fresh row, with one page behind it.
+        assert_eq!(map.insert(ElementId::new(0, table_edge), 99), None);
+        assert_eq!(map.rows[0].table.len() as u64, SLACK + 1);
+        assert_eq!(map.rows[0].pages.len(), 1);
+        assert_eq!(map.fallback_len(), hostile.len());
+        assert_slot_bound(&map);
+    }
+
+    #[test]
+    fn quota_shed_stream_stays_in_rows() {
+        // A quota-shed client: runs of 250 admitted ids, 1,500 ids apart
+        // (one tick admitted, the next five shed).
+        const RUN: u64 = 250;
+        const STRIDE: u64 = 1_500;
+        const RUNS: u64 = 400;
+        let mut map = IdMap::default();
+        for run in 0..RUNS {
+            for seq in run * STRIDE..run * STRIDE + RUN {
+                assert!(map.insert_if_absent(ElementId::new(0, seq), seq));
+            }
+            assert_slot_bound(&map);
+        }
+        assert_eq!(map.fallback_len(), 0);
+        assert_eq!(map.len() as u64, RUNS * RUN);
+        // A run of 250 covers at most five pages.
+        assert!(map.rows[0].pages.len() as u64 <= 5 * RUNS);
+        for run in [0, RUNS / 2, RUNS - 1] {
+            let start = run * STRIDE;
+            assert_eq!(map.get(&ElementId::new(0, start)), Some(&start));
+            assert_eq!(map.get(&ElementId::new(0, start + RUN)), None);
+        }
+    }
+
+    #[test]
+    fn insert_if_absent_keeps_the_first_value_wherever_it_lives() {
+        let mut map = IdMap::default();
+        let (dense, far) = (ElementId::new(0, 3), ElementId::new(0, MAX_SEQ));
+        for id in [dense, far] {
+            assert!(map.insert_if_absent(id, 1));
+            assert!(!map.insert_if_absent(id, 2));
+            assert_eq!(map.get(&id), Some(&1));
+        }
+        assert_eq!((map.len(), map.fallback_len()), (2, 1));
+        // A parked id keeps its first value when its row grows past it.
+        let parked = ElementId::new(1, PAGE as u64 * (SLACK + 1));
+        assert!(map.insert_if_absent(parked, 1));
+        for seq in 0..parked.seq() + 10 {
+            map.insert_if_absent(ElementId::new(1, seq), 0);
+        }
+        assert_eq!(map.get(&parked), Some(&1));
+        assert_eq!(map.fallback_len(), 2);
         assert_slot_bound(&map);
     }
 
     #[test]
     fn parked_id_is_found_and_migrates_on_its_next_insert() {
         let mut map = IdMap::default();
-        let parked = ElementId::new(0, 1000);
+        // One page past what a fresh row's page table accepts.
+        let parked = ElementId::new(0, PAGE as u64 * (SLACK + 1));
         assert_eq!(map.insert(parked, 1), None);
-        assert_eq!(map.fallback.len(), 1);
+        assert_eq!(map.fallback_len(), 1);
         // The row grows up to the parked id, then past it: the id is
         // covered by an empty slot now and must still be found.
-        for seq in (0..1000).chain(1001..1100) {
+        let end = parked.seq() + 100;
+        for seq in (0..parked.seq()).chain(parked.seq() + 1..end) {
             assert_eq!(map.insert(ElementId::new(0, seq), 0), None);
         }
-        assert!(map.rows[0].slots.len() > 1000);
+        assert!(map.rows[0].entry(parked.seq()) < map.rows[0].pages.len());
         assert_eq!(map.get(&parked), Some(&1));
-        assert_eq!(map.len(), 1100);
+        assert_eq!(map.len() as u64, end);
         assert_eq!(map.iter().filter(|(id, _)| *id == parked).count(), 1);
         // Its next insert reports the parked value and moves it home.
         assert_eq!(map.insert(parked, 2), Some(1));
-        assert!(map.fallback.is_empty());
+        assert_eq!(map.fallback_len(), 0);
         assert_eq!(map.get(&parked), Some(&2));
-        assert_eq!(map.len(), 1100);
+        assert_eq!(map.len() as u64, end);
         assert_eq!(map.insert(parked, 3), Some(2));
         assert_slot_bound(&map);
     }
@@ -298,7 +474,7 @@ mod tests {
                     map.insert(*id, i);
                 }
                 let elapsed = start.elapsed();
-                assert_eq!(map.fallback.len(), ids.len(), "stream must miss the rows");
+                assert_eq!(map.fallback_len(), ids.len(), "stream must miss the rows");
                 elapsed
             })
             .min()
@@ -358,7 +534,7 @@ mod tests {
                 // run that grows the row up to and past it.
                 4 => {
                     let start = next[c];
-                    let far = start + 3 * n + 200;
+                    let far = start + 64 * n + 200;
                     next[c] = far + 50;
                     std::iter::once(far)
                         .chain(start..far + 50)
@@ -371,6 +547,24 @@ mod tests {
                     .copied()
                     .into_iter()
                     .collect(),
+                // Gapped runs, the quota-shed pattern: three runs of `n`
+                // ids, each starting `6 · n` ids after the last.
+                6 => {
+                    let start = next[c];
+                    next[c] += 18 * n;
+                    (0..3)
+                        .flat_map(|run| start + 6 * n * run..start + 6 * n * run + n)
+                        .map(|s| ElementId::new(client, s))
+                        .collect()
+                }
+                // One id per page, the most pages `n` ids can claim.
+                7 => {
+                    let start = next[c];
+                    next[c] += PAGE as u64 * n;
+                    (0..n)
+                        .map(|k| ElementId::new(client, start + PAGE as u64 * k))
+                        .collect()
+                }
                 // Interleaved clients, same sequence numbers.
                 _ => {
                     let start = *next.iter().max().expect("four clients");
@@ -385,12 +579,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Against a `HashMap` model: `insert` and `get` return what the
-            /// model returns, `len` and the `iter` multiset match, and the
-            /// slot bound holds after every op.
+            /// Against a `HashMap` model: `insert`, `insert_if_absent` and
+            /// `get` return what the model returns, `len` and the `iter`
+            /// multiset match, and the slot bounds hold after every op.
             #[test]
             fn prop_matches_hash_map_model(
-                ops in proptest::collection::vec((0u8..7, 0u32..4, 1u64..120), 1..24),
+                ops in proptest::collection::vec((0u8..9, 0u32..4, 1u64..120), 1..24),
             ) {
                 let mut map = IdMap::default();
                 let mut model: HashMap<ElementId, u64> = HashMap::new();
@@ -400,7 +594,13 @@ mod tests {
                 for op in ops {
                     for id in expand(op, &mut next, &held) {
                         stamp += 1;
-                        prop_assert_eq!(map.insert(id, stamp), model.insert(id, stamp));
+                        if stamp.is_multiple_of(3) {
+                            let absent = !model.contains_key(&id);
+                            model.entry(id).or_insert(stamp);
+                            prop_assert_eq!(map.insert_if_absent(id, stamp), absent);
+                        } else {
+                            prop_assert_eq!(map.insert(id, stamp), model.insert(id, stamp));
+                        }
                         held.push(id);
                     }
                     prop_assert_eq!(map.len(), model.len());

@@ -66,11 +66,13 @@ impl SetchainState {
 
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
-        if self.members.contains_key(&id) {
-            return false;
-        }
-        self.members.insert(id, 0);
-        true
+        self.members.insert_if_absent(id, 0)
+    }
+
+    /// Number of `the_set` ids held in the element index's hash fallback
+    /// rather than its per-client rows.
+    pub fn index_fallback_len(&self) -> usize {
+        self.members.fallback_len()
     }
 
     /// True if the element has already been stamped with an epoch (the

@@ -39,13 +39,6 @@ struct TraceInner {
     element_tx: IdMap<TxId>,
 }
 
-/// First observation wins: stores `value` unless `id` already has one.
-fn insert_first<V: Copy>(map: &mut IdMap<V>, id: ElementId, value: V) {
-    if !map.contains_key(&id) {
-        map.insert(id, value);
-    }
-}
-
 /// Shared experiment trace for one Setchain run.
 #[derive(Clone, Default)]
 pub struct SetchainTrace {
@@ -76,7 +69,7 @@ impl SetchainTrace {
         if !self.detailed {
             return;
         }
-        insert_first(&mut self.inner.lock().element_tx, id, tx);
+        self.inner.lock().element_tx.insert_if_absent(id, tx);
     }
 
     /// The ledger transaction an element was shipped in (detailed traces
@@ -88,7 +81,7 @@ impl SetchainTrace {
     /// Records that the client added `id` at `at` (called by the workload
     /// driver when it sends the `add`).
     pub fn record_add(&self, id: ElementId, at: SimTime) {
-        insert_first(&mut self.inner.lock().added, id, at);
+        self.inner.lock().added.insert_if_absent(id, at);
     }
 
     /// Batched form of [`Self::record_add`]: one lock acquisition for a
@@ -96,7 +89,7 @@ impl SetchainTrace {
     pub fn record_adds(&self, ids: impl IntoIterator<Item = ElementId>, at: SimTime) {
         let mut inner = self.inner.lock();
         for id in ids {
-            insert_first(&mut inner.added, id, at);
+            inner.added.insert_if_absent(id, at);
         }
     }
 
@@ -118,7 +111,7 @@ impl SetchainTrace {
         let mut inner = self.inner.lock();
         inner.epoch_consolidated.entry(epoch).or_insert(at);
         for id in ids {
-            insert_first(&mut inner.element_epoch, id, epoch);
+            inner.element_epoch.insert_if_absent(id, epoch);
         }
     }
 

@@ -290,13 +290,33 @@ struct PlacementView {
     epochs: Vec<Vec<Result<usize, ElementId>>>,
 }
 
+/// Client index of the scripted client in [`placement_run`]: the first free
+/// one after the four injection clients and the (absent) attacker slot, so
+/// its ids pass the element index's row-table rule.
+const SCRIPTED_CLIENT: u32 = 5;
+
+/// Every server's `(the_set, admission cache)` entry counts in the element
+/// index's hash fallback.
+fn fallback_lens(deployment: &Deployment) -> Vec<(usize, usize)> {
+    (0..4)
+        .map(|i| {
+            let server = deployment.server(i);
+            (
+                server.state().index_fallback_len(),
+                server.core().admission_cache().fallback_len(),
+            )
+        })
+        .collect()
+}
+
 /// Runs the honest workload plus one registered client that submits 48
 /// elements — valid and forged alternating, each sent to two servers — under
-/// the ids `id_of` assigns, and returns every server's view.
-fn placement_run(id_of: impl Fn(u64) -> ElementId) -> Vec<PlacementView> {
+/// the ids `id_of` assigns, and returns every server's view and
+/// [`fallback_lens`].
+fn placement_run(id_of: impl Fn(u64) -> ElementId) -> (Vec<PlacementView>, Vec<(usize, usize)>) {
     const SCRIPTED: u64 = 48;
     let mut deployment = protected_deployment(None, 5005);
-    let mut session = deployment.client_session(100, 777);
+    let mut session = deployment.client_session(SCRIPTED_CLIENT as usize, 777);
     let ids: Vec<ElementId> = (0..SCRIPTED).map(&id_of).collect();
     for (k, id) in ids.iter().enumerate() {
         let element = if k % 2 == 0 {
@@ -312,7 +332,7 @@ fn placement_run(id_of: impl Fn(u64) -> ElementId) -> Vec<PlacementView> {
     session.install(&mut deployment);
     run(&mut deployment);
 
-    (0..4)
+    let views = (0..4)
         .map(|i| {
             let server = deployment.server(i);
             let cache = server.core().admission_cache();
@@ -339,22 +359,52 @@ fn placement_run(id_of: impl Fn(u64) -> ElementId) -> Vec<PlacementView> {
                     .collect(),
             }
         })
-        .collect()
+        .collect();
+    (views, fallback_lens(&deployment))
 }
 
 #[test]
 fn far_apart_ids_get_the_verdicts_of_their_near_twins() {
     // Ids are chosen by the sender. Where the element index files an id —
-    // a dense row for `(100, k)`, the hash fallback for ids at the far
-    // corners of the id space — must not show in any verdict, counter or
-    // epoch: the twin runs differ in nothing but the scripted ids.
-    let near = placement_run(|k| ElementId::new(100, k));
-    let far = placement_run(|k| match k % 3 {
-        0 => ElementId::new(100, (1 << 40) - 1 - k),
+    // a row for `(5, k)`, the hash fallback for ids at the far corners of
+    // the id space — must not show in any verdict, counter or epoch: the
+    // twin runs differ in nothing but the scripted ids.
+    let (near, near_fallback) = placement_run(|k| ElementId::new(SCRIPTED_CLIENT, k));
+    let (far, far_fallback) = placement_run(|k| match k % 3 {
+        0 => ElementId::new(SCRIPTED_CLIENT, (1 << 40) - 1 - k),
         1 => ElementId::new((1 << 24) - 1 - k as u32, k),
         _ => ElementId::new(7_000 * k as u32, 1 << 39),
     });
+    // The twins really sit on the two sides: rows, then the fallback.
+    assert!(near_fallback.iter().all(|&lens| lens == (0, 0)));
+    assert!(far_fallback
+        .iter()
+        .all(|&(set, cache)| set > 0 && cache > 0));
     assert!(near[0].stats.adds_accepted > 0 && near[0].stats.adds_rejected_invalid > 0);
     assert!(near.iter().all(|view| view.hits > 0 && view.misses > 0));
     assert_eq!(near, far);
+}
+
+#[test]
+fn quota_shed_flood_ids_stay_in_the_rows() {
+    // `hash_flood`'s shape: 5,000 honest el/s make the flood 12,500 el/s
+    // against the default 2,000 el/s bucket. Once its burst is spent, the
+    // flood's ids are admitted one tick in six, in runs with the shed ticks'
+    // ids missing between them — too sparse for rows sized `2·filled + 64`,
+    // dense enough per page for the element index's paged rows.
+    let mut deployment = Deployment::builder(Algorithm::Hashchain)
+        .servers(4)
+        .rate(5_000.0)
+        .collector(64)
+        .injection_secs(3)
+        .max_run_secs(RUN_SECS)
+        .seed(5006)
+        .quota(QuotaConfig::new())
+        .adversary(Adversary::FloodClient)
+        .build();
+    run(&mut deployment);
+    assert!(attributed_sheds(&deployment) > 0, "the flood never shed");
+    assert!(fallback_lens(&deployment)
+        .iter()
+        .all(|&lens| lens == (0, 0)));
 }
