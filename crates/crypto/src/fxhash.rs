@@ -1,7 +1,7 @@
 //! Deterministic fast hashing for simulation-internal maps.
 //!
 //! The Setchain servers keep several maps keyed by small fixed-size ids
-//! (`ElementId`, epoch numbers, `TxId`s) that are touched a handful of times
+//! (`ElementId`s, epoch numbers, digests) that are touched a handful of times
 //! per element per server — millions of operations per run. `std`'s default
 //! SipHash is DoS-resistant but costs ~10× more than needed for trusted,
 //! simulation-internal keys, and its per-process random seed makes iteration
@@ -24,16 +24,19 @@
 //!   `epoch_committed` / `epoch_consolidated`) — minted by the servers, dense;
 //! * `ProcessId`s (`ServerCore::client_keys`, `QuotaState::clients`, simnet's
 //!   overflow slots) — registered or network-authenticated identities;
-//! * digests (`AdmissionCache::roots`, the mempool's `TxId` sets) — hash
-//!   outputs, though a *claimed* batch root is sender-chosen;
+//! * digests (`AdmissionCache::roots`) — hash outputs, though a *claimed*
+//!   batch root is sender-chosen;
 //! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'
 //!   in-batch dedup, `admit_batch_elements`' rejected ids), bounded by one
 //!   block's elements.
 //!
 //! The grow-only `ElementId` maps — `the_set`, the admission cache, the
 //! trace's per-element maps — are `setchain::IdMap`s, whose hash fallback is
-//! keyed through a full-avalanche finaliser because those ids are chosen by
-//! the sender.
+//! keyed through the full-avalanche [`fmix64`] because those ids are chosen
+//! by the sender. The ledger mempool's `TxId`s are not digests either but
+//! structured `(tag, client, seq)` and `(tag, epoch, signer)` values; they
+//! live in `setchain_ledger::mempool::TxIdSet`, 64 consecutive ids to an
+//! entry, keyed through [`fmix64`] too.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -44,6 +47,18 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// The 64-bit finaliser of MurmurHash3: a bijection in which every input bit
+/// reaches every output bit. The tables keyed by sender-chosen ids hash
+/// through it instead of [`FxHasher`] (see the module docs).
+#[inline]
+pub fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
 
 /// The rustc `FxHash` function: rotate, xor, multiply per word.
 #[derive(Clone, Copy, Default)]

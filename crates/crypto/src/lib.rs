@@ -36,7 +36,7 @@ pub mod merkle;
 mod sha256_x86;
 pub mod signature;
 
-pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{fmix64, FxHashMap, FxHashSet, FxHasher};
 pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
 pub use hmac::{hmac_sha256, mac_batch_root, verify_batch_root, HmacSha256Key};
 pub use keys::{KeyPair, KeyRegistry, ProcessId, PublicKey, SecretKey};

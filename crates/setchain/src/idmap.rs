@@ -34,6 +34,8 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use setchain_crypto::fmix64;
+
 use crate::element::ElementId;
 
 /// Indices a row, its page table or the row table accept beyond what the
@@ -76,13 +78,7 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn write_u64(&mut self, id: u64) {
-        let mut h = id;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^= h >> 33;
-        self.0 = h;
+        self.0 = fmix64(id);
     }
 }
 
