@@ -15,7 +15,14 @@
 //!   counted as committed must hold `f + 1` such proofs by distinct servers;
 //! * **light-client inclusion**: for one element of every committed,
 //!   resident, non-empty epoch, an [`EpochInclusionProof`] built from the
-//!   epoch verifies against those proofs.
+//!   epoch verifies against those proofs;
+//! * **add-before-get**: every element of a resident epoch was added by a
+//!   client. An injection client's element (client index below `n`) must
+//!   have an add record in [`Deployment::trace`]; the trace does not follow
+//!   other clients (the adversarial client, scripted sessions), so their
+//!   elements must carry a valid client authenticator instead;
+//! * **eventual get at quiescence**: once every traced add has committed,
+//!   every added id is in every correct server's `the_set`.
 //!
 //! Ledger-level faults are not visible through a [`Deployment`], so a
 //! validator with a faulty ledger mode is checked like a correct one.
@@ -23,7 +30,8 @@
 //! [`EpochInclusionProof`]: setchain::EpochInclusionProof
 
 use setchain::proofs::verify_epoch_proof_digest;
-use setchain::{epoch_hash, prove_epoch_inclusion, SetchainState};
+use setchain::{epoch_hash, prove_epoch_inclusion, ElementId, EpochProof, SetchainState};
+use setchain_crypto::{Digest512, FxHashSet, KeyRegistry, ProcessId, Signature};
 
 use crate::deploy::Deployment;
 
@@ -41,6 +49,12 @@ pub struct InvariantReport {
     pub proofs_verified: u64,
     /// Element→epoch inclusion proofs built and verified.
     pub inclusion_proofs: u64,
+    /// Resident epoch elements traced back to their add, summed over
+    /// servers.
+    pub adds_before_gets: u64,
+    /// Added ids found in `the_set` once every traced add had committed,
+    /// summed over servers; 0 when the run stopped before quiescence.
+    pub eventual_gets: u64,
 }
 
 /// Checks the Setchain properties listed in the [module docs](self) on
@@ -54,30 +68,75 @@ pub fn check_setchain_invariants(d: &Deployment) -> Result<InvariantReport, Stri
         servers: correct.len(),
         ..InvariantReport::default()
     };
+    let records = d.trace.element_records();
+    let quiescent = records.iter().all(|r| r.committed_at.is_some());
+    let mut added: Vec<ElementId> = records.iter().map(|r| r.id).collect();
+    added.sort_unstable();
+    let mut verified = FxHashSet::default();
     for &i in &correct {
-        check_server(d, d.server(i).state(), &mut report)
+        let state = d.server(i).state();
+        check_server(d, state, &added, &mut verified, &mut report)
             .map_err(|e| format!("server {i}: {e}"))?;
-    }
-    for (k, &i) in correct.iter().enumerate() {
-        for &j in &correct[k + 1..] {
-            let (a, b) = (d.server(i).state(), d.server(j).state());
-            if !a.check_consistent_with(b) {
-                return Err(format!("servers {i} and {j}: epoch contents diverge"));
+        if quiescent {
+            if let Some(id) = added.iter().find(|id| !state.contains(id)) {
+                return Err(format!("server {i}: committed {id:?} is not in the_set"));
             }
-            for e in 1..=a.epoch().min(b.epoch()) {
-                if a.epoch_digest(e) != b.epoch_digest(e) {
-                    return Err(format!("servers {i} and {j}: epoch {e} digests differ"));
-                }
+            report.eventual_gets += added.len() as u64;
+        }
+    }
+    // Agreeing with the longest history is agreeing with each other: every
+    // server's epochs are a prefix of its length.
+    let Some(&r) = correct.iter().max_by_key(|&&i| d.server(i).state().epoch()) else {
+        return Ok(report);
+    };
+    let reference = d.server(r).state();
+    for &i in &correct {
+        let state = d.server(i).state();
+        if !state.check_consistent_with(reference) {
+            return Err(format!("servers {i} and {r}: epoch contents diverge"));
+        }
+        for e in 1..=state.epoch() {
+            if state.epoch_digest(e) != reference.epoch_digest(e) {
+                return Err(format!("servers {i} and {r}: epoch {e} digests differ"));
             }
         }
     }
     Ok(report)
 }
 
-/// The per-server half of [`check_setchain_invariants`].
+/// Proofs already verified, as (claimed signer, signature, digest): every
+/// input [`verify_epoch_proof_digest`] reads besides the fixed registry and
+/// server count, so a hit has the same verdict as a fresh verification.
+type Verified = FxHashSet<(ProcessId, Signature, Digest512)>;
+
+/// [`verify_epoch_proof_digest`], skipped when an identical proof was
+/// already verified against `digest` on another server.
+fn verify_once(
+    registry: &KeyRegistry,
+    servers: usize,
+    proof: &EpochProof,
+    digest: &Digest512,
+    verified: &mut Verified,
+) -> bool {
+    let key = (proof.signer, proof.signature, *digest);
+    if verified.contains(&key) {
+        return true;
+    }
+    let valid = verify_epoch_proof_digest(registry, servers, proof, digest);
+    if valid {
+        verified.insert(key);
+    }
+    valid
+}
+
+/// The per-server half of [`check_setchain_invariants`]. `added` holds the
+/// traced adds' ids, sorted; `verified` the proofs another server already
+/// held, so each proof is verified once.
 fn check_server(
     d: &Deployment,
     state: &SetchainState,
+    added: &[ElementId],
+    verified: &mut Verified,
     report: &mut InvariantReport,
 ) -> Result<(), String> {
     if !state.check_consistent_sets() {
@@ -97,9 +156,20 @@ fn check_server(
         if digest != cached {
             return Err(format!("epoch {e}: cached digest is not the epoch's hash"));
         }
+        for element in elements.unwrap_or_default() {
+            let added = if (element.id.client_index() as usize) < n {
+                added.binary_search(&element.id).is_ok()
+            } else {
+                element.is_valid(&d.registry)
+            };
+            if !added {
+                return Err(format!("epoch {e}: {:?} was never added", element.id));
+            }
+            report.adds_before_gets += 1;
+        }
         let proofs = state.proofs_for(e);
         for proof in proofs {
-            if proof.epoch != e || !verify_epoch_proof_digest(&d.registry, n, proof, &digest) {
+            if proof.epoch != e || !verify_once(&d.registry, n, proof, &digest, verified) {
                 return Err(format!(
                     "epoch {e}: held proof by {} does not verify",
                     proof.signer
@@ -125,4 +195,35 @@ fn check_server(
         report.inclusion_proofs += 1;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use setchain::proofs::make_epoch_proof_for_digest;
+    use setchain_crypto::sha512;
+
+    #[test]
+    fn memo_does_not_pass_a_signature_under_another_signer() {
+        let registry = KeyRegistry::bootstrap(5, 4, 1);
+        let digest = sha512(b"epoch 1");
+        let s3 = registry.lookup(ProcessId::server(3)).unwrap();
+        let genuine = make_epoch_proof_for_digest(&s3, 1, &digest);
+        let mislabelled = EpochProof {
+            signer: ProcessId::server(1),
+            ..genuine
+        };
+        let mut verified = Verified::default();
+        assert!(verify_once(&registry, 4, &genuine, &digest, &mut verified));
+        assert!(!verify_once(
+            &registry,
+            4,
+            &mislabelled,
+            &digest,
+            &mut verified
+        ));
+        // A second server holding the genuine proof hits the memo.
+        assert!(verify_once(&registry, 4, &genuine, &digest, &mut verified));
+        assert_eq!(verified.len(), 1);
+    }
 }

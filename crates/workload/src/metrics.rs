@@ -68,28 +68,37 @@ impl ThroughputSeries {
 }
 
 /// The paper's efficiency metric: committed elements divided by added
-/// elements, evaluated after 50, 75 and 100 seconds.
+/// elements, evaluated at 1×, 1.5× and 2× the injection window (the paper's
+/// 50, 75 and 100 s for its 50 s window).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Efficiency {
-    /// Efficiency after 50 s.
-    pub at_50s: f64,
-    /// Efficiency after 75 s.
-    pub at_75s: f64,
-    /// Efficiency after 100 s.
-    pub at_100s: f64,
+    /// Committed ÷ added at each of [`Efficiency::checkpoints`].
+    pub values: [f64; 3],
 }
 
 impl Efficiency {
-    /// Computes the efficiency values from a trace.
-    pub fn compute(trace: &SetchainTrace) -> Self {
-        let added = trace.added_count().max(1) as f64;
-        let at = |secs: u64| trace.committed_count_by(SimTime::from_secs(secs)) as f64 / added;
-        Efficiency {
-            at_50s: at(50),
-            at_75s: at(75),
-            at_100s: at(100),
-        }
+    /// The checkpoints in seconds for an injection window of `w` seconds:
+    /// `[w, w + w / 2, 2 w]`.
+    pub fn checkpoints(injection_secs: u64) -> [u64; 3] {
+        let w = injection_secs;
+        [w, w + w / 2, 2 * w]
     }
+
+    /// Computes the efficiency values of a run that injected for
+    /// `injection_secs`.
+    pub fn compute(trace: &SetchainTrace, injection_secs: u64) -> Self {
+        let added = trace.added_count().max(1) as f64;
+        let values = Self::checkpoints(injection_secs)
+            .map(|secs| trace.committed_count_by(SimTime::from_secs(secs)) as f64 / added);
+        Efficiency { values }
+    }
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of ascending `sorted` values, nearest rank
+/// rounded; `None` when there are none.
+pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * q.clamp(0.0, 1.0)).round() as usize])
 }
 
 /// Commit-time milestones (Fig. 5 / Appendix F): when the first element and
@@ -187,12 +196,7 @@ impl StageLatencies {
     /// The `q`-quantile (0 ≤ q ≤ 1) of a stage's latency, if any element
     /// reached it.
     pub fn quantile(&self, stage: impl Fn(&StageSample) -> Option<f64>, q: f64) -> Option<f64> {
-        let values = self.cdf(stage);
-        if values.is_empty() {
-            return None;
-        }
-        let idx = ((values.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(values[idx])
+        quantile(&self.cdf(stage), q)
     }
 }
 
@@ -247,10 +251,12 @@ mod tests {
             };
             trace.record_epoch_commit(i + 1, commit);
         }
-        let eff = Efficiency::compute(&trace);
-        assert!((eff.at_50s - 0.5).abs() < 0.01);
-        assert!((eff.at_100s - 1.0).abs() < 1e-9);
-        assert!(eff.at_75s < eff.at_100s + 1e-9);
+        assert_eq!(Efficiency::checkpoints(50), [50, 75, 100]);
+        assert_eq!(Efficiency::checkpoints(13), [13, 19, 26]);
+        let [at_50s, at_75s, at_100s] = Efficiency::compute(&trace, 50).values;
+        assert!((at_50s - 0.5).abs() < 0.01);
+        assert!((at_100s - 1.0).abs() < 1e-9);
+        assert!(at_75s < at_100s + 1e-9);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 
 use std::time::Instant;
 
-use setchain_ledger::LedgerTrace;
 use setchain_simnet::{SimDuration, SimTime};
 
 use crate::deploy::Deployment;
 use crate::scenario::Scenario;
-use setchain::SetchainTrace;
 
 /// The outcome of running one scenario.
 pub struct RunResult {
-    /// The scenario that was run.
-    pub scenario: Scenario,
+    /// The deployment as the run left it, for reading its traces and server
+    /// state (the Setchain property checker, heights, compression ratios)
+    /// afterwards.
+    pub deployment: Deployment,
     /// Elements added by the clients.
     pub added: u64,
     /// Elements whose epoch reached `f + 1` proofs by the end of the run.
@@ -21,11 +21,6 @@ pub struct RunResult {
     pub finished_at: SimTime,
     /// Simulated time at which the last element committed (if all did).
     pub all_committed_at: Option<SimTime>,
-    /// The Setchain-level trace (per-element add/epoch/commit times).
-    pub trace: SetchainTrace,
-    /// The ledger-level trace (mempool/block stages; empty unless the
-    /// scenario enabled the detailed trace).
-    pub ledger_trace: LedgerTrace,
     /// Messages dropped by random loss during the run.
     pub dropped_loss: u64,
     /// Messages dropped by an active network partition.
@@ -54,7 +49,10 @@ impl RunResult {
     /// Average committed throughput over the first `secs` seconds of the run
     /// (the paper's Table 2 reports this for the first 50 s).
     pub fn average_throughput(&self, secs: u64) -> f64 {
-        let committed = self.trace.committed_count_by(SimTime::from_secs(secs));
+        let committed = self
+            .deployment
+            .trace
+            .committed_count_by(SimTime::from_secs(secs));
         committed as f64 / secs as f64
     }
 }
@@ -67,11 +65,10 @@ pub fn run_scenario(scenario: &Scenario) -> RunResult {
 
 /// Runs an already-built deployment (used by tests that inject faults).
 pub fn run_deployment(mut deployment: Deployment) -> RunResult {
-    let scenario = deployment.scenario.clone();
     let start = Instant::now();
     let check_interval = SimDuration::from_secs(5);
-    let injection_end = SimTime::from_secs(scenario.injection_secs);
-    let limit = SimTime::from_secs(scenario.max_run_secs);
+    let injection_end = SimTime::from_secs(deployment.scenario.injection_secs);
+    let limit = SimTime::from_secs(deployment.scenario.max_run_secs);
 
     let mut now = SimTime::ZERO;
     let mut all_committed_at: Option<SimTime> = None;
@@ -92,7 +89,6 @@ pub fn run_deployment(mut deployment: Deployment) -> RunResult {
     let added = deployment.trace.added_count() as u64;
     let committed = deployment.trace.committed_count_by(now) as u64;
     RunResult {
-        scenario,
         added,
         committed,
         finished_at: now,
@@ -100,9 +96,8 @@ pub fn run_deployment(mut deployment: Deployment) -> RunResult {
         dropped_loss: deployment.sim.network().dropped_loss(),
         dropped_partition: deployment.sim.network().dropped_partition(),
         dropped_crashed: deployment.sim.dropped_crashed(),
-        trace: deployment.trace,
-        ledger_trace: deployment.ledger_trace,
         wall: start.elapsed(),
+        deployment,
     }
 }
 

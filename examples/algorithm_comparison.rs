@@ -30,7 +30,7 @@ fn main() {
             .max_run_secs(60)
             .seed(9)
             .run();
-        let series = ThroughputSeries::compute(&result.trace, 9, result.finished_at);
+        let series = ThroughputSeries::compute(&result.deployment.trace, 9, result.finished_at);
         let analytical = AnalysisParams::default()
             .with_servers(4)
             .with_collector(collector)

@@ -58,7 +58,8 @@ impl RunFingerprint {
 
     /// The property check `run_builder` ran was not vacuous: every correct
     /// server's committed epochs had their proofs and one inclusion proof
-    /// each verified.
+    /// each verified, epoch elements were traced to their adds, and a
+    /// drained run found every added id in every correct server's set.
     fn assert_properties_checked(&self, shape: &dyn std::fmt::Debug) {
         let report = &self.invariants;
         assert!(report.servers >= 3, "{shape:?}: {report:?}");
@@ -68,6 +69,11 @@ impl RunFingerprint {
             report.proofs_verified >= report.committed_epochs * 2,
             "{shape:?}: {report:?}"
         );
+        assert!(report.adds_before_gets > 0, "{shape:?}: {report:?}");
+        if self.committed == self.added {
+            let every_id_everywhere = (self.added * report.servers) as u64;
+            assert_eq!(report.eventual_gets, every_id_everywhere, "{shape:?}");
+        }
     }
 
     /// Every element id server 0 stamped into an epoch.

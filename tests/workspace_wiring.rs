@@ -122,6 +122,12 @@ fn workload_entry_points() {
 
 #[test]
 fn bench_entry_points() {
-    let ctx = setchain_bench::ExperimentCtx::from_env();
-    assert!(ctx.injection_secs() >= 5);
+    // The paper scorecard: its shape list and its one section that runs no
+    // simulation.
+    assert_eq!(setchain_bench::SHAPES.len(), 51);
+    let analytic = setchain_bench::analytic_section();
+    assert!(
+        analytic.contains("| Hashchain c500 | 147857 | 147857 |"),
+        "{analytic}"
+    );
 }
