@@ -5,19 +5,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setchain::Algorithm;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, Scenario};
+use setchain_workload::Deployment;
 
 /// Builds and runs a small deployment for `sim_secs` simulated seconds and
 /// returns the number of committed elements (to keep the optimizer honest).
 fn run_small(algorithm: Algorithm, servers: usize, rate: f64, sim_secs: u64) -> usize {
-    let scenario = Scenario::base(algorithm)
-        .with_servers(servers)
-        .with_rate(rate)
-        .with_collector(50)
-        .with_injection_secs(sim_secs.saturating_sub(2).max(1))
-        .with_max_run_secs(sim_secs)
-        .with_seed(99);
-    let mut deployment = Deployment::build(&scenario);
+    let mut deployment = Deployment::builder(algorithm)
+        .servers(servers)
+        .rate(rate)
+        .collector(50)
+        .injection_secs(sim_secs.saturating_sub(2).max(1))
+        .max_run_secs(sim_secs)
+        .seed(99)
+        .build();
     deployment.sim.run_until(SimTime::from_secs(sim_secs));
     deployment
         .trace

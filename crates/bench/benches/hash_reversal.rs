@@ -7,10 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setchain::Algorithm;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, Scenario};
+use setchain_workload::{Deployment, DeploymentBuilder};
 
-fn committed(scenario: &Scenario, sim_secs: u64) -> usize {
-    let mut deployment = Deployment::build(scenario);
+fn committed(builder: &DeploymentBuilder, sim_secs: u64) -> usize {
+    let mut deployment = builder.clone().build();
     deployment.sim.run_until(SimTime::from_secs(sim_secs));
     deployment
         .trace
@@ -21,20 +21,20 @@ fn bench_hash_reversal_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_reversal_ablation");
     group.sample_size(10);
     let base = || {
-        Scenario::base(Algorithm::Hashchain)
-            .with_servers(4)
-            .with_rate(2_000.0)
-            .with_collector(100)
-            .with_injection_secs(4)
-            .with_max_run_secs(6)
-            .with_seed(123)
+        Deployment::builder(Algorithm::Hashchain)
+            .servers(4)
+            .rate(2_000.0)
+            .collector(100)
+            .injection_secs(4)
+            .max_run_secs(6)
+            .seed(123)
     };
-    let full = base().with_label("hash-reversal on");
-    let light = base().light().with_label("hash-reversal off (light)");
-    for scenario in [full, light] {
+    let full = base().label("hash-reversal on");
+    let light = base().light().label("hash-reversal off (light)");
+    for builder in [full, light] {
         group.bench_with_input(
-            BenchmarkId::new("6s_run", scenario.label.clone()),
-            &scenario,
+            BenchmarkId::new("6s_run", builder.scenario().label.clone()),
+            &builder,
             |b, s| {
                 b.iter(|| {
                     let n = committed(s, 6);

@@ -303,12 +303,13 @@ impl Algorithm {
     /// Applies this algorithm's "light" ablation to a configuration
     /// (Hashchain: no hash reversal; Compresschain: no delivery
     /// decompression/validation; Vanilla: unchanged).
-    pub fn light_config(&self, config: SetchainConfig) -> SetchainConfig {
+    pub fn light_config(&self, mut config: SetchainConfig) -> SetchainConfig {
         match self {
-            Algorithm::Vanilla => config,
-            Algorithm::Compresschain => config.light_compresschain(),
-            Algorithm::Hashchain => config.light_hashchain(),
+            Algorithm::Vanilla => {}
+            Algorithm::Compresschain => config.decompress_validate = false,
+            Algorithm::Hashchain => config.hash_reversal = false,
         }
+        config
     }
 
     /// Stable index of this algorithm in [`Algorithm::ALL`] (the paper's

@@ -1,6 +1,5 @@
 //! Configuration shared by the three Setchain algorithms.
 
-use serde::{Deserialize, Serialize};
 use setchain_simnet::SimDuration;
 
 /// CPU cost model for the work Setchain servers perform.
@@ -11,7 +10,7 @@ use setchain_simnet::SimDuration;
 /// ~500 MB/s, ed25519 sign/verify in the tens of microseconds, Brotli at
 /// ~100 MB/s). The costs are configuration so ablation benches can study
 /// their impact.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Validating one element (client authenticator check).
     pub validate_element: SimDuration,
@@ -68,7 +67,7 @@ impl CostModel {
 ///
 /// `#[non_exhaustive]`: further authentication schemes (e.g. aggregated
 /// signatures) may be added; match with a wildcard arm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AuthMode {
     /// Every element carries its own 8-byte MAC and servers verify each one
@@ -91,30 +90,22 @@ pub enum AuthMode {
 /// restart replays the log back to the exact committed set before asking
 /// peers for anything. Absent (the default), servers keep the pure in-RAM
 /// path, byte-for-byte unchanged.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Root directory of the store; each server uses `dir/server-<index>`.
     pub dir: String,
-    /// Segment rotation budget in bytes (`#[serde(default)]`: 8 MiB).
-    #[serde(default = "default_segment_bytes")]
+    /// Segment rotation budget in bytes (default 8 MiB).
     pub segment_bytes: u64,
     /// Bounded-memory mode: keep only the most recent `k` persisted epochs'
     /// elements resident in `the_set`/`history`, evicting older ones to the
     /// store with on-demand readback. `None` (the default) keeps everything
     /// in RAM alongside the log.
-    #[serde(default)]
     pub retain_epochs: Option<u64>,
     /// **Ignored.** Was the cadence of the store's element-index
     /// checkpoint, which no longer exists; the field stays only because the
     /// frozen benchmark package reads it, and goes away with the next
     /// benchmark-archetype PR.
-    #[serde(default)]
     pub checkpoint_every: u64,
-}
-
-/// Serde default for [`StoreConfig::segment_bytes`].
-fn default_segment_bytes() -> u64 {
-    8 << 20
 }
 
 impl StoreConfig {
@@ -123,7 +114,7 @@ impl StoreConfig {
     pub fn new(dir: impl Into<String>) -> Self {
         StoreConfig {
             dir: dir.into(),
-            segment_bytes: default_segment_bytes(),
+            segment_bytes: 8 << 20,
             retain_epochs: None,
             checkpoint_every: 0,
         }
@@ -154,43 +145,25 @@ impl StoreConfig {
 /// [`Rejected`](crate::SetchainMsg::Rejected) reply carrying a `retry_after`
 /// hint. Absent (the default), admission is unmetered and the pipeline is
 /// byte-for-byte the pre-quota path.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct QuotaConfig {
-    /// Sustained admission rate per client, elements/second
-    /// (`#[serde(default)]`: 2 000).
-    #[serde(default = "default_rate_per_sec")]
+    /// Sustained admission rate per client, elements/second (default
+    /// 2 000).
     pub rate_per_sec: u64,
     /// Bucket capacity: how many elements a client may submit in one burst
-    /// above the sustained rate (`#[serde(default)]`: 4 000).
-    #[serde(default = "default_burst")]
+    /// above the sustained rate (default 4 000).
     pub burst: u64,
     /// Maximum elements a client may have admitted but not yet stamped into
-    /// an epoch; 0 disables the pending cap (`#[serde(default)]`: 50 000).
-    #[serde(default = "default_max_pending")]
+    /// an epoch; 0 disables the pending cap (default 50 000).
     pub max_pending: u64,
-}
-
-/// Serde default for [`QuotaConfig::rate_per_sec`].
-fn default_rate_per_sec() -> u64 {
-    2_000
-}
-
-/// Serde default for [`QuotaConfig::burst`].
-fn default_burst() -> u64 {
-    4_000
-}
-
-/// Serde default for [`QuotaConfig::max_pending`].
-fn default_max_pending() -> u64 {
-    50_000
 }
 
 impl Default for QuotaConfig {
     fn default() -> Self {
         QuotaConfig {
-            rate_per_sec: default_rate_per_sec(),
-            burst: default_burst(),
-            max_pending: default_max_pending(),
+            rate_per_sec: 2_000,
+            burst: 4_000,
+            max_pending: 50_000,
         }
     }
 }
@@ -223,7 +196,14 @@ impl QuotaConfig {
 }
 
 /// Configuration of a Setchain deployment (shared by all servers of a run).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Runs are configured through `setchain_workload::Deployment::builder`;
+/// code that builds a config by hand overrides fields of
+/// [`SetchainConfig::new`] with struct-update syntax.
+/// [`ServerCore::new`](crate::ServerCore::new) checks the result: `f < n`,
+/// a positive collector limit and, for a designated signer set of `k`
+/// servers, `f < k <= n`.
+#[derive(Clone, Debug)]
 pub struct SetchainConfig {
     /// Number of Setchain servers (the paper's `server_count`).
     pub servers: usize,
@@ -260,20 +240,14 @@ pub struct SetchainConfig {
     /// other servers ("alternative distributed batch-sharing mechanism"), so
     /// hash reversal rarely needs a `Request_batch` round trip.
     pub push_batches: bool,
-    /// How client submissions are authenticated (`#[serde(default)]`:
-    /// configurations written before batch authentication existed read back
-    /// as [`AuthMode::PerElement`]).
-    #[serde(default)]
+    /// How client submissions are authenticated (default
+    /// [`AuthMode::PerElement`]).
     pub auth_mode: AuthMode,
-    /// Persistent epoch storage; `None` (the default, and what
-    /// configurations written before the store existed read back as) keeps
-    /// the pure in-RAM path.
-    #[serde(default)]
+    /// Persistent epoch storage; `None` (the default) keeps the pure in-RAM
+    /// path.
     pub store: Option<StoreConfig>,
-    /// Per-client admission quotas; `None` (the default, and what
-    /// configurations written before overload protection existed read back
-    /// as) leaves admission unmetered — the exact pre-quota path.
-    #[serde(default)]
+    /// Per-client admission quotas; `None` (the default) leaves admission
+    /// unmetered — the exact pre-quota path.
     pub quota: Option<QuotaConfig>,
     /// CPU cost model.
     pub costs: CostModel,
@@ -300,70 +274,6 @@ impl SetchainConfig {
             quota: None,
             costs: CostModel::default(),
         }
-    }
-
-    /// Sets the collector limit (paper values: 100 or 500).
-    pub fn with_collector_limit(mut self, limit: usize) -> Self {
-        assert!(limit >= 1, "collector limit must be positive");
-        self.collector_limit = limit;
-        self
-    }
-
-    /// Sets the Setchain fault bound `f` explicitly.
-    pub fn with_f(mut self, f: usize) -> Self {
-        assert!(f < self.servers, "need f < n");
-        self.f = f;
-        self
-    }
-
-    /// Disables hash-reversal and hash-batch validation (Hashchain light).
-    pub fn light_hashchain(mut self) -> Self {
-        self.hash_reversal = false;
-        self
-    }
-
-    /// Disables decompression and validation on delivery (Compresschain
-    /// light).
-    pub fn light_compresschain(mut self) -> Self {
-        self.decompress_validate = false;
-        self
-    }
-
-    /// Restricts hash-batch counter-signing and epoch-proof emission to the
-    /// first `k` servers (the paper suggests `2f + 1`).
-    pub fn with_designated_signers(mut self, k: usize) -> Self {
-        assert!(
-            k > self.f && k <= self.servers,
-            "designated signer set must satisfy f < k <= n"
-        );
-        self.designated_signers = Some(k);
-        self
-    }
-
-    /// Enables push-based batch dissemination for Hashchain.
-    pub fn with_push_batches(mut self) -> Self {
-        self.push_batches = true;
-        self
-    }
-
-    /// Sets the submission authentication mode (default
-    /// [`AuthMode::PerElement`]).
-    pub fn with_auth_mode(mut self, mode: AuthMode) -> Self {
-        self.auth_mode = mode;
-        self
-    }
-
-    /// Enables persistent epoch storage (default off: pure in-RAM state).
-    pub fn with_store(mut self, store: StoreConfig) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Enables per-client admission quotas (default off: unmetered
-    /// admission, the exact pre-quota path).
-    pub fn with_quota(mut self, quota: QuotaConfig) -> Self {
-        self.quota = Some(quota);
-        self
     }
 
     /// Number of proofs/signers required to trust an epoch (`f + 1`).
@@ -401,19 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_methods() {
-        let cfg = SetchainConfig::new(10)
-            .with_collector_limit(500)
-            .with_f(3)
-            .light_hashchain()
-            .light_compresschain();
-        assert_eq!(cfg.collector_limit, 500);
-        assert_eq!(cfg.f, 3);
-        assert!(!cfg.hash_reversal);
-        assert!(!cfg.decompress_validate);
-    }
-
-    #[test]
     fn cost_model_scales_with_size() {
         let costs = CostModel::default();
         assert_eq!(costs.hash_cost(1024).as_micros(), 2);
@@ -428,8 +325,6 @@ mod tests {
         let cfg = SetchainConfig::new(4);
         assert_eq!(cfg.auth_mode, AuthMode::PerElement);
         assert_eq!(AuthMode::default(), AuthMode::PerElement);
-        let cfg = cfg.with_auth_mode(AuthMode::BatchRoot);
-        assert_eq!(cfg.auth_mode, AuthMode::BatchRoot);
     }
 
     #[test]
@@ -438,7 +333,11 @@ mod tests {
         assert!(cfg.is_designated(0));
         assert!(cfg.is_designated(9));
         assert!(!cfg.push_batches);
-        let cfg = cfg.with_designated_signers(9).with_push_batches();
+        let cfg = SetchainConfig {
+            designated_signers: Some(9),
+            push_batches: true,
+            ..cfg
+        };
         assert!(cfg.is_designated(8));
         assert!(!cfg.is_designated(9));
         assert!(cfg.push_batches);
@@ -447,15 +346,13 @@ mod tests {
 
     #[test]
     fn store_defaults_to_in_memory() {
-        let cfg = SetchainConfig::new(4);
-        assert!(cfg.store.is_none(), "no store unless configured");
-        let cfg = cfg.with_store(StoreConfig::new("/tmp/setchain"));
-        let store = cfg.store.expect("configured");
+        assert!(
+            SetchainConfig::new(4).store.is_none(),
+            "no store unless configured"
+        );
+        let store = StoreConfig::new("/tmp/setchain");
         assert_eq!(store.dir, "/tmp/setchain");
-        // The serde defaults mirror the constructor, so pre-store
-        // configurations (no `store` key) and sparse store configurations
-        // both read back with working values.
-        assert_eq!(store.segment_bytes, default_segment_bytes());
+        assert_eq!(store.segment_bytes, 8 << 20);
         assert_eq!(store.retain_epochs, None);
         let tuned = StoreConfig::new("d")
             .with_segment_bytes(1024)
@@ -466,16 +363,14 @@ mod tests {
 
     #[test]
     fn quota_defaults_to_unmetered_admission() {
-        let cfg = SetchainConfig::new(4);
-        assert!(cfg.quota.is_none(), "no quota unless configured");
-        let cfg = cfg.with_quota(QuotaConfig::new());
-        let quota = cfg.quota.expect("configured");
-        // The serde defaults mirror the constructor, so pre-quota
-        // configurations (no `quota` key) and sparse quota configurations
-        // both read back with working values.
-        assert_eq!(quota.rate_per_sec, default_rate_per_sec());
-        assert_eq!(quota.burst, default_burst());
-        assert_eq!(quota.max_pending, default_max_pending());
+        assert!(
+            SetchainConfig::new(4).quota.is_none(),
+            "no quota unless configured"
+        );
+        let quota = QuotaConfig::new();
+        assert_eq!(quota.rate_per_sec, 2_000);
+        assert_eq!(quota.burst, 4_000);
+        assert_eq!(quota.max_pending, 50_000);
         let tuned = QuotaConfig::new()
             .with_rate(100)
             .with_burst(10)
@@ -491,17 +386,39 @@ mod tests {
         let _ = QuotaConfig::new().with_rate(0);
     }
 
+    /// Hands `config` to [`ServerCore::new`](crate::ServerCore::new), which
+    /// checks it.
+    fn start_server(config: SetchainConfig) {
+        let registry = setchain_crypto::KeyRegistry::bootstrap(1, config.servers, 1);
+        let keys = registry
+            .lookup(setchain_crypto::ProcessId::server(0))
+            .unwrap();
+        let _ = crate::ServerCore::new(
+            keys,
+            registry,
+            config,
+            crate::SetchainTrace::new(),
+            crate::ServerByzMode::Correct,
+        );
+    }
+
     #[test]
     #[should_panic(expected = "f < k <= n")]
     fn too_small_designated_set_panics() {
         // f = 4 for 10 servers; k must exceed f.
-        let _ = SetchainConfig::new(10).with_designated_signers(4);
+        start_server(SetchainConfig {
+            designated_signers: Some(4),
+            ..SetchainConfig::new(10)
+        });
     }
 
     #[test]
     #[should_panic(expected = "f < n")]
     fn invalid_f_panics() {
-        let _ = SetchainConfig::new(4).with_f(4);
+        start_server(SetchainConfig {
+            f: 4,
+            ..SetchainConfig::new(4)
+        });
     }
 
     #[test]

@@ -887,6 +887,9 @@ mod tests {
 
     #[test]
     fn pushed_batches_share_the_origin_batch_too() {
-        assert_one_allocation_per_hash(SetchainConfig::new(4).with_push_batches());
+        assert_one_allocation_per_hash(SetchainConfig {
+            push_batches: true,
+            ..SetchainConfig::new(4)
+        });
     }
 }

@@ -184,6 +184,11 @@ pub const CATCHUP_RETRY: SimDuration = SimDuration(2_000_000); // 2 s
 
 impl ServerCore {
     /// Creates the shared server state.
+    ///
+    /// # Panics
+    ///
+    /// If `config` is unusable: `f >= n`, a zero collector limit, or a
+    /// designated signer set of `k` servers outside `f < k <= n`.
     pub fn new(
         keys: KeyPair,
         registry: KeyRegistry,
@@ -191,6 +196,17 @@ impl ServerCore {
         trace: SetchainTrace,
         byz: ServerByzMode,
     ) -> Self {
+        assert!(config.f < config.servers, "need f < n");
+        assert!(
+            config.collector_limit >= 1,
+            "collector limit must be positive"
+        );
+        if let Some(k) = config.designated_signers {
+            assert!(
+                k > config.f && k <= config.servers,
+                "designated signer set must satisfy f < k <= n"
+            );
+        }
         let own_key = SigningKey::new(&keys.secret);
         let mut core = ServerCore {
             keys,
@@ -1162,7 +1178,10 @@ pub(crate) mod tests {
         let core = ServerCore::new(
             keys,
             registry.clone(),
-            SetchainConfig::new(4).with_store(cfg),
+            SetchainConfig {
+                store: Some(cfg),
+                ..SetchainConfig::new(4)
+            },
             SetchainTrace::new(),
             ServerByzMode::Correct,
         );

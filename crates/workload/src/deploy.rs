@@ -165,17 +165,6 @@ pub struct DeploymentBuilder {
 }
 
 impl DeploymentBuilder {
-    /// Starts from an existing scenario (all processes correct until faults
-    /// are added).
-    pub fn from_scenario(scenario: Scenario) -> Self {
-        DeploymentBuilder {
-            scenario,
-            server_faults: Vec::new(),
-            ledger_faults: Vec::new(),
-            fault_plan: None,
-        }
-    }
-
     /// The scenario as configured so far.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
@@ -266,7 +255,7 @@ impl DeploymentBuilder {
     /// prefix locally before asking any peer. Default is in-memory (the
     /// exact pre-store pipeline).
     pub fn store(mut self, config: setchain::StoreConfig) -> Self {
-        self.scenario = self.scenario.with_store(config);
+        self.scenario.store = Some(config);
         self
     }
 
@@ -276,7 +265,7 @@ impl DeploymentBuilder {
     /// `Rejected { retry_after }` hint. Default is unmetered (the exact
     /// pre-quota pipeline — schedules are byte-identical with quotas off).
     pub fn quota(mut self, config: setchain::QuotaConfig) -> Self {
-        self.scenario = self.scenario.with_quota(config);
+        self.scenario.quota = Some(config);
         self
     }
 
@@ -285,7 +274,7 @@ impl DeploymentBuilder {
     /// injection clients). Its traffic never enters the shared experiment
     /// trace, so added/committed totals keep measuring honest goodput only.
     pub fn adversary(mut self, preset: Adversary) -> Self {
-        self.scenario = self.scenario.with_adversary(preset);
+        self.scenario.adversary = Some(preset);
         self
     }
 
@@ -485,14 +474,15 @@ impl DeploymentBuilder {
 
 impl Deployment {
     /// Starts a fluent [`DeploymentBuilder`] from the paper's base scenario
-    /// for `algorithm`.
+    /// for `algorithm`, with every process correct until faults are added.
+    /// This is the one way to configure a run.
     pub fn builder(algorithm: setchain::Algorithm) -> DeploymentBuilder {
-        DeploymentBuilder::from_scenario(Scenario::base(algorithm))
-    }
-
-    /// Builds a deployment with all processes correct.
-    pub fn build(scenario: &Scenario) -> Self {
-        DeploymentBuilder::from_scenario(scenario.clone()).build()
+        DeploymentBuilder {
+            scenario: Scenario::base(algorithm),
+            server_faults: Vec::new(),
+            ledger_faults: Vec::new(),
+            fault_plan: None,
+        }
     }
 
     /// Typed access to server `i`, independent of the algorithm it runs.
@@ -589,13 +579,8 @@ mod tests {
             committed as f64 >= 0.9 * added as f64,
             "most elements commit: {committed}/{added}"
         );
-        // Servers agree on the common epoch prefix.
-        let s0 = deployment.server(0);
-        let s1 = deployment.server(1);
-        assert!(s0.state().epoch() > 0);
-        assert!(s0.state().check_consistent_with(s1.state()));
-        assert!(s0.state().check_unique_epoch());
-        assert!(s0.state().check_consistent_sets());
+        let report = crate::check_setchain_invariants(&deployment).expect("Setchain properties");
+        assert!(report.committed_epochs > 0, "{report:?}");
     }
 
     #[test]
@@ -613,23 +598,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_legacy_constructors_agree() {
-        let scenario = Scenario::base(Algorithm::Compresschain)
-            .with_servers(4)
-            .with_rate(300.0)
-            .with_injection_secs(2)
-            .with_max_run_secs(12)
-            .with_seed(9);
-        let mut a = Deployment::build(&scenario);
-        let mut b = DeploymentBuilder::from_scenario(scenario).build();
-        a.sim.run_until(SimTime::from_secs(12));
-        b.sim.run_until(SimTime::from_secs(12));
-        assert_eq!(a.trace.added_count(), b.trace.added_count());
-        assert_eq!(
-            a.server(0).state().epoch(),
-            b.server(0).state().epoch(),
-            "same construction path, same deterministic run"
-        );
+    #[should_panic(expected = "f < k <= n")]
+    fn builder_rejects_a_too_small_designated_set() {
+        // f = 4 for 10 servers; k must exceed f.
+        let _ = Deployment::builder(Algorithm::Hashchain)
+            .servers(10)
+            .designated_signers(4)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "collector limit must be positive")]
+    fn builder_rejects_a_zero_collector() {
+        let _ = Deployment::builder(Algorithm::Compresschain)
+            .servers(4)
+            .collector(0)
+            .build();
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! * [`generator`] — synthetic Arbitrum-like elements reproducing the size
 //!   distribution the paper reports (mean 438 B, σ 753.5).
-//! * [`scenario`] — the experiment parameter space of Table 1 (sending rate,
-//!   collector size, server count, network delay) plus the scenario grids of
-//!   every figure.
+//! * [`scenario`] — the parameters of one run and Table 1's parameter
+//!   space (sending rate, collector size, server count, network delay).
 //! * [`deploy`] — builds a full simulated deployment: `n` ledger nodes each
 //!   running a [`SetchainServer`](setchain::SetchainServer), plus one
 //!   injection client per node (mirroring the paper's
@@ -20,7 +19,7 @@
 //! * [`adversary`] — adversarial workload presets (flood, replay storm,
 //!   hot-key skew, churn storm) driving one misbehaving client against the
 //!   overload-protection path.
-//! * [`runner`] — runs a scenario to completion and collects a
+//! * [`runner`] — runs a deployment to completion and collects a
 //!   [`runner::RunResult`].
 //! * [`invariants`] — [`check_setchain_invariants`], the one checker of the
 //!   Setchain properties on a deployment's servers.
@@ -34,10 +33,10 @@
 //!
 //! ```
 //! use setchain::Algorithm;
-//! use setchain_workload::{analytical_throughput, AnalysisParams, Scenario};
+//! use setchain_workload::{analytical_throughput, AnalysisParams, Deployment};
 //!
-//! let scenario = Scenario::base(Algorithm::Hashchain).with_servers(10);
-//! assert_eq!(scenario.setchain_f(), 4); // f = ⌊(n−1)/2⌋
+//! let builder = Deployment::builder(Algorithm::Hashchain).servers(10);
+//! assert_eq!(builder.scenario().setchain_f(), 4); // f = ⌊(n−1)/2⌋
 //!
 //! // Appendix D ranks the algorithms: hashchain > compresschain > vanilla.
 //! let params = AnalysisParams::default();
@@ -68,7 +67,7 @@ pub use driver::{ClientDriver, RequestClient, RetryAdd, RetryPolicy, RetryReport
 pub use generator::ArbitrumWorkload;
 pub use invariants::{check_setchain_invariants, InvariantReport};
 pub use metrics::{CommitTimes, Efficiency, StageLatencies, ThroughputSeries};
-pub use runner::{run_scenario, RunResult};
+pub use runner::RunResult;
 pub use scenario::Scenario;
 pub use session::{
     AddReceipt, BatchReceipt, ClientSession, SessionOutcome, SnapshotView, VerifiedEpoch,

@@ -1,13 +1,12 @@
-//! Runs a scenario to completion and collects the results.
+//! Runs a deployment to completion and collects the results.
 
 use std::time::Instant;
 
 use setchain_simnet::{SimDuration, SimTime};
 
 use crate::deploy::Deployment;
-use crate::scenario::Scenario;
 
-/// The outcome of running one scenario.
+/// The outcome of running one deployment.
 pub struct RunResult {
     /// The deployment as the run left it, for reading its traces and server
     /// state (the Setchain property checker, heights, compression ratios)
@@ -57,13 +56,10 @@ impl RunResult {
     }
 }
 
-/// Runs `scenario` until every added element has committed (checked after the
-/// injection period) or `max_run_secs` elapses.
-pub fn run_scenario(scenario: &Scenario) -> RunResult {
-    run_deployment(Deployment::build(scenario))
-}
-
-/// Runs an already-built deployment (used by tests that inject faults).
+/// Runs a built deployment until every added element has committed (checked
+/// after the injection period) or its scenario's `max_run_secs` elapses.
+/// [`DeploymentBuilder::run`](crate::DeploymentBuilder::run) builds and
+/// runs in one call.
 pub fn run_deployment(mut deployment: Deployment) -> RunResult {
     let start = Instant::now();
     let check_interval = SimDuration::from_secs(5);
@@ -108,14 +104,14 @@ mod tests {
 
     #[test]
     fn small_hashchain_run_completes_and_reports() {
-        let scenario = Scenario::base(Algorithm::Hashchain)
-            .with_servers(4)
-            .with_rate(300.0)
-            .with_collector(50)
-            .with_injection_secs(5)
-            .with_max_run_secs(60)
-            .with_seed(11);
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(Algorithm::Hashchain)
+            .servers(4)
+            .rate(300.0)
+            .collector(50)
+            .injection_secs(5)
+            .max_run_secs(60)
+            .seed(11)
+            .run();
         assert!(result.added > 1_000, "added={}", result.added);
         assert!(
             result.final_efficiency() > 0.95,
@@ -129,13 +125,13 @@ mod tests {
 
     #[test]
     fn small_vanilla_run_completes() {
-        let scenario = Scenario::base(Algorithm::Vanilla)
-            .with_servers(4)
-            .with_rate(100.0)
-            .with_injection_secs(5)
-            .with_max_run_secs(90)
-            .with_seed(12);
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(Algorithm::Vanilla)
+            .servers(4)
+            .rate(100.0)
+            .injection_secs(5)
+            .max_run_secs(90)
+            .seed(12)
+            .run();
         assert!(result.added > 400);
         assert!(
             result.final_efficiency() > 0.95,
@@ -146,14 +142,14 @@ mod tests {
 
     #[test]
     fn small_compresschain_run_completes() {
-        let scenario = Scenario::base(Algorithm::Compresschain)
-            .with_servers(4)
-            .with_rate(300.0)
-            .with_collector(50)
-            .with_injection_secs(5)
-            .with_max_run_secs(90)
-            .with_seed(13);
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(Algorithm::Compresschain)
+            .servers(4)
+            .rate(300.0)
+            .collector(50)
+            .injection_secs(5)
+            .max_run_secs(90)
+            .seed(13)
+            .run();
         assert!(result.added > 1_000);
         assert!(
             result.final_efficiency() > 0.95,
@@ -167,13 +163,13 @@ mod tests {
         // Vanilla's analytical limit is under 1 000 el/s; at 4 000 el/s with a
         // short run it must fall behind (this is the stress the paper shows in
         // Fig. 1 left).
-        let scenario = Scenario::base(Algorithm::Vanilla)
-            .with_servers(4)
-            .with_rate(4_000.0)
-            .with_injection_secs(5)
-            .with_max_run_secs(20)
-            .with_seed(14);
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(Algorithm::Vanilla)
+            .servers(4)
+            .rate(4_000.0)
+            .injection_secs(5)
+            .max_run_secs(20)
+            .seed(14)
+            .run();
         assert!(
             result.final_efficiency() < 0.9,
             "vanilla should be stressed"

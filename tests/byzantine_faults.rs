@@ -5,7 +5,7 @@
 use setchain::{Algorithm, ServerByzMode};
 use setchain_ledger::ByzMode;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, DeploymentBuilder};
+use setchain_workload::{check_setchain_invariants, Deployment, DeploymentBuilder};
 
 fn builder(algorithm: Algorithm, servers: usize, seed: u64) -> DeploymentBuilder {
     Deployment::builder(algorithm)
@@ -21,20 +21,6 @@ fn builder(algorithm: Algorithm, servers: usize, seed: u64) -> DeploymentBuilder
 fn run(mut deployment: Deployment, secs: u64) -> Deployment {
     deployment.sim.run_until(SimTime::from_secs(secs));
     deployment
-}
-
-fn correct_servers_consistent(deployment: &Deployment, correct: &[usize]) {
-    let reference = deployment.server(correct[0]);
-    assert!(reference.state().check_unique_epoch());
-    assert!(reference.state().check_consistent_sets());
-    for &i in &correct[1..] {
-        let other = deployment.server(i);
-        assert!(
-            reference.state().check_consistent_with(other.state()),
-            "correct servers {} and {i} diverged",
-            correct[0]
-        );
-    }
 }
 
 #[test]
@@ -62,7 +48,7 @@ fn hashchain_tolerates_a_server_refusing_batch_service() {
         "commits despite the refusing server: {committed_correct}/{}",
         via_correct.len()
     );
-    correct_servers_consistent(&deployment, &[0, 1, 2]);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     // The correct servers had to fall back to other signers at least once.
     let stats = deployment.server(0).stats();
     assert!(stats.batch_requests_sent > 0);
@@ -153,7 +139,7 @@ fn silent_ledger_validator_does_not_stop_the_setchain() {
         "{committed_live}/{} committed with a crashed validator",
         via_live.len()
     );
-    correct_servers_consistent(&deployment, &[0, 1, 2]);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }
 
 #[test]
@@ -162,7 +148,7 @@ fn equivocating_proposer_does_not_split_the_setchain() {
         .ledger_fault(1, ByzMode::EquivocatingProposer)
         .build();
     let deployment = run(deployment, 75);
-    correct_servers_consistent(&deployment, &[0, 2, 3]);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     let committed = deployment.trace.committed_count_by(SimTime::from_secs(75));
     assert!(committed > 500, "progress under an equivocating proposer");
 }
@@ -221,5 +207,5 @@ fn ten_servers_tolerate_multiple_mixed_faults() {
         committed as f64 >= 0.75 * added as f64,
         "{committed}/{added} committed under mixed faults"
     );
-    correct_servers_consistent(&deployment, &[0, 1, 2, 3, 4]);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }

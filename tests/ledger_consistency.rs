@@ -5,7 +5,7 @@
 use setchain::Algorithm;
 use setchain_simnet::SimTime;
 use setchain_workload::{
-    metrics::StageLatencies, run_scenario, Deployment, Efficiency, Scenario, ThroughputSeries,
+    check_setchain_invariants, metrics::StageLatencies, Deployment, Efficiency, ThroughputSeries,
 };
 
 #[test]
@@ -14,15 +14,16 @@ fn ledger_notifies_all_servers_consistently() {
     // Observed through the Setchain state: identical epoch sequences (tested
     // in setchain_properties.rs) plus identical ledger heights here.
     for algorithm in Algorithm::ALL {
-        let scenario = Scenario::base(algorithm)
-            .with_servers(4)
-            .with_rate(200.0)
-            .with_collector(25)
-            .with_injection_secs(4)
-            .with_max_run_secs(30)
-            .with_seed(50);
-        let mut deployment = Deployment::build(&scenario);
+        let mut deployment = Deployment::builder(algorithm)
+            .servers(4)
+            .rate(200.0)
+            .collector(25)
+            .injection_secs(4)
+            .max_run_secs(30)
+            .seed(50)
+            .build();
         deployment.sim.run_until(SimTime::from_secs(30));
+        check_setchain_invariants(&deployment).expect("Setchain properties");
         let heights: Vec<u64> = (0..4).map(|i| deployment.server(i).height()).collect();
         let min = *heights.iter().min().unwrap();
         let max = *heights.iter().max().unwrap();
@@ -41,14 +42,15 @@ fn ledger_notifies_all_servers_consistently() {
 fn ledger_add_eventually_notifies_and_commits() {
     // Property 9 end-to-end: elements appended by correct servers end up in
     // blocks and the epochs commit.
-    let scenario = Scenario::base(Algorithm::Compresschain)
-        .with_servers(4)
-        .with_rate(300.0)
-        .with_collector(30)
-        .with_injection_secs(4)
-        .with_max_run_secs(60)
-        .with_seed(51);
-    let result = run_scenario(&scenario);
+    let result = Deployment::builder(Algorithm::Compresschain)
+        .servers(4)
+        .rate(300.0)
+        .collector(30)
+        .injection_secs(4)
+        .max_run_secs(60)
+        .seed(51)
+        .run();
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
     assert!(result.added > 1_000);
     assert!(
         result.final_efficiency() > 0.95,
@@ -63,15 +65,16 @@ fn commit_latency_is_a_few_seconds_at_low_rate() {
     // Fig. 4's headline: at a non-saturating rate, Compresschain and
     // Hashchain reach finality (f+1 epoch-proofs) within a few seconds.
     for algorithm in [Algorithm::Compresschain, Algorithm::Hashchain] {
-        let scenario = Scenario::base(algorithm)
-            .with_servers(4)
-            .with_rate(500.0)
-            .with_collector(100)
-            .with_injection_secs(6)
-            .with_max_run_secs(60)
-            .with_seed(52)
-            .detailed();
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(algorithm)
+            .servers(4)
+            .rate(500.0)
+            .collector(100)
+            .injection_secs(6)
+            .max_run_secs(60)
+            .seed(52)
+            .detailed()
+            .run();
+        check_setchain_invariants(&result.deployment).expect("Setchain properties");
         let stages = StageLatencies::compute(
             &result.deployment.trace,
             &result.deployment.ledger_trace,
@@ -117,14 +120,15 @@ fn throughput_ordering_matches_the_paper() {
     };
     let mut measured = Vec::new();
     for algorithm in Algorithm::ALL {
-        let scenario = Scenario::base(algorithm)
-            .with_servers(4)
-            .with_rate(rate)
-            .with_collector(100)
-            .with_injection_secs(injection)
-            .with_max_run_secs(40)
-            .with_seed(53);
-        let result = run_scenario(&scenario);
+        let result = Deployment::builder(algorithm)
+            .servers(4)
+            .rate(rate)
+            .collector(100)
+            .injection_secs(injection)
+            .max_run_secs(40)
+            .seed(53)
+            .run();
+        check_setchain_invariants(&result.deployment).expect("Setchain properties");
         measured.push((
             algorithm,
             result.average_throughput(injection),
@@ -154,14 +158,16 @@ fn efficiency_improves_when_collector_grows() {
     // Fig. 3's qualitative effect for Compresschain under stress: a larger
     // collector (fewer, bigger batches) does not hurt and typically helps.
     let efficiency_with_collector = |c: usize| {
-        let scenario = Scenario::base(Algorithm::Compresschain)
-            .with_servers(4)
-            .with_rate(2_500.0)
-            .with_collector(c)
-            .with_injection_secs(8)
-            .with_max_run_secs(24)
-            .with_seed(54);
-        Efficiency::compute(&run_scenario(&scenario).deployment.trace, 8).values
+        let result = Deployment::builder(Algorithm::Compresschain)
+            .servers(4)
+            .rate(2_500.0)
+            .collector(c)
+            .injection_secs(8)
+            .max_run_secs(24)
+            .seed(54)
+            .run();
+        check_setchain_invariants(&result.deployment).expect("Setchain properties");
+        Efficiency::compute(&result.deployment.trace, 8).values
     };
     let small = efficiency_with_collector(100);
     let large = efficiency_with_collector(500);
@@ -177,15 +183,17 @@ fn network_delay_reduces_but_does_not_break_efficiency() {
     // Fig. 3c: added WAN-like delay lowers efficiency but the system still
     // commits everything given time.
     let run_with_delay = |ms: u64| {
-        let scenario = Scenario::base(Algorithm::Hashchain)
-            .with_servers(4)
-            .with_rate(1_000.0)
-            .with_collector(100)
-            .with_delay_ms(ms)
-            .with_injection_secs(6)
-            .with_max_run_secs(60)
-            .with_seed(55);
-        run_scenario(&scenario)
+        let result = Deployment::builder(Algorithm::Hashchain)
+            .servers(4)
+            .rate(1_000.0)
+            .collector(100)
+            .delay_ms(ms)
+            .injection_secs(6)
+            .max_run_secs(60)
+            .seed(55)
+            .run();
+        check_setchain_invariants(&result.deployment).expect("Setchain properties");
+        result
     };
     let fast = run_with_delay(0);
     let slow = run_with_delay(100);
@@ -203,14 +211,15 @@ fn network_delay_reduces_but_does_not_break_efficiency() {
 
 #[test]
 fn throughput_series_is_monotone_in_cumulative_commits() {
-    let scenario = Scenario::base(Algorithm::Hashchain)
-        .with_servers(4)
-        .with_rate(500.0)
-        .with_collector(50)
-        .with_injection_secs(5)
-        .with_max_run_secs(30)
-        .with_seed(56);
-    let result = run_scenario(&scenario);
+    let result = Deployment::builder(Algorithm::Hashchain)
+        .servers(4)
+        .rate(500.0)
+        .collector(50)
+        .injection_secs(5)
+        .max_run_secs(30)
+        .seed(56)
+        .run();
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
     let series = ThroughputSeries::compute(&result.deployment.trace, 9, result.finished_at);
     // The series integrates (approximately) to the number of committed
     // elements: cumulative commits computed two ways must agree.

@@ -4,110 +4,59 @@
 
 use setchain::{Algorithm, Element, ElementId, BATCH_CHUNK};
 use setchain_crypto::{KeyRegistry, MerkleTree, ProcessId};
-use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, Scenario};
+use setchain_workload::{check_setchain_invariants, Deployment, RunResult};
 
-/// A small but non-trivial scenario: 4 servers, a few thousand elements.
-fn scenario(algorithm: Algorithm, seed: u64) -> Scenario {
-    Scenario::base(algorithm)
-        .with_label(format!("properties {algorithm}"))
-        .with_servers(4)
-        .with_rate(400.0)
-        .with_collector(50)
-        .with_injection_secs(5)
-        .with_max_run_secs(60)
-        .with_seed(seed)
-}
-
-/// Runs until every added element is committed (or the cap is reached) and
-/// returns the deployment for inspection.
-fn run(algorithm: Algorithm, seed: u64) -> (Deployment, SimTime) {
-    let scenario = scenario(algorithm, seed);
-    let mut deployment = Deployment::build(&scenario);
-    let mut now = SimTime::ZERO;
-    let limit = SimTime::from_secs(scenario.max_run_secs);
-    while now < limit {
-        now = (now + setchain_simnet::SimDuration::from_secs(5)).min(limit);
-        deployment.sim.run_until(now);
-        let added = deployment.trace.added_count();
-        if now > SimTime::from_secs(scenario.injection_secs)
-            && added > 0
-            && deployment.trace.committed_count_by(now) >= added
-        {
-            break;
-        }
-    }
-    (deployment, now)
+/// A small but non-trivial run: 4 servers, a few thousand elements, until
+/// every added element is committed (or the cap is reached).
+fn run(algorithm: Algorithm, seed: u64) -> RunResult {
+    Deployment::builder(algorithm)
+        .label(format!("properties {algorithm}"))
+        .servers(4)
+        .rate(400.0)
+        .collector(50)
+        .injection_secs(5)
+        .max_run_secs(60)
+        .seed(seed)
+        .run()
 }
 
 fn check_all_properties(algorithm: Algorithm, seed: u64) {
-    let (deployment, now) = run(algorithm, seed);
-    let n = deployment.scenario.servers;
-    let f = deployment.scenario.setchain_f();
+    let result = run(algorithm, seed);
+    let deployment = &result.deployment;
     let added = deployment.trace.added_count();
     assert!(added > 1_500, "{algorithm}: workload injected ({added})");
 
+    // Properties 1 (Consistent-Sets), 5 (Unique-Epoch), 6 (Consistent-Gets)
+    // and 7 (Add-before-Get), plus Get-Global at quiescence, on every
+    // server.
+    let report = check_setchain_invariants(deployment)
+        .unwrap_or_else(|e| panic!("{algorithm}: Setchain property violated: {e}"));
+    assert!(report.committed_epochs > 0, "{algorithm}: {report:?}");
+    assert!(report.adds_before_gets > 0, "{algorithm}: {report:?}");
+
     // Liveness (Properties 2, 3, 4): every added valid element ends up in
-    // every correct server's the_set and history.
+    // every correct server's history.
     let records = deployment.trace.element_records();
     let unstamped = records.iter().filter(|r| r.epoch.is_none()).count();
     assert_eq!(
         unstamped, 0,
         "{algorithm}: every added element is eventually stamped with an epoch"
     );
-    for i in 0..n {
-        let server = deployment.server(i);
-        let state = server.state();
+    for i in 0..deployment.config.servers {
+        let state = deployment.server(i).state();
         for r in &records {
-            assert!(
-                state.contains(&r.id),
-                "{algorithm}: server {i} the_set is missing {:?} (Get-Global)",
-                r.id
-            );
             assert!(
                 state.in_history(&r.id),
                 "{algorithm}: server {i} history is missing {:?} (Eventual-Get)",
                 r.id
             );
         }
-        // Property 1 (Consistent-Sets) and 5 (Unique-Epoch).
-        assert!(
-            state.check_consistent_sets(),
-            "{algorithm}: server {i} Consistent-Sets"
-        );
-        assert!(
-            state.check_unique_epoch(),
-            "{algorithm}: server {i} Unique-Epoch"
-        );
-    }
-
-    // Property 6 (Consistent-Gets): common epoch prefixes are identical.
-    let reference = deployment.server(0);
-    for i in 1..n {
-        let other = deployment.server(i);
-        assert!(
-            reference.state().check_consistent_with(other.state()),
-            "{algorithm}: server 0 and server {i} disagree on a common epoch"
-        );
-    }
-
-    // Property 7 (Add-before-Get): nothing in the_set that was not added by a
-    // client. The trace records every client add; forged ids would not be in
-    // it. Sample the reference server's history for membership.
-    let added_ids: std::collections::HashSet<ElementId> = records.iter().map(|r| r.id).collect();
-    let state = reference.state();
-    for epoch in 1..=state.epoch() {
-        for e in state.epoch_elements(epoch).unwrap() {
-            assert!(
-                added_ids.contains(&e.id),
-                "{algorithm}: epoch {epoch} contains {:?} which no client added",
-                e.id
-            );
-        }
     }
 
     // Property 8 (Valid-Epoch): every epoch containing elements eventually has
     // at least f+1 proofs from distinct servers (correct servers > f).
+    let f = deployment.config.f;
+    let state = deployment.server(0).state();
     let mut proven = 0;
     let mut with_elements = 0;
     for epoch in 1..=state.epoch() {
@@ -125,7 +74,8 @@ fn check_all_properties(algorithm: Algorithm, seed: u64) {
     );
     assert!(
         proven as f64 >= 0.9 * with_elements as f64,
-        "{algorithm}: {proven}/{with_elements} element-bearing epochs reached f+1 proofs by {now}"
+        "{algorithm}: {proven}/{with_elements} element-bearing epochs reached f+1 proofs by {}",
+        result.finished_at
     );
 }
 
@@ -149,9 +99,9 @@ fn epochs_are_identical_across_servers_for_all_algorithms() {
     // Stronger variant of Consistent-Gets: compare the *content* of every
     // epoch id by id between two servers.
     for algorithm in Algorithm::ALL {
-        let (deployment, _) = run(algorithm, 404);
+        let deployment = run(algorithm, 404).deployment;
         let a = deployment.server(0);
-        let b = deployment.server(deployment.scenario.servers - 1);
+        let b = deployment.server(deployment.config.servers - 1);
         let common = a.state().epoch().min(b.state().epoch());
         assert!(common > 0, "{algorithm}: at least one epoch created");
         for epoch in 1..=common {
@@ -244,12 +194,11 @@ fn epoch_hash_for_root_matches_a_hand_built_merkle_tree() {
 #[test]
 fn runs_are_deterministic_for_a_fixed_seed() {
     let run_digest = |seed: u64| {
-        let (deployment, now) = run(Algorithm::Hashchain, seed);
-        let state_epoch = deployment.server(0).state().epoch();
+        let result = run(Algorithm::Hashchain, seed);
         (
-            deployment.trace.added_count(),
-            deployment.trace.committed_count_by(now),
-            state_epoch,
+            result.added,
+            result.committed,
+            result.deployment.server(0).state().epoch(),
         )
     };
     assert_eq!(run_digest(777), run_digest(777));

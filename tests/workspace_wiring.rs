@@ -8,7 +8,7 @@ use setchain_compress::{compress, decompress};
 use setchain_crypto::{sha256, sign, verify, KeyPair, KeyRegistry, MerkleTree, ProcessId};
 use setchain_ledger::Mempool;
 use setchain_simnet::{SimDuration, SimTime};
-use setchain_workload::{analytical_throughput, AnalysisParams, ArbitrumWorkload, Scenario};
+use setchain_workload::{analytical_throughput, AnalysisParams, ArbitrumWorkload};
 
 #[test]
 fn crypto_entry_points() {
@@ -93,16 +93,15 @@ fn setchain_entry_points() {
 
 #[test]
 fn workload_entry_points() {
-    let scenario = Scenario::base(Algorithm::Hashchain).with_servers(10);
-    assert_eq!(scenario.setchain_f(), 4, "f = ⌊(n−1)/2⌋");
-    assert_eq!(scenario.setchain_config().proof_quorum(), 5);
-
     // The deployment builder carries scenario knobs fluently.
-    let builder = setchain_workload::Deployment::builder(Algorithm::Vanilla)
-        .servers(4)
+    let builder = setchain_workload::Deployment::builder(Algorithm::Hashchain)
+        .servers(10)
         .rate(100.0)
         .seed(3);
-    assert_eq!(builder.scenario().servers, 4);
+    let scenario = builder.scenario();
+    assert_eq!(scenario.servers, 10);
+    assert_eq!(scenario.setchain_f(), 4, "f = ⌊(n−1)/2⌋");
+    assert_eq!(scenario.setchain_config().proof_quorum(), 5);
 
     // The Appendix D analytical model ranks the algorithms as the paper does.
     let params = AnalysisParams::default();
