@@ -140,6 +140,11 @@ where
         self.sim.consume_cpu(amount);
     }
 
+    /// Simulated CPU charged so far in this callback.
+    pub fn cpu_consumed(&self) -> SimDuration {
+        self.sim.cpu_consumed()
+    }
+
     /// Deterministic RNG shared with the simulation.
     pub fn rng(&mut self) -> &mut StdRng {
         self.sim.rng()

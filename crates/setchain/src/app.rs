@@ -234,9 +234,13 @@ impl Application for SetchainServer {
         if self.algorithm().uses_collector() {
             ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
         }
-        // After a restart (retained state) probe peers for missed epochs;
-        // a cold start is a no-op.
+        // After a restart (retained state) probe peers for missed epochs and
+        // re-arm an outstanding batch request's timer; a cold start is a
+        // no-op.
         self.core.maybe_request_catchup(ctx);
+        if let Variant::Hashchain(h) = &self.variant {
+            h.on_restart(ctx);
+        }
     }
 
     fn check_tx(&self, tx: &SetchainTx) -> bool {

@@ -17,6 +17,11 @@
 //! the pseudocode's `continue`). This keeps epoch numbering identical on all
 //! correct servers.
 //!
+//! Up to n servers append a hash-batch for the same hash, but a batch's
+//! contents are applied once per server, at the first copy: its epoch-proofs
+//! are ingested and its elements admitted there. Later copies only count
+//! their signer towards `f + 1` (see `Hashchain::handle_hash_batch`).
+//!
 //! The "Hashchain light" ablation of Fig. 2 (left) disables hash reversal and
 //! hash-batch validation (all servers assumed correct); batch availability is
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
@@ -132,10 +137,15 @@ impl SharedBatchRegistry {
 /// `batch` is the flushing server's allocation: a response or push carries
 /// that `Arc`, and the receiver keeps it once it hashes right, so a run holds
 /// one copy of each batch however many servers know it.
+///
+/// `applied` is set once a hash-batch copy of this hash has ingested the
+/// batch's epoch-proofs and admitted its elements with final verdicts; later
+/// copies skip both (see [`Hashchain::handle_hash_batch`]).
 #[derive(Clone)]
 struct KnownBatch {
     batch: Arc<Batch>,
     root: Option<Digest256>,
+    applied: bool,
 }
 
 /// An outstanding `Request_batch`.
@@ -261,7 +271,11 @@ impl Hashchain {
             return Some(known.clone());
         }
         let batch = self.shared_registry.as_ref()?.get(hash)?;
-        let known = KnownBatch { batch, root: None };
+        let known = KnownBatch {
+            batch,
+            root: None,
+            applied: false,
+        };
         self.hash_to_batch.insert(*hash, known.clone());
         Some(known)
     }
@@ -378,17 +392,64 @@ impl Hashchain {
     /// Gives up on the current request (timeout or bad response): either
     /// retries with another signer or skips the hash-batch, mirroring the
     /// pseudocode's `continue`.
+    ///
+    /// Two rules keep every correct server consolidating each hash at the
+    /// same copy, whatever it managed to fetch. A skipped copy still counts
+    /// its signer: its hash-batch is valid and on the ledger. And the copy
+    /// that brings its hash to `f + 1` signers is never skipped: one of them
+    /// is correct and holds the batch, so its signers are asked round after
+    /// round until one answers.
     fn fail_request(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let Some(pending) = self.waiting.take() else {
+        let Some(mut pending) = self.waiting.take() else {
             return;
         };
         let hash = pending.hash;
         self.prefetched.remove(&hash);
-        // The first server we have not asked yet: other observed signers of
-        // this hash in id order (they all claim to have the batch), then
-        // the signers still queued, in ledger order.
-        let next = self
-            .hash_to_signers
+        let head = self
+            .block_queue
+            .front()
+            .copied()
+            .filter(|hb| hb.hash == hash);
+        // The head copy's signer counts now, even if the copy is skipped.
+        let completes = match head {
+            Some(hb) => {
+                let signers = self.hash_to_signers.entry(hash).or_default();
+                signers.insert(hb.signer);
+                signers.len() >= core.config.proof_quorum()
+            }
+            None => false,
+        };
+        if pending.asked.len() < core.config.max_request_retries || completes {
+            let mut next = self.next_to_ask(hash, &pending.asked, core.id());
+            if next.is_none() && completes {
+                // Every signer was asked this round: start the next one.
+                pending.asked.clear();
+                next = self.next_to_ask(hash, &pending.asked, core.id());
+            }
+            if let Some(next) = next {
+                self.waiting = Some(pending);
+                self.send_request(core, hash, next, ctx);
+                return;
+            }
+        }
+        // Give up: skip the hash-batch at the head of the queue.
+        core.stats.batch_requests_failed += 1;
+        if head.is_some() {
+            self.block_queue.pop_front();
+        }
+        self.process_queue(core, ctx);
+    }
+
+    /// The first server not in `asked` to ask for `hash`: other observed
+    /// signers of this hash in id order (they all claim to have the batch),
+    /// then the signers still queued, in ledger order.
+    fn next_to_ask(
+        &self,
+        hash: Digest512,
+        asked: &[ProcessId],
+        me: ProcessId,
+    ) -> Option<ProcessId> {
+        self.hash_to_signers
             .get(&hash)
             .into_iter()
             .flatten()
@@ -399,30 +460,30 @@ impl Hashchain {
                     .filter(|hb| hb.hash == hash)
                     .map(|hb| hb.signer),
             )
-            .find(|c| !pending.asked.contains(c) && *c != core.id());
-        if pending.asked.len() < core.config.max_request_retries {
-            if let Some(next) = next {
-                self.waiting = Some(pending);
-                self.send_request(core, hash, next, ctx);
-                return;
-            }
+            .find(|c| !asked.contains(c) && *c != me)
+    }
+
+    /// A restart fenced off the request timer armed before the crash: arm
+    /// it again, so an outstanding request cannot pause the queue forever.
+    pub(crate) fn on_restart(&self, ctx: &mut Ctx<'_, '_, '_>) {
+        if let Some(pending) = &self.waiting {
+            ctx.set_app_timer(pending.deadline - ctx.now(), REQUEST_TICK);
         }
-        // Give up: skip the hash-batch at the head of the queue.
-        core.stats.batch_requests_failed += 1;
-        if self
-            .block_queue
-            .front()
-            .map(|hb| hb.hash == hash)
-            .unwrap_or(false)
-        {
-            self.block_queue.pop_front();
-        }
-        self.process_queue(core, ctx);
     }
 
     /// Processes one hash-batch whose position in the ledger order has been
     /// reached. `known` is `None` only in light mode when contents are
     /// unavailable.
+    ///
+    /// A batch's contents are applied once per server, at the first copy of
+    /// its hash this server processes: its epoch-proofs are ingested and its
+    /// elements admitted there, and the entry is marked `applied`. Both steps
+    /// are idempotent for the same bytes, so the up-to-n later copies skip
+    /// them — except after a proof naming an epoch not derived here yet,
+    /// whose verdict can still change: the entry then stays unapplied and
+    /// the next copy applies the batch again. Every copy still counts its
+    /// signer (its `valid_hash` was checked in [`Self::finalize_block`]),
+    /// counter-signs if this server has not, and consolidates at `f + 1`.
     fn handle_hash_batch(
         &mut self,
         core: &mut ServerCore,
@@ -435,7 +496,7 @@ impl Hashchain {
         let validate = core.config.hash_reversal;
         let designated = core.config.is_designated(core.id().server_index());
 
-        if let Some(KnownBatch { batch, .. }) = &known {
+        if let Some(KnownBatch { batch, applied, .. }) = &known {
             // If we had to recover the batch (we are not its origin and have
             // not signed it yet), sign the hash and append our own hash-batch
             // so the f+1 consolidation quorum can form. In the designated-
@@ -447,13 +508,21 @@ impl Hashchain {
                 self.my_signed.insert(hash);
                 ctx.append(SetchainTx::HashBatch(own));
             }
-            // Valid epoch-proofs of the batch.
-            for p in &batch.proofs {
-                core.ingest_proof(*p, now, ctx);
+            if !applied {
+                // Valid epoch-proofs of the batch. Every proof is ingested,
+                // even after one whose epoch is not derived yet.
+                let mut settled = true;
+                for p in &batch.proofs {
+                    settled &= core.ingest_proof(*p, now, ctx);
+                }
+                // Valid elements join the_set immediately (they join history
+                // only at consolidation); no candidate vector is
+                // materialized here.
+                core.admit_batch_elements(&batch.elements, validate, ctx);
+                if let Some(entry) = self.hash_to_batch.get_mut(&hash) {
+                    entry.applied = settled;
+                }
             }
-            // Valid elements join the_set immediately (they join history only
-            // at consolidation); no candidate vector is materialized here.
-            core.admit_batch_elements(&batch.elements, validate, ctx);
         }
 
         // Track the signer and consolidate at f + 1.
@@ -587,8 +656,12 @@ impl Hashchain {
     /// Keeps batch contents this server hashed itself — flushed, or
     /// verified against `hash` — with the root that hash committed to.
     fn remember(&mut self, hash: Digest512, batch: Arc<Batch>, root: Digest256) {
-        let root = Some(root);
-        self.hash_to_batch.insert(hash, KnownBatch { batch, root });
+        let known = KnownBatch {
+            batch,
+            root: Some(root),
+            applied: false,
+        };
+        self.hash_to_batch.insert(hash, known);
     }
 
     /// The request timer fired: give up on the outstanding request if its
@@ -609,12 +682,12 @@ mod tests {
     use super::*;
     use crate::app::SetchainServer;
     use crate::element::{Element, ElementId};
-    use crate::proofs::make_epoch_proof;
+    use crate::proofs::{make_epoch_proof, make_epoch_proof_for_digest};
     use crate::trace::SetchainTrace;
     use crate::Algorithm;
     use setchain_crypto::KeyRegistry;
     use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace, NetMsg};
-    use setchain_simnet::{NetworkConfig, Simulation, SimulationConfig};
+    use setchain_simnet::{NetworkConfig, SimDuration, Simulation, SimulationConfig};
 
     fn registry() -> KeyRegistry {
         KeyRegistry::bootstrap(31, 4, 2)
@@ -803,6 +876,205 @@ mod tests {
             assert_eq!(core.stats.batch_requests_failed, 1);
             assert!(h.waiting.is_none() && h.block_queue.is_empty());
             assert_eq!(core.state.epoch(), 1);
+        });
+    }
+
+    #[test]
+    fn a_skipped_copy_counts_its_signer_and_the_completing_copy_waits() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let mut h = Hashchain::new(&core.config, None);
+            let batch = Arc::new(Batch {
+                elements: elements(registry, 0..10),
+                proofs: vec![],
+            });
+            let hash = batch_hash(&batch.elements, &batch.proofs);
+            let [s1, s2, s3] = [1, 2, 3].map(ProcessId::server);
+            for s in [s1, s2] {
+                let keys = registry.lookup(s).unwrap();
+                h.block_queue.push_back(HashBatch::new(&keys, hash));
+            }
+            // Server 1's copy has run out of signers to ask: it is skipped,
+            // but its signer counts.
+            h.waiting = Some(PendingRequest {
+                hash,
+                asked: vec![s1, s2, s3],
+                deadline: ctx.now(),
+            });
+            h.fail_request(core, ctx);
+            assert_eq!(core.stats.batch_requests_failed, 1);
+            assert_eq!(h.hash_to_signers[&hash], BTreeSet::from([s1]));
+            assert_eq!(h.waiting.as_ref().unwrap().asked, vec![s2]);
+
+            // Server 2's copy brings the hash to f + 1 = 2 signers, so its
+            // signers are asked round after round and it is never skipped.
+            for _ in 0..2 * core.config.max_request_retries {
+                h.fail_request(core, ctx);
+            }
+            assert_eq!(core.stats.batch_requests_failed, 1);
+            assert_eq!(h.block_queue.len(), 1);
+            let asked = &h.waiting.as_ref().unwrap().asked;
+            assert!(asked.len() <= 2 && asked.iter().all(|s| [s1, s2].contains(s)));
+
+            // The answer consolidates the hash at this copy, as on a server
+            // that fetched the batch at the first one.
+            let answer = SetchainMsg::BatchResponse { hash, batch };
+            h.on_batch_message(core, s2, answer, ctx);
+            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert_eq!(core.state.epoch(), 1);
+            assert_eq!(core.state.epoch_elements(1).unwrap().len(), 10);
+        });
+    }
+
+    /// Keeps `batch` as known contents and returns its hash.
+    fn know(h: &mut Hashchain, batch: Batch) -> Digest512 {
+        let (hash, root) = hash_and_root(&batch.elements, &batch.proofs);
+        h.remember(hash, Arc::new(batch), root);
+        hash
+    }
+
+    /// Processes server `signer`'s hash-batch copy of the known `hash` and
+    /// returns the simulated CPU it charged.
+    fn process_copy(
+        h: &mut Hashchain,
+        core: &mut ServerCore,
+        registry: &KeyRegistry,
+        signer: usize,
+        hash: Digest512,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) -> SimDuration {
+        let keys = registry.lookup(ProcessId::server(signer)).unwrap();
+        let before = ctx.cpu_consumed();
+        let known = h.lookup_batch(&hash);
+        assert!(known.is_some(), "contents are known");
+        h.handle_hash_batch(core, HashBatch::new(&keys, hash), known, ctx);
+        ctx.cpu_consumed() - before
+    }
+
+    #[test]
+    fn a_known_batch_is_applied_once_however_many_copies_arrive() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let costs = core.config.costs;
+            let mut h = Hashchain::new(&core.config, None);
+            // Epoch 1 first, so that there is an epoch to carry proofs for.
+            let b = know(
+                &mut h,
+                Batch {
+                    elements: elements(registry, 0..10),
+                    proofs: vec![],
+                },
+            );
+            for signer in [1, 2] {
+                process_copy(&mut h, core, registry, signer, b, ctx);
+            }
+            assert_eq!(core.state.epoch(), 1);
+
+            // Servers 2 and 3's proofs for epoch 1, ten valid elements and
+            // one forged one.
+            let digest = *core.state.epoch_digest(1).unwrap();
+            let proofs = [2, 3]
+                .map(|s| {
+                    let keys = registry.lookup(ProcessId::server(s)).unwrap();
+                    make_epoch_proof_for_digest(&keys, 1, &digest)
+                })
+                .into();
+            let mut batch_elements = elements(registry, 100..110);
+            let forged = Element::forged(ProcessId::client(0), ElementId::new(0, 110), 438);
+            batch_elements.push(forged);
+            let count = batch_elements.len();
+            let a = know(
+                &mut h,
+                Batch {
+                    elements: batch_elements,
+                    proofs,
+                },
+            );
+
+            // The first copy counter-signs, verifies both proofs and
+            // validates the elements.
+            let first = process_copy(&mut h, core, registry, 1, a, ctx);
+            let apply = costs.verify_signature * 2 + costs.validate_cost(count);
+            assert_eq!(first, costs.sign + apply);
+            assert_eq!(core.stats.proofs_received, 2);
+            assert_eq!(core.stats.elements_rejected, 1);
+            assert!(core.state.contains(&ElementId::new(0, 100)));
+            assert_eq!(core.state.epoch(), 1, "one signer is not a quorum");
+
+            // The second copy charges only the consolidation: f + 1 = 2
+            // signers make epoch 2 out of the ten valid elements.
+            let second = process_copy(&mut h, core, registry, 2, a, ctx);
+            let stamped = core.state.epoch_elements(2).unwrap();
+            assert_eq!(stamped.len(), 10);
+            let bytes = stamped.iter().map(|e| e.wire_size()).sum();
+            let consolidate = costs.validate_cost(count) + costs.hash_cost(bytes) + costs.sign;
+            assert_eq!(second, consolidate);
+            assert_eq!(h.hash_to_signers[&a].len(), 2);
+            assert_eq!(core.stats.proofs_received, 2);
+            // The epoch's own filter counts the forgery once more.
+            assert_eq!(core.stats.elements_rejected, 2);
+
+            // A third copy only adds its signer.
+            let third = process_copy(&mut h, core, registry, 3, a, ctx);
+            assert_eq!(third, SimDuration::ZERO);
+            assert_eq!(h.hash_to_signers[&a].len(), 3);
+            assert_eq!(core.stats.proofs_received, 2);
+            assert_eq!(core.stats.proofs_rejected, 0);
+            assert_eq!(core.stats.elements_rejected, 2);
+            assert_eq!(core.state.epoch(), 2);
+            assert_eq!(core.state.proof_count(1), 2);
+        });
+    }
+
+    #[test]
+    fn a_proof_for_an_epoch_not_derived_yet_is_retried_at_the_next_copy() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let costs = core.config.costs;
+            let mut h = Hashchain::new(&core.config, None);
+            // Batch `b` will become epoch 1; batch `a` carries server 2's
+            // proof for that epoch and reaches the queue head first.
+            let b = elements(registry, 0..10);
+            let digest = crate::proofs::epoch_hash(1, &b);
+            let keys = registry.lookup(ProcessId::server(2)).unwrap();
+            let ahead = make_epoch_proof_for_digest(&keys, 1, &digest);
+            let a = know(
+                &mut h,
+                Batch {
+                    elements: elements(registry, 10..20),
+                    proofs: vec![ahead],
+                },
+            );
+            let b = know(
+                &mut h,
+                Batch {
+                    elements: b,
+                    proofs: vec![],
+                },
+            );
+
+            // Epoch 1 does not exist yet: the proof is rejected, catch-up is
+            // asked for, and `a` stays unapplied.
+            process_copy(&mut h, core, registry, 1, a, ctx);
+            assert_eq!(core.stats.proofs_rejected, 1);
+            assert_eq!(core.stats.catchup_requests, 1);
+            assert!(!h.hash_to_batch[&a].applied);
+
+            // `b` consolidates into epoch 1.
+            process_copy(&mut h, core, registry, 1, b, ctx);
+            process_copy(&mut h, core, registry, 2, b, ctx);
+            assert_eq!(core.state.epoch_digest(1), Some(&digest));
+
+            // The next copy of `a` applies it again: the proof verifies now.
+            let retry = process_copy(&mut h, core, registry, 3, a, ctx);
+            assert!(retry >= costs.verify_signature + costs.validate_cost(10));
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(core.state.proof_count(1), 1);
+            assert!(h.hash_to_batch[&a].applied);
+            assert_eq!(core.state.epoch(), 2, "a consolidated at f + 1");
+
+            // After that, copies ingest nothing.
+            let last = process_copy(&mut h, core, registry, 2, a, ctx);
+            assert_eq!(last, SimDuration::ZERO);
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(core.stats.proofs_rejected, 1);
         });
     }
 

@@ -857,19 +857,17 @@ impl ServerCore {
     /// proof count for the epoch reaches `f + 1`, the commit is reported to
     /// the experiment trace.
     ///
-    /// A proof byte-identical — epoch, signer, signature — to one already
-    /// held for its epoch is accepted without recomputing the signature
-    /// MAC: the epoch digest is immutable once recorded, so the verdict is
-    /// a pure function of bytes this server stores, and Hashchain delivers
-    /// each proof once per hash-batch copy. The shortcut is sound whatever
-    /// route (ledger ingest, catch-up, store replay) put the held copy
-    /// there: a hit can only lead to `add_proof` on an `(epoch, signer)`
-    /// the state already holds, which is a no-op, so it can never add a
-    /// proof, a signer or a commit that the full check would not. A proof
-    /// that differs in any byte — a forgery reusing a held signer — takes
-    /// the full check. Simulated CPU is charged either way: host-side
-    /// shortcuts never skip a `consume_cpu`.
-    pub fn ingest_proof(&mut self, proof: EpochProof, now: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+    /// Returns `false` only for a proof naming an epoch this server has not
+    /// derived yet: it is rejected and catch-up is asked for, but the same
+    /// bytes may verify once the epoch exists, so a caller that skips repeat
+    /// deliveries (Hashchain's once-per-batch rule) must deliver it again.
+    /// Every other verdict is final for these bytes.
+    pub fn ingest_proof(
+        &mut self,
+        proof: EpochProof,
+        now: SimTime,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) -> bool {
         ctx.consume_cpu(self.config.costs.verify_signature);
         // The digest of every recorded epoch is cached at creation time, so
         // verifying the up-to-n proofs of an epoch re-hashes nothing.
@@ -879,13 +877,13 @@ impl ServerCore {
                 // A proof for an epoch we have not derived yet: the signer
                 // is ahead of us — catch up from it.
                 self.note_peer_epoch(proof.signer, proof.epoch, ctx);
+                return false;
             }
-            return;
+            return true;
         };
-        let held = self.state.proofs_for(proof.epoch).contains(&proof);
-        if !held && !self.proof_valid_digest(&proof, &digest) {
+        if !self.proof_valid_digest(&proof, &digest) {
             self.stats.proofs_rejected += 1;
-            return;
+            return true;
         }
         self.stats.proofs_received += 1;
         let count = self.state.add_proof(proof);
@@ -893,6 +891,7 @@ impl ServerCore {
             self.trace.record_epoch_commit(proof.epoch, now);
             self.persist_committed();
         }
+        true
     }
 
     /// Creates the next epoch out of one batch or block: its valid (unless
@@ -1374,10 +1373,12 @@ pub(crate) mod tests {
 
     #[test]
     fn identical_duplicate_of_a_held_proof_is_accepted_without_a_new_signer() {
+        // A byte-identical repeat verifies like any valid proof, and adding
+        // it again is a no-op on the signer set.
         with_committed_core(|core, _registry, ctx| {
             let held = core.state.proofs_for(2)[1];
             let before = core.state.proof_count(2);
-            core.ingest_proof(held, SimTime::ZERO, ctx);
+            assert!(core.ingest_proof(held, SimTime::ZERO, ctx));
             assert_eq!(core.state.proof_count(2), before);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.stats.proofs_rejected, 0);
@@ -1386,12 +1387,14 @@ pub(crate) mod tests {
 
     #[test]
     fn held_signer_with_one_flipped_signature_byte_is_rejected() {
+        // A forgery reusing a held signer fails the signature check, and the
+        // verdict is final: the epoch's digest will not change.
         with_committed_core(|core, _registry, ctx| {
             let held = core.state.proofs_for(2)[1];
             for byte in [0, setchain_crypto::SIGNATURE_LEN - 1] {
                 let mut forged = held;
                 forged.signature.bytes[byte] ^= 1;
-                core.ingest_proof(forged, SimTime::ZERO, ctx);
+                assert!(core.ingest_proof(forged, SimTime::ZERO, ctx));
             }
             assert_eq!(core.stats.proofs_rejected, 2);
             assert_eq!(core.stats.proofs_received, 0);
@@ -1403,8 +1406,8 @@ pub(crate) mod tests {
 
     #[test]
     fn new_signer_still_takes_the_full_check() {
-        // The memo only ever matches a held proof: a third server's valid
-        // proof is verified and added, its forged twin is not.
+        // A third server's valid proof is verified and added, its forged
+        // twin is not.
         with_committed_core(|core, registry, ctx| {
             let digest = *core.state.epoch_digest(2).unwrap();
             let signer = registry.lookup(ProcessId::server(2)).unwrap();
@@ -1425,7 +1428,8 @@ pub(crate) mod tests {
         with_committed_core(|core, registry, ctx| {
             let signer = registry.lookup(ProcessId::server(1)).unwrap();
             let ahead = make_epoch_proof_for_digest(&signer, 9, &epoch_hash(9, &[]));
-            core.ingest_proof(ahead, SimTime::ZERO, ctx);
+            // The one verdict that may change later.
+            assert!(!core.ingest_proof(ahead, SimTime::ZERO, ctx));
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.stats.proofs_received, 0);
             assert_eq!(core.stats.catchup_requests, 1);

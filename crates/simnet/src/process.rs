@@ -115,6 +115,11 @@ impl<'a, M> Context<'a, M> {
         self.cpu_consumed += amount;
     }
 
+    /// CPU work charged so far in this handler invocation.
+    pub fn cpu_consumed(&self) -> SimDuration {
+        self.cpu_consumed
+    }
+
     /// Access to the simulation's deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng

@@ -558,6 +558,9 @@ mod tests {
             assert_eq!(deployment.server(0).state().epoch(), 0);
             assert_eq!(deployment.server(0).algorithm(), algorithm);
             assert_eq!(deployment.elements_sent(), 0);
+            let report =
+                crate::check_setchain_invariants(&deployment).expect("Setchain properties");
+            assert_eq!((report.servers, report.epochs), (4, 0));
         }
     }
 
@@ -595,6 +598,7 @@ mod tests {
         assert_eq!(handle.compression_ratio(), None);
         assert_eq!(handle.node().height(), 1);
         assert_eq!(handle.mempool_len(), 0);
+        crate::check_setchain_invariants(&deployment).expect("Setchain properties");
     }
 
     #[test]

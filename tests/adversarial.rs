@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 
 use setchain::{Algorithm, Element, ElementId, QuotaConfig};
 use setchain_simnet::{SimDuration, SimTime};
-use setchain_workload::{Adversary, Deployment};
+use setchain_workload::{check_setchain_invariants, Adversary, Deployment};
 
 /// Simulated horizon of every run: injection (and the attack) stop at 3 s,
 /// the rest is drain time for batches, blocks and proof quorums.
@@ -132,6 +132,8 @@ fn every_preset_keeps_honest_clients_whole() {
             }
             _ => unreachable!("ALL covers every preset"),
         }
+        check_setchain_invariants(&deployment)
+            .unwrap_or_else(|e| panic!("{preset}: Setchain properties: {e}"));
     }
 }
 
@@ -162,6 +164,9 @@ fn flood_goodput_stays_within_envelope_of_attack_free_twin() {
     );
     assert!(attributed_sheds(&attacked) > 0);
     assert_eq!(attributed_sheds(&calm), 0);
+    for deployment in [&attacked, &calm] {
+        check_setchain_invariants(deployment).expect("Setchain properties");
+    }
 }
 
 /// Fingerprint of an attack run: enough to detect any divergence — event
@@ -181,6 +186,7 @@ struct AttackFingerprint {
 fn attack_fingerprint(preset: Adversary, seed: u64) -> AttackFingerprint {
     let mut deployment = protected_deployment(Some(preset), seed);
     run(&mut deployment);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     let adversary = deployment.adversary().expect("attack client installed");
     let (attacker_sent, attacker_rejected) = (adversary.sent(), adversary.rejected_replies());
     let epochs = (0..4)
@@ -266,6 +272,11 @@ fn quota_on_honest_run_is_schedule_identical_to_quota_off() {
         without.trace.honest_committed_count_by(horizon)
     );
     assert_eq!(attributed_sheds(&with_quota), 0);
+    for deployment in [&with_quota, &without] {
+        check_setchain_invariants(deployment).expect("Setchain properties");
+    }
+    // The checker compares servers within one deployment; this compares
+    // each server with its twin.
     for i in 0..4 {
         assert!(
             with_quota
@@ -331,6 +342,7 @@ fn placement_run(id_of: impl Fn(u64) -> ElementId) -> (Vec<PlacementView>, Vec<(
     }
     session.install(&mut deployment);
     run(&mut deployment);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 
     let views = (0..4)
         .map(|i| {
@@ -407,4 +419,5 @@ fn quota_shed_flood_ids_stay_in_the_rows() {
     assert!(fallback_lens(&deployment)
         .iter()
         .all(|&lens| lens == (0, 0)));
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use setchain::{Algorithm, ElementId};
 use setchain_crypto::ProcessId;
 use setchain_simnet::{FaultEvent, FaultPlan, Partition, SimTime};
-use setchain_workload::{Deployment, RetryPolicy};
+use setchain_workload::{check_setchain_invariants, Deployment, RetryPolicy};
 
 /// A small deployment used by every chaos scenario: 4 servers, low rate,
 /// a short injection burst and plenty of quiet time to recover in.
@@ -60,16 +60,10 @@ fn partition_heals_and_servers_reconverge() {
         deployment.sim.network().dropped_partition() > 0,
         "the partition dropped traffic while active"
     );
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     let s0 = deployment.server(0);
     let s3 = deployment.server(3);
     assert!(s0.state().epoch() > 0, "epochs advanced despite the fault");
-    for i in 1..4 {
-        assert!(
-            s0.state()
-                .check_consistent_with(deployment.server(i).state()),
-            "server {i} diverged from server 0 after the heal"
-        );
-    }
     assert!(
         s3.state().epoch() + 1 >= s0.state().epoch(),
         "server 3 caught back up after the heal: {} vs {}",
@@ -115,10 +109,8 @@ fn crashed_server_restarts_and_catches_up_for_every_variant() {
             s0.state().epoch() > 0,
             "{algorithm:?}: the healthy majority kept committing epochs"
         );
-        assert!(
-            s0.state().check_consistent_with(s2.state()),
-            "{algorithm:?}: restarted server diverged from the committed prefix"
-        );
+        check_setchain_invariants(&deployment)
+            .unwrap_or_else(|e| panic!("{algorithm:?}: Setchain properties: {e}"));
         assert!(
             s2.state().epoch() + 1 >= s0.state().epoch(),
             "{algorithm:?}: server 2 stayed behind after restart: {} vs {}",
@@ -175,10 +167,7 @@ fn lost_catchup_request_does_not_wedge_the_restarted_server() {
         s2.stats().catchup_requests >= 1,
         "the restarted server never probed for catch-up"
     );
-    assert!(
-        s0.state().check_consistent_with(s2.state()),
-        "server 2 diverged from the committed prefix after recovery"
-    );
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     assert!(
         s2.state().epoch() + 1 >= s0.state().epoch(),
         "server 2 stayed wedged behind the tip: {} vs {}",
@@ -228,6 +217,7 @@ fn client_add_during_crash_confirms_via_retry_and_failover() {
     );
     assert!(resolved.confirmed_at.is_some());
     assert!(!resolved.gave_up);
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }
 
 #[test]
@@ -258,6 +248,7 @@ fn lossy_network_degrades_gracefully() {
         "1% loss should not collapse the run: efficiency={}",
         result.final_efficiency()
     );
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
 }
 
 /// Fingerprint of a chaos run: scheduler counters, drop counters, and every
@@ -297,6 +288,7 @@ fn chaos_run_fingerprint(seed: u64) -> ChaosFingerprint {
         );
     let mut deployment = chaos_deployment(Algorithm::Hashchain, seed, plan);
     deployment.sim.run_until(SimTime::from_secs(30));
+    check_setchain_invariants(&deployment).expect("Setchain properties");
     let epochs = (0..4)
         .map(|i| {
             let state = deployment.server(i).state();
@@ -341,4 +333,14 @@ fn chaos_runs_are_bit_identical_under_the_same_seed() {
         "crash phase never dropped anything"
     );
     assert!(first.committed > 0, "nothing committed under chaos");
+    // Server 3 restarted with a batch request outstanding; it must not stay
+    // paused on it.
+    let tip = first.epochs.iter().map(Vec::len).max().unwrap_or(0);
+    for (i, epochs) in first.epochs.iter().enumerate() {
+        assert!(
+            epochs.len() + 1 >= tip,
+            "server {i} stayed behind: {} of {tip} epochs",
+            epochs.len()
+        );
+    }
 }

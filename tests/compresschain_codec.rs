@@ -13,7 +13,7 @@ use setchain::{make_epoch_proof, Algorithm, CompressedBatch, ElementId, Setchain
 use setchain_crypto::ProcessId;
 use setchain_ledger::NetMsg;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, ServerHandle};
+use setchain_workload::{check_setchain_invariants, Deployment, ServerHandle};
 
 const SIM_SECS: u64 = 10;
 
@@ -80,18 +80,9 @@ fn full_and_light_commit_identical_element_sets() {
         "committed element sets differ between full and light runs"
     );
 
-    // Within each run, every server agrees on every common epoch
-    // (Consistent-Gets), and no element is stamped twice (Unique-Epoch).
-    for i in 0..4 {
-        assert!(full
-            .server(0)
-            .state()
-            .check_consistent_with(full.server(i).state()));
-        assert!(light
-            .server(0)
-            .state()
-            .check_consistent_with(light.server(i).state()));
-        assert!(full.server(i).state().check_unique_epoch());
+    // Within each run, the Setchain properties hold.
+    for deployment in [&full, &light] {
+        check_setchain_invariants(deployment).expect("Setchain properties");
     }
 }
 
@@ -127,6 +118,9 @@ fn full_mode_really_decompresses_and_never_fails() {
             "server {i} reports implausible average ratio {ratio}"
         );
     }
+    for deployment in [&full, &light] {
+        check_setchain_invariants(deployment).expect("Setchain properties");
+    }
 }
 
 /// Server 3 gossips `hostile` — a batch transaction whose frame is not a
@@ -154,12 +148,6 @@ fn survives_hostile_frame(hostile: CompressedBatch) {
             server.stats().batch_decompress_failures >= 1,
             "server {i} never saw the hostile frame"
         );
-        assert!(server.state().check_unique_epoch());
-        assert!(server.state().check_consistent_sets());
-        assert!(deployment
-            .server(0)
-            .state()
-            .check_consistent_with(server.state()));
         assert_eq!(
             server.state().epoch(),
             deployment.server(0).state().epoch(),
@@ -173,6 +161,7 @@ fn survives_hostile_frame(hostile: CompressedBatch) {
         .committed_count_by(SimTime::from_secs(SIM_SECS));
     assert!(added > 1000, "clients injected too little");
     assert_eq!(committed, added, "honest elements failed to commit");
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }
 
 fn garbage_frame(origin: usize, original_size: u32) -> CompressedBatch {

@@ -284,13 +284,13 @@ const GOLDENS: &[Golden] = &[
     ((Algorithm::Vanilla, AuthMode::BatchRoot, 4, 400.0, 3, 71), (10092, 420, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
     ((Algorithm::Compresschain, AuthMode::PerElement, 4, 400.0, 3, 71), (6900, 288, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
     ((Algorithm::Compresschain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (8700, 418, 1200, 1200, "e3d810c0cafb34c8ab56147ed3c9c8ca6b119aa7bd2fabbeafab9980bab7ed5f")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 4, 400.0, 3, 71), (7561, 900, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
-    ((Algorithm::Hashchain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (9359, 1027, 1200, 1200, "1e5787ce5eaa698673035bc1a9fae4842331b131c1a4ebd0ae38741ceba62733")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 4, 400.0, 3, 71), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Hashchain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (9377, 991, 1200, 1200, "1e5787ce5eaa698673035bc1a9fae4842331b131c1a4ebd0ae38741ceba62733")),
     ((Algorithm::Vanilla, AuthMode::PerElement, 7, 2000.0, 3, 71), (18205, 1110, 5999, 5999, "c66e5a6e8c29978a298e27a0b8a5e4a87c3c6fc97fb2aaa46712e9c5a905ea5a")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 7, 3000.0, 4, 71), (21285, 23905, 11998, 11998, "87028d05b520c2a158e2729c915f401c1cd7a43091d0219613a6d62813733c96")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 7, 3000.0, 4, 71), (22518, 20794, 11998, 11998, "b75eca2e3f3f06de26a460f4752451b52931e5fede3decff71e08823405f0c3e")),
     ((Algorithm::Vanilla, AuthMode::PerElement, 10, 500.0, 2, 71), (24464, 4309, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
     ((Algorithm::Compresschain, AuthMode::PerElement, 10, 500.0, 2, 71), (16996, 3125, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 10, 500.0, 2, 71), (20247, 8255, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, 10, 500.0, 2, 71), (21096, 7841, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
 ];
 
 #[test]
@@ -354,10 +354,10 @@ type BranchGolden = (
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
-    ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8774, 729, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::ForgeProofs), (7561, 900, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6976, 303, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7236, 406, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
+    ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8804, 743, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::ForgeProofs), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7260, 382, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
     ((Algorithm::Compresschain, AuthMode::PerElement, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
 ];
 

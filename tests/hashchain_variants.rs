@@ -9,7 +9,7 @@
 
 use setchain::Algorithm;
 use setchain_simnet::SimTime;
-use setchain_workload::{Deployment, DeploymentBuilder};
+use setchain_workload::{check_setchain_invariants, Deployment, DeploymentBuilder};
 
 fn base(seed: u64) -> DeploymentBuilder {
     Deployment::builder(Algorithm::Hashchain)
@@ -41,6 +41,7 @@ fn designated_signers_variant_commits_everything() {
         result.final_efficiency()
     );
     assert!(result.all_committed_at.is_some());
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
 }
 
 #[test]
@@ -64,13 +65,12 @@ fn designated_signers_reduce_hash_batch_signing() {
     };
     let baseline = build_and_run(None);
     let variant = build_and_run(Some(9));
-    // Consistency between servers inside and outside the designated set.
+    // The properties hold on servers inside and outside the designated set.
+    for deployment in [&baseline, &variant] {
+        check_setchain_invariants(deployment).expect("Setchain properties");
+    }
     let d0 = variant.server(0);
-    let d9 = variant.server(9);
     assert!(d0.state().epoch() > 0);
-    assert!(d0.state().check_consistent_with(d9.state()));
-    assert!(d9.state().check_consistent_sets());
-    assert!(d9.state().check_unique_epoch());
     // The non-designated server emits no epoch-proofs of its own, so the
     // proof count per epoch tops out at the designated set size; the baseline
     // eventually collects all 10.
@@ -119,11 +119,7 @@ fn push_batches_variant_commits_without_request_round_trips() {
         "push-based dissemination should make batch requests rare (sent {total_requests})"
     );
     // Correctness unchanged.
-    let s0 = deployment.server(0);
-    let s1 = deployment.server(1);
-    assert!(s0.state().check_consistent_with(s1.state()));
-    assert!(s0.state().check_unique_epoch());
-    assert!(s0.state().check_consistent_sets());
+    check_setchain_invariants(&deployment).expect("Setchain properties");
 }
 
 #[test]
@@ -139,6 +135,28 @@ fn baseline_hashchain_does_send_batch_requests() {
         total_requests > 50,
         "baseline Hashchain relies on Request_batch (sent {total_requests})"
     );
+    check_setchain_invariants(&deployment).expect("Setchain properties");
+}
+
+#[test]
+fn each_server_ingests_each_epoch_proof_once() {
+    // Up to n servers put a hash-batch for the same batch on the ledger, but
+    // a server applies a batch's contents at the first copy only, so it
+    // ingests each of the at most n proofs of an epoch once.
+    let n = 7;
+    let mut deployment = base(34).build();
+    deployment.sim.run_until(SimTime::from_secs(60));
+    check_setchain_invariants(&deployment).expect("Setchain properties");
+    for i in 0..n {
+        let server = deployment.server(i);
+        let epochs = server.state().epoch();
+        let received = server.stats().proofs_received;
+        assert!(epochs > 0, "server {i} formed no epoch");
+        assert!(
+            received <= epochs * n as u64,
+            "server {i} ingested {received} proofs for {epochs} epochs"
+        );
+    }
 }
 
 #[test]
@@ -159,4 +177,5 @@ fn variants_compose_and_stay_consistent() {
         result.final_efficiency()
     );
     assert!(result.all_committed_at.is_some());
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
 }
