@@ -1,7 +1,9 @@
-//! The element index against the hash map it replaced, on the access pattern
-//! a server puts it through: four tables per server (`the_set`, the admission
-//! cache, two trace maps) that each see every id once as an insert, arriving
-//! in collector-sized batches, and about four more times as a probe.
+//! The element index against the hash map it replaced, on the access patterns
+//! a server puts it through. Three tables per server (`the_set`, two trace
+//! maps) keep every id: each sees it once as an insert, arriving in
+//! collector-sized batches, and about four more times as a probe. The fourth,
+//! the admission cache, holds a sliding window: each id is inserted, probed,
+//! and removed again once it is stamped, a few seconds of ids later.
 //!
 //! `FxHashMap` is the container the servers used before `IdMap`, driven the
 //! way they drove it (`reserve` per batch). The quota-shed stream is one
@@ -9,13 +11,14 @@
 //! ticks' ids missing between them, which `IdMap`'s pages keep out of its
 //! fallback. The hostile stream — ids that differ only above bit 40 — is
 //! what an `FxHasher`-keyed table degrades on and what `IdMap`'s fallback
-//! must take in linear time.
+//! must take in linear time. The sliding-window row fails if `IdMap`'s rows
+//! keep more pages than the window covers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use setchain::{ElementId, IdMap};
 use setchain_crypto::FxHashMap;
 
-const TABLES: usize = 4;
+const TABLES: usize = 3;
 const IDS: u64 = 500_000;
 const BATCH: usize = 64;
 const PROBES: usize = 4;
@@ -26,12 +29,18 @@ const HOSTILE_IDS: u32 = 20_000;
 /// admitted, then the 2,000 el/s bucket sheds the next five.
 const SHED_RUN: u64 = 250;
 const SHED_STRIDE: u64 = 1_500;
+/// Stamp lag of the sliding window, in ids per client: per client, more
+/// than `hash_steady`'s whole window of ≈ 3 s × 5,000 el/s.
+const LAG: u64 = 16_000;
+/// Slots per `IdMap` page.
+const PAGE: u64 = 64;
 
 /// The two containers behind one face, so both run the same replay.
 trait Table: Default {
     fn expect(&mut self, additional: usize);
     fn put(&mut self, id: ElementId, value: u64);
     fn probe(&self, id: &ElementId) -> Option<u64>;
+    fn forget(&mut self, id: &ElementId);
 }
 
 impl Table for IdMap<u64> {
@@ -43,6 +52,10 @@ impl Table for IdMap<u64> {
 
     fn probe(&self, id: &ElementId) -> Option<u64> {
         self.get(id).copied()
+    }
+
+    fn forget(&mut self, id: &ElementId) {
+        self.remove(id);
     }
 }
 
@@ -57,6 +70,10 @@ impl Table for FxHashMap<ElementId, u64> {
 
     fn probe(&self, id: &ElementId) -> Option<u64> {
         self.get(id).copied()
+    }
+
+    fn forget(&mut self, id: &ElementId) {
+        self.remove(id);
     }
 }
 
@@ -83,6 +100,33 @@ fn replay<T: Table>(ids: &[ElementId]) -> u64 {
     sum
 }
 
+/// Streams the four clients' interleaved `ids` through one table the way the
+/// admission cache sees them: a batch is inserted and probed [`PROBES`]
+/// times, then the batch that arrived [`LAG`] ids per client earlier is
+/// removed. Returns a checksum of the probes and the table.
+fn slide<T: Table>(ids: &[ElementId]) -> (u64, T) {
+    let window = 4 * LAG as usize;
+    let mut table = T::default();
+    let mut sum = 0u64;
+    for (start, batch) in (0usize..).step_by(BATCH).zip(ids.chunks(BATCH)) {
+        table.expect(batch.len());
+        for id in batch {
+            table.put(*id, id.0);
+        }
+        for _ in 0..PROBES {
+            for id in batch {
+                sum = sum.wrapping_add(table.probe(id).expect("inserted above"));
+            }
+        }
+        if let Some(stamped) = start.checked_sub(window) {
+            for id in &ids[stamped..stamped + batch.len()] {
+                table.forget(id);
+            }
+        }
+    }
+    (sum, table)
+}
+
 /// How many of `ids` one `IdMap` files in its hash fallback.
 fn fallback_len(ids: &[ElementId]) -> usize {
     let mut map = IdMap::default();
@@ -98,13 +142,33 @@ fn bench_idmap(c: &mut Criterion) {
         .map(|i| ElementId::new((i % 4) as u32, i / 4))
         .collect();
     assert_eq!(fallback_len(&honest), 0);
-    let mut group = c.benchmark_group("idmap/honest_4x500k");
+    let mut group = c.benchmark_group("idmap/honest_3x500k");
     group.throughput(Throughput::Elements(IDS * TABLES as u64));
     group.bench_function("IdMap", |b| {
         b.iter(|| replay::<IdMap<u64>>(black_box(&honest)))
     });
     group.bench_function("FxHashMap", |b| {
         b.iter(|| replay::<FxHashMap<ElementId, u64>>(black_box(&honest)))
+    });
+    group.finish();
+
+    // The honest stream through the admission cache: every id removed at
+    // stamp lag. Each client's row spans the window plus a partial page at
+    // either edge; more slots than that means emptied pages are not reused.
+    let (_, window) = slide::<IdMap<u64>>(&honest);
+    assert_eq!(window.fallback_len(), 0);
+    assert!(
+        window.slots() as u64 <= 4 * (LAG + 2 * PAGE),
+        "a {LAG}-id window per client kept {} slots",
+        window.slots()
+    );
+    let mut group = c.benchmark_group("idmap/sliding_window_4x125k");
+    group.throughput(Throughput::Elements(IDS));
+    group.bench_function("IdMap", |b| {
+        b.iter(|| slide::<IdMap<u64>>(black_box(&honest)).0)
+    });
+    group.bench_function("FxHashMap", |b| {
+        b.iter(|| slide::<FxHashMap<ElementId, u64>>(black_box(&honest)).0)
     });
     group.finish();
 

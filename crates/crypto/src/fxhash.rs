@@ -30,7 +30,7 @@
 //!   in-batch dedup, `admit_batch_elements`' rejected ids), bounded by one
 //!   block's elements.
 //!
-//! The grow-only `ElementId` maps — `the_set`, the admission cache, the
+//! The per-element `ElementId` maps — `the_set`, the admission cache, the
 //! trace's per-element maps — are `setchain::IdMap`s, whose hash fallback is
 //! keyed through the full-avalanche [`fmix64`] because those ids are chosen
 //! by the sender. The ledger mempool's `TxId`s are not digests either but

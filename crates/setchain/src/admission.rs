@@ -17,16 +17,25 @@
 //! being absent from the PKI registry. Those can flip when the client
 //! registers later, so the caller must re-derive them (see
 //! [`ServerCore::element_valid`](crate::ServerCore::element_valid)).
+//!
+//! What is **not kept**: the verdict of an element once it is stamped into
+//! an epoch. The paper's `add(e)` needs `e ∉ the_set` and every epoch takes
+//! only ids `∉ history`, so a stamped id's verdict can never decide anything
+//! again; the server tests `history` before every lookup and
+//! [`forget`](AdmissionCache::forget)s each verdict as its element is
+//! stamped. The cache therefore holds the ids a server has seen but not yet
+//! stamped, plus the rejected ones.
 
 use setchain_crypto::{Digest256, FxHashMap, ProcessId};
 
-use crate::element::Element;
+use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 
 /// One memoized admission verdict: the exact identity of the element that
 /// was validated, plus the verdict. One 32-byte [`IdMap`] slot per element
 /// (29 bytes of fields, the `bool`'s spare values mark an empty slot),
-/// bounded by the number of distinct element ids a server observes.
+/// bounded by the ids a server has seen but not stamped plus the ids it
+/// rejected.
 #[derive(Clone, Copy, Debug)]
 struct AdmissionEntry {
     client: ProcessId,
@@ -147,6 +156,13 @@ impl AdmissionCache {
         );
     }
 
+    /// Drops the verdict cached under `id`, if any: its element was just
+    /// stamped, so no lookup will ask for it again.
+    #[inline]
+    pub fn forget(&mut self, id: &ElementId) {
+        self.entries.remove(id);
+    }
+
     /// The cached verdict for exactly this sealed batch, if present: same
     /// root, same owner, same MAC *and* the identical element list. On a
     /// hit, a re-gossiped batch is admitted (or re-rejected) with zero
@@ -200,7 +216,6 @@ impl AdmissionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::ElementId;
     use setchain_crypto::KeyRegistry;
 
     fn client_element(seq: u64) -> Element {
@@ -220,6 +235,19 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn forgotten_verdict_misses_and_frees_its_slot() {
+        let mut cache = AdmissionCache::new();
+        let (e, other) = (client_element(3), client_element(4));
+        cache.record(&e, true);
+        cache.record(&other, true);
+        cache.forget(&e.id);
+        cache.forget(&ElementId::new(0, 99));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&e), None);
+        assert_eq!(cache.lookup(&other), Some(true));
     }
 
     #[test]

@@ -12,16 +12,16 @@
 //! them, and a run only touches the few pages it covers.
 //!
 //! Ids are chosen by the sender and are not bound to the signer, so the rows
-//! are sized by what they *hold*, never by what an id *claims*:
+//! are sized by the entries they take, never by what an id *claims*:
 //!
-//! * a new page is allocated only while the row's pages hold at most
-//!   `2 · filled + 64` slots, so a row never holds more than
-//!   `2 · filled + 64 + PAGE` slots;
+//! * a new page is linked only while the row's linked pages hold at most
+//!   `2 · stored + 64` slots, `stored` counting every entry the row ever
+//!   took, so a row never holds more than `2 · stored + 64 + PAGE` slots;
 //! * a page index is accepted only if it is already in the page table or is
-//!   at most `PAGE · pages + 64`, so the 4-byte table entries never outweigh
-//!   the pages they index;
+//!   at most `PAGE · placed + 64`, `placed` counting every page ever linked,
+//!   so the 4-byte table entries never outweigh the pages placed;
 //! * a client index gets a row only if it is already covered or is at most
-//!   twice the live rows plus 64.
+//!   twice the rows ever used plus 64.
 //!
 //! A forged id at `seq = 2^40 − 1` or `client_index = 2^24 − 1` therefore
 //! allocates nothing. Whatever does not fit lands in the fallback hash map —
@@ -29,6 +29,15 @@
 //! container existed. An id parked in the fallback while its row was short
 //! is looked up there until its next overwriting insert, which moves it into
 //! the row.
+//!
+//! [`IdMap::remove`] lets a map that forgets old ids (the admission cache
+//! drops each verdict once its element is stamped) hold a sliding window: a
+//! page whose last entry is removed is unlinked from the page table and
+//! reused by the row's next new page, so `pages` stays as long as the window
+//! rather than the run. Every rule counts what was ever placed, so a row
+//! whose window has moved far past its first page, or that keeps a few
+//! stragglers behind it, still takes its next id; removals never let a row
+//! hold more slots than the same stream without them would.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -82,11 +91,11 @@ impl Hasher for IdHasher {
     }
 }
 
-/// The row-table rule: `index` is already covered, or within twice the live
-/// rows plus [`SLACK`].
+/// The row-table rule: `index` is already covered, or within twice the rows
+/// ever used plus [`SLACK`].
 #[inline]
-fn fits(index: u64, len: usize, filled: usize) -> bool {
-    index < len as u64 || index <= 2 * filled as u64 + SLACK
+fn fits(index: u64, len: usize, used: usize) -> bool {
+    index < len as u64 || index <= 2 * used as u64 + SLACK
 }
 
 /// One client's values, indexed by sequence number through a page table.
@@ -97,7 +106,15 @@ struct Row<V> {
     table: Vec<u32>,
     /// Pages in allocation order; `seq`'s slot is `seq % PAGE` in its page.
     pages: Vec<[Option<V>; PAGE]>,
-    filled: usize,
+    /// `held[p]`: the entries in `pages[p]`.
+    held: Vec<u8>,
+    /// Pages emptied by [`IdMap::remove`]: unlinked from `table`, every slot
+    /// `None`, taken before a new page is pushed.
+    free: Vec<u32>,
+    /// Pages ever linked into `table`, reuses included.
+    placed: u64,
+    /// Entries ever stored in the row; a removal does not subtract.
+    stored: u64,
 }
 
 impl<V> Default for Row<V> {
@@ -105,7 +122,10 @@ impl<V> Default for Row<V> {
         Row {
             table: Vec::new(),
             pages: Vec::new(),
-            filled: 0,
+            held: Vec::new(),
+            free: Vec::new(),
+            placed: 0,
+            stored: 0,
         }
     }
 }
@@ -133,8 +153,8 @@ impl<V> Row<V> {
 pub struct IdMap<V: Copy> {
     /// `rows[client_index]`; rows no id has reached yet are empty.
     rows: Vec<Row<V>>,
-    /// Rows holding at least one entry.
-    live_rows: usize,
+    /// Rows a page has ever been placed in.
+    used_rows: usize,
     /// Entries held in rows (the fallback counts its own).
     dense: usize,
     fallback: Fallback<V>,
@@ -145,7 +165,7 @@ impl<V: Copy> Default for IdMap<V> {
     fn default() -> Self {
         IdMap {
             rows: Vec::new(),
-            live_rows: 0,
+            used_rows: 0,
             dense: 0,
             fallback: Fallback::default(),
         }
@@ -166,6 +186,12 @@ impl<V: Copy> IdMap<V> {
     /// Number of entries held in the fallback hash map rather than the rows.
     pub fn fallback_len(&self) -> usize {
         self.fallback.len()
+    }
+
+    /// Row slots allocated, in use or not, freed pages included: the rows
+    /// hold `slots() · size_of::<Option<V>>()` bytes.
+    pub fn slots(&self) -> usize {
+        self.rows.iter().map(|row| PAGE * row.pages.len()).sum()
     }
 
     /// The value stored under `id`, if any.
@@ -237,33 +263,67 @@ impl<V: Copy> IdMap<V> {
             None
         };
         *slot = Some(value);
-        row.filled += 1;
-        self.live_rows += usize::from(row.filled == 1);
+        row.held[page] += 1;
+        row.stored += 1;
         self.dense += 1;
         parked
     }
 
+    /// Removes the value stored under `id`, wherever it lives, and returns
+    /// it. A page left empty is unlinked and reused by the row's next page.
+    pub fn remove(&mut self, id: &ElementId) -> Option<V> {
+        let seq = id.seq();
+        if let Some(row) = self.rows.get_mut(id.client_index() as usize) {
+            let page = row.entry(seq);
+            if let Some(value) = row
+                .pages
+                .get_mut(page)
+                .and_then(|slots| slots[seq as usize % PAGE].take())
+            {
+                row.held[page] -= 1;
+                if row.held[page] == 0 {
+                    // `entry` found the page, so the table reaches `seq`.
+                    row.table[(seq / PAGE as u64) as usize] = NO_PAGE;
+                    row.free.push(page as u32);
+                }
+                self.dense -= 1;
+                return Some(value);
+            }
+        }
+        if self.fallback.is_empty() {
+            None
+        } else {
+            self.fallback.remove(id)
+        }
+    }
+
     /// The `(client, page)` whose page holds `id`'s slot, allocating the
-    /// row and the page if the density rules (see the module docs) allow.
-    /// `None` sends `id` to the fallback.
+    /// row and linking a page (a freed one first) if the density rules (see
+    /// the module docs) allow. `None` sends `id` to the fallback.
     #[inline]
     fn place(&mut self, id: ElementId) -> Option<(usize, usize)> {
         let (client, seq) = (id.client_index() as usize, id.seq());
-        let (table, pages, filled) = match self.rows.get(client) {
+        let (table, placed, linked, pages, stored) = match self.rows.get(client) {
             Some(row) => {
                 let page = row.entry(seq);
                 if page < row.pages.len() {
                     return Some((client, page));
                 }
-                (row.table.len(), row.pages.len(), row.filled)
+                let pages = row.pages.len();
+                (
+                    row.table.len(),
+                    row.placed,
+                    pages - row.free.len(),
+                    pages,
+                    row.stored,
+                )
             }
-            None => (0, 0, 0),
+            None => (0, 0, 0, 0, 0),
         };
         let index = seq / PAGE as u64;
-        let slots = (PAGE * pages) as u64;
-        if !fits(client as u64, self.rows.len(), self.live_rows)
-            || !(index < table as u64 || index <= slots + SLACK)
-            || slots > 2 * filled as u64 + SLACK
+        if !fits(client as u64, self.rows.len(), self.used_rows)
+            || !(index < table as u64 || index <= PAGE as u64 * placed + SLACK)
+            || (PAGE * linked) as u64 > 2 * stored + SLACK
             || pages >= NO_PAGE as usize
         {
             return None;
@@ -272,13 +332,22 @@ impl<V: Copy> IdMap<V> {
             self.rows.resize_with(client + 1, Row::default);
         }
         let row = &mut self.rows[client];
+        self.used_rows += usize::from(row.placed == 0);
+        row.placed += 1;
         let index = index as usize; // bounded by the page-table rule above
         if index >= row.table.len() {
             row.table.resize(index + 1, NO_PAGE);
         }
-        row.table[index] = pages as u32;
-        row.pages.push([None; PAGE]);
-        Some((client, pages))
+        let page = row.free.pop().map_or_else(
+            || {
+                row.pages.push([None; PAGE]);
+                row.held.push(0);
+                pages
+            },
+            |page| page as usize,
+        );
+        row.table[index] = page as u32;
+        Some((client, page))
     }
 
     /// Every entry, rows first (by client, then sequence number), then the
@@ -309,26 +378,43 @@ mod tests {
     const MAX_SEQ: u64 = (1 << 40) - 1;
     const MAX_CLIENT: u32 = (1 << 24) - 1;
 
-    /// The density bounds, checked on the row table and on every row: the
-    /// slots allocated, the page table's length, `filled`, and that every
-    /// page is indexed exactly once.
+    /// The density bounds, checked on the row table and on every row, and
+    /// the page bookkeeping: per-page counts match the slots and sum to
+    /// `dense`, every linked page is indexed exactly once, and the free
+    /// pages are exactly the unindexed ones, all empty.
     fn assert_slot_bound<V: Copy>(map: &IdMap<V>) {
-        assert!(map.rows.len() as u64 <= 2 * map.live_rows as u64 + SLACK + 1);
+        assert!(map.rows.len() as u64 <= 2 * map.used_rows as u64 + SLACK + 1);
+        assert_eq!(
+            map.used_rows,
+            map.rows.iter().filter(|row| row.placed > 0).count()
+        );
+        let mut dense = 0;
         for row in &map.rows {
-            let slots = (PAGE * row.pages.len()) as u64;
-            assert!(slots <= 2 * row.filled as u64 + SLACK + PAGE as u64);
-            assert!(row.table.len() as u64 <= slots + SLACK);
-            assert_eq!(row.filled, row.pages.iter().flatten().flatten().count());
-            let mut indexed: Vec<u32> = row
+            let linked = row.pages.len() - row.free.len();
+            assert!(((PAGE * linked) as u64) <= 2 * row.stored + SLACK + PAGE as u64);
+            assert!(row.table.len() as u64 <= PAGE as u64 * row.placed + SLACK);
+            assert!(row.pages.len() as u64 <= row.placed);
+            assert_eq!(row.held.len(), row.pages.len());
+            for (page, &held) in row.pages.iter().zip(&row.held) {
+                assert_eq!(usize::from(held), page.iter().flatten().count());
+                dense += usize::from(held);
+            }
+            assert!(row.held.iter().map(|&h| u64::from(h)).sum::<u64>() <= row.stored);
+            for &page in &row.free {
+                assert_eq!(row.held[page as usize], 0, "a free page holds nothing");
+            }
+            let mut pages: Vec<u32> = row
                 .table
                 .iter()
                 .copied()
                 .filter(|&page| page != NO_PAGE)
+                .chain(row.free.iter().copied())
                 .collect();
-            indexed.sort_unstable();
-            assert!(indexed.iter().copied().eq(0..row.pages.len() as u32));
+            assert_eq!(pages.len(), row.pages.len(), "a page linked twice or lost");
+            pages.sort_unstable();
+            assert!(pages.iter().copied().eq(0..row.pages.len() as u32));
         }
-        assert_eq!(map.rows.iter().map(|r| r.filled).sum::<usize>(), map.dense);
+        assert_eq!(dense, map.dense);
     }
 
     #[test]
@@ -337,6 +423,7 @@ mod tests {
         assert!(map.is_empty());
         assert_eq!(map.len(), 0);
         assert_eq!(map.rows.capacity() + map.fallback.capacity(), 0);
+        assert_eq!(map.slots(), 0);
         assert_eq!(map.get(&ElementId::new(0, 0)), None);
         assert_eq!(map.iter().count(), 0);
     }
@@ -460,6 +547,94 @@ mod tests {
         assert_slot_bound(&map);
     }
 
+    #[test]
+    fn remove_takes_row_parked_and_fallback_ids() {
+        let mut map = IdMap::default();
+        let (row, far) = (ElementId::new(0, 5), ElementId::new(0, MAX_SEQ));
+        let parked = ElementId::new(1, PAGE as u64 * (SLACK + 1));
+        assert!(map.insert_if_absent(parked, 7));
+        for seq in 0..parked.seq() + 10 {
+            map.insert_if_absent(ElementId::new(1, seq), 0);
+        }
+        map.insert(row, 1);
+        map.insert(far, 2);
+        assert_eq!(map.fallback_len(), 2);
+        let len = map.len();
+        assert_eq!(map.remove(&row), Some(1));
+        assert_eq!(map.remove(&far), Some(2));
+        assert_eq!(map.remove(&parked), Some(7));
+        assert_eq!((map.len(), map.fallback_len()), (len - 3, 0));
+        for id in [row, far, parked, ElementId::new(2, 0), ElementId::new(0, 6)] {
+            assert_eq!(map.remove(&id), None, "{id:?} is absent");
+            assert_eq!(map.get(&id), None);
+        }
+        // Row 0's only page emptied: it is unlinked and reused for the
+        // row's next page, wherever that page sits.
+        assert_eq!(map.rows[0].free, [0]);
+        assert_eq!(map.insert(ElementId::new(0, 3 * PAGE as u64), 3), None);
+        assert_eq!((map.rows[0].pages.len(), map.rows[0].free.len()), (1, 0));
+        assert_eq!(map.get(&ElementId::new(0, 3 * PAGE as u64)), Some(&3));
+        assert_eq!(map.get(&row), None);
+        assert_slot_bound(&map);
+    }
+
+    #[test]
+    fn sliding_window_reuses_its_pages() {
+        // Four clients' ids in step, each id removed once its client has
+        // minted `LAG` more: the admission cache freeing verdicts at stamp
+        // lag.
+        const CLIENTS: u32 = 4;
+        const IDS: u64 = 125_000;
+        const LAG: u64 = 16_000;
+        let mut map = IdMap::default();
+        for seq in 0..IDS {
+            for client in 0..CLIENTS {
+                assert_eq!(map.insert(ElementId::new(client, seq), seq), None);
+                if let Some(old) = seq.checked_sub(LAG) {
+                    assert_eq!(map.remove(&ElementId::new(client, old)), Some(old));
+                }
+            }
+        }
+        assert_eq!(map.fallback_len(), 0);
+        assert_eq!(map.len() as u64, u64::from(CLIENTS) * LAG);
+        for row in &map.rows {
+            assert!(row.pages.len() as u64 <= LAG / PAGE as u64 + 2);
+        }
+        assert!(map.slots() as u64 <= u64::from(CLIENTS) * (LAG + 2 * PAGE as u64));
+        assert_eq!(map.get(&ElementId::new(3, IDS - LAG)), Some(&(IDS - LAG)));
+        assert_eq!(map.get(&ElementId::new(3, IDS - LAG - 1)), None);
+        assert_slot_bound(&map);
+    }
+
+    #[test]
+    fn stragglers_behind_a_window_keep_no_run_out_of_the_row() {
+        // A quota-shed client in the admission cache: runs of 250 ids,
+        // 1,500 apart, each freed two runs later except its first 8 ids,
+        // freed 20 runs later. The stragglers hold a page each, so a rule
+        // counting only the entries held now would turn new runs away.
+        const RUN: u64 = 250;
+        const STRIDE: u64 = 1_500;
+        const KEEP: usize = 8;
+        const LATE: u64 = 20;
+        let run = |r: u64| (r * STRIDE..r * STRIDE + RUN).map(|s| ElementId::new(0, s));
+        let mut map = IdMap::default();
+        for r in 0..400 {
+            for id in run(r) {
+                assert!(map.insert_if_absent(id, id.seq()));
+            }
+            for id in r.checked_sub(2).into_iter().flat_map(run).skip(KEEP) {
+                assert_eq!(map.remove(&id), Some(id.seq()));
+            }
+            for id in r.checked_sub(LATE).into_iter().flat_map(run).take(KEEP) {
+                assert_eq!(map.remove(&id), Some(id.seq()));
+            }
+            assert_eq!(map.fallback_len(), 0, "run {r}");
+        }
+        // Two pages per straggler group at most, five per full run.
+        assert!(map.rows[0].pages.len() as u64 <= 2 * LATE + 3 * 5);
+        assert_slot_bound(&map);
+    }
+
     /// Wall time to insert `ids` into a fresh map, best of three.
     fn insert_time(ids: &[ElementId]) -> Duration {
         (0..3)
@@ -561,6 +736,8 @@ mod tests {
                         .map(|k| ElementId::new(client, start + PAGE as u64 * k))
                         .collect()
                 }
+                // Removals (see `doomed`) insert nothing.
+                9 | 10 => Vec::new(),
                 // Interleaved clients, same sequence numbers.
                 _ => {
                     let start = *next.iter().max().expect("four clients");
@@ -572,15 +749,34 @@ mod tests {
             }
         }
 
+        /// The ids a removal op (kind 9 or 10) asks for: `n` inserted ids
+        /// in insertion order from a point of the history, which takes row,
+        /// parked and fallback ids alike and empties whole pages; or ids
+        /// never inserted, one past the client's row and one in the
+        /// fallback's corner.
+        fn doomed(op: (u8, u32, u64), next: &[u64; 4], held: &[ElementId]) -> Vec<ElementId> {
+            let (kind, client, n) = (op.0, op.1 % 4, op.2);
+            if kind == 9 {
+                let start = (7 * n) as usize % held.len().max(1);
+                held.iter().skip(start).take(n as usize).copied().collect()
+            } else {
+                vec![
+                    ElementId::new(client, next[client as usize] + n),
+                    ElementId::new(MAX_CLIENT - client, MAX_SEQ - n),
+                ]
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Against a `HashMap` model: `insert`, `insert_if_absent` and
-            /// `get` return what the model returns, `len` and the `iter`
-            /// multiset match, and the slot bounds hold after every op.
+            /// Against a `HashMap` model: `insert`, `insert_if_absent`,
+            /// `remove` and `get` return what the model returns, `len` and
+            /// the `iter` multiset match, and the slot bounds hold after
+            /// every op.
             #[test]
             fn prop_matches_hash_map_model(
-                ops in proptest::collection::vec((0u8..9, 0u32..4, 1u64..120), 1..24),
+                ops in proptest::collection::vec((0u8..11, 0u32..4, 1u64..120), 1..24),
             ) {
                 let mut map = IdMap::default();
                 let mut model: HashMap<ElementId, u64> = HashMap::new();
@@ -588,6 +784,11 @@ mod tests {
                 let mut held = Vec::new();
                 let mut stamp = 0u64;
                 for op in ops {
+                    if op.0 >= 9 {
+                        for id in doomed(op, &next, &held) {
+                            prop_assert_eq!(map.remove(&id), model.remove(&id));
+                        }
+                    }
                     for id in expand(op, &mut next, &held) {
                         stamp += 1;
                         if stamp.is_multiple_of(3) {

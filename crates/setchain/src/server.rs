@@ -41,7 +41,8 @@ pub struct ServerStats {
     /// also counts adds swallowed by a Byzantine `DropClientAdds` server).
     pub adds_rejected_invalid: u64,
     /// Client `add` requests rejected because the element was already in
-    /// `the_set` or stamped into an epoch.
+    /// `the_set` or stamped into an epoch. An id already stamped counts
+    /// here whatever its contents: it is refused before any validation.
     pub adds_rejected_duplicate: u64,
     /// Elements shed by the admission quota (see [`crate::quota`]) before
     /// any validation CPU was spent on them; 0 unless a quota is configured.
@@ -134,7 +135,8 @@ pub struct ServerCore {
     /// [`AdmissionCache`]. Verdicts that depend on registry *absence*
     /// (unknown client) are never cached, so a client registered later is
     /// still picked up; replacing an already-registered key mid-run is not
-    /// supported by the cache.
+    /// supported by the cache. Every lookup tests `history` first, and
+    /// [`Self::note_stamped`] frees each verdict as its element is stamped.
     admission: AdmissionCache,
     /// This server's own signing schedule: signing proofs and hash-batches
     /// does not re-derive the keys per signature.
@@ -143,6 +145,8 @@ pub struct ServerCore {
     verifier: SigVerifier,
     /// Reused index scratch for batched validation (cache misses).
     miss_scratch: Vec<usize>,
+    /// Reused not-yet-stamped elements of [`Self::admit_batch_elements`].
+    fresh_scratch: Vec<Element>,
     /// Reused in-batch dedup set of [`Self::extract_epoch_candidates`].
     seen_scratch: FxHashSet<ElementId>,
     /// Epochs this server has *derived* from the ledger (one
@@ -221,6 +225,7 @@ impl ServerCore {
             own_key,
             verifier: SigVerifier::new(),
             miss_scratch: Vec::new(),
+            fresh_scratch: Vec::new(),
             seen_scratch: FxHashSet::default(),
             derived_epochs: 0,
             catchup_pending: None,
@@ -538,14 +543,18 @@ impl ServerCore {
         self.quota.as_ref()
     }
 
-    /// Releases pending-cap capacity for elements just stamped into an
-    /// epoch (no-op without a quota). Over-release for elements that were
-    /// never counted — gossip arrivals stamped here, or elements admitted
-    /// before a restart — saturates at zero per client, so mixed routing
-    /// can transiently under-count pending but never wedge a client.
-    fn quota_note_stamped(&mut self, elements: &[Element]) {
-        if let Some(quota) = self.quota.as_mut() {
-            for e in elements {
+    /// The one bookkeeping step for elements stamped into an epoch, by
+    /// [`Self::create_epoch`] or by catch-up. Their admission verdicts are
+    /// freed: every lookup tests `history` first, so none of them can decide
+    /// anything again. Their pending-cap capacity is released (no-op without
+    /// a quota); over-release for elements that were never counted — gossip
+    /// arrivals stamped here, or elements admitted before a restart —
+    /// saturates at zero per client, so mixed routing can transiently
+    /// under-count pending but never wedge a client.
+    fn note_stamped(&mut self, elements: &[Element]) {
+        for e in elements {
+            self.admission.forget(&e.id);
+            if let Some(quota) = self.quota.as_mut() {
                 quota.note_stamped(e.client, 1);
             }
         }
@@ -554,12 +563,20 @@ impl ServerCore {
     /// The paper's `add(e)` precondition: `valid_element(e) ∧ e ∉ the_set`.
     /// On success the element is inserted into `the_set` and `true` is
     /// returned; the caller routes it (ledger append or collector).
+    ///
+    /// An id already in `history` is a duplicate whatever its contents, and
+    /// is refused before the admission cache is asked (its verdict was freed
+    /// when it was stamped), so a tampered replay of it costs no MAC.
     pub fn accept_add(&mut self, element: &Element, ctx: &mut Ctx<'_, '_, '_>) -> bool {
         if self.byz == ServerByzMode::DropClientAdds {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
         ctx.consume_cpu(self.config.costs.validate_element);
+        if self.state.in_history(&element.id) {
+            self.stats.adds_rejected_duplicate += 1;
+            return false;
+        }
         if !self.element_valid(element) {
             self.stats.adds_rejected_invalid += 1;
             return false;
@@ -583,11 +600,13 @@ impl ServerCore {
     /// root cache with zero hashing.
     ///
     /// On a fresh *accept* the per-element admission cache is warmed with a
-    /// `true` verdict for every member: under [`crate::AuthMode::BatchRoot`]
-    /// the owner's root MAC is the authentication, and per-element validity
-    /// follows from Merkle membership — so the later `accept_add` /
-    /// recovery-path probes for these elements hit without ever computing a
-    /// per-element HMAC. (For honestly generated elements this coincides
+    /// `true` verdict for every member not yet stamped (a stamped id is never
+    /// looked up again, so its verdict would never be freed): under
+    /// [`crate::AuthMode::BatchRoot`] the owner's root MAC is the
+    /// authentication, and per-element validity follows from Merkle
+    /// membership — so the later `accept_add` / recovery-path probes for
+    /// these elements hit without ever computing a per-element HMAC. (For
+    /// honestly generated elements this coincides
     /// with the per-element authenticator verdict; a key-holding client
     /// vouching for its *own* elements is exactly what the MAC attests.)
     ///
@@ -609,7 +628,9 @@ impl ServerCore {
             self.admission.record_root(batch, verdict);
             if verdict {
                 for e in &batch.elements {
-                    self.admission.record(e, true);
+                    if !self.state.in_history(&e.id) {
+                        self.admission.record(e, true);
+                    }
                 }
             }
         }
@@ -776,7 +797,7 @@ impl ServerCore {
                 .state
                 .install_epoch(bundle.epoch, bundle.elements.clone());
             debug_assert!(installed, "sequencing checked above");
-            self.quota_note_stamped(&bundle.elements);
+            self.note_stamped(&bundle.elements);
             // The quorum travels with the bundle, so the epoch lands
             // committed; later ledger-replayed proofs only add signers
             // beyond the quorum (and never re-report the commit).
@@ -935,6 +956,7 @@ impl ServerCore {
             }
             return proof;
         }
+        self.note_stamped(&elements);
         let epoch = self.state.record_epoch(elements, root);
         debug_assert_eq!(
             epoch, self.derived_epochs,
@@ -944,11 +966,6 @@ impl ServerCore {
         let stamped = self.state.epoch_elements(epoch).expect("just created");
         self.trace
             .record_epoch_assignments(stamped.iter().map(|e| e.id), epoch, now);
-        if let Some(quota) = self.quota.as_mut() {
-            for e in stamped {
-                quota.note_stamped(e.client, 1);
-            }
-        }
         // Hash + sign cost for the epoch-proof.
         let bytes: usize = stamped.iter().map(|e| e.wire_size()).sum();
         ctx.consume_cpu(self.config.costs.hash_cost(bytes));
@@ -964,11 +981,11 @@ impl ServerCore {
         proof
     }
 
-    /// First-pass admission of a recovered batch's elements: validates
-    /// them (batched, memoized — the same [`Self::validate_elements`] core
-    /// the epoch path uses) and inserts the valid, not-yet-stamped ids into
-    /// `the_set`, without materializing a candidate vector. The epoch
-    /// itself is built later, at consolidation, through
+    /// First-pass admission of a recovered batch's elements: drops the
+    /// already-stamped ones, validates the rest (batched, memoized — the
+    /// same [`Self::validate_elements`] core the epoch path uses) and inserts
+    /// the valid ids into `the_set`, through a reused scratch buffer. The
+    /// epoch itself is built later, at consolidation, through
     /// [`Self::create_epoch`]; this is the "valid elements join
     /// `the_set` immediately" half of batch processing.
     pub fn admit_batch_elements(
@@ -986,17 +1003,17 @@ impl ServerCore {
             return;
         }
         ctx.consume_cpu(self.config.costs.validate_cost(elements.len()));
-        let verdicts = self.validate_elements(elements);
+        let mut fresh = std::mem::take(&mut self.fresh_scratch);
+        debug_assert!(fresh.is_empty());
+        fresh.extend(elements.iter().filter(|e| !self.state.in_history(&e.id)));
+        let verdicts = self.validate_elements(&fresh);
         // Rejections are counted once per distinct id, matching the
         // pre-validation dedup of the epoch path — a Byzantine batch
         // repeating one forged element must not inflate the counter. The
         // set is only materialized when a rejection actually occurs, so
         // honest batches stay allocation-free.
         let mut rejected_ids: Option<FxHashSet<ElementId>> = None;
-        for (e, ok) in elements.iter().zip(verdicts) {
-            if self.state.in_history(&e.id) {
-                continue;
-            }
+        for (e, ok) in fresh.iter().zip(verdicts) {
             if ok {
                 self.state.insert(e.id);
             } else if rejected_ids
@@ -1006,6 +1023,8 @@ impl ServerCore {
                 self.stats.elements_rejected += 1;
             }
         }
+        fresh.clear();
+        self.fresh_scratch = fresh;
     }
 
     /// The paper's `valid_proof` signer/signature checks against an
@@ -1616,6 +1635,72 @@ pub(crate) mod tests {
         // The genuine batch re-verifies fresh once, then hits again.
         assert_eq!(core.batch_verdict(&batch), (true, true));
         assert_eq!(core.batch_verdict(&batch), (true, false));
+    }
+
+    #[test]
+    fn batch_verification_warms_no_stamped_id() {
+        let (mut core, registry) = core_with(67, 4, 3);
+        let batch = sealed_from(&registry, 0, 20);
+        core.state.record_epoch(batch.elements[..8].to_vec(), None);
+        assert_eq!(core.batch_verdict(&batch), (true, true));
+        // Only the 12 ids not stamped yet are warmed.
+        assert_eq!(core.admission_cache().len(), 12);
+    }
+
+    #[test]
+    fn stamped_verdicts_are_freed() {
+        with_core(0, |core, registry, ctx| {
+            let keys = registry.lookup(ProcessId::client(1)).unwrap();
+            let mut batch: Vec<Element> = (0..16)
+                .map(|i| Element::new(&keys, ElementId::new(1, i), 300 + i as u32, i))
+                .collect();
+            batch.push(Element::forged(
+                ProcessId::client(1),
+                ElementId::new(1, 99),
+                200,
+            ));
+            core.admit_batch_elements(&batch, true, ctx);
+            assert_eq!(core.admission_cache().len(), batch.len());
+            let now = ctx.now();
+            core.create_epoch(&batch, None, true, now, ctx);
+            assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
+            // Only the rejected id keeps its verdict.
+            assert_eq!(core.admission_cache().len(), 1);
+            // A late copy of the batch looks up no stamped id, so nothing is
+            // verified again and nothing is cached again.
+            let misses = core.admission_cache().misses();
+            core.admit_batch_elements(&batch, true, ctx);
+            assert_eq!(core.admission_cache().misses(), misses);
+            assert_eq!(core.admission_cache().len(), 1);
+        });
+    }
+
+    #[test]
+    fn adds_under_a_stamped_id_are_duplicates_and_cost_no_mac() {
+        with_core(0, |core, registry, ctx| {
+            let keys = registry.lookup(ProcessId::client(0)).unwrap();
+            let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
+            assert!(core.accept_add(&good, ctx));
+            let now = ctx.now();
+            core.create_epoch(&[good], None, true, now, ctx);
+            assert!(core.state.in_history(&good.id));
+            let misses = core.admission_cache().misses();
+            // An honest re-send and a tampered replay of the stamped id.
+            let mut tampered = good;
+            tampered.content_seed ^= 0xFF;
+            for e in [good, tampered] {
+                assert!(!core.accept_add(&e, ctx));
+            }
+            assert_eq!(core.stats.adds_rejected_duplicate, 2);
+            assert_eq!(core.stats.adds_rejected_invalid, 0);
+            assert_eq!(core.admission_cache().misses(), misses);
+            // An id not stamped yet still takes the MAC check.
+            let mut forged = Element::new(&keys, ElementId::new(0, 2), 400, 10);
+            forged.auth ^= 1;
+            assert!(!core.accept_add(&forged, ctx));
+            assert_eq!(core.stats.adds_rejected_invalid, 1);
+            assert_eq!(core.admission_cache().misses(), misses + 1);
+        });
     }
 
     #[test]

@@ -29,6 +29,8 @@ struct RunFingerprint {
     digests: Vec<Vec<[u8; 64]>>,
     /// What the Setchain property checker covered at the end of the run.
     invariants: InvariantReport,
+    /// Per-server: admission verdicts still cached at the end of the run.
+    admission_entries: Vec<usize>,
 }
 
 impl RunFingerprint {
@@ -158,6 +160,9 @@ fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
                 .collect()
         })
         .collect();
+    let admission_entries = (0..servers)
+        .map(|i| deployment.server(i).core().admission_cache().len())
+        .collect();
     RunFingerprint {
         events_processed: deployment.sim.events_processed(),
         messages_deferred: deployment.sim.messages_deferred(),
@@ -166,6 +171,7 @@ fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
         epochs,
         digests,
         invariants,
+        admission_entries,
     }
 }
 
@@ -301,6 +307,15 @@ fn runs_match_the_golden_fingerprints() {
         fp.assert_golden(want, &shape);
         fp.assert_properties_checked(&shape);
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
+        if (servers, rate) == (4, 400.0) {
+            // Every element is stamped everywhere and none was rejected, so
+            // no server keeps a single admission verdict.
+            assert!(
+                fp.admission_entries.iter().all(|&n| n == 0),
+                "{shape:?}: verdicts left after quiescence: {:?}",
+                fp.admission_entries
+            );
+        }
     }
 }
 
