@@ -1,8 +1,7 @@
 //! Ablation bench for the design choice the paper identifies as Hashchain's
 //! bottleneck: the hash-reversal service. Compares a short Hashchain run with
 //! hash-reversal enabled against the "light" configuration (no reversal, no
-//! hash-batch validation), plus the f+1 vs 2f+1 consolidation quorum
-//! mentioned in the paper's discussion of more efficient alternatives.
+//! hash-batch validation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setchain::Algorithm;

@@ -239,7 +239,7 @@ impl Shape {
             .seed(self.seed)
             .injection_secs(scale.injection_secs)
             .max_run_secs(scale.max_run_secs);
-        let f = builder.scenario().setchain_f();
+        let f = builder.config().f;
         let builder = match self.variant {
             Variant::Paper => builder,
             Variant::Light => builder.light(),
@@ -432,8 +432,8 @@ fn row(shape: &Shape, scale: Scale, result: &RunResult) -> String {
 /// Fig. 4's per-stage p50 / p99 of one detailed run.
 fn stage_row(label: &str, result: &RunResult) -> String {
     let d = &result.deployment;
-    let s = &d.scenario;
-    let stages = StageLatencies::compute(&d.trace, &d.ledger_trace, s.setchain_f(), s.servers);
+    let (f, n) = (d.config.f, d.config.servers);
+    let stages = StageLatencies::compute(&d.trace, &d.ledger_trace, f, n);
     let probes: [fn(&StageSample) -> Option<f64>; 5] = [
         |s| s.first_mempool,
         |s| s.quorum_mempools,
@@ -485,9 +485,9 @@ mod tests {
     #[test]
     fn scenario_scaling_applies() {
         let builder = ablation(Variant::Signers2f1).builder(FULL);
-        let s = builder.scenario();
-        assert_eq!((s.injection_secs, s.max_run_secs), (13, 78));
-        assert_eq!((s.designated_signers, s.seed, s.servers), (Some(9), 97, 10));
+        let (s, config) = (builder.scenario(), builder.config());
+        assert_eq!((s.injection_secs, s.max_run_secs, s.seed), (13, 78, 97));
+        assert_eq!((config.designated_signers, config.servers), (Some(9), 10));
     }
 
     #[test]

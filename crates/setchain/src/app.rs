@@ -34,13 +34,12 @@
 
 use setchain_crypto::ProcessId;
 use setchain_ledger::{Application, Block};
-use setchain_simnet::TimerToken;
+use setchain_simnet::{SimDuration, TimerToken};
 
 use crate::batch_auth::AuthedBatch;
 use crate::byzantine::ServerByzMode;
 use crate::collector::Collector;
 use crate::compresschain::Compresschain;
-use crate::config::SetchainConfig;
 use crate::element::Element;
 use crate::hashchain::{Hashchain, SharedBatchRegistry, REQUEST_TICK};
 use crate::messages::SetchainMsg;
@@ -52,6 +51,11 @@ use crate::{vanilla, Algorithm};
 /// Timer token for the collector timeout tick ([`REQUEST_TICK`] is the only
 /// other application timer).
 const COLLECTOR_TICK: TimerToken = 1;
+
+/// Collector timeout: a non-empty batch is flushed after this long even if
+/// it has not reached `collector_limit` entries (the timeout half of the
+/// paper's `isReady(batch)`).
+pub const COLLECTOR_TIMEOUT: SimDuration = SimDuration(200_000); // 200 ms
 
 /// The per-algorithm state behind a [`SetchainServer`]. Vanilla has none.
 enum Variant {
@@ -109,7 +113,7 @@ impl SetchainServer {
     /// Creates a server running `algorithm` on top of `core`.
     ///
     /// `shared` is the out-of-band batch availability every server of a
-    /// "Hashchain light" deployment (`hash_reversal` off) must share; the
+    /// "Hashchain light" deployment (`config.light`) must share; the
     /// ablation assumes all servers correct, so it also resets `core.byz`.
     /// Every other configuration ignores it.
     pub fn new(algorithm: Algorithm, mut core: ServerCore, shared: SharedBatchRegistry) -> Self {
@@ -117,7 +121,7 @@ impl SetchainServer {
             Algorithm::Vanilla => Variant::Vanilla,
             Algorithm::Compresschain => Variant::Compresschain(Compresschain::new(&core.config)),
             Algorithm::Hashchain => {
-                let light = !core.config.hash_reversal;
+                let light = core.config.light;
                 if light {
                     core.byz = ServerByzMode::Correct;
                 }
@@ -232,7 +236,7 @@ impl Application for SetchainServer {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
         if self.algorithm().uses_collector() {
-            ctx.set_app_timer(self.core.config.collector_timeout, COLLECTOR_TICK);
+            ctx.set_app_timer(COLLECTOR_TIMEOUT, COLLECTOR_TICK);
         }
         // After a restart (retained state) probe peers for missed epochs and
         // re-arm an outstanding batch request's timer; a cold start is a
@@ -283,15 +287,14 @@ impl Application for SetchainServer {
         match token {
             COLLECTOR_TICK => {
                 // The timeout half of `isReady(batch)`.
-                let timeout = self.core.config.collector_timeout;
                 let timed_out = self
                     .variant
                     .collector()
-                    .is_some_and(|c| c.is_timed_out(ctx.now(), timeout));
+                    .is_some_and(|c| c.is_timed_out(ctx.now(), COLLECTOR_TIMEOUT));
                 if timed_out {
                     self.variant.flush(&mut self.core, ctx);
                 }
-                ctx.set_app_timer(timeout, COLLECTOR_TICK);
+                ctx.set_app_timer(COLLECTOR_TIMEOUT, COLLECTOR_TICK);
             }
             REQUEST_TICK => {
                 if let Variant::Hashchain(h) = &mut self.variant {
@@ -304,18 +307,6 @@ impl Application for SetchainServer {
 }
 
 impl Algorithm {
-    /// Applies this algorithm's "light" ablation to a configuration
-    /// (Hashchain: no hash reversal; Compresschain: no delivery
-    /// decompression/validation; Vanilla: unchanged).
-    pub fn light_config(&self, mut config: SetchainConfig) -> SetchainConfig {
-        match self {
-            Algorithm::Vanilla => {}
-            Algorithm::Compresschain => config.decompress_validate = false,
-            Algorithm::Hashchain => config.hash_reversal = false,
-        }
-        config
-    }
-
     /// Stable index of this algorithm in [`Algorithm::ALL`] (the paper's
     /// presentation order). Lets callers keep per-algorithm tables without
     /// dispatching on the variants themselves.
@@ -331,6 +322,7 @@ impl Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SetchainConfig;
     use crate::trace::SetchainTrace;
     use setchain_crypto::KeyRegistry;
 
@@ -365,20 +357,12 @@ mod tests {
         let fault = ServerByzMode::RefuseBatchService;
         let full = server(Algorithm::Hashchain, SetchainConfig::new(4), fault);
         assert_eq!(full.core().byz, fault);
-        let light_config = Algorithm::Hashchain.light_config(SetchainConfig::new(4));
-        let light = server(Algorithm::Hashchain, light_config, fault);
+        let config = SetchainConfig {
+            light: true,
+            ..SetchainConfig::new(4)
+        };
+        let light = server(Algorithm::Hashchain, config, fault);
         assert_eq!(light.core().byz, ServerByzMode::Correct);
-    }
-
-    #[test]
-    fn light_config_only_touches_the_matching_flag() {
-        let base = SetchainConfig::new(4);
-        let h = Algorithm::Hashchain.light_config(base.clone());
-        assert!(!h.hash_reversal && h.decompress_validate);
-        let c = Algorithm::Compresschain.light_config(base.clone());
-        assert!(c.hash_reversal && !c.decompress_validate);
-        let v = Algorithm::Vanilla.light_config(base);
-        assert!(v.hash_reversal && v.decompress_validate);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Compresschain {
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let now = ctx.now();
-        let validate = core.config.decompress_validate;
+        let validate = !core.config.light;
         for tx in block.txs.iter() {
             let SetchainTx::Compressed(cb) = tx else {
                 continue;

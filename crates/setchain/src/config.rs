@@ -195,14 +195,21 @@ impl QuotaConfig {
     }
 }
 
-/// Configuration of a Setchain deployment (shared by all servers of a run).
+/// Configuration of a Setchain deployment (shared by all servers of a run):
+/// the one home of every Setchain knob.
 ///
-/// Runs are configured through `setchain_workload::Deployment::builder`;
+/// Runs are configured through `setchain_workload::Deployment::builder`,
+/// which writes each of its Setchain methods straight into this struct
+/// (the run's other parameters live on `setchain_workload::Scenario`);
 /// code that builds a config by hand overrides fields of
 /// [`SetchainConfig::new`] with struct-update syntax.
-/// [`ServerCore::new`](crate::ServerCore::new) checks the result: `f < n`,
+/// [`ServerCore::new`](crate::ServerCore::new) checks the result: `2f < n`,
 /// a positive collector limit and, for a designated signer set of `k`
-/// servers, `f < k <= n`.
+/// servers, `f < k <= n`. The collector timeout and Hashchain's batch
+/// request timeout and retry count are constants, not configuration:
+/// [`COLLECTOR_TIMEOUT`](crate::app::COLLECTOR_TIMEOUT),
+/// [`REQUEST_TIMEOUT`](crate::hashchain::REQUEST_TIMEOUT) and
+/// [`MAX_REQUEST_RETRIES`](crate::hashchain::MAX_REQUEST_RETRIES).
 #[derive(Clone, Debug)]
 pub struct SetchainConfig {
     /// Number of Setchain servers (the paper's `server_count`).
@@ -214,20 +221,10 @@ pub struct SetchainConfig {
     /// Collector size: the batch is flushed when it holds this many entries
     /// (the paper's `collector_limit`: 100 or 500).
     pub collector_limit: usize,
-    /// Collector timeout: a non-empty batch is flushed after this long even
-    /// if the size threshold was not reached.
-    pub collector_timeout: SimDuration,
-    /// Timeout for a Hashchain `Request_batch` round trip before the request
-    /// is retried with another signer (or the hash-batch is skipped).
-    pub request_timeout: SimDuration,
-    /// Maximum number of servers asked for a batch before giving up.
-    pub max_request_retries: usize,
-    /// Whether Hashchain runs the hash-reversal service ("Hashchain" vs
-    /// "Hashchain light" in Fig. 2 left).
-    pub hash_reversal: bool,
-    /// Whether Compresschain decompresses and validates batches on block
-    /// delivery ("Compresschain" vs "Compresschain light" in Fig. 2 left).
-    pub decompress_validate: bool,
+    /// The algorithm's "light" ablation (Fig. 2 left): "Hashchain light"
+    /// runs without hash reversal and "Compresschain light" without
+    /// decompression and validation on block delivery. Vanilla ignores it.
+    pub light: bool,
     /// Hashchain variant from the paper's discussion of the hash-reversal
     /// bottleneck: when `Some(k)`, only the first `k` servers (typically
     /// `2f + 1`) counter-sign hash-batches and emit epoch-proofs, instead of
@@ -255,18 +252,14 @@ pub struct SetchainConfig {
 
 impl SetchainConfig {
     /// Default configuration for `n` servers: `f = ⌊(n-1)/2⌋`, collector
-    /// limit 100, collector timeout 200 ms, full (non-light) algorithms.
+    /// limit 100, full (non-light) algorithms.
     pub fn new(servers: usize) -> Self {
         assert!(servers >= 1, "at least one server required");
         SetchainConfig {
             servers,
             f: (servers.saturating_sub(1)) / 2,
             collector_limit: 100,
-            collector_timeout: SimDuration::from_millis(200),
-            request_timeout: SimDuration::from_millis(2_000),
-            max_request_retries: 3,
-            hash_reversal: true,
-            decompress_validate: true,
+            light: false,
             designated_signers: None,
             push_batches: false,
             auth_mode: AuthMode::default(),
@@ -417,6 +410,17 @@ mod tests {
     fn invalid_f_panics() {
         start_server(SetchainConfig {
             f: 4,
+            ..SetchainConfig::new(4)
+        });
+    }
+
+    /// With n = 4 and f = 2, two silent servers leave two correct ones,
+    /// which can never gather f + 1 = 3 epoch-proofs or hash-batch signers.
+    #[test]
+    #[should_panic(expected = "need 2f < n")]
+    fn f_without_a_correct_quorum_panics() {
+        start_server(SetchainConfig {
+            f: 2,
             ..SetchainConfig::new(4)
         });
     }

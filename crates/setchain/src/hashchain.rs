@@ -38,7 +38,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use setchain_crypto::{Digest256, Digest512, ProcessId, Sha512};
 use setchain_ledger::{Block, TxData};
-use setchain_simnet::{SimTime, TimerToken};
+use setchain_simnet::{SimDuration, SimTime, TimerToken};
 
 use crate::byzantine::ServerByzMode;
 use crate::collector::{Batch, Collector};
@@ -51,6 +51,14 @@ use crate::tx::{HashBatch, SetchainTx};
 
 /// Timer token for batch-request timeouts.
 pub(crate) const REQUEST_TICK: TimerToken = 2;
+
+/// Timeout for a `Request_batch` round trip before the request is retried
+/// with another signer (or the hash-batch is skipped).
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration(2_000_000); // 2 s
+
+/// Maximum number of servers asked for a batch before giving up on a copy
+/// that does not complete its hash's `f + 1` signers.
+pub const MAX_REQUEST_RETRIES: usize = 3;
 
 /// Canonical hash of a batch: `SHA-512(domain ‖ count ‖ root ‖ proofs)`,
 /// where `root` is [`epoch_root`] of the elements — the chunked SHA-256
@@ -295,7 +303,7 @@ impl Hashchain {
                 self.handle_hash_batch(core, hb, Some(batch), ctx);
                 continue;
             }
-            if !core.config.hash_reversal {
+            if core.config.light {
                 // Light mode without contents anywhere: count the signer but
                 // consolidate an empty epoch.
                 self.block_queue.pop_front();
@@ -312,7 +320,7 @@ impl Hashchain {
             // instead of serialising, while a merely slow-but-correct signer
             // still gets the same patience the direct-request path grants.
             if let Some(&sent_at) = self.prefetched.get(&hb.hash) {
-                let deadline = sent_at + core.config.request_timeout + core.config.request_timeout;
+                let deadline = sent_at + REQUEST_TIMEOUT + REQUEST_TIMEOUT;
                 if ctx.now() < deadline {
                     self.waiting = Some(PendingRequest {
                         hash: hb.hash,
@@ -371,12 +379,12 @@ impl Hashchain {
         core.stats.batch_requests_sent += 1;
         ctx.send_app(to, SetchainMsg::RequestBatch { hash });
         self.prefetched.insert(hash, ctx.now());
-        let deadline = ctx.now() + core.config.request_timeout;
+        let deadline = ctx.now() + REQUEST_TIMEOUT;
         let asked = match &mut self.waiting {
             Some(pending) if pending.hash == hash => {
                 pending.asked.push(to);
                 pending.deadline = deadline;
-                ctx.set_app_timer(core.config.request_timeout, REQUEST_TICK);
+                ctx.set_app_timer(REQUEST_TIMEOUT, REQUEST_TICK);
                 return;
             }
             _ => vec![to],
@@ -386,7 +394,7 @@ impl Hashchain {
             asked,
             deadline,
         });
-        ctx.set_app_timer(core.config.request_timeout, REQUEST_TICK);
+        ctx.set_app_timer(REQUEST_TIMEOUT, REQUEST_TICK);
     }
 
     /// Gives up on the current request (timeout or bad response): either
@@ -419,7 +427,7 @@ impl Hashchain {
             }
             None => false,
         };
-        if pending.asked.len() < core.config.max_request_retries || completes {
+        if pending.asked.len() < MAX_REQUEST_RETRIES || completes {
             let mut next = self.next_to_ask(hash, &pending.asked, core.id());
             if next.is_none() && completes {
                 // Every signer was asked this round: start the next one.
@@ -493,7 +501,7 @@ impl Hashchain {
     ) {
         let now = ctx.now();
         let hash = hb.hash;
-        let validate = core.config.hash_reversal;
+        let validate = !core.config.light;
         let designated = core.config.is_designated(core.id().server_index());
 
         if let Some(KnownBatch { batch, applied, .. }) = &known {
@@ -564,7 +572,7 @@ impl Hashchain {
             let SetchainTx::HashBatch(hb) = tx else {
                 continue;
             };
-            if core.config.hash_reversal {
+            if !core.config.light {
                 // valid_hash(h, s_w, w)
                 ctx.consume_cpu(core.config.costs.verify_signature);
                 if !core.hash_batch_valid(hb) {
@@ -836,7 +844,7 @@ mod tests {
             h.waiting = Some(PendingRequest {
                 hash,
                 asked: vec![s1],
-                deadline: ctx.now() + core.config.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
             });
 
             // Server 1 answers with contents that miss one element.
@@ -868,7 +876,7 @@ mod tests {
             h.waiting = Some(PendingRequest {
                 hash,
                 asked: vec![s1],
-                deadline: ctx.now() + core.config.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
             });
             let batch = Arc::clone(&lie);
             h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
@@ -907,7 +915,7 @@ mod tests {
 
             // Server 2's copy brings the hash to f + 1 = 2 signers, so its
             // signers are asked round after round and it is never skipped.
-            for _ in 0..2 * core.config.max_request_retries {
+            for _ in 0..2 * MAX_REQUEST_RETRIES {
                 h.fail_request(core, ctx);
             }
             assert_eq!(core.stats.batch_requests_failed, 1);

@@ -191,7 +191,8 @@ impl ServerCore {
     ///
     /// # Panics
     ///
-    /// If `config` is unusable: `f >= n`, a zero collector limit, or a
+    /// If `config` is unusable: `2f >= n` (f + 1 correct servers are needed
+    /// for every proof and signer quorum), a zero collector limit, or a
     /// designated signer set of `k` servers outside `f < k <= n`.
     pub fn new(
         keys: KeyPair,
@@ -200,7 +201,7 @@ impl ServerCore {
         trace: SetchainTrace,
         byz: ServerByzMode,
     ) -> Self {
-        assert!(config.f < config.servers, "need f < n");
+        assert!(2 * config.f < config.servers, "need 2f < n");
         assert!(
             config.collector_limit >= 1,
             "collector limit must be positive"

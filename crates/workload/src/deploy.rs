@@ -137,8 +137,12 @@ impl<'a> ServerHandle<'a> {
     }
 }
 
-/// Fluent constructor for [`Deployment`]: scenario knobs and fault injection
-/// in one chain.
+/// Fluent constructor for [`Deployment`]: run parameters, Setchain knobs
+/// and fault injection in one chain.
+///
+/// Each method writes one field once: run parameters into the [`Scenario`],
+/// Setchain knobs into the [`SetchainConfig`] every server gets (so call
+/// order does not matter).
 ///
 /// ```
 /// use setchain::{Algorithm, ServerByzMode};
@@ -154,11 +158,12 @@ impl<'a> ServerHandle<'a> {
 ///     .server_fault(4, ServerByzMode::RefuseBatchService)
 ///     .ledger_fault(6, ByzMode::Silent)
 ///     .build();
-/// assert_eq!(deployment.scenario.servers, 7);
+/// assert_eq!(deployment.config.servers, 7);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeploymentBuilder {
     scenario: Scenario,
+    config: SetchainConfig,
     server_faults: Vec<(usize, ServerByzMode)>,
     ledger_faults: Vec<(usize, ByzMode)>,
     fault_plan: Option<FaultPlan>,
@@ -170,15 +175,22 @@ impl DeploymentBuilder {
         &self.scenario
     }
 
+    /// The Setchain configuration as configured so far.
+    pub fn config(&self) -> &SetchainConfig {
+        &self.config
+    }
+
     /// Sets the human-readable label used in reports.
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.scenario.label = label.into();
         self
     }
 
-    /// Sets the number of servers (and injection clients).
+    /// Sets the number of servers (and injection clients), and the fault
+    /// bound `f = ⌊(n−1)/2⌋` that goes with it.
     pub fn servers(mut self, servers: usize) -> Self {
-        self.scenario.servers = servers;
+        self.config.servers = servers;
+        self.config.f = SetchainConfig::new(servers).f;
         self
     }
 
@@ -190,7 +202,7 @@ impl DeploymentBuilder {
 
     /// Sets the collector size (ignored by Vanilla).
     pub fn collector(mut self, limit: usize) -> Self {
-        self.scenario.collector_limit = limit;
+        self.config.collector_limit = limit;
         self
     }
 
@@ -218,26 +230,27 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Runs the algorithm's "light" ablation (Fig. 2 left).
+    /// Runs the algorithm's "light" ablation (Fig. 2 left); Vanilla has
+    /// none and ignores it.
     ///
     /// The light ablations assume all servers correct; for "Hashchain
     /// light" any [`server_fault`](Self::server_fault) is ignored by the
     /// built servers (see [`SetchainServer::new`]).
     pub fn light(mut self) -> Self {
-        self.scenario.light = true;
+        self.config.light = true;
         self
     }
 
     /// Restricts counter-signing to the first `k` servers (Hashchain's
     /// 2f+1 variant).
     pub fn designated_signers(mut self, k: usize) -> Self {
-        self.scenario.designated_signers = Some(k);
+        self.config.designated_signers = Some(k);
         self
     }
 
     /// Enables push-based batch dissemination (Hashchain variant).
     pub fn push_batches(mut self) -> Self {
-        self.scenario.push_batches = true;
+        self.config.push_batches = true;
         self
     }
 
@@ -245,7 +258,7 @@ impl DeploymentBuilder {
     /// default) or one MAC over the Merkle root of each injected batch
     /// ([`setchain::AuthMode::BatchRoot`]).
     pub fn auth_mode(mut self, mode: setchain::AuthMode) -> Self {
-        self.scenario.auth_mode = mode;
+        self.config.auth_mode = mode;
         self
     }
 
@@ -255,7 +268,7 @@ impl DeploymentBuilder {
     /// prefix locally before asking any peer. Default is in-memory (the
     /// exact pre-store pipeline).
     pub fn store(mut self, config: setchain::StoreConfig) -> Self {
-        self.scenario.store = Some(config);
+        self.config.store = Some(config);
         self
     }
 
@@ -265,7 +278,7 @@ impl DeploymentBuilder {
     /// `Rejected { retry_after }` hint. Default is unmetered (the exact
     /// pre-quota pipeline — schedules are byte-identical with quotas off).
     pub fn quota(mut self, config: setchain::QuotaConfig) -> Self {
-        self.scenario.quota = Some(config);
+        self.config.quota = Some(config);
         self
     }
 
@@ -336,7 +349,10 @@ impl DeploymentBuilder {
     /// all-correct and faulty paths share it.
     pub fn build(self) -> Deployment {
         let scenario = self.scenario;
-        let n = scenario.servers;
+        let config = self.config;
+        let n = config.servers;
+        // The paper's per-client sending rate: `sending_rate / server_count`.
+        let per_client_rate = scenario.sending_rate / n as f64;
         let registry = KeyRegistry::bootstrap(scenario.seed, n, n);
         let trace = if scenario.detailed_trace {
             SetchainTrace::detailed()
@@ -349,7 +365,6 @@ impl DeploymentBuilder {
             LedgerTrace::disabled()
         };
 
-        let setchain_config = scenario.setchain_config();
         // Out-of-band batch availability, shared by every server of a
         // "Hashchain light" deployment and ignored by all others.
         let shared_batches = SharedBatchRegistry::new();
@@ -395,7 +410,7 @@ impl DeploymentBuilder {
             let core = ServerCore::new(
                 keys,
                 registry.clone(),
-                setchain_config.clone(),
+                config.clone(),
                 server_trace,
                 server_byz,
             );
@@ -426,11 +441,11 @@ impl DeploymentBuilder {
             let driver = ClientDriver::new(
                 ProcessId::server(i),
                 workload,
-                scenario.per_client_rate(),
+                per_client_rate,
                 injection_end,
                 trace.clone(),
             )
-            .with_auth_mode(scenario.auth_mode);
+            .with_auth_mode(config.auth_mode);
             sim.add_process(client_id, Box::new(driver));
         }
 
@@ -447,7 +462,7 @@ impl DeploymentBuilder {
                 ProcessId::server(0),
                 registry.clone(),
                 keys,
-                preset.default_rate(scenario.per_client_rate()),
+                preset.default_rate(per_client_rate),
                 injection_end,
                 scenario.seed,
             );
@@ -460,7 +475,7 @@ impl DeploymentBuilder {
             registry,
             trace,
             ledger_trace,
-            config: setchain_config,
+            config,
         }
     }
 
@@ -474,11 +489,13 @@ impl DeploymentBuilder {
 
 impl Deployment {
     /// Starts a fluent [`DeploymentBuilder`] from the paper's base scenario
-    /// for `algorithm`, with every process correct until faults are added.
+    /// for `algorithm` and [`SetchainConfig::new(10)`](SetchainConfig::new),
+    /// with every process correct until faults are added.
     /// This is the one way to configure a run.
     pub fn builder(algorithm: setchain::Algorithm) -> DeploymentBuilder {
         DeploymentBuilder {
             scenario: Scenario::base(algorithm),
+            config: SetchainConfig::new(10),
             server_faults: Vec::new(),
             ledger_faults: Vec::new(),
             fault_plan: None,
@@ -502,11 +519,11 @@ impl Deployment {
     /// which occupy indices `0..servers`.
     pub fn client_session(&mut self, client_index: usize, key_seed: u64) -> ClientSession {
         assert!(
-            client_index >= self.scenario.servers,
+            client_index >= self.config.servers,
             "client indices below the server count belong to the injection clients"
         );
         assert!(
-            self.scenario.adversary.is_none() || client_index != self.scenario.servers,
+            self.scenario.adversary.is_none() || client_index != self.config.servers,
             "client index {client_index} belongs to the adversarial client"
         );
         ClientSession::open(self, client_index, key_seed)
@@ -516,7 +533,7 @@ impl Deployment {
     pub fn adversary(&self) -> Option<&AdversaryDriver> {
         self.scenario.adversary?;
         self.sim
-            .process::<AdversaryDriver>(ProcessId::client(self.scenario.servers))
+            .process::<AdversaryDriver>(ProcessId::client(self.config.servers))
     }
 
     /// Number of `Rejected` replies the honest injection clients received
@@ -524,7 +541,7 @@ impl Deployment {
     /// elapsed). Zero whenever quotas are off or honest rates fit their
     /// buckets.
     pub fn honest_rejections(&self) -> u64 {
-        (0..self.scenario.servers)
+        (0..self.config.servers)
             .filter_map(|i| self.sim.process::<ClientDriver>(ProcessId::client(i)))
             .map(|d| d.rejections())
             .sum()
@@ -532,7 +549,7 @@ impl Deployment {
 
     /// Number of elements sent by all injection clients so far.
     pub fn elements_sent(&self) -> u64 {
-        (0..self.scenario.servers)
+        (0..self.config.servers)
             .filter_map(|i| self.sim.process::<ClientDriver>(ProcessId::client(i)))
             .map(|d| d.sent())
             .sum()
@@ -618,6 +635,34 @@ mod tests {
             .servers(4)
             .collector(0)
             .build();
+    }
+
+    #[test]
+    fn builder_order_does_not_change_the_config() {
+        use setchain::{AuthMode, QuotaConfig};
+        let knobs = |builder: DeploymentBuilder| {
+            builder
+                .collector(500)
+                .light()
+                .designated_signers(5)
+                .push_batches()
+                .auth_mode(AuthMode::BatchRoot)
+                .quota(QuotaConfig::new().with_rate(500))
+        };
+        let first = knobs(Deployment::builder(Algorithm::Hashchain).servers(7));
+        let last = knobs(Deployment::builder(Algorithm::Hashchain)).servers(7);
+        assert_eq!(
+            format!("{:?}", first.config()),
+            format!("{:?}", last.config())
+        );
+        let config = last.config();
+        assert_eq!((config.servers, config.f), (7, 3));
+        assert_eq!(config.collector_limit, 500);
+        assert!(config.light);
+        assert_eq!(config.designated_signers, Some(5));
+        assert!(config.push_batches);
+        assert_eq!(config.auth_mode, AuthMode::BatchRoot);
+        assert_eq!(config.quota.map(|q| q.rate_per_sec), Some(500));
     }
 
     #[test]

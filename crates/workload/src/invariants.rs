@@ -61,7 +61,7 @@ pub struct InvariantReport {
 /// every correct server of `d`. Returns what was covered, or the first
 /// violation found, naming the server and the epoch.
 pub fn check_setchain_invariants(d: &Deployment) -> Result<InvariantReport, String> {
-    let correct: Vec<usize> = (0..d.scenario.servers)
+    let correct: Vec<usize> = (0..d.config.servers)
         .filter(|&i| !d.server(i).core().byz.is_faulty())
         .collect();
     let mut report = InvariantReport {

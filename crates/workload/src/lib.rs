@@ -36,7 +36,7 @@
 //! use setchain_workload::{analytical_throughput, AnalysisParams, Deployment};
 //!
 //! let builder = Deployment::builder(Algorithm::Hashchain).servers(10);
-//! assert_eq!(builder.scenario().setchain_f(), 4); // f = ⌊(n−1)/2⌋
+//! assert_eq!(builder.config().f, 4); // f = ⌊(n−1)/2⌋
 //!
 //! // Appendix D ranks the algorithms: hashchain > compresschain > vanilla.
 //! let params = AnalysisParams::default();

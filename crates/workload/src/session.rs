@@ -269,11 +269,11 @@ impl ClientSession {
             generator: setchain::ElementGenerator::new(keys),
             light: LightClient::new(
                 deployment.registry.clone(),
-                deployment.scenario.servers,
-                deployment.scenario.setchain_f(),
+                deployment.config.servers,
+                deployment.config.f,
             ),
             script: Vec::new(),
-            servers: deployment.scenario.servers,
+            servers: deployment.config.servers,
             retries: Vec::new(),
             retry_receipts: Vec::new(),
             installed: false,
@@ -606,7 +606,7 @@ mod tests {
         let confirmed = outcome.confirmed_ids();
         assert_eq!(confirmed.len(), 5, "the whole batch commits");
         // Element→epoch inclusion proofs verify without the element set.
-        let f = deployment.scenario.setchain_f();
+        let f = deployment.config.f;
         let mut proven = 0;
         for epoch in outcome.verified() {
             for id in &receipt.ids {

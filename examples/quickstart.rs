@@ -27,11 +27,11 @@ fn main() {
         .auth_mode(AuthMode::BatchRoot)
         .seed(2024)
         .build();
-    let n = deployment.scenario.servers;
-    let f = deployment.scenario.setchain_f();
+    let config = &deployment.config;
+    let (n, f) = (config.servers, config.f);
     println!(
-        "Deployment: {n} Hashchain servers, f = {f}, collector = {}, auth = {:?}",
-        deployment.scenario.collector_limit, deployment.scenario.auth_mode
+        "Deployment: {n} {} servers, f = {f}, collector = {}, light = {}, auth = {:?}",
+        deployment.scenario.algorithm, config.collector_limit, config.light, config.auth_mode
     );
 
     // 2. Open a typed client session (registers our key pair in the PKI) and

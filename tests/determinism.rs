@@ -131,7 +131,7 @@ fn builder_at(
 /// Runs `builder`'s deployment for its injection window plus a 9 s drain,
 /// and checks the Setchain properties on the final state.
 fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
-    let servers = builder.scenario().servers;
+    let servers = builder.config().servers;
     let end = builder.scenario().injection_secs + 9;
     let mut deployment = builder.max_run_secs(end).build();
     deployment.sim.run_until(SimTime::from_secs(end));
@@ -365,7 +365,8 @@ type BranchGolden = (
 /// [`GOLDENS`] on purpose: a rejected proof is charged the same simulated
 /// CPU and bytes as an accepted one, and f + 1 honest signers still commit
 /// every epoch — the row pins that the rejection branch of `ingest_proof`
-/// stays schedule-neutral.
+/// stays schedule-neutral. Likewise the Vanilla `Light` row reads the same
+/// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`.
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
@@ -374,6 +375,7 @@ const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7260, 382, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
     ((Algorithm::Compresschain, AuthMode::PerElement, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
+    ((Algorithm::Vanilla, AuthMode::PerElement, Branch::Light), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
 ];
 
 #[test]

@@ -72,8 +72,7 @@ fn end_to_end(algorithm: Algorithm, seed: u64) {
     // (number, count, root) triple, and verifies against the PKI and the
     // shipped f+1 epoch-proofs alone.
     let registry = deployment.registry.clone();
-    let n = deployment.scenario.servers;
-    let f = deployment.scenario.setchain_f();
+    let (n, f) = (deployment.config.servers, deployment.config.f);
     let mut proven = 0;
     for epoch in outcome.verified() {
         for (i, receipt) in receipts.iter().enumerate() {
@@ -121,8 +120,7 @@ fn fabricated_epoch_response_from_a_byzantine_server_is_rejected() {
     // A Byzantine server cannot convince a light client of a fabricated
     // epoch: it controls at most f signatures, and forged ones do not verify.
     let deployment = builder(Algorithm::Hashchain, 44).build();
-    let n = deployment.scenario.servers;
-    let f = deployment.scenario.setchain_f();
+    let (n, f) = (deployment.config.servers, deployment.config.f);
 
     let attacker_keys = deployment
         .registry

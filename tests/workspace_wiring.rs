@@ -93,15 +93,17 @@ fn setchain_entry_points() {
 
 #[test]
 fn workload_entry_points() {
-    // The deployment builder carries scenario knobs fluently.
+    // The deployment builder carries run parameters and Setchain knobs
+    // fluently, each into one struct.
     let builder = setchain_workload::Deployment::builder(Algorithm::Hashchain)
         .servers(10)
         .rate(100.0)
         .seed(3);
-    let scenario = builder.scenario();
-    assert_eq!(scenario.servers, 10);
-    assert_eq!(scenario.setchain_f(), 4, "f = ⌊(n−1)/2⌋");
-    assert_eq!(scenario.setchain_config().proof_quorum(), 5);
+    assert_eq!(builder.scenario().sending_rate, 100.0);
+    let config = builder.config();
+    assert_eq!(config.servers, 10);
+    assert_eq!(config.f, 4, "f = ⌊(n−1)/2⌋");
+    assert_eq!(config.proof_quorum(), 5);
 
     // The Appendix D analytical model ranks the algorithms as the paper does.
     let params = AnalysisParams::default();
