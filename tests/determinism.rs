@@ -370,6 +370,7 @@ type BranchGolden = (
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
+    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::DropClientAdds), (7447, 668, 1200, 900, "f0d360a730656813445fdc5063b012269faf5057b3ac8a4b6537374b53913bc8")),
     ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8804, 743, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::ForgeProofs), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
     ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
