@@ -1,7 +1,7 @@
 //! Deterministic fast hashing for simulation-internal maps.
 //!
 //! The Setchain servers keep several maps keyed by small fixed-size ids
-//! (`ElementId`s, epoch numbers, digests) that are touched a handful of times
+//! (`ElementId`s, epoch numbers, process ids) that are touched a handful of times
 //! per element per server — millions of operations per run. `std`'s default
 //! SipHash is DoS-resistant but costs ~10× more than needed for trusted,
 //! simulation-internal keys, and its per-process random seed makes iteration
@@ -24,8 +24,6 @@
 //!   `epoch_committed` / `epoch_consolidated`) — minted by the servers, dense;
 //! * `ProcessId`s (`ServerCore::client_keys`, `QuotaState::clients`, simnet's
 //!   overflow slots) — registered or network-authenticated identities;
-//! * digests (`AdmissionCache::roots`) — hash outputs, though a *claimed*
-//!   batch root is sender-chosen;
 //! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'
 //!   in-batch dedup, `admit_batch_elements`' rejected ids), bounded by one
 //!   block's elements.

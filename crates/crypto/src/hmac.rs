@@ -1,20 +1,15 @@
 //! HMAC-SHA-256 (RFC 2104) over the in-repo SHA-256.
 //!
-//! HMAC is used by the element and batch-root authenticators and by the
-//! signature substitute ([`crate::signature`], two HMAC-SHA-256 halves), and
-//! is also exposed directly for tests.
+//! HMAC is used by the element authenticator and by the signature
+//! substitute ([`crate::signature`], two HMAC-SHA-256 halves), and is also
+//! exposed directly for tests.
 
 use crate::hash::{
     compress_blocks, finish_in_one_block, sha256, Digest256, Sha256, ONE_BLOCK_TAIL_MAX,
     SHA256_INIT,
 };
-use crate::keys::ProcessId;
 
 const BLOCK_256: usize = 64;
-
-/// Domain-separation tag for batch-root MACs: a root MAC must never verify
-/// as an element authenticator or an epoch signature under the same key.
-const BATCH_ROOT_DOMAIN: &[u8; 19] = b"setchain-batch-root";
 
 /// A precomputed HMAC-SHA-256 key schedule.
 ///
@@ -69,38 +64,6 @@ impl HmacSha256Key {
         };
         finish_in_one_block(self.outer, absorbed, inner.as_bytes())
     }
-}
-
-/// The message a batch-root MAC binds: domain tag, owning process, element
-/// count and the Merkle root itself. The count is bound so a truncated or
-/// extended batch cannot reuse a root MAC even if its root collided.
-fn batch_root_message(owner: ProcessId, count: u64, root: &Digest256) -> [u8; 67] {
-    let mut msg = [0u8; 67];
-    msg[..19].copy_from_slice(BATCH_ROOT_DOMAIN);
-    msg[19..27].copy_from_slice(&owner.0.to_le_bytes());
-    msg[27..35].copy_from_slice(&count.to_le_bytes());
-    msg[35..67].copy_from_slice(root.as_bytes());
-    msg
-}
-
-/// Compact authenticator over a whole Merkle-batched submission: the first
-/// 8 bytes of `HMAC-SHA-256(key, domain ‖ owner ‖ count ‖ root)`, the
-/// batch-level twin of the per-element 8-byte authenticator. One MAC covers
-/// every element under `root`; membership does the per-element work.
-pub fn mac_batch_root(key: &HmacSha256Key, owner: ProcessId, count: u64, root: &Digest256) -> u64 {
-    let mac = key.mac(&batch_root_message(owner, count, root));
-    u64::from_le_bytes(mac.0[..8].try_into().expect("8 bytes"))
-}
-
-/// Verifies a [`mac_batch_root`] authenticator under `key`.
-pub fn verify_batch_root(
-    key: &HmacSha256Key,
-    owner: ProcessId,
-    count: u64,
-    root: &Digest256,
-    mac: u64,
-) -> bool {
-    mac_batch_root(key, owner, count, root) == mac
 }
 
 /// HMAC-SHA-256 of `message` under `key`.
@@ -233,42 +196,6 @@ mod tests {
     #[test]
     fn key_sensitivity() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
-    }
-
-    #[test]
-    fn batch_root_mac_binds_every_field() {
-        let key = HmacSha256Key::new(b"client secret");
-        let owner = ProcessId::client(3);
-        let root = crate::hash::sha256(b"root");
-        let mac = mac_batch_root(&key, owner, 64, &root);
-        assert!(verify_batch_root(&key, owner, 64, &root, mac));
-        // Any field change invalidates the MAC.
-        assert!(!verify_batch_root(
-            &key,
-            ProcessId::client(4),
-            64,
-            &root,
-            mac
-        ));
-        assert!(!verify_batch_root(&key, owner, 65, &root, mac));
-        let other_root = crate::hash::sha256(b"other");
-        assert!(!verify_batch_root(&key, owner, 64, &other_root, mac));
-        assert!(!verify_batch_root(&key, owner, 64, &root, mac ^ 1));
-        // ... and so does the key.
-        let other_key = HmacSha256Key::new(b"other secret");
-        assert!(!verify_batch_root(&other_key, owner, 64, &root, mac));
-    }
-
-    #[test]
-    fn batch_root_mac_is_domain_separated_from_raw_hmac() {
-        // The MAC must not equal an HMAC over the bare root: the domain tag
-        // and the (owner, count) binding are part of the message.
-        let secret = b"client secret";
-        let key = HmacSha256Key::new(secret);
-        let root = crate::hash::sha256(b"root");
-        let mac = mac_batch_root(&key, ProcessId::client(0), 1, &root);
-        let bare = hmac_sha256(secret, root.as_bytes());
-        assert_ne!(mac, u64::from_le_bytes(bare.0[..8].try_into().unwrap()));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod signature;
 
 pub use fxhash::{fmix64, FxHashMap, FxHashSet, FxHasher};
 pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
-pub use hmac::{hmac_sha256, mac_batch_root, verify_batch_root, HmacSha256Key};
+pub use hmac::{hmac_sha256, HmacSha256Key};
 pub use keys::{KeyPair, KeyRegistry, ProcessId, PublicKey, SecretKey};
 pub use merkle::{framed_hash, leaf_hash, merkle_root, MerkleProof, MerkleTree};
 pub use signature::{sign, sign_with, verify, SigVerifier, Signature, SigningKey, SIGNATURE_LEN};

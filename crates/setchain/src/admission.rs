@@ -26,7 +26,7 @@
 //! stamped. The cache therefore holds the ids a server has seen but not yet
 //! stamped, plus the rejected ones.
 
-use setchain_crypto::{Digest256, FxHashMap, ProcessId};
+use setchain_crypto::ProcessId;
 
 use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
@@ -58,37 +58,12 @@ impl AdmissionEntry {
     }
 }
 
-/// One memoized batch-root verdict: the sealed batch's full identity —
-/// owner, root MAC and the exact element list the root was verified over —
-/// plus the verdict. The element list must be stored (not just the root):
-/// equality against the probe is what proves the re-gossiped contents are
-/// byte-identical to what was verified, without hashing anything. A
-/// replayed root with swapped elements fails the comparison and falls
-/// through to a fresh (failing) verification.
-#[derive(Clone, Debug)]
-struct RootEntry {
-    client: ProcessId,
-    mac: u64,
-    elements: Vec<Element>,
-    verdict: bool,
-}
-
-impl RootEntry {
-    #[inline]
-    fn matches(&self, batch: &crate::batch_auth::AuthedBatch) -> bool {
-        self.mac == batch.mac && self.client == batch.client && self.elements == batch.elements
-    }
-}
-
 /// Memoized admission verdicts for one server (see the module docs).
 #[derive(Default)]
 pub struct AdmissionCache {
     entries: IdMap<AdmissionEntry>,
-    roots: FxHashMap<Digest256, RootEntry>,
     hits: u64,
     misses: u64,
-    root_hits: u64,
-    root_misses: u64,
 }
 
 impl AdmissionCache {
@@ -162,55 +137,6 @@ impl AdmissionCache {
     pub fn forget(&mut self, id: &ElementId) {
         self.entries.remove(id);
     }
-
-    /// The cached verdict for exactly this sealed batch, if present: same
-    /// root, same owner, same MAC *and* the identical element list. On a
-    /// hit, a re-gossiped batch is admitted (or re-rejected) with zero
-    /// hashing — the dominant case once a batch has been verified by its
-    /// first receiving server and forwarded to the peers.
-    #[inline]
-    pub fn lookup_root(&mut self, batch: &crate::batch_auth::AuthedBatch) -> Option<bool> {
-        match self.roots.get(&batch.root) {
-            Some(entry) if entry.matches(batch) => {
-                self.root_hits += 1;
-                Some(entry.verdict)
-            }
-            _ => {
-                self.root_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records the verdict for this exact sealed batch, replacing whatever
-    /// was cached under its root. The entry keeps its own copy of the
-    /// element list: a later probe must match it element for element.
-    pub fn record_root(&mut self, sealed: &crate::batch_auth::AuthedBatch, verdict: bool) {
-        self.roots.insert(
-            sealed.root,
-            RootEntry {
-                client: sealed.client,
-                mac: sealed.mac,
-                elements: sealed.elements.clone(),
-                verdict,
-            },
-        );
-    }
-
-    /// Number of cached batch-root verdicts.
-    pub fn root_len(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Batch probes answered from the root cache.
-    pub fn root_hits(&self) -> u64 {
-        self.root_hits
-    }
-
-    /// Batch probes that required a fresh root verification.
-    pub fn root_misses(&self) -> u64 {
-        self.root_misses
-    }
 }
 
 #[cfg(test)]
@@ -277,53 +203,5 @@ mod tests {
         // Re-gossip of the same forged element: cached rejection, no
         // whitelisting.
         assert_eq!(cache.lookup(&forged), Some(false));
-    }
-
-    #[test]
-    fn root_cache_hits_only_on_the_identical_sealed_batch() {
-        use crate::batch_auth::AuthedBatch;
-        use setchain_crypto::HmacSha256Key;
-
-        let reg = KeyRegistry::bootstrap(3, 2, 2);
-        let keys = reg.lookup(ProcessId::client(0)).unwrap();
-        let key = HmacSha256Key::new(&keys.secret.0);
-        let elements: Vec<Element> = (0..10)
-            .map(|i| Element::new(&keys, ElementId::new(0, i), 438, i))
-            .collect();
-        let batch = AuthedBatch::seal(&key, keys.id, elements);
-
-        let mut cache = AdmissionCache::new();
-        assert_eq!(cache.lookup_root(&batch), None);
-        cache.record_root(&batch, true);
-        assert_eq!(cache.root_len(), 1);
-        assert_eq!(
-            cache.lookup_root(&batch),
-            Some(true),
-            "exact re-gossip hits"
-        );
-
-        // Same (root, mac) replayed with swapped elements: the element list
-        // comparison fails, so the probe misses and the caller re-verifies.
-        let mut swapped = batch.clone();
-        swapped.elements.swap(0, 9);
-        assert_eq!(cache.lookup_root(&swapped), None);
-        // Tampered contents under the cached root likewise miss.
-        let mut tampered = batch.clone();
-        tampered.elements[0].auth ^= 1;
-        assert_eq!(cache.lookup_root(&tampered), None);
-        // A different claimed owner or MAC misses too.
-        let mut stolen = batch.clone();
-        stolen.client = ProcessId::client(1);
-        assert_eq!(cache.lookup_root(&stolen), None);
-        let mut forged = batch.clone();
-        forged.mac ^= 1;
-        assert_eq!(cache.lookup_root(&forged), None);
-
-        assert_eq!(cache.root_hits(), 1);
-        assert_eq!(cache.root_misses(), 5);
-
-        // Rejections are cached the same way.
-        cache.record_root(&forged, false);
-        assert_eq!(cache.lookup_root(&forged), Some(false));
     }
 }

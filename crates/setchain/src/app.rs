@@ -5,8 +5,7 @@
 //! differ in exactly one step: how a batch of elements reaches the ledger.
 //! [`SetchainServer`] is that object. It owns the algorithm-agnostic
 //! [`ServerCore`] and writes the shared front door once — quota gate →
-//! batch-root check → gossip → `add(e)`, the `get` / catch-up service, the
-//! collector tick — and hands the steps that differ (what happens to an
+//! `add(e)`, the `get` / catch-up service, the collector tick — and hands the steps that differ (what happens to an
 //! admitted element, `check_tx`, `finalize_block`, Hashchain's batch
 //! service) to the variant modules [`crate::vanilla`],
 //! [`crate::compresschain`] and [`crate::hashchain`].
@@ -36,7 +35,6 @@ use setchain_crypto::ProcessId;
 use setchain_ledger::{Application, Block};
 use setchain_simnet::{SimDuration, TimerToken};
 
-use crate::batch_auth::AuthedBatch;
 use crate::byzantine::ServerByzMode;
 use crate::collector::Collector;
 use crate::compresschain::Compresschain;
@@ -188,38 +186,12 @@ impl SetchainServer {
         }
     }
 
-    /// The add front door, shared by `Add`, `AddBatch` and `BatchedAdd`
-    /// (`envelope` is the sealed batch the elements arrived in, if any).
-    fn handle_adds(
-        &mut self,
-        from: ProcessId,
-        elements: &[Element],
-        envelope: Option<&AuthedBatch>,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
+    /// The add front door, shared by `Add` and `AddBatch`.
+    fn handle_adds(&mut self, from: ProcessId, elements: &[Element], ctx: &mut Ctx<'_, '_, '_>) {
         // The quota gate runs first: a shed submission costs zero
-        // authenticator or root verification.
+        // authenticator verification.
         if !self.core.admit_source(from, elements.len() as u64, ctx) {
             return;
-        }
-        if let Some(batch) = envelope {
-            // One root-cache probe / MAC check authenticates the whole
-            // batch; the per-element admission probes inside `accept_add`
-            // then hit the warmed cache.
-            let valid = self.core.verify_batched_add(batch, ctx);
-            if from.is_server() {
-                // Peer-forwarded envelope: verifying it warmed this server's
-                // caches; the elements themselves arrive through the ledger
-                // (or hash reversal), where validation is then pure hits.
-                return;
-            }
-            if !valid {
-                self.core.stats.adds_rejected_invalid += elements.len() as u64;
-                return;
-            }
-            if self.core.byz != ServerByzMode::DropClientAdds {
-                self.core.gossip_batched_add(batch, ctx);
-            }
         }
         for &element in elements {
             // The paper's `add(e)`: the shared precondition check, then the
@@ -266,11 +238,8 @@ impl Application for SetchainServer {
 
     fn on_message(&mut self, from: ProcessId, msg: SetchainMsg, ctx: &mut Ctx<'_, '_, '_>) {
         match msg {
-            SetchainMsg::Add(e) => self.handle_adds(from, &[e], None, ctx),
-            SetchainMsg::AddBatch(es) => self.handle_adds(from, &es, None, ctx),
-            SetchainMsg::BatchedAdd(batch) => {
-                self.handle_adds(from, &batch.elements, Some(&batch), ctx)
-            }
+            SetchainMsg::Add(e) => self.handle_adds(from, &[e], ctx),
+            SetchainMsg::AddBatch(es) => self.handle_adds(from, &es, ctx),
             other => {
                 // `get`, `get_epoch` and catch-up are served by the core;
                 // what is left is Hashchain's batch service.

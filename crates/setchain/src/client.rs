@@ -135,14 +135,6 @@ impl LightClient {
         SetchainMsg::Add(element)
     }
 
-    /// Builds the batch-authenticated `add` message for an already-sealed
-    /// batch ([`crate::AuthedBatch::seal`]), remembering every element id so
-    /// that inclusion can be confirmed later.
-    pub fn add_batch(&mut self, batch: crate::AuthedBatch) -> SetchainMsg {
-        self.added.extend(batch.elements.iter().map(|e| e.id));
-        SetchainMsg::BatchedAdd(batch)
-    }
-
     /// Builds a `get` request.
     pub fn get(&mut self) -> SetchainMsg {
         let request_id = self.next_request;

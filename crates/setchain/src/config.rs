@@ -63,23 +63,13 @@ impl CostModel {
     }
 }
 
-/// How client submissions are authenticated server-side.
-///
-/// `#[non_exhaustive]`: further authentication schemes (e.g. aggregated
-/// signatures) may be added; match with a wildcard arm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[non_exhaustive]
+/// The paper's per-element client authentication, the only admission path.
+/// Kept only because the `benchmark/` package still passes it to
+/// `DeploymentBuilder::auth_mode`, which ignores it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuthMode {
-    /// Every element carries its own 8-byte MAC and servers verify each one
-    /// (the paper's evaluated scheme, and the default).
-    #[default]
+    /// Every element carries its own 8-byte MAC and servers verify each one.
     PerElement,
-    /// Clients Merkle-batch their adds and MAC only the batch root
-    /// ([`crate::AuthedBatch`]); servers verify once per batch and derive
-    /// per-element validity from Merkle membership. Plain per-element adds
-    /// keep working — this mode changes what the *workload drivers* send
-    /// and adds the batch verification path, it removes nothing.
-    BatchRoot,
 }
 
 /// Configuration of the persistent epoch store (see `setchain-store`).
@@ -140,8 +130,8 @@ impl StoreConfig {
 /// token bucket per client in front of the whole admission path: elements
 /// arriving from a client beyond its sustained `rate_per_sec` (with `burst`
 /// of headroom) or while the client already has `max_pending` elements
-/// awaiting an epoch are shed *before* any authenticator or batch-root
-/// verification, and the client is told to back off with a
+/// awaiting an epoch are shed *before* any authenticator is verified, and
+/// the client is told to back off with a
 /// [`Rejected`](crate::SetchainMsg::Rejected) reply carrying a `retry_after`
 /// hint. Absent (the default), admission is unmetered and the pipeline is
 /// byte-for-byte the pre-quota path.
@@ -237,9 +227,6 @@ pub struct SetchainConfig {
     /// other servers ("alternative distributed batch-sharing mechanism"), so
     /// hash reversal rarely needs a `Request_batch` round trip.
     pub push_batches: bool,
-    /// How client submissions are authenticated (default
-    /// [`AuthMode::PerElement`]).
-    pub auth_mode: AuthMode,
     /// Persistent epoch storage; `None` (the default) keeps the pure in-RAM
     /// path.
     pub store: Option<StoreConfig>,
@@ -262,7 +249,6 @@ impl SetchainConfig {
             light: false,
             designated_signers: None,
             push_batches: false,
-            auth_mode: AuthMode::default(),
             store: None,
             quota: None,
             costs: CostModel::default(),
@@ -311,13 +297,6 @@ mod tests {
         assert_eq!(costs.hash_cost(1).as_micros(), 2); // rounds up to one KiB
         assert_eq!(costs.validate_cost(100).as_micros(), 500);
         assert!(costs.compress_cost(10_000) > costs.decompress_cost(10_000));
-    }
-
-    #[test]
-    fn auth_mode_defaults_to_per_element() {
-        let cfg = SetchainConfig::new(4);
-        assert_eq!(cfg.auth_mode, AuthMode::PerElement);
-        assert_eq!(AuthMode::default(), AuthMode::PerElement);
     }
 
     #[test]

@@ -296,18 +296,6 @@ impl ElementGenerator {
         self.next_seq
     }
 
-    /// The client's precomputed HMAC key schedule — the same schedule that
-    /// signs each element, reused by batch-mode submitters to seal a whole
-    /// batch under one root MAC ([`crate::AuthedBatch::seal`]).
-    pub fn auth_key(&self) -> &HmacSha256Key {
-        &self.key
-    }
-
-    /// The client this generator signs for.
-    pub fn client(&self) -> ProcessId {
-        self.client
-    }
-
     /// Generates the next element with the given size and content seed.
     pub fn next_element(&mut self, size: u32, content_seed: u64) -> Element {
         let id = ElementId::new(self.client_index, self.next_seq);

@@ -58,7 +58,6 @@
 
 pub mod admission;
 pub mod app;
-pub mod batch_auth;
 pub mod byzantine;
 pub mod client;
 pub mod collector;
@@ -78,9 +77,6 @@ pub mod vanilla;
 
 pub use admission::AdmissionCache;
 pub use app::SetchainServer;
-pub use batch_auth::{
-    batch_root, batch_tree, prove_element, AuthedBatch, ElementProof, BATCH_CHUNK,
-};
 pub use byzantine::ServerByzMode;
 pub use client::{verify_epoch, EpochVerification, LightClient, RETRY_AFTER_PER_MISSING_PROOF};
 pub use collector::Collector;
@@ -91,7 +87,8 @@ pub use idmap::IdMap;
 pub use messages::{CatchupEpoch, GetSnapshot, SetchainMsg};
 pub use proofs::{
     epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof, make_epoch_proof_with_key,
-    prove_epoch_inclusion, verify_epoch_proof, EpochInclusionProof, EpochProof,
+    prove_epoch_inclusion, verify_epoch_proof, ElementProof, EpochInclusionProof, EpochProof,
+    BATCH_CHUNK,
 };
 pub use quota::{QuotaState, QuotaVerdict, PENDING_RETRY};
 pub use server::{ServerCore, ServerStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use setchain_crypto::Digest512;
 use setchain_simnet::Wire;
 
-use crate::batch_auth::AuthedBatch;
 use crate::collector::Batch;
 use crate::element::Element;
 use crate::proofs::{EpochProof, EPOCH_PROOF_WIRE_LEN};
@@ -37,12 +36,6 @@ pub enum SetchainMsg {
     /// same as sending each `Add` individually, but keeps the number of
     /// simulated messages manageable at high sending rates.
     AddBatch(Vec<Element>),
-    /// Batch-authenticated submission ([`crate::AuthMode::BatchRoot`]): the
-    /// elements under one Merkle root MAC'd once by the owning client. A
-    /// server verifies the root MAC instead of one MAC per element, then
-    /// admits every element; servers also forward the sealed envelope to
-    /// their peers so the whole deployment validates each batch once.
-    BatchedAdd(AuthedBatch),
     /// `S.get_v()`: returns a summary of the server's Setchain state.
     Get {
         /// Correlation id echoed in the response.
@@ -102,8 +95,8 @@ pub enum SetchainMsg {
         batch: Arc<Batch>,
     },
     /// Overload shed (see [`crate::quota`]): the server refused an
-    /// `Add`/`AddBatch`/`BatchedAdd` submission because the sender is over
-    /// its admission quota, *before* spending any verification CPU on it. A
+    /// `Add`/`AddBatch` submission because the sender is over its admission
+    /// quota, *before* spending any verification CPU on it. A
     /// well-behaved client backs off for at least `retry_after` (the same
     /// hint shape the epoch-retry machinery uses); a flooding client that
     /// ignores the hint keeps being shed for free.
@@ -158,7 +151,6 @@ impl Wire for SetchainMsg {
             SetchainMsg::AddBatch(es) => {
                 MSG_HEADER + es.iter().map(|e| e.wire_size()).sum::<usize>()
             }
-            SetchainMsg::BatchedAdd(batch) => MSG_HEADER + batch.wire_size(),
             SetchainMsg::Get { .. } => MSG_HEADER,
             SetchainMsg::GetResponse { .. } => MSG_HEADER + 40,
             SetchainMsg::GetEpoch { .. } => MSG_HEADER + 8,
@@ -195,15 +187,6 @@ mod tests {
         let e = Element::new(&client, ElementId::new(0, 1), 438, 1);
         assert_eq!(SetchainMsg::Add(e).wire_size(), 32 + 438);
         assert_eq!(SetchainMsg::AddBatch(vec![e, e]).wire_size(), 32 + 876);
-        // A batch-authenticated add pays 40 extra bytes over a plain
-        // AddBatch of the same elements: the 32-byte root and the 8-byte
-        // root MAC.
-        let key = setchain_crypto::HmacSha256Key::new(&client.secret.0);
-        let sealed = crate::AuthedBatch::seal(&key, client.id, vec![e, e]);
-        assert_eq!(
-            SetchainMsg::BatchedAdd(sealed).wire_size(),
-            32 + 876 + 32 + 8
-        );
         assert_eq!(SetchainMsg::Get { request_id: 1 }.wire_size(), 32);
         assert_eq!(
             SetchainMsg::GetEpoch {

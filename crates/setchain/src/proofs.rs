@@ -5,15 +5,106 @@
 //! Compresschain and Hashchain) and a client that collects `f + 1` consistent
 //! proofs for an epoch knows at least one correct server vouches for it
 //! (Property 8, Valid-Epoch).
+//!
+//! This module also owns the epoch-root format: the chunked Merkle tree
+//! over an epoch's elements that the epoch digest commits to, and the
+//! element→epoch inclusion proofs a light client checks against it.
+//!
+//! The tree does **not** use one leaf per element: with 36-byte packed
+//! identities a leaf-per-element tree costs ~3 SHA-256 compressions per
+//! element, because every leaf and every internal node is its own
+//! compression. Instead [`BATCH_CHUNK`] packed identities share one leaf:
+//! hashing a 288-byte leaf costs 5 compressions (0.625/element) and the
+//! internal nodes add ~0.25/element, ~0.875 compressions per element
+//! overall.
 
 use serde::{Deserialize, Serialize};
 use setchain_crypto::{
-    sign, sign_with, verify, Digest256, Digest512, KeyPair, KeyRegistry, ProcessId, Sha512,
-    Signature, SigningKey,
+    leaf_hash, sign, sign_with, verify, Digest256, Digest512, KeyPair, KeyRegistry, MerkleProof,
+    MerkleTree, ProcessId, Sha512, Signature, SigningKey,
 };
 
-use crate::batch_auth::{batch_root, batch_tree, prove_element, ElementProof};
 use crate::element::{Element, ElementId};
+
+/// Elements per Merkle leaf of an epoch root. Eight 36-byte packed
+/// identities fill a 288-byte leaf — the sweet spot where leaf hashing
+/// amortises to well under one SHA-256 compression per element while proofs
+/// stay one small chunk plus a logarithmic path.
+pub const BATCH_CHUNK: usize = 8;
+
+/// The bytes of one Merkle leaf: the packed identities of up to
+/// [`BATCH_CHUNK`] consecutive elements.
+type LeafBuf = [u8; BATCH_CHUNK * Element::PACKED_LEN];
+
+/// Packs `chunk` into `buf` and returns the leaf's bytes.
+fn pack_chunk<'a>(chunk: &[Element], buf: &'a mut LeafBuf) -> &'a [u8] {
+    for (slot, e) in buf.chunks_exact_mut(Element::PACKED_LEN).zip(chunk) {
+        slot.copy_from_slice(&e.pack());
+    }
+    &buf[..chunk.len() * Element::PACKED_LEN]
+}
+
+/// The chunked Merkle tree over `elements` in the given order: one leaf per
+/// [`BATCH_CHUNK`]-element chunk, each chunk packed into one reused stack
+/// buffer.
+fn chunked_tree(elements: &[Element]) -> MerkleTree {
+    let mut buf: LeafBuf = [0; BATCH_CHUNK * Element::PACKED_LEN];
+    MerkleTree::from_leaf_hashes(
+        elements
+            .chunks(BATCH_CHUNK)
+            .map(|chunk| leaf_hash(pack_chunk(chunk, &mut buf)))
+            .collect(),
+    )
+}
+
+/// An inclusion proof for one element against a chunked root: the leaf
+/// chunk the element lives in, the element's offset inside it, and the
+/// Merkle path from that leaf to the root.
+///
+/// The verifier needs only the proof and the root — never the full element
+/// list. The chunk rides along because leaves hash [`BATCH_CHUNK`] packed
+/// identities at a time; it is at most `BATCH_CHUNK` elements, independent
+/// of the epoch size.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ElementProof {
+    /// The elements of the leaf chunk containing the proven element.
+    pub chunk: Vec<Element>,
+    /// The proven element's offset within `chunk`.
+    pub offset: usize,
+    /// Merkle inclusion proof for the chunk leaf.
+    pub leaf_proof: MerkleProof,
+}
+
+impl ElementProof {
+    /// The element this proof speaks for.
+    pub fn element(&self) -> Element {
+        self.chunk[self.offset]
+    }
+
+    /// Verifies that `element` sits at this proof's position under `root`.
+    pub fn verify(&self, element: &Element, root: &Digest256) -> bool {
+        let mut buf: LeafBuf = [0; BATCH_CHUNK * Element::PACKED_LEN];
+        self.offset < self.chunk.len()
+            && self.chunk.len() <= BATCH_CHUNK
+            && self.chunk[self.offset] == *element
+            && self
+                .leaf_proof
+                .verify(pack_chunk(&self.chunk, &mut buf), root)
+    }
+}
+
+/// Builds the inclusion proof for `elements[index]` against `tree`, which
+/// was built over the same slice by [`chunked_tree`].
+fn prove_element(tree: &MerkleTree, elements: &[Element], index: usize) -> ElementProof {
+    let leaf = index / BATCH_CHUNK;
+    let start = leaf * BATCH_CHUNK;
+    let chunk = elements[start..elements.len().min(start + BATCH_CHUNK)].to_vec();
+    ElementProof {
+        chunk,
+        offset: index - start,
+        leaf_proof: tree.prove(leaf),
+    }
+}
 
 /// Wire length of an epoch-proof, as reported in the paper's evaluation
 /// (139 bytes).
@@ -72,9 +163,9 @@ pub fn epoch_root(elements: &[Element]) -> Digest256 {
     // Already in canonical order (a batch of one client's adds usually is):
     // hash in place instead of copying and sorting.
     if elements.is_sorted_by_key(|e| e.id) {
-        batch_root(elements)
+        chunked_tree(elements).root()
     } else {
-        batch_root(&canonical_order(elements))
+        chunked_tree(&canonical_order(elements)).root()
     }
 }
 
@@ -162,7 +253,7 @@ pub fn prove_epoch_inclusion(
 ) -> Option<EpochInclusionProof> {
     let sorted = canonical_order(elements);
     let index = sorted.binary_search_by_key(&id, |e| e.id).ok()?;
-    let tree = batch_tree(&sorted);
+    let tree = chunked_tree(&sorted);
     Some(EpochInclusionProof {
         epoch,
         count: sorted.len() as u64,
@@ -366,5 +457,58 @@ mod tests {
         assert!(!wrong_root.verify(&reg, 4, 1, &elements[0], &proofs));
         // Absent ids have no proof.
         assert!(prove_epoch_inclusion(3, &elements, ElementId::new(7, 7)).is_none());
+    }
+
+    /// `n` elements of client `client`, in id order.
+    fn client_elements(client: usize, n: usize) -> Vec<Element> {
+        let reg = KeyRegistry::bootstrap(11, 4, 3);
+        let keys = reg.lookup(ProcessId::client(client)).unwrap();
+        (0..n as u64)
+            .map(|i| Element::new(&keys, ElementId::new(client as u32, i), 438, i))
+            .collect()
+    }
+
+    #[test]
+    fn element_proofs_verify_against_the_chunked_root() {
+        for n in [1usize, 8, 9, 20, 65] {
+            let elements = client_elements(2, n);
+            let tree = chunked_tree(&elements);
+            let root = tree.root();
+            for (i, e) in elements.iter().enumerate() {
+                let proof = prove_element(&tree, &elements, i);
+                assert_eq!(proof.element(), *e);
+                assert!(proof.verify(e, &root), "n={n} i={i}");
+                assert!(proof.chunk.len() <= BATCH_CHUNK);
+                // The proof speaks only for its own element.
+                let other = elements[(i + 1) % n];
+                if other != *e {
+                    assert!(!proof.verify(&other, &root));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn element_proofs_fail_against_a_different_root() {
+        let elements = client_elements(2, 12);
+        let other = client_elements(1, 12);
+        let other_root = epoch_root(&other);
+        let tree = chunked_tree(&elements);
+        let proof = prove_element(&tree, &elements, 3);
+        assert!(!proof.verify(&elements[3], &other_root));
+        // A tampered chunk cannot sneak a foreign element in.
+        let mut tampered = proof.clone();
+        tampered.chunk[3] = other[3];
+        assert!(!tampered.verify(&other[3], &tree.root()));
+    }
+
+    #[test]
+    fn chunked_root_is_chunk_boundary_sensitive() {
+        // Roots at n and n+1 elements differ even when the shared prefix is
+        // identical: the count changes the leaf layout.
+        let elements = client_elements(1, 9);
+        let prefix_root = epoch_root(&elements[..8]);
+        assert_ne!(prefix_root, epoch_root(&elements));
+        assert_ne!(epoch_root(&elements[..1]), prefix_root);
     }
 }

@@ -8,7 +8,7 @@
 //! make a server do, *before* the server spends anything on it.
 //!
 //! Two independent limits per client, both enforced at the very front of
-//! the admission path (ahead of HMAC and batch-root verification — see
+//! the admission path (ahead of HMAC verification — see
 //! [`ServerCore::admit_source`](crate::ServerCore::admit_source)):
 //!
 //! * **Rate** — a token bucket refilled at

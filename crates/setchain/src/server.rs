@@ -11,7 +11,6 @@ use setchain_simnet::{SimDuration, SimTime};
 use setchain_store::{DiskStore, EpochRecord, StateStore};
 
 use crate::admission::AdmissionCache;
-use crate::batch_auth::AuthedBatch;
 use crate::byzantine::ServerByzMode;
 use crate::config::{SetchainConfig, StoreConfig};
 use crate::element::{Element, ElementId};
@@ -72,13 +71,6 @@ pub struct ServerStats {
     pub batch_requests_failed: u64,
     /// `get` / `get_epoch` requests answered.
     pub gets_served: u64,
-    /// Batch-authenticated envelopes whose root MAC verified fresh (cache
-    /// hits on re-gossiped batches are visible on the admission cache's
-    /// root counters instead).
-    pub batch_roots_verified: u64,
-    /// Batch-authenticated envelopes rejected fresh (bad MAC, tampered or
-    /// reordered contents, foreign/unknown owner, empty batch).
-    pub batch_roots_rejected: u64,
     /// Catch-up requests this server has issued (restart probes, gap
     /// detections, and follow-up pages of a paged catch-up).
     pub catchup_requests: u64,
@@ -505,7 +497,7 @@ impl ServerCore {
     }
 
     /// Overload gate for client-facing submissions, called by every variant
-    /// *before* any authenticator or batch-root verification: with a quota
+    /// *before* any authenticator is verified: with a quota
     /// configured, probes `from`'s token bucket and pending cap for
     /// `elements` more elements. On a shed the whole submission is refused
     /// with zero validation CPU spent, the drop is attributed to
@@ -592,88 +584,6 @@ impl ServerCore {
             quota.note_admitted(element.client, 1);
         }
         true
-    }
-
-    /// Probes/verifies a sealed batch, ctx-free so the verdict rule can be
-    /// tested without a simulator. Returns `(verdict, fresh)`: `fresh` is
-    /// true when the root MAC was actually checked (and the caller must
-    /// charge simulated hashing CPU), false when the verdict came from the
-    /// root cache with zero hashing.
-    ///
-    /// On a fresh *accept* the per-element admission cache is warmed with a
-    /// `true` verdict for every member not yet stamped (a stamped id is never
-    /// looked up again, so its verdict would never be freed): under
-    /// [`crate::AuthMode::BatchRoot`] the owner's root MAC is the
-    /// authentication, and per-element validity follows from Merkle
-    /// membership — so the later `accept_add` / recovery-path probes for
-    /// these elements hit without ever computing a per-element HMAC. (For
-    /// honestly generated elements this coincides
-    /// with the per-element authenticator verdict; a key-holding client
-    /// vouching for its *own* elements is exactly what the MAC attests.)
-    ///
-    /// Verdicts for batches claiming an unregistered client are not cached,
-    /// mirroring [`Self::element_valid`]: the client may register later.
-    fn batch_verdict(&mut self, batch: &AuthedBatch) -> (bool, bool) {
-        if let Some(verdict) = self.admission.lookup_root(batch) {
-            return (verdict, false);
-        }
-        let (verdict, cacheable) = if batch.client.is_server() || batch.elements.is_empty() {
-            (false, true)
-        } else {
-            match self.client_key(batch.client) {
-                Some(key) => (batch.verify(key), true),
-                None => (false, false),
-            }
-        };
-        if cacheable {
-            self.admission.record_root(batch, verdict);
-            if verdict {
-                for e in &batch.elements {
-                    if !self.state.in_history(&e.id) {
-                        self.admission.record(e, true);
-                    }
-                }
-            }
-        }
-        if verdict {
-            self.stats.batch_roots_verified += 1;
-        } else {
-            self.stats.batch_roots_rejected += 1;
-        }
-        (verdict, true)
-    }
-
-    /// Verifies a [`SetchainMsg::BatchedAdd`] envelope: one root-cache
-    /// probe, and on a miss one Merkle-root recomputation plus one MAC check
-    /// for the whole batch — the batch-authenticated replacement for
-    /// per-element authenticator checks. Simulated CPU is charged only for
-    /// fresh verifications (hashing the packed element identities into the
-    /// chunked root, plus one MAC); re-gossiped batches verify for free.
-    pub fn verify_batched_add(&mut self, batch: &AuthedBatch, ctx: &mut Ctx<'_, '_, '_>) -> bool {
-        let (verdict, fresh) = self.batch_verdict(batch);
-        if fresh {
-            ctx.consume_cpu(
-                self.config
-                    .costs
-                    .hash_cost(batch.elements.len() * Element::PACKED_LEN),
-            );
-            ctx.consume_cpu(self.config.costs.validate_element);
-        }
-        verdict
-    }
-
-    /// Forwards a client's sealed batch to every peer server, so each peer
-    /// verifies the root once (or serves it from its root cache) and warms
-    /// its per-element admission cache *before* the batch contents come back
-    /// around through collector batches, blocks or hash reversal — the
-    /// whole deployment then authenticates each batch at most once per
-    /// server, with zero per-element MACs.
-    pub fn gossip_batched_add(&self, batch: &AuthedBatch, ctx: &mut Ctx<'_, '_, '_>) {
-        let me = self.keys.id;
-        let peers = (0..self.config.servers)
-            .map(ProcessId::server)
-            .filter(|p| *p != me);
-        ctx.broadcast_app(peers, SetchainMsg::BatchedAdd(batch.clone()));
     }
 
     /// Handles `get` and `get_epoch` requests from clients.
@@ -1592,62 +1502,6 @@ pub(crate) mod tests {
         assert!(!second[33], "server-claimed element stayed rejected");
     }
 
-    fn sealed_from(registry: &KeyRegistry, client_idx: usize, n: usize) -> AuthedBatch {
-        let keys = registry.lookup(ProcessId::client(client_idx)).unwrap();
-        let key = HmacSha256Key::new(&keys.secret.0);
-        let elements: Vec<Element> = (0..n)
-            .map(|i| {
-                Element::new(
-                    &keys,
-                    ElementId::new(client_idx as u32, i as u64),
-                    300 + i as u32,
-                    i as u64,
-                )
-            })
-            .collect();
-        AuthedBatch::seal(&key, keys.id, elements)
-    }
-
-    #[test]
-    fn fresh_batch_verification_warms_every_cache() {
-        let (mut core, registry) = core_with(59, 4, 3);
-        let batch = sealed_from(&registry, 0, 20);
-
-        let (verdict, fresh) = core.batch_verdict(&batch);
-        assert!(verdict && fresh, "sealed batch verifies fresh");
-        assert_eq!(core.stats.batch_roots_verified, 1);
-        // The root verdict is memoized: re-gossip is a pure cache hit.
-        assert_eq!(core.batch_verdict(&batch), (true, false));
-        assert_eq!(core.admission_cache().root_hits(), 1);
-        // And the per-element cache was warmed: validating the contents
-        // afterwards computes no authenticator digests.
-        let misses_before = core.admission_cache().misses();
-        assert!(core.validate_elements(&batch.elements).iter().all(|v| *v));
-        assert_eq!(core.admission_cache().misses(), misses_before);
-
-        // A tampered replay under the cached root re-verifies and fails —
-        // and, being the latest verdict for that root, evicts the cached
-        // accept (one entry per root; an attacker can force re-hashing but
-        // never a wrong verdict).
-        let mut tampered = batch.clone();
-        tampered.elements[3].content_seed ^= 0xF0;
-        assert_eq!(core.batch_verdict(&tampered), (false, true));
-        assert_eq!(core.stats.batch_roots_rejected, 1);
-        // The genuine batch re-verifies fresh once, then hits again.
-        assert_eq!(core.batch_verdict(&batch), (true, true));
-        assert_eq!(core.batch_verdict(&batch), (true, false));
-    }
-
-    #[test]
-    fn batch_verification_warms_no_stamped_id() {
-        let (mut core, registry) = core_with(67, 4, 3);
-        let batch = sealed_from(&registry, 0, 20);
-        core.state.record_epoch(batch.elements[..8].to_vec(), None);
-        assert_eq!(core.batch_verdict(&batch), (true, true));
-        // Only the 12 ids not stamped yet are warmed.
-        assert_eq!(core.admission_cache().len(), 12);
-    }
-
     #[test]
     fn stamped_verdicts_are_freed() {
         with_core(0, |core, registry, ctx| {
@@ -1702,22 +1556,6 @@ pub(crate) mod tests {
             assert_eq!(core.stats.adds_rejected_invalid, 1);
             assert_eq!(core.admission_cache().misses(), misses + 1);
         });
-    }
-
-    #[test]
-    fn unknown_owner_batches_are_rejected_but_not_memoized() {
-        let (mut core, registry) = core_with(61, 2, 1);
-        let late = KeyPair::derive(ProcessId::client(5), 909);
-        let key = HmacSha256Key::new(&late.secret.0);
-        let elements = vec![Element::new(&late, ElementId::new(5, 1), 300, 1)];
-        let batch = AuthedBatch::seal(&key, late.id, elements);
-        // Unknown owner: rejected, and the verdict is *not* cached.
-        assert_eq!(core.batch_verdict(&batch), (false, true));
-        assert_eq!(core.admission_cache().root_len(), 0);
-        // Once the client registers, the same envelope verifies.
-        registry.register(late);
-        assert_eq!(core.batch_verdict(&batch), (true, true));
-        assert_eq!(core.batch_verdict(&batch), (true, false));
     }
 
     mod properties {
@@ -1806,99 +1644,6 @@ pub(crate) mod tests {
                 for (e, expected) in wave.iter().zip(&sequential) {
                     prop_assert_eq!(core.element_valid(e), *expected);
                 }
-            }
-
-            /// Batch-root admission agrees with sequential per-element
-            /// `is_valid`, and is strictly stronger under structural
-            /// attacks: an honestly sealed batch is admitted untouched;
-            /// tampering any single element (which makes that element
-            /// individually invalid) rejects the *whole* batch; and
-            /// truncating, extending, reordering, re-owning or MAC-forging
-            /// the envelope — perturbations sequential validation cannot
-            /// even see, since every element stays individually valid — is
-            /// rejected too. Verdicts are stable through the root cache.
-            #[test]
-            fn prop_batch_root_admission_equals_sequential_validation(
-                n in 1usize..60,
-                perturb in 0u8..8,
-                target in 0usize..60,
-                seed in 1u64..500,
-            ) {
-                let clients = 3usize;
-                let (mut core, registry) = core_with(seed, 4, clients);
-                let sealed = sealed_from(&registry, 0, n);
-                let t = target % n;
-
-                let mut batch = sealed.clone();
-                // `untouched` tracks whether the perturbation was a no-op
-                // (sealed batches must verify exactly when untouched).
-                let mut untouched = false;
-                // Perturbations 1-3 break one element's own authenticator
-                // binding; 4-7 are structural (each element stays valid).
-                let mut structural = false;
-                match perturb {
-                    1 => batch.elements[t].auth ^= 1,
-                    2 => batch.elements[t].size = batch.elements[t].size.wrapping_add(7),
-                    3 => batch.elements[t].content_seed ^= 0xABCD,
-                    4 => {
-                        // Truncation: count binding in the MAC fails (or the
-                        // batch becomes empty, which never verifies).
-                        batch.elements.truncate(n - 1);
-                        structural = true;
-                    }
-                    5 => {
-                        // Replayed root with swapped elements.
-                        if n >= 2 {
-                            batch.elements.swap(0, n - 1);
-                            structural = true;
-                        } else {
-                            untouched = true;
-                        }
-                    }
-                    6 => {
-                        batch.mac ^= 1;
-                        structural = true;
-                    }
-                    7 => {
-                        // Re-owned envelope: another registered client
-                        // claims the batch.
-                        batch.client = ProcessId::client(1);
-                        structural = true;
-                    }
-                    _ => untouched = true,
-                }
-
-                let all_valid = batch.elements.iter().all(|e| e.is_valid(&registry));
-                let (verdict, fresh) = core.batch_verdict(&batch);
-                prop_assert!(fresh, "first probe verifies fresh");
-                prop_assert_eq!(verdict, untouched, "admitted iff untouched");
-                // Admission implies sequential per-element validity...
-                prop_assert!(!verdict || all_valid);
-                match perturb {
-                    1..=3 => prop_assert!(
-                        !all_valid,
-                        "element tampering is individually visible"
-                    ),
-                    _ if structural && !batch.elements.is_empty() => prop_assert!(
-                        all_valid && !verdict,
-                        "structural attacks reject despite all-valid elements"
-                    ),
-                    _ => {}
-                }
-                // The verdict is stable through the root cache (all owners
-                // here are registered, so every verdict is memoizable).
-                prop_assert_eq!(core.batch_verdict(&batch), (verdict, false));
-                // On acceptance the warmed per-element cache agrees with
-                // `is_valid` for every member.
-                if verdict {
-                    for e in &batch.elements {
-                        prop_assert!(core.element_valid(e));
-                        prop_assert!(e.is_valid(&registry));
-                    }
-                }
-                // The untouched sealed batch always still verifies.
-                let (orig, _) = core.batch_verdict(&sealed);
-                prop_assert!(orig);
             }
         }
     }

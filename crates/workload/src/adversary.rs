@@ -15,7 +15,7 @@ use std::any::Any;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use setchain::{AuthedBatch, Element, SetchainMsg};
+use setchain::{Element, SetchainMsg};
 use setchain_crypto::{KeyPair, KeyRegistry, ProcessId};
 use setchain_ledger::NetMsg;
 use setchain_simnet::{Context, Process, SimDuration, SimTime, TimerToken};
@@ -25,7 +25,7 @@ use crate::generator::ArbitrumWorkload;
 
 const ATTACK_TICK: TimerToken = 1;
 
-/// Size of the one sealed batch a [`Adversary::ReplayStorm`] re-sends.
+/// Size of the one batch a [`Adversary::ReplayStorm`] re-sends.
 const REPLAY_BATCH: usize = 64;
 
 /// Distinct elements in the [`Adversary::HotKeySkew`] hot set; picks are
@@ -51,9 +51,10 @@ pub enum Adversary {
     /// One client floods a single server with valid, fresh elements at many
     /// times the honest per-client rate. Rate quotas shed the excess.
     FloodClient,
-    /// The same sealed batch-authenticated submission is replayed over and
-    /// over. The quota gate meters it *before* root verification, and
-    /// admission dedup absorbs whatever gets through.
+    /// The same `AddBatch` of valid elements is replayed over and over. The
+    /// quota gate meters it *before* any authenticator is verified, and
+    /// admission dedup absorbs whatever gets through: each server verifies
+    /// the batch's MACs once.
     ReplayStorm,
     /// Re-sends elements drawn Zipf-skewed from a small hot set: a few
     /// elements arrive over and over, exercising duplicate suppression
@@ -92,7 +93,7 @@ impl Adversary {
     /// 5 000 el/s so the attack pressures the default quota sizing
     /// ([`setchain::QuotaConfig`]'s 2 000 el/s bucket) even when the honest
     /// workload is tiny; an attack the default quota never meters would not
-    /// exercise the protection path. A replay storm re-fires its sealed
+    /// exercise the protection path. A replay storm re-fires its
     /// 64-element batch 100 times per second (~6 400 el/s offered — above
     /// the default bucket for the same reason), and a churn storm registers
     /// 200 fresh identities per second.
@@ -153,8 +154,8 @@ pub struct AdversaryDriver {
     tick: SimDuration,
     carry: f64,
     rng: StdRng,
-    /// The one sealed batch ReplayStorm re-sends (built on first tick).
-    replay: Option<AuthedBatch>,
+    /// The one batch ReplayStorm re-sends (built on first tick).
+    replay: Vec<Element>,
     /// HotKeySkew's hot set (built on first tick).
     pool: Vec<Element>,
     /// Precomputed Zipf CDF over `pool` ranks.
@@ -189,7 +190,7 @@ impl AdversaryDriver {
             tick: SimDuration::from_millis(20),
             carry: 0.0,
             rng: StdRng::seed_from_u64(seed ^ 0x005E_EDAD),
-            replay: None,
+            replay: Vec::new(),
             pool: Vec::new(),
             zipf_cdf: Vec::new(),
             churn_next: CHURN_BASE,
@@ -237,15 +238,14 @@ impl AdversaryDriver {
             }
             Adversary::ReplayStorm => {
                 // The rate meters batch re-fires, not elements: each due
-                // unit re-sends the same sealed submission verbatim.
-                if self.replay.is_none() {
-                    let elements = self.workload.take(REPLAY_BATCH);
-                    self.replay = Some(self.workload.seal(elements));
+                // unit re-sends the same submission verbatim.
+                if self.replay.is_empty() {
+                    self.replay = self.workload.take(REPLAY_BATCH);
                 }
                 for _ in 0..count {
-                    let batch = self.replay.clone().expect("sealed above");
-                    self.sent += batch.elements.len() as u64;
-                    ctx.send(self.target, NetMsg::App(SetchainMsg::BatchedAdd(batch)));
+                    self.sent += REPLAY_BATCH as u64;
+                    let batch = SetchainMsg::AddBatch(self.replay.clone());
+                    ctx.send(self.target, NetMsg::App(batch));
                 }
             }
             Adversary::HotKeySkew => {

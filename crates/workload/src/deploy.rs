@@ -254,11 +254,10 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Sets how client submissions are authenticated: per-element MACs (the
-    /// default) or one MAC over the Merkle root of each injected batch
-    /// ([`setchain::AuthMode::BatchRoot`]).
-    pub fn auth_mode(mut self, mode: setchain::AuthMode) -> Self {
-        self.config.auth_mode = mode;
+    /// A no-op kept only because the `benchmark/` package still calls it:
+    /// per-element authentication is the only admission path.
+    #[doc(hidden)]
+    pub fn auth_mode(self, _mode: setchain::AuthMode) -> Self {
         self
     }
 
@@ -444,8 +443,7 @@ impl DeploymentBuilder {
                 per_client_rate,
                 injection_end,
                 trace.clone(),
-            )
-            .with_auth_mode(config.auth_mode);
+            );
             sim.add_process(client_id, Box::new(driver));
         }
 
@@ -639,14 +637,13 @@ mod tests {
 
     #[test]
     fn builder_order_does_not_change_the_config() {
-        use setchain::{AuthMode, QuotaConfig};
+        use setchain::QuotaConfig;
         let knobs = |builder: DeploymentBuilder| {
             builder
                 .collector(500)
                 .light()
                 .designated_signers(5)
                 .push_batches()
-                .auth_mode(AuthMode::BatchRoot)
                 .quota(QuotaConfig::new().with_rate(500))
         };
         let first = knobs(Deployment::builder(Algorithm::Hashchain).servers(7));
@@ -661,7 +658,6 @@ mod tests {
         assert!(config.light);
         assert_eq!(config.designated_signers, Some(5));
         assert!(config.push_batches);
-        assert_eq!(config.auth_mode, AuthMode::BatchRoot);
         assert_eq!(config.quota.map(|q| q.rate_per_sec), Some(500));
     }
 

@@ -5,7 +5,7 @@
 use std::any::Any;
 use std::collections::HashSet;
 
-use setchain::{AuthMode, Element, ElementId, LightClient, SetchainMsg, SetchainTrace, SetchainTx};
+use setchain::{Element, ElementId, LightClient, SetchainMsg, SetchainTrace, SetchainTx};
 use setchain_crypto::ProcessId;
 use setchain_ledger::NetMsg;
 use setchain_simnet::{Context, Process, SimDuration, SimTime, TimerToken};
@@ -29,7 +29,6 @@ pub struct ClientDriver {
     carry: f64,
     trace: SetchainTrace,
     sent: u64,
-    auth: AuthMode,
     /// Injection is paused until this instant after the server sheds a
     /// submission with `Rejected { retry_after }` — the polite-client
     /// response to overload protection. `ZERO` when not backing off.
@@ -57,19 +56,9 @@ impl ClientDriver {
             carry: 0.0,
             trace,
             sent: 0,
-            auth: AuthMode::default(),
             backoff_until: SimTime::ZERO,
             rejections: 0,
         }
-    }
-
-    /// Builder: sets how submissions are authenticated. Under
-    /// [`AuthMode::BatchRoot`] each injection tick is sealed into one
-    /// [`setchain::AuthedBatch`] (one MAC over the Merkle root) instead of a
-    /// plain `AddBatch` of per-element-authenticated elements.
-    pub fn with_auth_mode(mut self, mode: AuthMode) -> Self {
-        self.auth = mode;
-        self
     }
 
     /// Number of elements sent so far.
@@ -120,11 +109,7 @@ impl Process<Msg> for ClientDriver {
             let elements = self.workload.take(count);
             self.trace.record_adds(elements.iter().map(|e| e.id), now);
             self.sent += count as u64;
-            let msg = match self.auth {
-                AuthMode::BatchRoot => SetchainMsg::BatchedAdd(self.workload.seal(elements)),
-                _ => SetchainMsg::AddBatch(elements),
-            };
-            ctx.send(self.server, NetMsg::App(msg));
+            ctx.send(self.server, NetMsg::App(SetchainMsg::AddBatch(elements)));
         }
         ctx.set_timer(self.tick, INJECT_TICK);
     }

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use setchain::{AuthedBatch, Element, ElementGenerator};
+use setchain::{Element, ElementGenerator};
 use setchain_crypto::{KeyPair, KeyRegistry, ProcessId};
 
 /// Mean element size reported by the paper (bytes).
@@ -80,15 +80,6 @@ impl ArbitrumWorkload {
     /// Generates `count` elements.
     pub fn take(&mut self, count: usize) -> Vec<Element> {
         (0..count).map(|_| self.next_element()).collect()
-    }
-
-    /// Seals `elements` into a batch-authenticated envelope under this
-    /// client's key — one root MAC for the whole submission
-    /// ([`setchain::AuthMode::BatchRoot`]). The elements keep their
-    /// individual authenticators, so the same workload is valid under
-    /// either submission mode.
-    pub fn seal(&self, elements: Vec<Element>) -> AuthedBatch {
-        AuthedBatch::seal(self.elements.auth_key(), self.elements.client(), elements)
     }
 
     /// Number of elements generated so far.

@@ -12,9 +12,9 @@
 //!   injection client per node (mirroring the paper's
 //!   one-client-per-Docker-container setup).
 //!   Assembled with the fluent [`Deployment::builder`].
-//! * [`session`] — typed client sessions (`add`/`add_batch`/`get`/`get_epoch`
-//!   returning [`AddReceipt`]/[`BatchReceipt`]/[`SnapshotView`]/
-//!   [`VerifiedEpoch`]) replacing raw message scripting.
+//! * [`session`] — typed client sessions (`add`/`get`/`get_epoch` returning
+//!   [`AddReceipt`]/[`SnapshotView`]/[`VerifiedEpoch`]) replacing raw
+//!   message scripting.
 //! * [`driver`] — the injection client actor.
 //! * [`adversary`] — adversarial workload presets (flood, replay storm,
 //!   hot-key skew, churn storm) driving one misbehaving client against the
@@ -69,6 +69,4 @@ pub use invariants::{check_setchain_invariants, InvariantReport};
 pub use metrics::{CommitTimes, Efficiency, StageLatencies, ThroughputSeries};
 pub use runner::RunResult;
 pub use scenario::Scenario;
-pub use session::{
-    AddReceipt, BatchReceipt, ClientSession, SessionOutcome, SnapshotView, VerifiedEpoch,
-};
+pub use session::{AddReceipt, ClientSession, SessionOutcome, SnapshotView, VerifiedEpoch};

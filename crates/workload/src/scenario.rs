@@ -88,7 +88,7 @@ pub mod table1 {
 mod tests {
     use super::*;
     use crate::Deployment;
-    use setchain::{AuthMode, StoreConfig};
+    use setchain::StoreConfig;
 
     #[test]
     fn base_scenario_matches_paper() {
@@ -154,7 +154,6 @@ mod tests {
         assert!(!default.light);
         assert_eq!(default.designated_signers, None);
         assert!(!default.push_batches);
-        assert_eq!(default.auth_mode, AuthMode::PerElement);
         assert!(default.store.is_none(), "in-memory by default");
         assert!(default.quota.is_none(), "unmetered by default");
     }

@@ -43,11 +43,10 @@
 use std::collections::HashSet;
 
 use setchain::{
-    batch_tree, prove_element, prove_epoch_inclusion, AuthedBatch, Element, ElementId,
-    ElementProof, EpochInclusionProof, EpochProof, EpochVerification, GetSnapshot, LightClient,
-    SetchainMsg,
+    prove_epoch_inclusion, Element, ElementId, EpochInclusionProof, EpochProof, EpochVerification,
+    GetSnapshot, LightClient, SetchainMsg,
 };
-use setchain_crypto::{Digest256, KeyPair, ProcessId};
+use setchain_crypto::{KeyPair, ProcessId};
 use setchain_simnet::SimTime;
 
 use crate::deploy::Deployment;
@@ -81,59 +80,6 @@ pub struct AddReceipt {
     /// True if the retry machine exhausted its attempt budget without
     /// confirmation (never set on plain scripted adds).
     pub gave_up: bool,
-}
-
-/// Receipt for one scripted batch-authenticated `add`
-/// ([`ClientSession::add_batch`]): the sealed batch's Merkle root, the
-/// element ids it covers, and per-element membership proofs against that
-/// root.
-#[derive(Clone, Debug)]
-pub struct BatchReceipt {
-    /// Merkle root the single batch MAC covers.
-    pub root: Digest256,
-    /// Ids of the batched elements, in sealed (submission) order.
-    pub ids: Vec<ElementId>,
-    /// Server the batch was sent to.
-    pub server: ProcessId,
-    /// Simulated send time.
-    pub at: SimTime,
-    elements: Vec<Element>,
-}
-
-impl BatchReceipt {
-    /// Number of elements in the batch.
-    pub fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// True if the batch is empty (never for receipts from `add_batch`).
-    pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
-    }
-
-    /// The batched elements, in sealed order.
-    pub fn elements(&self) -> &[Element] {
-        &self.elements
-    }
-
-    /// Merkle membership proof for the `index`-th batched element against
-    /// [`BatchReceipt::root`].
-    pub fn proof(&self, index: usize) -> Option<ElementProof> {
-        if index >= self.elements.len() {
-            return None;
-        }
-        Some(prove_element(
-            &batch_tree(&self.elements),
-            &self.elements,
-            index,
-        ))
-    }
-
-    /// Merkle membership proof for the batched element with id `id`.
-    pub fn proof_for(&self, id: ElementId) -> Option<ElementProof> {
-        let index = self.elements.iter().position(|e| e.id == id)?;
-        self.proof(index)
-    }
 }
 
 /// A typed `get` response: the server's state summary.
@@ -298,54 +244,9 @@ impl ClientSession {
     /// Scripts `S.add_v(e)` at `at` against server `server` with a freshly
     /// generated element of `size` bytes whose payload derives from
     /// `content_seed` (sequence numbers are assigned automatically).
-    ///
-    /// This is the single-element form; [`ClientSession::add_batch`] submits
-    /// many elements under one batch-root MAC.
     pub fn add(&mut self, at: SimTime, server: usize, size: u32, content_seed: u64) -> AddReceipt {
         let element = self.generator.next_element(size, content_seed);
         self.add_element(at, server, element)
-    }
-
-    /// Scripts a batch-authenticated add at `at` against server `server`:
-    /// generates one element per `(size, content_seed)` entry, Merkle-batches
-    /// them, and seals the batch under this session's key — one MAC over the
-    /// batch root instead of relying on the per-element authenticators
-    /// ([`setchain::AuthMode::BatchRoot`] submission).
-    pub fn add_batch(
-        &mut self,
-        at: SimTime,
-        server: usize,
-        specs: impl IntoIterator<Item = (u32, u64)>,
-    ) -> BatchReceipt {
-        let elements: Vec<Element> = specs
-            .into_iter()
-            .map(|(size, content_seed)| self.generator.next_element(size, content_seed))
-            .collect();
-        self.add_batch_elements(at, server, elements)
-    }
-
-    /// Scripts a batch-authenticated add for elements built by the caller
-    /// (they must claim this session's id to validate server-side).
-    pub fn add_batch_elements(
-        &mut self,
-        at: SimTime,
-        server: usize,
-        elements: Vec<Element>,
-    ) -> BatchReceipt {
-        self.assert_scriptable();
-        assert!(!elements.is_empty(), "batched adds must not be empty");
-        let server = ProcessId::server(server);
-        let batch = AuthedBatch::seal(self.generator.auth_key(), self.id, elements);
-        let receipt = BatchReceipt {
-            root: batch.root,
-            ids: batch.elements.iter().map(|e| e.id).collect(),
-            server,
-            at,
-            elements: batch.elements.clone(),
-        };
-        let msg = self.light.add_batch(batch);
-        self.script.push((at, server, msg));
-        receipt
     }
 
     /// Scripts `S.add_v(e)` for an element built by the caller (it must be
@@ -565,63 +466,6 @@ mod tests {
             "all three session adds confirmed through a single server"
         );
         assert!(receipts.iter().all(|r| confirmed.contains(&r.id)));
-    }
-
-    #[test]
-    fn batched_adds_commit_and_prove_inclusion() {
-        let mut deployment = Deployment::builder(Algorithm::Hashchain)
-            .servers(4)
-            .rate(200.0)
-            .collector(25)
-            .injection_secs(3)
-            .max_run_secs(30)
-            .seed(31)
-            .build();
-        let registry = deployment.registry.clone();
-        let mut session = deployment.client_session(60, 321);
-        let receipt = session.add_batch(
-            SimTime::from_millis(500),
-            0,
-            (0..5u64).map(|i| (438, 4000 + i)),
-        );
-        assert_eq!(receipt.len(), 5);
-        assert!(!receipt.is_empty());
-        assert_eq!(session.added().len(), 5);
-        // Per-element membership proofs verify against the sealed root.
-        for (i, id) in receipt.ids.iter().enumerate() {
-            let proof = receipt.proof_for(*id).expect("id is in the batch");
-            assert_eq!(proof.element(), receipt.elements()[i]);
-            assert!(proof.verify(&receipt.elements()[i], &receipt.root));
-        }
-        assert!(receipt.proof(5).is_none());
-        assert!(receipt
-            .proof_for(setchain::ElementId::new(99, 99))
-            .is_none());
-
-        session.get_epochs(SimTime::from_secs(20), 2, 1..=15);
-        session.install(&mut deployment);
-        deployment.sim.run_until(SimTime::from_secs(25));
-
-        let outcome = session.outcome(&deployment);
-        let confirmed = outcome.confirmed_ids();
-        assert_eq!(confirmed.len(), 5, "the whole batch commits");
-        // Element→epoch inclusion proofs verify without the element set.
-        let f = deployment.config.f;
-        let mut proven = 0;
-        for epoch in outcome.verified() {
-            for id in &receipt.ids {
-                let Some(proof) = epoch.inclusion_proof(*id) else {
-                    continue;
-                };
-                let element = receipt.elements()[receipt.ids.iter().position(|x| x == id).unwrap()];
-                assert!(proof.verify(&registry, 4, f, &element, &epoch.proofs));
-                proven += 1;
-            }
-        }
-        assert_eq!(
-            proven, 5,
-            "each batched element proven in exactly one epoch"
-        );
     }
 
     #[test]

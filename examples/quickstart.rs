@@ -1,22 +1,19 @@
-//! Quickstart: run a 4-server Hashchain Setchain, add a Merkle-batched set
-//! of elements (one MAC for the whole batch) through a typed client session,
-//! and verify an epoch with `f + 1` epoch-proofs while talking to a single
-//! server — including element→epoch inclusion proofs that need no element
-//! set.
+//! Quickstart: run a 4-server Hashchain Setchain, add three elements through
+//! a typed client session, and verify an epoch with `f + 1` epoch-proofs
+//! while talking to a single server — including element→epoch inclusion
+//! proofs that need no element set.
 //!
 //! ```sh
 //! cargo run --release -p setchain-bench --example quickstart
 //! ```
 
-use setchain::{Algorithm, AuthMode};
+use setchain::Algorithm;
 use setchain_simnet::SimTime;
 use setchain_workload::Deployment;
 
 fn main() {
     // 1. Describe the deployment: 4 servers running Hashchain, a light
-    //    background load, small collector so epochs form quickly. The
-    //    injection clients also submit under batch-root authentication:
-    //    servers verify one MAC per batch, not one per element.
+    //    background load, small collector so epochs form quickly.
     let mut deployment = Deployment::builder(Algorithm::Hashchain)
         .label("quickstart")
         .servers(4)
@@ -24,31 +21,22 @@ fn main() {
         .collector(25)
         .injection_secs(5)
         .max_run_secs(30)
-        .auth_mode(AuthMode::BatchRoot)
         .seed(2024)
         .build();
     let config = &deployment.config;
     let (n, f) = (config.servers, config.f);
     println!(
-        "Deployment: {n} {} servers, f = {f}, collector = {}, light = {}, auth = {:?}",
-        deployment.scenario.algorithm, config.collector_limit, config.light, config.auth_mode
+        "Deployment: {n} {} servers, f = {f}, collector = {}, light = {}",
+        deployment.scenario.algorithm, config.collector_limit, config.light
     );
 
     // 2. Open a typed client session (registers our key pair in the PKI) and
-    //    script it: one Merkle-batched add of three elements to server 0
-    //    early on, then ask a *different* server (server 2) for epoch 1 and
-    //    a state summary.
+    //    script it: three adds to server 0 early on, then ask a *different*
+    //    server (server 2) for epoch 1 and a state summary.
     let mut session = deployment.client_session(100, 777);
-    let receipt = session.add_batch(
-        SimTime::from_millis(500),
-        0,
-        (0..3u64).map(|i| (438, 1000 + i)),
-    );
-    println!(
-        "sealed batch of {} elements under one MAC (root {:?})",
-        receipt.len(),
-        receipt.root
-    );
+    let receipts: Vec<_> = (0..3u64)
+        .map(|i| session.add(SimTime::from_millis(500 + i * 100), 0, 438, 1000 + i))
+        .collect();
     session.get(SimTime::from_secs(20), 2);
     session.get_epochs(SimTime::from_secs(20), 2, 1..=20);
     session.install(&mut deployment);
@@ -69,7 +57,7 @@ fn main() {
         );
     }
     for epoch in &outcome.epochs {
-        let mine = receipt.ids.iter().filter(|id| epoch.contains(**id)).count();
+        let mine = receipts.iter().filter(|r| epoch.contains(r.id)).count();
         if epoch.epoch > 1 && mine == 0 {
             continue; // only narrate epoch 1 and the epochs holding our adds
         }
@@ -86,7 +74,7 @@ fn main() {
     println!(
         "elements confirmed through a single server: {} / {}",
         outcome.confirmed_ids().len(),
-        receipt.len()
+        receipts.len()
     );
 
     // 4b. Element→epoch inclusion proofs: membership verifiable from the
@@ -94,9 +82,9 @@ fn main() {
     //     no element set required.
     let mut proven = 0;
     for epoch in outcome.verified() {
-        for (i, id) in receipt.ids.iter().enumerate() {
-            if let Some(proof) = epoch.inclusion_proof(*id) {
-                let element = &receipt.elements()[i];
+        for receipt in &receipts {
+            if let Some(proof) = epoch.inclusion_proof(receipt.id) {
+                let element = &receipt.element;
                 let ok = proof.verify(&deployment.registry, n, f, element, &epoch.proofs);
                 assert!(ok, "inclusion proof must verify");
                 proven += 1;
@@ -114,9 +102,13 @@ fn main() {
         s0.state().the_set_len(),
         s0.state().check_consistent_with(s3.state())
     );
-    let committed = deployment.trace.committed_count_by(SimTime::from_secs(25));
+    //    The trace records only the injection clients' adds, so count the
+    //    committed ones among those, not the session's three untraced adds.
+    let committed = deployment
+        .trace
+        .honest_committed_count_by(SimTime::from_secs(25));
     println!(
-        "elements committed (epoch has ≥ f+1 proofs on the ledger): {committed} / {}",
+        "injected elements committed (epoch has ≥ f+1 proofs on the ledger): {committed} / {}",
         deployment.trace.added_count()
     );
 }

@@ -137,6 +137,47 @@ fn every_preset_keeps_honest_clients_whole() {
     }
 }
 
+/// A replay storm re-sends one fixed 64-element `AddBatch`. Whatever the
+/// quota lets through is absorbed by admission dedup: the target accepts the
+/// 64 elements once and refuses every later copy as a duplicate, and every
+/// server verifies each replayed element's MAC exactly once, as it does for
+/// each honest element.
+#[test]
+fn replay_storm_costs_each_server_64_macs_once() {
+    const REPLAY_BATCH: u64 = 64;
+    let mut deployment = protected_deployment(Some(Adversary::ReplayStorm), 5001);
+    run(&mut deployment);
+
+    let sent = deployment
+        .adversary()
+        .expect("attack client installed")
+        .sent();
+    let target = deployment.server(0).stats();
+    let shed = target.adds_rejected_quota;
+    assert!(shed > 0, "the quota never metered the storm");
+    assert_eq!(
+        target.adds_rejected_duplicate,
+        sent - shed - REPLAY_BATCH,
+        "every admitted copy after the first is a duplicate"
+    );
+    let honest = deployment.trace.added_count() as u64;
+    for i in 0..4 {
+        let misses: u64 = deployment
+            .server(i)
+            .core()
+            .admission_caches()
+            .iter()
+            .map(|c| c.misses())
+            .sum();
+        assert_eq!(
+            misses,
+            honest + REPLAY_BATCH,
+            "server {i}: one MAC per honest element and per replayed element"
+        );
+    }
+    check_setchain_invariants(&deployment).unwrap_or_else(|e| panic!("replay storm: {e}"));
+}
+
 #[test]
 fn flood_goodput_stays_within_envelope_of_attack_free_twin() {
     // The bench grid's acceptance envelope, in the simulated domain: the

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, AuthMode, ElementId};
+use setchain::{Algorithm, ElementId};
 use setchain_simnet::SimTime;
 use setchain_workload::{Deployment, SessionOutcome};
 
@@ -31,11 +31,7 @@ struct VariantRun {
 /// Runs the identical scripted session against one algorithm. Nothing in
 /// this function names a variant: the algorithm arrives as data and is
 /// resolved once, inside `SetchainServer::new`.
-///
-/// Under [`AuthMode::BatchRoot`] the injection clients seal every tick into
-/// one root-MACed batch, and the session submits its five adds as a single
-/// Merkle-batched `add_batch` instead of five per-element `add`s.
-fn drive(algorithm: Algorithm, auth: AuthMode) -> VariantRun {
+fn drive(algorithm: Algorithm) -> VariantRun {
     let mut deployment = Deployment::builder(algorithm)
         .label(format!("api matrix {algorithm}"))
         .servers(4)
@@ -43,33 +39,22 @@ fn drive(algorithm: Algorithm, auth: AuthMode) -> VariantRun {
         .collector(25)
         .injection_secs(4)
         .max_run_secs(SIM_SECS)
-        .auth_mode(auth)
         .seed(99)
         .build();
 
     let mut session = deployment.client_session(400, 0xAB1E);
-    let session_ids: BTreeSet<ElementId> = match auth {
-        AuthMode::BatchRoot => {
-            let receipt = session.add_batch(
-                SimTime::from_millis(700),
-                0,
-                (0..5u64).map(|i| (438, 77 + i)),
-            );
-            receipt.ids.iter().copied().collect()
-        }
-        _ => (0..5)
-            .map(|i| {
-                session
-                    .add(
-                        SimTime::from_millis(700 + i * 120),
-                        (i % 4) as usize,
-                        438,
-                        77 + i,
-                    )
-                    .id
-            })
-            .collect(),
-    };
+    let session_ids: BTreeSet<ElementId> = (0..5)
+        .map(|i| {
+            session
+                .add(
+                    SimTime::from_millis(700 + i * 120),
+                    (i % 4) as usize,
+                    438,
+                    77 + i,
+                )
+                .id
+        })
+        .collect();
     session.get(SimTime::from_secs(22), 3);
     session.get_epochs(SimTime::from_secs(23), 3, 1..=30);
     session.install(&mut deployment);
@@ -106,23 +91,7 @@ fn drive(algorithm: Algorithm, auth: AuthMode) -> VariantRun {
 
 #[test]
 fn same_session_same_object_across_all_three_variants() {
-    check_matrix(AuthMode::PerElement);
-}
-
-/// The same matrix under batch-root authentication: one MAC per injected
-/// batch instead of per-element verification must not change the object —
-/// all three variants still commit the identical element set, and the
-/// session's Merkle-batched adds are all confirmed.
-#[test]
-fn same_session_same_object_under_batch_root_authentication() {
-    check_matrix(AuthMode::BatchRoot);
-}
-
-fn check_matrix(auth: AuthMode) {
-    let runs: Vec<VariantRun> = Algorithm::ALL
-        .into_iter()
-        .map(|algorithm| drive(algorithm, auth))
-        .collect();
+    let runs: Vec<VariantRun> = Algorithm::ALL.into_iter().map(drive).collect();
 
     for run in &runs {
         let algorithm = run.algorithm;

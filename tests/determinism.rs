@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use setchain::{Algorithm, AuthMode, ElementId, ServerByzMode};
+use setchain::{Algorithm, ElementId, ServerByzMode};
 use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
 use setchain_workload::{
@@ -85,36 +85,23 @@ impl RunFingerprint {
 }
 
 fn run_once(algorithm: Algorithm, seed: u64) -> RunFingerprint {
-    run_once_with_auth(algorithm, seed, AuthMode::PerElement)
-}
-
-fn run_once_with_auth(algorithm: Algorithm, seed: u64, auth: AuthMode) -> RunFingerprint {
-    run_once_at(algorithm, seed, auth, 4, 400.0, 3)
+    run_once_at(algorithm, seed, 4, 400.0, 3)
 }
 
 /// One run of `injection_secs` at `rate` el/s plus a 9 s drain.
 fn run_once_at(
     algorithm: Algorithm,
     seed: u64,
-    auth: AuthMode,
     servers: usize,
     rate: f64,
     injection_secs: u64,
 ) -> RunFingerprint {
-    run_builder(builder_at(
-        algorithm,
-        seed,
-        auth,
-        servers,
-        rate,
-        injection_secs,
-    ))
+    run_builder(builder_at(algorithm, seed, servers, rate, injection_secs))
 }
 
 fn builder_at(
     algorithm: Algorithm,
     seed: u64,
-    auth: AuthMode,
     servers: usize,
     rate: f64,
     injection_secs: u64,
@@ -124,7 +111,6 @@ fn builder_at(
         .rate(rate)
         .collector(32)
         .injection_secs(injection_secs)
-        .auth_mode(auth)
         .seed(seed)
 }
 
@@ -194,28 +180,6 @@ fn same_seed_reproduces_the_exact_run_for_every_variant() {
     }
 }
 
-/// Batch-root authentication ships a different message shape (one sealed
-/// envelope per injection tick instead of a plain element batch), so its
-/// event schedule legitimately differs from per-element runs — but the
-/// same-seed reproducibility guarantee must hold for it exactly as for the
-/// default mode.
-#[test]
-fn batch_root_same_seed_reproduces_the_exact_run_for_every_variant() {
-    for algorithm in Algorithm::ALL {
-        let first = run_once_with_auth(algorithm, 71, AuthMode::BatchRoot);
-        let second = run_once_with_auth(algorithm, 71, AuthMode::BatchRoot);
-        assert_eq!(
-            first, second,
-            "{algorithm:?}: same seed under BatchRoot must reproduce the run \
-             bit-for-bit"
-        );
-        assert!(
-            first.committed > 0,
-            "{algorithm:?}: nothing committed under BatchRoot"
-        );
-    }
-}
-
 /// Above four servers a node can see a commit quorum before the proposal
 /// (`LedgerNode::try_commit` then picks a block-sync peer) and a Hashchain
 /// server can run out of batch holders to ask (`fail_request` picks the
@@ -230,7 +194,7 @@ fn same_seed_reproduces_the_exact_run_above_four_servers() {
             (Algorithm::Vanilla, 2000.0, 3),
             (Algorithm::Hashchain, 3000.0, 4),
         ] {
-            let run = || run_once_at(algorithm, 71, AuthMode::PerElement, servers, rate, secs);
+            let run = || run_once_at(algorithm, 71, servers, rate, secs);
             let first = run();
             assert_eq!(
                 first,
@@ -273,10 +237,10 @@ fn correct_servers_agree_on_committed_epochs_within_a_run() {
     }
 }
 
-/// One pinned run: `(algorithm, auth, servers, rate, injection_secs, seed)` →
+/// One pinned run: `(algorithm, servers, rate, injection_secs, seed)` →
 /// `(events_processed, messages_deferred, added, committed, digests_sha256)`.
 type Golden = (
-    (Algorithm, AuthMode, usize, f64, u64, u64),
+    (Algorithm, usize, f64, u64, u64),
     (u64, u64, usize, usize, &'static str),
 );
 
@@ -286,24 +250,21 @@ type Golden = (
 /// purpose edits the table in its own diff. Every row drains.
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
-    ((Algorithm::Vanilla, AuthMode::PerElement, 4, 400.0, 3, 71), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
-    ((Algorithm::Vanilla, AuthMode::BatchRoot, 4, 400.0, 3, 71), (10092, 420, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
-    ((Algorithm::Compresschain, AuthMode::PerElement, 4, 400.0, 3, 71), (6900, 288, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
-    ((Algorithm::Compresschain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (8700, 418, 1200, 1200, "e3d810c0cafb34c8ab56147ed3c9c8ca6b119aa7bd2fabbeafab9980bab7ed5f")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 4, 400.0, 3, 71), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
-    ((Algorithm::Hashchain, AuthMode::BatchRoot, 4, 400.0, 3, 71), (9377, 991, 1200, 1200, "1e5787ce5eaa698673035bc1a9fae4842331b131c1a4ebd0ae38741ceba62733")),
-    ((Algorithm::Vanilla, AuthMode::PerElement, 7, 2000.0, 3, 71), (18205, 1110, 5999, 5999, "c66e5a6e8c29978a298e27a0b8a5e4a87c3c6fc97fb2aaa46712e9c5a905ea5a")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 7, 3000.0, 4, 71), (22518, 20794, 11998, 11998, "b75eca2e3f3f06de26a460f4752451b52931e5fede3decff71e08823405f0c3e")),
-    ((Algorithm::Vanilla, AuthMode::PerElement, 10, 500.0, 2, 71), (24464, 4309, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
-    ((Algorithm::Compresschain, AuthMode::PerElement, 10, 500.0, 2, 71), (16996, 3125, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, 10, 500.0, 2, 71), (21096, 7841, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
+    ((Algorithm::Vanilla, 4, 400.0, 3, 71), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Compresschain, 4, 400.0, 3, 71), (6900, 288, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
+    ((Algorithm::Hashchain, 4, 400.0, 3, 71), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Vanilla, 7, 2000.0, 3, 71), (18205, 1110, 5999, 5999, "c66e5a6e8c29978a298e27a0b8a5e4a87c3c6fc97fb2aaa46712e9c5a905ea5a")),
+    ((Algorithm::Hashchain, 7, 3000.0, 4, 71), (22518, 20794, 11998, 11998, "b75eca2e3f3f06de26a460f4752451b52931e5fede3decff71e08823405f0c3e")),
+    ((Algorithm::Vanilla, 10, 500.0, 2, 71), (24464, 4309, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
+    ((Algorithm::Compresschain, 10, 500.0, 2, 71), (16996, 3125, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
+    ((Algorithm::Hashchain, 10, 500.0, 2, 71), (21096, 7841, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
 ];
 
 #[test]
 fn runs_match_the_golden_fingerprints() {
     for &(shape, want) in GOLDENS {
-        let (algorithm, auth, servers, rate, injection_secs, seed) = shape;
-        let fp = run_once_at(algorithm, seed, auth, servers, rate, injection_secs);
+        let (algorithm, servers, rate, injection_secs, seed) = shape;
+        let fp = run_once_at(algorithm, seed, servers, rate, injection_secs);
         fp.assert_golden(want, &shape);
         fp.assert_properties_checked(&shape);
         assert_eq!(fp.committed, fp.added, "{shape:?}: run did not drain");
@@ -325,7 +286,7 @@ fn runs_match_the_golden_fingerprints() {
 enum Branch {
     /// Server 1 appends a forged element next to every add it handles.
     InjectInvalid,
-    /// Server 1 swallows its client's adds (and does not gossip envelopes).
+    /// Server 1 swallows its client's adds.
     DropClientAdds,
     /// Server 2 signs every epoch-proof with a bogus signature, so every
     /// correct server walks the rejected-proof branch of `ingest_proof`.
@@ -352,11 +313,8 @@ impl Branch {
     }
 }
 
-/// `(algorithm, auth, branch)` → the same fingerprint tuple as [`GOLDENS`].
-type BranchGolden = (
-    (Algorithm, AuthMode, Branch),
-    (u64, u64, usize, usize, &'static str),
-);
+/// `(algorithm, branch)` → the same fingerprint tuple as [`GOLDENS`].
+type BranchGolden = ((Algorithm, Branch), (u64, u64, usize, usize, &'static str));
 
 /// Pinned runs of the branches the shared add/get front door carries besides
 /// the fault-free path: the Byzantine server modes that act inside it and the
@@ -369,21 +327,20 @@ type BranchGolden = (
 /// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`.
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
-    ((Algorithm::Vanilla, AuthMode::PerElement, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::DropClientAdds), (7447, 668, 1200, 900, "f0d360a730656813445fdc5063b012269faf5057b3ac8a4b6537374b53913bc8")),
-    ((Algorithm::Hashchain, AuthMode::BatchRoot, Branch::DropClientAdds), (8804, 743, 1200, 900, "51f107426cd1ca2825b81887430e9e37d1386271d31a906350758e1972991a21")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::ForgeProofs), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
-    ((Algorithm::Hashchain, AuthMode::PerElement, Branch::PushBatches), (7260, 382, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
-    ((Algorithm::Compresschain, AuthMode::PerElement, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
-    ((Algorithm::Vanilla, AuthMode::PerElement, Branch::Light), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Vanilla, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
+    ((Algorithm::Hashchain, Branch::DropClientAdds), (7447, 668, 1200, 900, "f0d360a730656813445fdc5063b012269faf5057b3ac8a4b6537374b53913bc8")),
+    ((Algorithm::Hashchain, Branch::ForgeProofs), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Hashchain, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
+    ((Algorithm::Hashchain, Branch::PushBatches), (7260, 382, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
+    ((Algorithm::Compresschain, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
+    ((Algorithm::Vanilla, Branch::Light), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
 ];
 
 #[test]
 fn front_door_branches_match_their_golden_fingerprints() {
     for &(shape, want) in BRANCH_GOLDENS {
-        let (algorithm, auth, branch) = shape;
-        let fp = run_builder(branch.apply(builder_at(algorithm, 71, auth, 4, 400.0, 3)));
+        let (algorithm, branch) = shape;
+        let fp = run_builder(branch.apply(builder_at(algorithm, 71, 4, 400.0, 3)));
         fp.assert_golden(want, &shape);
         fp.assert_properties_checked(&shape);
         if branch.fault_free() {
