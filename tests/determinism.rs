@@ -12,7 +12,7 @@ use setchain::{Algorithm, ElementId, ServerByzMode};
 use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
 use setchain_workload::{
-    check_setchain_invariants, Deployment, DeploymentBuilder, InvariantReport,
+    check_setchain_invariants, Deployment, DeploymentBuilder, InvariantReport, RetryPolicy,
 };
 
 /// Full fingerprint of one deployment run: scheduler counters plus the
@@ -117,11 +117,17 @@ fn builder_at(
 /// Runs `builder`'s deployment for its injection window plus a 9 s drain,
 /// and checks the Setchain properties on the final state.
 fn run_builder(builder: DeploymentBuilder) -> RunFingerprint {
-    let servers = builder.config().servers;
     let end = builder.scenario().injection_secs + 9;
     let mut deployment = builder.max_run_secs(end).build();
     deployment.sim.run_until(SimTime::from_secs(end));
-    let invariants = check_setchain_invariants(&deployment)
+    fingerprint(&deployment, end)
+}
+
+/// The fingerprint of `deployment` after a run to `end` seconds, with the
+/// Setchain properties checked on its final state.
+fn fingerprint(deployment: &Deployment, end: u64) -> RunFingerprint {
+    let servers = deployment.config.servers;
+    let invariants = check_setchain_invariants(deployment)
         .unwrap_or_else(|violation| panic!("Setchain property violated: {violation}"));
     let digests = (0..servers)
         .map(|i| {
@@ -363,4 +369,124 @@ fn all_three_algorithms_stamp_the_same_element_set() {
             "{algorithm:?} stamped a different element set than Vanilla"
         );
     }
+}
+
+/// Hex SHA-256 over `rows`, each number as 8 little-endian bytes.
+fn rows_sha256(rows: impl Iterator<Item = Vec<u64>>) -> String {
+    let mut hasher = Sha256::new();
+    for value in rows.flatten() {
+        hasher.update(&value.to_le_bytes());
+    }
+    hasher.finalize().to_hex()
+}
+
+/// `(run, retried receipt, get responses, get_epoch responses)`: see
+/// [`SESSION_GOLDEN`].
+type SessionGolden = (
+    (u64, u64, usize, usize, &'static str),
+    (u32, usize, Option<u64>, bool),
+    (usize, &'static str),
+    (usize, usize, &'static str),
+);
+
+/// The one pinned run that carries a client session: Hashchain, n = 4,
+/// 300 el/s, c25, 4 s of injection, seed 4242, server 1 swallowing client
+/// adds, run to 30 s. The session adds four elements via server 2, one with
+/// retries via server 1 at 0.7 s, then sends a `get` (9 s) and
+/// `get_epoch(1..=25)` (10 s) to server 3. Its requests, retry attempts and
+/// audits ride the schedule, so the run's fingerprint and everything the
+/// session learned are pinned together: the run as in [`GOLDENS`], the
+/// retried receipt as `(attempts, credited server, confirmed_at µs,
+/// gave_up)`, the `get` responses as `(count, SHA-256 over their rows)` and
+/// the `get_epoch` responses as `(count, verified, SHA-256 over their
+/// rows)`. A snapshot row is `(server, arrival µs, the
+/// five GetSnapshot counters)`; an epoch row is `(server, epoch, arrival µs,
+/// verified, confirmed ids, proof count)`.
+#[rustfmt::skip]
+const SESSION_GOLDEN: SessionGolden = (
+    (17402, 1530, 1200, 905, "584a358141c54a47d0f0ad50896b3256d1ebff0483cd59228b3b3743e379b77c"),
+    (3, 3, Some(6_701_317), false),
+    (13, "25737681fba264adf2bdf407b3715006694d7afda2995691da11c80ffa80ab70"),
+    (230, 80, "96dba458b0a988662bd6b6c495c97acc3f14dea03d5b9a10afdacd00598221e1"),
+);
+
+#[test]
+fn session_run_matches_its_golden() {
+    let mut deployment = Deployment::builder(Algorithm::Hashchain)
+        .servers(4)
+        .rate(300.0)
+        .collector(25)
+        .injection_secs(4)
+        .max_run_secs(30)
+        .seed(4242)
+        .server_fault(1, ServerByzMode::DropClientAdds)
+        .build();
+    let mut session = deployment.client_session(100, 777);
+    for i in 0..4 {
+        session.add(SimTime::from_millis(500 + 100 * i), 2, 438, 1000 + i);
+    }
+    let retried = session.add_with_retry(
+        SimTime::from_millis(700),
+        1,
+        438,
+        2000,
+        RetryPolicy::default(),
+    );
+    session.get(SimTime::from_secs(9), 3);
+    session.get_epochs(SimTime::from_secs(10), 3, 1..=25);
+    session.install(&mut deployment);
+    deployment.sim.run_until(SimTime::from_secs(30));
+
+    let (run, retry, snapshots, epochs) = SESSION_GOLDEN;
+    let shape = "Hashchain session run";
+    let fp = fingerprint(&deployment, 30);
+    fp.assert_golden(run, &shape);
+    fp.assert_properties_checked(&shape);
+
+    let outcome = session.outcome(&deployment);
+    let receipt = outcome.retried[0];
+    assert_eq!(receipt.id, retried.id);
+    let got_retry = (
+        receipt.attempts,
+        receipt.server.server_index(),
+        receipt.confirmed_at.map(|t| t.as_micros()),
+        receipt.gave_up,
+    );
+    assert_eq!(got_retry, retry, "retried receipt moved");
+    let snapshot_rows = outcome.snapshots.iter().map(|s| {
+        let g = s.snapshot;
+        vec![
+            s.server.server_index() as u64,
+            s.at.as_micros(),
+            g.the_set_len,
+            g.epoch,
+            g.history_elements,
+            g.proofs_total,
+            g.epochs_with_quorum,
+        ]
+    });
+    assert_eq!(
+        (outcome.snapshots.len(), rows_sha256(snapshot_rows).as_str()),
+        snapshots,
+        "get responses moved"
+    );
+    let epoch_rows = outcome.epochs.iter().map(|e| {
+        vec![
+            e.server.server_index() as u64,
+            e.epoch,
+            e.at.as_micros(),
+            e.is_verified() as u64,
+            e.confirmed.len() as u64,
+            e.proof_count as u64,
+        ]
+    });
+    assert_eq!(
+        (
+            outcome.epochs.len(),
+            outcome.verified_count(),
+            rows_sha256(epoch_rows).as_str()
+        ),
+        epochs,
+        "get_epoch responses or their verdicts moved"
+    );
 }
