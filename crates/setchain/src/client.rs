@@ -12,8 +12,7 @@ use std::collections::HashSet;
 use setchain_crypto::{KeyRegistry, ProcessId};
 use setchain_simnet::SimDuration;
 
-use crate::element::{Element, ElementId};
-use crate::messages::SetchainMsg;
+use crate::element::Element;
 use crate::proofs::{verify_epoch_proof, EpochProof};
 
 /// Per-missing-proof wait used to compute the
@@ -37,8 +36,8 @@ pub enum EpochVerification {
     /// proven yet — proofs spread through ledger blocks — so this verdict is
     /// *retryable*, and [`retry_after`](Self::retry_after) carries a
     /// machine-usable wait before re-auditing the epoch (or asking a
-    /// different server). The retrying session layer
-    /// (`setchain-workload`'s `RequestClient`) consumes this hint directly.
+    /// different server). `setchain-workload`'s `ClientSession` re-audits an
+    /// epoch holding one of its retried adds after this hint.
     NotEnoughProofs {
         /// Number of distinct valid signers found.
         valid_proofs: usize,
@@ -101,92 +100,6 @@ pub fn verify_epoch(
             required,
             retry_after: RETRY_AFTER_PER_MISSING_PROOF * missing,
         }
-    }
-}
-
-/// A light client: tracks the elements it added and verifies epochs from
-/// single-server `get_epoch` responses.
-#[derive(Clone)]
-pub struct LightClient {
-    registry: KeyRegistry,
-    servers: usize,
-    f: usize,
-    next_request: u64,
-    added: HashSet<ElementId>,
-}
-
-impl LightClient {
-    /// Creates a light client for a deployment of `servers` servers with
-    /// fault bound `f`.
-    pub fn new(registry: KeyRegistry, servers: usize, f: usize) -> Self {
-        LightClient {
-            registry,
-            servers,
-            f,
-            next_request: 0,
-            added: HashSet::new(),
-        }
-    }
-
-    /// Builds the `add` message for an element, remembering its id so that
-    /// inclusion can be confirmed later.
-    pub fn add(&mut self, element: Element) -> SetchainMsg {
-        self.added.insert(element.id);
-        SetchainMsg::Add(element)
-    }
-
-    /// Builds a `get` request.
-    pub fn get(&mut self) -> SetchainMsg {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        SetchainMsg::Get { request_id }
-    }
-
-    /// Builds a `get_epoch` request.
-    pub fn get_epoch(&mut self, epoch: u64) -> SetchainMsg {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        SetchainMsg::GetEpoch { request_id, epoch }
-    }
-
-    /// Ids of elements this client has added.
-    pub fn added(&self) -> &HashSet<ElementId> {
-        &self.added
-    }
-
-    /// Verifies an `EpochResponse` from a single server: checks the proofs
-    /// and reports which of this client's elements the epoch confirms.
-    pub fn verify_response(
-        &self,
-        msg: &SetchainMsg,
-    ) -> Option<(EpochVerification, Vec<ElementId>)> {
-        let SetchainMsg::EpochResponse {
-            epoch,
-            elements,
-            proofs,
-            ..
-        } = msg
-        else {
-            return None;
-        };
-        let verification = verify_epoch(
-            &self.registry,
-            self.servers,
-            self.f,
-            *epoch,
-            elements,
-            proofs,
-        );
-        let mine = if verification.is_verified() {
-            elements
-                .iter()
-                .map(|e| e.id)
-                .filter(|id| self.added.contains(id))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Some((verification, mine))
     }
 }
 
@@ -283,50 +196,5 @@ mod tests {
         let fabricated: Vec<Element> = elements[..3].to_vec();
         let proofs = proofs_from(&reg, &[2], 1, &fabricated);
         assert!(!verify_epoch(&reg, 4, 1, 1, &fabricated, &proofs).is_verified());
-    }
-
-    #[test]
-    fn light_client_workflow() {
-        let (reg, elements) = setup(4);
-        let mut client = LightClient::new(reg.clone(), 4, 1);
-        // Client adds the first three elements.
-        for e in &elements[..3] {
-            let msg = client.add(*e);
-            assert!(matches!(msg, SetchainMsg::Add(_)));
-        }
-        assert_eq!(client.added().len(), 3);
-        let get = client.get();
-        assert!(matches!(get, SetchainMsg::Get { request_id: 0 }));
-        let get_epoch = client.get_epoch(1);
-        assert!(matches!(get_epoch, SetchainMsg::GetEpoch { epoch: 1, .. }));
-
-        // Server responds with the epoch containing all 8 elements and 2
-        // valid proofs.
-        let proofs = proofs_from(&reg, &[1, 3], 1, &elements);
-        let response = SetchainMsg::EpochResponse {
-            request_id: 1,
-            epoch: 1,
-            elements: elements.clone(),
-            proofs,
-        };
-        let (verification, mine) = client.verify_response(&response).unwrap();
-        assert!(verification.is_verified());
-        assert_eq!(mine.len(), 3);
-
-        // A response without a quorum confirms nothing.
-        let weak = SetchainMsg::EpochResponse {
-            request_id: 2,
-            epoch: 1,
-            elements: elements.clone(),
-            proofs: proofs_from(&reg, &[1], 1, &elements),
-        };
-        let (verification, mine) = client.verify_response(&weak).unwrap();
-        assert!(!verification.is_verified());
-        assert!(mine.is_empty());
-
-        // Non-epoch responses are ignored.
-        assert!(client
-            .verify_response(&SetchainMsg::Get { request_id: 9 })
-            .is_none());
     }
 }

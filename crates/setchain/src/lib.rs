@@ -78,7 +78,7 @@ pub mod vanilla;
 pub use admission::AdmissionCache;
 pub use app::SetchainServer;
 pub use byzantine::ServerByzMode;
-pub use client::{verify_epoch, EpochVerification, LightClient, RETRY_AFTER_PER_MISSING_PROOF};
+pub use client::{verify_epoch, EpochVerification, RETRY_AFTER_PER_MISSING_PROOF};
 pub use collector::Collector;
 pub use config::{AuthMode, CostModel, QuotaConfig, SetchainConfig, StoreConfig};
 pub use element::{Element, ElementGenerator, ElementId};

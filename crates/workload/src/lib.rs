@@ -63,7 +63,7 @@ pub mod session;
 pub use adversary::{Adversary, AdversaryDriver};
 pub use analysis::{analytical_throughput, AnalysisParams};
 pub use deploy::{Deployment, DeploymentBuilder, ServerHandle, ServerNode};
-pub use driver::{ClientDriver, RequestClient, RetryAdd, RetryPolicy, RetryReport};
+pub use driver::ClientDriver;
 pub use generator::ArbitrumWorkload;
 pub use invariants::{check_setchain_invariants, InvariantReport};
 pub use metrics::{CommitTimes, Efficiency, StageLatencies, ThroughputSeries};

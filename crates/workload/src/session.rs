@@ -1,13 +1,16 @@
 //! Typed client sessions: the client-facing Setchain API (`add`, `get`,
 //! `get_epoch`) without raw [`SetchainMsg`] plumbing.
 //!
-//! A [`ClientSession`] scripts requests against a [`Deployment`], installs
-//! itself as a simulated actor, and — after the run — interprets every
-//! response into typed results: [`AddReceipt`] for adds, [`SnapshotView`]
-//! for `get`, and [`VerifiedEpoch`] for `get_epoch`, with `f + 1`
-//! epoch-proof verification ([`setchain::verify_epoch`]) already applied.
-//! The same session script works against any algorithm, because servers are
-//! reached through the variant-agnostic deployment facade.
+//! A [`ClientSession`] scripts requests against a [`Deployment`] and is
+//! itself the simulated client: [`install`](ClientSession::install) puts it
+//! into the simulation, where it sends its script, drives retried adds, and
+//! types every response as it arrives — [`SnapshotView`] for `get` and
+//! [`VerifiedEpoch`] for `get_epoch`, each epoch checked once by `f + 1`
+//! epoch-proof verification ([`setchain::verify_epoch`]). After the run,
+//! [`outcome`](ClientSession::outcome) reads it all back, with an
+//! [`AddReceipt`] per retried add. The same session script works against any
+//! algorithm, because servers are reached through the variant-agnostic
+//! deployment facade.
 //!
 //! ```no_run
 //! use setchain::Algorithm;
@@ -40,17 +43,44 @@
 //! }
 //! ```
 
+use std::any::Any;
 use std::collections::HashSet;
 
 use setchain::{
-    prove_epoch_inclusion, Element, ElementId, EpochInclusionProof, EpochProof, EpochVerification,
-    GetSnapshot, LightClient, SetchainMsg,
+    prove_epoch_inclusion, verify_epoch, Element, ElementGenerator, ElementId, EpochInclusionProof,
+    EpochProof, EpochVerification, GetSnapshot, SetchainMsg,
 };
-use setchain_crypto::{KeyPair, ProcessId};
-use setchain_simnet::SimTime;
+use setchain_crypto::{KeyPair, KeyRegistry, ProcessId};
+use setchain_ledger::NetMsg;
+use setchain_simnet::{Context, Process, SimDuration, SimTime, TimerToken};
 
 use crate::deploy::Deployment;
-use crate::driver::{RequestClient, RetryAdd, RetryPolicy};
+use crate::driver::Msg;
+
+/// Wait after a retried add's first send before it fails over to the next
+/// server; doubles on every later attempt (capped at 64×).
+const RETRY_DEADLINE: SimDuration = SimDuration(2_000_000); // 2 s
+
+/// Send attempts before a retried add is abandoned.
+const RETRY_ATTEMPTS: u32 = 5;
+
+/// Cadence of the confirmation probe loop: a `get` snapshot, then
+/// `get_epoch` audits of any new epochs. With the deadline and the attempt
+/// budget, enough to survive a crashed-then-restarted or partitioned target
+/// without flooding a healthy deployment.
+const PROBE_INTERVAL: SimDuration = SimDuration(500_000); // 500 ms
+
+/// Cap on `get_epoch` audits sent per `get` snapshot, so a probe against a
+/// far-ahead server does not flood the network in one burst; later probes
+/// pick up where the burst stopped.
+const MAX_AUDIT_BURST: usize = 32;
+
+/// Timer-token space: script entries use their index, retried-add attempt
+/// deadlines live at `ATTEMPT_BASE + index`, and the confirmation loop uses
+/// two fixed tokens above those.
+const ATTEMPT_BASE: TimerToken = 1 << 32;
+const PROBE_TOKEN: TimerToken = 1 << 33;
+const REAUDIT_TOKEN: TimerToken = (1 << 33) + 1;
 
 /// Receipt for one scripted `add`: which element was handed to which server,
 /// and when.
@@ -77,7 +107,7 @@ pub struct AddReceipt {
     /// Simulated time a verified epoch confirmed the element, if known
     /// (only ever `Some` on resolved retried receipts).
     pub confirmed_at: Option<SimTime>,
-    /// True if the retry machine exhausted its attempt budget without
+    /// True if the retried add spent its attempt budget without
     /// confirmation (never set on plain scripted adds).
     pub gave_up: bool,
 }
@@ -181,25 +211,76 @@ impl SessionOutcome {
     }
 }
 
-/// A typed client session against one deployment.
+/// One add driven by the retry/failover machine: its receipt, updated in
+/// place, and the first server of its failover ring (attempt `k` goes to
+/// server `first + k`, round-robin over the deployment).
+#[derive(Clone)]
+struct Retry {
+    receipt: AddReceipt,
+    first: usize,
+}
+
+impl Retry {
+    fn resolved(&self) -> bool {
+        self.receipt.confirmed_at.is_some() || self.receipt.gave_up
+    }
+
+    /// The server attempt `k` (0-based) goes to.
+    fn target(&self, k: u32, servers: usize) -> ProcessId {
+        ProcessId::server((self.first + k as usize) % servers)
+    }
+
+    /// The server the most recent attempt went to (the first target before
+    /// any send).
+    fn current_target(&self, servers: usize) -> ProcessId {
+        self.target(self.receipt.attempts.saturating_sub(1), servers)
+    }
+}
+
+/// A typed client session against one deployment, and the simulated client
+/// that serves it.
 ///
 /// Opened with [`Deployment::client_session`]; the session owns a registered
-/// key pair, scripts `add`/`get`/`get_epoch` requests, and interprets the
-/// responses after the run (see the module docs for the full workflow).
+/// key pair and scripts `add`/`get`/`get_epoch` requests. [`install`]
+/// places a copy of it in the simulation; this value stays the handle that
+/// [`outcome`] reads the simulated copy back through (see the module docs
+/// for the full workflow).
+///
+/// Retried adds ([`add_with_retry`]) are re-sent to the next server whenever
+/// their doubling deadline passes without confirmation, while a probe loop
+/// audits new epochs until every retried add is confirmed or abandoned. A
+/// [`NotEnoughProofs`](EpochVerification::NotEnoughProofs) verdict on an
+/// epoch holding a retried element re-audits that epoch after the verdict's
+/// `retry_after` hint.
+///
+/// [`install`]: ClientSession::install
+/// [`outcome`]: ClientSession::outcome
+/// [`add_with_retry`]: ClientSession::add_with_retry
+#[derive(Clone)]
 pub struct ClientSession {
     id: ProcessId,
     keys: KeyPair,
-    generator: setchain::ElementGenerator,
-    light: LightClient,
-    script: Vec<(SimTime, ProcessId, SetchainMsg)>,
-    /// Deployment size, for building failover rings.
+    generator: ElementGenerator,
+    registry: KeyRegistry,
     servers: usize,
-    /// Adds driven by the retry/failover machine (handed to the actor at
-    /// install time).
-    retries: Vec<RetryAdd>,
-    /// Provisional receipts for the retried adds, resolved in `outcome()`.
-    retry_receipts: Vec<AddReceipt>,
+    f: usize,
+    /// Request id of the next `get`/`get_epoch`, scripted or sent by the
+    /// retry machine.
+    next_request: u64,
+    /// Ids of every element this session added.
+    added: HashSet<ElementId>,
+    script: Vec<(SimTime, ProcessId, SetchainMsg)>,
+    retries: Vec<Retry>,
     installed: bool,
+    snapshots: Vec<SnapshotView>,
+    epochs: Vec<VerifiedEpoch>,
+    /// Epochs already confirmed by an `f + 1`-proof verified response.
+    verified_epochs: HashSet<u64>,
+    /// Lowest epoch not yet verified: audits start here.
+    audit_low: u64,
+    /// Epochs to re-audit once the `retry_after` hint elapses, with the
+    /// server to ask.
+    pending_reaudits: Vec<(u64, ProcessId)>,
 }
 
 impl ClientSession {
@@ -212,17 +293,20 @@ impl ClientSession {
         ClientSession {
             id,
             keys,
-            generator: setchain::ElementGenerator::new(keys),
-            light: LightClient::new(
-                deployment.registry.clone(),
-                deployment.config.servers,
-                deployment.config.f,
-            ),
-            script: Vec::new(),
+            generator: ElementGenerator::new(keys),
+            registry: deployment.registry.clone(),
             servers: deployment.config.servers,
+            f: deployment.config.f,
+            next_request: 0,
+            added: HashSet::new(),
+            script: Vec::new(),
             retries: Vec::new(),
-            retry_receipts: Vec::new(),
             installed: false,
+            snapshots: Vec::new(),
+            epochs: Vec::new(),
+            verified_epochs: HashSet::new(),
+            audit_low: 1,
+            pending_reaudits: Vec::new(),
         }
     }
 
@@ -238,7 +322,7 @@ impl ClientSession {
 
     /// Ids of the elements this session has added so far.
     pub fn added(&self) -> &HashSet<ElementId> {
-        self.light.added()
+        &self.added
     }
 
     /// Scripts `S.add_v(e)` at `at` against server `server` with a freshly
@@ -254,8 +338,8 @@ impl ClientSession {
     pub fn add_element(&mut self, at: SimTime, server: usize, element: Element) -> AddReceipt {
         self.assert_scriptable();
         let server = ProcessId::server(server);
-        let msg = self.light.add(element);
-        self.script.push((at, server, msg));
+        self.added.insert(element.id);
+        self.script.push((at, server, SetchainMsg::Add(element)));
         AddReceipt {
             id: element.id,
             element,
@@ -268,11 +352,11 @@ impl ClientSession {
     }
 
     /// Scripts a fault-tolerant `S.add_v(e)` at `at`: the element is sent to
-    /// server `server` and driven by the deadline/retry/failover machine
-    /// ([`RetryPolicy`]) until a verified epoch confirms it — re-sent to the
-    /// next server (round-robin over the whole deployment) whenever the
-    /// doubling per-attempt deadline passes, for at most
-    /// `policy.max_attempts` attempts. Duplicate deliveries are safe: servers
+    /// server `server` and re-sent to the next server (round-robin over the
+    /// whole deployment) whenever its per-attempt deadline — 2 s, doubling
+    /// each attempt — passes before a verified epoch confirms it, for at
+    /// most 5 attempts. A `Rejected` shed fails over as soon as its
+    /// `retry_after` hint elapses. Duplicate deliveries are safe: servers
     /// dedup by element id.
     ///
     /// The returned receipt is provisional; read the resolved receipt
@@ -284,17 +368,10 @@ impl ClientSession {
         server: usize,
         size: u32,
         content_seed: u64,
-        policy: RetryPolicy,
     ) -> AddReceipt {
         self.assert_scriptable();
         let element = self.generator.next_element(size, content_seed);
-        // Register the id with the light client (the message itself is
-        // rebuilt by the retry machine on every attempt).
-        let _ = self.light.add(element);
-        let servers = self.servers;
-        let targets: Vec<ProcessId> = (0..servers)
-            .map(|k| ProcessId::server((server + k) % servers))
-            .collect();
+        self.added.insert(element.id);
         let receipt = AddReceipt {
             id: element.id,
             element,
@@ -304,38 +381,29 @@ impl ClientSession {
             confirmed_at: None,
             gave_up: false,
         };
-        self.retries.push(RetryAdd {
-            element,
-            first_at: at,
-            targets,
-            policy,
+        self.retries.push(Retry {
+            receipt,
+            first: server,
         });
-        self.retry_receipts.push(receipt);
         receipt
     }
 
     /// Scripts `S.get_v()` at `at` against server `server`.
     pub fn get(&mut self, at: SimTime, server: usize) {
         self.assert_scriptable();
-        let msg = self.light.get();
-        self.script.push((at, ProcessId::server(server), msg));
+        let request_id = self.request_id();
+        self.script.push((
+            at,
+            ProcessId::server(server),
+            SetchainMsg::Get { request_id },
+        ));
     }
 
     /// Scripts `S.get_epoch_v(epoch)` at `at` against server `server`.
     pub fn get_epoch(&mut self, at: SimTime, server: usize, epoch: u64) {
         self.assert_scriptable();
-        let msg = self.light.get_epoch(epoch);
+        let msg = self.get_epoch_msg(epoch);
         self.script.push((at, ProcessId::server(server), msg));
-    }
-
-    /// Requests scripted after [`ClientSession::install`] would never be
-    /// delivered (the script has already been handed to the simulated
-    /// actor); fail loudly instead of dropping them silently.
-    fn assert_scriptable(&self) {
-        assert!(
-            !self.installed,
-            "session already installed: script all requests before install()"
-        );
     }
 
     /// Scripts `get_epoch` for every epoch in `epochs` (inclusive range),
@@ -351,79 +419,248 @@ impl ClientSession {
         }
     }
 
-    /// Installs the scripted session as a simulated client actor. Must be
-    /// called exactly once, before the run that should serve the script.
+    /// Installs the scripted session as a simulated client. Must be called
+    /// exactly once, before the run that should serve the script.
     pub fn install(&mut self, deployment: &mut Deployment) {
-        assert!(!self.installed, "session already installed");
+        self.assert_scriptable();
         self.installed = true;
-        let script = std::mem::take(&mut self.script);
-        let mut client = RequestClient::new(script);
-        if !self.retries.is_empty() {
-            // The cloned light client already knows every retried element id,
-            // so the actor can verify confirmations on its own.
-            client = client.with_retries(std::mem::take(&mut self.retries), self.light.clone());
-        }
-        deployment.sim.add_process(self.id, Box::new(client));
+        deployment.sim.add_process(self.id, Box::new(self.clone()));
     }
 
-    /// Interprets every response received so far into typed results,
-    /// verifying each epoch response against the PKI with the deployment's
-    /// `f + 1` quorum. Callable any time after [`ClientSession::install`]
-    /// (typically after the run).
+    /// Everything the simulated session learned so far: its typed responses
+    /// and the retried receipts. Callable any time after
+    /// [`ClientSession::install`] (typically after the run).
     pub fn outcome(&self, deployment: &Deployment) -> SessionOutcome {
         assert!(self.installed, "install the session before reading results");
-        let client: &RequestClient = deployment
+        let actor: &ClientSession = deployment
             .sim
             .process(self.id)
             .expect("session actor installed");
-        let mut outcome = SessionOutcome::default();
-        for (at, from, response) in client.responses() {
-            match response {
-                SetchainMsg::GetResponse { snapshot, .. } => {
-                    outcome.snapshots.push(SnapshotView {
-                        server: *from,
-                        at: *at,
-                        snapshot: *snapshot,
-                    });
-                }
-                SetchainMsg::EpochResponse {
-                    epoch,
-                    elements,
-                    proofs,
-                    ..
-                } => {
-                    let (verification, confirmed) = self
-                        .light
-                        .verify_response(response)
-                        .expect("epoch responses are verifiable");
-                    outcome.epochs.push(VerifiedEpoch {
-                        server: *from,
-                        at: *at,
-                        epoch: *epoch,
-                        elements: elements.clone(),
-                        proof_count: proofs.len(),
-                        proofs: proofs.clone(),
-                        verification,
-                        confirmed,
-                    });
-                }
-                _ => {}
+        SessionOutcome {
+            snapshots: actor.snapshots.clone(),
+            epochs: actor.epochs.clone(),
+            retried: actor.retries.iter().map(|r| r.receipt).collect(),
+        }
+    }
+
+    /// Requests scripted after [`ClientSession::install`] would never be
+    /// delivered (the script has already been handed to the simulated
+    /// actor); fail loudly instead of dropping them silently.
+    fn assert_scriptable(&self) {
+        assert!(
+            !self.installed,
+            "session already installed: script all requests before install()"
+        );
+    }
+
+    fn request_id(&mut self) -> u64 {
+        self.next_request += 1;
+        self.next_request - 1
+    }
+
+    fn get_epoch_msg(&mut self, epoch: u64) -> SetchainMsg {
+        let request_id = self.request_id();
+        SetchainMsg::GetEpoch { request_id, epoch }
+    }
+
+    /// One attempt of retry `i`: send (or re-send, to the next server in the
+    /// failover ring) and arm the doubled deadline, or give up once the
+    /// attempt budget is spent.
+    fn on_attempt(&mut self, i: usize, ctx: &mut Context<'_, Msg>) {
+        let servers = self.servers;
+        let Some(r) = self.retries.get_mut(i) else {
+            return;
+        };
+        if r.resolved() {
+            return;
+        }
+        if r.receipt.attempts >= RETRY_ATTEMPTS {
+            r.receipt.gave_up = true;
+            return;
+        }
+        let target = r.target(r.receipt.attempts, servers);
+        r.receipt.attempts += 1;
+        ctx.send(target, NetMsg::App(SetchainMsg::Add(r.receipt.element)));
+        let backoff = RETRY_DEADLINE * (1u64 << (r.receipt.attempts - 1).min(6));
+        ctx.set_timer(backoff, ATTEMPT_BASE + i as TimerToken);
+    }
+
+    /// One tick of the confirmation loop: snapshot the current target of the
+    /// first unresolved retry, then (on response) audit any new epochs. Stops
+    /// re-arming once every retried add is confirmed or abandoned, so the
+    /// simulation can go quiescent.
+    fn on_probe(&mut self, ctx: &mut Context<'_, Msg>) {
+        let Some(first) = self.retries.iter().find(|r| !r.resolved()) else {
+            return;
+        };
+        let target = first.current_target(self.servers);
+        let request_id = self.request_id();
+        ctx.send(target, NetMsg::App(SetchainMsg::Get { request_id }));
+        ctx.set_timer(PROBE_INTERVAL, PROBE_TOKEN);
+    }
+
+    /// Re-audits the epochs whose `retry_after` hint elapsed.
+    fn on_reaudit(&mut self, ctx: &mut Context<'_, Msg>) {
+        for (epoch, server) in std::mem::take(&mut self.pending_reaudits) {
+            if !self.verified_epochs.contains(&epoch) {
+                let msg = self.get_epoch_msg(epoch);
+                ctx.send(server, NetMsg::App(msg));
             }
         }
-        let reports = client.retry_reports();
-        for receipt in &self.retry_receipts {
-            let mut resolved = *receipt;
-            if let Some(report) = reports.iter().find(|r| r.id == receipt.id) {
-                resolved.attempts = report.attempts;
-                resolved.confirmed_at = report.confirmed_at;
-                resolved.gave_up = report.gave_up;
-                if let Some(final_server) = report.final_server {
-                    resolved.server = final_server;
+    }
+
+    /// Verifies an epoch response, records it, and feeds the verdict to the
+    /// retry machine: a verified epoch confirms the retried adds it holds,
+    /// and an under-proven epoch holding an unresolved one is re-audited
+    /// after the verdict's `retry_after` hint.
+    fn on_epoch(
+        &mut self,
+        from: ProcessId,
+        epoch: u64,
+        elements: Vec<Element>,
+        proofs: Vec<EpochProof>,
+        ctx: &mut Context<'_, Msg>,
+    ) {
+        let verification = verify_epoch(
+            &self.registry,
+            self.servers,
+            self.f,
+            epoch,
+            &elements,
+            &proofs,
+        );
+        let mut confirmed = Vec::new();
+        if verification.is_verified() {
+            confirmed.extend(
+                elements
+                    .iter()
+                    .map(|e| e.id)
+                    .filter(|id| self.added.contains(id)),
+            );
+            self.verified_epochs.insert(epoch);
+            while self.verified_epochs.remove(&self.audit_low) {
+                self.audit_low += 1;
+            }
+            for r in self.retries.iter_mut().filter(|r| !r.resolved()) {
+                if confirmed.contains(&r.receipt.id) {
+                    r.receipt.confirmed_at = Some(ctx.now());
+                    r.receipt.server = from;
                 }
             }
-            outcome.retried.push(resolved);
+        } else if let Some(retry_after) = verification.retry_after() {
+            let interesting = self
+                .retries
+                .iter()
+                .any(|r| !r.resolved() && elements.iter().any(|e| e.id == r.receipt.id));
+            if interesting && !self.pending_reaudits.iter().any(|(e, _)| *e == epoch) {
+                self.pending_reaudits.push((epoch, from));
+                ctx.set_timer(retry_after, REAUDIT_TOKEN);
+            }
         }
-        outcome
+        self.epochs.push(VerifiedEpoch {
+            server: from,
+            at: ctx.now(),
+            epoch,
+            elements,
+            proof_count: proofs.len(),
+            proofs,
+            verification,
+            confirmed,
+        });
+    }
+}
+
+impl Process<Msg> for ClientSession {
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        // One timer per scripted entry; the token indexes into the script.
+        self.script.sort_by_key(|(t, _, _)| *t);
+        for (i, (at, _, _)) in self.script.iter().enumerate() {
+            ctx.set_timer(at.since(SimTime::ZERO), i as TimerToken);
+        }
+        // One attempt timer per retried add, plus the probe loop.
+        for (i, r) in self.retries.iter().enumerate() {
+            ctx.set_timer(
+                r.receipt.at.since(SimTime::ZERO),
+                ATTEMPT_BASE + i as TimerToken,
+            );
+        }
+        if let Some(first) = self.retries.first() {
+            ctx.set_timer(
+                first.receipt.at.since(SimTime::ZERO) + PROBE_INTERVAL,
+                PROBE_TOKEN,
+            );
+        }
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        let NetMsg::App(msg) = msg else {
+            return;
+        };
+        match msg {
+            SetchainMsg::GetResponse { snapshot, .. } => {
+                self.snapshots.push(SnapshotView {
+                    server: from,
+                    at: ctx.now(),
+                    snapshot,
+                });
+                if self.retries.iter().all(Retry::resolved) {
+                    return;
+                }
+                let mut burst = 0;
+                for epoch in self.audit_low..=snapshot.epoch {
+                    if self.verified_epochs.contains(&epoch) {
+                        continue;
+                    }
+                    let msg = self.get_epoch_msg(epoch);
+                    ctx.send(from, NetMsg::App(msg));
+                    burst += 1;
+                    if burst >= MAX_AUDIT_BURST {
+                        break;
+                    }
+                }
+            }
+            SetchainMsg::Rejected { retry_after } => {
+                // The server shed our submission under overload protection.
+                // Re-fire the attempt machine for the retry whose current
+                // target shed us as soon as the hint elapses — the next
+                // attempt fails over to the next server in the ring — instead
+                // of waiting out the full (doubling) attempt deadline.
+                let servers = self.servers;
+                let rejected = self.retries.iter().position(|r| {
+                    !r.resolved() && r.receipt.attempts > 0 && r.current_target(servers) == from
+                });
+                if let Some(i) = rejected {
+                    ctx.set_timer(retry_after, ATTEMPT_BASE + i as TimerToken);
+                }
+            }
+            SetchainMsg::EpochResponse {
+                epoch,
+                elements,
+                proofs,
+                ..
+            } => self.on_epoch(from, epoch, elements, proofs, ctx),
+            _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+        if token == PROBE_TOKEN {
+            self.on_probe(ctx);
+        } else if token == REAUDIT_TOKEN {
+            self.on_reaudit(ctx);
+        } else if token >= ATTEMPT_BASE {
+            self.on_attempt((token - ATTEMPT_BASE) as usize, ctx);
+        } else if let Some((_, server, msg)) = self.script.get(token as usize) {
+            ctx.send(*server, NetMsg::App(msg.clone()));
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -479,13 +716,7 @@ mod tests {
             .seed(99)
             .build();
         let mut session = deployment.client_session(70, 555);
-        let receipt = session.add_with_retry(
-            SimTime::from_millis(500),
-            1,
-            438,
-            7000,
-            RetryPolicy::default(),
-        );
+        let receipt = session.add_with_retry(SimTime::from_millis(500), 1, 438, 7000);
         assert_eq!(receipt.attempts, 0, "provisional receipt: nothing sent yet");
         assert!(receipt.confirmed_at.is_none());
         session.install(&mut deployment);

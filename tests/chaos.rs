@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use setchain::{Algorithm, ElementId};
 use setchain_crypto::ProcessId;
 use setchain_simnet::{FaultEvent, FaultPlan, Partition, SimTime};
-use setchain_workload::{check_setchain_invariants, Deployment, RetryPolicy};
+use setchain_workload::{check_setchain_invariants, Deployment};
 
 /// A small deployment used by every chaos scenario: 4 servers, low rate,
 /// a short injection burst and plenty of quiet time to recover in.
@@ -197,7 +197,6 @@ fn client_add_during_crash_confirms_via_retry_and_failover() {
         0, // crashed at send time
         438,
         9001,
-        RetryPolicy::default(),
     );
     session.install(&mut deployment);
 

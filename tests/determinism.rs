@@ -12,7 +12,7 @@ use setchain::{Algorithm, ElementId, ServerByzMode};
 use setchain_crypto::Sha256;
 use setchain_simnet::SimTime;
 use setchain_workload::{
-    check_setchain_invariants, Deployment, DeploymentBuilder, InvariantReport, RetryPolicy,
+    check_setchain_invariants, Deployment, DeploymentBuilder, InvariantReport,
 };
 
 /// Full fingerprint of one deployment run: scheduler counters plus the
@@ -425,13 +425,7 @@ fn session_run_matches_its_golden() {
     for i in 0..4 {
         session.add(SimTime::from_millis(500 + 100 * i), 2, 438, 1000 + i);
     }
-    let retried = session.add_with_retry(
-        SimTime::from_millis(700),
-        1,
-        438,
-        2000,
-        RetryPolicy::default(),
-    );
+    let retried = session.add_with_retry(SimTime::from_millis(700), 1, 438, 2000);
     session.get(SimTime::from_secs(9), 3);
     session.get_epochs(SimTime::from_secs(10), 3, 1..=25);
     session.install(&mut deployment);
