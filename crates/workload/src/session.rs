@@ -212,12 +212,15 @@ impl SessionOutcome {
 }
 
 /// One add driven by the retry/failover machine: its receipt, updated in
-/// place, and the first server of its failover ring (attempt `k` goes to
-/// server `first + k`, round-robin over the deployment).
+/// place, the first server of its failover ring (attempt `k` goes to server
+/// `first + k`, round-robin over the deployment), and when its live attempt
+/// timer is due. A shed re-arms that timer early, so the deadline it
+/// replaces still fires; `due` tells the two apart.
 #[derive(Clone)]
 struct Retry {
     receipt: AddReceipt,
     first: usize,
+    due: SimTime,
 }
 
 impl Retry {
@@ -384,6 +387,7 @@ impl ClientSession {
         self.retries.push(Retry {
             receipt,
             first: server,
+            due: at,
         });
         receipt
     }
@@ -471,8 +475,8 @@ impl ClientSession {
         let Some(r) = self.retries.get_mut(i) else {
             return;
         };
-        if r.resolved() {
-            return;
+        if r.resolved() || r.due != ctx.now() {
+            return; // confirmed, abandoned, or a superseded timer
         }
         if r.receipt.attempts >= RETRY_ATTEMPTS {
             r.receipt.gave_up = true;
@@ -482,6 +486,7 @@ impl ClientSession {
         r.receipt.attempts += 1;
         ctx.send(target, NetMsg::App(SetchainMsg::Add(r.receipt.element)));
         let backoff = RETRY_DEADLINE * (1u64 << (r.receipt.attempts - 1).min(6));
+        r.due = ctx.now() + backoff;
         ctx.set_timer(backoff, ATTEMPT_BASE + i as TimerToken);
     }
 
@@ -626,10 +631,11 @@ impl Process<Msg> for ClientSession {
                 // attempt fails over to the next server in the ring — instead
                 // of waiting out the full (doubling) attempt deadline.
                 let servers = self.servers;
-                let rejected = self.retries.iter().position(|r| {
+                let rejected = self.retries.iter_mut().enumerate().find(|(_, r)| {
                     !r.resolved() && r.receipt.attempts > 0 && r.current_target(servers) == from
                 });
-                if let Some(i) = rejected {
+                if let Some((i, r)) = rejected {
+                    r.due = ctx.now() + retry_after;
                     ctx.set_timer(retry_after, ATTEMPT_BASE + i as TimerToken);
                 }
             }
@@ -667,7 +673,8 @@ impl Process<Msg> for ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setchain::Algorithm;
+    use setchain::{Algorithm, QuotaConfig};
+    use setchain_simnet::{FaultEvent, FaultPlan};
 
     #[test]
     fn session_scripts_install_and_report() {
@@ -730,6 +737,66 @@ mod tests {
         assert!(resolved.confirmed_at.is_some());
         assert!(!resolved.gave_up);
         assert!(resolved.server.is_server());
+    }
+
+    #[test]
+    fn shed_retry_fails_over_once() {
+        // A one-element quota makes server 0 shed the retried add: the plain
+        // add at 0.9 s spends the session's only token there. The shed
+        // re-arms the attempt after its hint, and the first attempt's
+        // deadline (due at 3 s) must not send a third attempt.
+        let mut deployment = Deployment::builder(Algorithm::Hashchain)
+            .servers(4)
+            .rate(200.0)
+            .collector(25)
+            .injection_secs(3)
+            .max_run_secs(30)
+            .seed(99)
+            .quota(QuotaConfig::new().with_rate(1).with_burst(1))
+            .build();
+        let mut session = deployment.client_session(70, 555);
+        session.add(SimTime::from_millis(900), 0, 438, 7000);
+        session.add_with_retry(SimTime::from_secs(1), 0, 438, 7001);
+        session.install(&mut deployment);
+
+        deployment.sim.run_until(SimTime::from_secs(25));
+        let resolved = session.outcome(&deployment).retried[0];
+        assert!(resolved.confirmed_at.is_some());
+        assert_eq!(resolved.attempts, 2, "shed at server 0, admitted at 1");
+        assert_eq!(resolved.server, ProcessId::server(1));
+    }
+
+    #[test]
+    fn retry_gives_up_after_its_attempt_budget() {
+        // Every server is down before the first send, so each attempt is
+        // lost. The deadlines double from 2 s: attempts at 1, 3, 7, 15 and
+        // 31 s, and the fifth deadline (63 s) abandons the add.
+        let plan = (0..4).fold(FaultPlan::new(), |plan, i| {
+            plan.at(
+                SimTime::from_millis(500),
+                FaultEvent::Crash(ProcessId::server(i)),
+            )
+        });
+        let mut deployment = Deployment::builder(Algorithm::Hashchain)
+            .servers(4)
+            .rate(200.0)
+            .injection_secs(1)
+            .max_run_secs(70)
+            .seed(99)
+            .fault_plan(plan)
+            .build();
+        let mut session = deployment.client_session(70, 555);
+        session.add_with_retry(SimTime::from_secs(1), 2, 438, 7000);
+        session.install(&mut deployment);
+
+        deployment.sim.run_until(SimTime::from_secs(70));
+        let outcome = session.outcome(&deployment);
+        let resolved = outcome.retried[0];
+        assert!(resolved.gave_up);
+        assert_eq!(resolved.attempts, 5);
+        assert_eq!(resolved.confirmed_at, None);
+        assert_eq!(resolved.server, ProcessId::server(2), "no server credited");
+        assert!(!outcome.all_retries_confirmed());
     }
 
     #[test]
