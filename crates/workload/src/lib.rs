@@ -12,10 +12,12 @@
 //!   injection client per node (mirroring the paper's
 //!   one-client-per-Docker-container setup).
 //!   Assembled with the fluent [`Deployment::builder`].
-//! * [`session`] — typed client sessions (`add`/`get`/`get_epoch` returning
-//!   [`AddReceipt`]/[`SnapshotView`]/[`VerifiedEpoch`]) replacing raw
-//!   message scripting.
-//! * [`driver`] — the injection client actor.
+//! * [`session`] — the one light client: a [`ClientSession`] scripts
+//!   `add`/`get`/`get_epoch`, runs as the simulated client actor, verifies
+//!   each epoch response once, and retries adds with failover. Results come
+//!   back typed: [`AddReceipt`], [`SnapshotView`], [`VerifiedEpoch`].
+//! * [`driver`] — [`ClientDriver`], the injection client actor (one per
+//!   server).
 //! * [`adversary`] — adversarial workload presets (flood, replay storm,
 //!   hot-key skew, churn storm) driving one misbehaving client against the
 //!   overload-protection path.

@@ -395,12 +395,10 @@ impl ClientSession {
     /// Scripts `S.get_v()` at `at` against server `server`.
     pub fn get(&mut self, at: SimTime, server: usize) {
         self.assert_scriptable();
-        let request_id = self.request_id();
-        self.script.push((
-            at,
-            ProcessId::server(server),
-            SetchainMsg::Get { request_id },
-        ));
+        let msg = SetchainMsg::Get {
+            request_id: self.request_id(),
+        };
+        self.script.push((at, ProcessId::server(server), msg));
     }
 
     /// Scripts `S.get_epoch_v(epoch)` at `at` against server `server`.
