@@ -10,7 +10,7 @@
 //! * [`smoke_section`]: [`SMOKE_SHAPES`] at the [`SMOKE`] scale, seconds in
 //!   a debug build. `tests/paper_results.rs` regenerates it and the
 //!   analytic section and compares them byte for byte with the file.
-//! * [`full_section`]: the 51 distinct [`SHAPES`] at the [`FULL`] scale,
+//! * [`full_section`]: the 50 distinct [`SHAPES`] at the [`FULL`] scale,
 //!   about a minute in a release build.
 //!
 //! The `paper` bin writes all three:
@@ -69,8 +69,6 @@ pub enum Variant {
     Paper,
     /// The "light" ablation of Fig. 2 left.
     Light,
-    /// Section 4.1's proposal: only 2f + 1 servers sign.
-    Signers2f1,
     /// Section 4.1's proposal: batches are pushed to every server.
     Push,
 }
@@ -136,7 +134,7 @@ const fn ablation(variant: Variant) -> Shape {
 /// 2 left reuse Fig. 3a's rows where the paper's shapes coincide, as Fig.
 /// 3b's `n = 10` and Fig. 3c's `0 ms` rows do.
 #[rustfmt::skip]
-pub const SHAPES: [Shape; 51] = [
+pub const SHAPES: [Shape; 50] = [
     at(V, 500.0, 100, "F3a F5"),
     at(C, 500.0, 100, "F3a F5"),
     at(C, 500.0, 500, "F3a F5"),
@@ -185,7 +183,6 @@ pub const SHAPES: [Shape; 51] = [
     fig4(C),
     fig4(H),
     ablation(Variant::Paper),
-    ablation(Variant::Signers2f1),
     ablation(Variant::Push),
     ablation(Variant::Light),
 ];
@@ -220,7 +217,6 @@ impl Shape {
         label += match self.variant {
             Variant::Paper => "",
             Variant::Light => " light",
-            Variant::Signers2f1 => " 2f+1",
             Variant::Push => " push",
         };
         if self.seed != 42 {
@@ -239,11 +235,9 @@ impl Shape {
             .seed(self.seed)
             .injection_secs(scale.injection_secs)
             .max_run_secs(scale.max_run_secs);
-        let f = builder.config().f;
         let builder = match self.variant {
             Variant::Paper => builder,
             Variant::Light => builder.light(),
-            Variant::Signers2f1 => builder.designated_signers(2 * f + 1),
             Variant::Push => builder.push_batches(),
         };
         if self.detailed {
@@ -484,17 +478,17 @@ mod tests {
 
     #[test]
     fn scenario_scaling_applies() {
-        let builder = ablation(Variant::Signers2f1).builder(FULL);
+        let builder = ablation(Variant::Push).builder(FULL);
         let (s, config) = (builder.scenario(), builder.config());
         assert_eq!((s.injection_secs, s.max_run_secs, s.seed), (13, 78, 97));
-        assert_eq!((config.designated_signers, config.servers), (Some(9), 10));
+        assert_eq!((config.push_batches, config.servers), (true, 10));
     }
 
     #[test]
     fn formatting() {
         assert_eq!(
-            ablation(Variant::Signers2f1).label(),
-            "Hashchain 5k c500 2f+1 s97"
+            ablation(Variant::Push).label(),
+            "Hashchain 5k c500 push s97"
         );
         assert_eq!(fig4(V).label(), "Vanilla 1.25k");
         assert_eq!(SHAPES[25].label(), "Vanilla 10k n7");

@@ -193,9 +193,8 @@ impl QuotaConfig {
 /// (the run's other parameters live on `setchain_workload::Scenario`);
 /// code that builds a config by hand overrides fields of
 /// [`SetchainConfig::new`] with struct-update syntax.
-/// [`ServerCore::new`](crate::ServerCore::new) checks the result: `2f < n`,
-/// a positive collector limit and, for a designated signer set of `k`
-/// servers, `f < k <= n`. The collector timeout and Hashchain's batch
+/// [`ServerCore::new`](crate::ServerCore::new) checks the result: `2f < n`
+/// and a positive collector limit. The collector timeout and Hashchain's batch
 /// request timeout and retry count are constants, not configuration:
 /// [`COLLECTOR_TIMEOUT`](crate::app::COLLECTOR_TIMEOUT),
 /// [`REQUEST_TIMEOUT`](crate::hashchain::REQUEST_TIMEOUT) and
@@ -215,13 +214,6 @@ pub struct SetchainConfig {
     /// runs without hash reversal and "Compresschain light" without
     /// decompression and validation on block delivery. Vanilla ignores it.
     pub light: bool,
-    /// Hashchain variant from the paper's discussion of the hash-reversal
-    /// bottleneck: when `Some(k)`, only the first `k` servers (typically
-    /// `2f + 1`) counter-sign hash-batches and emit epoch-proofs, instead of
-    /// all `n`. Must satisfy `k >= f + 1` so consolidation and commitment
-    /// remain possible with `f` Byzantine servers. `None` (the default) is
-    /// the paper's evaluated algorithm where every server signs.
-    pub designated_signers: Option<usize>,
     /// Hashchain variant from the paper's discussion: when true, a server
     /// that flushes a batch proactively pushes the batch contents to all
     /// other servers ("alternative distributed batch-sharing mechanism"), so
@@ -247,7 +239,6 @@ impl SetchainConfig {
             f: (servers.saturating_sub(1)) / 2,
             collector_limit: 100,
             light: false,
-            designated_signers: None,
             push_batches: false,
             store: None,
             quota: None,
@@ -264,16 +255,6 @@ impl SetchainConfig {
     /// half of every signer check (`check_tx`, `valid_proof`, `valid_hash`).
     pub(crate) fn is_server(&self, id: setchain_crypto::ProcessId) -> bool {
         id.is_server() && id.server_index() < self.servers
-    }
-
-    /// True if the server with this index participates in hash-batch
-    /// counter-signing and epoch-proof emission (always true unless a
-    /// designated signer set is configured).
-    pub fn is_designated(&self, server_index: usize) -> bool {
-        match self.designated_signers {
-            Some(k) => server_index < k,
-            None => true,
-        }
     }
 }
 
@@ -297,23 +278,6 @@ mod tests {
         assert_eq!(costs.hash_cost(1).as_micros(), 2); // rounds up to one KiB
         assert_eq!(costs.validate_cost(100).as_micros(), 500);
         assert!(costs.compress_cost(10_000) > costs.decompress_cost(10_000));
-    }
-
-    #[test]
-    fn designated_signers_and_push_batches() {
-        let cfg = SetchainConfig::new(10); // f = 4
-        assert!(cfg.is_designated(0));
-        assert!(cfg.is_designated(9));
-        assert!(!cfg.push_batches);
-        let cfg = SetchainConfig {
-            designated_signers: Some(9),
-            push_batches: true,
-            ..cfg
-        };
-        assert!(cfg.is_designated(8));
-        assert!(!cfg.is_designated(9));
-        assert!(cfg.push_batches);
-        assert_eq!(cfg.designated_signers, Some(9));
     }
 
     #[test]
@@ -372,16 +336,6 @@ mod tests {
             crate::SetchainTrace::new(),
             crate::ServerByzMode::Correct,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "f < k <= n")]
-    fn too_small_designated_set_panics() {
-        // f = 4 for 10 servers; k must exceed f.
-        start_server(SetchainConfig {
-            designated_signers: Some(4),
-            ..SetchainConfig::new(10)
-        });
     }
 
     #[test]

@@ -502,15 +502,12 @@ impl Hashchain {
         let now = ctx.now();
         let hash = hb.hash;
         let validate = !core.config.light;
-        let designated = core.config.is_designated(core.id().server_index());
 
         if let Some(KnownBatch { batch, applied, .. }) = &known {
             // If we had to recover the batch (we are not its origin and have
             // not signed it yet), sign the hash and append our own hash-batch
-            // so the f+1 consolidation quorum can form. In the designated-
-            // signers variant only the configured signer set counter-signs;
-            // the remaining servers still track signers and consolidate.
-            if designated && !self.my_signed.contains(&hash) {
+            // so the f+1 consolidation quorum can form.
+            if !self.my_signed.contains(&hash) {
                 ctx.consume_cpu(core.config.costs.sign);
                 let own = core.make_hash_batch(hash);
                 self.my_signed.insert(hash);
@@ -544,13 +541,8 @@ impl Hashchain {
                 None => (&[][..], None),
             };
             let proof = core.create_epoch(elements, root, validate, now, ctx);
-            // Epoch-proofs are only emitted by the designated signer set (all
-            // servers unless the 2f+1 variant is configured); every server
-            // still records the epoch locally.
-            if designated {
-                self.collector.add_proof(proof);
-                self.maybe_flush(core, ctx);
-            }
+            self.collector.add_proof(proof);
+            self.maybe_flush(core, ctx);
         }
     }
 

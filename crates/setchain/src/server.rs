@@ -184,8 +184,7 @@ impl ServerCore {
     /// # Panics
     ///
     /// If `config` is unusable: `2f >= n` (f + 1 correct servers are needed
-    /// for every proof and signer quorum), a zero collector limit, or a
-    /// designated signer set of `k` servers outside `f < k <= n`.
+    /// for every proof and signer quorum) or a zero collector limit.
     pub fn new(
         keys: KeyPair,
         registry: KeyRegistry,
@@ -198,12 +197,6 @@ impl ServerCore {
             config.collector_limit >= 1,
             "collector limit must be positive"
         );
-        if let Some(k) = config.designated_signers {
-            assert!(
-                k > config.f && k <= config.servers,
-                "designated signer set must satisfy f < k <= n"
-            );
-        }
         let own_key = SigningKey::new(&keys.secret);
         let mut core = ServerCore {
             keys,

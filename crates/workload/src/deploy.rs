@@ -241,13 +241,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Restricts counter-signing to the first `k` servers (Hashchain's
-    /// 2f+1 variant).
-    pub fn designated_signers(mut self, k: usize) -> Self {
-        self.config.designated_signers = Some(k);
-        self
-    }
-
     /// Enables push-based batch dissemination (Hashchain variant).
     pub fn push_batches(mut self) -> Self {
         self.config.push_batches = true;
@@ -617,16 +610,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "f < k <= n")]
-    fn builder_rejects_a_too_small_designated_set() {
-        // f = 4 for 10 servers; k must exceed f.
-        let _ = Deployment::builder(Algorithm::Hashchain)
-            .servers(10)
-            .designated_signers(4)
-            .build();
-    }
-
-    #[test]
     #[should_panic(expected = "collector limit must be positive")]
     fn builder_rejects_a_zero_collector() {
         let _ = Deployment::builder(Algorithm::Compresschain)
@@ -642,7 +625,6 @@ mod tests {
             builder
                 .collector(500)
                 .light()
-                .designated_signers(5)
                 .push_batches()
                 .quota(QuotaConfig::new().with_rate(500))
         };
@@ -656,7 +638,6 @@ mod tests {
         assert_eq!((config.servers, config.f), (7, 3));
         assert_eq!(config.collector_limit, 500);
         assert!(config.light);
-        assert_eq!(config.designated_signers, Some(5));
         assert!(config.push_batches);
         assert_eq!(config.quota.map(|q| q.rate_per_sec), Some(500));
     }

@@ -152,7 +152,6 @@ mod tests {
             .config;
         assert_eq!(default.collector_limit, 100);
         assert!(!default.light);
-        assert_eq!(default.designated_signers, None);
         assert!(!default.push_batches);
         assert!(default.store.is_none(), "in-memory by default");
         assert!(default.quota.is_none(), "unmetered by default");
