@@ -86,11 +86,6 @@ pub struct StoreConfig {
     pub dir: String,
     /// Segment rotation budget in bytes (default 8 MiB).
     pub segment_bytes: u64,
-    /// Bounded-memory mode: keep only the most recent `k` persisted epochs'
-    /// elements resident in `the_set`/`history`, evicting older ones to the
-    /// store with on-demand readback. `None` (the default) keeps everything
-    /// in RAM alongside the log.
-    pub retain_epochs: Option<u64>,
     /// **Ignored.** Was the cadence of the store's element-index
     /// checkpoint, which no longer exists; the field stays only because the
     /// frozen benchmark package reads it, and goes away with the next
@@ -99,13 +94,11 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// A store rooted at `dir` with the default segment budget and no
-    /// eviction.
+    /// A store rooted at `dir` with the default segment budget.
     pub fn new(dir: impl Into<String>) -> Self {
         StoreConfig {
             dir: dir.into(),
             segment_bytes: 8 << 20,
-            retain_epochs: None,
             checkpoint_every: 0,
         }
     }
@@ -113,13 +106,6 @@ impl StoreConfig {
     /// Sets the segment rotation budget.
     pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
         self.segment_bytes = bytes;
-        self
-    }
-
-    /// Enables bounded-memory mode, retaining only the `k` most recent
-    /// persisted epochs in RAM.
-    pub fn with_retain_epochs(mut self, k: u64) -> Self {
-        self.retain_epochs = Some(k);
         self
     }
 }
@@ -289,12 +275,8 @@ mod tests {
         let store = StoreConfig::new("/tmp/setchain");
         assert_eq!(store.dir, "/tmp/setchain");
         assert_eq!(store.segment_bytes, 8 << 20);
-        assert_eq!(store.retain_epochs, None);
-        let tuned = StoreConfig::new("d")
-            .with_segment_bytes(1024)
-            .with_retain_epochs(8);
+        let tuned = StoreConfig::new("d").with_segment_bytes(1024);
         assert_eq!(tuned.segment_bytes, 1024);
-        assert_eq!(tuned.retain_epochs, Some(8));
     }
 
     #[test]

@@ -84,9 +84,6 @@ pub struct ServerStats {
     /// session (0 when no store is configured; epochs recovered at open are
     /// not re-counted).
     pub epochs_persisted: u64,
-    /// Elements evicted from RAM after their epoch became durable
-    /// (bounded-memory mode; 0 unless `retain_epochs` is set).
-    pub elements_evicted: u64,
     /// Total bytes across this server's store segments (recovered bytes
     /// included), refreshed on every append.
     pub store_bytes: u64,
@@ -267,7 +264,6 @@ impl ServerCore {
         self.persisted = tip;
         self.stats.store_bytes = store.stats().bytes;
         self.store = Some(Box::new(store));
-        self.apply_retention();
     }
 
     /// Flushes every committed-but-unpersisted epoch to the store, in
@@ -287,7 +283,7 @@ impl ServerCore {
         {
             let epoch = self.persisted + 1;
             let digest = self.state.epoch_digest(epoch).expect("committed epoch");
-            let elements = self.state.epoch_elements(epoch).expect("not yet evicted");
+            let elements = self.state.epoch_elements(epoch).expect("committed epoch");
             let record = EpochRecord::new(
                 epoch,
                 digest.0,
@@ -301,42 +297,6 @@ impl ServerCore {
             self.stats.epochs_persisted += 1;
         }
         self.stats.store_bytes = store.stats().bytes;
-        self.apply_retention();
-    }
-
-    /// Bounded-memory eviction: with `retain_epochs = Some(k)`, every epoch
-    /// at least `k` behind the durable frontier is dropped from RAM
-    /// (elements only — digests and proofs stay resident, so epoch-proof
-    /// serving and consistency checks are unaffected). Evicted contents are
-    /// read back from the store on demand by [`Self::fetch_epoch_elements`];
-    /// their ids never leave `state` (`the_set` is grow-only), so membership
-    /// checks still reject a re-add.
-    fn apply_retention(&mut self) {
-        let Some(retain) = self.config.store.as_ref().and_then(|s| s.retain_epochs) else {
-            return;
-        };
-        let horizon = self.persisted.saturating_sub(retain);
-        while self.state.evicted_epochs() < horizon {
-            let epoch = self.state.evicted_epochs() + 1;
-            self.stats.elements_evicted += self.state.evict_epoch(epoch) as u64;
-        }
-    }
-
-    /// The elements of `epoch`, from RAM when resident, read back from the
-    /// store when evicted. `None` for epochs this server does not hold.
-    fn fetch_epoch_elements(&self, epoch: u64) -> Option<Vec<Element>> {
-        if let Some(elements) = self.state.epoch_elements(epoch) {
-            return Some(elements.to_vec());
-        }
-        if epoch == 0 || epoch > self.state.evicted_epochs() {
-            return None;
-        }
-        let store = self.store.as_ref().expect("evicted epochs imply a store");
-        let record = store
-            .load_epoch(epoch)
-            .unwrap_or_else(|e| panic!("setchain-store: cannot read epoch {epoch}: {e}"))
-            .expect("evicted epochs are on the store");
-        Some(Self::unpack_elements(&record.elements))
     }
 
     /// Packs elements for a store record: `PACKED_LEN` bytes each, in epoch
@@ -601,7 +561,11 @@ impl ServerCore {
             }
             SetchainMsg::GetEpoch { request_id, epoch } => {
                 self.stats.gets_served += 1;
-                let elements = self.fetch_epoch_elements(*epoch).unwrap_or_default();
+                let elements = self
+                    .state
+                    .epoch_elements(*epoch)
+                    .unwrap_or_default()
+                    .to_vec();
                 let proofs = self.state.proofs_for(*epoch).to_vec();
                 ctx.send_app(
                     from,
@@ -642,7 +606,7 @@ impl ServerCore {
         {
             epochs.push(crate::messages::CatchupEpoch {
                 epoch: e,
-                elements: self.fetch_epoch_elements(e).unwrap_or_default(),
+                elements: self.state.epoch_elements(e).unwrap_or_default().to_vec(),
                 proofs: self.state.proofs_for(e).to_vec(),
             });
             e += 1;
@@ -1166,7 +1130,6 @@ pub(crate) mod tests {
         commit_epochs(&mut core, &registry, 5);
         assert_eq!(core.stats.epochs_persisted, 5);
         assert!(core.stats.store_bytes > 0);
-        assert_eq!(core.stats.elements_evicted, 0);
         let digests: Vec<_> = (1..=5)
             .map(|e| *core.state.epoch_digest(e).unwrap())
             .collect();
@@ -1199,33 +1162,6 @@ pub(crate) mod tests {
         // The durable frontier is exact: persist_committed is a no-op.
         reopened.persist_committed();
         assert_eq!(reopened.stats.epochs_persisted, 0);
-    }
-
-    #[test]
-    fn eviction_drops_ram_but_keeps_membership_and_readback() {
-        let tmp = TempDir::new("evict");
-        let cfg = StoreConfig::new(tmp.0.to_str().unwrap()).with_retain_epochs(1);
-        let (mut core, registry) = store_core(89, cfg);
-        commit_epochs(&mut core, &registry, 4);
-        // retain_epochs = 1: epochs 1..=3 evicted, epoch 4 resident.
-        assert_eq!(core.state.evicted_epochs(), 3);
-        assert_eq!(core.stats.elements_evicted, 12);
-        assert!(core.state.epoch_elements(1).is_none(), "evicted from RAM");
-        // Membership of evicted elements survives: `the_set` is grow-only.
-        let evicted_id = ElementId::new(0, 10); // epoch 1, element 0
-        assert!(core.state.contains(&evicted_id) && core.state.in_history(&evicted_id));
-        assert!(core.state.was_evicted(&evicted_id));
-        assert!(!core.state.was_evicted(&ElementId::new(0, 9999)));
-        // Evicted epochs read back from the store byte-identically.
-        let read_back = core.fetch_epoch_elements(1).unwrap();
-        assert_eq!(read_back.len(), 4);
-        assert_eq!(
-            crate::proofs::epoch_hash(1, &read_back),
-            *core.state.epoch_digest(1).unwrap()
-        );
-        // Logical sizes still count the evicted prefix.
-        assert_eq!(core.state.the_set_len(), 16);
-        assert_eq!(core.state.history_elements(), 16);
     }
 
     /// Hosts a `ServerCore` on a one-node ledger so a test can call the

@@ -17,8 +17,7 @@ use crate::proofs::{epoch_hash, epoch_hash_for_root, EpochProof};
 pub struct SetchainState {
     /// `the_set` and the reverse index in one grow-only map: every element
     /// id that has been added, mapped to the epoch it was stamped with (0 =
-    /// added, not stamped yet). An id whose epoch is `<= evicted_epochs` has
-    /// had its contents evicted; the id itself never leaves.
+    /// added, not stamped yet).
     members: IdMap<u64>,
     /// Number of stamped ids in `members` (the logical size of `history`).
     stamped: u64,
@@ -34,11 +33,6 @@ pub struct SetchainState {
     /// collection is a `Vec` so `proofs_for` can hand out a borrowed slice;
     /// signer sets are tiny (≤ n servers) so the linear dedup is cheap.
     proofs: FxHashMap<u64, Vec<EpochProof>>,
-    /// Bounded-memory mode: epochs `1..=evicted_epochs` have had their
-    /// `history` entries evicted (they live in the persistent store instead;
-    /// ids, digests and proofs stay resident). Eviction is strictly
-    /// prefix-ordered. 0 (always, without a store) means fully resident.
-    evicted_epochs: u64,
 }
 
 impl SetchainState {
@@ -53,8 +47,7 @@ impl SetchainState {
         self.epoch
     }
 
-    /// Number of elements in `the_set` (grow-only: eviction never shrinks
-    /// it).
+    /// Number of elements in `the_set` (grow-only).
     pub fn the_set_len(&self) -> usize {
         self.members.len()
     }
@@ -76,15 +69,9 @@ impl SetchainState {
     }
 
     /// True if the element has already been stamped with an epoch (the
-    /// algorithms' `e ∈ history` check), resident or evicted.
+    /// algorithms' `e ∈ history` check).
     pub fn in_history(&self, id: &ElementId) -> bool {
         self.epoch_of(id).is_some()
-    }
-
-    /// True when `id` was stamped into an epoch whose contents have since
-    /// been evicted from RAM. Membership verdicts do not depend on it.
-    pub fn was_evicted(&self, id: &ElementId) -> bool {
-        self.epoch_of(id).is_some_and(|e| e <= self.evicted_epochs)
     }
 
     /// The epoch an element was stamped with, if any.
@@ -92,18 +79,15 @@ impl SetchainState {
         self.members.get(id).copied().filter(|&e| e > 0)
     }
 
-    /// Elements of epoch `i` (1-based), if it exists *and is resident* —
-    /// `None` for epochs evicted to the persistent store (callers with a
-    /// store fall back to reading the segment log).
+    /// Elements of epoch `i` (1-based), if the epoch exists.
     pub fn epoch_elements(&self, epoch: u64) -> Option<&[Element]> {
-        if epoch <= self.evicted_epochs || epoch > self.epoch {
+        if epoch == 0 || epoch > self.epoch {
             return None;
         }
         Some(&self.history[(epoch - 1) as usize])
     }
 
-    /// Total number of elements across all epochs (logical: evicted epochs
-    /// still count).
+    /// Total number of elements across all epochs.
     pub fn history_elements(&self) -> u64 {
         self.stamped
     }
@@ -160,39 +144,6 @@ impl SetchainState {
         }
         self.record_epoch(elements, None);
         true
-    }
-
-    /// Number of epochs whose elements have been evicted to the persistent
-    /// store (a strict prefix `1..=evicted_epochs` of the history).
-    pub fn evicted_epochs(&self) -> u64 {
-        self.evicted_epochs
-    }
-
-    /// True if the epoch's elements are resident in RAM (false for epoch 0,
-    /// unknown epochs, and evicted epochs).
-    pub fn epoch_is_resident(&self, epoch: u64) -> bool {
-        epoch > self.evicted_epochs && epoch <= self.epoch
-    }
-
-    /// Bounded-memory mode: drops epoch `epoch`'s `history` entry from RAM,
-    /// keeping the digest, the proofs and the ids (`the_set` is grow-only).
-    /// Returns the number of elements evicted.
-    ///
-    /// The caller owns two obligations: the epoch must already be durable
-    /// in the persistent store (readback falls back to it), and eviction
-    /// proceeds strictly in epoch order — `epoch` must be
-    /// exactly `evicted_epochs() + 1` and an existing epoch. The logical
-    /// sizes ([`Self::the_set_len`], [`Self::history_elements`]) are
-    /// unchanged by eviction.
-    pub fn evict_epoch(&mut self, epoch: u64) -> usize {
-        assert_eq!(
-            epoch,
-            self.evicted_epochs + 1,
-            "eviction is strictly prefix-ordered"
-        );
-        assert!(epoch <= self.epoch, "cannot evict an epoch not yet held");
-        self.evicted_epochs = epoch;
-        std::mem::take(&mut self.history[(epoch - 1) as usize]).len()
     }
 
     /// The cached digest `Hash(i, history[i])` of epoch `i` (1-based), if the
@@ -274,14 +225,10 @@ impl SetchainState {
     }
 
     /// Property 6 (Consistent-Gets) between two servers: the common prefix of
-    /// epochs must be identical (as sets). Epochs either side has evicted
-    /// to its store are skipped — only resident history can be compared
-    /// here (differential tests of evicting runs compare epoch *digests*,
-    /// which are never evicted, instead).
+    /// epochs must be identical (as sets).
     pub fn check_consistent_with(&self, other: &SetchainState) -> bool {
         let common = self.epoch.min(other.epoch);
-        let start = self.evicted_epochs.max(other.evicted_epochs) + 1;
-        for i in start..=common {
+        for i in 1..=common {
             let a: HashSet<ElementId> = self
                 .epoch_elements(i)
                 .expect("epoch in range")
@@ -460,96 +407,6 @@ mod tests {
         // Divergent epoch 2 breaks consistency once both have it.
         b.record_epoch(elements(6..8), None);
         assert!(!a.check_consistent_with(&b));
-    }
-
-    #[test]
-    fn eviction_preserves_logical_sizes_and_digests() {
-        let mut st = SetchainState::new();
-        st.record_epoch(elements(0..5), None);
-        st.record_epoch(elements(5..8), None);
-        st.record_epoch(elements(8..12), None);
-        let digests: Vec<_> = (1..=3).map(|e| *st.epoch_digest(e).unwrap()).collect();
-        assert_eq!(st.evicted_epochs(), 0);
-        assert!(st.epoch_is_resident(1));
-        assert_eq!(st.evict_epoch(1), 5);
-        assert_eq!(st.evict_epoch(2), 3);
-        assert_eq!(st.evicted_epochs(), 2);
-        // Logical sizes are unchanged; residency and direct lookups are.
-        assert_eq!(st.the_set_len(), 12);
-        assert_eq!(st.history_elements(), 12);
-        assert!(!st.epoch_is_resident(2));
-        assert!(st.epoch_is_resident(3));
-        assert!(st.epoch_elements(1).is_none());
-        assert!(st.epoch_elements(2).is_none());
-        assert_eq!(st.epoch_elements(3).unwrap().len(), 4);
-        let evicted = elements(0..5);
-        assert!(st.contains(&evicted[0].id));
-        assert!(st.in_history(&evicted[0].id));
-        // Digests (what proofs verify against) are never evicted.
-        for (i, d) in digests.iter().enumerate() {
-            assert_eq!(st.epoch_digest(i as u64 + 1), Some(d));
-        }
-        // Snapshot still reports logical sizes.
-        let snap = st.snapshot(1);
-        assert_eq!(snap.the_set_len, 12);
-        assert_eq!(snap.history_elements, 12);
-        // New epochs keep recording on top of the evicted prefix.
-        st.record_epoch(elements(12..14), None);
-        assert_eq!(st.epoch(), 4);
-        assert_eq!(st.the_set_len(), 14);
-        // Consistency checks skip the evicted prefix instead of
-        // panicking, and still hold on the resident suffix.
-        assert!(st.check_consistent_sets());
-        assert!(st.check_unique_epoch());
-        let mut full = SetchainState::new();
-        full.record_epoch(elements(0..5), None);
-        full.record_epoch(elements(5..8), None);
-        full.record_epoch(elements(8..12), None);
-        full.record_epoch(elements(12..14), None);
-        assert!(st.check_consistent_with(&full));
-        assert!(full.check_consistent_with(&st));
-    }
-
-    #[test]
-    fn eviction_keeps_ids_in_the_set_and_marks_them_evicted() {
-        let mut st = SetchainState::new();
-        let es = elements(0..6);
-        st.record_epoch(es[..4].to_vec(), None);
-        st.record_epoch(es[4..].to_vec(), None);
-        assert!(es
-            .iter()
-            .all(|e| st.contains(&e.id) && !st.was_evicted(&e.id)));
-        assert_eq!(st.evict_epoch(1), 4);
-        for e in &es[..4] {
-            assert!(st.contains(&e.id) && st.was_evicted(&e.id));
-            assert_eq!(st.epoch_of(&e.id), Some(1));
-        }
-        for e in &es[4..] {
-            assert!(st.contains(&e.id) && !st.was_evicted(&e.id));
-        }
-        assert_eq!(st.the_set_len(), 6);
-        assert_eq!(st.history_elements(), 6);
-        // An added-but-unstamped id is neither in history nor evicted.
-        let pending = ElementId::new(0, 9999);
-        assert!(st.insert(pending) && !st.insert(pending));
-        assert!(!st.in_history(&pending) && !st.was_evicted(&pending));
-        assert_eq!((st.the_set_len(), st.history_elements()), (7, 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix-ordered")]
-    fn out_of_order_eviction_panics() {
-        let mut st = SetchainState::new();
-        st.record_epoch(elements(0..3), None);
-        st.record_epoch(elements(3..5), None);
-        let _ = st.evict_epoch(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not yet held")]
-    fn evicting_a_future_epoch_panics() {
-        let mut st = SetchainState::new();
-        let _ = st.evict_epoch(1);
     }
 
     #[test]

@@ -5,15 +5,13 @@
 //! by `f + 1` epoch-proofs, and a stamped epoch is immutable. This crate
 //! maps that contract onto disk as exactly that: an append-only **segment
 //! log** of framed epoch records, so a restarted server replays its own log
-//! back to the exact committed set instead of paging peers, and a
-//! memory-bounded server can evict stored epochs from RAM and read them
-//! back on demand.
+//! back to the exact committed set instead of paging peers.
 //!
 //! The store is an epoch log and nothing more. Membership (`the_set`,
-//! which element sits in which epoch) is *server* state: a server that
-//! evicts epochs keeps their ids in its grow-only `the_set`, and recovery
-//! rebuilds that by replaying the log. The store keeps no per-element structure, so persisting an
-//! epoch costs O(its own bytes) however long the log is.
+//! which element sits in which epoch) is *server* state, and recovery
+//! rebuilds it by replaying the log. The store keeps no per-element
+//! structure, so persisting an epoch costs O(its own bytes) however long
+//! the log is.
 //!
 //! The crate is deliberately a leaf: it depends on nothing else in the
 //! workspace and stores *opaque fixed-size byte records*. The `setchain`

@@ -9,14 +9,14 @@
 //!   element is in `the_set`, and no element is in two epochs;
 //! * **pairwise consistent epochs**: any two servers agree on their common
 //!   epoch prefix, both as element sets and as signed digests;
-//! * **valid proofs**: each resident epoch's digest is recomputed from its
-//!   elements and must equal the cached one, every held epoch-proof must
-//!   verify against it through [`verify_epoch_proof_digest`], and an epoch
-//!   counted as committed must hold `f + 1` such proofs by distinct servers;
+//! * **valid proofs**: each epoch's digest is recomputed from its elements
+//!   and must equal the cached one, every held epoch-proof must verify
+//!   against it through [`verify_epoch_proof_digest`], and an epoch counted
+//!   as committed must hold `f + 1` such proofs by distinct servers;
 //! * **light-client inclusion**: for one element of every committed,
-//!   resident, non-empty epoch, an [`EpochInclusionProof`] built from the
-//!   epoch verifies against those proofs;
-//! * **add-before-get**: every element of a resident epoch was added by a
+//!   non-empty epoch, an [`EpochInclusionProof`] built from the epoch
+//!   verifies against those proofs;
+//! * **add-before-get**: every element of every epoch was added by a
 //!   client. An injection client's element (client index below `n`) must
 //!   have an add record in [`Deployment::trace`]; the trace does not follow
 //!   other clients (the adversarial client, scripted sessions), so their
@@ -49,8 +49,7 @@ pub struct InvariantReport {
     pub proofs_verified: u64,
     /// Element→epoch inclusion proofs built and verified.
     pub inclusion_proofs: u64,
-    /// Resident epoch elements traced back to their add, summed over
-    /// servers.
+    /// Epoch elements traced back to their add, summed over servers.
     pub adds_before_gets: u64,
     /// Added ids found in `the_set` once every traced add had committed,
     /// summed over servers; 0 when the run stopped before quiescence.
@@ -148,15 +147,12 @@ fn check_server(
     let (n, f) = (d.config.servers, d.config.f);
     for e in 1..=state.epoch() {
         report.epochs += 1;
-        let cached = *state.epoch_digest(e).expect("epoch in range");
-        // Evicted epochs keep only their digest: it is what their proofs
-        // are checked against.
-        let elements = state.epoch_elements(e);
-        let digest = elements.map_or(cached, |es| epoch_hash(e, es));
-        if digest != cached {
+        let digest = *state.epoch_digest(e).expect("epoch in range");
+        let elements = state.epoch_elements(e).expect("epoch in range");
+        if epoch_hash(e, elements) != digest {
             return Err(format!("epoch {e}: cached digest is not the epoch's hash"));
         }
-        for element in elements.unwrap_or_default() {
+        for element in elements {
             let added = if (element.id.client_index() as usize) < n {
                 added.binary_search(&element.id).is_ok()
             } else {
@@ -181,10 +177,10 @@ fn check_server(
             continue;
         }
         report.committed_epochs += 1;
-        let Some(es @ [element, ..]) = elements else {
+        let [element, ..] = elements else {
             continue;
         };
-        let inclusion = prove_epoch_inclusion(e, es, element.id)
+        let inclusion = prove_epoch_inclusion(e, elements, element.id)
             .ok_or_else(|| format!("epoch {e}: no inclusion proof for {:?}", element.id))?;
         if !inclusion.verify(&d.registry, n, f, element, proofs) {
             return Err(format!(

@@ -4,9 +4,9 @@
 //! the same store directories replays every server to the exact committed
 //! prefix — identical element sets *and* identical signed epoch digests —
 //! of an uninterrupted run with the same seed; a restarted node recovers
-//! through its store without paging peers; bounded-memory eviction changes
-//! no observable result, also across a restart; and a torn segment tail
-//! truncates cleanly instead of poisoning recovery.
+//! through its store without paging peers; a replayed element stays a
+//! duplicate across a restart; and a torn segment tail truncates cleanly
+//! instead of poisoning recovery.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -75,7 +75,7 @@ fn epoch_prints(deployment: &Deployment) -> EpochPrints {
                     let digest = state.epoch_digest(e).expect("epoch in range").0;
                     let ids = state
                         .epoch_elements(e)
-                        .expect("epoch resident")
+                        .expect("epoch in range")
                         .iter()
                         .map(|el| el.id)
                         .collect();
@@ -238,69 +238,12 @@ fn restart_recovers_through_the_store_without_peer_catchup() {
     }
 }
 
-/// Bounded-memory mode: with a small retention window, durably stored
-/// epochs are evicted from RAM mid-run — and nothing observable changes.
-/// Schedules, added/committed counts, logical set sizes and every signed
-/// digest match the in-memory reference; evicted contents remain readable.
+/// The store holds no element index: `the_set` is server state, rebuilt at
+/// restart by replaying the log. A re-add of a replayed element must still
+/// be a duplicate.
 #[test]
-fn eviction_bounds_memory_without_changing_results() {
-    let mut plain = builder(Algorithm::Hashchain).build();
-    plain.sim.run_until(SimTime::from_secs(12));
-    let reference_prints = epoch_prints(&plain);
-
-    let tmp = TempDir::new("evict");
-    let mut evicting = builder(Algorithm::Hashchain)
-        .store(StoreConfig::new(tmp.path()).with_retain_epochs(1))
-        .build();
-    evicting.sim.run_until(SimTime::from_secs(12));
-
-    assert_eq!(
-        plain.sim.events_processed(),
-        evicting.sim.events_processed(),
-        "eviction leaked into the event schedule"
-    );
-    assert_eq!(
-        plain.trace.committed_count_by(SimTime::from_secs(12)),
-        evicting.trace.committed_count_by(SimTime::from_secs(12))
-    );
-    let evicted: u64 = (0..SERVERS)
-        .map(|i| evicting.server(i).stats().elements_evicted)
-        .sum();
-    assert!(evicted > 0, "retention window never evicted anything");
-    for (i, prints) in reference_prints.iter().enumerate().take(SERVERS) {
-        let state = evicting.server(i).state();
-        let reference = plain.server(i).state();
-        assert_eq!(state.epoch(), reference.epoch(), "server {i} tip");
-        assert_eq!(
-            state.the_set_len(),
-            reference.the_set_len(),
-            "server {i}: eviction changed the logical set size"
-        );
-        // Digests are never evicted; they must match for *every* epoch,
-        // including the evicted prefix.
-        for (e, (ref_digest, _)) in prints.iter().enumerate() {
-            assert_eq!(
-                &state.epoch_digest(e as u64 + 1).expect("digest resident").0,
-                ref_digest,
-                "server {i} epoch {}: digest diverged under eviction",
-                e + 1
-            );
-        }
-        assert!(
-            state.evicted_epochs() > 0,
-            "server {i}: retention window 1 should have evicted"
-        );
-        let stats = evicting.server(i).stats();
-        assert!(stats.store_bytes > 0, "server {i}: store bytes unreported");
-    }
-}
-
-/// The store holds no element index: which ids sit in evicted epochs is
-/// server state, rebuilt at restart by replaying the log and re-applying
-/// retention. A re-add of an evicted element must still be a duplicate.
-#[test]
-fn restart_in_retain_mode_still_rejects_evicted_elements() {
-    let tmp = TempDir::new("retain-restart");
+fn a_replayed_element_stays_a_duplicate_after_restart() {
+    let tmp = TempDir::new("replay-restart");
     let mut killed = builder(Algorithm::Hashchain)
         .store(StoreConfig::new(tmp.path()))
         .build();
@@ -309,17 +252,16 @@ fn restart_in_retain_mode_still_rejects_evicted_elements() {
         .server(0)
         .state()
         .epoch_elements(1)
-        .expect("resident")[0];
+        .expect("epoch 1 committed")[0];
     drop(killed);
 
     let mut reopened = builder(Algorithm::Hashchain)
-        .store(StoreConfig::new(tmp.path()).with_retain_epochs(1))
+        .store(StoreConfig::new(tmp.path()))
         .injection_secs(0)
         .build();
     let state = reopened.server(0).state();
-    assert!(state.evicted_epochs() >= 1, "replay re-applied retention");
-    assert!(state.epoch_elements(1).is_none(), "epoch 1 not resident");
-    assert!(state.contains(&old.id) && state.was_evicted(&old.id));
+    assert!(state.epoch_elements(1).is_some_and(|es| es.contains(&old)));
+    assert!(state.contains(&old.id) && state.in_history(&old.id));
     let set_len = state.the_set_len();
     let before = reopened.server(0).stats();
 
@@ -334,7 +276,7 @@ fn restart_in_retain_mode_still_rejects_evicted_elements() {
     assert_eq!(
         after.adds_rejected_duplicate,
         before.adds_rejected_duplicate + 1,
-        "re-add of an evicted element was not rejected as a duplicate"
+        "re-add of a replayed element was not rejected as a duplicate"
     );
     assert_eq!(after.adds_accepted, before.adds_accepted);
     assert_eq!(reopened.server(0).state().the_set_len(), set_len);
