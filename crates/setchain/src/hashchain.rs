@@ -631,10 +631,12 @@ impl Hashchain {
                 }
             }
             SetchainMsg::PushBatch { hash, batch } => {
-                // Push-based dissemination: accept the contents only if they
-                // really hash to the claimed value (a Byzantine pusher cannot
-                // plant wrong contents for a hash).
-                if self.hash_to_batch.contains_key(&hash) {
+                // Push-based dissemination: only another server of this
+                // deployment pushes, and only with push on. The contents are
+                // accepted only if they really hash to the claimed value (a
+                // Byzantine pusher cannot plant wrong contents for a hash).
+                let pusher = core.config.is_server(from) && from != core.id();
+                if !core.config.push_batches || !pusher || self.hash_to_batch.contains_key(&hash) {
                     return;
                 }
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
@@ -876,6 +878,45 @@ mod tests {
             assert_eq!(core.stats.batch_requests_failed, 1);
             assert!(h.waiting.is_none() && h.block_queue.is_empty());
             assert_eq!(core.state.epoch(), 1);
+        });
+    }
+
+    #[test]
+    fn a_push_is_kept_only_from_another_server_with_push_on() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let mut h = Hashchain::new(&core.config, None);
+            let batch = Arc::new(Batch {
+                elements: elements(registry, 0..100),
+                proofs: vec![],
+            });
+            let hash = batch_hash(&batch.elements, &batch.proofs);
+            let push = |h: &mut Hashchain, core: &mut ServerCore, from, ctx: &mut Ctx| {
+                let before = ctx.cpu_consumed();
+                let msg = SetchainMsg::PushBatch {
+                    hash,
+                    batch: Arc::clone(&batch),
+                };
+                h.on_batch_message(core, from, msg, ctx);
+                (
+                    h.hash_to_batch.contains_key(&hash),
+                    ctx.cpu_consumed() - before,
+                )
+            };
+            let none = (false, SimDuration::ZERO);
+
+            // Push off: nobody's push is kept or hashed, a server's neither.
+            assert!(!core.config.push_batches);
+            assert_eq!(push(&mut h, core, ProcessId::client(0), ctx), none);
+            assert_eq!(push(&mut h, core, ProcessId::server(1), ctx), none);
+
+            // Push on: a client, an unknown server and this server itself
+            // are still ignored; a peer's push is hashed and kept.
+            core.config.push_batches = true;
+            assert_eq!(push(&mut h, core, ProcessId::client(0), ctx), none);
+            assert_eq!(push(&mut h, core, ProcessId::server(4), ctx), none);
+            assert_eq!(push(&mut h, core, core.id(), ctx), none);
+            let (kept, cpu) = push(&mut h, core, ProcessId::server(1), ctx);
+            assert!(kept && cpu > SimDuration::ZERO);
         });
     }
 
