@@ -10,7 +10,7 @@
 //! * [`smoke_section`]: [`SMOKE_SHAPES`] at the [`SMOKE`] scale, seconds in
 //!   a debug build. `tests/paper_results.rs` regenerates it and the
 //!   analytic section and compares them byte for byte with the file.
-//! * [`full_section`]: the 50 distinct [`SHAPES`] at the [`FULL`] scale,
+//! * [`full_section`]: the 52 distinct [`SHAPES`] at the [`FULL`] scale,
 //!   about a minute in a release build.
 //!
 //! The `paper` bin writes all three:
@@ -132,9 +132,11 @@ const fn ablation(variant: Variant) -> Shape {
 
 /// Every distinct run of Figs. 1–5 and Section 4.1, once each. Figs. 1 and
 /// 2 left reuse Fig. 3a's rows where the paper's shapes coincide, as Fig.
-/// 3b's `n = 10` and Fig. 3c's `0 ms` rows do.
+/// 3b's `n = 10` and Fig. 3c's `0 ms` rows do. The last two rows are
+/// Section 4.1's push against its baseline at 50,000 el/s with 100 ms of
+/// added delay, where push moves el/s and p99 beyond the cross-seed spread.
 #[rustfmt::skip]
-pub const SHAPES: [Shape; 50] = [
+pub const SHAPES: [Shape; 52] = [
     at(V, 500.0, 100, "F3a F5"),
     at(C, 500.0, 100, "F3a F5"),
     at(C, 500.0, 500, "F3a F5"),
@@ -185,6 +187,8 @@ pub const SHAPES: [Shape; 50] = [
     ablation(Variant::Paper),
     ablation(Variant::Push),
     ablation(Variant::Light),
+    Shape { delay_ms: 100, ..at(H, 50_000.0, 500, "S4.1") },
+    Shape { delay_ms: 100, variant: Variant::Push, ..at(H, 50_000.0, 500, "S4.1") },
 ];
 
 /// One saturating shape per algorithm, plus Fig. 4's shape.

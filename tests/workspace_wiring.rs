@@ -125,7 +125,7 @@ fn workload_entry_points() {
 fn bench_entry_points() {
     // The paper scorecard: its shape list and its one section that runs no
     // simulation.
-    assert_eq!(setchain_bench::SHAPES.len(), 50);
+    assert_eq!(setchain_bench::SHAPES.len(), 52);
     let analytic = setchain_bench::analytic_section();
     assert!(
         analytic.contains("| Hashchain c500 | 147857 | 147857 |"),
