@@ -904,7 +904,7 @@ mod tests {
             };
             let none = (false, SimDuration::ZERO);
 
-            // Push off: nobody's push is kept or hashed, a server's neither.
+            // Push off: no push is kept or hashed, not even a server's.
             assert!(!core.config.push_batches);
             assert_eq!(push(&mut h, core, ProcessId::client(0), ctx), none);
             assert_eq!(push(&mut h, core, ProcessId::server(1), ctx), none);
