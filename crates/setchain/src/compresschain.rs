@@ -13,6 +13,8 @@
 //! the other two; the add/get front door that drives it lives in
 //! [`crate::app`].
 
+use std::sync::Arc;
+
 use setchain_ledger::{Block, TxData};
 
 use crate::collector::Collector;
@@ -105,9 +107,8 @@ impl Compresschain {
         let cb = CompressedBatch {
             origin: core.id(),
             seq: self.next_batch_seq,
-            elements: batch.elements,
-            proofs: batch.proofs,
-            payload: std::sync::Arc::new(payload),
+            batch: Arc::new(batch),
+            payload: Arc::new(payload),
             compressed_size,
             original_size,
         };
@@ -115,7 +116,7 @@ impl Compresschain {
         let tx = SetchainTx::Compressed(cb);
         let tx_id = tx.tx_id();
         if let SetchainTx::Compressed(cb) = &tx {
-            for e in &cb.elements {
+            for e in &cb.batch.elements {
                 core.trace.record_tx_assignment(e.id, tx_id);
             }
         }
@@ -153,7 +154,7 @@ impl Compresschain {
                 // split correct servers. "Compresschain light" skips all of
                 // this.
                 core.stats.batches_decompressed += 1;
-                let proof_bytes = cb.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
+                let proof_bytes = cb.batch.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
                 let ok = (cb.original_size as usize)
                     .checked_sub(proof_bytes)
                     .is_some_and(|element_bytes| {
@@ -171,15 +172,17 @@ impl Compresschain {
                 }
             }
             // `if batch_original = ∅ then continue`
-            if cb.elements.is_empty() && cb.proofs.is_empty() {
+            if cb.batch.is_empty() {
                 continue;
             }
             // Valid epoch-proofs of the batch.
-            for p in &cb.proofs {
+            for p in &cb.batch.proofs {
                 core.ingest_proof(*p, now, ctx);
             }
-            // G: valid elements not yet in an epoch.
-            let proof = core.create_epoch(&cb.elements, None, validate, now, ctx);
+            // G: valid elements not yet in an epoch. The block is held once
+            // per run, so a whole batch is shared, not copied, into history.
+            let batch = &cb.batch;
+            let proof = core.create_epoch(&batch.elements, Some(batch), None, validate, now, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);

@@ -536,11 +536,15 @@ impl Hashchain {
         let enough = signers.len() >= core.config.proof_quorum();
         if enough && !self.consolidated.contains(&hash) {
             self.consolidated.insert(hash);
-            let (elements, root) = match &known {
-                Some(known) => (known.batch.elements.as_slice(), known.root),
-                None => (&[][..], None),
+            let (elements, shared, root) = match &known {
+                Some(known) => (
+                    known.batch.elements.as_slice(),
+                    Some(&known.batch),
+                    known.root,
+                ),
+                None => (&[][..], None, None),
             };
-            let proof = core.create_epoch(elements, root, validate, now, ctx);
+            let proof = core.create_epoch(elements, shared, root, validate, now, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
         }

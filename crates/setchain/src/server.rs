@@ -1,6 +1,8 @@
 //! Code shared by the three Setchain server implementations: client `add` /
 //! `get` handling, epoch-proof bookkeeping and epoch creation.
 
+use std::sync::Arc;
+
 use setchain_crypto::{
     sign_with, Digest256, Digest512, FxHashMap, FxHashSet, HmacSha256Key, KeyPair, KeyRegistry,
     ProcessId, SigVerifier, Signature, SigningKey,
@@ -12,10 +14,11 @@ use setchain_store::{DiskStore, EpochRecord, StateStore};
 
 use crate::admission::AdmissionCache;
 use crate::byzantine::ServerByzMode;
+use crate::collector::Batch;
 use crate::config::{SetchainConfig, StoreConfig};
 use crate::element::{Element, ElementId};
 use crate::messages::SetchainMsg;
-use crate::proofs::{epoch_hash, make_epoch_proof_with_key, EpochProof};
+use crate::proofs::{epoch_hash_for_root, epoch_root, make_epoch_proof_with_key, EpochProof};
 use crate::state::SetchainState;
 use crate::trace::SetchainTrace;
 use crate::tx::{HashBatch, SetchainTx};
@@ -643,10 +646,13 @@ impl ServerCore {
             }
             // Re-hash the shipped elements and verify the proofs against
             // the recomputed digest — trusting the responder's digest would
-            // let it rebind valid signatures to fabricated contents.
+            // let it rebind valid signatures to fabricated contents. The
+            // root is computed once: the install finishes its digest from it.
             let bytes: usize = bundle.elements.iter().map(|e| e.wire_size()).sum();
             ctx.consume_cpu(self.config.costs.hash_cost(bytes));
-            let digest = epoch_hash(bundle.epoch, &bundle.elements);
+            let root = epoch_root(&bundle.elements);
+            let count = bundle.elements.len() as u64;
+            let digest = epoch_hash_for_root(bundle.epoch, count, &root);
             let mut valid: Vec<EpochProof> = Vec::new();
             for proof in &bundle.proofs {
                 ctx.consume_cpu(self.config.costs.verify_signature);
@@ -663,7 +669,7 @@ impl ServerCore {
             }
             let installed = self
                 .state
-                .install_epoch(bundle.epoch, bundle.elements.clone());
+                .install_epoch(bundle.epoch, bundle.elements.clone(), root);
             debug_assert!(installed, "sequencing checked above");
             self.note_stamped(&bundle.elements);
             // The quorum travels with the bundle, so the epoch lands
@@ -788,23 +794,36 @@ impl ServerCore {
     /// de-duplicated elements form `G`. The epoch is recorded in the state
     /// and the trace, and this server's epoch-proof for it is returned.
     ///
-    /// `root` is the batch's [`epoch_root`](crate::epoch_root) when the
-    /// caller already computed it (Hashchain's batch hash commits to it). It
-    /// is used only when nothing was filtered out: `G` is then the batch
+    /// `root` is the batch's [`epoch_root`] when the caller already
+    /// computed it (Hashchain's batch hash commits to it). It is used only
+    /// when nothing was filtered out: `G` is then the batch
     /// itself, so the same multiset and the same canonical tree, and the
     /// epoch digest is finished from the root without re-hashing a single
     /// element. Any filtered element — a duplicate id, an already-stamped or
-    /// invalid element — takes the full [`epoch_hash`] instead.
+    /// invalid element — takes the full [`epoch_hash`](crate::epoch_hash)
+    /// instead.
+    ///
+    /// `shared` is the batch `batch` is the elements of, when the run holds
+    /// it once (Hashchain's `hash_to_batch`, Compresschain's committed
+    /// block). The same test decides: a whole batch is recorded by sharing
+    /// that `Arc`, a filtered one as its own list. Vanilla's blocks and
+    /// other per-server lists pass `None` and are always recorded as a list.
     pub fn create_epoch(
         &mut self,
         batch: &[Element],
+        shared: Option<&Arc<Batch>>,
         root: Option<Digest256>,
         validate: bool,
         now: SimTime,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> EpochProof {
+        debug_assert!(
+            shared.is_none_or(|s| std::ptr::eq(s.elements.as_slice(), batch)),
+            "`batch` must be the shared batch's own elements"
+        );
         let elements = self.extract_epoch_candidates(batch, validate, ctx);
-        let root = root.filter(|_| elements.len() == batch.len());
+        let whole = elements.len() == batch.len();
+        let root = root.filter(|_| whole);
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // Catch-up already installed this epoch (verified against f+1
@@ -825,7 +844,10 @@ impl ServerCore {
             return proof;
         }
         self.note_stamped(&elements);
-        let epoch = self.state.record_epoch(elements, root);
+        let epoch = match shared.filter(|_| whole) {
+            Some(batch) => self.state.record_epoch(Arc::clone(batch), root),
+            None => self.state.record_epoch(elements, root),
+        };
         debug_assert_eq!(
             epoch, self.derived_epochs,
             "ledger-derived epochs are sequential"
@@ -974,7 +996,7 @@ impl ServerCore {
 pub(crate) mod tests {
     use super::*;
     use crate::element::ElementId;
-    use crate::proofs::{epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
+    use crate::proofs::{epoch_hash, make_epoch_proof_for_digest};
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
         let registry = KeyRegistry::bootstrap(seed, servers, clients);
@@ -1300,30 +1322,43 @@ pub(crate) mod tests {
     #[test]
     fn a_filtered_batch_recomputes_its_epoch_digest() {
         // The batch root stands in for the epoch's only when the batch
-        // becomes the epoch whole. A duplicate id or an already-stamped
+        // becomes the epoch whole, and only then is the batch itself shared
+        // into `history`. A duplicate id, an already-stamped or an invalid
         // element is filtered out of `G`, so the supplied root (over the
-        // whole batch) no longer describes it and the digest is recomputed.
+        // whole batch) no longer describes it: the digest is recomputed and
+        // `G` is recorded as a list of its own.
         with_core(0, |core, registry, ctx| {
             let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
+            let mut sixteen_and_forged: Vec<Element> = (10..26).map(valid).collect();
+            sixteen_and_forged.push(element_from_spec(registry, 2, (0, 99, 200, 1)));
             let cases = [
                 vec![valid(1), valid(2)],           // clean: the root is reused
                 vec![valid(3), valid(4), valid(3)], // duplicate id
                 vec![valid(2), valid(5)],           // already stamped in epoch 1
+                sixteen_and_forged,                 // one invalid element
             ];
-            for (epoch, batch) in (1u64..).zip(cases) {
-                let root = epoch_root(&batch);
-                core.create_epoch(&batch, Some(root), true, SimTime::ZERO, ctx);
+            for (epoch, elements) in (1u64..).zip(cases) {
+                let batch = Arc::new(Batch {
+                    elements,
+                    proofs: vec![],
+                });
+                let root = epoch_root(&batch.elements);
+                let now = SimTime::ZERO;
+                core.create_epoch(&batch.elements, Some(&batch), Some(root), true, now, ctx);
                 let stamped = core.state.epoch_elements(epoch).unwrap();
                 let recorded = *core.state.epoch_digest(epoch).unwrap();
                 assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
-                let whole = stamped.len() == batch.len();
+                let whole = stamped.len() == batch.elements.len();
                 assert_eq!(whole, epoch == 1, "epoch {epoch}");
+                let shared = stamped.as_ptr() == batch.elements.as_ptr();
+                assert_eq!(shared, whole, "epoch {epoch}");
                 if !whole {
-                    let reused = epoch_hash_for_root(epoch, batch.len() as u64, &root);
+                    let reused = epoch_hash_for_root(epoch, batch.elements.len() as u64, &root);
                     assert_ne!(recorded, reused, "epoch {epoch}");
                 }
             }
-            assert_eq!(core.state.epoch(), 3);
+            assert_eq!(core.state.epoch_elements(4).map(<[_]>::len), Some(16));
+            assert_eq!(core.state.epoch(), 4);
         });
     }
 
@@ -1446,7 +1481,7 @@ pub(crate) mod tests {
             core.admit_batch_elements(&batch, true, ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
             let now = ctx.now();
-            core.create_epoch(&batch, None, true, now, ctx);
+            core.create_epoch(&batch, None, None, true, now, ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
             // Only the rejected id keeps its verdict.
             assert_eq!(core.admission_cache().len(), 1);
@@ -1466,7 +1501,7 @@ pub(crate) mod tests {
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             assert!(core.accept_add(&good, ctx));
             let now = ctx.now();
-            core.create_epoch(&[good], None, true, now, ctx);
+            core.create_epoch(&[good], None, None, true, now, ctx);
             assert!(core.state.in_history(&good.id));
             let misses = core.admission_cache().misses();
             // An honest re-send and a tampered replay of the stamped id.

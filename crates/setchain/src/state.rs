@@ -3,13 +3,55 @@
 //! proves (Consistent-Sets, Unique-Epoch, Consistent-Gets).
 
 use std::collections::HashSet;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use setchain_crypto::{Digest256, Digest512, FxHashMap};
 
+use crate::collector::Batch;
 use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 use crate::messages::GetSnapshot;
 use crate::proofs::{epoch_hash, epoch_hash_for_root, EpochProof};
+
+/// One epoch of `history`: its own list, or the whole batch it was cut from.
+///
+/// Compresschain and Hashchain turn one batch into one epoch. When nothing
+/// was filtered out of it, the epoch *is* that batch, which the run already
+/// holds once (Hashchain's `hash_to_batch`, Compresschain's committed
+/// block), so every server shares that allocation instead of copying it.
+#[derive(Debug)]
+pub enum EpochElements {
+    /// A list of this server's own: a filtered batch, a Vanilla block, a
+    /// catch-up install or a store recovery.
+    Own(Vec<Element>),
+    /// A batch that became the epoch whole; only its `elements` are the
+    /// epoch's.
+    Batch(Arc<Batch>),
+}
+
+impl Deref for EpochElements {
+    type Target = [Element];
+
+    fn deref(&self) -> &[Element] {
+        match self {
+            EpochElements::Own(elements) => elements,
+            EpochElements::Batch(batch) => &batch.elements,
+        }
+    }
+}
+
+impl From<Vec<Element>> for EpochElements {
+    fn from(elements: Vec<Element>) -> Self {
+        EpochElements::Own(elements)
+    }
+}
+
+impl From<Arc<Batch>> for EpochElements {
+    fn from(batch: Arc<Batch>) -> Self {
+        EpochElements::Batch(batch)
+    }
+}
 
 /// The four components of a Setchain returned by `get()`:
 /// `(the_set, history, epoch, proofs)`.
@@ -24,7 +66,7 @@ pub struct SetchainState {
     /// Current epoch number (`history` holds epochs `1..=epoch`).
     epoch: u64,
     /// `history[i - 1]` holds the elements stamped with epoch `i`.
-    history: Vec<Vec<Element>>,
+    history: Vec<EpochElements>,
     /// `epoch_digests[i - 1]` caches `Hash(i, history[i])`, computed exactly
     /// once when the epoch is recorded. Every proof made or verified for the
     /// epoch reuses it instead of re-hashing the elements.
@@ -103,9 +145,14 @@ impl SetchainState {
     /// `elements`, already computed by the caller: the digest is then
     /// finished from it without re-hashing the elements (asserted against
     /// the full [`epoch_hash`] in debug builds).
-    pub fn record_epoch(&mut self, elements: Vec<Element>, root: Option<Digest256>) -> u64 {
+    pub fn record_epoch(
+        &mut self,
+        elements: impl Into<EpochElements>,
+        root: Option<Digest256>,
+    ) -> u64 {
+        let elements = elements.into();
         self.epoch += 1;
-        for e in &elements {
+        for e in elements.iter() {
             let previous = self.members.insert(e.id, self.epoch);
             debug_assert!(
                 previous.unwrap_or(0) == 0,
@@ -138,11 +185,14 @@ impl SetchainState {
     /// epoch-proof signers; this method only enforces sequencing: catch-up
     /// replays strictly in order, so `epoch` must be exactly
     /// `self.epoch + 1`. Returns `false` (state untouched) otherwise.
-    pub fn install_epoch(&mut self, epoch: u64, elements: Vec<Element>) -> bool {
+    ///
+    /// `root` is [`epoch_root`](crate::epoch_root) of `elements`, which the
+    /// caller computed to check the proofs; the digest is finished from it.
+    pub fn install_epoch(&mut self, epoch: u64, elements: Vec<Element>, root: Digest256) -> bool {
         if epoch != self.epoch + 1 {
             return false;
         }
-        self.record_epoch(elements, None);
+        self.record_epoch(elements, Some(root));
         true
     }
 
@@ -215,7 +265,7 @@ impl SetchainState {
     pub fn check_unique_epoch(&self) -> bool {
         let mut seen = HashSet::new();
         for g in &self.history {
-            for e in g {
+            for e in g.iter() {
                 if !seen.insert(e.id) {
                     return false;
                 }
@@ -253,7 +303,7 @@ impl SetchainState {
 mod tests {
     use super::*;
     use crate::element::ElementId;
-    use crate::proofs::make_epoch_proof;
+    use crate::proofs::{epoch_root, make_epoch_proof};
     use setchain_crypto::{KeyRegistry, ProcessId};
 
     fn elements(range: std::ops::Range<u64>) -> Vec<Element> {
@@ -339,19 +389,20 @@ mod tests {
         let mut st = SetchainState::new();
         let e1 = elements(0..3);
         let e2 = elements(3..5);
+        let (r1, r2) = (epoch_root(&e1), epoch_root(&e2));
         // Out-of-order install is refused without touching the state.
-        assert!(!st.install_epoch(2, e2.clone()));
-        assert!(!st.install_epoch(0, e1.clone()));
+        assert!(!st.install_epoch(2, e2.clone(), r2));
+        assert!(!st.install_epoch(0, e1.clone(), r1));
         assert_eq!(st.epoch(), 0);
         // In-order installs behave exactly like record_epoch.
-        assert!(st.install_epoch(1, e1.clone()));
-        assert!(st.install_epoch(2, e2.clone()));
+        assert!(st.install_epoch(1, e1.clone(), r1));
+        assert!(st.install_epoch(2, e2.clone(), r2));
         assert_eq!(st.epoch(), 2);
         assert_eq!(st.epoch_digest(1), Some(&epoch_hash(1, &e1)));
         assert!(st.check_consistent_sets());
         assert!(st.check_unique_epoch());
         // Re-installing an already-held epoch is refused.
-        assert!(!st.install_epoch(2, e2));
+        assert!(!st.install_epoch(2, e2, r2));
     }
 
     #[test]
@@ -415,7 +466,7 @@ mod tests {
         let es = elements(0..2);
         st.record_epoch(es.clone(), None);
         // Bypass record_epoch's contract to simulate a buggy/Byzantine state.
-        st.history.push(vec![es[0]]);
+        st.history.push(vec![es[0]].into());
         st.epoch += 1;
         assert!(!st.check_unique_epoch());
     }

@@ -5,9 +5,12 @@
 //! A single enum covers all of them so that any algorithm can run on the
 //! same ledger deployment type.
 
+use std::sync::Arc;
+
 use setchain_crypto::{sign, verify, Digest512, KeyPair, KeyRegistry, ProcessId, Signature};
 use setchain_ledger::{TxData, TxId};
 
+use crate::collector::Batch;
 use crate::element::Element;
 use crate::proofs::EpochProof;
 
@@ -16,26 +19,26 @@ pub const HASH_BATCH_WIRE_LEN: usize = 139;
 
 /// A compressed batch appended to the ledger by Compresschain.
 ///
-/// The element and proof structures are carried explicitly (the simulation
-/// does not re-serialize them) alongside `payload` — the real chunked-LZ77
-/// frame produced from the materialized batch bytes. `compressed_size`
-/// (frame length plus uncompressed proof bytes) is what the batch occupies
-/// in blocks and on the wire, and receiving servers decompress `payload`
-/// for real on delivery unless the "Compresschain light" ablation is on.
-/// The payload is behind an `Arc`: the ledger clones transactions freely
-/// (mempool, proposals, blocks), and those clones must not copy the frame.
+/// The element and proof structures are carried explicitly as `batch` (the
+/// simulation does not re-serialize them) alongside `payload` — the real
+/// chunked-LZ77 frame produced from the materialized batch bytes.
+/// `compressed_size` (frame length plus uncompressed proof bytes) is what
+/// the batch occupies in blocks and on the wire, and receiving servers
+/// decompress `payload` for real on delivery unless the "Compresschain
+/// light" ablation is on.
+/// The batch and payload are behind `Arc`s: the ledger clones transactions
+/// freely (mempool, proposals, blocks), and those clones must not copy
+/// them. Every server's epoch for a whole batch shares `batch` too.
 #[derive(Clone, Debug)]
 pub struct CompressedBatch {
     /// The server that built and appended the batch.
     pub origin: ProcessId,
     /// Per-origin batch sequence number (makes the transaction id unique).
     pub seq: u64,
-    /// Elements in the batch, in collection order.
-    pub elements: Vec<Element>,
-    /// Epoch-proofs included in the batch.
-    pub proofs: Vec<EpochProof>,
+    /// Elements and epoch-proofs of the batch, in collection order.
+    pub batch: Arc<Batch>,
     /// The chunked-LZ77 frame of the materialized element payloads.
-    pub payload: std::sync::Arc<Vec<u8>>,
+    pub payload: Arc<Vec<u8>>,
     /// Size of the batch after compression, in bytes: the full shipped
     /// frame (chunk headers included) plus the proofs' wire size.
     pub compressed_size: u32,
@@ -165,8 +168,11 @@ mod tests {
         let cb = CompressedBatch {
             origin: server.id,
             seq: 5,
-            elements: vec![e],
-            proofs: vec![],
+            batch: Batch {
+                elements: vec![e],
+                proofs: vec![],
+            }
+            .into(),
             payload: std::sync::Arc::new(Vec::new()),
             compressed_size: 100,
             original_size: 300,
@@ -198,8 +204,11 @@ mod tests {
         let cb = CompressedBatch {
             origin: server.id,
             seq: 0,
-            elements: vec![e],
-            proofs: vec![],
+            batch: Batch {
+                elements: vec![e],
+                proofs: vec![],
+            }
+            .into(),
             payload: std::sync::Arc::new(Vec::new()),
             compressed_size: 160,
             original_size: 438,
@@ -259,8 +268,7 @@ mod tests {
         let cb = CompressedBatch {
             origin: ProcessId::server(0),
             seq: 0,
-            elements: vec![],
-            proofs: vec![],
+            batch: Batch::default().into(),
             payload: std::sync::Arc::new(Vec::new()),
             compressed_size: 0,
             original_size: 0,

@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 
 use std::sync::Arc;
 
+use setchain::collector::Batch;
 use setchain::{make_epoch_proof, Algorithm, CompressedBatch, ElementId, SetchainTx};
 use setchain_crypto::ProcessId;
 use setchain_ledger::NetMsg;
@@ -168,8 +169,7 @@ fn garbage_frame(origin: usize, original_size: u32) -> CompressedBatch {
     CompressedBatch {
         origin: ProcessId::server(origin),
         seq: u64::MAX,
-        elements: vec![],
-        proofs: vec![],
+        batch: Batch::default().into(),
         payload: Arc::new(vec![0xFF; 40]),
         compressed_size: 40,
         original_size,
@@ -182,7 +182,11 @@ fn undersized_frame(origin: usize) -> CompressedBatch {
     let deployment = build(false);
     let signer = deployment.registry.lookup(ProcessId::server(3)).unwrap();
     let mut hostile = garbage_frame(origin, 0);
-    hostile.proofs = vec![make_epoch_proof(&signer, 1, &[])];
+    hostile.batch = Batch {
+        elements: vec![],
+        proofs: vec![make_epoch_proof(&signer, 1, &[])],
+    }
+    .into();
     hostile
 }
 

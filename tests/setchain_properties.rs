@@ -127,6 +127,38 @@ fn epochs_are_identical_across_servers_for_all_algorithms() {
     }
 }
 
+/// Compresschain and Hashchain turn one batch into one epoch, and the run
+/// holds each batch once (the committed block, `hash_to_batch`). A clean run
+/// filters nothing out of any batch, so every server's epoch must be that
+/// one allocation rather than a per-server copy.
+#[test]
+fn whole_batch_epochs_share_one_allocation_across_servers() {
+    for algorithm in [Algorithm::Hashchain, Algorithm::Compresschain] {
+        let deployment = run(algorithm, 505).deployment;
+        check_setchain_invariants(&deployment)
+            .unwrap_or_else(|e| panic!("{algorithm}: Setchain property violated: {e}"));
+        let servers = deployment.config.servers;
+        let common = (0..servers)
+            .map(|i| deployment.server(i).state().epoch())
+            .min()
+            .unwrap();
+        let mut with_elements = 0;
+        for epoch in 1..=common {
+            let first = deployment.server(0).state().epoch_elements(epoch).unwrap();
+            with_elements += usize::from(!first.is_empty());
+            for i in 1..servers {
+                let other = deployment.server(i).state().epoch_elements(epoch).unwrap();
+                assert_eq!(
+                    other.as_ptr(),
+                    first.as_ptr(),
+                    "{algorithm}: server {i} holds its own copy of epoch {epoch}"
+                );
+            }
+        }
+        assert!(with_elements > 0, "{algorithm}: no element-bearing epoch");
+    }
+}
+
 /// Known-answer test for the `(epoch, count, root)` commitment split: the
 /// digest servers sign must equal [`setchain::epoch_hash_for_root`] applied
 /// to a Merkle root built *by hand* — canonical id order, [`BATCH_CHUNK`]
