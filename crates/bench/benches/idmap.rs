@@ -1,9 +1,11 @@
 //! The element index against the hash map it replaced, on the access patterns
 //! a server puts it through. Three tables per server (`the_set`, two trace
 //! maps) keep every id: each sees it once as an insert, arriving in
-//! collector-sized batches, and about four more times as a probe. The fourth,
-//! the admission cache, holds a sliding window: each id is inserted, probed,
-//! and removed again once it is stamped, a few seconds of ids later.
+//! collector-sized batches, and about four more times as a probe. `the_set`
+//! holds one stamped flag per id, so the honest stream also replays through
+//! `IdMap<bool>`, the table the server holds, next to the 8-byte rows. The
+//! fourth, the admission cache, holds a sliding window: each id is inserted,
+//! probed, and removed again once it is stamped, a few seconds of ids later.
 //!
 //! `FxHashMap` is the container the servers used before `IdMap`, driven the
 //! way they drove it (`reserve` per batch). The quota-shed stream is one
@@ -52,6 +54,24 @@ impl Table for IdMap<u64> {
 
     fn probe(&self, id: &ElementId) -> Option<u64> {
         self.get(id).copied()
+    }
+
+    fn forget(&mut self, id: &ElementId) {
+        self.remove(id);
+    }
+}
+
+/// `the_set`'s table: a stamped flag per id. Odd values stamp, so the probes
+/// read both flags.
+impl Table for IdMap<bool> {
+    fn expect(&mut self, _additional: usize) {}
+
+    fn put(&mut self, id: ElementId, value: u64) {
+        self.insert(id, value & 1 == 1);
+    }
+
+    fn probe(&self, id: &ElementId) -> Option<u64> {
+        self.get(id).map(|&stamped| u64::from(stamped))
     }
 
     fn forget(&mut self, id: &ElementId) {
@@ -146,6 +166,9 @@ fn bench_idmap(c: &mut Criterion) {
     group.throughput(Throughput::Elements(IDS * TABLES as u64));
     group.bench_function("IdMap", |b| {
         b.iter(|| replay::<IdMap<u64>>(black_box(&honest)))
+    });
+    group.bench_function("IdMap<bool> (the_set)", |b| {
+        b.iter(|| replay::<IdMap<bool>>(black_box(&honest)))
     });
     group.bench_function("FxHashMap", |b| {
         b.iter(|| replay::<FxHashMap<ElementId, u64>>(black_box(&honest)))

@@ -53,14 +53,19 @@ impl From<Arc<Batch>> for EpochElements {
     }
 }
 
+// `members` holds one `Option<bool>` slot per added id; keep it one byte.
+const _: () = assert!(std::mem::size_of::<Option<bool>>() == 1);
+
 /// The four components of a Setchain returned by `get()`:
 /// `(the_set, history, epoch, proofs)`.
 #[derive(Debug, Default)]
 pub struct SetchainState {
-    /// `the_set` and the reverse index in one grow-only map: every element
-    /// id that has been added, mapped to the epoch it was stamped with (0 =
-    /// added, not stamped yet).
-    members: IdMap<u64>,
+    /// `the_set` and `history`'s membership in one grow-only map: every
+    /// element id that has been added, mapped to whether it is stamped
+    /// (`false` = added, not stamped yet). The algorithms only ask
+    /// `e ∈ the_set` and `e ∈ history`, so a 1-byte slot answers both; the
+    /// epoch an element sits in is in `history` itself.
+    members: IdMap<bool>,
     /// Number of stamped ids in `members` (the logical size of `history`).
     stamped: u64,
     /// Current epoch number (`history` holds epochs `1..=epoch`).
@@ -101,7 +106,7 @@ impl SetchainState {
 
     /// Adds an element id to `the_set`. Returns true if it was new.
     pub fn insert(&mut self, id: ElementId) -> bool {
-        self.members.insert_if_absent(id, 0)
+        self.members.insert_if_absent(id, false)
     }
 
     /// Number of `the_set` ids held in the element index's hash fallback
@@ -113,12 +118,7 @@ impl SetchainState {
     /// True if the element has already been stamped with an epoch (the
     /// algorithms' `e ∈ history` check).
     pub fn in_history(&self, id: &ElementId) -> bool {
-        self.epoch_of(id).is_some()
-    }
-
-    /// The epoch an element was stamped with, if any.
-    pub fn epoch_of(&self, id: &ElementId) -> Option<u64> {
-        self.members.get(id).copied().filter(|&e| e > 0)
+        self.members.get(id) == Some(&true)
     }
 
     /// Elements of epoch `i` (1-based), if the epoch exists.
@@ -135,8 +135,8 @@ impl SetchainState {
     }
 
     /// Creates a new epoch from `elements`, inserting them into `the_set`
-    /// (Consistent-Sets requires `history ⊆ the_set`) and recording the
-    /// reverse index. Returns the new epoch number.
+    /// (Consistent-Sets requires `history ⊆ the_set`) and marking them
+    /// stamped. Returns the new epoch number.
     ///
     /// Callers are responsible for having filtered out elements already in
     /// `history` (Unique-Epoch); this is asserted in debug builds.
@@ -153,12 +153,8 @@ impl SetchainState {
         let elements = elements.into();
         self.epoch += 1;
         for e in elements.iter() {
-            let previous = self.members.insert(e.id, self.epoch);
-            debug_assert!(
-                previous.unwrap_or(0) == 0,
-                "element {:?} stamped twice",
-                e.id
-            );
+            let previous = self.members.insert(e.id, true);
+            debug_assert!(previous != Some(true), "element {:?} stamped twice", e.id);
         }
         self.stamped += elements.len() as u64;
         // The epoch digest is computed exactly once, here; every proof site
@@ -339,13 +335,19 @@ mod tests {
         for e in &es {
             assert!(st.contains(&e.id));
             assert!(st.in_history(&e.id));
-            assert_eq!(st.epoch_of(&e.id), Some(1));
         }
         assert!(st.check_consistent_sets());
         assert!(st.check_unique_epoch());
-        // Second, disjoint epoch.
-        let epoch2 = st.record_epoch(elements(5..8), None);
+        // Second, disjoint epoch: its elements are stamped only once it is
+        // recorded, and the first epoch's stay stamped.
+        let es2 = elements(5..8);
+        assert!(es2.iter().all(|e| !st.in_history(&e.id)));
+        let epoch2 = st.record_epoch(es2.clone(), None);
         assert_eq!(epoch2, 2);
+        assert_eq!(st.epoch_elements(2), Some(&es2[..]));
+        assert!(es.iter().chain(&es2).all(|e| st.in_history(&e.id)));
+        assert_eq!(st.history_elements(), 8);
+        assert_eq!(st.the_set_len(), 8);
         assert!(st.check_unique_epoch());
     }
 
@@ -474,6 +476,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::HashMap;
 
         /// Partitions `total` generated elements into consecutive epochs whose
         /// sizes are given by `sizes` (truncated once the elements run out).
@@ -492,10 +495,25 @@ mod tests {
             (st, pool)
         }
 
+        const MODEL_POOL: usize = 24;
+
+        /// [`MODEL_POOL`] elements: half in client 0's row, half with ids far
+        /// past it, which the element index keeps in its hash fallback.
+        fn model_pool() -> Vec<Element> {
+            let reg = KeyRegistry::bootstrap(1, 1, 1);
+            let keys = reg.lookup(ProcessId::client(0)).unwrap();
+            let half = MODEL_POOL as u64 / 2;
+            let mut pool = elements(0..half);
+            pool.extend(
+                (0..half).map(|i| Element::new(&keys, ElementId::new(0, (1 << 39) + i), 400, i)),
+            );
+            pool
+        }
+
         proptest! {
             /// Properties 1 and 5 (Consistent-Sets, Unique-Epoch) hold for any
             /// partition of elements into epochs built through the public API,
-            /// and the reverse index agrees with the history.
+            /// and `in_history` agrees with the history.
             #[test]
             fn prop_partition_preserves_safety_invariants(
                 total in 1u64..200,
@@ -504,20 +522,71 @@ mod tests {
                 let (st, pool) = build_state(total, &sizes);
                 prop_assert!(st.check_consistent_sets());
                 prop_assert!(st.check_unique_epoch());
-                // Every stamped element is findable through epoch_of and its
-                // epoch really contains it.
-                let mut stamped = 0u64;
+                // Every element of an epoch is in history, and every pool
+                // element left out of the epochs is not.
+                let mut stamped = HashSet::new();
                 for epoch in 1..=st.epoch() {
                     for e in st.epoch_elements(epoch).unwrap() {
-                        prop_assert_eq!(st.epoch_of(&e.id), Some(epoch));
-                        stamped += 1;
+                        prop_assert!(st.in_history(&e.id));
+                        stamped.insert(e.id);
                     }
                 }
-                prop_assert_eq!(stamped, st.history_elements());
-                prop_assert!(stamped <= pool.len() as u64);
+                for e in &pool {
+                    prop_assert_eq!(st.in_history(&e.id), stamped.contains(&e.id));
+                }
+                prop_assert_eq!(stamped.len() as u64, st.history_elements());
+                prop_assert!(stamped.len() <= pool.len());
                 // Out-of-range epochs are not exposed.
                 prop_assert!(st.epoch_elements(0).is_none());
                 prop_assert!(st.epoch_elements(st.epoch() + 1).is_none());
+            }
+
+            /// Model-based membership: random `insert` and `record_epoch`
+            /// calls, checked after every step against a map from each added
+            /// id to whether it is stamped. An `insert` after a stamp must
+            /// leave the id stamped.
+            #[test]
+            fn prop_membership_matches_a_model(
+                ops in proptest::collection::vec(
+                    (any::<bool>(), proptest::collection::vec(0usize..MODEL_POOL, 1..6)),
+                    1..60,
+                ),
+            ) {
+                let pool = model_pool();
+                let mut st = SetchainState::new();
+                let mut model: HashMap<ElementId, bool> = HashMap::new();
+                for (stamp, picks) in ops {
+                    if stamp {
+                        // Callers of record_epoch leave out what history holds.
+                        let mut epoch: Vec<Element> = Vec::new();
+                        for e in picks.iter().map(|&i| pool[i]) {
+                            if model.get(&e.id) != Some(&true) && !epoch.iter().any(|x| x.id == e.id) {
+                                epoch.push(e);
+                            }
+                        }
+                        if epoch.is_empty() {
+                            continue;
+                        }
+                        for e in &epoch {
+                            model.insert(e.id, true);
+                        }
+                        st.record_epoch(epoch, None);
+                    } else {
+                        for e in picks.iter().map(|&i| pool[i]) {
+                            prop_assert_eq!(st.insert(e.id), !model.contains_key(&e.id));
+                            model.entry(e.id).or_insert(false);
+                        }
+                    }
+                    for e in &pool {
+                        prop_assert_eq!(st.contains(&e.id), model.contains_key(&e.id));
+                        prop_assert_eq!(st.in_history(&e.id), model.get(&e.id) == Some(&true));
+                    }
+                    prop_assert_eq!(st.the_set_len(), model.len());
+                    let stamped = model.values().filter(|&&s| s).count() as u64;
+                    prop_assert_eq!(st.history_elements(), stamped);
+                }
+                prop_assert!(st.check_consistent_sets());
+                prop_assert!(st.check_unique_epoch());
             }
 
             /// Property 6 (Consistent-Gets): two servers that build the same

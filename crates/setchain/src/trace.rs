@@ -7,6 +7,7 @@
 //! the `setchain-workload` crate turns them into throughput-over-time series,
 //! efficiency values, commit-time percentiles and latency CDFs.
 
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -30,10 +31,15 @@ pub struct ElementRecord {
     pub committed_at: Option<SimTime>,
 }
 
+// `element_epoch` holds one `Option<NonZeroU32>` slot per added id; keep it
+// four bytes.
+const _: () = assert!(std::mem::size_of::<Option<NonZeroU32>>() == 4);
+
 #[derive(Default)]
 struct TraceInner {
     added: IdMap<SimTime>,
-    element_epoch: IdMap<u64>,
+    /// Epochs start at 1, so a `NonZeroU32` holds every epoch of a run.
+    element_epoch: IdMap<NonZeroU32>,
     epoch_committed: FxHashMap<u64, SimTime>,
     epoch_consolidated: FxHashMap<u64, SimTime>,
     element_tx: IdMap<TxId>,
@@ -108,10 +114,14 @@ impl SetchainTrace {
         epoch: u64,
         at: SimTime,
     ) {
+        let narrow = u32::try_from(epoch)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("epochs are numbered from 1, and 2^32 epochs exceed any run");
         let mut inner = self.inner.lock();
         inner.epoch_consolidated.entry(epoch).or_insert(at);
         for id in ids {
-            inner.element_epoch.insert_if_absent(id, epoch);
+            inner.element_epoch.insert_if_absent(id, narrow);
         }
     }
 
@@ -135,7 +145,7 @@ impl SetchainTrace {
     pub fn commit_time(&self, id: &ElementId) -> Option<SimTime> {
         let inner = self.inner.lock();
         let epoch = inner.element_epoch.get(id)?;
-        inner.epoch_committed.get(epoch).copied()
+        inner.epoch_committed.get(&u64::from(epoch.get())).copied()
     }
 
     /// Time at which an epoch was consolidated (assigned) by the first
@@ -157,7 +167,7 @@ impl SetchainTrace {
             .added
             .iter()
             .map(|(id, &added_at)| {
-                let epoch = inner.element_epoch.get(&id).copied();
+                let epoch = inner.element_epoch.get(&id).map(|e| u64::from(e.get()));
                 let committed_at = epoch.and_then(|e| inner.epoch_committed.get(&e).copied());
                 ElementRecord {
                     id,
@@ -180,7 +190,7 @@ impl SetchainTrace {
             .filter(|(_, epoch)| {
                 inner
                     .epoch_committed
-                    .get(epoch)
+                    .get(&u64::from(epoch.get()))
                     .map(|&ct| ct <= t)
                     .unwrap_or(false)
             })
@@ -204,7 +214,7 @@ impl SetchainTrace {
                 inner
                     .element_epoch
                     .get(id)
-                    .and_then(|epoch| inner.epoch_committed.get(epoch))
+                    .and_then(|epoch| inner.epoch_committed.get(&u64::from(epoch.get())))
                     .map(|&ct| ct <= t)
                     .unwrap_or(false)
             })
@@ -275,6 +285,12 @@ mod tests {
         assert_eq!(rec.added_at, t(100));
         assert_eq!(rec.epoch, Some(1));
         assert_eq!(rec.committed_at, Some(t(2000)));
+    }
+
+    #[test]
+    #[should_panic(expected = "2^32 epochs exceed any run")]
+    fn an_epoch_past_u32_is_refused() {
+        SetchainTrace::new().record_epoch_assignment(id(1), 1 << 32, t(0));
     }
 
     #[test]
