@@ -12,7 +12,11 @@ use setchain_simnet::SimDuration;
 /// their impact.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
-    /// Validating one element (client authenticator check).
+    /// Validating one element: one client authenticator (MAC) check;
+    /// parsing is free. Charged once per admission-cache miss, by
+    /// `ServerCore::validate_charged`, so a server pays for each
+    /// element once however many copies reach it, and again only for a
+    /// re-send whose contents differ.
     pub validate_element: SimDuration,
     /// Producing one signature (epoch-proof or hash-batch).
     pub sign: SimDuration,

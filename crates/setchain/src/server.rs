@@ -452,6 +452,25 @@ impl ServerCore {
         verdicts
     }
 
+    /// The one place validation CPU is charged: runs `check`, an
+    /// [`element_valid`](Self::element_valid) or
+    /// [`validate_elements`](Self::validate_elements) call, and charges one
+    /// [`validate_element`](crate::CostModel::validate_element) per
+    /// admission-cache miss it made. The modelled server keeps the same
+    /// cache, so it checks an authenticator exactly when the host does; a
+    /// cached verdict costs nothing.
+    fn validate_charged<T>(
+        &mut self,
+        ctx: &mut Ctx<'_, '_, '_>,
+        check: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let misses_before = self.admission.misses();
+        let verdicts = check(self);
+        let misses = self.admission.misses() - misses_before;
+        ctx.consume_cpu(self.config.costs.validate_cost(misses as usize));
+        verdicts
+    }
+
     /// Overload gate for client-facing submissions, called by every variant
     /// *before* any authenticator is verified: with a quota
     /// configured, probes `from`'s token bucket and pending cap for
@@ -515,18 +534,18 @@ impl ServerCore {
     ///
     /// An id already in `history` is a duplicate whatever its contents, and
     /// is refused before the admission cache is asked (its verdict was freed
-    /// when it was stamped), so a tampered replay of it costs no MAC.
+    /// when it was stamped), so a tampered replay of it costs no MAC and no
+    /// modelled CPU. Otherwise the check is charged only on a cache miss.
     pub fn accept_add(&mut self, element: &Element, ctx: &mut Ctx<'_, '_, '_>) -> bool {
         if self.byz == ServerByzMode::DropClientAdds {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
-        ctx.consume_cpu(self.config.costs.validate_element);
         if self.state.in_history(&element.id) {
             self.stats.adds_rejected_duplicate += 1;
             return false;
         }
-        if !self.element_valid(element) {
+        if !self.validate_charged(ctx, |core| core.element_valid(element)) {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
@@ -873,8 +892,9 @@ impl ServerCore {
 
     /// First-pass admission of a recovered batch's elements: drops the
     /// already-stamped ones, validates the rest (batched, memoized — the
-    /// same [`Self::validate_elements`] core the epoch path uses) and inserts
-    /// the valid ids into `the_set`, through a reused scratch buffer. The
+    /// same [`Self::validate_elements`] core the epoch path uses, charged
+    /// per cache miss only) and inserts the valid ids into `the_set`,
+    /// through a reused scratch buffer. The
     /// epoch itself is built later, at consolidation, through
     /// [`Self::create_epoch`]; this is the "valid elements join
     /// `the_set` immediately" half of batch processing.
@@ -892,11 +912,10 @@ impl ServerCore {
             }
             return;
         }
-        ctx.consume_cpu(self.config.costs.validate_cost(elements.len()));
         let mut fresh = std::mem::take(&mut self.fresh_scratch);
         debug_assert!(fresh.is_empty());
         fresh.extend(elements.iter().filter(|e| !self.state.in_history(&e.id)));
-        let verdicts = self.validate_elements(&fresh);
+        let verdicts = self.validate_charged(ctx, |core| core.validate_elements(&fresh));
         // Rejections are counted once per distinct id, matching the
         // pre-validation dedup of the epoch path — a Byzantine batch
         // repeating one forged element must not inflate the counter. The
@@ -955,16 +974,15 @@ impl ServerCore {
     ///
     /// Validation of the deduplicated candidates goes through
     /// [`validate_elements`](Self::validate_elements): batched and memoized
-    /// per element.
+    /// per element, so only the cache misses are charged. A Hashchain
+    /// server cached these verdicts in `admit_batch_elements`, so an honest
+    /// batch costs nothing here.
     fn extract_epoch_candidates(
         &mut self,
         elements: &[Element],
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Vec<Element> {
-        if validate {
-            ctx.consume_cpu(self.config.costs.validate_cost(elements.len()));
-        }
         let mut seen = std::mem::take(&mut self.seen_scratch);
         debug_assert!(seen.is_empty());
         let mut candidates = Vec::with_capacity(elements.len());
@@ -979,7 +997,7 @@ impl ServerCore {
         if !validate {
             return candidates;
         }
-        let verdicts = self.validate_elements(&candidates);
+        let verdicts = self.validate_charged(ctx, |core| core.validate_elements(&candidates));
         let mut out = Vec::with_capacity(candidates.len());
         for (e, ok) in candidates.into_iter().zip(verdicts) {
             if ok {
@@ -1519,6 +1537,57 @@ pub(crate) mod tests {
             assert!(!core.accept_add(&forged, ctx));
             assert_eq!(core.stats.adds_rejected_invalid, 1);
             assert_eq!(core.admission_cache().misses(), misses + 1);
+        });
+    }
+
+    #[test]
+    fn an_element_check_is_charged_once_per_cache_miss() {
+        /// The modelled CPU `step` charges.
+        fn charged(
+            ctx: &mut Ctx<'_, '_, '_>,
+            step: impl FnOnce(&mut Ctx<'_, '_, '_>),
+        ) -> SimDuration {
+            let before = ctx.cpu_consumed();
+            step(ctx);
+            ctx.cpu_consumed() - before
+        }
+
+        with_core(0, |core, registry, ctx| {
+            let costs = core.config.costs;
+            let keys = registry.lookup(ProcessId::client(0)).unwrap();
+            // An honest element's add, its batch and its epoch: one check.
+            let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
+            let add = charged(ctx, |ctx| assert!(core.accept_add(&good, ctx)));
+            assert_eq!(add, costs.validate_element);
+            let batch = charged(ctx, |ctx| core.admit_batch_elements(&[good], true, ctx));
+            assert_eq!(batch, SimDuration::ZERO);
+            let now = ctx.now();
+            let epoch = charged(ctx, |ctx| {
+                core.create_epoch(&[good], None, None, true, now, ctx);
+            });
+            assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
+            assert!(core.state.in_history(&good.id));
+
+            // A tampered re-send under an admitted id is a miss: checked
+            // and charged again, and refused.
+            let next = Element::new(&keys, ElementId::new(0, 2), 400, 10);
+            let mut tampered = next;
+            tampered.content_seed ^= 0xFF;
+            let add = charged(ctx, |ctx| assert!(core.accept_add(&next, ctx)));
+            assert_eq!(add, costs.validate_element);
+            let resend = charged(ctx, |ctx| core.admit_batch_elements(&[tampered], true, ctx));
+            assert_eq!(resend, costs.validate_element);
+            assert_eq!(core.stats.elements_rejected, 1);
+
+            // Replays of the stamped id, honest or tampered, cost nothing.
+            let mut stale = good;
+            stale.content_seed ^= 0xFF;
+            for e in [good, stale] {
+                let replay = charged(ctx, |ctx| assert!(!core.accept_add(&e, ctx)));
+                assert_eq!(replay, SimDuration::ZERO);
+                let replay = charged(ctx, |ctx| core.admit_batch_elements(&[e], true, ctx));
+                assert_eq!(replay, SimDuration::ZERO);
+            }
         });
     }
 

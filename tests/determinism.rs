@@ -257,13 +257,13 @@ type Golden = (
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
     ((Algorithm::Vanilla, 4, 400.0, 3, 71), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
-    ((Algorithm::Compresschain, 4, 400.0, 3, 71), (6900, 288, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
-    ((Algorithm::Hashchain, 4, 400.0, 3, 71), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
-    ((Algorithm::Vanilla, 7, 2000.0, 3, 71), (18205, 1110, 5999, 5999, "c66e5a6e8c29978a298e27a0b8a5e4a87c3c6fc97fb2aaa46712e9c5a905ea5a")),
-    ((Algorithm::Hashchain, 7, 3000.0, 4, 71), (22518, 20794, 11998, 11998, "b75eca2e3f3f06de26a460f4752451b52931e5fede3decff71e08823405f0c3e")),
-    ((Algorithm::Vanilla, 10, 500.0, 2, 71), (24464, 4309, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
-    ((Algorithm::Compresschain, 10, 500.0, 2, 71), (16996, 3125, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
-    ((Algorithm::Hashchain, 10, 500.0, 2, 71), (21096, 7841, 1000, 1000, "d76f1abfcd73bbabddab72b930ee6df18fb966cb2548b49a5e0f50e898e96a78")),
+    ((Algorithm::Compresschain, 4, 400.0, 3, 71), (6900, 290, 1200, 1200, "793699c8899115b32fa4d3aea377f2ae8becbe8d8283414f44f35aceb98f2a6b")),
+    ((Algorithm::Hashchain, 4, 400.0, 3, 71), (7588, 871, 1200, 1200, "5df9b4b8a139b65973ee850e0dbf785a045cc3ce7cb84b468c7300674a6550ba")),
+    ((Algorithm::Vanilla, 7, 2000.0, 3, 71), (18207, 1106, 5999, 5999, "21ab0a44e87f1c77897508e63cdba5d857d879736dbbcf0dcfe6b151462576f8")),
+    ((Algorithm::Hashchain, 7, 3000.0, 4, 71), (22556, 21183, 11998, 11998, "c419642d922a54501d82c65cf1be0d95e1ab377b43e34fd067b9ffe67c5be86a")),
+    ((Algorithm::Vanilla, 10, 500.0, 2, 71), (24464, 4299, 1000, 1000, "06f58863ee7cfeb8a12814b5f9aa99911d385b92183481f4ad15f5f36e118d72")),
+    ((Algorithm::Compresschain, 10, 500.0, 2, 71), (16996, 3120, 1000, 1000, "59d7980fd5d2d8fb3f2da44d727547db11eec83716c9892406461abf244de2d0")),
+    ((Algorithm::Hashchain, 10, 500.0, 2, 71), (21099, 7752, 1000, 1000, "2cf9167515eafee35dce7be41ad784eac6843fbdae27519b20fe756d90bb6609")),
 ];
 
 #[test]
@@ -333,11 +333,11 @@ type BranchGolden = ((Algorithm, Branch), (u64, u64, usize, usize, &'static str)
 /// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`.
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
-    ((Algorithm::Vanilla, Branch::InjectInvalid), (8289, 281, 1200, 1200, "ef9fd0678dc17de0f3bfddb58c9654f6630814381559417b07f8f88a7bc43d6a")),
-    ((Algorithm::Hashchain, Branch::DropClientAdds), (7447, 668, 1200, 900, "f0d360a730656813445fdc5063b012269faf5057b3ac8a4b6537374b53913bc8")),
-    ((Algorithm::Hashchain, Branch::ForgeProofs), (7583, 908, 1200, 1200, "92abaaf840a95b8969f3470fbb2847f00f9702fb9cadc95697e85152bf803ad1")),
+    ((Algorithm::Vanilla, Branch::InjectInvalid), (8292, 300, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Hashchain, Branch::DropClientAdds), (7442, 644, 1200, 900, "13516d3aec16caf6d735d3b26fef82c15a571d5f6e74db9019126eeb934a19d9")),
+    ((Algorithm::Hashchain, Branch::ForgeProofs), (7588, 871, 1200, 1200, "5df9b4b8a139b65973ee850e0dbf785a045cc3ce7cb84b468c7300674a6550ba")),
     ((Algorithm::Hashchain, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
-    ((Algorithm::Hashchain, Branch::PushBatches), (7260, 382, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
+    ((Algorithm::Hashchain, Branch::PushBatches), (7268, 370, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
     ((Algorithm::Compresschain, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
     ((Algorithm::Vanilla, Branch::Light), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
 ];
@@ -404,10 +404,10 @@ type SessionGolden = (
 /// verified, confirmed ids, proof count)`.
 #[rustfmt::skip]
 const SESSION_GOLDEN: SessionGolden = (
-    (17402, 1530, 1200, 905, "584a358141c54a47d0f0ad50896b3256d1ebff0483cd59228b3b3743e379b77c"),
-    (3, 3, Some(6_701_317), false),
-    (13, "25737681fba264adf2bdf407b3715006694d7afda2995691da11c80ffa80ab70"),
-    (230, 80, "96dba458b0a988662bd6b6c495c97acc3f14dea03d5b9a10afdacd00598221e1"),
+    (17402, 1485, 1200, 905, "9541862b3927f3757b0c8a5a390e1b60321f97aba662d18a2a694cfba653a94c"),
+    (3, 3, Some(6_702_490), false),
+    (13, "cafb1e4f615a89e6411a0456d0548fbfe20d5f764b3d3e9015ffe073d211cb91"),
+    (231, 81, "b335690cfa9adfa946290bb6b221172e293bf0e9e5b7f20f3cc66263c30058a7"),
 );
 
 #[test]
