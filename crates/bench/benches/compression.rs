@@ -1,9 +1,11 @@
 //! Compression micro-benchmarks: what Compresschain pays per batch flush and
 //! per batch delivery, for the two collector sizes of the paper. Every row
-//! runs on one thread: the single-stream codec, and the chunked frame with
-//! the chunk length Compresschain servers use.
+//! runs on one thread: the payload generator that builds a batch's bytes
+//! (`materialize`), the single-stream codec, and the chunked frame with the
+//! chunk length Compresschain servers use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use setchain::Element;
 use setchain_compress::{compress, compress_chunked_with, decompress, decompress_chunked};
 use setchain_crypto::{KeyRegistry, ProcessId};
 use setchain_workload::ArbitrumWorkload;
@@ -11,20 +13,27 @@ use setchain_workload::ArbitrumWorkload;
 /// Chunk length of Compresschain's batch frames.
 const BATCH_CHUNK_LEN: usize = 16 * 1024;
 
-fn batch_bytes(collector: usize) -> Vec<u8> {
+fn batch_elements(collector: usize) -> Vec<Element> {
     let registry = KeyRegistry::bootstrap(3, 1, 1);
     let mut workload = ArbitrumWorkload::for_client(&registry, ProcessId::client(0), 7);
-    let mut raw = Vec::new();
-    for e in workload.take(collector) {
-        raw.extend_from_slice(&e.materialize());
+    workload.take(collector)
+}
+
+/// A batch's bytes, built the way a Compresschain flush builds them: every
+/// element materialized into one reused buffer.
+fn materialize_batch(elements: &[Element], out: &mut Vec<u8>) {
+    out.clear();
+    for e in elements {
+        e.materialize_into(out);
     }
-    raw
 }
 
 fn bench_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("compresschain_batch");
     for collector in [100usize, 500] {
-        let raw = batch_bytes(collector);
+        let elements = batch_elements(collector);
+        let mut raw = Vec::new();
+        materialize_batch(&elements, &mut raw);
         let compressed = compress(&raw);
         let ratio = raw.len() as f64 / compressed.len() as f64;
         println!(
@@ -34,6 +43,12 @@ fn bench_compression(c: &mut Criterion) {
             ratio
         );
         group.throughput(Throughput::Bytes(raw.len() as u64));
+        let mut buf = Vec::with_capacity(raw.len());
+        group.bench_with_input(
+            BenchmarkId::new("materialize", collector),
+            &elements,
+            |b, e| b.iter(|| materialize_batch(e, &mut buf)),
+        );
         group.bench_with_input(BenchmarkId::new("compress", collector), &raw, |b, d| {
             b.iter(|| compress(d))
         });

@@ -8,7 +8,9 @@
 //! bounded match window. Both directions run on the calling thread, chunk
 //! by chunk: compression codes each chunk through the thread-local
 //! [`crate::Compressor`] scratch, and decompression decodes each chunk
-//! straight into the caller's buffer.
+//! straight into the caller's buffer. A [`ChunkedFrame`] holds a frame's
+//! bytes with the result of decoding them, so bytes shared by many readers
+//! are decoded once.
 //!
 //! # Wire format
 //!
@@ -33,6 +35,8 @@
 //! bytes plus one `compressed_len` varint per chunk — a few bytes per 64 KiB
 //! chunk, which is why Compresschain's `CompressedBatch` accounting charges
 //! the whole frame, headers included.
+
+use std::sync::OnceLock;
 
 use crate::lz77::{decompress, DecompressError, MAX_DECLARED};
 use crate::varint::{read_u64, write_u64};
@@ -111,9 +115,9 @@ pub fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
     Ok(out)
 }
 
-/// [`decompress_chunked`] into a caller-owned buffer (cleared first) — the
-/// hot-path variant: a server that decompresses every delivered batch reuses
-/// one buffer and performs no per-batch output allocation. Each chunk
+/// [`decompress_chunked`] into a caller-owned buffer (cleared first): a
+/// caller that decodes many frames reuses one buffer and performs no
+/// per-frame output allocation. Each chunk
 /// decodes straight into `out`. Returns the decompressed length; `out` holds
 /// partial data on error.
 pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, DecompressError> {
@@ -166,6 +170,50 @@ pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, 
         });
     }
     Ok(out.len())
+}
+
+/// Immutable frame bytes that remember what they decode to.
+///
+/// [`decoded_len`](Self::decoded_len) runs [`decompress_chunked_into`] on
+/// the bytes at its first call and returns that result from then on. The
+/// result depends on the bytes alone, and the bytes cannot change: there is
+/// no `Clone` and no `&mut` access to them. So every holder of one
+/// `Arc<ChunkedFrame>` (each server of a simulated deployment delivering the
+/// same block) reads the verdict of one real decode of those exact bytes.
+///
+/// ```
+/// use setchain_compress::{compress_chunked, ChunkedFrame, DecompressError};
+/// let frame = ChunkedFrame::from(compress_chunked(&[7u8; 1000]));
+/// assert_eq!(frame.decoded_len(), Ok(1000));
+/// assert_eq!(
+///     ChunkedFrame::from(vec![0xFF; 4]).decoded_len(),
+///     Err(DecompressError::Truncated)
+/// );
+/// ```
+#[derive(Debug)]
+pub struct ChunkedFrame {
+    bytes: Vec<u8>,
+    verdict: OnceLock<Result<usize, DecompressError>>,
+}
+
+impl ChunkedFrame {
+    /// What [`decompress_chunked_into`] returns on the frame bytes: the
+    /// decompressed length, or the first error. The frame is decoded in full
+    /// at the first call only.
+    pub fn decoded_len(&self) -> Result<usize, DecompressError> {
+        self.verdict
+            .get_or_init(|| decompress_chunked_into(&self.bytes, &mut Vec::new()))
+            .clone()
+    }
+}
+
+impl From<Vec<u8>> for ChunkedFrame {
+    fn from(bytes: Vec<u8>) -> Self {
+        ChunkedFrame {
+            bytes,
+            verdict: OnceLock::new(),
+        }
+    }
 }
 
 /// True if `data` starts with the chunked-frame magic.
@@ -349,6 +397,32 @@ mod tests {
                 prop_assert_eq!(decompress_chunked(&chunked).unwrap(), data.clone());
                 prop_assert_eq!(decompress_any(&single).unwrap(), data.clone());
                 prop_assert_eq!(decompress_any(&chunked).unwrap(), data);
+            }
+
+            /// A frame's remembered verdict is the decoder's result on its
+            /// bytes, at every call: on valid frames, on each of their
+            /// truncated prefixes and on each single-byte flip.
+            #[test]
+            fn frame_verdict_is_the_decoders_result(
+                data in proptest::collection::vec(any::<u8>(), 0..600),
+                chunk_len in 1usize..200,
+                flip in any::<u8>(),
+            ) {
+                let valid = compress_chunked_with(&data, chunk_len);
+                let mut inputs = vec![valid.clone()];
+                inputs.extend((0..valid.len()).map(|end| valid[..end].to_vec()));
+                for at in 0..valid.len() {
+                    let mut flipped = valid.clone();
+                    flipped[at] ^= flip | 1;
+                    inputs.push(flipped);
+                }
+                for bytes in inputs {
+                    let expected = decompress_chunked_into(&bytes, &mut Vec::new());
+                    let frame = ChunkedFrame::from(bytes);
+                    prop_assert_eq!(frame.decoded_len(), expected.clone());
+                    prop_assert_eq!(frame.decoded_len(), expected);
+                }
+                prop_assert_eq!(ChunkedFrame::from(valid).decoded_len(), Ok(data.len()));
             }
 
             /// The chunked decoder never panics on arbitrary bytes, with or

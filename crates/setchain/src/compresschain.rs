@@ -9,9 +9,11 @@
 //! (left) skips decompression and validation on delivery.
 //!
 //! `Compresschain` holds what only this algorithm needs — the collector,
-//! the codec buffers, the ratio accounting — and the steps that differ from
+//! the encode buffer, the ratio accounting — and the steps that differ from
 //! the other two; the add/get front door that drives it lives in
-//! [`crate::app`].
+//! [`crate::app`]. On delivery every server pays the modelled
+//! decompression of every frame, while the host decodes each frame once
+//! per run: a [`setchain_compress::ChunkedFrame`] remembers its decode.
 
 use std::sync::Arc;
 
@@ -41,8 +43,6 @@ pub(crate) struct Compresschain {
     /// Reusable encode buffer the batch bytes are materialized into at
     /// flush time — no per-element or per-batch allocation.
     encode_buf: Vec<u8>,
-    /// Reusable decode buffer delivered batch frames are decompressed into.
-    decode_buf: Vec<u8>,
 }
 
 impl Compresschain {
@@ -53,7 +53,6 @@ impl Compresschain {
             ratio_sum: 0.0,
             ratio_count: 0,
             encode_buf: Vec::new(),
-            decode_buf: Vec::new(),
         }
     }
 
@@ -108,7 +107,7 @@ impl Compresschain {
             origin: core.id(),
             seq: self.next_batch_seq,
             batch: Arc::new(batch),
-            payload: Arc::new(payload),
+            payload: Arc::new(payload.into()),
             compressed_size,
             original_size,
         };
@@ -146,24 +145,17 @@ impl Compresschain {
                 // Decompress(B[i]) — charged as CPU time against the original
                 // (uncompressed) batch size.
                 ctx.consume_cpu(core.config.costs.decompress_cost(cb.original_size as usize));
-                // ...and performed for real: the chunked frame decompresses
-                // and the recovered byte count must equal the batch's
-                // declared element bytes. Every server decodes every
-                // frame, its own included — `origin` is an unsigned field
-                // any sender can forge, so a verdict that looked at it would
-                // split correct servers. "Compresschain light" skips all of
-                // this.
+                // ...and checked for real: the recovered byte count must
+                // equal the batch's declared element bytes. Every server
+                // checks every frame, its own included — `origin` is an
+                // unsigned field any sender can forge, so a verdict that
+                // looked at it would split correct servers. The host
+                // decodes each frame once, at the first server to get here,
+                // and the others read that decode of the same bytes; each
+                // one has paid the decompression above. "Compresschain
+                // light" skips all of this.
                 core.stats.batches_decompressed += 1;
-                let proof_bytes = cb.batch.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
-                let ok = (cb.original_size as usize)
-                    .checked_sub(proof_bytes)
-                    .is_some_and(|element_bytes| {
-                        setchain_compress::decompress_chunked_into(
-                            &cb.payload,
-                            &mut self.decode_buf,
-                        ) == Ok(element_bytes)
-                    });
-                if !ok {
+                if !cb.payload_decodes() {
                     // Any server can put any bytes on the ledger: an
                     // undecodable frame is an invalid batch, skipped by
                     // every correct server alike.

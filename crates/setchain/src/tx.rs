@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use setchain_compress::ChunkedFrame;
 use setchain_crypto::{sign, verify, Digest512, KeyPair, KeyRegistry, ProcessId, Signature};
 use setchain_ledger::{TxData, TxId};
 
@@ -23,12 +24,13 @@ pub const HASH_BATCH_WIRE_LEN: usize = 139;
 /// simulation does not re-serialize them) alongside `payload` — the real
 /// chunked-LZ77 frame produced from the materialized batch bytes.
 /// `compressed_size` (frame length plus uncompressed proof bytes) is what
-/// the batch occupies in blocks and on the wire, and receiving servers
-/// decompress `payload` for real on delivery unless the "Compresschain
-/// light" ablation is on.
+/// the batch occupies in blocks and on the wire, and every receiving server
+/// checks on delivery that `payload` decodes to the declared element bytes
+/// unless the "Compresschain light" ablation is on.
 /// The batch and payload are behind `Arc`s: the ledger clones transactions
 /// freely (mempool, proposals, blocks), and those clones must not copy
-/// them. Every server's epoch for a whole batch shares `batch` too.
+/// them. Every server's epoch for a whole batch shares `batch` too, and
+/// every server reads the one remembered decode of the shared `payload`.
 #[derive(Clone, Debug)]
 pub struct CompressedBatch {
     /// The server that built and appended the batch.
@@ -38,7 +40,7 @@ pub struct CompressedBatch {
     /// Elements and epoch-proofs of the batch, in collection order.
     pub batch: Arc<Batch>,
     /// The chunked-LZ77 frame of the materialized element payloads.
-    pub payload: Arc<Vec<u8>>,
+    pub payload: Arc<ChunkedFrame>,
     /// Size of the batch after compression, in bytes: the full shipped
     /// frame (chunk headers included) plus the proofs' wire size.
     pub compressed_size: u32,
@@ -47,6 +49,18 @@ pub struct CompressedBatch {
 }
 
 impl CompressedBatch {
+    /// `Decompress(B[i])`: true if `payload` decodes to exactly the declared
+    /// element bytes, `original_size` less the proofs' wire size. The
+    /// frame is decoded in full once per run ([`ChunkedFrame`] remembers the
+    /// result); the length check is this batch's own, so two batches that
+    /// share one frame but declare different sizes get different verdicts.
+    pub(crate) fn payload_decodes(&self) -> bool {
+        let proof_bytes = self.batch.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
+        (self.original_size as usize)
+            .checked_sub(proof_bytes)
+            .is_some_and(|element_bytes| self.payload.decoded_len() == Ok(element_bytes))
+    }
+
     /// Compression ratio achieved on this batch.
     pub fn ratio(&self) -> f64 {
         if self.compressed_size == 0 {
@@ -173,7 +187,7 @@ mod tests {
                 proofs: vec![],
             }
             .into(),
-            payload: std::sync::Arc::new(Vec::new()),
+            payload: std::sync::Arc::new(Vec::new().into()),
             compressed_size: 100,
             original_size: 300,
         };
@@ -209,7 +223,7 @@ mod tests {
                 proofs: vec![],
             }
             .into(),
-            payload: std::sync::Arc::new(Vec::new()),
+            payload: std::sync::Arc::new(Vec::new().into()),
             compressed_size: 160,
             original_size: 438,
         };
@@ -264,12 +278,44 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_frame_is_checked_against_each_batchs_declared_size() {
+        let reg = registry();
+        let server = reg.lookup(ProcessId::server(0)).unwrap();
+        let proof = make_epoch_proof(&server, 1, &[]);
+        let frame = Arc::new(ChunkedFrame::from(setchain_compress::compress_chunked(
+            &[b'x'; 300],
+        )));
+        let batch = |original_size: u32| CompressedBatch {
+            origin: server.id,
+            seq: 0,
+            batch: Batch {
+                elements: vec![],
+                proofs: vec![proof],
+            }
+            .into(),
+            payload: Arc::clone(&frame),
+            compressed_size: 0,
+            original_size,
+        };
+        let wire = crate::proofs::EPOCH_PROOF_WIRE_LEN as u32;
+        // Each verdict is asked twice: the second read comes from the
+        // frame's remembered decode.
+        for _ in 0..2 {
+            assert!(batch(300 + wire).payload_decodes());
+            assert!(!batch(301 + wire).payload_decodes());
+            assert!(!batch(300).payload_decodes());
+            assert!(!batch(wire - 1).payload_decodes(), "proofs exceed size");
+        }
+        assert_eq!(frame.decoded_len(), Ok(300));
+    }
+
+    #[test]
     fn degenerate_compressed_batch_ratio() {
         let cb = CompressedBatch {
             origin: ProcessId::server(0),
             seq: 0,
             batch: Batch::default().into(),
-            payload: std::sync::Arc::new(Vec::new()),
+            payload: std::sync::Arc::new(Vec::new().into()),
             compressed_size: 0,
             original_size: 0,
         };
