@@ -301,6 +301,12 @@ enum Branch {
     Light,
     /// Hashchain's push-based batch dissemination.
     PushBatches,
+    /// Server 3 never answers a `Request_batch`, so hash reversal times out
+    /// on it and fails over to another signer.
+    RefuseBatchService,
+    /// Every message is lost with probability 0.05, batch requests and
+    /// responses included.
+    Lossy,
 }
 
 impl Branch {
@@ -311,6 +317,10 @@ impl Branch {
             Branch::ForgeProofs => builder.server_fault(2, ServerByzMode::ForgeProofs),
             Branch::Light => builder.light(),
             Branch::PushBatches => builder.push_batches(),
+            Branch::RefuseBatchService => {
+                builder.server_fault(3, ServerByzMode::RefuseBatchService)
+            }
+            Branch::Lossy => builder.loss_rate(0.05),
         }
     }
 
@@ -330,7 +340,10 @@ type BranchGolden = ((Algorithm, Branch), (u64, u64, usize, usize, &'static str)
 /// CPU and bytes as an accepted one, and f + 1 honest signers still commit
 /// every epoch — the row pins that the rejection branch of `ingest_proof`
 /// stays schedule-neutral. Likewise the Vanilla `Light` row reads the same
-/// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`.
+/// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`. The
+/// `RefuseBatchService` and `Lossy` rows pin Hashchain's request timeouts,
+/// failover to another signer and skipped hash-batches, which no fault-free
+/// row reaches; neither drains.
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, Branch::InjectInvalid), (8292, 300, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
@@ -338,6 +351,8 @@ const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Hashchain, Branch::ForgeProofs), (7588, 871, 1200, 1200, "5df9b4b8a139b65973ee850e0dbf785a045cc3ce7cb84b468c7300674a6550ba")),
     ((Algorithm::Hashchain, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
     ((Algorithm::Hashchain, Branch::PushBatches), (7268, 370, 1200, 1200, "10f6622a190b393c8547e25c68e2d8b3f01d670caf228174b43e3594aacb10a5")),
+    ((Algorithm::Hashchain, Branch::RefuseBatchService), (7390, 675, 1200, 714, "904fcebe4cd651c64d10d29750a87e547815b68de5b68a10c0d9d525e4aa6f93")),
+    ((Algorithm::Hashchain, Branch::Lossy), (7387, 628, 1200, 1142, "a59fe1fde7aae8ccbc260e8385c4ef5afa0de4fe044d54d5944efeca7378f28c")),
     ((Algorithm::Compresschain, Branch::Light), (6900, 284, 1200, 1200, "500d35b850ed5b5cc0e4624159235e613b3a40e0bba64b22c88c6635539dbca9")),
     ((Algorithm::Vanilla, Branch::Light), (8293, 302, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
 ];
