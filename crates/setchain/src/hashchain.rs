@@ -12,10 +12,20 @@
 //! `Request_batch` with a bounded wait. In this event-driven implementation
 //! the same semantics are obtained with a queue: transactions of finalized
 //! blocks are processed strictly in ledger order, and processing pauses while
-//! a batch request is outstanding, resuming when the response arrives or the
-//! request times out (in which case the hash-batch is skipped, exactly like
-//! the pseudocode's `continue`). This keeps epoch numbering identical on all
-//! correct servers.
+//! the head's hash has a batch request outstanding, resuming when the
+//! response arrives or the request times out (in which case the hash-batch is
+//! skipped, exactly like the pseudocode's `continue`). This keeps epoch
+//! numbering identical on all correct servers.
+//!
+//! Each server keeps one record per batch hash (`HashRecord`): the paper's
+//! `hash_to_batch` and `hash_to_signers` — the contents and the ledger
+//! signers — whether this server has signed and consolidated the hash, and
+//! the request in flight for it. Requests leave from one function,
+//! `Hashchain::ask`. `finalize_block` asks an unknown hash's signer as soon
+//! as its block is final, so the round trips of a block overlap instead of
+//! serialising, which matters under WAN latency (Fig. 3c); the queue head
+//! then waits on whatever request its hash already has, and asks only when
+//! it has none.
 //!
 //! Up to n servers append a hash-batch for the same hash, but a batch's
 //! contents are applied once per server, at the first copy: its epoch-proofs
@@ -28,11 +38,11 @@
 //! data dissemination.
 //!
 //! `Hashchain` holds what only this algorithm needs — the collector, the
-//! batch registry, the ledger-order queue and the request bookkeeping — and
-//! the steps that differ from the other two; the add/get front door that
-//! drives it lives in [`crate::app`].
+//! batch registry, the ledger-order queue and the per-hash records — and the
+//! steps that differ from the other two; the add/get front door that drives
+//! it lives in [`crate::app`].
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -137,61 +147,84 @@ impl SharedBatchRegistry {
     }
 }
 
-/// Batch contents this server knows, with the root its hash committed to
-/// when this server computed that hash itself (flushed, or verified a
-/// response or push); `None` for contents taken on trust from the light
-/// ablation's shared registry.
-///
-/// `batch` is the flushing server's allocation: a response or push carries
-/// that `Arc`, and the receiver keeps it once it hashes right, so a run holds
-/// one copy of each batch however many servers know it.
-///
-/// `applied` is set once a hash-batch copy of this hash has ingested the
-/// batch's epoch-proofs and admitted its elements with final verdicts; later
-/// copies skip both (see [`Hashchain::handle_hash_batch`]).
-#[derive(Clone)]
-struct KnownBatch {
-    batch: Arc<Batch>,
+/// What this server knows about one batch hash.
+#[derive(Default)]
+struct HashRecord {
+    /// `hash_to_batch`: the contents, once known. This is the flushing
+    /// server's allocation: a response or push carries that `Arc`, and the
+    /// receiver keeps it once it hashes right, so a run holds one copy of
+    /// each batch however many servers know it.
+    batch: Option<Arc<Batch>>,
+    /// The root the hash committed to, when this server computed that hash
+    /// itself (flushed, or verified a response or push); `None` for contents
+    /// taken on trust from the light ablation's shared registry.
     root: Option<Digest256>,
+    /// A hash-batch copy has ingested the batch's epoch-proofs and admitted
+    /// its elements with final verdicts; later copies skip both (see
+    /// [`Hashchain::handle_hash_batch`]).
     applied: bool,
+    /// `hash_to_signers`: servers whose hash-batches for the hash have been
+    /// observed on the ledger, in id order, because `fail_request` picks its
+    /// next target out of them and the pick must repeat across runs.
+    signers: Vec<ProcessId>,
+    /// This server has signed and appended a hash-batch for the hash.
+    signed: bool,
+    /// The hash has been consolidated into an epoch.
+    consolidated: bool,
+    /// Servers asked by the request in flight; empty when none is.
+    asked: Vec<ProcessId>,
+    /// When the request in flight gives up on the server it asked last.
+    deadline: SimTime,
 }
 
-/// An outstanding `Request_batch`.
-#[derive(Debug)]
-struct PendingRequest {
-    hash: Digest512,
-    asked: Vec<ProcessId>,
-    deadline: SimTime,
+impl HashRecord {
+    /// True while a request is in flight for contents still unknown.
+    fn awaits_contents(&self) -> bool {
+        self.batch.is_none() && !self.asked.is_empty()
+    }
+
+    /// Counts `signer` and returns the number of distinct signers.
+    fn count_signer(&mut self, signer: ProcessId) -> usize {
+        if let Err(at) = self.signers.binary_search(&signer) {
+            self.signers.insert(at, signer);
+        }
+        self.signers.len()
+    }
+
+    /// The first server not in `asked` to ask for `hash`: other observed
+    /// signers in id order (they all claim to have the batch), then the
+    /// signers of its copies still in `queue`, in ledger order.
+    fn next_to_ask(
+        &self,
+        hash: Digest512,
+        queue: &VecDeque<HashBatch>,
+        me: ProcessId,
+    ) -> Option<ProcessId> {
+        let queued = queue
+            .iter()
+            .filter(|hb| hb.hash == hash)
+            .map(|hb| hb.signer);
+        self.signers
+            .iter()
+            .copied()
+            .chain(queued)
+            .find(|c| !self.asked.contains(c) && *c != me)
+    }
 }
 
 /// Hashchain's per-server state.
 pub(crate) struct Hashchain {
     pub(crate) collector: Collector,
-    /// `hash_to_batch`: batches whose contents this server knows, keyed by
-    /// the hash they were checked against. Each entry shares the origin's
-    /// `Arc` (see [`KnownBatch`]); queue processing, serving a request and
-    /// pushing all hand out refcount bumps, never a copy of the contents.
-    hash_to_batch: HashMap<Digest512, KnownBatch>,
-    /// `hash_to_signers`: servers whose hash-batches for a hash have been
-    /// observed on the ledger. Ordered, because `fail_request` picks its
-    /// next target out of it and the pick must repeat across runs.
-    hash_to_signers: HashMap<Digest512, BTreeSet<ProcessId>>,
-    /// Hashes this server has already signed and appended a hash-batch for.
-    my_signed: HashSet<Digest512>,
-    /// Hashes that have already been consolidated into an epoch.
-    consolidated: HashSet<Digest512>,
+    /// One record per hash this server has flushed, recovered or seen on
+    /// the ledger. Queue processing, serving a request and pushing hand out
+    /// refcount bumps of a record's batch, never a copy of the contents.
+    records: HashMap<Digest512, HashRecord>,
     /// Hash-batches from finalized blocks awaiting processing, in ledger
     /// order.
     block_queue: VecDeque<HashBatch>,
-    /// Outstanding batch request for the queue head, if any (pauses queue
-    /// processing until the response arrives or the request times out).
-    waiting: Option<PendingRequest>,
-    /// Hashes for which a prefetch request has already been sent, with the
-    /// time it was sent. Prefetching overlaps the request round trips of all
-    /// unknown batches in a block instead of serialising them, which matters
-    /// under WAN latency (Fig. 3c); consolidation still happens strictly in
-    /// ledger order through `block_queue`.
-    prefetched: HashMap<Digest512, SimTime>,
+    /// The queue head waits on its hash's request, until the contents
+    /// arrive or the request gives up.
+    paused: bool,
     /// Light-mode data availability.
     shared_registry: Option<SharedBatchRegistry>,
 }
@@ -202,20 +235,16 @@ impl Hashchain {
     pub(crate) fn new(config: &SetchainConfig, shared: Option<SharedBatchRegistry>) -> Self {
         Hashchain {
             collector: Collector::new(config.collector_limit),
-            hash_to_batch: HashMap::new(),
-            hash_to_signers: HashMap::new(),
-            my_signed: HashSet::new(),
-            consolidated: HashSet::new(),
+            records: HashMap::new(),
             block_queue: VecDeque::new(),
-            waiting: None,
-            prefetched: HashMap::new(),
+            paused: false,
             shared_registry: shared,
         }
     }
 
     /// Number of batches whose contents this server knows.
     pub(crate) fn known_batches(&self) -> usize {
-        self.hash_to_batch.len()
+        self.records.values().filter(|r| r.batch.is_some()).count()
     }
 
     /// An admitted element joins the batch under construction.
@@ -247,10 +276,9 @@ impl Hashchain {
         if let Some(shared) = &self.shared_registry {
             shared.register(hash, Arc::clone(&batch));
         }
-        self.remember(hash, Arc::clone(&batch), root);
         ctx.consume_cpu(core.config.costs.sign);
         let hb = core.make_hash_batch(hash);
-        self.my_signed.insert(hash);
+        self.remember(hash, Arc::clone(&batch), root).signed = true;
         core.stats.batches_flushed += 1;
         let tx = SetchainTx::HashBatch(hb);
         let tx_id = tx.tx_id();
@@ -271,133 +299,101 @@ impl Hashchain {
         }
     }
 
-    /// Looks up the batch contents for `hash`, consulting the shared registry
-    /// in light mode. The returned batch shares its `Arc`: a refcount bump,
-    /// not a copy of the contents.
-    fn lookup_batch(&mut self, hash: &Digest512) -> Option<KnownBatch> {
-        if let Some(known) = self.hash_to_batch.get(hash) {
-            return Some(known.clone());
+    /// True if this server knows the contents for `hash`, consulting the
+    /// shared registry in light mode (whose `Arc` is kept without a root).
+    fn knows(&mut self, hash: &Digest512) -> bool {
+        if self.records.get(hash).is_some_and(|r| r.batch.is_some()) {
+            return true;
         }
-        let batch = self.shared_registry.as_ref()?.get(hash)?;
-        let known = KnownBatch {
-            batch,
-            root: None,
-            applied: false,
+        let Some(batch) = self.shared_registry.as_ref().and_then(|s| s.get(hash)) else {
+            return false;
         };
-        self.hash_to_batch.insert(*hash, known.clone());
-        Some(known)
+        self.records.entry(*hash).or_default().batch = Some(batch);
+        true
     }
 
-    /// Processes queued hash-batches in ledger order, pausing when a batch
-    /// request is outstanding.
+    /// Processes queued hash-batches in ledger order, pausing when the
+    /// head's contents are unknown.
     fn process_queue(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        loop {
-            if self.waiting.is_some() {
-                return;
-            }
+        while !self.paused {
             let Some(hb) = self.block_queue.front().copied() else {
                 return;
             };
-            if let Some(batch) = self.lookup_batch(&hb.hash) {
+            // Light mode without contents anywhere counts the signer but
+            // consolidates an empty epoch.
+            if self.knows(&hb.hash) || core.config.light {
                 self.block_queue.pop_front();
-                self.handle_hash_batch(core, hb, Some(batch), ctx);
-                continue;
-            }
-            if core.config.light {
-                // Light mode without contents anywhere: count the signer but
-                // consolidate an empty epoch.
-                self.block_queue.pop_front();
-                self.handle_hash_batch(core, hb, None, ctx);
+                self.handle_hash_batch(core, hb, ctx);
                 continue;
             }
             // Request_batch(h) from the signer of the hash-batch — unless a
-            // prefetch for it is already in flight, in which case we only
-            // wait for it. The prefetch gets a bounded total wait of two
-            // request timeouts counted from the time it was *sent* (not from
-            // the time its hash-batch reached the queue head): under a signer
-            // that never answers — a server refusing batch service — the
-            // stalls for all hash-batches prefetched together then overlap
-            // instead of serialising, while a merely slow-but-correct signer
-            // still gets the same patience the direct-request path grants.
-            if let Some(&sent_at) = self.prefetched.get(&hb.hash) {
-                let deadline = sent_at + REQUEST_TIMEOUT + REQUEST_TIMEOUT;
-                if ctx.now() < deadline {
-                    self.waiting = Some(PendingRequest {
-                        hash: hb.hash,
-                        asked: vec![hb.signer],
-                        deadline,
-                    });
-                    ctx.set_app_timer(deadline - ctx.now(), REQUEST_TICK);
+            // prefetch for it is already in flight, in which case the head
+            // only waits for it. The prefetch's wait of two request timeouts
+            // counts from the time it was *sent* (not from the time its
+            // hash-batch reached the queue head): under a signer that never
+            // answers — a server refusing batch service — the stalls for all
+            // hash-batches prefetched together then overlap instead of
+            // serialising, while a merely slow-but-correct signer still gets
+            // the same patience the head's own request grants.
+            let rec = self.records.entry(hb.hash).or_default();
+            let deadline = if rec.asked.is_empty() {
+                self.ask(core, hb.hash, hb.signer, REQUEST_TIMEOUT, ctx)
+            } else {
+                // The head counts its own signer as the one asked, whoever
+                // the prefetch went to.
+                rec.asked = vec![hb.signer];
+                if ctx.now() >= rec.deadline {
+                    // The prefetch has been outstanding for its full
+                    // allowance: fall back to another signer or skip the
+                    // hash-batch now instead of stalling the queue on the
+                    // same unresponsive server again.
+                    self.fail_request(core, ctx);
                     return;
                 }
-                // The prefetch has been outstanding for the full allowance:
-                // treat it as a failed request so we fall back to another
-                // signer or skip the hash-batch (the pseudocode's `continue`)
-                // instead of stalling the queue on the same unresponsive
-                // server again.
-                self.prefetched.remove(&hb.hash);
-                self.waiting = Some(PendingRequest {
-                    hash: hb.hash,
-                    asked: vec![hb.signer],
-                    deadline: ctx.now(),
-                });
-                self.fail_request(core, ctx);
-                return;
-            }
-            self.send_request(core, hb.hash, hb.signer, ctx);
-            return;
+                rec.deadline
+            };
+            self.pause(deadline, ctx);
         }
     }
 
-    /// Sends a prefetch request for a hash whose contents are unknown, so the
-    /// round trip overlaps with the processing of earlier queue entries.
-    fn prefetch(
-        &mut self,
-        core: &mut ServerCore,
-        hash: Digest512,
-        signer: ProcessId,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
-        if self.hash_to_batch.contains_key(&hash)
-            || self.prefetched.contains_key(&hash)
-            || signer == core.id()
-        {
-            return;
-        }
-        core.stats.batch_requests_sent += 1;
-        ctx.send_app(signer, SetchainMsg::RequestBatch { hash });
-        self.prefetched.insert(hash, ctx.now());
-    }
-
-    fn send_request(
+    /// `Request_batch(h)`: asks `to` for the contents of `hash`, giving it
+    /// `patience` to answer, and returns the request's deadline. Every
+    /// request leaves from here: a prefetch, the queue head's own request
+    /// and each retry.
+    fn ask(
         &mut self,
         core: &mut ServerCore,
         hash: Digest512,
         to: ProcessId,
+        patience: SimDuration,
         ctx: &mut Ctx<'_, '_, '_>,
-    ) {
+    ) -> SimTime {
         core.stats.batch_requests_sent += 1;
         ctx.send_app(to, SetchainMsg::RequestBatch { hash });
-        self.prefetched.insert(hash, ctx.now());
-        let deadline = ctx.now() + REQUEST_TIMEOUT;
-        let asked = match &mut self.waiting {
-            Some(pending) if pending.hash == hash => {
-                pending.asked.push(to);
-                pending.deadline = deadline;
-                ctx.set_app_timer(REQUEST_TIMEOUT, REQUEST_TICK);
-                return;
-            }
-            _ => vec![to],
-        };
-        self.waiting = Some(PendingRequest {
-            hash,
-            asked,
-            deadline,
-        });
-        ctx.set_app_timer(REQUEST_TIMEOUT, REQUEST_TICK);
+        let rec = self.records.entry(hash).or_default();
+        rec.asked.push(to);
+        rec.deadline = ctx.now() + patience;
+        rec.deadline
     }
 
-    /// Gives up on the current request (timeout or bad response): either
+    /// Pauses the queue head on its hash's request until `deadline`.
+    fn pause(&mut self, deadline: SimTime, ctx: &mut Ctx<'_, '_, '_>) {
+        self.paused = true;
+        ctx.set_app_timer(deadline - ctx.now(), REQUEST_TICK);
+    }
+
+    /// The deadline of the request the queue head is paused on, if any.
+    fn head_deadline(&self) -> Option<SimTime> {
+        let hb = self.block_queue.front().filter(|_| self.paused)?;
+        self.records.get(&hb.hash).map(|r| r.deadline)
+    }
+
+    /// True if the queue head is paused on a request for `hash`.
+    fn head_waits_for(&self, hash: &Digest512) -> bool {
+        self.paused && self.block_queue.front().is_some_and(|hb| hb.hash == *hash)
+    }
+
+    /// Gives up on the head's request (timeout or bad response): either
     /// retries with another signer or skips the hash-batch, mirroring the
     /// pseudocode's `continue`.
     ///
@@ -408,112 +404,76 @@ impl Hashchain {
     /// is correct and holds the batch, so its signers are asked round after
     /// round until one answers.
     fn fail_request(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let Some(mut pending) = self.waiting.take() else {
+        let Some(hb) = self.block_queue.front().copied() else {
             return;
         };
-        let hash = pending.hash;
-        self.prefetched.remove(&hash);
-        let head = self
-            .block_queue
-            .front()
-            .copied()
-            .filter(|hb| hb.hash == hash);
+        self.paused = false;
+        let me = core.id();
+        let rec = self.records.entry(hb.hash).or_default();
         // The head copy's signer counts now, even if the copy is skipped.
-        let completes = match head {
-            Some(hb) => {
-                let signers = self.hash_to_signers.entry(hash).or_default();
-                signers.insert(hb.signer);
-                signers.len() >= core.config.proof_quorum()
-            }
-            None => false,
-        };
-        if pending.asked.len() < MAX_REQUEST_RETRIES || completes {
-            let mut next = self.next_to_ask(hash, &pending.asked, core.id());
+        let completes = rec.count_signer(hb.signer) >= core.config.proof_quorum();
+        let mut next = None;
+        if rec.asked.len() < MAX_REQUEST_RETRIES || completes {
+            next = rec.next_to_ask(hb.hash, &self.block_queue, me);
             if next.is_none() && completes {
                 // Every signer was asked this round: start the next one.
-                pending.asked.clear();
-                next = self.next_to_ask(hash, &pending.asked, core.id());
+                rec.asked.clear();
+                next = rec.next_to_ask(hb.hash, &self.block_queue, me);
             }
-            if let Some(next) = next {
-                self.waiting = Some(pending);
-                self.send_request(core, hash, next, ctx);
-                return;
-            }
+        }
+        if let Some(next) = next {
+            let deadline = self.ask(core, hb.hash, next, REQUEST_TIMEOUT, ctx);
+            self.pause(deadline, ctx);
+            return;
         }
         // Give up: skip the hash-batch at the head of the queue.
+        rec.asked = Vec::new();
         core.stats.batch_requests_failed += 1;
-        if head.is_some() {
-            self.block_queue.pop_front();
-        }
+        self.block_queue.pop_front();
         self.process_queue(core, ctx);
-    }
-
-    /// The first server not in `asked` to ask for `hash`: other observed
-    /// signers of this hash in id order (they all claim to have the batch),
-    /// then the signers still queued, in ledger order.
-    fn next_to_ask(
-        &self,
-        hash: Digest512,
-        asked: &[ProcessId],
-        me: ProcessId,
-    ) -> Option<ProcessId> {
-        self.hash_to_signers
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .copied()
-            .chain(
-                self.block_queue
-                    .iter()
-                    .filter(|hb| hb.hash == hash)
-                    .map(|hb| hb.signer),
-            )
-            .find(|c| !asked.contains(c) && *c != me)
     }
 
     /// A restart fenced off the request timer armed before the crash: arm
     /// it again, so an outstanding request cannot pause the queue forever.
     pub(crate) fn on_restart(&self, ctx: &mut Ctx<'_, '_, '_>) {
-        if let Some(pending) = &self.waiting {
-            ctx.set_app_timer(pending.deadline - ctx.now(), REQUEST_TICK);
+        if let Some(deadline) = self.head_deadline() {
+            ctx.set_app_timer(deadline - ctx.now(), REQUEST_TICK);
         }
     }
 
     /// Processes one hash-batch whose position in the ledger order has been
-    /// reached. `known` is `None` only in light mode when contents are
-    /// unavailable.
+    /// reached; its record holds no contents only in light mode when they
+    /// are unavailable.
     ///
     /// A batch's contents are applied once per server, at the first copy of
     /// its hash this server processes: its epoch-proofs are ingested and its
-    /// elements admitted there, and the entry is marked `applied`. Both steps
-    /// are idempotent for the same bytes, so the up-to-n later copies skip
-    /// them — except after a proof naming an epoch not derived here yet,
-    /// whose verdict can still change: the entry then stays unapplied and
-    /// the next copy applies the batch again. Every copy still counts its
-    /// signer (its `valid_hash` was checked in [`Self::finalize_block`]),
+    /// elements admitted there, and the record is marked `applied`. Both
+    /// steps are idempotent for the same bytes, so the up-to-n later copies
+    /// skip them — except after a proof naming an epoch not derived here
+    /// yet, whose verdict can still change: the record then stays unapplied
+    /// and the next copy applies the batch again. Every copy still counts
+    /// its signer (its `valid_hash` was checked in [`Self::finalize_block`]),
     /// counter-signs if this server has not, and consolidates at `f + 1`.
     fn handle_hash_batch(
         &mut self,
         core: &mut ServerCore,
         hb: HashBatch,
-        known: Option<KnownBatch>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let now = ctx.now();
-        let hash = hb.hash;
         let validate = !core.config.light;
+        let rec = self.records.entry(hb.hash).or_default();
 
-        if let Some(KnownBatch { batch, applied, .. }) = &known {
+        if let Some(batch) = &rec.batch {
             // If we had to recover the batch (we are not its origin and have
             // not signed it yet), sign the hash and append our own hash-batch
             // so the f+1 consolidation quorum can form.
-            if !self.my_signed.contains(&hash) {
+            if !rec.signed {
                 ctx.consume_cpu(core.config.costs.sign);
-                let own = core.make_hash_batch(hash);
-                self.my_signed.insert(hash);
-                ctx.append(SetchainTx::HashBatch(own));
+                ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hb.hash)));
+                rec.signed = true;
             }
-            if !applied {
+            if !rec.applied {
                 // Valid epoch-proofs of the batch. Every proof is ingested,
                 // even after one whose epoch is not derived yet.
                 let mut settled = true;
@@ -524,26 +484,19 @@ impl Hashchain {
                 // only at consolidation); no candidate vector is
                 // materialized here.
                 core.admit_batch_elements(&batch.elements, validate, ctx);
-                if let Some(entry) = self.hash_to_batch.get_mut(&hash) {
-                    entry.applied = settled;
-                }
+                rec.applied = settled;
             }
         }
 
         // Track the signer and consolidate at f + 1.
-        let signers = self.hash_to_signers.entry(hash).or_default();
-        signers.insert(hb.signer);
-        let enough = signers.len() >= core.config.proof_quorum();
-        if enough && !self.consolidated.contains(&hash) {
-            self.consolidated.insert(hash);
-            let (elements, shared, root) = match &known {
-                Some(known) => (
-                    known.batch.elements.as_slice(),
-                    Some(&known.batch),
-                    known.root,
-                ),
-                None => (&[][..], None, None),
+        let enough = rec.count_signer(hb.signer) >= core.config.proof_quorum();
+        if enough && !rec.consolidated {
+            rec.consolidated = true;
+            let (elements, root) = match &rec.batch {
+                Some(batch) => (batch.elements.as_slice(), rec.root),
+                None => (&[][..], None),
             };
+            let shared = rec.batch.as_ref();
             let proof = core.create_epoch(elements, shared, root, validate, now, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
@@ -574,18 +527,18 @@ impl Hashchain {
                 if !core.hash_batch_valid(hb) {
                     continue;
                 }
-                // Start recovering unknown batch contents right away so the
-                // round trips overlap instead of serialising per hash-batch.
-                self.prefetch(core, hb.hash, hb.signer, ctx);
+                // Prefetch: start recovering unknown batch contents right
+                // away so the round trips overlap instead of serialising per
+                // hash-batch. It gets two request timeouts from now (see
+                // `process_queue`).
+                let rec = self.records.entry(hb.hash).or_default();
+                if rec.batch.is_none() && rec.asked.is_empty() && hb.signer != core.id() {
+                    self.ask(core, hb.hash, hb.signer, REQUEST_TIMEOUT * 2, ctx);
+                }
             }
             self.block_queue.push_back(*hb);
         }
         self.process_queue(core, ctx);
-    }
-
-    /// True if the queue head is paused on a request for `hash`.
-    fn head_waits_for(&self, hash: &Digest512) -> bool {
-        self.waiting.as_ref().is_some_and(|p| p.hash == *hash)
     }
 
     /// The hash-reversal service between servers: `Request_batch`, its
@@ -602,16 +555,20 @@ impl Hashchain {
                 if core.byz == ServerByzMode::RefuseBatchService {
                     return;
                 }
-                if let Some(KnownBatch { batch, .. }) = self.hash_to_batch.get(&hash) {
+                if let Some(batch) = self.records.get(&hash).and_then(|r| r.batch.as_ref()) {
                     core.stats.batch_requests_served += 1;
                     let batch = Arc::clone(batch);
                     ctx.send_app(from, SetchainMsg::BatchResponse { hash, batch });
                 }
             }
             SetchainMsg::BatchResponse { hash, batch } => {
-                let head_waiting = self.head_waits_for(&hash);
-                let expected = head_waiting || self.prefetched.contains_key(&hash);
-                if !expected || self.hash_to_batch.contains_key(&hash) {
+                // Only an answer to a request in flight is hashed: a late or
+                // unasked one is dropped unread.
+                if !self
+                    .records
+                    .get(&hash)
+                    .is_some_and(HashRecord::awaits_contents)
+                {
                     return;
                 }
                 // Shared contents are checked exactly like owned ones: hashed
@@ -619,19 +576,14 @@ impl Hashchain {
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
                 if got == hash {
-                    self.remember(hash, batch, root);
-                    self.prefetched.remove(&hash);
-                    if head_waiting {
-                        self.waiting = None;
-                        self.process_queue(core, ctx);
-                    }
-                } else if head_waiting {
+                    self.accept(core, hash, batch, root, ctx);
+                } else if self.head_waits_for(&hash) {
                     // The signer is lying about the contents: retry elsewhere.
                     self.fail_request(core, ctx);
-                } else {
-                    // A bad prefetch answer: forget it so the head-of-queue
-                    // path can re-request from another signer later.
-                    self.prefetched.remove(&hash);
+                } else if let Some(rec) = self.records.get_mut(&hash) {
+                    // A bad prefetch answer: forget the request so the head
+                    // asks again when it gets there.
+                    rec.asked = Vec::new();
                 }
             }
             SetchainMsg::PushBatch { hash, batch } => {
@@ -640,19 +592,14 @@ impl Hashchain {
                 // accepted only if they really hash to the claimed value (a
                 // Byzantine pusher cannot plant wrong contents for a hash).
                 let pusher = core.config.is_server(from) && from != core.id();
-                if !core.config.push_batches || !pusher || self.hash_to_batch.contains_key(&hash) {
+                let known = self.records.get(&hash).is_some_and(|r| r.batch.is_some());
+                if !core.config.push_batches || !pusher || known {
                     return;
                 }
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
                 let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
-                if got != hash {
-                    return;
-                }
-                self.remember(hash, batch, root);
-                self.prefetched.remove(&hash);
-                if self.head_waits_for(&hash) {
-                    self.waiting = None;
-                    self.process_queue(core, ctx);
+                if got == hash {
+                    self.accept(core, hash, batch, root, ctx);
                 }
             }
             _ => {}
@@ -661,23 +608,35 @@ impl Hashchain {
 
     /// Keeps batch contents this server hashed itself — flushed, or
     /// verified against `hash` — with the root that hash committed to.
-    fn remember(&mut self, hash: Digest512, batch: Arc<Batch>, root: Digest256) {
-        let known = KnownBatch {
-            batch,
-            root: Some(root),
-            applied: false,
-        };
-        self.hash_to_batch.insert(hash, known);
+    fn remember(&mut self, hash: Digest512, batch: Arc<Batch>, root: Digest256) -> &mut HashRecord {
+        let rec = self.records.entry(hash).or_default();
+        rec.batch = Some(batch);
+        rec.root = Some(root);
+        rec.applied = false;
+        rec
     }
 
-    /// The request timer fired: give up on the outstanding request if its
+    /// Keeps contents received for `hash` that hash right, ends its request,
+    /// and resumes the queue head if it waited on them.
+    fn accept(
+        &mut self,
+        core: &mut ServerCore,
+        hash: Digest512,
+        batch: Arc<Batch>,
+        root: Digest256,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        self.remember(hash, batch, root).asked = Vec::new();
+        if self.head_waits_for(&hash) {
+            self.paused = false;
+            self.process_queue(core, ctx);
+        }
+    }
+
+    /// The request timer fired: give up on the head's request if its
     /// deadline has passed (a superseded timer finds a later deadline).
     pub(crate) fn on_request_tick(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let expired = self
-            .waiting
-            .as_ref()
-            .is_some_and(|p| ctx.now() >= p.deadline);
-        if expired {
+        if self.head_deadline().is_some_and(|d| ctx.now() >= d) {
             self.fail_request(core, ctx);
         }
     }
@@ -704,6 +663,20 @@ mod tests {
         range
             .map(|i| Element::new(&keys, ElementId::new(0, i), 438, i * 31 + 1))
             .collect()
+    }
+
+    /// The contents `h` keeps for `hash`, if any.
+    fn contents<'a>(h: &'a Hashchain, hash: &Digest512) -> Option<&'a Arc<Batch>> {
+        h.records.get(hash)?.batch.as_ref()
+    }
+
+    /// Pauses the queue head of `h` on a request for `hash` that has asked
+    /// `asked` and gives up at `deadline`.
+    fn wait_on(h: &mut Hashchain, hash: Digest512, asked: Vec<ProcessId>, deadline: SimTime) {
+        let rec = h.records.entry(hash).or_default();
+        rec.asked = asked;
+        rec.deadline = deadline;
+        h.paused = true;
     }
 
     #[test]
@@ -839,11 +812,7 @@ mod tests {
                 let keys = registry.lookup(s).unwrap();
                 h.block_queue.push_back(HashBatch::new(&keys, hash));
             }
-            h.waiting = Some(PendingRequest {
-                hash,
-                asked: vec![s1],
-                deadline: ctx.now() + REQUEST_TIMEOUT,
-            });
+            wait_on(&mut h, hash, vec![s1], ctx.now() + REQUEST_TIMEOUT);
 
             // Server 1 answers with contents that miss one element.
             let lie = Arc::new(Batch {
@@ -852,10 +821,11 @@ mod tests {
             });
             let batch = Arc::clone(&lie);
             h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
-            assert!(!h.hash_to_batch.contains_key(&hash), "a lie is not kept");
+            assert!(contents(&h, &hash).is_none(), "a lie is not kept");
             assert_eq!(Arc::strong_count(&lie), 1, "nothing holds the lie");
             // `fail_request` moved on to the other signer.
-            assert_eq!(h.waiting.as_ref().unwrap().asked, vec![s1, s2]);
+            assert!(h.paused);
+            assert_eq!(h.records[&hash].asked, vec![s1, s2]);
             assert_eq!(core.stats.batch_requests_sent, 1);
             assert_eq!(core.stats.batch_requests_failed, 0);
 
@@ -863,24 +833,20 @@ mod tests {
             // and the queue drains into an epoch.
             let batch = Arc::clone(&honest);
             h.on_batch_message(core, s2, SetchainMsg::BatchResponse { hash, batch }, ctx);
-            assert!(Arc::ptr_eq(&h.hash_to_batch[&hash].batch, &honest));
-            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert!(Arc::ptr_eq(contents(&h, &hash).unwrap(), &honest));
+            assert!(!h.paused && h.block_queue.is_empty());
             assert_eq!(core.state.epoch(), 1);
 
             // With no signer left to ask, a lie skips the hash-batch.
             let hash = batch_hash(&elements(registry, 20..30), &[]);
             let keys = registry.lookup(s1).unwrap();
             h.block_queue.push_back(HashBatch::new(&keys, hash));
-            h.waiting = Some(PendingRequest {
-                hash,
-                asked: vec![s1],
-                deadline: ctx.now() + REQUEST_TIMEOUT,
-            });
+            wait_on(&mut h, hash, vec![s1], ctx.now() + REQUEST_TIMEOUT);
             let batch = Arc::clone(&lie);
             h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
-            assert!(!h.hash_to_batch.contains_key(&hash));
+            assert!(contents(&h, &hash).is_none());
             assert_eq!(core.stats.batch_requests_failed, 1);
-            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert!(!h.paused && h.block_queue.is_empty());
             assert_eq!(core.state.epoch(), 1);
         });
     }
@@ -901,10 +867,7 @@ mod tests {
                     batch: Arc::clone(&batch),
                 };
                 h.on_batch_message(core, from, msg, ctx);
-                (
-                    h.hash_to_batch.contains_key(&hash),
-                    ctx.cpu_consumed() - before,
-                )
+                (contents(h, &hash).is_some(), ctx.cpu_consumed() - before)
             };
             let none = (false, SimDuration::ZERO);
 
@@ -940,15 +903,12 @@ mod tests {
             }
             // Server 1's copy has run out of signers to ask: it is skipped,
             // but its signer counts.
-            h.waiting = Some(PendingRequest {
-                hash,
-                asked: vec![s1, s2, s3],
-                deadline: ctx.now(),
-            });
+            wait_on(&mut h, hash, vec![s1, s2, s3], ctx.now());
             h.fail_request(core, ctx);
             assert_eq!(core.stats.batch_requests_failed, 1);
-            assert_eq!(h.hash_to_signers[&hash], BTreeSet::from([s1]));
-            assert_eq!(h.waiting.as_ref().unwrap().asked, vec![s2]);
+            assert_eq!(h.records[&hash].signers, vec![s1]);
+            assert!(h.paused);
+            assert_eq!(h.records[&hash].asked, vec![s2]);
 
             // Server 2's copy brings the hash to f + 1 = 2 signers, so its
             // signers are asked round after round and it is never skipped.
@@ -957,16 +917,95 @@ mod tests {
             }
             assert_eq!(core.stats.batch_requests_failed, 1);
             assert_eq!(h.block_queue.len(), 1);
-            let asked = &h.waiting.as_ref().unwrap().asked;
+            assert!(h.paused);
+            let asked = &h.records[&hash].asked;
             assert!(asked.len() <= 2 && asked.iter().all(|s| [s1, s2].contains(s)));
 
             // The answer consolidates the hash at this copy, as on a server
             // that fetched the batch at the first one.
             let answer = SetchainMsg::BatchResponse { hash, batch };
             h.on_batch_message(core, s2, answer, ctx);
-            assert!(h.waiting.is_none() && h.block_queue.is_empty());
+            assert!(!h.paused && h.block_queue.is_empty());
             assert_eq!(core.state.epoch(), 1);
             assert_eq!(core.state.epoch_elements(1).unwrap().len(), 10);
+        });
+    }
+
+    #[test]
+    fn a_response_with_no_request_in_flight_is_dropped_unhashed() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let mut h = Hashchain::new(&core.config, None);
+            let batch = Arc::new(Batch {
+                elements: elements(registry, 0..10),
+                proofs: vec![],
+            });
+            let hash = batch_hash(&batch.elements, &batch.proofs);
+            let s1 = ProcessId::server(1);
+            let respond = |h: &mut Hashchain, core: &mut ServerCore, ctx: &mut Ctx| {
+                let before = ctx.cpu_consumed();
+                let msg = SetchainMsg::BatchResponse {
+                    hash,
+                    batch: Arc::clone(&batch),
+                };
+                h.on_batch_message(core, s1, msg, ctx);
+                ctx.cpu_consumed() - before
+            };
+
+            // Never asked for.
+            assert_eq!(respond(&mut h, core, ctx), SimDuration::ZERO);
+            assert!(h.records.is_empty());
+
+            // Asked for, then given up on: server 1's copy was the only one
+            // and server 1 was the only signer to ask.
+            let keys = registry.lookup(s1).unwrap();
+            h.block_queue.push_back(HashBatch::new(&keys, hash));
+            h.process_queue(core, ctx);
+            assert!(h.paused);
+            h.fail_request(core, ctx);
+            assert_eq!(core.stats.batch_requests_sent, 1);
+            assert_eq!(core.stats.batch_requests_failed, 1);
+            assert!(!h.paused && h.block_queue.is_empty());
+
+            // The late answer is dropped unhashed as well.
+            assert_eq!(respond(&mut h, core, ctx), SimDuration::ZERO);
+            assert!(contents(&h, &hash).is_none());
+            assert_eq!(Arc::strong_count(&batch), 1, "nothing holds the answer");
+            assert_eq!(core.state.epoch(), 0);
+        });
+    }
+
+    #[test]
+    fn a_head_whose_prefetch_ran_out_fails_over_without_a_tick() {
+        crate::server::tests::with_core(0, |core, registry, ctx| {
+            let mut h = Hashchain::new(&core.config, None);
+            let hash = batch_hash(&elements(registry, 0..10), &[]);
+            let [s1, s2] = [1, 2].map(ProcessId::server);
+            for s in [s1, s2] {
+                let keys = registry.lookup(s).unwrap();
+                h.block_queue.push_back(HashBatch::new(&keys, hash));
+            }
+            // A prefetch to server 1 with time left: the head waits on it
+            // and asks no one.
+            let later = ctx.now() + REQUEST_TIMEOUT;
+            let rec = h.records.entry(hash).or_default();
+            rec.asked = vec![s1];
+            rec.deadline = later;
+            h.process_queue(core, ctx);
+            assert_eq!(h.head_deadline(), Some(later));
+            assert_eq!(core.stats.batch_requests_sent, 0);
+
+            // A prefetch sent two request timeouts ago has run out: the head
+            // counts server 1 and asks server 2 at once, with one request
+            // timeout to answer.
+            h.paused = false;
+            h.records.get_mut(&hash).unwrap().deadline = ctx.now();
+            h.process_queue(core, ctx);
+            assert_eq!(core.stats.batch_requests_sent, 1);
+            assert_eq!(core.stats.batch_requests_failed, 0);
+            assert_eq!(h.records[&hash].signers, vec![s1]);
+            assert_eq!(h.records[&hash].asked, vec![s1, s2]);
+            assert_eq!(h.head_deadline(), Some(ctx.now() + REQUEST_TIMEOUT));
+            assert_eq!(h.block_queue.len(), 2);
         });
     }
 
@@ -989,9 +1028,8 @@ mod tests {
     ) -> SimDuration {
         let keys = registry.lookup(ProcessId::server(signer)).unwrap();
         let before = ctx.cpu_consumed();
-        let known = h.lookup_batch(&hash);
-        assert!(known.is_some(), "contents are known");
-        h.handle_hash_batch(core, HashBatch::new(&keys, hash), known, ctx);
+        assert!(h.knows(&hash), "contents are known");
+        h.handle_hash_batch(core, HashBatch::new(&keys, hash), ctx);
         ctx.cpu_consumed() - before
     }
 
@@ -1053,7 +1091,7 @@ mod tests {
             let bytes = stamped.iter().map(|e| e.wire_size()).sum();
             let consolidate = costs.hash_cost(bytes) + costs.sign;
             assert_eq!(second, consolidate);
-            assert_eq!(h.hash_to_signers[&a].len(), 2);
+            assert_eq!(h.records[&a].signers.len(), 2);
             assert_eq!(core.stats.proofs_received, 2);
             // The epoch's own filter counts the forgery once more.
             assert_eq!(core.stats.elements_rejected, 2);
@@ -1061,7 +1099,7 @@ mod tests {
             // A third copy only adds its signer.
             let third = process_copy(&mut h, core, registry, 3, a, ctx);
             assert_eq!(third, SimDuration::ZERO);
-            assert_eq!(h.hash_to_signers[&a].len(), 3);
+            assert_eq!(h.records[&a].signers.len(), 3);
             assert_eq!(core.stats.proofs_received, 2);
             assert_eq!(core.stats.proofs_rejected, 0);
             assert_eq!(core.stats.elements_rejected, 2);
@@ -1101,7 +1139,7 @@ mod tests {
             process_copy(&mut h, core, registry, 1, a, ctx);
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.stats.catchup_requests, 1);
-            assert!(!h.hash_to_batch[&a].applied);
+            assert!(!h.records[&a].applied);
 
             // `b` consolidates into epoch 1.
             process_copy(&mut h, core, registry, 1, b, ctx);
@@ -1114,7 +1152,7 @@ mod tests {
             let retry = process_copy(&mut h, core, registry, 3, a, ctx);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.state.proof_count(1), 1);
-            assert!(h.hash_to_batch[&a].applied);
+            assert!(h.records[&a].applied);
             assert_eq!(core.state.epoch(), 2, "a consolidated at f + 1");
             let bytes = core
                 .state
@@ -1193,17 +1231,20 @@ mod tests {
             .collect();
         let mut first: HashMap<Digest512, &Arc<Batch>> = HashMap::new();
         for (i, server) in servers.iter().enumerate() {
-            for (hash, known) in &server.hash_to_batch {
-                let seen = *first.entry(*hash).or_insert(&known.batch);
+            for hash in server.records.keys() {
+                let Some(batch) = contents(server, hash) else {
+                    continue;
+                };
+                let seen = *first.entry(*hash).or_insert(batch);
                 assert!(
-                    Arc::ptr_eq(&known.batch, seen),
+                    Arc::ptr_eq(batch, seen),
                     "server {i} holds its own copy of a batch"
                 );
             }
         }
         let known_everywhere = first
             .keys()
-            .filter(|h| servers.iter().all(|s| s.hash_to_batch.contains_key(h)))
+            .filter(|h| servers.iter().all(|s| contents(s, h).is_some()))
             .count();
         // 600 elements at collector limit 100 make at least six element
         // batches, and epoch-proofs keep more coming; all reached everyone.

@@ -70,7 +70,10 @@ pub struct ServerStats {
     pub batch_requests_sent: u64,
     /// Hashchain: `Request_batch` calls answered.
     pub batch_requests_served: u64,
-    /// Hashchain: batch requests that timed out or failed verification.
+    /// Hashchain: hash-batch copies skipped because no server asked for
+    /// their batch answered with contents that hash right (the pseudocode's
+    /// `continue`). A timeout or a wrong answer that moves on to another
+    /// signer is not counted.
     pub batch_requests_failed: u64,
     /// `get` / `get_epoch` requests answered.
     pub gets_served: u64,
