@@ -8,8 +8,9 @@
 //! * **timer storm** — many processes firing periodic timers: the split
 //!   timer queue's small-`Copy`-record fast path.
 //! * **broadcast fan-in** — many senders hitting one receiver at the same
-//!   instant (zero-jitter network): same-tick delivery coalescing through
-//!   `on_messages`.
+//!   instant (zero-jitter network): same-tick delivery coalescing, which
+//!   handles the whole run in one handler invocation (one `on_message` per
+//!   delivery), so no arrival waits behind another's CPU charge.
 
 use std::any::Any;
 
@@ -106,22 +107,16 @@ impl Process<Ping> for Broadcaster {
     }
 }
 
-/// Counts messages; `on_messages` overridden to observe coalesced batches.
+/// Counts messages and charges 1 µs of CPU for each.
 #[derive(Default)]
 struct Sink {
     received: u64,
-    batches: u64,
 }
 
 impl Process<Ping> for Sink {
-    fn on_message(&mut self, _: ProcessId, _: Ping, _: &mut Context<'_, Ping>) {
+    fn on_message(&mut self, _: ProcessId, _: Ping, ctx: &mut Context<'_, Ping>) {
         self.received += 1;
-        self.batches += 1;
-    }
-    fn on_messages(&mut self, batch: &mut Vec<(ProcessId, Ping)>, _: &mut Context<'_, Ping>) {
-        self.received += batch.len() as u64;
-        self.batches += 1;
-        batch.clear();
+        ctx.consume_cpu(SimDuration::from_micros(1));
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -216,10 +211,11 @@ fn bench_broadcast_fan_in(c: &mut Criterion) {
             sim.run_until_quiescent(SimTime::from_secs(3600));
             let s: &Sink = sim.process(sink).expect("sink exists");
             assert_eq!(s.received, SENDERS as u64 * (ROUNDS + 1));
-            // Coalescing must actually trigger: all 16 same-instant arrivals
-            // land in far fewer handler invocations than messages.
-            assert!(s.batches < s.received);
-            criterion::black_box(s.batches)
+            // Coalescing must actually trigger: the 16 same-instant arrivals
+            // of a round share one handler run, so none is deferred behind
+            // another's CPU (a round's 16 µs fit in the 100 µs period).
+            assert_eq!(sim.messages_deferred(), 0);
+            criterion::black_box(s.received)
         });
     });
     group.finish();

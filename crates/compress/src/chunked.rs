@@ -24,8 +24,8 @@
 //!
 //! `CHUNKED_MAGIC` is larger than [`MAX_DECLARED`], the cap the single-stream
 //! decoder enforces on its leading `original_len` varint — so no valid
-//! single stream starts with the magic, and [`crate::decompress_any`] can
-//! dispatch on the first varint alone. Frame validation is strict: the
+//! single stream starts with the magic, and the frame decoder's magic check
+//! rejects a bare single stream. Frame validation is strict: the
 //! chunk count may not exceed `total_len` (every chunk of a well-formed
 //! frame holds at least one byte), every chunk must decompress, the
 //! concatenated output must have exactly `total_len` bytes, and no bytes may
@@ -38,13 +38,13 @@
 
 use std::sync::OnceLock;
 
-use crate::lz77::{decompress, DecompressError, MAX_DECLARED};
+use crate::lz77::{DecompressError, MAX_DECLARED};
 use crate::varint::{read_u64, write_u64};
 
 /// Marker distinguishing chunked frames from single streams. Deliberately
 /// greater than [`MAX_DECLARED`] (the single-stream decoder rejects any
-/// stream whose leading varint exceeds that), so the two formats are
-/// unambiguous from the first varint.
+/// stream whose leading varint exceeds that), so no single stream passes
+/// the frame's magic check.
 pub const CHUNKED_MAGIC: u64 = 0x43_484E_4B31; // "CHNK1", read as a number
 
 /// Default chunk length: 64 KiB, the match window of a single stream, so a
@@ -56,13 +56,11 @@ const _: () = assert!(CHUNKED_MAGIC > MAX_DECLARED);
 /// Compresses `data` as a chunked frame with [`DEFAULT_CHUNK_LEN`] chunks.
 ///
 /// ```
-/// use setchain_compress::{compress_chunked, decompress_chunked, decompress_any};
+/// use setchain_compress::{compress_chunked, decompress_chunked};
 /// let data: Vec<u8> = b"setchain ".iter().copied().cycle().take(100_000).collect();
 /// let frame = compress_chunked(&data);
 /// assert!(frame.len() < data.len());
 /// assert_eq!(decompress_chunked(&frame).unwrap(), data);
-/// // The sniffing entry point accepts chunked frames too.
-/// assert_eq!(decompress_any(&frame).unwrap(), data);
 /// ```
 pub fn compress_chunked(data: &[u8]) -> Vec<u8> {
     compress_chunked_with(data, DEFAULT_CHUNK_LEN)
@@ -216,23 +214,6 @@ impl From<Vec<u8>> for ChunkedFrame {
     }
 }
 
-/// True if `data` starts with the chunked-frame magic.
-pub fn is_chunked(data: &[u8]) -> bool {
-    let mut pos = 0usize;
-    read_u64(data, &mut pos) == Some(CHUNKED_MAGIC)
-}
-
-/// Decompresses either wire format: chunked frames are detected by their
-/// magic, everything else is treated as a single stream. See the module docs
-/// for why the dispatch is unambiguous.
-pub fn decompress_any(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    if is_chunked(data) {
-        decompress_chunked(data)
-    } else {
-        decompress(data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +243,6 @@ mod tests {
             let data = sample(len);
             let frame = compress_chunked(&data);
             assert_eq!(decompress_chunked(&frame).unwrap(), data, "len={len}");
-            assert_eq!(decompress_any(&frame).unwrap(), data, "len={len}");
         }
     }
 
@@ -279,9 +259,7 @@ mod tests {
     fn single_stream_is_not_mistaken_for_chunked() {
         let data = sample(5_000);
         let single = compress_single(&data);
-        assert!(!is_chunked(&single));
-        assert!(is_chunked(&compress_chunked(&data)));
-        assert_eq!(decompress_any(&single).unwrap(), data);
+        assert_eq!(crate::lz77::decompress(&single).unwrap(), data);
         assert!(matches!(
             decompress_chunked(&single),
             Err(DecompressError::NotChunked)
@@ -384,8 +362,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Old-format and chunked-format compression are interchangeable:
-            /// both decompress (through their own decoders and through
-            /// `decompress_any`) to the original input.
+            /// both decompress through their own decoders to the original
+            /// input, and the frame decoder refuses the single stream.
             #[test]
             fn old_vs_chunked_equivalence(
                 data in proptest::collection::vec(any::<u8>(), 0..8192),
@@ -394,9 +372,11 @@ mod tests {
                 let single = compress_single(&data);
                 let chunked = compress_chunked_with(&data, chunk_len);
                 prop_assert_eq!(crate::lz77::decompress(&single).unwrap(), data.clone());
-                prop_assert_eq!(decompress_chunked(&chunked).unwrap(), data.clone());
-                prop_assert_eq!(decompress_any(&single).unwrap(), data.clone());
-                prop_assert_eq!(decompress_any(&chunked).unwrap(), data);
+                prop_assert_eq!(decompress_chunked(&chunked).unwrap(), data);
+                prop_assert!(matches!(
+                    decompress_chunked(&single),
+                    Err(DecompressError::NotChunked)
+                ));
             }
 
             /// A frame's remembered verdict is the decoder's result on its
@@ -438,7 +418,6 @@ mod tests {
                 }
                 frame.extend_from_slice(&data);
                 let _ = decompress_chunked(&frame);
-                let _ = decompress_any(&frame);
             }
         }
     }

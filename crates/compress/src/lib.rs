@@ -10,24 +10,22 @@
 //! 3(i) tracks closing that gap). The *ratio* is what matters to the
 //! reproduction — it determines how many elements fit in a ledger block.
 //!
-//! # Wire formats
+//! # Wire format
 //!
-//! Two formats share one token alphabet:
+//! One format is shipped and accepted: the **chunked frame** ([`chunked`])
+//! — a magic varint, the total length, a chunk count, and then each chunk
+//! with its own length prefix. Chunks share no match window; both
+//! directions process them one after another on the calling thread.
 //!
-//! * **Single stream** ([`lz77`]) — `original_len` varint followed by
-//!   literal-run / back-reference tokens. Sequential by construction:
-//!   every back-reference may point into any earlier output.
-//! * **Chunked frame** ([`chunked`]) — a magic varint, the total length, a
-//!   chunk count, and then each chunk as an independent single stream with
-//!   its own length prefix. Chunks share no match window; both directions
-//!   process them one after another on the calling thread.
+//! Each chunk body is a **single stream** ([`lz77`]): an `original_len`
+//! varint followed by literal-run / back-reference tokens, sequential by
+//! construction (every back-reference may point into any earlier output).
+//! The frame decoder checks the magic first, so a bare single stream is
+//! rejected rather than mistaken for a frame.
 //!
-//! The chunked magic is larger than the maximum length the single-stream
-//! decoder accepts, so the formats are unambiguous from the first varint and
-//! [`decompress_any`] handles either. Compression state lives in a reusable
-//! [`Compressor`] (hash-chain tables allocated once, not per batch); the
-//! convenience free functions, the chunked writer included, keep one per
-//! thread.
+//! Compression state lives in a reusable [`Compressor`] (hash-chain tables
+//! allocated once, not per batch); the convenience free functions, the
+//! chunked writer included, keep one per thread.
 //!
 //! The public API mirrors what the algorithm pseudocode needs:
 //! [`compress`] / [`decompress`] / [`compress_chunked`] /
@@ -41,8 +39,8 @@ pub mod lz77;
 pub mod varint;
 
 pub use chunked::{
-    compress_chunked, compress_chunked_with, decompress_any, decompress_chunked,
-    decompress_chunked_into, is_chunked, ChunkedFrame, CHUNKED_MAGIC, DEFAULT_CHUNK_LEN,
+    compress_chunked, compress_chunked_with, decompress_chunked, decompress_chunked_into,
+    ChunkedFrame, CHUNKED_MAGIC, DEFAULT_CHUNK_LEN,
 };
 pub use lz77::{
     compress, decompress, decompress_into, CompressionStats, Compressor, DecompressError,
@@ -71,9 +69,13 @@ mod tests {
             .collect();
         let frame = compress_chunked(&data);
         assert_eq!(decompress_chunked(&frame).unwrap(), data);
-        // The sniffing decoder accepts either format.
-        assert_eq!(decompress_any(&frame).unwrap(), data);
-        assert_eq!(decompress_any(&compress(&data)).unwrap(), data);
+        // Each decoder accepts its own format only.
+        assert_eq!(decompress(&compress(&data)).unwrap(), data);
+        assert!(matches!(
+            decompress_chunked(&compress(&data)),
+            Err(DecompressError::NotChunked)
+        ));
+        assert!(decompress(&frame).is_err());
         assert!(data.len() > 2 * frame.len());
     }
 
@@ -87,6 +89,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         // A length header promising far more data than present must not panic.
-        assert!(decompress_any(&[0xFF; 3]).is_err());
+        assert!(decompress(&[0xFF; 3]).is_err());
+        assert!(decompress_chunked(&[0xFF; 3]).is_err());
     }
 }

@@ -418,8 +418,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a single stream produced by [`compress`]. For the chunked
-/// framing use [`crate::chunked::decompress_chunked`], or
-/// [`crate::decompress_any`] to accept either format.
+/// framing use [`crate::chunked::decompress_chunked`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
     let mut out = Vec::new();
     decompress_into(data, &mut out)?;

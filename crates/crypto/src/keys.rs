@@ -5,14 +5,15 @@
 //! reproduction the PKI is the [`KeyRegistry`]: key pairs are generated
 //! deterministically from a seed, registered once at system construction
 //! time, and the registry is shared (cheaply, it is an `Arc`) by every
-//! simulated process that needs to verify signatures.
+//! simulated process that needs to verify signatures. A pair is a process
+//! id and its secret seed: the keyed-hash signature substitute verifies
+//! through the signer's registered secret, so no public key is derived.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{sha256, sha256_many};
@@ -83,20 +84,6 @@ impl fmt::Debug for SecretKey {
     }
 }
 
-/// Public verification key (32 bytes, derived as SHA-256 of the seed).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PublicKey(pub [u8; 32]);
-
-impl fmt::Debug for PublicKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PublicKey({:02x}{:02x}{:02x}{:02x}…)",
-            self.0[0], self.0[1], self.0[2], self.0[3]
-        )
-    }
-}
-
 /// A process key pair.
 #[derive(Clone, Copy, Debug)]
 pub struct KeyPair {
@@ -104,23 +91,15 @@ pub struct KeyPair {
     pub id: ProcessId,
     /// Private seed.
     pub secret: SecretKey,
-    /// Public key derived from the seed.
-    pub public: PublicKey,
 }
 
 impl KeyPair {
-    /// Generates a key pair for `id` from an RNG.
-    pub fn generate<R: RngCore>(id: ProcessId, rng: &mut R) -> Self {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        Self::from_seed(id, seed)
-    }
-
-    /// Builds a key pair deterministically from a 32-byte seed.
+    /// Builds a key pair from a 32-byte seed.
     pub fn from_seed(id: ProcessId, seed: [u8; 32]) -> Self {
-        let secret = SecretKey(seed);
-        let public = PublicKey(sha256(&seed).0);
-        KeyPair { id, secret, public }
+        KeyPair {
+            id,
+            secret: SecretKey(seed),
+        }
     }
 
     /// Derives a key pair deterministically from a process id and a system
@@ -139,22 +118,16 @@ impl KeyPair {
     }
 }
 
-#[derive(Default)]
-struct RegistryInner {
-    by_id: HashMap<ProcessId, KeyPair>,
-    by_public: HashMap<PublicKey, ProcessId>,
-}
-
 /// The PKI: a shared directory mapping process ids to key pairs.
 ///
 /// In a real deployment verification would only need the *public* key; our
 /// keyed-hash signature substitute needs the registry to resolve the signer's
-/// verification material (see `DESIGN.md` §3). The registry is therefore the
-/// trust anchor of the simulation: processes that are not registered cannot
-/// produce signatures that verify.
+/// verification material (see ARCHITECTURE.md, "Crypto backends"). The
+/// registry is therefore the trust anchor of the simulation: processes that
+/// are not registered cannot produce signatures that verify.
 #[derive(Clone, Default)]
 pub struct KeyRegistry {
-    inner: Arc<RwLock<RegistryInner>>,
+    by_id: Arc<RwLock<HashMap<ProcessId, KeyPair>>>,
 }
 
 impl KeyRegistry {
@@ -188,29 +161,17 @@ impl KeyRegistry {
 
     /// Registers a key pair. Re-registering the same id replaces the entry.
     pub fn register(&self, pair: KeyPair) {
-        let mut inner = self.inner.write();
-        inner.by_public.insert(pair.public, pair.id);
-        inner.by_id.insert(pair.id, pair);
+        self.by_id.write().insert(pair.id, pair);
     }
 
     /// Looks up the key pair of `id`.
     pub fn lookup(&self, id: ProcessId) -> Option<KeyPair> {
-        self.inner.read().by_id.get(&id).copied()
-    }
-
-    /// Looks up the public key of `id`.
-    pub fn public_key(&self, id: ProcessId) -> Option<PublicKey> {
-        self.lookup(id).map(|p| p.public)
-    }
-
-    /// Resolves a public key back to the owning process.
-    pub fn owner(&self, public: &PublicKey) -> Option<ProcessId> {
-        self.inner.read().by_public.get(public).copied()
+        self.by_id.read().get(&id).copied()
     }
 
     /// Number of registered processes.
     pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        self.by_id.read().len()
     }
 
     /// True if no process is registered.
@@ -222,8 +183,6 @@ impl KeyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn process_id_ranges() {
@@ -244,18 +203,9 @@ mod tests {
         let b = KeyPair::derive(ProcessId::server(1), 42);
         let c = KeyPair::derive(ProcessId::server(2), 42);
         let d = KeyPair::derive(ProcessId::server(1), 43);
-        assert_eq!(a.secret.0, b.secret.0);
-        assert_eq!(a.public, b.public);
-        assert_ne!(a.public, c.public);
-        assert_ne!(a.public, d.public);
-    }
-
-    #[test]
-    fn generate_uses_rng() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = KeyPair::generate(ProcessId::client(0), &mut rng);
-        let b = KeyPair::generate(ProcessId::client(1), &mut rng);
-        assert_ne!(a.public, b.public);
+        assert_eq!(a.secret, b.secret);
+        assert_ne!(a.secret, c.secret);
+        assert_ne!(a.secret, d.secret);
     }
 
     #[test]
@@ -270,7 +220,6 @@ mod tests {
             let batched = reg.lookup(id).expect("registered");
             let individual = KeyPair::derive(id, 55);
             assert_eq!(batched.secret.0, individual.secret.0, "{id}");
-            assert_eq!(batched.public, individual.public, "{id}");
         }
     }
 
@@ -280,8 +229,11 @@ mod tests {
         assert_eq!(reg.len(), 6);
         assert!(!reg.is_empty());
         let pair = reg.lookup(ProcessId::server(2)).expect("registered");
-        assert_eq!(reg.owner(&pair.public), Some(ProcessId::server(2)));
-        assert_eq!(reg.public_key(ProcessId::server(2)), Some(pair.public));
+        assert_eq!(pair.id, ProcessId::server(2));
+        assert_eq!(
+            pair.secret,
+            KeyPair::derive(ProcessId::server(2), 123).secret
+        );
         assert!(reg.lookup(ProcessId::server(10)).is_none());
     }
 

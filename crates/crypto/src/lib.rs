@@ -10,9 +10,10 @@
 //! * **ed25519 signatures** under an assumed PKI. This crate substitutes a
 //!   deterministic keyed-hash signature scheme ([`sign`]: two HMAC-SHA-256
 //!   halves) whose verification is mediated by the PKI [`KeyRegistry`]; see
-//!   `DESIGN.md` §3 for why the substitution preserves the behaviour the
-//!   protocols depend on. Signatures are 64 bytes, so epoch-proofs and
-//!   hash-batches have the same wire length as in the paper (139 bytes).
+//!   ARCHITECTURE.md, "Crypto backends", for why the substitution preserves
+//!   the behaviour the protocols depend on. Signatures are 64 bytes, so
+//!   epoch-proofs and hash-batches have the same wire length as in the paper
+//!   (139 bytes).
 //! * A binary [`merkle`] tree, used by the ledger to commit to block
 //!   contents and by tests to cross-check batch hashing.
 //!
@@ -39,7 +40,7 @@ pub mod signature;
 pub use fxhash::{fmix64, FxHashMap, FxHashSet, FxHasher};
 pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
 pub use hmac::{hmac_sha256, HmacSha256Key};
-pub use keys::{KeyPair, KeyRegistry, ProcessId, PublicKey, SecretKey};
+pub use keys::{KeyPair, KeyRegistry, ProcessId, SecretKey};
 pub use merkle::{framed_hash, leaf_hash, merkle_root, MerkleProof, MerkleTree};
 pub use signature::{sign, sign_with, verify, SigVerifier, Signature, SigningKey, SIGNATURE_LEN};
 

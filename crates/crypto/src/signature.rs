@@ -54,11 +54,6 @@ impl Signature {
             bytes: [0xBD; SIGNATURE_LEN],
         }
     }
-
-    /// Size of the signature on the wire, in bytes (identity + tag).
-    pub fn wire_len(&self) -> usize {
-        SIGNATURE_LEN + 8
-    }
 }
 
 /// A process's precomputed signing schedule: the two half keys, each with
@@ -328,13 +323,6 @@ mod tests {
         let (_, s0, _) = setup();
         assert_eq!(sign(&s0, b"m"), sign(&s0, b"m"));
         assert_ne!(sign(&s0, b"m").bytes, sign(&s0, b"n").bytes);
-    }
-
-    #[test]
-    fn signature_wire_len() {
-        let (_, s0, _) = setup();
-        let sig = sign(&s0, b"m");
-        assert_eq!(sig.wire_len(), 72);
     }
 
     mod prop {

@@ -52,23 +52,6 @@ pub trait Application: Send + 'static {
     ) {
     }
 
-    /// Called when several application-level messages arrive at the same
-    /// simulated instant (the node threads the scheduler's coalesced
-    /// delivery batch through in one callback round). The default drains
-    /// the batch through [`on_message`](Self::on_message) in delivery
-    /// order; overriders must consume every entry and preserve per-message
-    /// semantics — the batch boundary is a scheduling artifact, not
-    /// protocol structure.
-    fn on_messages(
-        &mut self,
-        batch: &mut Vec<(ProcessId, Self::Msg)>,
-        ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>,
-    ) {
-        for (from, msg) in batch.drain(..) {
-            self.on_message(from, msg, ctx);
-        }
-    }
-
     /// Called when an application timer armed through
     /// [`AppCtx::set_app_timer`] fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut AppCtx<'_, '_, '_, Self::Tx, Self::Msg>) {

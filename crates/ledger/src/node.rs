@@ -14,8 +14,8 @@
 //! (Property 9, Ledger-Add-Eventual-Notify). The full Tendermint
 //! locking/unlocking rules are *not* implemented; the simplification is safe
 //! for the fault scenarios exercised here (silent validators, proposer
-//! equivocation in the proposal phase, vote withholding) and is called out in
-//! DESIGN.md.
+//! equivocation in the proposal phase, withheld precommits), as
+//! ARCHITECTURE.md's "Fault model and recovery" explains.
 //!
 //! # Timing
 //!
@@ -38,7 +38,10 @@ use crate::messages::{
     certificate_sign_bytes, proposal_sign_bytes, vote_sign_bytes, NetMsg, VoteKind,
 };
 use crate::trace::{BlockSummary, LedgerTrace};
-use crate::types::{Block, BlockId, LedgerConfig, TxData, TxId};
+use crate::types::{
+    Block, BlockId, LedgerConfig, TxData, TxId, GOSSIP_INTERVAL, MEMPOOL_MAX_BYTES,
+    MEMPOOL_MAX_TXS, ROUND_TIMEOUT,
+};
 
 /// Application timers are namespaced above this bit so they never collide
 /// with the node's internal timers.
@@ -62,10 +65,10 @@ pub struct NodeStats {
     /// Transactions the mempool refused because their id was already pending
     /// or committed.
     pub mempool_rejected_duplicate: u64,
-    /// Transactions shed because the mempool held `mempool_max_txs` entries.
+    /// Transactions shed because the mempool held [`MEMPOOL_MAX_TXS`] entries.
     /// Reject-newest: the arriving transaction is dropped, queued ones stay.
     pub mempool_rejected_full_count: u64,
-    /// Transactions shed because the mempool held `mempool_max_bytes` bytes.
+    /// Transactions shed because the mempool held [`MEMPOOL_MAX_BYTES`] bytes.
     pub mempool_rejected_full_bytes: u64,
     /// Proposals this node created.
     pub proposals_made: u64,
@@ -115,9 +118,6 @@ pub struct LedgerNode<A: Application> {
     /// Reused buffer for transactions submitted during an application
     /// callback (see `with_app`).
     submitted_scratch: Vec<A::Tx>,
-    /// Reused buffer for the application messages of one coalesced
-    /// delivery batch (see `Process::on_messages`).
-    app_batch: Vec<(ProcessId, A::Msg)>,
     /// This node's own signing schedule, so signing a vote/proposal does
     /// not re-derive the keys per signature.
     own_key: SigningKey,
@@ -174,7 +174,7 @@ impl<A: Application> LedgerNode<A> {
         byz: ByzMode,
     ) -> Self {
         assert_eq!(keys.id, id, "key pair does not belong to this node");
-        let mempool = Mempool::new(config.mempool_max_txs, config.mempool_max_bytes);
+        let mempool = Mempool::new(MEMPOOL_MAX_TXS, MEMPOOL_MAX_BYTES);
         let validators = config.validator_ids();
         let peers: Vec<ProcessId> = validators.iter().copied().filter(|p| *p != id).collect();
         LedgerNode {
@@ -189,7 +189,6 @@ impl<A: Application> LedgerNode<A> {
             validators,
             peers,
             submitted_scratch: Vec::new(),
-            app_batch: Vec::new(),
             own_key: SigningKey::new(&keys.secret),
             verifier: SigVerifier::new(),
             height: 1,
@@ -211,11 +210,6 @@ impl<A: Application> LedgerNode<A> {
     /// The application instance running on this node.
     pub fn app(&self) -> &A {
         &self.app
-    }
-
-    /// Mutable access to the application (post-run inspection).
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
     }
 
     /// Current consensus height (next block to commit).
@@ -322,7 +316,7 @@ impl<A: Application> LedgerNode<A> {
 
     fn schedule_round_timeout(&self, height: u64, round: u32, ctx: &mut Context<'_, M<A>>) {
         let payload = ((height & 0xFF_FFFF_FFFF) << 16) | u64::from(round & 0xFFFF);
-        ctx.set_timer(self.config.round_timeout, TIMER_ROUND_TIMEOUT | payload);
+        ctx.set_timer(ROUND_TIMEOUT, TIMER_ROUND_TIMEOUT | payload);
     }
 
     fn start_round(&mut self, ctx: &mut Context<'_, M<A>>) {
@@ -821,7 +815,7 @@ impl<A: Application> LedgerNode<A> {
                         ctx.send_shared(*peer, Arc::clone(&msg));
                     }
                 }
-                ctx.set_timer(self.config.gossip_interval, TIMER_GOSSIP);
+                ctx.set_timer(GOSSIP_INTERVAL, TIMER_GOSSIP);
             }
             TIMER_START_HEIGHT if payload == self.height && self.round == 0 => {
                 self.start_round(ctx);
@@ -847,7 +841,7 @@ impl<A: Application> Process<M<A>> for LedgerNode<A> {
         if self.byz.is_silent() {
             return;
         }
-        ctx.set_timer(self.config.gossip_interval, TIMER_GOSSIP);
+        ctx.set_timer(GOSSIP_INTERVAL, TIMER_GOSSIP);
         // Height 1 starts one block interval into the run.
         self.schedule_start_height(1, ctx);
     }
@@ -862,38 +856,6 @@ impl<A: Application> Process<M<A>> for LedgerNode<A> {
         } else {
             self.handle_consensus_msg(from, msg, ctx);
         }
-    }
-
-    /// Coalesced same-instant deliveries: consecutive application messages
-    /// are threaded to the application as one batch through
-    /// [`Application::on_messages`] — one `with_app` round (one submit pass,
-    /// one `AppCtx`) for the whole run instead of one per message.
-    /// Consensus messages are dispatched in place, preserving the exact
-    /// per-message order a non-coalesced scheduler would have produced.
-    fn on_messages(&mut self, batch: &mut Vec<(ProcessId, M<A>)>, ctx: &mut Context<'_, M<A>>) {
-        if self.byz.is_silent() {
-            batch.clear();
-            return;
-        }
-        let mut app_batch = std::mem::take(&mut self.app_batch);
-        debug_assert!(app_batch.is_empty());
-        for (from, msg) in batch.drain(..) {
-            match msg {
-                NetMsg::App(m) => app_batch.push((from, m)),
-                other => {
-                    if !app_batch.is_empty() {
-                        self.with_app(ctx, |app, app_ctx| app.on_messages(&mut app_batch, app_ctx));
-                        app_batch.clear();
-                    }
-                    self.handle_consensus_msg(from, other, ctx);
-                }
-            }
-        }
-        if !app_batch.is_empty() {
-            self.with_app(ctx, |app, app_ctx| app.on_messages(&mut app_batch, app_ctx));
-            app_batch.clear();
-        }
-        self.app_batch = app_batch;
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, M<A>>) {

@@ -65,11 +65,6 @@ impl LedgerTrace {
         }
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records that `tx` entered the mempool of `validator` at `at`.
     pub fn record_mempool_arrival(&self, tx: TxId, validator: ProcessId, at: SimTime) {
         if !self.enabled {
@@ -153,11 +148,6 @@ impl LedgerTrace {
         self.inner.lock().committed.get(tx).map(|&(h, _)| h)
     }
 
-    /// Number of committed blocks observed.
-    pub fn block_count(&self) -> usize {
-        self.inner.lock().blocks.len()
-    }
-
     /// All block summaries in height order.
     pub fn blocks(&self) -> Vec<BlockSummary> {
         let inner = self.inner.lock();
@@ -229,7 +219,7 @@ mod tests {
             bytes: 60,
             proposer: ProcessId::server(2),
         });
-        assert_eq!(trace.block_count(), 2);
+        assert_eq!(trace.blocks().len(), 2);
         assert_eq!(trace.blocks()[0].height, 1);
         let rate = trace.block_rate();
         assert!((rate - 0.8).abs() < 1e-9, "rate={rate}");
@@ -238,7 +228,6 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let trace = LedgerTrace::disabled();
-        assert!(!trace.is_enabled());
         trace.record_mempool_arrival(TxId(1), ProcessId::server(0), t(1));
         trace.record_commit(TxId(1), 1, t(1));
         trace.record_block(BlockSummary {
@@ -250,7 +239,7 @@ mod tests {
         });
         assert_eq!(trace.first_mempool(&TxId(1)), None);
         assert_eq!(trace.ledger_time(&TxId(1)), None);
-        assert_eq!(trace.block_count(), 0);
+        assert!(trace.blocks().is_empty());
     }
 
     #[test]

@@ -14,13 +14,6 @@ use setchain_simnet::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub struct TxId(pub u128);
 
-impl TxId {
-    /// Derives a `TxId` from a 256-bit digest (first 16 bytes).
-    pub fn from_digest(d: &Digest256) -> Self {
-        TxId(u128::from_be_bytes(d.0[..16].try_into().expect("16 bytes")))
-    }
-}
-
 /// A ledger transaction as seen by the consensus engine.
 ///
 /// The engine is generic over the transaction type: it never inspects the
@@ -97,11 +90,24 @@ impl<T: TxData> Block<T> {
     }
 }
 
+/// Maximum number of transactions held in a mempool (paper: 10 000 000).
+pub const MEMPOOL_MAX_TXS: usize = 10_000_000;
+/// Maximum total bytes held in a mempool (paper: 2 GB).
+pub const MEMPOOL_MAX_BYTES: usize = 2 * 1024 * 1024 * 1024;
+/// How often a node flushes its pending transaction gossip to peers.
+pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Round timeout: how long a validator waits in a round before moving to
+/// the next one (covers silent/faulty proposers).
+pub const ROUND_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+
 /// Configuration of the ledger (CometBFT stand-in).
 ///
-/// Defaults follow the constants reported in the paper's evaluation:
-/// one block roughly every 1.25 s (0.8 blocks/s), a 0.5 MB block size, and a
-/// mempool capped at 10 million transactions or 2 GB.
+/// Defaults follow the constants reported in the paper's evaluation: one
+/// block roughly every 1.25 s (0.8 blocks/s) and a 0.5 MB block size. The
+/// fields are the knobs a run varies; the mempool caps (the paper's 10
+/// million transactions or 2 GB), the gossip interval and the round timeout
+/// are fixed: [`MEMPOOL_MAX_TXS`], [`MEMPOOL_MAX_BYTES`], [`GOSSIP_INTERVAL`]
+/// and [`ROUND_TIMEOUT`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LedgerConfig {
     /// Number of validators (the paper's `server_count`: 4, 7 or 10).
@@ -111,15 +117,6 @@ pub struct LedgerConfig {
     /// Maximum total transaction bytes in a block (paper: 0.5 MB default,
     /// swept up to 128 MB in Fig. 2 right).
     pub max_block_bytes: usize,
-    /// Maximum number of transactions held in a mempool (paper: 10 000 000).
-    pub mempool_max_txs: usize,
-    /// Maximum total bytes held in a mempool (paper: 2 GB).
-    pub mempool_max_bytes: usize,
-    /// How often a node flushes its pending transaction gossip to peers.
-    pub gossip_interval: SimDuration,
-    /// Round timeout: how long a validator waits in a round before moving to
-    /// the next one (covers silent/faulty proposers).
-    pub round_timeout: SimDuration,
     /// CPU time charged for verifying one signature (vote or certificate).
     pub sig_verify_cost: SimDuration,
     /// CPU time charged per 1 KiB of transaction data when validating a
@@ -133,10 +130,6 @@ impl Default for LedgerConfig {
             validators: 4,
             block_interval: SimDuration::from_millis(1250),
             max_block_bytes: 500_000,
-            mempool_max_txs: 10_000_000,
-            mempool_max_bytes: 2 * 1024 * 1024 * 1024,
-            gossip_interval: SimDuration::from_millis(10),
-            round_timeout: SimDuration::from_secs(4),
             sig_verify_cost: SimDuration::from_micros(60),
             block_validate_cost_per_kib: SimDuration::from_micros(2),
         }
@@ -264,15 +257,7 @@ mod tests {
     fn default_matches_paper_constants() {
         let cfg = LedgerConfig::default();
         assert_eq!(cfg.max_block_bytes, 500_000);
-        assert_eq!(cfg.mempool_max_txs, 10_000_000);
+        assert_eq!(MEMPOOL_MAX_TXS, 10_000_000);
         assert!((cfg.block_interval.as_secs_f64() - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tx_id_from_digest() {
-        let d = setchain_crypto::sha256(b"tx");
-        let id = TxId::from_digest(&d);
-        assert_ne!(id.0, 0);
-        assert_eq!(id, TxId::from_digest(&d));
     }
 }

@@ -8,8 +8,9 @@ use setchain_simnet::SimDuration;
 /// cryptographic and compression work is charged as simulated CPU time using
 /// these per-operation costs (calibrated to a mid-range Xeon: SHA-512 at
 /// ~500 MB/s, ed25519 sign/verify in the tens of microseconds, Brotli at
-/// ~100 MB/s). The costs are configuration so ablation benches can study
-/// their impact.
+/// ~100 MB/s). No run in this repository sets them yet; they stay fields of
+/// [`SetchainConfig`] so that a sensitivity sweep can vary them one at a
+/// time.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Validating one element: one client authenticator (MAC) check;

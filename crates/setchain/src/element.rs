@@ -49,9 +49,9 @@ pub struct Element {
     pub content_seed: u64,
     /// Compact authenticator: the first 8 bytes of
     /// `HMAC-SHA-256(client_secret, id ‖ size ‖ seed)`. Stands in for the
-    /// client's ed25519 signature over the element (see DESIGN.md §3);
-    /// elements forged by servers fail validation because servers do not hold
-    /// client keys.
+    /// client's ed25519 signature over the element (see ARCHITECTURE.md,
+    /// "Crypto backends"); elements forged by servers fail validation because
+    /// servers do not hold client keys.
     pub auth: u64,
 }
 

@@ -497,7 +497,7 @@ impl Hashchain {
                 None => (&[][..], None),
             };
             let shared = rec.batch.as_ref();
-            let proof = core.create_epoch(elements, shared, root, validate, now, ctx);
+            let proof = core.create_epoch(elements, shared, root, validate, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
         }

@@ -18,7 +18,6 @@
 //! internal nodes add ~0.25/element, ~0.875 compressions per element
 //! overall.
 
-use serde::{Deserialize, Serialize};
 use setchain_crypto::{
     leaf_hash, sign, sign_with, verify, Digest256, Digest512, KeyPair, KeyRegistry, MerkleProof,
     MerkleTree, ProcessId, Sha512, Signature, SigningKey,
@@ -121,27 +120,10 @@ pub struct EpochProof {
     pub signature: Signature,
 }
 
-/// Serializable summary of a proof (used in experiment reports).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct EpochProofSummary {
-    /// Epoch number.
-    pub epoch: u64,
-    /// Signer id.
-    pub signer: u64,
-}
-
 impl EpochProof {
     /// Wire length (fixed, per the paper).
     pub fn wire_size(&self) -> usize {
         EPOCH_PROOF_WIRE_LEN
-    }
-
-    /// Summary for reports.
-    pub fn summary(&self) -> EpochProofSummary {
-        EpochProofSummary {
-            epoch: self.epoch,
-            signer: self.signer.0,
-        }
     }
 }
 
@@ -349,7 +331,6 @@ mod tests {
         assert_eq!(proof.signer, ProcessId::server(1));
         assert_eq!(proof.wire_size(), 139);
         assert!(verify_epoch_proof(&reg, 4, &proof, &elements));
-        assert_eq!(proof.summary().epoch, 3);
     }
 
     #[test]

@@ -836,7 +836,6 @@ impl ServerCore {
         shared: Option<&Arc<Batch>>,
         root: Option<Digest256>,
         validate: bool,
-        now: SimTime,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> EpochProof {
         debug_assert!(
@@ -877,7 +876,7 @@ impl ServerCore {
         self.stats.epochs_created += 1;
         let stamped = self.state.epoch_elements(epoch).expect("just created");
         self.trace
-            .record_epoch_assignments(stamped.iter().map(|e| e.id), epoch, now);
+            .record_epoch_assignments(stamped.iter().map(|e| e.id), epoch);
         // Hash + sign cost for the epoch-proof.
         let bytes: usize = stamped.iter().map(|e| e.wire_size()).sum();
         ctx.consume_cpu(self.config.costs.hash_cost(bytes));
@@ -1364,8 +1363,7 @@ pub(crate) mod tests {
                     proofs: vec![],
                 });
                 let root = epoch_root(&batch.elements);
-                let now = SimTime::ZERO;
-                core.create_epoch(&batch.elements, Some(&batch), Some(root), true, now, ctx);
+                core.create_epoch(&batch.elements, Some(&batch), Some(root), true, ctx);
                 let stamped = core.state.epoch_elements(epoch).unwrap();
                 let recorded = *core.state.epoch_digest(epoch).unwrap();
                 assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
@@ -1501,8 +1499,7 @@ pub(crate) mod tests {
             ));
             core.admit_batch_elements(&batch, true, ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
-            let now = ctx.now();
-            core.create_epoch(&batch, None, None, true, now, ctx);
+            core.create_epoch(&batch, None, None, true, ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
             // Only the rejected id keeps its verdict.
             assert_eq!(core.admission_cache().len(), 1);
@@ -1521,8 +1518,7 @@ pub(crate) mod tests {
             let keys = registry.lookup(ProcessId::client(0)).unwrap();
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             assert!(core.accept_add(&good, ctx));
-            let now = ctx.now();
-            core.create_epoch(&[good], None, None, true, now, ctx);
+            core.create_epoch(&[good], None, None, true, ctx);
             assert!(core.state.in_history(&good.id));
             let misses = core.admission_cache().misses();
             // An honest re-send and a tampered replay of the stamped id.
@@ -1564,9 +1560,8 @@ pub(crate) mod tests {
             assert_eq!(add, costs.validate_element);
             let batch = charged(ctx, |ctx| core.admit_batch_elements(&[good], true, ctx));
             assert_eq!(batch, SimDuration::ZERO);
-            let now = ctx.now();
             let epoch = charged(ctx, |ctx| {
-                core.create_epoch(&[good], None, None, true, now, ctx);
+                core.create_epoch(&[good], None, None, true, ctx);
             });
             assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
             assert!(core.state.in_history(&good.id));

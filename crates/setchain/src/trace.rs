@@ -41,7 +41,6 @@ struct TraceInner {
     /// Epochs start at 1, so a `NonZeroU32` holds every epoch of a run.
     element_epoch: IdMap<NonZeroU32>,
     epoch_committed: FxHashMap<u64, SimTime>,
-    epoch_consolidated: FxHashMap<u64, SimTime>,
     element_tx: IdMap<TxId>,
 }
 
@@ -99,27 +98,21 @@ impl SetchainTrace {
         }
     }
 
-    /// Records that a correct server stamped `id` with `epoch` at `at`
-    /// (first observation wins; all correct servers assign the same epoch).
-    pub fn record_epoch_assignment(&self, id: ElementId, epoch: u64, at: SimTime) {
-        self.record_epoch_assignments(std::iter::once(id), epoch, at);
+    /// Records that a correct server stamped `id` with `epoch` (first
+    /// observation wins; all correct servers assign the same epoch).
+    pub fn record_epoch_assignment(&self, id: ElementId, epoch: u64) {
+        self.record_epoch_assignments(std::iter::once(id), epoch);
     }
 
     /// Batched form of [`Self::record_epoch_assignment`]: one lock
     /// acquisition for a whole epoch's elements. Servers create epochs a
     /// batch at a time, so this is the hot-path entry point.
-    pub fn record_epoch_assignments(
-        &self,
-        ids: impl IntoIterator<Item = ElementId>,
-        epoch: u64,
-        at: SimTime,
-    ) {
+    pub fn record_epoch_assignments(&self, ids: impl IntoIterator<Item = ElementId>, epoch: u64) {
         let narrow = u32::try_from(epoch)
             .ok()
             .and_then(NonZeroU32::new)
             .expect("epochs are numbered from 1, and 2^32 epochs exceed any run");
         let mut inner = self.inner.lock();
-        inner.epoch_consolidated.entry(epoch).or_insert(at);
         for id in ids {
             inner.element_epoch.insert_if_absent(id, narrow);
         }
@@ -139,19 +132,6 @@ impl SetchainTrace {
     /// Number of epochs that reached the proof quorum.
     pub fn committed_epochs(&self) -> usize {
         self.inner.lock().epoch_committed.len()
-    }
-
-    /// Commit time of an element: the commit time of its epoch.
-    pub fn commit_time(&self, id: &ElementId) -> Option<SimTime> {
-        let inner = self.inner.lock();
-        let epoch = inner.element_epoch.get(id)?;
-        inner.epoch_committed.get(&u64::from(epoch.get())).copied()
-    }
-
-    /// Time at which an epoch was consolidated (assigned) by the first
-    /// correct server.
-    pub fn epoch_consolidated_at(&self, epoch: u64) -> Option<SimTime> {
-        self.inner.lock().epoch_consolidated.get(&epoch).copied()
     }
 
     /// Time at which an epoch reached the proof quorum.
@@ -220,16 +200,6 @@ impl SetchainTrace {
             })
             .count()
     }
-
-    /// Number of elements added no later than `t`.
-    pub fn added_count_by(&self, t: SimTime) -> usize {
-        self.inner
-            .lock()
-            .added
-            .iter()
-            .filter(|(_, &at)| at <= t)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -250,26 +220,31 @@ mod tests {
         trace.record_add(id(1), t(100));
         trace.record_add(id(2), t(200));
         trace.record_add(id(3), t(300));
-        trace.record_epoch_assignment(id(1), 1, t(1500));
-        trace.record_epoch_assignment(id(2), 1, t(1500));
+        trace.record_epoch_assignment(id(1), 1);
+        trace.record_epoch_assignment(id(2), 1);
         trace.record_epoch_commit(1, t(3000));
 
         assert_eq!(trace.added_count(), 3);
         assert_eq!(trace.committed_epochs(), 1);
-        assert_eq!(trace.commit_time(&id(1)), Some(t(3000)));
-        assert_eq!(trace.commit_time(&id(3)), None);
-        assert_eq!(trace.epoch_consolidated_at(1), Some(t(1500)));
         assert_eq!(trace.epoch_committed_at(1), Some(t(3000)));
-        assert_eq!(trace.added_count_by(t(250)), 2);
         assert_eq!(trace.committed_count_by(t(2999)), 0);
         assert_eq!(trace.committed_count_by(t(3000)), 2);
         assert_eq!(trace.honest_committed_count_by(t(3000)), 2);
 
         let records = trace.element_records();
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0].id, id(1));
+        assert_eq!(
+            records
+                .iter()
+                .map(|r| (r.id, r.added_at))
+                .collect::<Vec<_>>(),
+            vec![(id(1), t(100)), (id(2), t(200)), (id(3), t(300))]
+        );
+        // An element's commit time is its epoch's.
         assert_eq!(records[0].committed_at, Some(t(3000)));
+        assert_eq!(records[1].committed_at, Some(t(3000)));
         assert_eq!(records[2].epoch, None);
+        assert_eq!(records[2].committed_at, None);
     }
 
     #[test]
@@ -277,8 +252,8 @@ mod tests {
         let trace = SetchainTrace::new();
         trace.record_add(id(1), t(100));
         trace.record_add(id(1), t(500)); // duplicate add ignored
-        trace.record_epoch_assignment(id(1), 1, t(1000));
-        trace.record_epoch_assignment(id(1), 2, t(900)); // second server's view ignored
+        trace.record_epoch_assignment(id(1), 1);
+        trace.record_epoch_assignment(id(1), 2); // second server's view ignored
         trace.record_epoch_commit(1, t(2000));
         trace.record_epoch_commit(1, t(1500)); // later observation ignored
         let rec = &trace.element_records()[0];
@@ -290,7 +265,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "2^32 epochs exceed any run")]
     fn an_epoch_past_u32_is_refused() {
-        SetchainTrace::new().record_epoch_assignment(id(1), 1 << 32, t(0));
+        SetchainTrace::new().record_epoch_assignment(id(1), 1 << 32);
     }
 
     #[test]
@@ -300,8 +275,8 @@ mod tests {
         // leave it out while the raw count includes it.
         let trace = SetchainTrace::new();
         trace.record_add(id(1), t(100));
-        trace.record_epoch_assignment(id(1), 1, t(1000));
-        trace.record_epoch_assignment(id(2), 1, t(1000)); // attack element
+        trace.record_epoch_assignment(id(1), 1);
+        trace.record_epoch_assignment(id(2), 1); // attack element
         trace.record_epoch_commit(1, t(2000));
         assert_eq!(trace.committed_count_by(t(2000)), 2);
         assert_eq!(trace.honest_committed_count_by(t(2000)), 1);
@@ -326,7 +301,7 @@ mod tests {
         let trace = SetchainTrace::new();
         assert_eq!(trace.added_count(), 0);
         assert_eq!(trace.committed_epochs(), 0);
-        assert_eq!(trace.commit_time(&id(1)), None);
+        assert_eq!(trace.epoch_committed_at(1), None);
         assert!(trace.element_records().is_empty());
         assert_eq!(trace.committed_count_by(t(1000)), 0);
     }

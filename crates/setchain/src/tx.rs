@@ -148,18 +148,6 @@ impl TxData for SetchainTx {
     }
 }
 
-impl SetchainTx {
-    /// True if this transaction is an element.
-    pub fn is_element(&self) -> bool {
-        matches!(self, SetchainTx::Element(_))
-    }
-
-    /// True if this transaction is an epoch-proof.
-    pub fn is_proof(&self) -> bool {
-        matches!(self, SetchainTx::Proof(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,18 +251,6 @@ mod tests {
         let a = SetchainTx::HashBatch(HashBatch::new(&s0, h));
         let b = SetchainTx::HashBatch(HashBatch::new(&s1, h));
         assert_ne!(a.tx_id(), b.tx_id());
-    }
-
-    #[test]
-    fn kind_predicates() {
-        let reg = registry();
-        let client = reg.lookup(ProcessId::client(0)).unwrap();
-        let server = reg.lookup(ProcessId::server(0)).unwrap();
-        let e = Element::new(&client, ElementId::new(0, 1), 100, 1);
-        assert!(SetchainTx::Element(e).is_element());
-        assert!(!SetchainTx::Element(e).is_proof());
-        let p = make_epoch_proof(&server, 1, &[e]);
-        assert!(SetchainTx::Proof(p).is_proof());
     }
 
     #[test]

@@ -24,9 +24,10 @@ pub struct NetworkConfig {
     /// Artificial latency added to every message (the paper's
     /// `network_delay` parameter: 0, 30 or 100 ms).
     pub extra_delay: SimDuration,
-    /// Link bandwidth in bytes per second used to model transmission time of
-    /// large messages (batches). `None` disables bandwidth modelling.
-    pub bandwidth_bytes_per_sec: Option<u64>,
+    /// Link bandwidth in bytes per second (positive): each sender's link
+    /// transmits one message at a time, taking `size / bandwidth` per
+    /// message, so large messages (batches) serialise.
+    pub bandwidth_bytes_per_sec: u64,
     /// Probability in `[0, 1]` that a message between distinct processes is
     /// silently dropped. Loopback messages are never dropped.
     pub loss_rate: f64,
@@ -48,7 +49,7 @@ impl NetworkConfig {
             base_delay: SimDuration::from_micros(250),
             jitter: SimDuration::from_micros(100),
             extra_delay: SimDuration::ZERO,
-            bandwidth_bytes_per_sec: Some(125_000_000), // 1 Gbps
+            bandwidth_bytes_per_sec: 125_000_000, // 1 Gbps
             loss_rate: 0.0,
             loopback_delay: SimDuration::from_micros(10),
         }
@@ -64,12 +65,6 @@ impl NetworkConfig {
     pub fn with_loss_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
         self.loss_rate = rate;
-        self
-    }
-
-    /// Disables bandwidth modelling (infinite-capacity links).
-    pub fn without_bandwidth_model(mut self) -> Self {
-        self.bandwidth_bytes_per_sec = None;
         self
     }
 }
@@ -211,17 +206,12 @@ impl Network {
         }
 
         // Transmission: the sender's link serialises messages one at a time.
-        let departure = match self.config.bandwidth_bytes_per_sec {
-            Some(bw) if bw > 0 => {
-                let free_at = *self.link_free_at.get(&from).unwrap_or(&SimTime::ZERO);
-                let start = if free_at > now { free_at } else { now };
-                let tx_micros = (size_bytes as u64).saturating_mul(1_000_000) / bw;
-                let end = start + SimDuration::from_micros(tx_micros);
-                self.link_free_at.insert(from, end);
-                end
-            }
-            _ => now,
-        };
+        let free_at = *self.link_free_at.get(&from).unwrap_or(&SimTime::ZERO);
+        let start = if free_at > now { free_at } else { now };
+        let tx_micros =
+            (size_bytes as u64).saturating_mul(1_000_000) / self.config.bandwidth_bytes_per_sec;
+        let departure = start + SimDuration::from_micros(tx_micros);
+        self.link_free_at.insert(from, departure);
 
         let jitter = if self.config.jitter.is_zero() {
             SimDuration::ZERO
@@ -356,7 +346,7 @@ mod tests {
         let (a, b, _) = ids();
         let mut cfg = NetworkConfig::lan();
         cfg.jitter = SimDuration::ZERO;
-        cfg.bandwidth_bytes_per_sec = Some(1_000_000); // 1 MB/s
+        cfg.bandwidth_bytes_per_sec = 1_000_000; // 1 MB/s
         let mut net = Network::new(cfg);
         let mut rng = StdRng::seed_from_u64(5);
         // Two 1 MB messages sent back to back: the second waits for the first
@@ -374,20 +364,6 @@ mod tests {
             .delivery_time(&mut rng, SimTime::ZERO, b, a, 1_000_000)
             .unwrap();
         assert!(t3.as_secs_f64() < 1.1, "{t3:?}");
-    }
-
-    #[test]
-    fn without_bandwidth_model_ignores_size() {
-        let (a, b, _) = ids();
-        let mut cfg = NetworkConfig::lan().without_bandwidth_model();
-        cfg.jitter = SimDuration::ZERO;
-        let mut net = Network::new(cfg);
-        let mut rng = StdRng::seed_from_u64(6);
-        let t_small = net.delivery_time(&mut rng, SimTime::ZERO, a, b, 1).unwrap();
-        let t_big = net
-            .delivery_time(&mut rng, SimTime::ZERO, a, b, 100_000_000)
-            .unwrap();
-        assert_eq!(t_small, t_big);
     }
 
     #[test]

@@ -138,24 +138,6 @@ pub trait Process<M: Wire>: Any + Send {
     /// Called when a message addressed to this process arrives.
     fn on_message(&mut self, from: ProcessId, msg: M, ctx: &mut Context<'_, M>);
 
-    /// Called when several messages addressed to this process arrive at the
-    /// same simulated instant (a broadcast fan-in, a loopback burst): the
-    /// scheduler coalesces them into one invocation instead of paying one
-    /// queue pop and one handler dispatch per message.
-    ///
-    /// The default implementation drains the batch through
-    /// [`on_message`](Self::on_message) one entry at a time, in delivery
-    /// order, so implementing it is optional. Overriders must consume every
-    /// entry (the scheduler clears the buffer afterwards either way) and
-    /// must preserve the per-message semantics of `on_message` — the batch
-    /// boundary carries no protocol meaning, it is purely a scheduling
-    /// artifact.
-    fn on_messages(&mut self, batch: &mut Vec<(ProcessId, M)>, ctx: &mut Context<'_, M>) {
-        for (from, msg) in batch.drain(..) {
-            self.on_message(from, msg, ctx);
-        }
-    }
-
     /// Called when a timer set by this process fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, M>) {}
 

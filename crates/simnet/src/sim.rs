@@ -22,15 +22,16 @@
 //!   pop time by comparing `(time, seq)` — the shared sequence counter makes
 //!   the merged order identical to a single queue's.
 //! * **Coalesced delivery.** Consecutive deliveries to the same recipient at
-//!   the same instant (a broadcast fan-in, a loopback burst) are drained into
-//!   one [`Process::on_messages`] invocation, paying one handler dispatch
-//!   and one action-application pass for the whole batch. The batch's
-//!   [`Context::consume_cpu`] charges accumulate and defer *later* events;
-//!   within the batch, messages are handled at the shared arrival instant
-//!   (deferred deliveries are exempt from coalescing precisely so a CPU
-//!   backlog still drains serialized).
+//!   the same instant (a broadcast fan-in, a loopback burst) run as one
+//!   handler invocation: one [`Process::on_message`] call per delivery, in
+//!   queue order, sharing one [`Context`] and one action-application pass.
+//!   The run's [`Context::consume_cpu`] charges accumulate and defer
+//!   *later* events; within the run, every message is handled at the shared
+//!   arrival instant. Two fences end a run: a timer interleaved at the same
+//!   instant, and a deferred delivery, which always runs alone so a CPU
+//!   backlog still drains serialized.
 //!
-//! The per-handler action buffer and the delivery batch buffer are owned by
+//! The per-handler action buffer and the delivery run buffer are owned by
 //! the simulation and reused across events, so steady-state event processing
 //! allocates only what the handlers themselves allocate.
 
@@ -192,7 +193,7 @@ pub struct Simulation<M: Wire> {
     next_fault: usize,
     /// Reused per-handler action buffer (empty between events).
     actions_scratch: Vec<Action<M>>,
-    /// Reused coalesced-delivery batch buffer (empty between events).
+    /// Reused coalesced-delivery run buffer (empty between events).
     batch_scratch: Vec<(ProcessId, M)>,
 }
 
@@ -631,42 +632,39 @@ impl<M: Wire> Simulation<M> {
         let msg = Arc::try_unwrap(event.msg).unwrap_or_else(|shared| (*shared).clone());
 
         // Coalesce the consecutive run of same-instant deliveries to the
-        // same recipient — but only as long as no timer is interleaved in
-        // the merged `(time, seq)` order, so the handler order is exactly
-        // the order a single queue would have produced.
-        let timer_fence = self
-            .timers
-            .peek()
-            .filter(|t| t.at == self.now)
-            .map(|t| t.seq)
-            .unwrap_or(u64::MAX);
-        let more = !event.deferred
-            && self
-                .deliveries
-                .peek()
-                .map(|d| d.at == self.now && d.to == event.to && !d.deferred && d.seq < timer_fence)
-                .unwrap_or(false);
-        if !more {
-            // Overwhelmingly common case: a single delivery.
-            self.run_handler(slot, |p, ctx| p.on_message(event.from, msg, ctx));
-            return true;
-        }
-
+        // same recipient into one handler invocation — but only as long as
+        // no timer is interleaved in the merged `(time, seq)` order, so the
+        // handler order is exactly the order a single queue would have
+        // produced. A deferred delivery runs alone.
         let mut batch = std::mem::take(&mut self.batch_scratch);
         debug_assert!(batch.is_empty());
         batch.push((event.from, msg));
-        while let Some(next) = self.deliveries.peek() {
-            if next.at != self.now || next.to != event.to || next.deferred || next.seq > timer_fence
-            {
-                break;
+        if !event.deferred {
+            let timer_fence = self
+                .timers
+                .peek()
+                .filter(|t| t.at == self.now)
+                .map(|t| t.seq)
+                .unwrap_or(u64::MAX);
+            while let Some(next) = self.deliveries.peek() {
+                if next.at != self.now
+                    || next.to != event.to
+                    || next.deferred
+                    || next.seq > timer_fence
+                {
+                    break;
+                }
+                let next = self.deliveries.pop().expect("peeked above");
+                self.events_processed += 1;
+                let msg = Arc::try_unwrap(next.msg).unwrap_or_else(|shared| (*shared).clone());
+                batch.push((next.from, msg));
             }
-            let next = self.deliveries.pop().expect("peeked above");
-            self.events_processed += 1;
-            let msg = Arc::try_unwrap(next.msg).unwrap_or_else(|shared| (*shared).clone());
-            batch.push((next.from, msg));
         }
-        self.run_handler(slot, |p, ctx| p.on_messages(&mut batch, ctx));
-        batch.clear();
+        self.run_handler(slot, |p, ctx| {
+            for (from, msg) in batch.drain(..) {
+                p.on_message(from, msg, ctx);
+            }
+        });
         self.batch_scratch = batch;
         true
     }
@@ -1037,31 +1035,21 @@ mod tests {
         }
     }
 
-    /// Records how deliveries were grouped into handler invocations.
-    struct BatchObserver {
-        batches: Vec<Vec<(ProcessId, u64)>>,
-        timer_fires: Vec<SimTime>,
+    /// Charges 100 µs of CPU for each ping and records when each event ran
+    /// (`Some(i)` for ping `i`, `None` for a timer).
+    struct CpuObserver {
+        log: Vec<(SimTime, Option<u64>)>,
     }
 
-    impl Process<Msg> for BatchObserver {
-        fn on_message(&mut self, from: ProcessId, msg: Msg, _: &mut Context<'_, Msg>) {
+    impl Process<Msg> for CpuObserver {
+        fn on_message(&mut self, _: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
             if let Msg::Ping(i) = msg {
-                self.batches.push(vec![(from, i)]);
+                ctx.consume_cpu(SimDuration::from_micros(100));
+                self.log.push((ctx.now(), Some(i)));
             }
         }
-        fn on_messages(&mut self, batch: &mut Vec<(ProcessId, Msg)>, _: &mut Context<'_, Msg>) {
-            self.batches.push(
-                batch
-                    .drain(..)
-                    .filter_map(|(from, m)| match m {
-                        Msg::Ping(i) => Some((from, i)),
-                        _ => None,
-                    })
-                    .collect(),
-            );
-        }
         fn on_timer(&mut self, _: TimerToken, ctx: &mut Context<'_, Msg>) {
-            self.timer_fires.push(ctx.now());
+            self.log.push((ctx.now(), None));
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1076,33 +1064,29 @@ mod tests {
         let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
         sim.add_process(
             ProcessId::server(0),
-            Box::new(BatchObserver {
-                batches: Vec::new(),
-                timer_fires: Vec::new(),
-            }),
+            Box::new(CpuObserver { log: Vec::new() }),
         );
         let at = SimTime::from_millis(5);
         for i in 0..4 {
             sim.schedule_message(at, ProcessId::client(0), ProcessId::server(0), Msg::Ping(i));
         }
-        // A later, separate instant stays its own invocation.
+        // A later instant, after the run's CPU is spent, runs on its own.
+        let later = SimTime::from_millis(6);
         sim.schedule_message(
-            SimTime::from_millis(6),
+            later,
             ProcessId::client(0),
             ProcessId::server(0),
             Msg::Ping(9),
         );
         sim.run_until_quiescent(SimTime::from_secs(1));
-        let obs: &BatchObserver = sim.process(ProcessId::server(0)).unwrap();
-        assert_eq!(obs.batches.len(), 2);
+        let obs: &CpuObserver = sim.process(ProcessId::server(0)).unwrap();
+        let mut expected: Vec<_> = (0..4).map(|i| (at, Some(i))).collect();
+        expected.push((later, Some(9)));
         assert_eq!(
-            obs.batches[0],
-            (0..4)
-                .map(|i| (ProcessId::client(0), i))
-                .collect::<Vec<_>>(),
-            "same-instant deliveries arrive as one in-order batch"
+            obs.log, expected,
+            "same-instant deliveries share one handler run: none waits behind another's CPU"
         );
-        assert_eq!(obs.batches[1], vec![(ProcessId::client(0), 9)]);
+        assert_eq!(sim.messages_deferred(), 0);
         // Every delivery still counts as one processed event.
         assert_eq!(sim.events_processed(), 5);
     }
@@ -1112,29 +1096,29 @@ mod tests {
         let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
         sim.add_process(
             ProcessId::server(0),
-            Box::new(BatchObserver {
-                batches: Vec::new(),
-                timer_fires: Vec::new(),
-            }),
+            Box::new(CpuObserver { log: Vec::new() }),
         );
         let at = SimTime::from_millis(5);
         // Interleave in seq order: ping 0, ping 1, timer, ping 2 — all at
-        // the same instant. The timer must split the batch.
+        // the same instant. The timer ends the run at its seq position.
         sim.schedule_message(at, ProcessId::client(0), ProcessId::server(0), Msg::Ping(0));
         sim.schedule_message(at, ProcessId::client(0), ProcessId::server(0), Msg::Ping(1));
         sim.schedule_timer(at, ProcessId::server(0), 7);
         sim.schedule_message(at, ProcessId::client(0), ProcessId::server(0), Msg::Ping(2));
         sim.run_until_quiescent(SimTime::from_secs(1));
-        let obs: &BatchObserver = sim.process(ProcessId::server(0)).unwrap();
-        assert_eq!(obs.timer_fires, vec![at]);
+        let obs: &CpuObserver = sim.process(ProcessId::server(0)).unwrap();
+        let freed = at + SimDuration::from_micros(200);
         assert_eq!(
-            obs.batches,
+            obs.log,
             vec![
-                vec![(ProcessId::client(0), 0), (ProcessId::client(0), 1)],
-                vec![(ProcessId::client(0), 2)],
+                (at, Some(0)),
+                (at, Some(1)),
+                (freed, None),
+                (freed, Some(2))
             ],
-            "the timer splits the same-instant run at its seq position"
+            "the timer and the last ping wait behind the first two pings' CPU, timer first"
         );
+        assert_eq!(sim.messages_deferred(), 2);
     }
 
     #[test]

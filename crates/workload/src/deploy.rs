@@ -537,14 +537,6 @@ impl Deployment {
             .map(|d| d.rejections())
             .sum()
     }
-
-    /// Number of elements sent by all injection clients so far.
-    pub fn elements_sent(&self) -> u64 {
-        (0..self.config.servers)
-            .filter_map(|i| self.sim.process::<ClientDriver>(ProcessId::client(i)))
-            .map(|d| d.sent())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -565,7 +557,10 @@ mod tests {
             assert_eq!(deployment.server(0).height(), 1);
             assert_eq!(deployment.server(0).state().epoch(), 0);
             assert_eq!(deployment.server(0).algorithm(), algorithm);
-            assert_eq!(deployment.elements_sent(), 0);
+            for i in 0..4 {
+                let client: &ClientDriver = deployment.sim.process(ProcessId::client(i)).unwrap();
+                assert_eq!(client.sent(), 0);
+            }
             let report =
                 crate::check_setchain_invariants(&deployment).expect("Setchain properties");
             assert_eq!((report.servers, report.epochs), (4, 0));

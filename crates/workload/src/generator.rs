@@ -29,7 +29,6 @@ pub struct ArbitrumWorkload {
     mu: f64,
     sigma: f64,
     produced: u64,
-    produced_bytes: u64,
 }
 
 impl ArbitrumWorkload {
@@ -46,7 +45,6 @@ impl ArbitrumWorkload {
             mu,
             sigma: sigma2.sqrt(),
             produced: 0,
-            produced_bytes: 0,
         }
     }
 
@@ -73,7 +71,6 @@ impl ArbitrumWorkload {
         let size = self.sample_size();
         let seed = self.rng.gen::<u64>();
         self.produced += 1;
-        self.produced_bytes += size as u64;
         self.elements.next_element(size, seed)
     }
 
@@ -85,14 +82,6 @@ impl ArbitrumWorkload {
     /// Number of elements generated so far.
     pub fn produced(&self) -> u64 {
         self.produced
-    }
-
-    /// Mean size of the elements generated so far.
-    pub fn observed_mean_size(&self) -> f64 {
-        if self.produced == 0 {
-            return 0.0;
-        }
-        self.produced_bytes as f64 / self.produced as f64
     }
 }
 
@@ -109,7 +98,7 @@ mod tests {
     fn sizes_match_paper_distribution_roughly() {
         let mut w = workload(1);
         let elements = w.take(20_000);
-        let mean = w.observed_mean_size();
+        let mean = elements.iter().map(|e| f64::from(e.size)).sum::<f64>() / elements.len() as f64;
         assert!(
             (300.0..600.0).contains(&mean),
             "mean size {mean:.1} outside the expected window around 438"
@@ -149,11 +138,5 @@ mod tests {
         let c: Vec<u32> = workload(10).take(100).iter().map(|e| e.size).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn empty_generator_mean_is_zero() {
-        let w = workload(1);
-        assert_eq!(w.observed_mean_size(), 0.0);
     }
 }
