@@ -69,6 +69,12 @@ impl SimDuration {
         SimDuration(us)
     }
 
+    /// Builds a duration from fractional seconds (rounds to microseconds).
+    pub fn from_secs_f64(s: f64) -> Self {
+        assert!(s >= 0.0 && s.is_finite(), "invalid duration {s}");
+        SimDuration((s * 1e6).round() as u64)
+    }
+
     /// Microseconds in this duration.
     pub fn as_micros(&self) -> u64 {
         self.0
@@ -185,6 +191,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_micros(7).as_micros(), 7);
+        assert_eq!(SimDuration::from_secs_f64(1.25).as_micros(), 1_250_000);
         assert!((SimTime::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
     }
 
@@ -215,5 +222,11 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500s");
         assert_eq!(format!("{}", SimDuration::from_millis(250)), "0.250s");
         assert!(SimDuration::ZERO.is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn negative_float_duration_panics() {
+        let _ = SimDuration::from_secs_f64(-1.0);
     }
 }
