@@ -3,8 +3,12 @@
 //! Every server must check each element's client authenticator (an HMAC)
 //! before admitting it — the validation floor of the whole pipeline. An
 //! element reaches a server many times (its own client `add`, peer batches,
-//! block processing, re-gossip), so the verdict is memoized: the HMAC is
-//! recomputed once per server, and every later arrival is a cache probe.
+//! block processing, re-gossip), so the verdict is memoized: the modelled
+//! server checks the HMAC once, at its first arrival, and every later
+//! arrival is a cache probe. The host follows the model, except that for an
+//! element of a shared batch it reads the verdict the batch remembers (see
+//! [`Batch`](crate::collector::Batch)): the first server to miss it
+//! computed it, and every server still counts and pays its own miss.
 //!
 //! The cache is keyed on the element id and guarded by the full identity
 //! tuple `(client, size, content seed, mac)`: a hit requires *all* of them

@@ -58,7 +58,7 @@ pub const COLLECTOR_TIMEOUT: SimDuration = SimDuration(200_000); // 200 ms
 /// The per-algorithm state behind a [`SetchainServer`]. Vanilla has none.
 enum Variant {
     Vanilla,
-    Compresschain(Compresschain),
+    Compresschain(Box<Compresschain>),
     Hashchain(Box<Hashchain>),
 }
 
@@ -117,7 +117,9 @@ impl SetchainServer {
     pub fn new(algorithm: Algorithm, mut core: ServerCore, shared: SharedBatchRegistry) -> Self {
         let variant = match algorithm {
             Algorithm::Vanilla => Variant::Vanilla,
-            Algorithm::Compresschain => Variant::Compresschain(Compresschain::new(&core.config)),
+            Algorithm::Compresschain => {
+                Variant::Compresschain(Box::new(Compresschain::new(&core.config)))
+            }
             Algorithm::Hashchain => {
                 let light = core.config.light;
                 if light {

@@ -5,22 +5,168 @@
 //! Compresschain compresses the flushed batch; Hashchain hashes it. In both
 //! cases the batch that leaves the collector is what eventually becomes an
 //! epoch.
+//!
+//! A flushed batch is shared: every server that learns it holds the origin's
+//! `Arc<Batch>`. The batch therefore remembers, for the host, what every
+//! server computes from its bytes alike — its [`epoch_root`], its
+//! [`batch_hash`] and each element's authenticator verdict — so the host
+//! computes each once per run. The modelled servers still pay for each of
+//! them, at every server (see [`Batch::root`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use setchain_crypto::{Digest256, Digest512, Sha512};
 use setchain_simnet::SimTime;
 
 use crate::element::Element;
-use crate::proofs::{EpochProof, EPOCH_PROOF_WIRE_LEN};
+use crate::proofs::{epoch_root, EpochProof, EPOCH_PROOF_WIRE_LEN};
+
+/// Canonical hash of a batch: `SHA-512(domain ‖ count ‖ root ‖ proofs)`,
+/// where `root` is [`epoch_root`] of the elements — the chunked SHA-256
+/// Merkle root over their packed identities in ascending-id order. Only the
+/// fixed-size header goes through SHA-512; no element byte does.
+///
+/// Like an epoch, a batch is committed to as a set: reordering elements of
+/// distinct ids keeps the hash, while any field of any element, the
+/// multiplicity of an element, the order of same-id twins and every proof
+/// byte move it. Because the root is the one the epoch digest is built
+/// from, a batch that becomes an epoch whole is hashed once (see
+/// [`ServerCore::create_epoch`](crate::ServerCore::create_epoch)). CPU cost
+/// is charged separately against the full batch wire size, so hashing the
+/// compact representation here does not distort the performance model.
+///
+/// A shared batch reads its hash through [`Batch::hash`], which computes it
+/// once per run.
+pub fn batch_hash(elements: &[Element], proofs: &[EpochProof]) -> Digest512 {
+    hash_for_root(elements.len(), &epoch_root(elements), proofs)
+}
+
+/// [`batch_hash`] finished from the elements' count and root.
+fn hash_for_root(count: usize, root: &Digest256, proofs: &[EpochProof]) -> Digest512 {
+    let mut h = Sha512::new();
+    h.update(b"setchain-batch");
+    h.update(&(count as u64).to_le_bytes());
+    h.update(root.as_bytes());
+    h.update(&(proofs.len() as u64).to_le_bytes());
+    let mut packed = [0u8; 16];
+    for p in proofs {
+        packed[..8].copy_from_slice(&p.epoch.to_le_bytes());
+        packed[8..16].copy_from_slice(&p.signer.0.to_le_bytes());
+        h.update(&packed);
+        h.update(&p.signature.bytes);
+    }
+    h.finalize()
+}
 
 /// A batch drained from the collector.
-#[derive(Clone, Debug, Default)]
+///
+/// Build one with [`Batch::new`] (or [`Default`]). `Clone` copies the
+/// contents and starts with an empty memo, so a clone can be tampered with
+/// freely. The memo assumes the contents no longer change once it has been
+/// read: a batch is read through it only once it is shared behind an `Arc`,
+/// and debug builds check every read against a fresh computation.
+#[derive(Debug, Default)]
 pub struct Batch {
     /// Elements, in collection order.
     pub elements: Vec<Element>,
     /// Epoch-proofs, in collection order.
     pub proofs: Vec<EpochProof>,
+    /// What the host has computed from the contents, once per run.
+    memo: Memo,
+}
+
+/// The host's memo of one batch: each value is computed by the first reader
+/// and read by every later one.
+#[derive(Debug, Default)]
+struct Memo {
+    root: OnceLock<Digest256>,
+    hash: OnceLock<Digest512>,
+    /// Two bits per element, 32 elements to a word: bit `2i` says element
+    /// `i`'s verdict is known, bit `2i + 1` holds it. Allocated by the first
+    /// verdict read. Atomic because one verdict is added at a time through
+    /// a shared `Arc`.
+    verdicts: OnceLock<Box<[AtomicU64]>>,
+}
+
+/// Elements per word of [`Memo::verdicts`].
+const VERDICTS_PER_WORD: usize = 32;
+
+impl Clone for Batch {
+    fn clone(&self) -> Self {
+        Batch::new(self.elements.clone(), self.proofs.clone())
+    }
+}
+
+/// `cell`'s value, computed by `compute` on the first read. In debug builds
+/// a later read is checked against a fresh computation.
+fn memoized<T: Copy + PartialEq + std::fmt::Debug>(
+    cell: &OnceLock<T>,
+    compute: impl Fn() -> T,
+) -> T {
+    if let Some(value) = cell.get() {
+        debug_assert_eq!(*value, compute(), "a batch memo is stale");
+        return *value;
+    }
+    *cell.get_or_init(compute)
 }
 
 impl Batch {
+    /// A batch of `elements` and `proofs`, with an empty memo.
+    pub fn new(elements: Vec<Element>, proofs: Vec<EpochProof>) -> Self {
+        Batch {
+            elements,
+            proofs,
+            memo: Memo::default(),
+        }
+    }
+
+    /// [`epoch_root`] of the elements, computed once per batch.
+    ///
+    /// This and [`Self::hash`] are host shortcuts: every server that needs
+    /// the value still charges its modelled cost (`hash_cost` of the batch
+    /// or epoch) where it needs it.
+    pub fn root(&self) -> Digest256 {
+        memoized(&self.memo.root, || epoch_root(&self.elements))
+    }
+
+    /// [`batch_hash`] of the contents, computed once per batch and finished
+    /// from [`Self::root`].
+    pub fn hash(&self) -> Digest512 {
+        memoized(&self.memo.hash, || {
+            hash_for_root(self.elements.len(), &self.root(), &self.proofs)
+        })
+    }
+
+    /// Element `i`'s authenticator verdict and whether it is stable, read
+    /// from the memo or computed by `check` (the server's own rule, which
+    /// returns the same pair). Only a stable verdict is remembered: one
+    /// that depends on a client being absent from the registry is
+    /// computed again at every read. A remembered verdict is stable by
+    /// construction; debug builds check it against `check`.
+    pub(crate) fn verdict(&self, i: usize, check: impl FnOnce() -> (bool, bool)) -> (bool, bool) {
+        let words = self.memo.verdicts.get_or_init(|| {
+            let words = self.elements.len().div_ceil(VERDICTS_PER_WORD);
+            (0..words).map(|_| AtomicU64::new(0)).collect()
+        });
+        let word = &words[i / VERDICTS_PER_WORD];
+        let shift = 2 * (i % VERDICTS_PER_WORD);
+        let bits = word.load(Ordering::Relaxed) >> shift;
+        if bits & 1 != 0 {
+            let memo = (bits & 2 != 0, true);
+            debug_assert_eq!(memo, check(), "a batch verdict memo is stale");
+            return memo;
+        }
+        let (verdict, stable) = check();
+        if stable {
+            // One `fetch_or` sets both bits, so a reader never sees a known
+            // bit without its verdict; the word publishes nothing else, so
+            // `Relaxed` is enough.
+            word.fetch_or((1 | (verdict as u64) << 1) << shift, Ordering::Relaxed);
+        }
+        (verdict, stable)
+    }
+
     /// Number of entries (elements plus proofs).
     pub fn len(&self) -> usize {
         self.elements.len() + self.proofs.len()

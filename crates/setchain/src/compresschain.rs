@@ -14,6 +14,10 @@
 //! [`crate::app`]. On delivery every server pays the modelled
 //! decompression of every frame, while the host decodes each frame once
 //! per run: a [`setchain_compress::ChunkedFrame`] remembers its decode.
+//! The decoded batch is shared the same way: every server checks its
+//! elements and digests its epoch, and the host computes each element
+//! verdict and the batch root once per run (see
+//! [`Batch`](crate::collector::Batch)).
 
 use std::sync::Arc;
 
@@ -172,9 +176,10 @@ impl Compresschain {
                 core.ingest_proof(*p, now, ctx);
             }
             // G: valid elements not yet in an epoch. The block is held once
-            // per run, so a whole batch is shared, not copied, into history.
+            // per run, so a whole batch is shared, not copied, into history,
+            // and its epoch digest is finished from the batch's root.
             let batch = &cb.batch;
-            let proof = core.create_epoch(&batch.elements, Some(batch), None, validate, ctx);
+            let proof = core.create_epoch(&batch.elements, Some(batch), validate, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);

@@ -32,6 +32,13 @@
 //! are ingested and its elements admitted there. Later copies only count
 //! their signer towards `f + 1` (see `Hashchain::handle_hash_batch`).
 //!
+//! Every server that flushes, recovers or is pushed a batch checks it as
+//! the pseudocode does — the batch hash, and each element's authenticator
+//! at its own admission-cache miss — and pays the modelled CPU for it. The
+//! host does each of those computations once per batch: all servers hold the
+//! origin's `Arc<Batch>`, whose memo keeps the hash, its root and the
+//! element verdicts (see [`Batch`]).
+//!
 //! The "Hashchain light" ablation of Fig. 2 (left) disables hash reversal and
 //! hash-batch validation (all servers assumed correct); batch availability is
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
@@ -46,7 +53,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use setchain_crypto::{Digest256, Digest512, ProcessId, Sha512};
+use setchain_crypto::{Digest512, ProcessId};
 use setchain_ledger::{Block, TxData};
 use setchain_simnet::{SimDuration, SimTime, TimerToken};
 
@@ -55,7 +62,6 @@ use crate::collector::{Batch, Collector};
 use crate::config::SetchainConfig;
 use crate::element::Element;
 use crate::messages::SetchainMsg;
-use crate::proofs::{epoch_root, EpochProof};
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
 
@@ -70,40 +76,7 @@ pub const REQUEST_TIMEOUT: SimDuration = SimDuration(2_000_000); // 2 s
 /// that does not complete its hash's `f + 1` signers.
 pub const MAX_REQUEST_RETRIES: usize = 3;
 
-/// Canonical hash of a batch: `SHA-512(domain ‖ count ‖ root ‖ proofs)`,
-/// where `root` is [`epoch_root`] of the elements — the chunked SHA-256
-/// Merkle root over their packed identities in ascending-id order. Only the
-/// fixed-size header goes through SHA-512; no element byte does.
-///
-/// Like an epoch, a batch is committed to as a set: reordering elements of
-/// distinct ids keeps the hash, while any field of any element, the
-/// multiplicity of an element, the order of same-id twins and every proof
-/// byte move it. Because the root is the one the epoch digest is built
-/// from, a batch that becomes an epoch whole is hashed once (see
-/// [`ServerCore::create_epoch`]). CPU cost is charged separately against the
-/// full batch wire size, so hashing the compact representation here does not
-/// distort the performance model.
-pub fn batch_hash(elements: &[Element], proofs: &[EpochProof]) -> Digest512 {
-    hash_and_root(elements, proofs).0
-}
-
-/// [`batch_hash`] together with the root it commits to.
-fn hash_and_root(elements: &[Element], proofs: &[EpochProof]) -> (Digest512, Digest256) {
-    let root = epoch_root(elements);
-    let mut h = Sha512::new();
-    h.update(b"setchain-batch");
-    h.update(&(elements.len() as u64).to_le_bytes());
-    h.update(root.as_bytes());
-    h.update(&(proofs.len() as u64).to_le_bytes());
-    let mut packed = [0u8; 16];
-    for p in proofs {
-        packed[..8].copy_from_slice(&p.epoch.to_le_bytes());
-        packed[8..16].copy_from_slice(&p.signer.0.to_le_bytes());
-        h.update(&packed);
-        h.update(&p.signature.bytes);
-    }
-    (h.finalize(), root)
-}
+pub use crate::collector::batch_hash;
 
 /// Shared out-of-band batch availability used by the "Hashchain light"
 /// ablation (see the module documentation).
@@ -153,12 +126,10 @@ struct HashRecord {
     /// `hash_to_batch`: the contents, once known. This is the flushing
     /// server's allocation: a response or push carries that `Arc`, and the
     /// receiver keeps it once it hashes right, so a run holds one copy of
-    /// each batch however many servers know it.
+    /// each batch however many servers know it. The same allocation
+    /// carries the batch's root, hash and element verdicts, computed once
+    /// per run (see [`Batch`]), so the record keeps no root of its own.
     batch: Option<Arc<Batch>>,
-    /// The root the hash committed to, when this server computed that hash
-    /// itself (flushed, or verified a response or push); `None` for contents
-    /// taken on trust from the light ablation's shared registry.
-    root: Option<Digest256>,
     /// A hash-batch copy has ingested the batch's epoch-proofs and admitted
     /// its elements with final verdicts; later copies skip both (see
     /// [`Hashchain::handle_hash_batch`]).
@@ -267,18 +238,17 @@ impl Hashchain {
     /// `upon isReady(batch)`: hash the batch, register it, and append the
     /// signed hash-batch to the ledger.
     pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let batch = self.collector.flush(ctx.now());
-        let (hash, root) = hash_and_root(&batch.elements, &batch.proofs);
+        let batch = Arc::new(self.collector.flush(ctx.now()));
+        let hash = batch.hash();
         ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
         // Register_batch(h, batch): keep the contents so other servers can
         // request them. The registry shares the same `Arc` — no copy.
-        let batch = Arc::new(batch);
         if let Some(shared) = &self.shared_registry {
             shared.register(hash, Arc::clone(&batch));
         }
         ctx.consume_cpu(core.config.costs.sign);
         let hb = core.make_hash_batch(hash);
-        self.remember(hash, Arc::clone(&batch), root).signed = true;
+        self.remember(hash, Arc::clone(&batch)).signed = true;
         core.stats.batches_flushed += 1;
         let tx = SetchainTx::HashBatch(hb);
         let tx_id = tx.tx_id();
@@ -300,7 +270,7 @@ impl Hashchain {
     }
 
     /// True if this server knows the contents for `hash`, consulting the
-    /// shared registry in light mode (whose `Arc` is kept without a root).
+    /// shared registry in light mode.
     fn knows(&mut self, hash: &Digest512) -> bool {
         if self.records.get(hash).is_some_and(|r| r.batch.is_some()) {
             return true;
@@ -483,7 +453,7 @@ impl Hashchain {
                 // Valid elements join the_set immediately (they join history
                 // only at consolidation); no candidate vector is
                 // materialized here.
-                core.admit_batch_elements(&batch.elements, validate, ctx);
+                core.admit_batch_elements(&batch.elements, Some(batch), validate, ctx);
                 rec.applied = settled;
             }
         }
@@ -492,12 +462,9 @@ impl Hashchain {
         let enough = rec.count_signer(hb.signer) >= core.config.proof_quorum();
         if enough && !rec.consolidated {
             rec.consolidated = true;
-            let (elements, root) = match &rec.batch {
-                Some(batch) => (batch.elements.as_slice(), rec.root),
-                None => (&[][..], None),
-            };
             let shared = rec.batch.as_ref();
-            let proof = core.create_epoch(elements, shared, root, validate, ctx);
+            let elements = shared.map_or(&[][..], |b| b.elements.as_slice());
+            let proof = core.create_epoch(elements, shared, validate, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
         }
@@ -572,11 +539,11 @@ impl Hashchain {
                     return;
                 }
                 // Shared contents are checked exactly like owned ones: hashed
-                // and charged in full before the `Arc` is kept.
+                // and charged in full before the `Arc` is kept. The host
+                // reads the hash the batch computed for its first reader.
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
-                let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
-                if got == hash {
-                    self.accept(core, hash, batch, root, ctx);
+                if batch.hash() == hash {
+                    self.accept(core, hash, batch, ctx);
                 } else if self.head_waits_for(&hash) {
                     // The signer is lying about the contents: retry elsewhere.
                     self.fail_request(core, ctx);
@@ -597,21 +564,19 @@ impl Hashchain {
                     return;
                 }
                 ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
-                let (got, root) = hash_and_root(&batch.elements, &batch.proofs);
-                if got == hash {
-                    self.accept(core, hash, batch, root, ctx);
+                if batch.hash() == hash {
+                    self.accept(core, hash, batch, ctx);
                 }
             }
             _ => {}
         }
     }
 
-    /// Keeps batch contents this server hashed itself — flushed, or
-    /// verified against `hash` — with the root that hash committed to.
-    fn remember(&mut self, hash: Digest512, batch: Arc<Batch>, root: Digest256) -> &mut HashRecord {
+    /// Keeps batch contents this server hashed itself: flushed, or
+    /// verified against `hash`.
+    fn remember(&mut self, hash: Digest512, batch: Arc<Batch>) -> &mut HashRecord {
         let rec = self.records.entry(hash).or_default();
         rec.batch = Some(batch);
-        rec.root = Some(root);
         rec.applied = false;
         rec
     }
@@ -623,10 +588,9 @@ impl Hashchain {
         core: &mut ServerCore,
         hash: Digest512,
         batch: Arc<Batch>,
-        root: Digest256,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        self.remember(hash, batch, root).asked = Vec::new();
+        self.remember(hash, batch).asked = Vec::new();
         if self.head_waits_for(&hash) {
             self.paused = false;
             self.process_queue(core, ctx);
@@ -772,23 +736,11 @@ mod tests {
         assert!(shared.is_empty());
         let es = elements(&reg, 0..4);
         let hash = batch_hash(&es, &[]);
-        shared.register(
-            hash,
-            Batch {
-                elements: es.clone(),
-                proofs: vec![],
-            },
-        );
+        shared.register(hash, Batch::new(es.clone(), vec![]));
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.get(&hash).unwrap().elements.len(), 4);
         // Re-registering under the same hash does not overwrite.
-        shared.register(
-            hash,
-            Batch {
-                elements: vec![],
-                proofs: vec![],
-            },
-        );
+        shared.register(hash, Batch::new(vec![], vec![]));
         assert_eq!(shared.get(&hash).unwrap().elements.len(), 4);
         assert!(shared.get(&batch_hash(&es[..2], &[])).is_none());
         // Clones share the same storage.
@@ -800,10 +752,7 @@ mod tests {
     fn a_shared_batch_that_hashes_wrong_is_dropped_and_fails_the_request() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let mut h = Hashchain::new(&core.config, None);
-            let honest = Arc::new(Batch {
-                elements: elements(registry, 0..10),
-                proofs: vec![],
-            });
+            let honest = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&honest.elements, &honest.proofs);
             // Servers 1 and 2 both put `hash` on the ledger; the queue head
             // waits on server 1.
@@ -815,10 +764,7 @@ mod tests {
             wait_on(&mut h, hash, vec![s1], ctx.now() + REQUEST_TIMEOUT);
 
             // Server 1 answers with contents that miss one element.
-            let lie = Arc::new(Batch {
-                elements: elements(registry, 0..9),
-                proofs: vec![],
-            });
+            let lie = Arc::new(Batch::new(elements(registry, 0..9), vec![]));
             let batch = Arc::clone(&lie);
             h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
             assert!(contents(&h, &hash).is_none(), "a lie is not kept");
@@ -855,10 +801,7 @@ mod tests {
     fn a_push_is_kept_only_from_another_server_with_push_on() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let mut h = Hashchain::new(&core.config, None);
-            let batch = Arc::new(Batch {
-                elements: elements(registry, 0..100),
-                proofs: vec![],
-            });
+            let batch = Arc::new(Batch::new(elements(registry, 0..100), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let push = |h: &mut Hashchain, core: &mut ServerCore, from, ctx: &mut Ctx| {
                 let before = ctx.cpu_consumed();
@@ -891,10 +834,7 @@ mod tests {
     fn a_skipped_copy_counts_its_signer_and_the_completing_copy_waits() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let mut h = Hashchain::new(&core.config, None);
-            let batch = Arc::new(Batch {
-                elements: elements(registry, 0..10),
-                proofs: vec![],
-            });
+            let batch = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let [s1, s2, s3] = [1, 2, 3].map(ProcessId::server);
             for s in [s1, s2] {
@@ -935,10 +875,7 @@ mod tests {
     fn a_response_with_no_request_in_flight_is_dropped_unhashed() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let mut h = Hashchain::new(&core.config, None);
-            let batch = Arc::new(Batch {
-                elements: elements(registry, 0..10),
-                proofs: vec![],
-            });
+            let batch = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let s1 = ProcessId::server(1);
             let respond = |h: &mut Hashchain, core: &mut ServerCore, ctx: &mut Ctx| {
@@ -1011,8 +948,8 @@ mod tests {
 
     /// Keeps `batch` as known contents and returns its hash.
     fn know(h: &mut Hashchain, batch: Batch) -> Digest512 {
-        let (hash, root) = hash_and_root(&batch.elements, &batch.proofs);
-        h.remember(hash, Arc::new(batch), root);
+        let hash = batch.hash();
+        h.remember(hash, Arc::new(batch));
         hash
     }
 
@@ -1039,13 +976,7 @@ mod tests {
             let costs = core.config.costs;
             let mut h = Hashchain::new(&core.config, None);
             // Epoch 1 first, so that there is an epoch to carry proofs for.
-            let b = know(
-                &mut h,
-                Batch {
-                    elements: elements(registry, 0..10),
-                    proofs: vec![],
-                },
-            );
+            let b = know(&mut h, Batch::new(elements(registry, 0..10), vec![]));
             for signer in [1, 2] {
                 process_copy(&mut h, core, registry, signer, b, ctx);
             }
@@ -1064,13 +995,7 @@ mod tests {
             let forged = Element::forged(ProcessId::client(0), ElementId::new(0, 110), 438);
             batch_elements.push(forged);
             let count = batch_elements.len();
-            let a = know(
-                &mut h,
-                Batch {
-                    elements: batch_elements,
-                    proofs,
-                },
-            );
+            let a = know(&mut h, Batch::new(batch_elements, proofs));
 
             // The first copy counter-signs, verifies both proofs and
             // validates the elements: eleven cache misses.
@@ -1119,20 +1044,8 @@ mod tests {
             let digest = crate::proofs::epoch_hash(1, &b);
             let keys = registry.lookup(ProcessId::server(2)).unwrap();
             let ahead = make_epoch_proof_for_digest(&keys, 1, &digest);
-            let a = know(
-                &mut h,
-                Batch {
-                    elements: elements(registry, 10..20),
-                    proofs: vec![ahead],
-                },
-            );
-            let b = know(
-                &mut h,
-                Batch {
-                    elements: b,
-                    proofs: vec![],
-                },
-            );
+            let a = know(&mut h, Batch::new(elements(registry, 10..20), vec![ahead]));
+            let b = know(&mut h, Batch::new(b, vec![]));
 
             // Epoch 1 does not exist yet: the proof is rejected, catch-up is
             // asked for, and `a` stays unapplied.

@@ -212,10 +212,7 @@ mod tests {
         // `Arc` must not change what it costs: header 32 + hash 64 + every
         // element in full, pinned exactly because simulated bandwidth sets
         // the schedule.
-        let batch = Arc::new(Batch {
-            elements: vec![e; 100],
-            proofs: vec![],
-        });
+        let batch = Arc::new(Batch::new(vec![e; 100], vec![]));
         let hash = sha512(b"h");
         let resp = SetchainMsg::BatchResponse {
             hash,

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use setchain_crypto::{
-    sign_with, Digest256, Digest512, FxHashMap, FxHashSet, HmacSha256Key, KeyPair, KeyRegistry,
-    ProcessId, SigVerifier, Signature, SigningKey,
+    sign_with, Digest512, FxHashMap, FxHashSet, HmacSha256Key, KeyPair, KeyRegistry, ProcessId,
+    SigVerifier, Signature, SigningKey,
 };
 use setchain_ledger::AppCtx;
 use setchain_simnet::{SimDuration, SimTime};
@@ -138,10 +138,13 @@ pub struct ServerCore {
     own_key: SigningKey,
     /// Per-signer verification schedules for peer proofs and hash-batches.
     verifier: SigVerifier,
-    /// Reused index scratch for batched validation (cache misses).
-    miss_scratch: Vec<usize>,
-    /// Reused not-yet-stamped elements of [`Self::admit_batch_elements`].
-    fresh_scratch: Vec<Element>,
+    /// Reused (verdict slot, element index) scratch of batched validation's
+    /// cache misses.
+    miss_scratch: Vec<(usize, usize)>,
+    /// Reused indices of the elements a batch step picks for validation:
+    /// not stamped yet, and in [`Self::extract_epoch_candidates`] the first
+    /// of their id.
+    pick_scratch: Vec<usize>,
     /// Reused in-batch dedup set of [`Self::extract_epoch_candidates`].
     seen_scratch: FxHashSet<ElementId>,
     /// Epochs this server has *derived* from the ledger (one
@@ -214,7 +217,7 @@ impl ServerCore {
             own_key,
             verifier: SigVerifier::new(),
             miss_scratch: Vec::new(),
-            fresh_scratch: Vec::new(),
+            pick_scratch: Vec::new(),
             seen_scratch: FxHashSet::default(),
             derived_epochs: 0,
             catchup_pending: None,
@@ -431,6 +434,22 @@ impl ServerCore {
         }
     }
 
+    /// A cache miss on element `i` of a shared batch. The modelled server
+    /// checks the authenticator and caches the verdict exactly as
+    /// [`Self::validate_miss`] does; the host reads the verdict the batch
+    /// remembers, computed by the first server that missed it.
+    fn validate_shared_miss(&mut self, batch: &Batch, i: usize) -> bool {
+        let element = &batch.elements[i];
+        let (verdict, cacheable) = batch.verdict(i, || {
+            let key = self.client_key(element.client);
+            Self::verdict_with_key(element, key)
+        });
+        if cacheable {
+            self.admission.record(element, verdict);
+        }
+        verdict
+    }
+
     /// Validates a batch of elements, returning one verdict per element in
     /// order — the batched core of server-side validation. Memoized verdicts
     /// are served from the admission cache; the misses are then checked one
@@ -438,17 +457,39 @@ impl ServerCore {
     /// lookup happens before any miss is recorded, so an element repeated
     /// inside the batch counts one cache miss per copy.
     pub fn validate_elements(&mut self, elements: &[Element]) -> Vec<bool> {
-        let mut verdicts = vec![false; elements.len()];
+        self.validate_picked(elements, 0..elements.len(), None)
+    }
+
+    /// [`Self::validate_elements`] over the elements `batch[i]`, `i` in
+    /// `picks` order. With `shared`, `batch` is that batch's elements, and
+    /// each miss reads the verdict it remembers (see
+    /// [`Self::validate_shared_miss`]).
+    fn validate_picked(
+        &mut self,
+        batch: &[Element],
+        picks: impl ExactSizeIterator<Item = usize>,
+        shared: Option<&Batch>,
+    ) -> Vec<bool> {
+        let mut verdicts = vec![false; picks.len()];
         let mut misses = std::mem::take(&mut self.miss_scratch);
         debug_assert!(misses.is_empty());
-        for (i, e) in elements.iter().enumerate() {
-            match self.admission.lookup(e) {
-                Some(verdict) => verdicts[i] = verdict,
-                None => misses.push(i),
+        for (slot, i) in picks.enumerate() {
+            match self.admission.lookup(&batch[i]) {
+                Some(verdict) => verdicts[slot] = verdict,
+                None => misses.push((slot, i)),
             }
         }
-        for &i in &misses {
-            verdicts[i] = self.validate_miss(&elements[i]);
+        match shared {
+            Some(shared) => {
+                for &(slot, i) in &misses {
+                    verdicts[slot] = self.validate_shared_miss(shared, i);
+                }
+            }
+            None => {
+                for &(slot, i) in &misses {
+                    verdicts[slot] = self.validate_miss(&batch[i]);
+                }
+            }
         }
         misses.clear();
         self.miss_scratch = misses;
@@ -816,25 +857,23 @@ impl ServerCore {
     /// de-duplicated elements form `G`. The epoch is recorded in the state
     /// and the trace, and this server's epoch-proof for it is returned.
     ///
-    /// `root` is the batch's [`epoch_root`] when the caller already
-    /// computed it (Hashchain's batch hash commits to it). It is used only
-    /// when nothing was filtered out: `G` is then the batch
-    /// itself, so the same multiset and the same canonical tree, and the
-    /// epoch digest is finished from the root without re-hashing a single
-    /// element. Any filtered element — a duplicate id, an already-stamped or
-    /// invalid element — takes the full [`epoch_hash`](crate::epoch_hash)
-    /// instead.
-    ///
     /// `shared` is the batch `batch` is the elements of, when the run holds
     /// it once (Hashchain's `hash_to_batch`, Compresschain's committed
-    /// block). The same test decides: a whole batch is recorded by sharing
-    /// that `Arc`, a filtered one as its own list. Vanilla's blocks and
-    /// other per-server lists pass `None` and are always recorded as a list.
+    /// block). Vanilla's blocks and other per-server lists pass `None`. On
+    /// an admission-cache miss, the host reads the verdict the shared batch
+    /// remembers; the server still counts and pays the miss. When nothing
+    /// was filtered out, `G`
+    /// is the shared batch itself — the same multiset, so the same
+    /// canonical tree: the epoch is recorded by sharing that `Arc`, and its
+    /// digest is finished from [`Batch::root`], which the host computes
+    /// once per batch (Hashchain's batch hash commits to the same root).
+    /// Any filtered element — a duplicate id, an already-stamped or invalid
+    /// element — records `G` as a list of its own and takes the full
+    /// [`epoch_hash`](crate::epoch_hash), as a `None` batch always does.
     pub fn create_epoch(
         &mut self,
         batch: &[Element],
         shared: Option<&Arc<Batch>>,
-        root: Option<Digest256>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> EpochProof {
@@ -842,9 +881,8 @@ impl ServerCore {
             shared.is_none_or(|s| std::ptr::eq(s.elements.as_slice(), batch)),
             "`batch` must be the shared batch's own elements"
         );
-        let elements = self.extract_epoch_candidates(batch, validate, ctx);
+        let elements = self.extract_epoch_candidates(batch, shared.map(|s| &**s), validate, ctx);
         let whole = elements.len() == batch.len();
-        let root = root.filter(|_| whole);
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // Catch-up already installed this epoch (verified against f+1
@@ -866,8 +904,10 @@ impl ServerCore {
         }
         self.note_stamped(&elements);
         let epoch = match shared.filter(|_| whole) {
-            Some(batch) => self.state.record_epoch(Arc::clone(batch), root),
-            None => self.state.record_epoch(elements, root),
+            Some(batch) => self
+                .state
+                .record_epoch(Arc::clone(batch), Some(batch.root())),
+            None => self.state.record_epoch(elements, None),
         };
         debug_assert_eq!(
             epoch, self.derived_epochs,
@@ -896,16 +936,22 @@ impl ServerCore {
     /// already-stamped ones, validates the rest (batched, memoized — the
     /// same [`Self::validate_elements`] core the epoch path uses, charged
     /// per cache miss only) and inserts the valid ids into `the_set`,
-    /// through a reused scratch buffer. The
+    /// through a reused scratch buffer. `shared` is the batch `elements`
+    /// belong to, as in [`Self::create_epoch`]. The
     /// epoch itself is built later, at consolidation, through
     /// [`Self::create_epoch`]; this is the "valid elements join
     /// `the_set` immediately" half of batch processing.
     pub fn admit_batch_elements(
         &mut self,
         elements: &[Element],
+        shared: Option<&Arc<Batch>>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
+        debug_assert!(
+            shared.is_none_or(|s| std::ptr::eq(s.elements.as_slice(), elements)),
+            "`elements` must be the shared batch's own elements"
+        );
         if !validate {
             for e in elements {
                 if !self.state.in_history(&e.id) {
@@ -914,17 +960,20 @@ impl ServerCore {
             }
             return;
         }
-        let mut fresh = std::mem::take(&mut self.fresh_scratch);
-        debug_assert!(fresh.is_empty());
-        fresh.extend(elements.iter().filter(|e| !self.state.in_history(&e.id)));
-        let verdicts = self.validate_charged(ctx, |core| core.validate_elements(&fresh));
+        let mut picks = std::mem::take(&mut self.pick_scratch);
+        debug_assert!(picks.is_empty());
+        picks.extend((0..elements.len()).filter(|&i| !self.state.in_history(&elements[i].id)));
+        let shared = shared.map(|s| &**s);
+        let verdicts = self.validate_charged(ctx, |core| {
+            core.validate_picked(elements, picks.iter().copied(), shared)
+        });
         // Rejections are counted once per distinct id, matching the
         // pre-validation dedup of the epoch path — a Byzantine batch
         // repeating one forged element must not inflate the counter. The
         // set is only materialized when a rejection actually occurs, so
         // honest batches stay allocation-free.
         let mut rejected_ids: Option<FxHashSet<ElementId>> = None;
-        for (e, ok) in fresh.iter().zip(verdicts) {
+        for (e, ok) in picks.iter().map(|&i| &elements[i]).zip(verdicts) {
             if ok {
                 self.state.insert(e.id);
             } else if rejected_ids
@@ -934,8 +983,8 @@ impl ServerCore {
                 self.stats.elements_rejected += 1;
             }
         }
-        fresh.clear();
-        self.fresh_scratch = fresh;
+        picks.clear();
+        self.pick_scratch = picks;
     }
 
     /// The paper's `valid_proof` signer/signature checks against an
@@ -978,36 +1027,43 @@ impl ServerCore {
     /// [`validate_elements`](Self::validate_elements): batched and memoized
     /// per element, so only the cache misses are charged. A Hashchain
     /// server cached these verdicts in `admit_batch_elements`, so an honest
-    /// batch costs nothing here.
+    /// batch costs nothing here. `shared` is the batch `elements` belong
+    /// to, as in [`Self::create_epoch`].
     fn extract_epoch_candidates(
         &mut self,
         elements: &[Element],
+        shared: Option<&Batch>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Vec<Element> {
         let mut seen = std::mem::take(&mut self.seen_scratch);
-        debug_assert!(seen.is_empty());
-        let mut candidates = Vec::with_capacity(elements.len());
-        for e in elements {
+        let mut picks = std::mem::take(&mut self.pick_scratch);
+        debug_assert!(seen.is_empty() && picks.is_empty());
+        for (i, e) in elements.iter().enumerate() {
             if self.state.in_history(&e.id) || !seen.insert(e.id) {
                 continue;
             }
-            candidates.push(*e);
+            picks.push(i);
         }
         seen.clear();
         self.seen_scratch = seen;
-        if !validate {
-            return candidates;
-        }
-        let verdicts = self.validate_charged(ctx, |core| core.validate_elements(&candidates));
-        let mut out = Vec::with_capacity(candidates.len());
-        for (e, ok) in candidates.into_iter().zip(verdicts) {
-            if ok {
-                out.push(e);
-            } else {
-                self.stats.elements_rejected += 1;
+        let mut out = Vec::with_capacity(picks.len());
+        if validate {
+            let verdicts = self.validate_charged(ctx, |core| {
+                core.validate_picked(elements, picks.iter().copied(), shared)
+            });
+            for (&i, ok) in picks.iter().zip(verdicts) {
+                if ok {
+                    out.push(elements[i]);
+                } else {
+                    self.stats.elements_rejected += 1;
+                }
             }
+        } else {
+            out.extend(picks.iter().map(|&i| elements[i]));
         }
+        picks.clear();
+        self.pick_scratch = picks;
         out
     }
 }
@@ -1016,6 +1072,7 @@ impl ServerCore {
 pub(crate) mod tests {
     use super::*;
     use crate::element::ElementId;
+    use crate::hashchain::batch_hash;
     use crate::proofs::{epoch_hash, make_epoch_proof_for_digest};
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
@@ -1344,7 +1401,7 @@ pub(crate) mod tests {
         // The batch root stands in for the epoch's only when the batch
         // becomes the epoch whole, and only then is the batch itself shared
         // into `history`. A duplicate id, an already-stamped or an invalid
-        // element is filtered out of `G`, so the supplied root (over the
+        // element is filtered out of `G`, so the batch's root (over the
         // whole batch) no longer describes it: the digest is recomputed and
         // `G` is recorded as a list of its own.
         with_core(0, |core, registry, ctx| {
@@ -1358,12 +1415,9 @@ pub(crate) mod tests {
                 sixteen_and_forged,                 // one invalid element
             ];
             for (epoch, elements) in (1u64..).zip(cases) {
-                let batch = Arc::new(Batch {
-                    elements,
-                    proofs: vec![],
-                });
+                let batch = Arc::new(Batch::new(elements, vec![]));
                 let root = epoch_root(&batch.elements);
-                core.create_epoch(&batch.elements, Some(&batch), Some(root), true, ctx);
+                core.create_epoch(&batch.elements, Some(&batch), true, ctx);
                 let stamped = core.state.epoch_elements(epoch).unwrap();
                 let recorded = *core.state.epoch_digest(epoch).unwrap();
                 assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
@@ -1497,16 +1551,16 @@ pub(crate) mod tests {
                 ElementId::new(1, 99),
                 200,
             ));
-            core.admit_batch_elements(&batch, true, ctx);
+            core.admit_batch_elements(&batch, None, true, ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
-            core.create_epoch(&batch, None, None, true, ctx);
+            core.create_epoch(&batch, None, true, ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
             // Only the rejected id keeps its verdict.
             assert_eq!(core.admission_cache().len(), 1);
             // A late copy of the batch looks up no stamped id, so nothing is
             // verified again and nothing is cached again.
             let misses = core.admission_cache().misses();
-            core.admit_batch_elements(&batch, true, ctx);
+            core.admit_batch_elements(&batch, None, true, ctx);
             assert_eq!(core.admission_cache().misses(), misses);
             assert_eq!(core.admission_cache().len(), 1);
         });
@@ -1518,7 +1572,7 @@ pub(crate) mod tests {
             let keys = registry.lookup(ProcessId::client(0)).unwrap();
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             assert!(core.accept_add(&good, ctx));
-            core.create_epoch(&[good], None, None, true, ctx);
+            core.create_epoch(&[good], None, true, ctx);
             assert!(core.state.in_history(&good.id));
             let misses = core.admission_cache().misses();
             // An honest re-send and a tampered replay of the stamped id.
@@ -1558,10 +1612,12 @@ pub(crate) mod tests {
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             let add = charged(ctx, |ctx| assert!(core.accept_add(&good, ctx)));
             assert_eq!(add, costs.validate_element);
-            let batch = charged(ctx, |ctx| core.admit_batch_elements(&[good], true, ctx));
+            let batch = charged(ctx, |ctx| {
+                core.admit_batch_elements(&[good], None, true, ctx)
+            });
             assert_eq!(batch, SimDuration::ZERO);
             let epoch = charged(ctx, |ctx| {
-                core.create_epoch(&[good], None, None, true, ctx);
+                core.create_epoch(&[good], None, true, ctx);
             });
             assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
             assert!(core.state.in_history(&good.id));
@@ -1573,7 +1629,9 @@ pub(crate) mod tests {
             tampered.content_seed ^= 0xFF;
             let add = charged(ctx, |ctx| assert!(core.accept_add(&next, ctx)));
             assert_eq!(add, costs.validate_element);
-            let resend = charged(ctx, |ctx| core.admit_batch_elements(&[tampered], true, ctx));
+            let resend = charged(ctx, |ctx| {
+                core.admit_batch_elements(&[tampered], None, true, ctx)
+            });
             assert_eq!(resend, costs.validate_element);
             assert_eq!(core.stats.elements_rejected, 1);
 
@@ -1583,9 +1641,128 @@ pub(crate) mod tests {
             for e in [good, stale] {
                 let replay = charged(ctx, |ctx| assert!(!core.accept_add(&e, ctx)));
                 assert_eq!(replay, SimDuration::ZERO);
-                let replay = charged(ctx, |ctx| core.admit_batch_elements(&[e], true, ctx));
+                let replay = charged(ctx, |ctx| core.admit_batch_elements(&[e], None, true, ctx));
                 assert_eq!(replay, SimDuration::ZERO);
             }
+        });
+    }
+
+    /// Server `index`'s core on `registry`, configured like [`with_core`]'s.
+    fn peer_core(registry: &KeyRegistry, index: usize) -> ServerCore {
+        ServerCore::new(
+            registry.lookup(ProcessId::server(index)).unwrap(),
+            registry.clone(),
+            SetchainConfig::new(4),
+            SetchainTrace::new(),
+            ServerByzMode::Correct,
+        )
+    }
+
+    /// What a core did with one batch: the CPU each step charged, its
+    /// admission-cache counters, its rejections, whether each element's id
+    /// is in `the_set` after admission, and the epoch it cut.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        admit_cpu: SimDuration,
+        epoch_cpu: SimDuration,
+        hits: u64,
+        misses: u64,
+        rejected: u64,
+        members: Vec<bool>,
+        the_set_len: usize,
+        epoch: Vec<Element>,
+        digest: Digest512,
+    }
+
+    /// Stamps `stamped` into epoch 1, then admits `elements` (the elements
+    /// of `shared`, when given) and cuts epoch 2 out of them.
+    fn admit_then_epoch(
+        core: &mut ServerCore,
+        stamped: &[Element],
+        elements: &[Element],
+        shared: Option<&Arc<Batch>>,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) -> Outcome {
+        core.create_epoch(stamped, None, true, ctx);
+        let before = ctx.cpu_consumed();
+        core.admit_batch_elements(elements, shared, true, ctx);
+        let admitted = ctx.cpu_consumed();
+        let members = elements
+            .iter()
+            .map(|e| core.state.contains(&e.id))
+            .collect();
+        let the_set_len = core.state.the_set_len();
+        core.create_epoch(elements, shared, true, ctx);
+        Outcome {
+            admit_cpu: admitted - before,
+            epoch_cpu: ctx.cpu_consumed() - admitted,
+            hits: core.admission_cache().hits(),
+            misses: core.admission_cache().misses(),
+            rejected: core.stats.elements_rejected,
+            members,
+            the_set_len,
+            epoch: core.state.epoch_elements(2).unwrap().to_vec(),
+            digest: *core.state.epoch_digest(2).unwrap(),
+        }
+    }
+
+    #[test]
+    fn a_clone_of_a_hashed_batch_starts_with_an_empty_memo() {
+        with_core(0, |core, registry, ctx| {
+            let elements = (0..40)
+                .map(|seq| element_from_spec(registry, 2, (0, seq, 400, 0)))
+                .collect();
+            let batch = Arc::new(Batch::new(elements, vec![]));
+            let (root, hash) = (batch.root(), batch.hash());
+            // Every verdict is a miss here, so the memo holds all forty.
+            core.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            assert_eq!(core.state.the_set_len(), 40);
+
+            // Element 33 sits in the second word of verdicts.
+            let mut clone = Batch::clone(&batch);
+            clone.elements[33].auth ^= 1;
+            let clone = Arc::new(clone);
+            assert_ne!(clone.root(), root);
+            assert_ne!(clone.hash(), hash);
+            assert_eq!(clone.root(), epoch_root(&clone.elements));
+            assert_eq!(clone.hash(), batch_hash(&clone.elements, &clone.proofs));
+            let mut peer = peer_core(registry, 1);
+            peer.admit_batch_elements(&clone.elements, Some(&clone), true, ctx);
+            assert_eq!(peer.stats.elements_rejected, 1);
+            assert!(!peer.state.contains(&clone.elements[33].id));
+            assert_eq!(peer.state.the_set_len(), 39);
+
+            // The original keeps its own values.
+            assert_eq!((batch.root(), batch.hash()), (root, hash));
+            let mut other = peer_core(registry, 2);
+            other.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            assert_eq!(other.state.the_set_len(), 40);
+        });
+    }
+
+    #[test]
+    fn an_unregistered_clients_verdict_is_not_shared() {
+        with_core(0, |core, registry, ctx| {
+            let late = KeyPair::derive(ProcessId::client(5), 777);
+            let e = Element::new(&late, ElementId::new(5, 1), 300, 1);
+            let batch = Arc::new(Batch::new(vec![e], vec![]));
+            core.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            assert_eq!(core.stats.elements_rejected, 1);
+            assert!(!core.state.contains(&e.id));
+
+            // The client registers after the first server's miss: the
+            // second server checks the element itself, and admits it.
+            registry.register(late);
+            let mut peer = peer_core(registry, 1);
+            let before = ctx.cpu_consumed();
+            peer.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            assert_eq!(
+                ctx.cpu_consumed() - before,
+                peer.config.costs.validate_element
+            );
+            assert!(peer.state.contains(&e.id));
+            assert_eq!(peer.stats.elements_rejected, 0);
+            assert_eq!(peer.admission_cache().misses(), 1);
         });
     }
 
@@ -1675,6 +1852,55 @@ pub(crate) mod tests {
                 for (e, expected) in wave.iter().zip(&sequential) {
                     prop_assert_eq!(core.element_valid(e), *expected);
                 }
+            }
+
+            /// A shared batch's host memo changes nothing a server does:
+            /// two servers that admit and then epoch the same
+            /// `Arc<Batch>`, the second reading what the first computed,
+            /// charge the CPU, count the cache hits, misses and
+            /// rejections, and end with the `the_set` and epoch of two
+            /// servers given the same elements as plain slices. Batches mix
+            /// forged, tampered, server-signed and impersonated elements,
+            /// duplicate ids, ids already stamped, and clients missing from
+            /// the registry (two of the four client indices drawn).
+            #[test]
+            fn prop_a_shared_batch_is_admitted_and_epoched_like_plain_slices(
+                specs in proptest::collection::vec(
+                    (0usize..4, 0u64..24, 0u32..2000, 0u8..5),
+                    1..80,
+                ),
+                stamped in proptest::collection::vec(0u64..24, 0..8),
+            ) {
+                with_core(0, move |core, registry, ctx| {
+                    let clients = 2;
+                    let elements: Vec<Element> = specs
+                        .iter()
+                        .map(|s| element_from_spec(registry, clients, *s))
+                        .collect();
+                    let stamped: Vec<Element> = stamped
+                        .iter()
+                        .map(|&seq| element_from_spec(registry, clients, (0, seq, 400, 0)))
+                        .collect();
+                    let batch = Arc::new(Batch::new(elements.clone(), vec![]));
+                    let [mut second, mut plain, mut plain_second] =
+                        [1, 2, 3].map(|i| peer_core(registry, i));
+                    let shared = Some(&batch);
+                    let first = admit_then_epoch(core, &stamped, &batch.elements, shared, ctx);
+                    let second =
+                        admit_then_epoch(&mut second, &stamped, &batch.elements, shared, ctx);
+                    let alone = admit_then_epoch(&mut plain, &stamped, &elements, None, ctx);
+                    assert_eq!(first, alone);
+                    let alone = admit_then_epoch(&mut plain_second, &stamped, &elements, None, ctx);
+                    assert_eq!(second, alone);
+
+                    // Every verdict the memo holds is `is_valid`'s.
+                    let mut reader = peer_core(registry, 3);
+                    let all = 0..elements.len();
+                    let verdicts = reader.validate_picked(&batch.elements, all, Some(&batch));
+                    let sequential: Vec<bool> =
+                        elements.iter().map(|e| e.is_valid(registry)).collect();
+                    assert_eq!(verdicts, sequential);
+                });
             }
         }
     }

@@ -170,11 +170,7 @@ mod tests {
         let cb = CompressedBatch {
             origin: server.id,
             seq: 5,
-            batch: Batch {
-                elements: vec![e],
-                proofs: vec![],
-            }
-            .into(),
+            batch: Batch::new(vec![e], vec![]).into(),
             payload: std::sync::Arc::new(Vec::new().into()),
             compressed_size: 100,
             original_size: 300,
@@ -206,11 +202,7 @@ mod tests {
         let cb = CompressedBatch {
             origin: server.id,
             seq: 0,
-            batch: Batch {
-                elements: vec![e],
-                proofs: vec![],
-            }
-            .into(),
+            batch: Batch::new(vec![e], vec![]).into(),
             payload: std::sync::Arc::new(Vec::new().into()),
             compressed_size: 160,
             original_size: 438,
@@ -264,11 +256,7 @@ mod tests {
         let batch = |original_size: u32| CompressedBatch {
             origin: server.id,
             seq: 0,
-            batch: Batch {
-                elements: vec![],
-                proofs: vec![proof],
-            }
-            .into(),
+            batch: Batch::new(vec![], vec![proof]).into(),
             payload: Arc::clone(&frame),
             compressed_size: 0,
             original_size,

@@ -85,6 +85,6 @@ pub(crate) fn finalize_block(
         })
         .collect();
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
-    let proof = core.create_epoch(&elements, None, None, true, ctx);
+    let proof = core.create_epoch(&elements, None, true, ctx);
     ctx.append(SetchainTx::Proof(proof));
 }

@@ -194,11 +194,7 @@ fn undersized_frame(origin: usize) -> CompressedBatch {
     let deployment = build(false);
     let signer = deployment.registry.lookup(ProcessId::server(3)).unwrap();
     let mut hostile = garbage_frame(origin, 0);
-    hostile.batch = Batch {
-        elements: vec![],
-        proofs: vec![make_epoch_proof(&signer, 1, &[])],
-    }
-    .into();
+    hostile.batch = Batch::new(vec![], vec![make_epoch_proof(&signer, 1, &[])]).into();
     hostile
 }
 
