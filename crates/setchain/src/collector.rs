@@ -10,8 +10,8 @@
 //! `Arc<Batch>`. The batch therefore remembers, for the host, what every
 //! server computes from its bytes alike — its [`epoch_root`], its
 //! [`batch_hash`] and each element's authenticator verdict — so the host
-//! computes each once per run. The modelled servers still pay for each of
-//! them, at every server (see [`Batch::root`]).
+//! computes each once per batch. The modelled servers still pay for each
+//! of them, at every server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -36,8 +36,8 @@ use crate::proofs::{epoch_root, EpochProof, EPOCH_PROOF_WIRE_LEN};
 /// is charged separately against the full batch wire size, so hashing the
 /// compact representation here does not distort the performance model.
 ///
-/// A shared batch reads its hash through [`Batch::hash`], which computes it
-/// once per run.
+/// A shared batch reads its hash through `Batch::hash`, which computes it
+/// once per batch.
 pub fn batch_hash(elements: &[Element], proofs: &[EpochProof]) -> Digest512 {
     hash_for_root(elements.len(), &epoch_root(elements), proofs)
 }
@@ -126,13 +126,13 @@ impl Batch {
     /// This and [`Self::hash`] are host shortcuts: every server that needs
     /// the value still charges its modelled cost (`hash_cost` of the batch
     /// or epoch) where it needs it.
-    pub fn root(&self) -> Digest256 {
+    pub(crate) fn root(&self) -> Digest256 {
         memoized(&self.memo.root, || epoch_root(&self.elements))
     }
 
     /// [`batch_hash`] of the contents, computed once per batch and finished
     /// from [`Self::root`].
-    pub fn hash(&self) -> Digest512 {
+    pub(crate) fn hash(&self) -> Digest512 {
         memoized(&self.memo.hash, || {
             hash_for_root(self.elements.len(), &self.root(), &self.proofs)
         })

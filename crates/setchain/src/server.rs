@@ -862,11 +862,11 @@ impl ServerCore {
     /// block). Vanilla's blocks and other per-server lists pass `None`. On
     /// an admission-cache miss, the host reads the verdict the shared batch
     /// remembers; the server still counts and pays the miss. When nothing
-    /// was filtered out, `G`
-    /// is the shared batch itself — the same multiset, so the same
-    /// canonical tree: the epoch is recorded by sharing that `Arc`, and its
-    /// digest is finished from [`Batch::root`], which the host computes
-    /// once per batch (Hashchain's batch hash commits to the same root).
+    /// was filtered out, `G` is the shared batch itself — the same
+    /// multiset, so the same canonical tree: the epoch is recorded by
+    /// sharing that `Arc`, and its digest is finished from the batch's
+    /// root, which the host computes once per batch (Hashchain's batch hash
+    /// commits to the same root).
     /// Any filtered element — a duplicate id, an already-stamped or invalid
     /// element — records `G` as a list of its own and takes the full
     /// [`epoch_hash`](crate::epoch_hash), as a `None` batch always does.
