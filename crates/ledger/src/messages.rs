@@ -155,12 +155,12 @@ mod tests {
     }
 
     fn block() -> Block<Tx> {
-        Block {
-            height: 3,
-            proposer: ProcessId::server(1),
-            proposed_at: SimTime::ZERO,
-            txs: vec![Tx(1, 100), Tx(2, 200)].into(),
-        }
+        Block::new(
+            3,
+            ProcessId::server(1),
+            SimTime::ZERO,
+            vec![Tx(1, 100), Tx(2, 200)].into(),
+        )
     }
 
     #[test]

@@ -331,12 +331,7 @@ impl<A: Application> LedgerNode<A> {
 
     fn propose(&mut self, ctx: &mut Context<'_, M<A>>) {
         let txs = self.mempool.reap(self.config.max_block_bytes);
-        let block = Block {
-            height: self.height,
-            proposer: self.id,
-            proposed_at: ctx.now(),
-            txs: txs.into(),
-        };
+        let block = Block::new(self.height, self.id, ctx.now(), txs.into());
         self.stats.proposals_made += 1;
 
         if self.byz == ByzMode::EquivocatingProposer && block.len() >= 2 {
@@ -344,13 +339,16 @@ impl<A: Application> LedgerNode<A> {
             // with the order of the first two swapped, split across peers.
             // Each variant is built and signed exactly once and Arc-shared
             // across its half of the recipients; only the swapped variant
-            // needs a transaction list of its own.
+            // needs a transaction list of its own, and, being other
+            // contents, a memo of its own.
             let mut swapped = block.txs.to_vec();
             swapped.swap(0, 1);
-            let alt = Block {
-                txs: swapped.into(),
-                ..block.clone()
-            };
+            let alt = Block::new(
+                block.height,
+                block.proposer,
+                block.proposed_at,
+                swapped.into(),
+            );
             let alt_signature = sign_with(
                 &self.own_key,
                 self.id,
@@ -1198,6 +1196,19 @@ mod tests {
             assert_eq!(store.len(), 1, "node {i}: one proposal for height 1");
             let block = store.values().next().unwrap();
             assert_eq!(block.proposer, ProcessId::server(1));
+            // A block built afresh from the same fields starts an empty
+            // memo, so its id is computed, not read.
+            let fresh = Block::new(
+                block.height,
+                block.proposer,
+                block.proposed_at,
+                Arc::clone(&block.txs),
+            );
+            assert_eq!(
+                block.id(),
+                fresh.id(),
+                "node {i}: the id memo is the block's own"
+            );
             (block.id(), Arc::clone(&block.txs))
         };
         let (primary_id, primary) = proposal(0);
@@ -1368,12 +1379,12 @@ mod tests {
         // PKI does not know; only the genuine ones count towards 2f + 1 = 3.
         let seed = 21;
         let registry = KeyRegistry::bootstrap(seed, 4, 4);
-        let block = Block {
-            height: 1,
-            proposer: ProcessId::server(1),
-            proposed_at: SimTime::ZERO,
-            txs: vec![TestTx { id: 1, size: 100 }].into(),
-        };
+        let block = Block::new(
+            1,
+            ProcessId::server(1),
+            SimTime::ZERO,
+            vec![TestTx { id: 1, size: 100 }].into(),
+        );
         let bytes = certificate_sign_bytes(1, &block.id());
         let stranger = KeyPair::derive(ProcessId::server(50), 555);
         for (valid, accepted) in [(3usize, true), (2, false)] {

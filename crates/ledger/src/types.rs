@@ -1,7 +1,8 @@
 //! Core ledger types: transactions, blocks and configuration.
 
+use std::any::Any;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use setchain_crypto::{Digest256, ProcessId, Sha256};
@@ -35,6 +36,14 @@ pub trait TxData: Clone + Debug + Send + Sync + 'static {
 pub struct BlockId(pub Digest256);
 
 /// A block of transactions.
+///
+/// Build one with [`Block::new`]. A clone shares the transaction list and
+/// the host memo of what is derived from the block: its [`id`](Self::id)
+/// and one application value (see [`Self::shared`]). Every validator holds
+/// a clone of the block its proposer built, so the host derives each of
+/// them once per run. The memo assumes the public fields no longer change
+/// once it has been read; debug builds check every id read against a fresh
+/// computation. A block with other contents is a new [`Block::new`].
 #[derive(Clone, Debug)]
 pub struct Block<T> {
     /// Height of the block (1-based; height 0 is the implicit genesis).
@@ -50,9 +59,41 @@ pub struct Block<T> {
     /// hold the one allocation the proposer made, so cloning a block is a
     /// refcount bump.
     pub txs: Arc<[T]>,
+    /// What the host has derived from the block, once per run.
+    memo: Arc<BlockMemo>,
+}
+
+/// The host's memo of one block, shared by all its clones: each value is
+/// computed by the first reader and read by every later one.
+#[derive(Default)]
+struct BlockMemo {
+    id: OnceLock<BlockId>,
+    /// The application's value (see [`Block::shared`]).
+    shared: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+impl Debug for BlockMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockMemo")
+            .field("id", &self.id.get())
+            .field("shared", &self.shared.get().is_some())
+            .finish()
+    }
 }
 
 impl<T: TxData> Block<T> {
+    /// A block of `txs` at `height`, proposed by `proposer` at
+    /// `proposed_at`, with an empty memo.
+    pub fn new(height: u64, proposer: ProcessId, proposed_at: SimTime, txs: Arc<[T]>) -> Self {
+        Block {
+            height,
+            proposer,
+            proposed_at,
+            txs,
+            memo: Arc::default(),
+        }
+    }
+
     /// Number of transactions in the block (the paper's `|B|`).
     pub fn len(&self) -> usize {
         self.txs.len()
@@ -71,11 +112,39 @@ impl<T: TxData> Block<T> {
     /// Deterministic identifier: hash of height, proposer and the ordered
     /// transaction ids.
     ///
-    /// Streams straight into one hasher with the same length framing as
-    /// `framed_hash` (so the digest format is unchanged) without building a
-    /// vector of byte strings first — this runs on every proposal receipt
-    /// and block sync.
+    /// Every validator reads it on proposal, receipt, commit and block
+    /// sync; the host hashes once per block (the first read) and every
+    /// clone reads the memo.
     pub fn id(&self) -> BlockId {
+        if let Some(id) = self.memo.id.get() {
+            debug_assert_eq!(*id, self.compute_id(), "a block id memo is stale");
+            return *id;
+        }
+        *self.memo.id.get_or_init(|| self.compute_id())
+    }
+
+    /// The application's value derived from this block: built by `init` on
+    /// the first call over any clone of the block, read by every later one.
+    ///
+    /// A host shortcut for what every validator derives from the block
+    /// alike (Vanilla's epoch batch); whatever the modelled nodes pay for
+    /// the work, they still charge themselves. A block holds one such
+    /// value, so every caller must ask for the same `V`.
+    ///
+    /// # Panics
+    ///
+    /// If the block already holds a value of another type.
+    pub fn shared<V: Any + Send + Sync>(&self, init: impl FnOnce() -> V) -> Arc<V> {
+        let value = self.memo.shared.get_or_init(|| Arc::new(init()));
+        Arc::clone(value)
+            .downcast()
+            .expect("a block's shared value has another type")
+    }
+
+    /// [`Self::id`], computed. Streams straight into one hasher with the
+    /// same length framing as `framed_hash`, without building a vector of
+    /// byte strings first.
+    fn compute_id(&self) -> BlockId {
         fn frame(h: &mut Sha256, bytes: &[u8]) {
             h.update(&(bytes.len() as u64).to_le_bytes());
             h.update(bytes);
@@ -185,16 +254,19 @@ mod tests {
 
     #[test]
     fn block_id_changes_with_content() {
-        let b1 = Block {
-            height: 1,
-            proposer: ProcessId::server(0),
-            proposed_at: SimTime::ZERO,
-            txs: vec![DummyTx(1, 10), DummyTx(2, 20)].into(),
-        };
-        let mut b2 = b1.clone();
-        b2.txs = [&b1.txs[..], &[DummyTx(3, 5)]].concat().into();
-        let mut b3 = b1.clone();
-        b3.height = 2;
+        let b1 = Block::new(
+            1,
+            ProcessId::server(0),
+            SimTime::ZERO,
+            vec![DummyTx(1, 10), DummyTx(2, 20)].into(),
+        );
+        let b2 = Block::new(
+            b1.height,
+            b1.proposer,
+            b1.proposed_at,
+            [&b1.txs[..], &[DummyTx(3, 5)]].concat().into(),
+        );
+        let b3 = Block::new(2, b1.proposer, b1.proposed_at, Arc::clone(&b1.txs));
         assert_ne!(b1.id(), b2.id());
         assert_ne!(b1.id(), b3.id());
         assert_eq!(b1.id(), b1.clone().id());
@@ -207,12 +279,12 @@ mod tests {
     fn block_id_matches_framed_hash_format() {
         // The streaming implementation must keep producing the digest the
         // original `framed_hash`-based construction produced.
-        let b = Block {
-            height: 9,
-            proposer: ProcessId::server(2),
-            proposed_at: SimTime::ZERO,
-            txs: vec![DummyTx(11, 10), DummyTx(22, 20), DummyTx(33, 5)].into(),
-        };
+        let b = Block::new(
+            9,
+            ProcessId::server(2),
+            SimTime::ZERO,
+            vec![DummyTx(11, 10), DummyTx(22, 20), DummyTx(33, 5)].into(),
+        );
         let mut parts: Vec<Vec<u8>> = vec![
             b.height.to_le_bytes().to_vec(),
             b.proposer.0.to_le_bytes().to_vec(),
@@ -225,13 +297,71 @@ mod tests {
 
     #[test]
     fn block_id_is_order_sensitive() {
-        let mk = |ids: &[u128]| Block {
-            height: 1,
-            proposer: ProcessId::server(0),
-            proposed_at: SimTime::ZERO,
-            txs: ids.iter().map(|&i| DummyTx(i, 1)).collect(),
+        let mk = |ids: &[u128]| {
+            Block::new(
+                1,
+                ProcessId::server(0),
+                SimTime::ZERO,
+                ids.iter().map(|&i| DummyTx(i, 1)).collect(),
+            )
         };
         assert_ne!(mk(&[1, 2]).id(), mk(&[2, 1]).id());
+    }
+
+    #[test]
+    fn clones_share_the_memo_and_new_blocks_start_empty() {
+        let txs: Arc<[DummyTx]> = vec![DummyTx(1, 10), DummyTx(2, 20)].into();
+        let block = Block::new(4, ProcessId::server(1), SimTime::ZERO, Arc::clone(&txs));
+        let clone = block.clone();
+        assert!(clone.memo.id.get().is_none());
+        let id = block.id();
+        assert_eq!(clone.memo.id.get(), Some(&id), "a clone reads the id memo");
+        assert_eq!(id, block.compute_id());
+
+        // The application value is built once, by the first caller.
+        let built = std::sync::atomic::AtomicUsize::new(0);
+        let sum = || {
+            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            txs.iter().map(|t| t.0).sum::<u128>()
+        };
+        let first = clone.shared(sum);
+        let second = block.shared(sum);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((*first, built.into_inner()), (3, 1));
+
+        // The same contents through `Block::new` start a memo of their own.
+        let twin = Block::new(4, ProcessId::server(1), SimTime::ZERO, txs);
+        assert!(twin.memo.id.get().is_none() && twin.memo.shared.get().is_none());
+        assert_eq!(twin.id(), id);
+        assert!(!Arc::ptr_eq(&twin.shared(|| 3u128), &first));
+    }
+
+    #[test]
+    #[should_panic(expected = "another type")]
+    fn a_shared_value_of_another_type_panics() {
+        let block = Block::new(
+            1,
+            ProcessId::server(0),
+            SimTime::ZERO,
+            Vec::<DummyTx>::new().into(),
+        );
+        block.shared(|| 1u32);
+        block.shared(|| 1u64);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale")]
+    fn a_stale_id_memo_is_caught_in_debug_builds() {
+        let mut block = Block::new(
+            1,
+            ProcessId::server(0),
+            SimTime::ZERO,
+            Vec::<DummyTx>::new().into(),
+        );
+        block.id();
+        block.height = 2;
+        block.id();
     }
 
     #[test]

@@ -59,7 +59,8 @@ fn hash_for_root(count: usize, root: &Digest256, proofs: &[EpochProof]) -> Diges
     h.finalize()
 }
 
-/// A batch drained from the collector.
+/// A batch drained from the collector, or the elements of a committed
+/// Vanilla block (see [`crate::vanilla`]).
 ///
 /// Build one with [`Batch::new`] (or [`Default`]). `Clone` copies the
 /// contents and starts with an empty memo, so a clone can be tampered with

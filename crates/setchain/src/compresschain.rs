@@ -178,8 +178,7 @@ impl Compresschain {
             // G: valid elements not yet in an epoch. The block is held once
             // per run, so a whole batch is shared, not copied, into history,
             // and its epoch digest is finished from the batch's root.
-            let batch = &cb.batch;
-            let proof = core.create_epoch(&batch.elements, Some(batch), validate, ctx);
+            let proof = core.create_epoch(&cb.batch, validate, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);

@@ -462,9 +462,9 @@ impl Hashchain {
         let enough = rec.count_signer(hb.signer) >= core.config.proof_quorum();
         if enough && !rec.consolidated {
             rec.consolidated = true;
-            let shared = rec.batch.as_ref();
-            let elements = shared.map_or(&[][..], |b| b.elements.as_slice());
-            let proof = core.create_epoch(elements, shared, validate, ctx);
+            // A batch whose contents never arrived is an empty epoch.
+            let batch = rec.batch.clone().unwrap_or_default();
+            let proof = core.create_epoch(&batch, validate, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
         }

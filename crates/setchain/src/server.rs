@@ -857,32 +857,27 @@ impl ServerCore {
     /// de-duplicated elements form `G`. The epoch is recorded in the state
     /// and the trace, and this server's epoch-proof for it is returned.
     ///
-    /// `shared` is the batch `batch` is the elements of, when the run holds
-    /// it once (Hashchain's `hash_to_batch`, Compresschain's committed
-    /// block). Vanilla's blocks and other per-server lists pass `None`. On
-    /// an admission-cache miss, the host reads the verdict the shared batch
-    /// remembers; the server still counts and pays the miss. When nothing
-    /// was filtered out, `G` is the shared batch itself — the same
+    /// `batch` is the batch as the run holds it: Hashchain's
+    /// `hash_to_batch` (an empty batch when the contents never arrived),
+    /// Compresschain's committed block, Vanilla's block (its memo's
+    /// [`Batch`]). On an admission-cache miss, the host reads the verdict
+    /// the batch remembers; the server still counts and pays the miss.
+    /// When nothing was filtered out, `G` is the batch itself — the same
     /// multiset, so the same canonical tree: the epoch is recorded by
     /// sharing that `Arc`, and its digest is finished from the batch's
     /// root, which the host computes once per batch (Hashchain's batch hash
     /// commits to the same root).
     /// Any filtered element — a duplicate id, an already-stamped or invalid
     /// element — records `G` as a list of its own and takes the full
-    /// [`epoch_hash`](crate::epoch_hash), as a `None` batch always does.
+    /// [`epoch_hash`](crate::epoch_hash).
     pub fn create_epoch(
         &mut self,
-        batch: &[Element],
-        shared: Option<&Arc<Batch>>,
+        batch: &Arc<Batch>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> EpochProof {
-        debug_assert!(
-            shared.is_none_or(|s| std::ptr::eq(s.elements.as_slice(), batch)),
-            "`batch` must be the shared batch's own elements"
-        );
-        let elements = self.extract_epoch_candidates(batch, shared.map(|s| &**s), validate, ctx);
-        let whole = elements.len() == batch.len();
+        let elements = self.extract_epoch_candidates(batch, validate, ctx);
+        let whole = elements.len() == batch.elements.len();
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // Catch-up already installed this epoch (verified against f+1
@@ -903,11 +898,11 @@ impl ServerCore {
             return proof;
         }
         self.note_stamped(&elements);
-        let epoch = match shared.filter(|_| whole) {
-            Some(batch) => self
-                .state
-                .record_epoch(Arc::clone(batch), Some(batch.root())),
-            None => self.state.record_epoch(elements, None),
+        let epoch = if whole {
+            self.state
+                .record_epoch(Arc::clone(batch), Some(batch.root()))
+        } else {
+            self.state.record_epoch(elements, None)
         };
         debug_assert_eq!(
             epoch, self.derived_epochs,
@@ -937,7 +932,8 @@ impl ServerCore {
     /// same [`Self::validate_elements`] core the epoch path uses, charged
     /// per cache miss only) and inserts the valid ids into `the_set`,
     /// through a reused scratch buffer. `shared` is the batch `elements`
-    /// belong to, as in [`Self::create_epoch`]. The
+    /// are the elements of, when the run holds it once; a cache miss then
+    /// reads the verdict it remembers, as in [`Self::create_epoch`]. The
     /// epoch itself is built later, at consolidation, through
     /// [`Self::create_epoch`]; this is the "valid elements join
     /// `the_set` immediately" half of batch processing.
@@ -1024,18 +1020,18 @@ impl ServerCore {
     /// ablations) that are not yet in `history`, de-duplicated.
     ///
     /// Validation of the deduplicated candidates goes through
-    /// [`validate_elements`](Self::validate_elements): batched and memoized
-    /// per element, so only the cache misses are charged. A Hashchain
-    /// server cached these verdicts in `admit_batch_elements`, so an honest
-    /// batch costs nothing here. `shared` is the batch `elements` belong
-    /// to, as in [`Self::create_epoch`].
+    /// [`validate_picked`](Self::validate_picked): batched and memoized
+    /// per element, so only the cache misses are charged, and a miss reads
+    /// the verdict `batch` remembers. A Hashchain server cached these
+    /// verdicts in `admit_batch_elements`, so an honest batch costs nothing
+    /// here.
     fn extract_epoch_candidates(
         &mut self,
-        elements: &[Element],
-        shared: Option<&Batch>,
+        batch: &Batch,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Vec<Element> {
+        let elements = batch.elements.as_slice();
         let mut seen = std::mem::take(&mut self.seen_scratch);
         let mut picks = std::mem::take(&mut self.pick_scratch);
         debug_assert!(seen.is_empty() && picks.is_empty());
@@ -1050,7 +1046,7 @@ impl ServerCore {
         let mut out = Vec::with_capacity(picks.len());
         if validate {
             let verdicts = self.validate_charged(ctx, |core| {
-                core.validate_picked(elements, picks.iter().copied(), shared)
+                core.validate_picked(elements, picks.iter().copied(), Some(batch))
             });
             for (&i, ok) in picks.iter().zip(verdicts) {
                 if ok {
@@ -1074,6 +1070,7 @@ pub(crate) mod tests {
     use crate::element::ElementId;
     use crate::hashchain::batch_hash;
     use crate::proofs::{epoch_hash, make_epoch_proof_for_digest};
+    use setchain_ledger::Block;
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
         let registry = KeyRegistry::bootstrap(seed, servers, clients);
@@ -1132,6 +1129,12 @@ pub(crate) mod tests {
                 None => Element::forged(client, id, size),
             },
         }
+    }
+
+    /// A batch of `elements` held by one server alone: its memo is read by
+    /// nobody else.
+    fn own_batch(elements: &[Element]) -> Arc<Batch> {
+        Arc::new(Batch::new(elements.to_vec(), vec![]))
     }
 
     /// Unique temp directory for store-backed cores, removed on drop.
@@ -1417,7 +1420,7 @@ pub(crate) mod tests {
             for (epoch, elements) in (1u64..).zip(cases) {
                 let batch = Arc::new(Batch::new(elements, vec![]));
                 let root = epoch_root(&batch.elements);
-                core.create_epoch(&batch.elements, Some(&batch), true, ctx);
+                core.create_epoch(&batch, true, ctx);
                 let stamped = core.state.epoch_elements(epoch).unwrap();
                 let recorded = *core.state.epoch_digest(epoch).unwrap();
                 assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
@@ -1553,7 +1556,7 @@ pub(crate) mod tests {
             ));
             core.admit_batch_elements(&batch, None, true, ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
-            core.create_epoch(&batch, None, true, ctx);
+            core.create_epoch(&own_batch(&batch), true, ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
             // Only the rejected id keeps its verdict.
             assert_eq!(core.admission_cache().len(), 1);
@@ -1572,7 +1575,7 @@ pub(crate) mod tests {
             let keys = registry.lookup(ProcessId::client(0)).unwrap();
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             assert!(core.accept_add(&good, ctx));
-            core.create_epoch(&[good], None, true, ctx);
+            core.create_epoch(&own_batch(&[good]), true, ctx);
             assert!(core.state.in_history(&good.id));
             let misses = core.admission_cache().misses();
             // An honest re-send and a tampered replay of the stamped id.
@@ -1617,7 +1620,7 @@ pub(crate) mod tests {
             });
             assert_eq!(batch, SimDuration::ZERO);
             let epoch = charged(ctx, |ctx| {
-                core.create_epoch(&[good], None, true, ctx);
+                core.create_epoch(&own_batch(&[good]), true, ctx);
             });
             assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
             assert!(core.state.in_history(&good.id));
@@ -1683,7 +1686,7 @@ pub(crate) mod tests {
         shared: Option<&Arc<Batch>>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Outcome {
-        core.create_epoch(stamped, None, true, ctx);
+        core.create_epoch(&own_batch(stamped), true, ctx);
         let before = ctx.cpu_consumed();
         core.admit_batch_elements(elements, shared, true, ctx);
         let admitted = ctx.cpu_consumed();
@@ -1692,7 +1695,8 @@ pub(crate) mod tests {
             .map(|e| core.state.contains(&e.id))
             .collect();
         let the_set_len = core.state.the_set_len();
-        core.create_epoch(elements, shared, true, ctx);
+        let batch = shared.cloned().unwrap_or_else(|| own_batch(elements));
+        core.create_epoch(&batch, true, ctx);
         Outcome {
             admit_cpu: admitted - before,
             epoch_cpu: ctx.cpu_consumed() - admitted,
@@ -1892,6 +1896,128 @@ pub(crate) mod tests {
                     assert_eq!(first, alone);
                     let alone = admit_then_epoch(&mut plain_second, &stamped, &elements, None, ctx);
                     assert_eq!(second, alone);
+
+                    // Every verdict the memo holds is `is_valid`'s.
+                    let mut reader = peer_core(registry, 3);
+                    let all = 0..elements.len();
+                    let verdicts = reader.validate_picked(&batch.elements, all, Some(&batch));
+                    let sequential: Vec<bool> =
+                        elements.iter().map(|e| e.is_valid(registry)).collect();
+                    assert_eq!(verdicts, sequential);
+                });
+            }
+
+            /// The block memo changes nothing a Vanilla server does: two
+            /// servers that commit clones of one block, the second reading
+            /// the batch and the verdicts the first derived through
+            /// `Block::shared`, charge the CPU, count the cache hits, misses
+            /// and rejections, and end with the `the_set` and epoch of two
+            /// servers each given a block of the same transactions with a
+            /// memo of its own. Blocks mix valid elements, forged ones (as
+            /// `InjectInvalidElements` appends them, and by clients),
+            /// duplicate ids, ids already stamped, ids the server accepted
+            /// as adds and epoch-proofs (valid, forged, by a non-server, for
+            /// the past and for epochs ahead); some blocks are all honest.
+            #[test]
+            fn prop_a_vanilla_block_is_epoched_through_its_memo_like_per_server_lists(
+                specs in proptest::collection::vec(
+                    (0usize..4, 0u64..24, 0u32..2000, 0u8..6),
+                    0..80,
+                ),
+                stamped in proptest::collection::vec(0u64..24, 0..8),
+                proofs in proptest::collection::vec((0usize..5, 1u64..4, any::<bool>()), 0..6),
+                added in 0usize..40,
+                honest in any::<bool>(),
+            ) {
+                with_core(0, move |_, registry, ctx| {
+                    let clients = 2;
+                    let stamped = own_batch(
+                        &stamped
+                            .iter()
+                            .map(|&seq| element_from_spec(registry, clients, (0, seq, 400, 0)))
+                            .collect::<Vec<_>>(),
+                    );
+                    // Each server is committed once through the shared
+                    // memo and once through a memo of its own.
+                    let mut cores = [0, 1, 0, 1].map(|i| peer_core(registry, i));
+                    for c in &mut cores {
+                        c.create_epoch(&stamped, true, ctx);
+                    }
+                    let digest = *cores[0].state.epoch_digest(1).unwrap();
+                    let mut txs: Vec<SetchainTx> = specs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(client, seq, size, kind))| {
+                            SetchainTx::Element(match kind {
+                                // An honest block: registered clients,
+                                // fresh distinct ids.
+                                _ if honest => element_from_spec(
+                                    registry,
+                                    clients,
+                                    (i % clients, 100 + i as u64, size, 0),
+                                ),
+                                5 => Element::forged(
+                                    ProcessId::client(0),
+                                    ElementId::new(u32::MAX, seq),
+                                    200,
+                                ),
+                                _ => element_from_spec(registry, clients, (client, seq, size, kind)),
+                            })
+                        })
+                        .collect();
+                    for (at, &(signer, epoch, forged)) in proofs.iter().enumerate() {
+                        let id = ProcessId::server(signer);
+                        let keys = registry.lookup(id).unwrap_or_else(|| KeyPair::derive(id, 7));
+                        let mut proof = make_epoch_proof_for_digest(&keys, epoch, &digest);
+                        if forged {
+                            proof.signature = Signature::forged(keys.id);
+                        }
+                        txs.insert((at * 7).min(txs.len()), SetchainTx::Proof(proof));
+                    }
+                    let block = Block::new(5, ProcessId::server(1), SimTime::ZERO, txs.into());
+                    let own_memo =
+                        || Block::new(5, ProcessId::server(1), SimTime::ZERO, Arc::clone(&block.txs));
+                    let elements: Vec<Element> = crate::vanilla::block_elements(&block).collect();
+                    // Each server accepted the block's first `added`
+                    // elements as adds, so their verdicts are cache hits.
+                    for c in &mut cores {
+                        for e in elements.iter().take(added) {
+                            c.accept_add(e, ctx);
+                        }
+                    }
+                    let mut commit = |core: &mut ServerCore, block: &Block<SetchainTx>| {
+                        let before = ctx.cpu_consumed();
+                        crate::vanilla::finalize_block(core, block, ctx);
+                        Outcome {
+                            // A Vanilla server admits nothing before the
+                            // block commits.
+                            admit_cpu: SimDuration::ZERO,
+                            epoch_cpu: ctx.cpu_consumed() - before,
+                            hits: core.admission_cache().hits(),
+                            misses: core.admission_cache().misses(),
+                            rejected: core.stats.elements_rejected,
+                            members: elements.iter().map(|e| core.state.contains(&e.id)).collect(),
+                            the_set_len: core.state.the_set_len(),
+                            epoch: core.state.epoch_elements(2).unwrap().to_vec(),
+                            digest: *core.state.epoch_digest(2).unwrap(),
+                        }
+                    };
+                    let [first, second, plain, plain_second] = &mut cores;
+                    let shared = [commit(first, &block.clone()), commit(second, &block)];
+                    let alone = [commit(plain, &own_memo()), commit(plain_second, &own_memo())];
+                    assert_eq!(shared, alone);
+                    assert_eq!(first.stats, plain.stats);
+                    assert_eq!(second.stats, plain_second.stats);
+
+                    // A whole block is one list in both shared histories.
+                    let batch = block.shared::<Batch>(|| unreachable!("committed above"));
+                    let epoch = |c: &ServerCore| c.state.epoch_elements(2).unwrap().as_ptr();
+                    let whole = shared[0].epoch.len() == batch.elements.len();
+                    assert_eq!(epoch(first) == batch.elements.as_ptr(), whole);
+                    assert_eq!(epoch(second) == batch.elements.as_ptr(), whole);
+                    if !batch.elements.is_empty() {
+                        assert_ne!(epoch(plain), batch.elements.as_ptr());
+                    }
 
                     // Every verdict the memo holds is `is_valid`'s.
                     let mut reader = peer_core(registry, 3);

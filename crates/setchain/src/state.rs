@@ -16,14 +16,15 @@ use crate::proofs::{epoch_hash, epoch_hash_for_root, EpochProof};
 
 /// One epoch of `history`: its own list, or the whole batch it was cut from.
 ///
-/// Compresschain and Hashchain turn one batch into one epoch. When nothing
-/// was filtered out of it, the epoch *is* that batch, which the run already
+/// Every algorithm turns one batch into one epoch. When nothing was
+/// filtered out of it, the epoch *is* that batch, which the run already
 /// holds once (Hashchain's `hash_to_batch`, Compresschain's committed
-/// block), so every server shares that allocation instead of copying it.
+/// block, the memo of Vanilla's committed block), so every server shares
+/// that allocation instead of copying it.
 #[derive(Debug)]
 pub enum EpochElements {
-    /// A list of this server's own: a filtered batch, a Vanilla block, a
-    /// catch-up install or a store recovery.
+    /// A list of this server's own: a filtered batch or block, a catch-up
+    /// install or a store recovery.
     Own(Vec<Element>),
     /// A batch that became the epoch whole; only its `elements` are the
     /// epoch's.

@@ -9,11 +9,21 @@
 //! Vanilla keeps no state of its own (no collector, no timers), so its steps
 //! are free functions over the shared [`ServerCore`]; the add/get front door
 //! that calls them lives in [`crate::app`].
+//!
+//! In Vanilla the block *is* the batch. Every server commits the same
+//! block, so the host builds the block's element list once, as a [`Batch`]
+//! held in the block's memo ([`Block::shared`]), and every server's epoch
+//! goes through [`ServerCore::create_epoch`] with it, as a Hashchain or
+//! Compresschain batch does: the host checks each authenticator and roots
+//! the block once, and a block that becomes an epoch whole is one shared
+//! list in every server's history. Each server still counts and pays its
+//! own validation, hashing and signing.
 
 use setchain_crypto::ProcessId;
 use setchain_ledger::{Block, TxData};
 
 use crate::byzantine::ServerByzMode;
+use crate::collector::Batch;
 use crate::config::SetchainConfig;
 use crate::element::{Element, ElementId};
 use crate::server::{Ctx, ServerCore};
@@ -75,16 +85,29 @@ pub(crate) fn finalize_block(
         }
     }
     // 2. The valid elements of the block that are not yet in an epoch
-    //    form the new epoch G.
-    let elements: Vec<Element> = block
-        .txs
-        .iter()
-        .filter_map(|tx| match tx {
-            SetchainTx::Element(e) => Some(*e),
-            _ => None,
-        })
-        .collect();
+    //    form the new epoch G. Every server derives G from the same
+    //    block, so the block's element list is built once per run, as a
+    //    batch all of them share: its verdicts and its root are computed
+    //    once, and a whole-block epoch is that batch in every history.
+    let batch = block.shared(|| {
+        // Exactly sized: the list lives as long as the run.
+        let mut elements = Vec::with_capacity(block_elements(block).count());
+        elements.extend(block_elements(block));
+        Batch::new(elements, Vec::new())
+    });
+    debug_assert!(
+        batch.elements.iter().copied().eq(block_elements(block)),
+        "a block's batch is its own elements"
+    );
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
-    let proof = core.create_epoch(&elements, None, true, ctx);
+    let proof = core.create_epoch(&batch, true, ctx);
     ctx.append(SetchainTx::Proof(proof));
+}
+
+/// The elements of `block`, in block order.
+pub(crate) fn block_elements(block: &Block<SetchainTx>) -> impl Iterator<Item = Element> + '_ {
+    block.txs.iter().filter_map(|tx| match tx {
+        SetchainTx::Element(e) => Some(*e),
+        _ => None,
+    })
 }
