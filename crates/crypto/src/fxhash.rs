@@ -20,8 +20,8 @@
 //!
 //! What is still keyed through it, and why that is safe or bounded:
 //!
-//! * epoch numbers (`SetchainState::proofs`, the trace's `epoch_committed`)
-//!   — minted by the servers, dense;
+//! * epoch numbers (the trace's `epoch_committed`) — minted by the
+//!   servers, dense;
 //! * `ProcessId`s (`ServerCore::client_keys`, `QuotaState::clients`, simnet's
 //!   overflow slots) — registered or network-authenticated identities;
 //! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'

@@ -59,8 +59,10 @@ fn hash_for_root(count: usize, root: &Digest256, proofs: &[EpochProof]) -> Diges
     h.finalize()
 }
 
-/// A batch drained from the collector, or the elements of a committed
-/// Vanilla block (see [`crate::vanilla`]).
+/// A batch drained from the collector, the elements of a committed Vanilla
+/// block (see [`crate::vanilla`]), or an epoch's elements: every epoch in
+/// [`SetchainState`](crate::SetchainState) is a batch, the one it was cut
+/// from when nothing was filtered out of it, else a batch of the survivors.
 ///
 /// Build one with [`Batch::new`] (or [`Default`]). `Clone` copies the
 /// contents and starts with an empty memo, so a clone can be tampered with
@@ -212,7 +214,6 @@ pub struct Collector {
     limit: usize,
     current: Batch,
     last_flush: SimTime,
-    flushes: u64,
 }
 
 impl Collector {
@@ -223,13 +224,7 @@ impl Collector {
             limit,
             current: Batch::default(),
             last_flush: SimTime::ZERO,
-            flushes: 0,
         }
-    }
-
-    /// The configured size limit.
-    pub fn limit(&self) -> usize {
-        self.limit
     }
 
     /// Number of entries currently collected.
@@ -240,11 +235,6 @@ impl Collector {
     /// True if nothing is collected.
     pub fn is_empty(&self) -> bool {
         self.current.is_empty()
-    }
-
-    /// Number of flushes performed so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 
     /// Adds a client element.
@@ -274,7 +264,6 @@ impl Collector {
     pub fn flush(&mut self, now: SimTime) -> Batch {
         assert!(!self.current.is_empty(), "flushing an empty collector");
         self.last_flush = now;
-        self.flushes += 1;
         std::mem::take(&mut self.current)
     }
 }
@@ -297,7 +286,6 @@ mod tests {
     fn fills_and_flushes_at_limit() {
         let mut c = Collector::new(3);
         assert!(c.is_empty());
-        assert_eq!(c.limit(), 3);
         c.add_element(element(0));
         c.add_element(element(1));
         assert!(!c.is_ready());
@@ -307,7 +295,6 @@ mod tests {
         assert_eq!(batch.elements.len(), 3);
         assert_eq!(batch.len(), 3);
         assert!(c.is_empty());
-        assert_eq!(c.flushes(), 1);
     }
 
     #[test]

@@ -453,7 +453,7 @@ impl Hashchain {
                 // Valid elements join the_set immediately (they join history
                 // only at consolidation); no candidate vector is
                 // materialized here.
-                core.admit_batch_elements(&batch.elements, Some(batch), validate, ctx);
+                core.admit_batch_elements(batch, validate, ctx);
                 rec.applied = settled;
             }
         }

@@ -38,6 +38,9 @@
 //! Epoch bookkeeping through the public state API:
 //!
 //! ```
+//! use std::sync::Arc;
+//!
+//! use setchain::collector::Batch;
 //! use setchain::{Algorithm, Element, ElementId, SetchainState};
 //! use setchain_crypto::{KeyPair, ProcessId};
 //!
@@ -46,8 +49,10 @@
 //!     .map(|i| Element::new(&keys, ElementId::new(0, i), 64, i))
 //!     .collect();
 //!
+//! // Every epoch is a batch: its elements, rooted once.
 //! let mut state = SetchainState::new();
-//! assert_eq!(state.record_epoch(elements, None), 1);
+//! let batch = Arc::new(Batch::new(elements, Vec::new()));
+//! assert_eq!(state.record_epoch(batch), 1);
 //! assert!(state.check_consistent_sets());
 //! assert!(state.check_unique_epoch());
 //! assert_eq!(Algorithm::ALL.len(), 3);

@@ -18,7 +18,7 @@ use crate::collector::Batch;
 use crate::config::{SetchainConfig, StoreConfig};
 use crate::element::{Element, ElementId};
 use crate::messages::SetchainMsg;
-use crate::proofs::{epoch_hash_for_root, epoch_root, make_epoch_proof_with_key, EpochProof};
+use crate::proofs::{epoch_hash_for_root, make_epoch_proof_with_key, EpochProof};
 use crate::state::SetchainState;
 use crate::trace::SetchainTrace;
 use crate::tx::{HashBatch, SetchainTx};
@@ -256,9 +256,10 @@ impl ServerCore {
                 .load_epoch(epoch)
                 .unwrap_or_else(|e| panic!("setchain-store: cannot read epoch {epoch}: {e}"))
                 .unwrap_or_else(|| panic!("setchain-store: epoch {epoch} below tip missing"));
+            let elements = Self::unpack_elements(&record.elements);
             let recorded = self
                 .state
-                .record_epoch(Self::unpack_elements(&record.elements), None);
+                .record_epoch(Arc::new(Batch::new(elements, Vec::new())));
             debug_assert_eq!(recorded, epoch, "segment scan enforces sequential epochs");
             let digest = self.state.epoch_digest(epoch).expect("just recorded");
             assert_eq!(
@@ -434,11 +435,11 @@ impl ServerCore {
         }
     }
 
-    /// A cache miss on element `i` of a shared batch. The modelled server
-    /// checks the authenticator and caches the verdict exactly as
+    /// A cache miss on element `i` of a batch. The modelled server checks
+    /// the authenticator and caches the verdict exactly as
     /// [`Self::validate_miss`] does; the host reads the verdict the batch
     /// remembers, computed by the first server that missed it.
-    fn validate_shared_miss(&mut self, batch: &Batch, i: usize) -> bool {
+    fn validate_batch_miss(&mut self, batch: &Batch, i: usize) -> bool {
         let element = &batch.elements[i];
         let (verdict, cacheable) = batch.verdict(i, || {
             let key = self.client_key(element.client);
@@ -455,41 +456,32 @@ impl ServerCore {
     /// are served from the admission cache; the misses are then checked one
     /// by one against per-client precomputed HMAC key schedules. Every
     /// lookup happens before any miss is recorded, so an element repeated
-    /// inside the batch counts one cache miss per copy.
+    /// inside the batch counts one cache miss per copy. The slice goes
+    /// through a throwaway batch, whose memo this call alone reads.
     pub fn validate_elements(&mut self, elements: &[Element]) -> Vec<bool> {
-        self.validate_picked(elements, 0..elements.len(), None)
+        let batch = Batch::new(elements.to_vec(), Vec::new());
+        self.validate_picked(&batch, 0..elements.len())
     }
 
-    /// [`Self::validate_elements`] over the elements `batch[i]`, `i` in
-    /// `picks` order. With `shared`, `batch` is that batch's elements, and
-    /// each miss reads the verdict it remembers (see
-    /// [`Self::validate_shared_miss`]).
+    /// [`Self::validate_elements`] over the elements `batch.elements[i]`,
+    /// `i` in `picks` order; each miss reads the verdict the batch
+    /// remembers (see [`Self::validate_batch_miss`]).
     fn validate_picked(
         &mut self,
-        batch: &[Element],
+        batch: &Batch,
         picks: impl ExactSizeIterator<Item = usize>,
-        shared: Option<&Batch>,
     ) -> Vec<bool> {
         let mut verdicts = vec![false; picks.len()];
         let mut misses = std::mem::take(&mut self.miss_scratch);
         debug_assert!(misses.is_empty());
         for (slot, i) in picks.enumerate() {
-            match self.admission.lookup(&batch[i]) {
+            match self.admission.lookup(&batch.elements[i]) {
                 Some(verdict) => verdicts[slot] = verdict,
                 None => misses.push((slot, i)),
             }
         }
-        match shared {
-            Some(shared) => {
-                for &(slot, i) in &misses {
-                    verdicts[slot] = self.validate_shared_miss(shared, i);
-                }
-            }
-            None => {
-                for &(slot, i) in &misses {
-                    verdicts[slot] = self.validate_miss(&batch[i]);
-                }
-            }
+        for &(slot, i) in &misses {
+            verdicts[slot] = self.validate_batch_miss(batch, i);
         }
         misses.clear();
         self.miss_scratch = misses;
@@ -710,12 +702,13 @@ impl ServerCore {
             // Re-hash the shipped elements and verify the proofs against
             // the recomputed digest — trusting the responder's digest would
             // let it rebind valid signatures to fabricated contents. The
-            // root is computed once: the install finishes its digest from it.
+            // bundle becomes the epoch's batch, whose root is computed once:
+            // the install finishes its digest from it.
             let bytes: usize = bundle.elements.iter().map(|e| e.wire_size()).sum();
             ctx.consume_cpu(self.config.costs.hash_cost(bytes));
-            let root = epoch_root(&bundle.elements);
-            let count = bundle.elements.len() as u64;
-            let digest = epoch_hash_for_root(bundle.epoch, count, &root);
+            let batch = Arc::new(Batch::new(bundle.elements.clone(), Vec::new()));
+            let count = batch.elements.len() as u64;
+            let digest = epoch_hash_for_root(bundle.epoch, count, &batch.root());
             let mut valid: Vec<EpochProof> = Vec::new();
             for proof in &bundle.proofs {
                 ctx.consume_cpu(self.config.costs.verify_signature);
@@ -730,9 +723,7 @@ impl ServerCore {
                 self.stats.catchup_rejections += 1;
                 break;
             }
-            let installed = self
-                .state
-                .install_epoch(bundle.epoch, bundle.elements.clone(), root);
+            let installed = self.state.install_epoch(bundle.epoch, batch);
             debug_assert!(installed, "sequencing checked above");
             self.note_stamped(&bundle.elements);
             // The quorum travels with the bundle, so the epoch lands
@@ -866,18 +857,16 @@ impl ServerCore {
     /// multiset, so the same canonical tree: the epoch is recorded by
     /// sharing that `Arc`, and its digest is finished from the batch's
     /// root, which the host computes once per batch (Hashchain's batch hash
-    /// commits to the same root).
-    /// Any filtered element — a duplicate id, an already-stamped or invalid
-    /// element — records `G` as a list of its own and takes the full
-    /// [`epoch_hash`](crate::epoch_hash).
+    /// commits to the same root). Any filtered element — a duplicate id, an
+    /// already-stamped or invalid element — records `G` as a batch of its
+    /// own, rooted once.
     pub fn create_epoch(
         &mut self,
         batch: &Arc<Batch>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> EpochProof {
-        let elements = self.extract_epoch_candidates(batch, validate, ctx);
-        let whole = elements.len() == batch.elements.len();
+        let g = self.extract_epoch_candidates(batch, validate, ctx);
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // Catch-up already installed this epoch (verified against f+1
@@ -885,25 +874,11 @@ impl ServerCore {
             // recording it again would double-stamp its elements. Sign the
             // stored digest instead, so peers still receive this server's
             // proof for the epoch.
-            let epoch = self.derived_epochs;
             ctx.consume_cpu(self.config.costs.sign);
-            let digest = self
-                .state
-                .epoch_digest(epoch)
-                .expect("epoch installed by catch-up");
-            let mut proof = make_epoch_proof_with_key(&self.own_key, self.keys.id, epoch, digest);
-            if self.byz == ServerByzMode::ForgeProofs {
-                proof.signature = Signature::forged(self.keys.id);
-            }
-            return proof;
+            return self.own_proof(self.derived_epochs);
         }
-        self.note_stamped(&elements);
-        let epoch = if whole {
-            self.state
-                .record_epoch(Arc::clone(batch), Some(batch.root()))
-        } else {
-            self.state.record_epoch(elements, None)
-        };
+        self.note_stamped(&g.elements);
+        let epoch = self.state.record_epoch(g);
         debug_assert_eq!(
             epoch, self.derived_epochs,
             "ledger-derived epochs are sequential"
@@ -916,10 +891,14 @@ impl ServerCore {
         let bytes: usize = stamped.iter().map(|e| e.wire_size()).sum();
         ctx.consume_cpu(self.config.costs.hash_cost(bytes));
         ctx.consume_cpu(self.config.costs.sign);
-        // Sign over the digest `record_epoch` just cached — the one place
-        // the epoch's elements are hashed, unless the batch root was reused.
-        // The server's own signing schedule is precomputed.
-        let digest = self.state.epoch_digest(epoch).expect("just created");
+        self.own_proof(epoch)
+    }
+
+    /// This server's epoch-proof for a recorded epoch: the digest
+    /// `record_epoch` cached, signed with the precomputed schedule (a
+    /// forgery under [`ServerByzMode::ForgeProofs`]).
+    fn own_proof(&self, epoch: u64) -> EpochProof {
+        let digest = self.state.epoch_digest(epoch).expect("recorded epoch");
         let mut proof = make_epoch_proof_with_key(&self.own_key, self.keys.id, epoch, digest);
         if self.byz == ServerByzMode::ForgeProofs {
             proof.signature = Signature::forged(self.keys.id);
@@ -931,23 +910,18 @@ impl ServerCore {
     /// already-stamped ones, validates the rest (batched, memoized — the
     /// same [`Self::validate_elements`] core the epoch path uses, charged
     /// per cache miss only) and inserts the valid ids into `the_set`,
-    /// through a reused scratch buffer. `shared` is the batch `elements`
-    /// are the elements of, when the run holds it once; a cache miss then
-    /// reads the verdict it remembers, as in [`Self::create_epoch`]. The
-    /// epoch itself is built later, at consolidation, through
-    /// [`Self::create_epoch`]; this is the "valid elements join
-    /// `the_set` immediately" half of batch processing.
+    /// through a reused scratch buffer. A cache miss reads the verdict the
+    /// batch remembers, as in [`Self::create_epoch`]. The epoch itself is
+    /// built later, at consolidation, through [`Self::create_epoch`]; this
+    /// is the "valid elements join `the_set` immediately" half of batch
+    /// processing.
     pub fn admit_batch_elements(
         &mut self,
-        elements: &[Element],
-        shared: Option<&Arc<Batch>>,
+        batch: &Batch,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        debug_assert!(
-            shared.is_none_or(|s| std::ptr::eq(s.elements.as_slice(), elements)),
-            "`elements` must be the shared batch's own elements"
-        );
+        let elements = batch.elements.as_slice();
         if !validate {
             for e in elements {
                 if !self.state.in_history(&e.id) {
@@ -959,9 +933,8 @@ impl ServerCore {
         let mut picks = std::mem::take(&mut self.pick_scratch);
         debug_assert!(picks.is_empty());
         picks.extend((0..elements.len()).filter(|&i| !self.state.in_history(&elements[i].id)));
-        let shared = shared.map(|s| &**s);
         let verdicts = self.validate_charged(ctx, |core| {
-            core.validate_picked(elements, picks.iter().copied(), shared)
+            core.validate_picked(batch, picks.iter().copied())
         });
         // Rejections are counted once per distinct id, matching the
         // pre-validation dedup of the epoch path — a Byzantine batch
@@ -1017,7 +990,9 @@ impl ServerCore {
 
     /// Filters the elements of a batch/block down to the set `G` that forms a
     /// new epoch: valid elements (unless `validate` is false, for the light
-    /// ablations) that are not yet in `history`, de-duplicated.
+    /// ablations) that are not yet in `history`, de-duplicated. `G` is
+    /// `batch` itself when nothing was filtered out, else a batch of the
+    /// survivors.
     ///
     /// Validation of the deduplicated candidates goes through
     /// [`validate_picked`](Self::validate_picked): batched and memoized
@@ -1027,10 +1002,10 @@ impl ServerCore {
     /// here.
     fn extract_epoch_candidates(
         &mut self,
-        batch: &Batch,
+        batch: &Arc<Batch>,
         validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
-    ) -> Vec<Element> {
+    ) -> Arc<Batch> {
         let elements = batch.elements.as_slice();
         let mut seen = std::mem::take(&mut self.seen_scratch);
         let mut picks = std::mem::take(&mut self.pick_scratch);
@@ -1043,24 +1018,24 @@ impl ServerCore {
         }
         seen.clear();
         self.seen_scratch = seen;
-        let mut out = Vec::with_capacity(picks.len());
         if validate {
             let verdicts = self.validate_charged(ctx, |core| {
-                core.validate_picked(elements, picks.iter().copied(), Some(batch))
+                core.validate_picked(batch, picks.iter().copied())
             });
-            for (&i, ok) in picks.iter().zip(verdicts) {
-                if ok {
-                    out.push(elements[i]);
-                } else {
-                    self.stats.elements_rejected += 1;
-                }
-            }
-        } else {
-            out.extend(picks.iter().map(|&i| elements[i]));
+            let candidates = picks.len();
+            let mut verdicts = verdicts.into_iter();
+            picks.retain(|_| verdicts.next().expect("one verdict per pick"));
+            self.stats.elements_rejected += (candidates - picks.len()) as u64;
         }
+        let g = if picks.len() == elements.len() {
+            Arc::clone(batch)
+        } else {
+            let survivors = picks.iter().map(|&i| elements[i]).collect();
+            Arc::new(Batch::new(survivors, Vec::new()))
+        };
         picks.clear();
         self.pick_scratch = picks;
-        out
+        g
     }
 }
 
@@ -1069,7 +1044,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::element::ElementId;
     use crate::hashchain::batch_hash;
-    use crate::proofs::{epoch_hash, make_epoch_proof_for_digest};
+    use crate::proofs::{epoch_hash, epoch_root, make_epoch_proof_for_digest};
     use setchain_ledger::Block;
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
@@ -1184,7 +1159,7 @@ pub(crate) mod tests {
             let elements: Vec<Element> = (0..4)
                 .map(|i| Element::new(&client, ElementId::new(0, e * 10 + i), 100 + i as u32, i))
                 .collect();
-            assert_eq!(core.state.record_epoch(elements, None), e);
+            assert_eq!(core.state.record_epoch(own_batch(&elements)), e);
             let digest = *core.state.epoch_digest(e).unwrap();
             for s in 0..core.config.proof_quorum() {
                 let signer = registry.lookup(ProcessId::server(s)).unwrap();
@@ -1405,8 +1380,8 @@ pub(crate) mod tests {
         // becomes the epoch whole, and only then is the batch itself shared
         // into `history`. A duplicate id, an already-stamped or an invalid
         // element is filtered out of `G`, so the batch's root (over the
-        // whole batch) no longer describes it: the digest is recomputed and
-        // `G` is recorded as a list of its own.
+        // whole batch) no longer describes it: `G` is recorded as a batch
+        // of its own, and the digest is computed from that batch's root.
         with_core(0, |core, registry, ctx| {
             let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
             let mut sixteen_and_forged: Vec<Element> = (10..26).map(valid).collect();
@@ -1543,6 +1518,22 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_repeated_element_is_one_miss_per_copy_then_one_hit_per_copy() {
+        // Every lookup comes before any miss is recorded, so on a cold cache
+        // a slice holding one element three times misses three times; the
+        // next call finds the verdict cached for every copy.
+        let (mut core, registry) = core_with(43, 4, 1);
+        let keys = registry.lookup(ProcessId::client(0)).unwrap();
+        let e = Element::new(&keys, ElementId::new(0, 1), 400, 1);
+        assert_eq!(core.validate_elements(&[e; 3]), vec![true; 3]);
+        assert_eq!(core.admission_cache().misses(), 3);
+        assert_eq!(core.admission_cache().hits(), 0);
+        assert_eq!(core.validate_elements(&[e; 3]), vec![true; 3]);
+        assert_eq!(core.admission_cache().misses(), 3);
+        assert_eq!(core.admission_cache().hits(), 3);
+    }
+
+    #[test]
     fn stamped_verdicts_are_freed() {
         with_core(0, |core, registry, ctx| {
             let keys = registry.lookup(ProcessId::client(1)).unwrap();
@@ -1554,7 +1545,7 @@ pub(crate) mod tests {
                 ElementId::new(1, 99),
                 200,
             ));
-            core.admit_batch_elements(&batch, None, true, ctx);
+            core.admit_batch_elements(&own_batch(&batch), true, ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
             core.create_epoch(&own_batch(&batch), true, ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
@@ -1563,7 +1554,7 @@ pub(crate) mod tests {
             // A late copy of the batch looks up no stamped id, so nothing is
             // verified again and nothing is cached again.
             let misses = core.admission_cache().misses();
-            core.admit_batch_elements(&batch, None, true, ctx);
+            core.admit_batch_elements(&own_batch(&batch), true, ctx);
             assert_eq!(core.admission_cache().misses(), misses);
             assert_eq!(core.admission_cache().len(), 1);
         });
@@ -1616,7 +1607,7 @@ pub(crate) mod tests {
             let add = charged(ctx, |ctx| assert!(core.accept_add(&good, ctx)));
             assert_eq!(add, costs.validate_element);
             let batch = charged(ctx, |ctx| {
-                core.admit_batch_elements(&[good], None, true, ctx)
+                core.admit_batch_elements(&own_batch(&[good]), true, ctx)
             });
             assert_eq!(batch, SimDuration::ZERO);
             let epoch = charged(ctx, |ctx| {
@@ -1633,7 +1624,7 @@ pub(crate) mod tests {
             let add = charged(ctx, |ctx| assert!(core.accept_add(&next, ctx)));
             assert_eq!(add, costs.validate_element);
             let resend = charged(ctx, |ctx| {
-                core.admit_batch_elements(&[tampered], None, true, ctx)
+                core.admit_batch_elements(&own_batch(&[tampered]), true, ctx)
             });
             assert_eq!(resend, costs.validate_element);
             assert_eq!(core.stats.elements_rejected, 1);
@@ -1644,7 +1635,9 @@ pub(crate) mod tests {
             for e in [good, stale] {
                 let replay = charged(ctx, |ctx| assert!(!core.accept_add(&e, ctx)));
                 assert_eq!(replay, SimDuration::ZERO);
-                let replay = charged(ctx, |ctx| core.admit_batch_elements(&[e], None, true, ctx));
+                let replay = charged(ctx, |ctx| {
+                    core.admit_batch_elements(&own_batch(&[e]), true, ctx)
+                });
                 assert_eq!(replay, SimDuration::ZERO);
             }
         });
@@ -1677,26 +1670,25 @@ pub(crate) mod tests {
         digest: Digest512,
     }
 
-    /// Stamps `stamped` into epoch 1, then admits `elements` (the elements
-    /// of `shared`, when given) and cuts epoch 2 out of them.
+    /// Stamps `stamped` into epoch 1, then admits `batch` and cuts epoch 2
+    /// out of it.
     fn admit_then_epoch(
         core: &mut ServerCore,
         stamped: &[Element],
-        elements: &[Element],
-        shared: Option<&Arc<Batch>>,
+        batch: &Arc<Batch>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Outcome {
         core.create_epoch(&own_batch(stamped), true, ctx);
         let before = ctx.cpu_consumed();
-        core.admit_batch_elements(elements, shared, true, ctx);
+        core.admit_batch_elements(batch, true, ctx);
         let admitted = ctx.cpu_consumed();
-        let members = elements
+        let members = batch
+            .elements
             .iter()
             .map(|e| core.state.contains(&e.id))
             .collect();
         let the_set_len = core.state.the_set_len();
-        let batch = shared.cloned().unwrap_or_else(|| own_batch(elements));
-        core.create_epoch(&batch, true, ctx);
+        core.create_epoch(batch, true, ctx);
         Outcome {
             admit_cpu: admitted - before,
             epoch_cpu: ctx.cpu_consumed() - admitted,
@@ -1719,7 +1711,7 @@ pub(crate) mod tests {
             let batch = Arc::new(Batch::new(elements, vec![]));
             let (root, hash) = (batch.root(), batch.hash());
             // Every verdict is a miss here, so the memo holds all forty.
-            core.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            core.admit_batch_elements(&batch, true, ctx);
             assert_eq!(core.state.the_set_len(), 40);
 
             // Element 33 sits in the second word of verdicts.
@@ -1731,7 +1723,7 @@ pub(crate) mod tests {
             assert_eq!(clone.root(), epoch_root(&clone.elements));
             assert_eq!(clone.hash(), batch_hash(&clone.elements, &clone.proofs));
             let mut peer = peer_core(registry, 1);
-            peer.admit_batch_elements(&clone.elements, Some(&clone), true, ctx);
+            peer.admit_batch_elements(&clone, true, ctx);
             assert_eq!(peer.stats.elements_rejected, 1);
             assert!(!peer.state.contains(&clone.elements[33].id));
             assert_eq!(peer.state.the_set_len(), 39);
@@ -1739,7 +1731,7 @@ pub(crate) mod tests {
             // The original keeps its own values.
             assert_eq!((batch.root(), batch.hash()), (root, hash));
             let mut other = peer_core(registry, 2);
-            other.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            other.admit_batch_elements(&batch, true, ctx);
             assert_eq!(other.state.the_set_len(), 40);
         });
     }
@@ -1750,7 +1742,7 @@ pub(crate) mod tests {
             let late = KeyPair::derive(ProcessId::client(5), 777);
             let e = Element::new(&late, ElementId::new(5, 1), 300, 1);
             let batch = Arc::new(Batch::new(vec![e], vec![]));
-            core.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            core.admit_batch_elements(&batch, true, ctx);
             assert_eq!(core.stats.elements_rejected, 1);
             assert!(!core.state.contains(&e.id));
 
@@ -1759,7 +1751,7 @@ pub(crate) mod tests {
             registry.register(late);
             let mut peer = peer_core(registry, 1);
             let before = ctx.cpu_consumed();
-            peer.admit_batch_elements(&batch.elements, Some(&batch), true, ctx);
+            peer.admit_batch_elements(&batch, true, ctx);
             assert_eq!(
                 ctx.cpu_consumed() - before,
                 peer.config.costs.validate_element
@@ -1863,7 +1855,8 @@ pub(crate) mod tests {
             /// `Arc<Batch>`, the second reading what the first computed,
             /// charge the CPU, count the cache hits, misses and
             /// rejections, and end with the `the_set` and epoch of two
-            /// servers given the same elements as plain slices. Batches mix
+            /// servers given the same elements in batches of their own.
+            /// Batches mix
             /// forged, tampered, server-signed and impersonated elements,
             /// duplicate ids, ids already stamped, and clients missing from
             /// the registry (two of the four client indices drawn).
@@ -1888,19 +1881,18 @@ pub(crate) mod tests {
                     let batch = Arc::new(Batch::new(elements.clone(), vec![]));
                     let [mut second, mut plain, mut plain_second] =
                         [1, 2, 3].map(|i| peer_core(registry, i));
-                    let shared = Some(&batch);
-                    let first = admit_then_epoch(core, &stamped, &batch.elements, shared, ctx);
-                    let second =
-                        admit_then_epoch(&mut second, &stamped, &batch.elements, shared, ctx);
-                    let alone = admit_then_epoch(&mut plain, &stamped, &elements, None, ctx);
+                    let first = admit_then_epoch(core, &stamped, &batch, ctx);
+                    let second = admit_then_epoch(&mut second, &stamped, &batch, ctx);
+                    let alone = admit_then_epoch(&mut plain, &stamped, &own_batch(&elements), ctx);
                     assert_eq!(first, alone);
-                    let alone = admit_then_epoch(&mut plain_second, &stamped, &elements, None, ctx);
+                    let alone =
+                        admit_then_epoch(&mut plain_second, &stamped, &own_batch(&elements), ctx);
                     assert_eq!(second, alone);
 
                     // Every verdict the memo holds is `is_valid`'s.
                     let mut reader = peer_core(registry, 3);
                     let all = 0..elements.len();
-                    let verdicts = reader.validate_picked(&batch.elements, all, Some(&batch));
+                    let verdicts = reader.validate_picked(&batch, all);
                     let sequential: Vec<bool> =
                         elements.iter().map(|e| e.is_valid(registry)).collect();
                     assert_eq!(verdicts, sequential);
@@ -2022,7 +2014,7 @@ pub(crate) mod tests {
                     // Every verdict the memo holds is `is_valid`'s.
                     let mut reader = peer_core(registry, 3);
                     let all = 0..elements.len();
-                    let verdicts = reader.validate_picked(&batch.elements, all, Some(&batch));
+                    let verdicts = reader.validate_picked(&batch, all);
                     let sequential: Vec<bool> =
                         elements.iter().map(|e| e.is_valid(registry)).collect();
                     assert_eq!(verdicts, sequential);

@@ -1,61 +1,43 @@
 //! The Setchain state maintained by every server: `the_set`, `epoch`,
 //! `history` and `proofs`, plus helpers for the safety properties the paper
 //! proves (Consistent-Sets, Unique-Epoch, Consistent-Gets).
+//!
+//! `history` and `proofs` are kept together, one record per epoch: the
+//! epoch's elements as a [`Batch`], its digest and the epoch-proofs received
+//! for it. `epoch` is the number of records.
 
 use std::collections::HashSet;
-use std::ops::Deref;
 use std::sync::Arc;
 
-use setchain_crypto::{Digest256, Digest512, FxHashMap};
+use setchain_crypto::Digest512;
 
 use crate::collector::Batch;
 use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 use crate::messages::GetSnapshot;
-use crate::proofs::{epoch_hash, epoch_hash_for_root, EpochProof};
-
-/// One epoch of `history`: its own list, or the whole batch it was cut from.
-///
-/// Every algorithm turns one batch into one epoch. When nothing was
-/// filtered out of it, the epoch *is* that batch, which the run already
-/// holds once (Hashchain's `hash_to_batch`, Compresschain's committed
-/// block, the memo of Vanilla's committed block), so every server shares
-/// that allocation instead of copying it.
-#[derive(Debug)]
-pub enum EpochElements {
-    /// A list of this server's own: a filtered batch or block, a catch-up
-    /// install or a store recovery.
-    Own(Vec<Element>),
-    /// A batch that became the epoch whole; only its `elements` are the
-    /// epoch's.
-    Batch(Arc<Batch>),
-}
-
-impl Deref for EpochElements {
-    type Target = [Element];
-
-    fn deref(&self) -> &[Element] {
-        match self {
-            EpochElements::Own(elements) => elements,
-            EpochElements::Batch(batch) => &batch.elements,
-        }
-    }
-}
-
-impl From<Vec<Element>> for EpochElements {
-    fn from(elements: Vec<Element>) -> Self {
-        EpochElements::Own(elements)
-    }
-}
-
-impl From<Arc<Batch>> for EpochElements {
-    fn from(batch: Arc<Batch>) -> Self {
-        EpochElements::Batch(batch)
-    }
-}
+use crate::proofs::{epoch_hash_for_root, EpochProof};
 
 // `members` holds one `Option<bool>` slot per added id; keep it one byte.
 const _: () = assert!(std::mem::size_of::<Option<bool>>() == 1);
+
+/// One epoch: `history[i]`, its digest and its proofs.
+#[derive(Debug)]
+struct Epoch {
+    /// The batch whose `elements` are the epoch's. Every algorithm turns one
+    /// batch into one epoch; when nothing was filtered out of it, this is
+    /// that batch, which the run already holds once (Hashchain's
+    /// `hash_to_batch`, Compresschain's committed block, the memo of
+    /// Vanilla's committed block), so every server shares it.
+    batch: Arc<Batch>,
+    /// `Hash(i, history[i])`, finished from the batch's root exactly once,
+    /// when the epoch is recorded. Every proof made or verified for the
+    /// epoch reuses it instead of re-hashing the elements.
+    digest: Digest512,
+    /// Epoch-proofs received, at most one per signer. A `Vec` so
+    /// `proofs_for` can hand out a borrowed slice; signer sets are tiny
+    /// (≤ n servers) so the linear dedup is cheap.
+    proofs: Vec<EpochProof>,
+}
 
 /// The four components of a Setchain returned by `get()`:
 /// `(the_set, history, epoch, proofs)`.
@@ -65,22 +47,12 @@ pub struct SetchainState {
     /// element id that has been added, mapped to whether it is stamped
     /// (`false` = added, not stamped yet). The algorithms only ask
     /// `e ∈ the_set` and `e ∈ history`, so a 1-byte slot answers both; the
-    /// epoch an element sits in is in `history` itself.
+    /// epoch an element sits in is in `epochs` itself.
     members: IdMap<bool>,
     /// Number of stamped ids in `members` (the logical size of `history`).
     stamped: u64,
-    /// Current epoch number (`history` holds epochs `1..=epoch`).
-    epoch: u64,
-    /// `history[i - 1]` holds the elements stamped with epoch `i`.
-    history: Vec<EpochElements>,
-    /// `epoch_digests[i - 1]` caches `Hash(i, history[i])`, computed exactly
-    /// once when the epoch is recorded. Every proof made or verified for the
-    /// epoch reuses it instead of re-hashing the elements.
-    epoch_digests: Vec<Digest512>,
-    /// Epoch-proofs received, per epoch, at most one per signer. The inner
-    /// collection is a `Vec` so `proofs_for` can hand out a borrowed slice;
-    /// signer sets are tiny (≤ n servers) so the linear dedup is cheap.
-    proofs: FxHashMap<u64, Vec<EpochProof>>,
+    /// `epochs[i - 1]` is epoch `i`; the current epoch number is its length.
+    epochs: Vec<Epoch>,
 }
 
 impl SetchainState {
@@ -92,7 +64,12 @@ impl SetchainState {
 
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.epochs.len() as u64
+    }
+
+    /// Epoch `i`'s record (1-based), if the epoch exists.
+    fn record(&self, epoch: u64) -> Option<&Epoch> {
+        self.epochs.get(epoch.checked_sub(1)? as usize)
     }
 
     /// Number of elements in `the_set` (grow-only).
@@ -124,10 +101,7 @@ impl SetchainState {
 
     /// Elements of epoch `i` (1-based), if the epoch exists.
     pub fn epoch_elements(&self, epoch: u64) -> Option<&[Element]> {
-        if epoch == 0 || epoch > self.epoch {
-            return None;
-        }
-        Some(&self.history[(epoch - 1) as usize])
+        self.record(epoch).map(|e| e.batch.elements.as_slice())
     }
 
     /// Total number of elements across all epochs.
@@ -135,104 +109,92 @@ impl SetchainState {
         self.stamped
     }
 
-    /// Creates a new epoch from `elements`, inserting them into `the_set`
-    /// (Consistent-Sets requires `history ⊆ the_set`) and marking them
-    /// stamped. Returns the new epoch number.
+    /// Creates a new epoch out of `batch`'s elements, inserting them into
+    /// `the_set` (Consistent-Sets requires `history ⊆ the_set`) and marking
+    /// them stamped. Returns the new epoch number. Only the batch's
+    /// `elements` are the epoch's; its proofs are not read.
     ///
     /// Callers are responsible for having filtered out elements already in
     /// `history` (Unique-Epoch); this is asserted in debug builds.
     ///
-    /// `root`, when given, must be [`epoch_root`](crate::epoch_root) of
-    /// `elements`, already computed by the caller: the digest is then
-    /// finished from it without re-hashing the elements (asserted against
-    /// the full [`epoch_hash`] in debug builds).
-    pub fn record_epoch(
-        &mut self,
-        elements: impl Into<EpochElements>,
-        root: Option<Digest256>,
-    ) -> u64 {
-        let elements = elements.into();
-        self.epoch += 1;
-        for e in elements.iter() {
+    /// The digest is finished from the batch's memoized root, so a batch
+    /// whose root the run already read is not hashed again.
+    pub fn record_epoch(&mut self, batch: Arc<Batch>) -> u64 {
+        for e in &batch.elements {
             let previous = self.members.insert(e.id, true);
             debug_assert!(previous != Some(true), "element {:?} stamped twice", e.id);
         }
-        self.stamped += elements.len() as u64;
+        self.stamped += batch.elements.len() as u64;
+        let epoch = self.epoch() + 1;
         // The epoch digest is computed exactly once, here; every proof site
         // (signing our own proof, verifying up to n peer proofs) reuses it.
-        let digest = match root {
-            Some(root) => {
-                let digest = epoch_hash_for_root(self.epoch, elements.len() as u64, &root);
-                debug_assert_eq!(
-                    digest,
-                    epoch_hash(self.epoch, &elements),
-                    "a reused root must be the epoch's own canonical root"
-                );
-                digest
-            }
-            None => epoch_hash(self.epoch, &elements),
-        };
-        self.epoch_digests.push(digest);
-        self.history.push(elements);
-        self.epoch
+        let digest = epoch_hash_for_root(epoch, batch.elements.len() as u64, &batch.root());
+        self.epochs.push(Epoch {
+            batch,
+            digest,
+            proofs: Vec::new(),
+        });
+        epoch
     }
 
     /// Installs one epoch recovered through the catch-up protocol. The
     /// caller must already have verified the bundle against `f + 1` valid
     /// epoch-proof signers; this method only enforces sequencing: catch-up
     /// replays strictly in order, so `epoch` must be exactly
-    /// `self.epoch + 1`. Returns `false` (state untouched) otherwise.
-    ///
-    /// `root` is [`epoch_root`](crate::epoch_root) of `elements`, which the
-    /// caller computed to check the proofs; the digest is finished from it.
-    pub fn install_epoch(&mut self, epoch: u64, elements: Vec<Element>, root: Digest256) -> bool {
-        if epoch != self.epoch + 1 {
+    /// `self.epoch() + 1`. Returns `false` (state untouched) otherwise.
+    pub fn install_epoch(&mut self, epoch: u64, batch: Arc<Batch>) -> bool {
+        if epoch != self.epoch() + 1 {
             return false;
         }
-        self.record_epoch(elements, Some(root));
+        self.record_epoch(batch);
         true
     }
 
     /// The cached digest `Hash(i, history[i])` of epoch `i` (1-based), if the
     /// epoch exists.
     pub fn epoch_digest(&self, epoch: u64) -> Option<&Digest512> {
-        if epoch == 0 || epoch > self.epoch {
-            return None;
-        }
-        self.epoch_digests.get((epoch - 1) as usize)
+        self.record(epoch).map(|e| &e.digest)
     }
 
-    /// Records an epoch-proof. Returns the number of distinct signers now
-    /// known for that epoch.
+    /// Records an epoch-proof for a recorded epoch. Returns the number of
+    /// distinct signers now known for that epoch: 0 for an epoch not
+    /// recorded, whose proof is not kept.
     pub fn add_proof(&mut self, proof: EpochProof) -> usize {
-        let per_epoch = self.proofs.entry(proof.epoch).or_default();
-        if !per_epoch.iter().any(|p| p.signer == proof.signer) {
-            per_epoch.push(proof);
+        let Some(record) = proof
+            .epoch
+            .checked_sub(1)
+            .and_then(|i| self.epochs.get_mut(i as usize))
+        else {
+            return 0;
+        };
+        if !record.proofs.iter().any(|p| p.signer == proof.signer) {
+            record.proofs.push(proof);
         }
-        per_epoch.len()
+        record.proofs.len()
     }
 
     /// Number of distinct proof signers for `epoch`.
     pub fn proof_count(&self, epoch: u64) -> usize {
-        self.proofs.get(&epoch).map(|m| m.len()).unwrap_or(0)
+        self.proofs_for(epoch).len()
     }
 
     /// The proofs held for `epoch`, borrowed — no clone per call. Callers
     /// that need ownership (e.g. to ship the proofs to a client) copy
     /// explicitly with `.to_vec()`.
     pub fn proofs_for(&self, epoch: u64) -> &[EpochProof] {
-        self.proofs.get(&epoch).map(Vec::as_slice).unwrap_or(&[])
+        self.record(epoch).map_or(&[], |e| &e.proofs)
     }
 
     /// Total number of proofs held across all epochs.
     pub fn proofs_total(&self) -> u64 {
-        self.proofs.values().map(|m| m.len() as u64).sum()
+        self.epochs.iter().map(|e| e.proofs.len() as u64).sum()
     }
 
     /// Number of epochs with at least `quorum` proofs.
     pub fn epochs_with_quorum(&self, quorum: usize) -> u64 {
-        (1..=self.epoch)
-            .filter(|i| self.proof_count(*i) >= quorum)
+        self.epochs
+            .iter()
+            .filter(|e| e.proofs.len() >= quorum)
             .count() as u64
     }
 
@@ -240,7 +202,7 @@ impl SetchainState {
     pub fn snapshot(&self, quorum: usize) -> GetSnapshot {
         GetSnapshot {
             the_set_len: self.the_set_len() as u64,
-            epoch: self.epoch,
+            epoch: self.epoch(),
             history_elements: self.history_elements(),
             proofs_total: self.proofs_total(),
             epochs_with_quorum: self.epochs_with_quorum(quorum),
@@ -253,16 +215,16 @@ impl SetchainState {
 
     /// Property 1 (Consistent-Sets): every epoch is a subset of `the_set`.
     pub fn check_consistent_sets(&self) -> bool {
-        self.history
+        self.epochs
             .iter()
-            .all(|g| g.iter().all(|e| self.contains(&e.id)))
+            .all(|g| g.batch.elements.iter().all(|e| self.contains(&e.id)))
     }
 
     /// Property 5 (Unique-Epoch): epochs are pairwise disjoint.
     pub fn check_unique_epoch(&self) -> bool {
         let mut seen = HashSet::new();
-        for g in &self.history {
-            for e in g.iter() {
+        for g in &self.epochs {
+            for e in &g.batch.elements {
                 if !seen.insert(e.id) {
                     return false;
                 }
@@ -274,7 +236,7 @@ impl SetchainState {
     /// Property 6 (Consistent-Gets) between two servers: the common prefix of
     /// epochs must be identical (as sets).
     pub fn check_consistent_with(&self, other: &SetchainState) -> bool {
-        let common = self.epoch.min(other.epoch);
+        let common = self.epoch().min(other.epoch());
         for i in 1..=common {
             let a: HashSet<ElementId> = self
                 .epoch_elements(i)
@@ -300,7 +262,7 @@ impl SetchainState {
 mod tests {
     use super::*;
     use crate::element::ElementId;
-    use crate::proofs::{epoch_root, make_epoch_proof};
+    use crate::proofs::{epoch_hash, make_epoch_proof};
     use setchain_crypto::{KeyRegistry, ProcessId};
 
     fn elements(range: std::ops::Range<u64>) -> Vec<Element> {
@@ -309,6 +271,11 @@ mod tests {
         range
             .map(|i| Element::new(&keys, ElementId::new(0, i), 400, i))
             .collect()
+    }
+
+    /// A batch of `elements` alone, as an epoch is recorded from.
+    fn batch(elements: Vec<Element>) -> Arc<Batch> {
+        Arc::new(Batch::new(elements, Vec::new()))
     }
 
     #[test]
@@ -328,7 +295,7 @@ mod tests {
     fn record_epoch_updates_everything() {
         let mut st = SetchainState::new();
         let es = elements(0..5);
-        let epoch = st.record_epoch(es.clone(), None);
+        let epoch = st.record_epoch(batch(es.clone()));
         assert_eq!(epoch, 1);
         assert_eq!(st.epoch(), 1);
         assert_eq!(st.history_elements(), 5);
@@ -343,7 +310,7 @@ mod tests {
         // recorded, and the first epoch's stay stamped.
         let es2 = elements(5..8);
         assert!(es2.iter().all(|e| !st.in_history(&e.id)));
-        let epoch2 = st.record_epoch(es2.clone(), None);
+        let epoch2 = st.record_epoch(batch(es2.clone()));
         assert_eq!(epoch2, 2);
         assert_eq!(st.epoch_elements(2), Some(&es2[..]));
         assert!(es.iter().chain(&es2).all(|e| st.in_history(&e.id)));
@@ -358,8 +325,8 @@ mod tests {
         assert!(st.epoch_digest(0).is_none());
         assert!(st.epoch_digest(1).is_none());
         let es = elements(0..5);
-        st.record_epoch(es.clone(), None);
-        st.record_epoch(elements(5..7), None);
+        st.record_epoch(batch(es.clone()));
+        st.record_epoch(batch(elements(5..7)));
         assert_eq!(st.epoch_digest(1), Some(&epoch_hash(1, &es)));
         assert_eq!(
             st.epoch_digest(2),
@@ -370,21 +337,27 @@ mod tests {
 
     #[test]
     fn a_supplied_root_records_the_same_digest() {
+        // A batch whose root the run already read (a shared batch at
+        // consolidation) records the digest a fresh batch does.
         let mut reversed = elements(0..9);
         reversed.reverse();
-        let root = crate::proofs::epoch_root(&reversed);
-        let (mut with_root, mut without) = (SetchainState::new(), SetchainState::new());
-        with_root.record_epoch(reversed.clone(), Some(root));
-        without.record_epoch(reversed, None);
-        assert_eq!(with_root.epoch_digest(1), without.epoch_digest(1));
+        let read = batch(reversed.clone());
+        read.root();
+        let (mut with_root, mut fresh) = (SetchainState::new(), SetchainState::new());
+        with_root.record_epoch(read);
+        fresh.record_epoch(batch(reversed.clone()));
+        assert_eq!(with_root.epoch_digest(1), fresh.epoch_digest(1));
+        assert_eq!(with_root.epoch_digest(1), Some(&epoch_hash(1, &reversed)));
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "canonical root")]
+    #[should_panic(expected = "a batch memo is stale")]
     fn a_foreign_root_is_caught_in_debug_builds() {
-        let root = crate::proofs::epoch_root(&elements(0..4));
-        SetchainState::new().record_epoch(elements(0..5), Some(root));
+        let mut changed = Batch::new(elements(0..4), Vec::new());
+        changed.root();
+        changed.elements.push(elements(4..5)[0]);
+        SetchainState::new().record_epoch(Arc::new(changed));
     }
 
     #[test]
@@ -392,20 +365,19 @@ mod tests {
         let mut st = SetchainState::new();
         let e1 = elements(0..3);
         let e2 = elements(3..5);
-        let (r1, r2) = (epoch_root(&e1), epoch_root(&e2));
         // Out-of-order install is refused without touching the state.
-        assert!(!st.install_epoch(2, e2.clone(), r2));
-        assert!(!st.install_epoch(0, e1.clone(), r1));
+        assert!(!st.install_epoch(2, batch(e2.clone())));
+        assert!(!st.install_epoch(0, batch(e1.clone())));
         assert_eq!(st.epoch(), 0);
         // In-order installs behave exactly like record_epoch.
-        assert!(st.install_epoch(1, e1.clone(), r1));
-        assert!(st.install_epoch(2, e2.clone(), r2));
+        assert!(st.install_epoch(1, batch(e1.clone())));
+        assert!(st.install_epoch(2, batch(e2.clone())));
         assert_eq!(st.epoch(), 2);
         assert_eq!(st.epoch_digest(1), Some(&epoch_hash(1, &e1)));
         assert!(st.check_consistent_sets());
         assert!(st.check_unique_epoch());
         // Re-installing an already-held epoch is refused.
-        assert!(!st.install_epoch(2, e2, r2));
+        assert!(!st.install_epoch(2, batch(e2)));
     }
 
     #[test]
@@ -425,7 +397,7 @@ mod tests {
         let reg = KeyRegistry::bootstrap(1, 5, 1);
         let mut st = SetchainState::new();
         let es = elements(0..3);
-        st.record_epoch(es.clone(), None);
+        st.record_epoch(batch(es.clone()));
         for i in 0..3 {
             let keys = reg.lookup(ProcessId::server(i)).unwrap();
             let count = st.add_proof(make_epoch_proof(&keys, 1, &es));
@@ -447,19 +419,40 @@ mod tests {
     }
 
     #[test]
+    fn a_proof_for_an_unrecorded_epoch_is_not_kept() {
+        let reg = KeyRegistry::bootstrap(1, 2, 1);
+        let keys = reg.lookup(ProcessId::server(0)).unwrap();
+        let mut st = SetchainState::new();
+        // Epoch 0 never exists; epoch 1 does not exist yet.
+        for epoch in [0, 1] {
+            assert_eq!(st.add_proof(make_epoch_proof(&keys, epoch, &[])), 0);
+        }
+        let es = elements(0..3);
+        st.record_epoch(batch(es.clone()));
+        assert_eq!(st.proof_count(1), 0, "the early proof was dropped");
+        // A proof for the epoch ahead is dropped too, and the recorded
+        // epoch's proof is kept.
+        assert_eq!(st.add_proof(make_epoch_proof(&keys, 2, &[])), 0);
+        assert_eq!(st.add_proof(make_epoch_proof(&keys, 1, &es)), 1);
+        assert_eq!(st.proof_count(2), 0);
+        assert_eq!(st.proofs_total(), 1);
+        assert_eq!(st.epochs_with_quorum(1), 1);
+    }
+
+    #[test]
     fn consistency_check_between_servers() {
         let mut a = SetchainState::new();
         let mut b = SetchainState::new();
         let e1 = elements(0..4);
         let e2 = elements(4..6);
-        a.record_epoch(e1.clone(), None);
-        a.record_epoch(e2.clone(), None);
-        b.record_epoch(e1.clone(), None);
+        a.record_epoch(batch(e1.clone()));
+        a.record_epoch(batch(e2.clone()));
+        b.record_epoch(batch(e1.clone()));
         // b is one epoch behind: still consistent on the common prefix.
         assert!(a.check_consistent_with(&b));
         assert!(b.check_consistent_with(&a));
         // Divergent epoch 2 breaks consistency once both have it.
-        b.record_epoch(elements(6..8), None);
+        b.record_epoch(batch(elements(6..8)));
         assert!(!a.check_consistent_with(&b));
     }
 
@@ -467,10 +460,13 @@ mod tests {
     fn unique_epoch_violation_detected() {
         let mut st = SetchainState::new();
         let es = elements(0..2);
-        st.record_epoch(es.clone(), None);
+        st.record_epoch(batch(es.clone()));
         // Bypass record_epoch's contract to simulate a buggy/Byzantine state.
-        st.history.push(vec![es[0]].into());
-        st.epoch += 1;
+        st.epochs.push(Epoch {
+            batch: batch(vec![es[0]]),
+            digest: epoch_hash(2, &es[..1]),
+            proofs: Vec::new(),
+        });
         assert!(!st.check_unique_epoch());
     }
 
@@ -490,7 +486,7 @@ mod tests {
                     break;
                 }
                 let end = (cursor + size.max(1)).min(pool.len());
-                st.record_epoch(pool[cursor..end].to_vec(), None);
+                st.record_epoch(batch(pool[cursor..end].to_vec()));
                 cursor = end;
             }
             (st, pool)
@@ -571,7 +567,7 @@ mod tests {
                         for e in &epoch {
                             model.insert(e.id, true);
                         }
-                        st.record_epoch(epoch, None);
+                        st.record_epoch(batch(epoch));
                     } else {
                         for e in picks.iter().map(|&i| pool[i]) {
                             prop_assert_eq!(st.insert(e.id), !model.contains_key(&e.id));
@@ -614,7 +610,7 @@ mod tests {
                 let reg = KeyRegistry::bootstrap(3, 8, 1);
                 let mut st = SetchainState::new();
                 let es = elements(0..4);
-                st.record_epoch(es.clone(), None);
+                st.record_epoch(batch(es.clone()));
                 for &s in &signers {
                     let keys = reg.lookup(ProcessId::server(s)).unwrap();
                     st.add_proof(make_epoch_proof(&keys, 1, &es));

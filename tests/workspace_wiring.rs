@@ -3,6 +3,9 @@
 //! broken re-export or inter-crate dependency fails tier-1 directly instead
 //! of only breaking examples (which `cargo test` does not run).
 
+use std::sync::Arc;
+
+use setchain::collector::Batch;
 use setchain::{Algorithm, Element, ElementId, SetchainConfig, SetchainState};
 use setchain_compress::{compress, decompress};
 use setchain_crypto::{sha256, sign, verify, KeyPair, KeyRegistry, MerkleTree, ProcessId};
@@ -84,7 +87,7 @@ fn setchain_entry_points() {
         .map(|i| Element::new(&keys, ElementId::new(0, i), 64, i))
         .collect();
     let mut state = SetchainState::new();
-    let epoch = state.record_epoch(elements, None);
+    let epoch = state.record_epoch(Arc::new(Batch::new(elements, Vec::new())));
     assert_eq!(epoch, 1);
     assert_eq!(state.epoch(), 1);
     assert!(state.check_consistent_sets());
