@@ -10,8 +10,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use setchain::collector::Batch;
-use setchain::{make_epoch_proof, Algorithm, CompressedBatch, ElementId, SetchainTx};
-use setchain_crypto::ProcessId;
+use setchain::{
+    make_epoch_proof, Algorithm, CompressedBatch, ElementGenerator, ElementId, SetchainTx,
+};
+use setchain_crypto::{sha256, KeyRegistry, ProcessId};
 use setchain_ledger::NetMsg;
 use setchain_simnet::SimTime;
 use setchain_workload::{check_setchain_invariants, Deployment, ServerHandle};
@@ -211,4 +213,53 @@ fn frame_declaring_fewer_bytes_than_its_proofs_is_counted_and_skipped() {
 #[test]
 fn frame_with_a_forged_origin_is_skipped_by_the_named_origin_too() {
     survives_hostile_frame(undersized_frame(0));
+}
+
+/// The bytes of Compresschain's frames, pinned: SHA-256 over the 16 KiB-chunk
+/// frames of eight materialized batches (four of 64 elements, four of 256,
+/// the two collector sizes the benchmark runs), each frame prefixed with its
+/// length. Element sizes and content seeds come from a fixed xorshift
+/// sequence spanning the workload's 96 B-16 KiB range. The end-to-end
+/// fingerprints only see frame lengths; any change to the compressor's
+/// output shows here.
+#[test]
+fn frame_bytes_match_the_golden_digest() {
+    const GOLDEN: &str = "a2a3625a3e7f672a084ac691cccdfb8f9d636374241d669f3cdf6c095671f044";
+    let registry = KeyRegistry::bootstrap(7, 4, 2);
+    let mut generators: Vec<ElementGenerator> = (0..2)
+        .map(|c| ElementGenerator::new(registry.lookup(ProcessId::client(c)).unwrap()))
+        .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut framed = Vec::new();
+    let mut raw = Vec::new();
+    for (i, count) in [64usize, 256, 64, 256, 64, 256, 64, 256]
+        .into_iter()
+        .enumerate()
+    {
+        let generator = &mut generators[i % 2];
+        let elements = (0..count)
+            .map(|_| {
+                let r = next();
+                // Mostly Arbitrum-sized, one in sixteen from the long tail.
+                let size = if r % 16 == 0 {
+                    96 + (r >> 8) % 16_289
+                } else {
+                    96 + (r >> 8) % 900
+                };
+                generator.next_element(size as u32, next())
+            })
+            .collect();
+        Batch::new(elements, vec![]).encode_elements_into(&mut raw);
+        let frame = setchain_compress::compress_chunked_with(&raw, 16 * 1024);
+        assert_eq!(setchain_compress::decompress_chunked(&frame).unwrap(), raw);
+        framed.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+        framed.extend_from_slice(&frame);
+    }
+    assert_eq!(sha256(&framed).to_hex(), GOLDEN);
 }
