@@ -8,9 +8,9 @@
 //! bounded match window. Both directions run on the calling thread, chunk
 //! by chunk: compression codes each chunk through the thread-local
 //! [`crate::Compressor`] scratch, and decompression decodes each chunk
-//! straight into the caller's buffer. A [`ChunkedFrame`] holds a frame's
-//! bytes with the result of decoding them, so bytes shared by many readers
-//! are decoded once.
+//! straight into the caller's buffer. A [`ChunkedFrame`] decodes a frame
+//! once, when it is built, and keeps only its length and that verdict, so
+//! many readers share one decode and none of them holds the bytes.
 //!
 //! # Wire format
 //!
@@ -35,8 +35,6 @@
 //! bytes plus one `compressed_len` varint per chunk — a few bytes per 64 KiB
 //! chunk, which is why Compresschain's `CompressedBatch` accounting charges
 //! the whole frame, headers included.
-
-use std::sync::OnceLock;
 
 use crate::lz77::{DecompressError, MAX_DECLARED};
 use crate::varint::{read_u64, write_u64};
@@ -170,19 +168,21 @@ pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, 
     Ok(out.len())
 }
 
-/// Immutable frame bytes that remember what they decode to.
+/// A frame's length and the verdict of decoding it, without its bytes.
 ///
-/// [`decoded_len`](Self::decoded_len) runs [`decompress_chunked_into`] on
-/// the bytes at its first call and returns that result from then on. The
-/// result depends on the bytes alone, and the bytes cannot change: there is
-/// no `Clone` and no `&mut` access to them. So every holder of one
-/// `Arc<ChunkedFrame>` (each server of a simulated deployment delivering the
-/// same block) reads the verdict of one real decode of those exact bytes.
+/// `From<Vec<u8>>` runs [`decompress_chunked_into`] on the bytes once, keeps
+/// their length and the result, and drops them. The verdict depends on the
+/// bytes alone, so every holder of one `Arc<ChunkedFrame>` (each server of a
+/// simulated deployment delivering the same block) reads the result of one
+/// real decode of those exact bytes, and a run holds no frame bytes past
+/// the moment the frame is built.
 ///
 /// ```
 /// use setchain_compress::{compress_chunked, ChunkedFrame, DecompressError};
-/// let frame = ChunkedFrame::from(compress_chunked(&[7u8; 1000]));
-/// assert_eq!(frame.decoded_len(), Ok(1000));
+/// let bytes = compress_chunked(&[7u8; 1000]);
+/// let len = bytes.len();
+/// let frame = ChunkedFrame::from(bytes);
+/// assert_eq!((frame.len(), frame.decoded_len()), (len, Ok(1000)));
 /// assert_eq!(
 ///     ChunkedFrame::from(vec![0xFF; 4]).decoded_len(),
 ///     Err(DecompressError::Truncated)
@@ -190,26 +190,33 @@ pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, 
 /// ```
 #[derive(Debug)]
 pub struct ChunkedFrame {
-    bytes: Vec<u8>,
-    verdict: OnceLock<Result<usize, DecompressError>>,
+    len: usize,
+    verdict: Result<usize, DecompressError>,
 }
 
 impl ChunkedFrame {
-    /// What [`decompress_chunked_into`] returns on the frame bytes: the
-    /// decompressed length, or the first error. The frame is decoded in full
-    /// at the first call only.
+    /// The frame's length in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a frame of zero bytes (which never decodes).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// What [`decompress_chunked_into`] returned on the frame bytes: the
+    /// decompressed length, or the first error.
     pub fn decoded_len(&self) -> Result<usize, DecompressError> {
-        self.verdict
-            .get_or_init(|| decompress_chunked_into(&self.bytes, &mut Vec::new()))
-            .clone()
+        self.verdict.clone()
     }
 }
 
 impl From<Vec<u8>> for ChunkedFrame {
     fn from(bytes: Vec<u8>) -> Self {
         ChunkedFrame {
-            bytes,
-            verdict: OnceLock::new(),
+            len: bytes.len(),
+            verdict: decompress_chunked_into(&bytes, &mut Vec::new()),
         }
     }
 }
@@ -352,6 +359,11 @@ mod tests {
         let idx = 20.min(frame.len() - 1);
         frame[idx] ^= 0xFF;
         let _ = decompress_chunked(&frame); // must return, not panic
+    }
+
+    #[test]
+    fn a_frame_holds_no_bytes() {
+        assert!(std::mem::size_of::<ChunkedFrame>() <= 32);
     }
 
     mod prop {

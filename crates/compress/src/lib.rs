@@ -23,7 +23,7 @@
 //! The frame decoder checks the magic first, so a bare single stream is
 //! rejected rather than mistaken for a frame.
 //!
-//! Compression state lives in a reusable [`Compressor`] (hash-chain tables
+//! Compression state lives in a reusable [`Compressor`] (its hash table
 //! allocated once, not per batch); the convenience free functions, the
 //! chunked writer included, keep one per thread.
 //!

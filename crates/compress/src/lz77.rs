@@ -1,4 +1,4 @@
-//! LZ77 compressor with a hash-chain match finder.
+//! LZ77 compressor with a hash-table match finder.
 //!
 //! Single-stream format (all integers are LEB128 varints, see
 //! [`crate::varint`]):
@@ -18,17 +18,19 @@
 //!
 //! # Match finder
 //!
-//! Compression runs through a [`Compressor`], which owns the `head`/`prev`
-//! hash-chain tables and reuses them across calls — callers on a hot path
-//! (Compresschain flushes a batch every few milliseconds) pay no per-batch
-//! table allocation. Match candidates come from a 5-byte multiplicative
-//! hash computed once per position (the table update and the candidate
-//! lookup share it); match extension compares 8 bytes per step via `u64`
-//! loads; a one-step *lazy match* check (as in DEFLATE) trades a literal
-//! for a longer match starting one byte later when that wins; a token-cost
-//! filter drops matches whose encoding would outweigh them; and LZ4-style
-//! skip acceleration strides through incompressible regions so high-entropy
-//! calldata costs far less than compressible text.
+//! Compression runs through a [`Compressor`], which owns the `head` hash
+//! table and reuses it across calls — callers on a hot path (Compresschain
+//! flushes a batch every few milliseconds) pay no per-batch table
+//! allocation. Each position has one match candidate: the latest earlier
+//! position with the same 5-byte multiplicative hash, computed once per
+//! position (the table update and the candidate lookup share it), so the
+//! work per position is bounded even on adversarial input. Match extension
+//! compares 8 bytes per step via `u64` loads; a one-step *lazy match* check
+//! (as in DEFLATE) trades a literal for a longer match starting one byte
+//! later when that wins; a token-cost filter drops matches whose encoding
+//! would outweigh them; and LZ4-style skip acceleration strides through
+//! incompressible regions so high-entropy calldata costs far less than
+//! compressible text.
 
 use crate::varint::{read_u64, write_u64};
 
@@ -38,11 +40,8 @@ const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 1 << 15;
 /// Sliding-window size for back-references.
 const WINDOW: usize = 1 << 16;
-/// Number of hash-chain buckets (power of two).
+/// Number of hash-table buckets (power of two).
 const HASH_BUCKETS: usize = 1 << 14;
-/// Maximum chain positions examined per match attempt; bounds worst-case
-/// compressor time on adversarial input.
-const MAX_CHAIN: usize = 1;
 /// Matches at least this long skip the lazy one-byte-later probe: they are
 /// long enough that deferring them almost never pays.
 const LAZY_THRESHOLD: usize = 32;
@@ -55,7 +54,7 @@ const ACCEL_LOG: u32 = 2;
 const TOKEN_LITERAL: u8 = 0x00;
 const TOKEN_MATCH: u8 = 0x01;
 
-/// Sentinel for "no position" in the hash-chain tables.
+/// Sentinel for "no position" in the hash table.
 const EMPTY: u32 = u32::MAX;
 
 /// Error returned when a compressed stream is malformed.
@@ -156,13 +155,10 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 
 /// Reusable LZ77 compressor.
 ///
-/// Owns the hash-chain `head`/`prev` tables (~384 KiB) so repeated
-/// compressions — one per Compresschain batch flush, one per chunk of the
-/// chunked format — do not reallocate them. Only the `head` table is cleared
-/// per call: chains are entered exclusively through `head`, and every
-/// position linked into a chain writes its `prev` slot first, so stale
-/// `prev` entries from earlier inputs are never reachable. Output therefore
-/// depends only on the input, never on compressor history.
+/// Owns the `head` hash table (64 KiB) so repeated compressions — one per
+/// Compresschain batch flush, one per chunk of the chunked format — do not
+/// reallocate it. The table is cleared at the start of every call, so the
+/// output depends only on the input, never on compressor history.
 ///
 /// ```
 /// let mut c = setchain_compress::Compressor::new();
@@ -174,8 +170,6 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 pub struct Compressor {
     /// `head[h]`: most recent position whose 5-byte hash is `h`.
     head: Vec<u32>,
-    /// `prev[i % WINDOW]`: previous position in the same chain as `i`.
-    prev: Vec<u32>,
 }
 
 impl Default for Compressor {
@@ -185,13 +179,10 @@ impl Default for Compressor {
 }
 
 impl Compressor {
-    /// Creates a compressor with freshly allocated scratch tables.
+    /// Creates a compressor with a freshly allocated hash table.
     pub fn new() -> Self {
         Compressor {
             head: vec![EMPTY; HASH_BUCKETS],
-            // The chain table is only materialized when the configured
-            // search depth actually follows chains.
-            prev: vec![EMPTY; if MAX_CHAIN > 1 { WINDOW } else { 0 }],
         }
     }
 
@@ -234,7 +225,7 @@ impl Compressor {
 
         while i < hash_end {
             let cand = self.insert_and_candidate(data, i);
-            let (first_len, first_dist) = self.eval_chain(data, i, cand, MAX_CHAIN);
+            let (first_len, first_dist) = eval_candidate(data, i, cand);
 
             if first_len == 0 {
                 // No match: step ahead — faster the longer the current
@@ -249,8 +240,6 @@ impl Compressor {
 
             // Lazy match (DEFLATE-style): a match starting one byte later
             // may be longer; if so, the current byte joins the literal run.
-            // The probe only examines the freshest candidate — it needs to
-            // notice clearly better matches, not exhaust the search space.
             let mut start = i;
             let mut best_len = first_len;
             let mut best_dist = first_dist;
@@ -258,7 +247,7 @@ impl Compressor {
             while best_len < LAZY_THRESHOLD && start + 1 < hash_end {
                 let probe_cand = self.insert_and_candidate(data, start + 1);
                 indexed_to = start + 1;
-                let (next_len, next_dist) = self.eval_chain(data, start + 1, probe_cand, 1);
+                let (next_len, next_dist) = eval_candidate(data, start + 1, probe_cand);
                 if next_len > best_len {
                     start += 1;
                     best_len = next_len;
@@ -284,100 +273,58 @@ impl Compressor {
         flush_literals(data, out, literal_start, data.len());
     }
 
-    /// Walks the hash chain starting at `candidate` looking for the longest
-    /// match for position `i` worth emitting, returning `(len, dist)` —
-    /// `(0, 0)` when nothing qualifies. A candidate qualifies when it
-    /// reaches `MIN_MATCH` *and* its token is shorter than the bytes it
-    /// replaces (a 4-byte match at a three-varint-byte distance would expand
-    /// the stream).
-    #[inline]
-    fn eval_chain(
-        &self,
-        data: &[u8],
-        i: usize,
-        mut candidate: u32,
-        max_chain: usize,
-    ) -> (usize, usize) {
-        let max_len = (data.len() - i).min(MAX_MATCH);
-        // Primed so that only candidates able to reach MIN_MATCH are ever
-        // fully extended: a candidate must first agree at `i + best_len`.
-        let mut best_len = MIN_MATCH - 1;
-        let mut best_dist = 0usize;
-        let mut steps = 0;
-        while candidate != EMPTY && steps < max_chain {
-            let c = candidate as usize;
-            let dist = i - c;
-            if dist > WINDOW {
-                break;
-            }
-            // A candidate can only beat the current best if it agrees at the
-            // position where the best match ended; checking that one byte
-            // first skips the full extension for most chain entries.
-            if data.get(c + best_len) == data.get(i + best_len) {
-                let len = common_prefix_len(data, c, i, max_len);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = dist;
-                    if len >= max_len {
-                        break;
-                    }
-                }
-            }
-            steps += 1;
-            if steps >= max_chain {
-                break;
-            }
-            candidate = self.prev[c & (WINDOW - 1)];
-        }
-        // Token-cost filter: tag + len varint + dist varint must undercut
-        // the match length, or the "match" bloats the stream.
-        let min_worth = match best_dist {
-            0..128 => MIN_MATCH,
-            128..16_384 => MIN_MATCH + 1,
-            _ => MIN_MATCH + 2,
-        };
-        if best_dist != 0 && best_len >= min_worth {
-            (best_len, best_dist)
-        } else {
-            (0, 0)
-        }
-    }
-
-    /// Links position `i` into its hash chain and returns the previous chain
-    /// head — the freshest match candidate for `i`. One hash computation
-    /// serves both the index update and the search. Re-linking an
-    /// already-linked position is a no-op that still returns its candidate
-    /// (a self-referential chain entry would otherwise cycle).
+    /// Links position `i` into the hash table and returns the position it
+    /// replaces there — the freshest match candidate for `i`. One hash
+    /// computation serves both the table update and the search.
+    /// Re-linking an already-linked position returns no candidate (the
+    /// position cannot match itself).
     #[inline]
     fn insert_and_candidate(&mut self, data: &[u8], i: usize) -> u32 {
         let h = hash5(data, i);
         let cand = self.head[h];
         if cand == i as u32 {
-            return if MAX_CHAIN > 1 {
-                self.prev[i & (WINDOW - 1)]
-            } else {
-                EMPTY
-            };
-        }
-        // With a depth-1 search the `prev` chain is never followed, so the
-        // store (a random access into a 256 KiB table) is compiled out.
-        if MAX_CHAIN > 1 {
-            self.prev[i & (WINDOW - 1)] = cand;
+            return EMPTY;
         }
         self.head[h] = i as u32;
         cand
     }
 
-    /// Links position `pos` into its hash chain. Callers must not link the
-    /// same position twice (the cover-range loop in `compress_into` only
-    /// visits fresh positions).
+    /// Links position `pos` into the hash table.
     #[inline]
     fn insert(&mut self, data: &[u8], pos: usize) {
-        let h = hash5(data, pos);
-        if MAX_CHAIN > 1 {
-            self.prev[pos & (WINDOW - 1)] = self.head[h];
-        }
-        self.head[h] = pos as u32;
+        self.head[hash5(data, pos)] = pos as u32;
+    }
+}
+
+/// Evaluates `candidate` as a match for position `i`, returning
+/// `(len, dist)` — `(0, 0)` when it does not qualify. A candidate qualifies
+/// when it lies inside the window, reaches `MIN_MATCH` *and* its token is
+/// shorter than the bytes it replaces (a 4-byte match at a
+/// three-varint-byte distance would expand the stream).
+#[inline]
+fn eval_candidate(data: &[u8], i: usize, candidate: u32) -> (usize, usize) {
+    if candidate == EMPTY {
+        return (0, 0);
+    }
+    let c = candidate as usize;
+    let dist = i - c;
+    // Checking the byte where a `MIN_MATCH` match would end first skips the
+    // full extension for most hash collisions.
+    if dist > WINDOW || data.get(c + MIN_MATCH - 1) != data.get(i + MIN_MATCH - 1) {
+        return (0, 0);
+    }
+    let len = common_prefix_len(data, c, i, (data.len() - i).min(MAX_MATCH));
+    // Token-cost filter: tag + len varint + dist varint must undercut the
+    // match length, or the "match" bloats the stream.
+    let min_worth = match dist {
+        0..128 => MIN_MATCH,
+        128..16_384 => MIN_MATCH + 1,
+        _ => MIN_MATCH + 2,
+    };
+    if len >= min_worth {
+        (len, dist)
+    } else {
+        (0, 0)
     }
 }
 

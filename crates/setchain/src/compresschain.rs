@@ -13,7 +13,8 @@
 //! the other two; the add/get front door that drives it lives in
 //! [`crate::app`]. On delivery every server pays the modelled
 //! decompression of every frame, while the host decodes each frame once
-//! per run: a [`setchain_compress::ChunkedFrame`] remembers its decode.
+//! per run, when the origin builds it: a [`ChunkedFrame`] keeps the frame's
+//! length and decode verdict, not its bytes.
 //! The decoded batch is shared the same way: every server checks its
 //! elements and digests its epoch, and the host computes each element
 //! verdict and the batch root once per run (see
@@ -21,6 +22,7 @@
 
 use std::sync::Arc;
 
+use setchain_compress::ChunkedFrame;
 use setchain_ledger::{Block, TxData};
 
 use crate::collector::Collector;
@@ -91,9 +93,14 @@ impl Compresschain {
         let batch = self.collector.flush(ctx.now());
         // Materialize the batch bytes once, into the reusable encode buffer,
         // and run the real compressor (chunked frame) so the transaction
-        // occupies a realistic number of bytes in blocks.
+        // occupies a realistic number of bytes in blocks. The frame is
+        // decoded here, once, while its bytes are still in cache; only its
+        // length and verdict travel on.
         let raw_len = batch.encode_elements_into(&mut self.encode_buf);
-        let payload = setchain_compress::compress_chunked_with(&self.encode_buf, BATCH_CHUNK_LEN);
+        let payload = ChunkedFrame::from(setchain_compress::compress_chunked_with(
+            &self.encode_buf,
+            BATCH_CHUNK_LEN,
+        ));
         ctx.consume_cpu(core.config.costs.compress_cost(raw_len));
         // Proofs contribute their wire size but are high-entropy signatures;
         // account for them uncompressed. The compressed side charges the
@@ -111,7 +118,7 @@ impl Compresschain {
             origin: core.id(),
             seq: self.next_batch_seq,
             batch: Arc::new(batch),
-            payload: Arc::new(payload.into()),
+            payload: Arc::new(payload),
             compressed_size,
             original_size,
         };
@@ -154,10 +161,10 @@ impl Compresschain {
                 // checks every frame, its own included — `origin` is an
                 // unsigned field any sender can forge, so a verdict that
                 // looked at it would split correct servers. The host
-                // decodes each frame once, at the first server to get here,
-                // and the others read that decode of the same bytes; each
-                // one has paid the decompression above. "Compresschain
-                // light" skips all of this.
+                // decoded each frame once, when it was built, and every
+                // server reads that verdict; each one has paid the
+                // decompression above. "Compresschain light" skips all of
+                // this.
                 core.stats.batches_decompressed += 1;
                 if !cb.payload_decodes() {
                     // Any server can put any bytes on the ledger: an

@@ -456,11 +456,14 @@ impl ServerCore {
     /// are served from the admission cache; the misses are then checked one
     /// by one against per-client precomputed HMAC key schedules. Every
     /// lookup happens before any miss is recorded, so an element repeated
-    /// inside the batch counts one cache miss per copy. The slice goes
-    /// through a throwaway batch, whose memo this call alone reads.
+    /// inside the batch counts one cache miss per copy.
     pub fn validate_elements(&mut self, elements: &[Element]) -> Vec<bool> {
-        let batch = Batch::new(elements.to_vec(), Vec::new());
-        self.validate_picked(&batch, 0..elements.len())
+        let cached: Vec<Option<bool>> = elements.iter().map(|e| self.admission.lookup(e)).collect();
+        cached
+            .into_iter()
+            .zip(elements)
+            .map(|(cached, e)| cached.unwrap_or_else(|| self.validate_miss(e)))
+            .collect()
     }
 
     /// [`Self::validate_elements`] over the elements `batch.elements[i]`,
@@ -490,7 +493,7 @@ impl ServerCore {
 
     /// The one place validation CPU is charged: runs `check`, an
     /// [`element_valid`](Self::element_valid) or
-    /// [`validate_elements`](Self::validate_elements) call, and charges one
+    /// [`validate_picked`](Self::validate_picked) call, and charges one
     /// [`validate_element`](crate::CostModel::validate_element) per
     /// admission-cache miss it made. The modelled server keeps the same
     /// cache, so it checks an authenticator exactly when the host does; a
@@ -908,10 +911,10 @@ impl ServerCore {
 
     /// First-pass admission of a recovered batch's elements: drops the
     /// already-stamped ones, validates the rest (batched, memoized — the
-    /// same [`Self::validate_elements`] core the epoch path uses, charged
-    /// per cache miss only) and inserts the valid ids into `the_set`,
-    /// through a reused scratch buffer. A cache miss reads the verdict the
-    /// batch remembers, as in [`Self::create_epoch`]. The epoch itself is
+    /// same batch core the epoch path uses, charged per cache miss only)
+    /// and inserts the valid ids into `the_set`, through a reused scratch
+    /// buffer. A cache miss reads the verdict the batch remembers, as in
+    /// [`Self::create_epoch`]. The epoch itself is
     /// built later, at consolidation, through [`Self::create_epoch`]; this
     /// is the "valid elements join `the_set` immediately" half of batch
     /// processing.

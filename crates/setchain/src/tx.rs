@@ -1,7 +1,9 @@
 //! Ledger transaction types used by the three Setchain algorithms.
 //!
 //! Vanilla appends individual elements and epoch-proofs; Compresschain
-//! appends compressed batches; Hashchain appends fixed-size hash-batches.
+//! appends compressed batches, each carrying its frame's length and decode
+//! verdict rather than the frame's bytes; Hashchain appends fixed-size
+//! hash-batches.
 //! A single enum covers all of them so that any algorithm can run on the
 //! same ledger deployment type.
 
@@ -21,8 +23,9 @@ pub const HASH_BATCH_WIRE_LEN: usize = 139;
 /// A compressed batch appended to the ledger by Compresschain.
 ///
 /// The element and proof structures are carried explicitly as `batch` (the
-/// simulation does not re-serialize them) alongside `payload` — the real
-/// chunked-LZ77 frame produced from the materialized batch bytes.
+/// simulation does not re-serialize them) alongside `payload` — the length
+/// and decode verdict of the real chunked-LZ77 frame produced from the
+/// materialized batch bytes (the bytes themselves are dropped once decoded).
 /// `compressed_size` (frame length plus uncompressed proof bytes) is what
 /// the batch occupies in blocks and on the wire, and every receiving server
 /// checks on delivery that `payload` decodes to the declared element bytes
@@ -30,7 +33,7 @@ pub const HASH_BATCH_WIRE_LEN: usize = 139;
 /// The batch and payload are behind `Arc`s: the ledger clones transactions
 /// freely (mempool, proposals, blocks), and those clones must not copy
 /// them. Every server's epoch for a whole batch shares `batch` too, and
-/// every server reads the one remembered decode of the shared `payload`.
+/// every server reads the one decode verdict of the shared `payload`.
 #[derive(Clone, Debug)]
 pub struct CompressedBatch {
     /// The server that built and appended the batch.
@@ -39,7 +42,8 @@ pub struct CompressedBatch {
     pub seq: u64,
     /// Elements and epoch-proofs of the batch, in collection order.
     pub batch: Arc<Batch>,
-    /// The chunked-LZ77 frame of the materialized element payloads.
+    /// The chunked-LZ77 frame of the materialized element payloads: its
+    /// length and decode verdict.
     pub payload: Arc<ChunkedFrame>,
     /// Size of the batch after compression, in bytes: the full shipped
     /// frame (chunk headers included) plus the proofs' wire size.
@@ -51,9 +55,10 @@ pub struct CompressedBatch {
 impl CompressedBatch {
     /// `Decompress(B[i])`: true if `payload` decodes to exactly the declared
     /// element bytes, `original_size` less the proofs' wire size. The
-    /// frame is decoded in full once per run ([`ChunkedFrame`] remembers the
-    /// result); the length check is this batch's own, so two batches that
-    /// share one frame but declare different sizes get different verdicts.
+    /// frame was decoded in full once, when it was built ([`ChunkedFrame`]
+    /// keeps the result); the length check is this batch's own, so two
+    /// batches that share one frame but declare different sizes get
+    /// different verdicts.
     pub(crate) fn payload_decodes(&self) -> bool {
         let proof_bytes = self.batch.proofs.len() * crate::proofs::EPOCH_PROOF_WIRE_LEN;
         (self.original_size as usize)
@@ -262,8 +267,8 @@ mod tests {
             original_size,
         };
         let wire = crate::proofs::EPOCH_PROOF_WIRE_LEN as u32;
-        // Each verdict is asked twice: the second read comes from the
-        // frame's remembered decode.
+        // Each verdict is asked twice: both reads come from the one decode
+        // made when the frame was built.
         for _ in 0..2 {
             assert!(batch(300 + wire).payload_decodes());
             assert!(!batch(301 + wire).payload_decodes());
