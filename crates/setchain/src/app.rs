@@ -5,10 +5,10 @@
 //! differ in exactly one step: how a batch of elements reaches the ledger.
 //! [`SetchainServer`] is that object. It owns the algorithm-agnostic
 //! [`ServerCore`] and writes the shared front door once — quota gate →
-//! `add(e)`, the `get` / catch-up service, the collector tick — and hands the steps that differ (what happens to an
-//! admitted element, `check_tx`, `finalize_block`, Hashchain's batch
-//! service) to the variant modules [`crate::vanilla`],
-//! [`crate::compresschain`] and [`crate::hashchain`].
+//! `add(e)`, the `get` service, the collector tick — and hands the steps
+//! that differ (what happens to an admitted element, `check_tx`,
+//! `finalize_block`, Hashchain's batch service) to the variant modules
+//! [`crate::vanilla`], [`crate::compresschain`] and [`crate::hashchain`].
 //!
 //! ```
 //! use setchain::{Algorithm, ServerCore, SetchainConfig, SetchainServer, SetchainTrace};
@@ -212,10 +212,9 @@ impl Application for SetchainServer {
         if self.algorithm().uses_collector() {
             ctx.set_app_timer(COLLECTOR_TIMEOUT, COLLECTOR_TICK);
         }
-        // After a restart (retained state) probe peers for missed epochs and
-        // re-arm an outstanding batch request's timer; a cold start is a
-        // no-op.
-        self.core.maybe_request_catchup(ctx);
+        // After a restart (retained state) re-arm an outstanding batch
+        // request's timer; a cold start is a no-op. Missed epochs come back
+        // through ledger block sync.
         if let Variant::Hashchain(h) = &self.variant {
             h.on_restart(ctx);
         }
@@ -243,7 +242,7 @@ impl Application for SetchainServer {
             SetchainMsg::Add(e) => self.handle_adds(from, &[e], ctx),
             SetchainMsg::AddBatch(es) => self.handle_adds(from, &es, ctx),
             other => {
-                // `get`, `get_epoch` and catch-up are served by the core;
+                // `get` and `get_epoch` are served by the core;
                 // what is left is Hashchain's batch service.
                 if !self.core.handle_get(from, &other, ctx) {
                     if let Variant::Hashchain(h) = &mut self.variant {

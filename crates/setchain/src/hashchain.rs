@@ -1047,11 +1047,10 @@ mod tests {
             let a = know(&mut h, Batch::new(elements(registry, 10..20), vec![ahead]));
             let b = know(&mut h, Batch::new(b, vec![]));
 
-            // Epoch 1 does not exist yet: the proof is rejected, catch-up is
-            // asked for, and `a` stays unapplied.
+            // Epoch 1 does not exist yet: the proof is rejected and `a`
+            // stays unapplied.
             process_copy(&mut h, core, registry, 1, a, ctx);
             assert_eq!(core.stats.proofs_rejected, 1);
-            assert_eq!(core.stats.catchup_requests, 1);
             assert!(!h.records[&a].applied);
 
             // `b` consolidates into epoch 1.

@@ -89,14 +89,14 @@ pub use config::{AuthMode, CostModel, QuotaConfig, SetchainConfig, StoreConfig};
 pub use element::{Element, ElementGenerator, ElementId};
 pub use hashchain::SharedBatchRegistry;
 pub use idmap::IdMap;
-pub use messages::{CatchupEpoch, GetSnapshot, SetchainMsg};
+pub use messages::{GetSnapshot, SetchainMsg};
 pub use proofs::{
     epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof, make_epoch_proof_with_key,
     prove_epoch_inclusion, verify_epoch_proof, ElementProof, EpochInclusionProof, EpochProof,
     BATCH_CHUNK,
 };
 pub use quota::{QuotaState, QuotaVerdict, PENDING_RETRY};
-pub use server::{ServerCore, ServerStats, CATCHUP_RETRY, MAX_CATCHUP_EPOCHS};
+pub use server::{ServerCore, ServerStats};
 pub use state::SetchainState;
 pub use trace::SetchainTrace;
 pub use tx::{CompressedBatch, HashBatch, SetchainTx};

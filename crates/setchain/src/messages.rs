@@ -104,42 +104,6 @@ pub enum SetchainMsg {
         /// Earliest delay after which a retry could be admitted.
         retry_after: setchain_simnet::SimDuration,
     },
-    /// Server-to-server state catch-up: a restarted (or otherwise lagging)
-    /// server asks a peer for the committed epochs it is missing. Peers
-    /// that are not ahead of `from_epoch` simply do not answer.
-    CatchupRequest {
-        /// First missing epoch (the requester's local epoch + 1).
-        from_epoch: u64,
-    },
-    /// Answer to [`SetchainMsg::CatchupRequest`]: a bounded run of
-    /// consecutive committed epochs starting at the requested one. The
-    /// requester independently re-verifies each bundle against `f + 1`
-    /// epoch-proof signers before applying it, so a Byzantine responder
-    /// cannot inject history.
-    CatchupResponse {
-        /// Consecutive epoch bundles, each with elements and proofs.
-        epochs: Vec<CatchupEpoch>,
-    },
-}
-
-/// One epoch shipped in a [`SetchainMsg::CatchupResponse`].
-#[derive(Clone, Debug)]
-pub struct CatchupEpoch {
-    /// Epoch number.
-    pub epoch: u64,
-    /// Elements of the epoch, in the responder's history order (the order
-    /// the epoch digest commits to).
-    pub elements: Vec<Element>,
-    /// Epoch-proofs the responder holds for this epoch; the requester
-    /// accepts the bundle only with `f + 1` distinct valid signers.
-    pub proofs: Vec<EpochProof>,
-}
-
-impl CatchupEpoch {
-    fn wire_size(&self) -> usize {
-        8 + self.elements.iter().map(|e| e.wire_size()).sum::<usize>()
-            + self.proofs.len() * EPOCH_PROOF_WIRE_LEN
-    }
 }
 
 const MSG_HEADER: usize = 32;
@@ -163,10 +127,6 @@ impl Wire for SetchainMsg {
             }
             SetchainMsg::RequestBatch { .. } => MSG_HEADER + 64,
             SetchainMsg::Rejected { .. } => MSG_HEADER + 8,
-            SetchainMsg::CatchupRequest { .. } => MSG_HEADER + 8,
-            SetchainMsg::CatchupResponse { epochs } => {
-                MSG_HEADER + epochs.iter().map(|b| b.wire_size()).sum::<usize>()
-            }
             SetchainMsg::BatchResponse { batch, .. } | SetchainMsg::PushBatch { batch, .. } => {
                 MSG_HEADER + 64 + batch.wire_size()
             }

@@ -8,7 +8,7 @@ use setchain_crypto::{
     SigVerifier, Signature, SigningKey,
 };
 use setchain_ledger::AppCtx;
-use setchain_simnet::{SimDuration, SimTime};
+use setchain_simnet::SimTime;
 
 use setchain_store::{DiskStore, EpochRecord, StateStore};
 
@@ -18,7 +18,7 @@ use crate::collector::Batch;
 use crate::config::{SetchainConfig, StoreConfig};
 use crate::element::{Element, ElementId};
 use crate::messages::SetchainMsg;
-use crate::proofs::{epoch_hash_for_root, make_epoch_proof_with_key, EpochProof};
+use crate::proofs::{make_epoch_proof_with_key, EpochProof};
 use crate::state::SetchainState;
 use crate::trace::SetchainTrace;
 use crate::tx::{HashBatch, SetchainTx};
@@ -77,15 +77,6 @@ pub struct ServerStats {
     pub batch_requests_failed: u64,
     /// `get` / `get_epoch` requests answered.
     pub gets_served: u64,
-    /// Catch-up requests this server has issued (restart probes, gap
-    /// detections, and follow-up pages of a paged catch-up).
-    pub catchup_requests: u64,
-    /// Epochs installed from peer catch-up responses after verifying
-    /// `f + 1` epoch-proof signers.
-    pub epochs_replayed: u64,
-    /// Catch-up bundles refused: out-of-order epoch or fewer than `f + 1`
-    /// distinct valid proof signers.
-    pub catchup_rejections: u64,
     /// Committed epochs appended to this server's persistent store this
     /// session (0 when no store is configured; epochs recovered at open are
     /// not re-counted).
@@ -149,15 +140,10 @@ pub struct ServerCore {
     seen_scratch: FxHashSet<ElementId>,
     /// Epochs this server has *derived* from the ledger (one
     /// [`Self::create_epoch`] call each). Normally equal to
-    /// `state.epoch()`; it lags behind after catch-up fast-forwards the
-    /// state, and `create_epoch` then skips re-derivation until the ledger
-    /// replay passes the catch-up frontier.
+    /// `state.epoch()`; only the store can put `state` ahead of the ledger:
+    /// after a replay at open it lags behind, and `create_epoch` skips
+    /// re-derivation until the ledger replay passes the stored tip.
     derived_epochs: u64,
-    /// `from_epoch` and send time of the outstanding catch-up request, if
-    /// any — a rate limit so repeated gap signals do not flood peers. The
-    /// entry *expires* after [`CATCHUP_RETRY`]: a request lost to a
-    /// partition or crash must not wedge the server behind the tip forever.
-    catchup_pending: Option<(u64, SimTime)>,
     /// The persistent epoch store, when `config.store` is set. Opened (and
     /// replayed into `state`) at construction; `None` is the exact pre-store
     /// in-memory pipeline. Store I/O happens on the host, outside simulated
@@ -173,16 +159,6 @@ pub struct ServerCore {
     /// `None` is the exact pre-quota pipeline (no probe, no reply, no CPU).
     quota: Option<crate::quota::QuotaState>,
 }
-
-/// Upper bound on epochs shipped in one [`SetchainMsg::CatchupResponse`].
-/// A requester that is further behind pages: applying a full response
-/// triggers a follow-up request to the same responder.
-pub const MAX_CATCHUP_EPOCHS: usize = 64;
-
-/// How long an outstanding catch-up request suppresses new ones. After this
-/// the request is presumed lost (dropped by a partition, or the responder
-/// crashed) and the next gap signal is allowed to re-request.
-pub const CATCHUP_RETRY: SimDuration = SimDuration(2_000_000); // 2 s
 
 impl ServerCore {
     /// Creates the shared server state.
@@ -220,7 +196,6 @@ impl ServerCore {
             pick_scratch: Vec::new(),
             seen_scratch: FxHashSet::default(),
             derived_epochs: 0,
-            catchup_pending: None,
             store: None,
             persisted: 0,
             quota: None,
@@ -241,8 +216,7 @@ impl ServerCore {
     /// rather than divergent) and the stored `f + 1` proof quorum is
     /// re-added, committing each epoch without re-verification. The ledger
     /// replay that follows then signs the recovered digests through the
-    /// [`Self::create_epoch`] fast-forward path (`derived_epochs` stays 0),
-    /// exactly as after a peer catch-up.
+    /// [`Self::create_epoch`] fast-forward path (`derived_epochs` stays 0).
     ///
     /// A store that cannot be opened or read is a fatal configuration /
     /// hardware error: this panics rather than silently running volatile.
@@ -279,10 +253,9 @@ impl ServerCore {
     /// Flushes every committed-but-unpersisted epoch to the store, in
     /// order: an epoch is flushed once it is the next after the durable
     /// frontier *and* holds its `f + 1` proof quorum. Called on every
-    /// quorum event (ledger proofs and catch-up installs), so quorums
-    /// reached out of order drain as soon as the gap closes. A store append
-    /// failure is fatal — continuing would desynchronize the durable
-    /// frontier from `state`.
+    /// quorum event (ledger proofs), so quorums reached out of order drain
+    /// as soon as the gap closes. A store append failure is fatal —
+    /// continuing would desynchronize the durable frontier from `state`.
     fn persist_committed(&mut self) {
         let Some(store) = self.store.as_mut() else {
             return;
@@ -518,10 +491,10 @@ impl ServerCore {
     /// [`adds_rejected_quota`](ServerStats::adds_rejected_quota), and the
     /// sender is told to back off via [`SetchainMsg::Rejected`].
     ///
-    /// Messages from peer servers are never quota-checked: gossip and
-    /// recovery traffic is committed-path and must not be shed. With no
-    /// quota configured this returns `true` without touching the context —
-    /// the exact pre-quota schedule.
+    /// Messages from peer servers are never quota-checked: their gossip is
+    /// committed-path and must not be shed. With no quota configured this
+    /// returns `true` without touching the context — the exact pre-quota
+    /// schedule.
     pub fn admit_source(
         &mut self,
         from: ProcessId,
@@ -551,9 +524,9 @@ impl ServerCore {
     }
 
     /// The one bookkeeping step for elements stamped into an epoch, by
-    /// [`Self::create_epoch`] or by catch-up. Their admission verdicts are
-    /// freed: every lookup tests `history` first, so none of them can decide
-    /// anything again. Their pending-cap capacity is released (no-op without
+    /// [`Self::create_epoch`]. Their admission verdicts are freed: every
+    /// lookup tests `history` first, so none of them can decide anything
+    /// again. Their pending-cap capacity is released (no-op without
     /// a quota); over-release for elements that were never counted — gossip
     /// arrivals stamped here, or elements admitted before a restart —
     /// saturates at zero per client, so mixed routing can transiently
@@ -639,169 +612,8 @@ impl ServerCore {
                 );
                 true
             }
-            SetchainMsg::CatchupRequest { from_epoch } => {
-                self.serve_catchup(from, *from_epoch, ctx);
-                true
-            }
-            SetchainMsg::CatchupResponse { epochs } => {
-                self.handle_catchup_response(from, epochs, ctx);
-                true
-            }
             _ => false,
         }
-    }
-
-    /// Answers a [`SetchainMsg::CatchupRequest`]: ships the *committed
-    /// prefix* only — consecutive epochs from `from_epoch` for which this
-    /// server already holds a full `f + 1` proof quorum — bounded at
-    /// [`MAX_CATCHUP_EPOCHS`] per response. A peer that is not ahead (or
-    /// whose newest epochs have not gathered their quorum yet) sends
-    /// nothing, so the restart probe is free in the common case.
-    fn serve_catchup(&mut self, from: ProcessId, from_epoch: u64, ctx: &mut Ctx<'_, '_, '_>) {
-        let quorum = self.config.proof_quorum();
-        let mut epochs = Vec::new();
-        let mut e = from_epoch.max(1);
-        while e <= self.state.epoch()
-            && epochs.len() < MAX_CATCHUP_EPOCHS
-            && self.state.proof_count(e) >= quorum
-        {
-            epochs.push(crate::messages::CatchupEpoch {
-                epoch: e,
-                elements: self.state.epoch_elements(e).unwrap_or_default().to_vec(),
-                proofs: self.state.proofs_for(e).to_vec(),
-            });
-            e += 1;
-        }
-        if !epochs.is_empty() {
-            ctx.send_app(from, SetchainMsg::CatchupResponse { epochs });
-        }
-    }
-
-    /// Verifies and applies a [`SetchainMsg::CatchupResponse`]. Each bundle
-    /// is accepted only if it is the next epoch in sequence and its elements
-    /// hash to a digest that `f + 1` distinct valid signers vouch for —
-    /// the same `valid_proof` machinery as the normal commit path, so a
-    /// Byzantine responder cannot inject or reorder history. Bundles for
-    /// epochs already held (duplicate responses to a broadcast probe) are
-    /// skipped silently; the first out-of-order or under-proven bundle
-    /// stops the scan and counts one rejection.
-    fn handle_catchup_response(
-        &mut self,
-        from: ProcessId,
-        epochs: &[crate::messages::CatchupEpoch],
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
-        self.catchup_pending = None;
-        let mut applied = 0usize;
-        for bundle in epochs {
-            let next = self.state.epoch() + 1;
-            if bundle.epoch < next {
-                continue; // already held: duplicate response
-            }
-            if bundle.epoch > next {
-                self.stats.catchup_rejections += 1;
-                break;
-            }
-            // Re-hash the shipped elements and verify the proofs against
-            // the recomputed digest — trusting the responder's digest would
-            // let it rebind valid signatures to fabricated contents. The
-            // bundle becomes the epoch's batch, whose root is computed once:
-            // the install finishes its digest from it.
-            let bytes: usize = bundle.elements.iter().map(|e| e.wire_size()).sum();
-            ctx.consume_cpu(self.config.costs.hash_cost(bytes));
-            let batch = Arc::new(Batch::new(bundle.elements.clone(), Vec::new()));
-            let count = batch.elements.len() as u64;
-            let digest = epoch_hash_for_root(bundle.epoch, count, &batch.root());
-            let mut valid: Vec<EpochProof> = Vec::new();
-            for proof in &bundle.proofs {
-                ctx.consume_cpu(self.config.costs.verify_signature);
-                if proof.epoch == bundle.epoch
-                    && self.proof_valid_digest(proof, &digest)
-                    && !valid.iter().any(|p| p.signer == proof.signer)
-                {
-                    valid.push(*proof);
-                }
-            }
-            if valid.len() < self.config.proof_quorum() {
-                self.stats.catchup_rejections += 1;
-                break;
-            }
-            let installed = self.state.install_epoch(bundle.epoch, batch);
-            debug_assert!(installed, "sequencing checked above");
-            self.note_stamped(&bundle.elements);
-            // The quorum travels with the bundle, so the epoch lands
-            // committed; later ledger-replayed proofs only add signers
-            // beyond the quorum (and never re-report the commit).
-            for proof in valid {
-                self.state.add_proof(proof);
-            }
-            self.stats.epochs_replayed += 1;
-            applied += 1;
-        }
-        if applied > 0 {
-            // Every installed bundle arrived with its quorum: it is
-            // committed, so it is durable the moment it lands.
-            self.persist_committed();
-        }
-        // A fully-applied response means the responder may hold more by now
-        // (a full page certainly, but even a short page can be stale by the
-        // time it arrives): page on. The responder only answers when it is
-        // ahead, so this terminates once we reach its committed tip.
-        if applied > 0 && applied == epochs.len() {
-            let from_epoch = self.state.epoch() + 1;
-            self.catchup_pending = Some((from_epoch, ctx.now()));
-            self.stats.catchup_requests += 1;
-            ctx.send_app(from, SetchainMsg::CatchupRequest { from_epoch });
-        }
-    }
-
-    /// Restart probe: a server that comes back with retained state asks
-    /// every peer for the epochs it may have missed while down. Peers that
-    /// are not ahead answer nothing; the first useful response fast-forwards
-    /// the state and duplicates de-duplicate on apply. At cold start the
-    /// epoch is 0 and this is a no-op, so fault-free schedules are
-    /// unchanged. Called from every variant's `on_start`.
-    pub fn maybe_request_catchup(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.state.epoch() == 0 {
-            return;
-        }
-        let from_epoch = self.state.epoch() + 1;
-        self.catchup_pending = Some((from_epoch, ctx.now()));
-        self.stats.catchup_requests += 1;
-        let me = self.keys.id;
-        let peers = (0..self.config.servers)
-            .map(ProcessId::server)
-            .filter(|p| *p != me);
-        ctx.broadcast_app(peers, SetchainMsg::CatchupRequest { from_epoch });
-    }
-
-    /// Gap detection on first contact: `peer` demonstrably knows about
-    /// `epoch`, which is ahead of our state — request the missing range,
-    /// unless a request covering it is already outstanding.
-    pub fn note_peer_epoch(&mut self, peer: ProcessId, epoch: u64, ctx: &mut Ctx<'_, '_, '_>) {
-        if epoch <= self.state.epoch() || peer == self.keys.id || !peer.is_server() {
-            return;
-        }
-        let from_epoch = self.state.epoch() + 1;
-        if self.catchup_suppressed(from_epoch, ctx.now()) {
-            return;
-        }
-        self.catchup_pending = Some((from_epoch, ctx.now()));
-        self.stats.catchup_requests += 1;
-        ctx.send_app(peer, SetchainMsg::CatchupRequest { from_epoch });
-    }
-
-    /// The catch-up rate limiter: whether an outstanding request suppresses
-    /// a new one covering `from_epoch` at `now`. Suppression *expires* after
-    /// [`CATCHUP_RETRY`] — a request lost to a partition, crash or total
-    /// loss must not wedge the server behind the tip forever — and a gap
-    /// signal for a range past the outstanding request's start is never
-    /// suppressed.
-    fn catchup_suppressed(&self, from_epoch: u64, now: SimTime) -> bool {
-        matches!(
-            self.catchup_pending,
-            Some((p, at)) if p >= from_epoch && now.since(at) < CATCHUP_RETRY
-        )
     }
 
     /// Validates and records an epoch-proof extracted from the ledger
@@ -810,10 +622,12 @@ impl ServerCore {
     /// the experiment trace.
     ///
     /// Returns `false` only for a proof naming an epoch this server has not
-    /// derived yet: it is rejected and catch-up is asked for, but the same
-    /// bytes may verify once the epoch exists, so a caller that skips repeat
-    /// deliveries (Hashchain's once-per-batch rule) must deliver it again.
-    /// Every other verdict is final for these bytes.
+    /// derived yet: it is rejected, but the same bytes may verify once the
+    /// ledger derives the epoch, so a caller that skips repeat deliveries
+    /// (Hashchain's once-per-batch rule) must deliver it again. Nothing is
+    /// asked of the signer: a server that is behind gets the blocks that
+    /// derive the epoch through ledger block sync. Every other verdict is
+    /// final for these bytes.
     pub fn ingest_proof(
         &mut self,
         proof: EpochProof,
@@ -825,13 +639,7 @@ impl ServerCore {
         // verifying the up-to-n proofs of an epoch re-hashes nothing.
         let Some(digest) = self.state.epoch_digest(proof.epoch).copied() else {
             self.stats.proofs_rejected += 1;
-            if proof.epoch > self.state.epoch() {
-                // A proof for an epoch we have not derived yet: the signer
-                // is ahead of us — catch up from it.
-                self.note_peer_epoch(proof.signer, proof.epoch, ctx);
-                return false;
-            }
-            return true;
+            return proof.epoch <= self.state.epoch();
         };
         if !self.proof_valid_digest(&proof, &digest) {
             self.stats.proofs_rejected += 1;
@@ -863,6 +671,10 @@ impl ServerCore {
     /// commits to the same root). Any filtered element — a duplicate id, an
     /// already-stamped or invalid element — records `G` as a batch of its
     /// own, rooted once.
+    ///
+    /// An epoch the store replay already recorded at open is not recorded
+    /// again: this server signs its stored digest (the fast-forward path).
+    /// The store is the only thing that puts `state` ahead of the ledger.
     pub fn create_epoch(
         &mut self,
         batch: &Arc<Batch>,
@@ -872,8 +684,8 @@ impl ServerCore {
         let g = self.extract_epoch_candidates(batch, validate, ctx);
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
-            // Catch-up already installed this epoch (verified against f+1
-            // epoch-proofs); the ledger replay is now re-deriving it, and
+            // The store replay already recorded this epoch with its f+1
+            // epoch-proofs; the ledger replay is now re-deriving it, and
             // recording it again would double-stamp its elements. Sign the
             // stored digest instead, so peers still receive this server's
             // proof for the epoch.
@@ -1047,8 +859,9 @@ pub(crate) mod tests {
     use super::*;
     use crate::element::ElementId;
     use crate::hashchain::batch_hash;
-    use crate::proofs::{epoch_hash, epoch_root, make_epoch_proof_for_digest};
+    use crate::proofs::{epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
     use setchain_ledger::Block;
+    use setchain_simnet::SimDuration;
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
         let registry = KeyRegistry::bootstrap(seed, servers, clients);
@@ -1171,35 +984,6 @@ pub(crate) mod tests {
             }
             core.persist_committed();
         }
-    }
-
-    #[test]
-    fn catchup_limiter_expires_after_retry_window() {
-        // Regression test for the PR 7 catch-up rate limiter: an
-        // outstanding request suppresses duplicates only within
-        // `CATCHUP_RETRY`. A request lost to 100% loss on the catch-up leg
-        // must stop suppressing once the window elapses, or the server
-        // wedges behind the tip forever.
-        let (mut core, _registry) = core_with(91, 4, 2);
-        let sent_at = SimTime::from_secs(5);
-        core.catchup_pending = Some((3, sent_at));
-
-        // Within the window: same or earlier range suppressed, a range
-        // starting past the outstanding request never is.
-        let within = sent_at + SimDuration(CATCHUP_RETRY.0 - 1);
-        assert!(core.catchup_suppressed(3, within));
-        assert!(core.catchup_suppressed(2, within));
-        assert!(!core.catchup_suppressed(4, within));
-
-        // At exactly the window boundary the entry is presumed lost and a
-        // re-request is allowed again.
-        let expired = sent_at + CATCHUP_RETRY;
-        assert!(!core.catchup_suppressed(3, expired));
-        assert!(!core.catchup_suppressed(2, expired));
-
-        // No outstanding request: never suppressed.
-        core.catchup_pending = None;
-        assert!(!core.catchup_suppressed(1, within));
     }
 
     #[test]
@@ -1363,7 +1147,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn proof_for_an_unrecorded_epoch_asks_its_signer_for_catchup() {
+    fn proof_for_an_unrecorded_epoch_is_rejected_but_not_final() {
         with_committed_core(|core, registry, ctx| {
             let signer = registry.lookup(ProcessId::server(1)).unwrap();
             let ahead = make_epoch_proof_for_digest(&signer, 9, &epoch_hash(9, &[]));
@@ -1371,8 +1155,6 @@ pub(crate) mod tests {
             assert!(!core.ingest_proof(ahead, SimTime::ZERO, ctx));
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.stats.proofs_received, 0);
-            assert_eq!(core.stats.catchup_requests, 1);
-            assert_eq!(core.catchup_pending, Some((4, SimTime::ZERO)));
             assert_eq!(core.state.proof_count(9), 0);
         });
     }

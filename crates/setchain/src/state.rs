@@ -137,19 +137,6 @@ impl SetchainState {
         epoch
     }
 
-    /// Installs one epoch recovered through the catch-up protocol. The
-    /// caller must already have verified the bundle against `f + 1` valid
-    /// epoch-proof signers; this method only enforces sequencing: catch-up
-    /// replays strictly in order, so `epoch` must be exactly
-    /// `self.epoch() + 1`. Returns `false` (state untouched) otherwise.
-    pub fn install_epoch(&mut self, epoch: u64, batch: Arc<Batch>) -> bool {
-        if epoch != self.epoch() + 1 {
-            return false;
-        }
-        self.record_epoch(batch);
-        true
-    }
-
     /// The cached digest `Hash(i, history[i])` of epoch `i` (1-based), if the
     /// epoch exists.
     pub fn epoch_digest(&self, epoch: u64) -> Option<&Digest512> {
@@ -358,26 +345,6 @@ mod tests {
         changed.root();
         changed.elements.push(elements(4..5)[0]);
         SetchainState::new().record_epoch(Arc::new(changed));
-    }
-
-    #[test]
-    fn install_epoch_is_strictly_sequential() {
-        let mut st = SetchainState::new();
-        let e1 = elements(0..3);
-        let e2 = elements(3..5);
-        // Out-of-order install is refused without touching the state.
-        assert!(!st.install_epoch(2, batch(e2.clone())));
-        assert!(!st.install_epoch(0, batch(e1.clone())));
-        assert_eq!(st.epoch(), 0);
-        // In-order installs behave exactly like record_epoch.
-        assert!(st.install_epoch(1, batch(e1.clone())));
-        assert!(st.install_epoch(2, batch(e2.clone())));
-        assert_eq!(st.epoch(), 2);
-        assert_eq!(st.epoch_digest(1), Some(&epoch_hash(1, &e1)));
-        assert!(st.check_consistent_sets());
-        assert!(st.check_unique_epoch());
-        // Re-installing an already-held epoch is refused.
-        assert!(!st.install_epoch(2, batch(e2)));
     }
 
     #[test]

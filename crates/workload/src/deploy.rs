@@ -111,7 +111,7 @@ impl<'a> ServerHandle<'a> {
     }
 
     /// The algorithm-agnostic server core: admission caches, quota state,
-    /// catch-up machinery — read-only inspection across all variants.
+    /// proof bookkeeping — read-only inspection across all variants.
     pub fn core(&self) -> &'a ServerCore {
         self.node.app().core()
     }

@@ -7,10 +7,11 @@
 //!   before any same-instant message or timer — so a chaos run replays
 //!   bit-for-bit under the same seed.
 //! * **ledger** round timeouts skip a crashed proposer and block sync
-//!   replays missed heights after a restart.
-//! * **setchain** servers detect they are behind (restart probe or an
-//!   epoch-proof referencing a future epoch) and catch up through the
-//!   quorum-verified epoch replay protocol.
+//!   replays missed heights after a restart, each block checked against
+//!   its 2f + 1 commit certificate.
+//! * **setchain** servers have one way back to the tip: they re-derive the
+//!   missed epochs from the blocks that sync delivers, exactly as from
+//!   live blocks.
 //! * **workload** client sessions ride out faults with deadline-driven
 //!   retry and failover to an alternate server.
 
@@ -18,6 +19,7 @@ use std::collections::BTreeSet;
 
 use setchain::{Algorithm, ElementId};
 use setchain_crypto::ProcessId;
+use setchain_ledger::ByzMode;
 use setchain_simnet::{FaultEvent, FaultPlan, Partition, SimTime};
 use setchain_workload::{check_setchain_invariants, Deployment};
 
@@ -38,8 +40,8 @@ fn chaos_deployment(algorithm: Algorithm, seed: u64, plan: FaultPlan) -> Deploym
 #[test]
 fn partition_heals_and_servers_reconverge() {
     // Server 3 is cut off from its peers between t=1s and t=5s; its clients
-    // keep reaching it. After the heal, ledger block sync and the epoch
-    // catch-up protocol must bring it back to the common prefix.
+    // keep reaching it. After the heal, ledger block sync must bring it
+    // back to the common prefix.
     let plan = FaultPlan::new()
         .at(
             SimTime::from_secs(1),
@@ -70,6 +72,10 @@ fn partition_heals_and_servers_reconverge() {
         s3.state().epoch(),
         s0.state().epoch()
     );
+    assert!(
+        s3.node().stats().synced_blocks >= 1,
+        "server 3 never synced a block it missed"
+    );
     // Most injected elements still commit: the fault window only delays
     // server 3's contribution.
     let added = deployment.trace.added_count();
@@ -85,8 +91,8 @@ fn crashed_server_restarts_and_catches_up_for_every_variant() {
     for algorithm in Algorithm::ALL {
         // Server 2 is down from t=3s to t=10s — long enough for its peers to
         // commit epochs it never saw. On restart it must rejoin, fetch the
-        // missing committed prefix (ledger block sync plus the f+1-verified
-        // epoch catch-up), and end bit-consistent with the others.
+        // missing blocks through ledger block sync, re-derive their epochs,
+        // and end bit-consistent with the others.
         let plan = FaultPlan::new()
             .at(
                 SimTime::from_secs(3),
@@ -118,27 +124,19 @@ fn crashed_server_restarts_and_catches_up_for_every_variant() {
             s0.state().epoch()
         );
         assert!(
-            s2.stats().catchup_requests >= 1,
-            "{algorithm:?}: the restarted server never asked peers for missed epochs"
+            s2.node().stats().synced_blocks >= 1,
+            "{algorithm:?}: the restarted server never synced a block it missed"
         );
     }
 }
 
 #[test]
-fn lost_catchup_request_does_not_wedge_the_restarted_server() {
-    // Regression test for the catch-up rate limiter (PR 7): the
-    // `catchup_pending` entry suppresses duplicate requests while one is
-    // outstanding, but must *expire* after `CATCHUP_RETRY` — otherwise a
-    // request lost to the network could wedge the server behind the tip
-    // forever. Server 2 restarts into a window of 100% message loss, so
-    // its restart probe's `CatchupRequest` is guaranteed lost; the loss
-    // only heals after more than `CATCHUP_RETRY` of simulated time, so
-    // the expired entry leaves every recovery path free to re-request.
-    // (End to end, ledger block sync replays the missed heights in order
-    // once traffic flows again, so the limiter is never the only path
-    // back to the tip — its expiry semantics are pinned directly by
-    // `catchup_limiter_expires_after_retry_window` in the setchain crate.
-    // What must hold here is the outcome: the server fully heals.)
+fn restart_into_total_loss_heals_through_block_sync() {
+    // Server 2 restarts into a window of 100% message loss: every block
+    // sync request it sends on the way back, and every block it would be
+    // sent, is lost. Nothing may wedge it there: once traffic flows again,
+    // the next peer height it sees asks for the missed heights anew, and
+    // it must fully heal through block sync.
     let plan = FaultPlan::new()
         .at(
             SimTime::from_secs(3),
@@ -149,9 +147,7 @@ fn lost_catchup_request_does_not_wedge_the_restarted_server() {
             SimTime::from_secs(10),
             FaultEvent::Restart(ProcessId::server(2)),
         )
-        // 4 s of total loss spans the restart — double the 2 s
-        // `CATCHUP_RETRY` window, so the pending entry is expired by the
-        // time traffic flows again.
+        // 4 s of total loss spans the restart.
         .at(SimTime::from_secs(13), FaultEvent::SetLossRate(0.0));
     let mut deployment = chaos_deployment(Algorithm::Hashchain, 4026, plan);
     deployment.sim.run_until(SimTime::from_secs(40));
@@ -164,8 +160,8 @@ fn lost_catchup_request_does_not_wedge_the_restarted_server() {
     let s2 = deployment.server(2);
     assert!(s0.state().epoch() > 0, "the healthy majority kept going");
     assert!(
-        s2.stats().catchup_requests >= 1,
-        "the restarted server never probed for catch-up"
+        s2.node().stats().synced_blocks >= 1,
+        "the restarted server never synced a block it missed"
     );
     check_setchain_invariants(&deployment).expect("Setchain properties");
     assert!(
@@ -174,6 +170,56 @@ fn lost_catchup_request_does_not_wedge_the_restarted_server() {
         s2.state().epoch(),
         s0.state().epoch()
     );
+}
+
+#[test]
+fn restart_with_a_silent_first_peer_syncs_from_the_others() {
+    // Block sync is the only way back to the tip, and its follow-up
+    // requests go to the node's first peer. Make that peer (server 0) a
+    // silent ledger validator, so it answers no sync request: the
+    // restarted server 2 must still reach the tip through the other
+    // peers, whose heights it sees in their consensus traffic.
+    for algorithm in Algorithm::ALL {
+        let plan = FaultPlan::new()
+            .at(
+                SimTime::from_secs(3),
+                FaultEvent::Crash(ProcessId::server(2)),
+            )
+            .at(
+                SimTime::from_secs(10),
+                FaultEvent::Restart(ProcessId::server(2)),
+            );
+        let mut deployment = Deployment::builder(algorithm)
+            .servers(7)
+            .rate(300.0)
+            .collector(32)
+            .injection_secs(4)
+            .max_run_secs(40)
+            .seed(4027)
+            .ledger_fault(0, ByzMode::Silent)
+            .fault_plan(plan)
+            .build();
+        deployment.sim.run_until(SimTime::from_secs(40));
+
+        check_setchain_invariants(&deployment)
+            .unwrap_or_else(|e| panic!("{algorithm:?}: Setchain properties: {e}"));
+        let s1 = deployment.server(1);
+        let s2 = deployment.server(2);
+        assert!(
+            s1.state().epoch() > 0,
+            "{algorithm:?}: the correct servers kept committing epochs"
+        );
+        assert!(
+            s2.state().epoch() >= s1.state().epoch(),
+            "{algorithm:?}: server 2 stayed behind server 1: {} vs {}",
+            s2.state().epoch(),
+            s1.state().epoch()
+        );
+        assert!(
+            s2.node().stats().synced_blocks >= 1,
+            "{algorithm:?}: the restarted server never synced a block it missed"
+        );
+    }
 }
 
 #[test]
