@@ -250,7 +250,7 @@ impl Hashchain {
         let hb = core.make_hash_batch(hash);
         self.remember(hash, Arc::clone(&batch)).signed = true;
         core.stats.batches_flushed += 1;
-        let tx = SetchainTx::HashBatch(hb);
+        let tx = SetchainTx::HashBatch(hb.into());
         let tx_id = tx.tx_id();
         for e in &batch.elements {
             core.trace.record_tx_assignment(e.id, tx_id);
@@ -440,7 +440,7 @@ impl Hashchain {
             // so the f+1 consolidation quorum can form.
             if !rec.signed {
                 ctx.consume_cpu(core.config.costs.sign);
-                ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hb.hash)));
+                ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hb.hash).into()));
                 rec.signed = true;
             }
             if !rec.applied {
@@ -503,7 +503,7 @@ impl Hashchain {
                     self.ask(core, hb.hash, hb.signer, REQUEST_TIMEOUT * 2, ctx);
                 }
             }
-            self.block_queue.push_back(*hb);
+            self.block_queue.push_back(**hb);
         }
         self.process_queue(core, ctx);
     }

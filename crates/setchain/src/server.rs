@@ -1749,7 +1749,7 @@ pub(crate) mod tests {
                         if forged {
                             proof.signature = Signature::forged(keys.id);
                         }
-                        txs.insert((at * 7).min(txs.len()), SetchainTx::Proof(proof));
+                        txs.insert((at * 7).min(txs.len()), SetchainTx::Proof(proof.into()));
                     }
                     let block = Block::new(5, ProcessId::server(1), SimTime::ZERO, txs.into());
                     let own_memo =

@@ -7,7 +7,7 @@
 //! the `setchain-workload` crate turns them into throughput-over-time series,
 //! efficiency values, commit-time percentiles and latency CDFs.
 
-use std::num::NonZeroU32;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -34,10 +34,27 @@ pub struct ElementRecord {
 // `element_epoch` holds one `Option<NonZeroU32>` slot per added id; keep it
 // four bytes.
 const _: () = assert!(std::mem::size_of::<Option<NonZeroU32>>() == 4);
+// `added` holds one `Option<NonZeroU64>` slot per added id; keep it eight
+// bytes, where an `Option<SimTime>` takes sixteen.
+const _: () = assert!(std::mem::size_of::<Option<NonZeroU64>>() == 8);
+
+/// An add time as `added` stores it: `at + 1` µs, so that the zero niche
+/// makes the map's empty slot free. `SimTime(u64::MAX)` has no encoding;
+/// no run reaches it (it is 584,000 years of simulated time).
+fn encode_added(at: SimTime) -> NonZeroU64 {
+    at.0.checked_add(1)
+        .and_then(NonZeroU64::new)
+        .expect("an add time below SimTime(u64::MAX)")
+}
+
+fn decode_added(at: NonZeroU64) -> SimTime {
+    SimTime(at.get() - 1)
+}
 
 #[derive(Default)]
 struct TraceInner {
-    added: IdMap<SimTime>,
+    /// Add times, encoded by [`encode_added`].
+    added: IdMap<NonZeroU64>,
     /// Epochs start at 1, so a `NonZeroU32` holds every epoch of a run.
     element_epoch: IdMap<NonZeroU32>,
     epoch_committed: FxHashMap<u64, SimTime>,
@@ -86,12 +103,13 @@ impl SetchainTrace {
     /// Records that the client added `id` at `at` (called by the workload
     /// driver when it sends the `add`).
     pub fn record_add(&self, id: ElementId, at: SimTime) {
-        self.inner.lock().added.insert_if_absent(id, at);
+        self.record_adds(std::iter::once(id), at);
     }
 
     /// Batched form of [`Self::record_add`]: one lock acquisition for a
     /// whole injection tick's worth of elements.
     pub fn record_adds(&self, ids: impl IntoIterator<Item = ElementId>, at: SimTime) {
+        let at = encode_added(at);
         let mut inner = self.inner.lock();
         for id in ids {
             inner.added.insert_if_absent(id, at);
@@ -147,6 +165,7 @@ impl SetchainTrace {
             .added
             .iter()
             .map(|(id, &added_at)| {
+                let added_at = decode_added(added_at);
                 let epoch = inner.element_epoch.get(&id).map(|e| u64::from(e.get()));
                 let committed_at = epoch.and_then(|e| inner.epoch_committed.get(&e).copied());
                 ElementRecord {
@@ -266,6 +285,26 @@ mod tests {
     #[should_panic(expected = "2^32 epochs exceed any run")]
     fn an_epoch_past_u32_is_refused() {
         SetchainTrace::new().record_epoch_assignment(id(1), 1 << 32);
+    }
+
+    #[test]
+    fn add_times_at_both_ends_come_back_unchanged() {
+        let trace = SetchainTrace::new();
+        let late = SimTime(u64::MAX - 1);
+        trace.record_add(id(1), SimTime::ZERO);
+        trace.record_adds([id(2)], late);
+        let added: Vec<_> = trace
+            .element_records()
+            .iter()
+            .map(|r| (r.id, r.added_at))
+            .collect();
+        assert_eq!(added, vec![(id(1), SimTime::ZERO), (id(2), late)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "an add time below SimTime(u64::MAX)")]
+    fn the_last_instant_is_refused_as_an_add_time() {
+        SetchainTrace::new().record_add(id(1), SimTime(u64::MAX));
     }
 
     #[test]

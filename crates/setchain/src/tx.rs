@@ -6,6 +6,16 @@
 //! hash-batches.
 //! A single enum covers all of them so that any algorithm can run on the
 //! same ledger deployment type.
+//!
+//! Every committed block's transaction list lives until the run ends (block
+//! sync serves it), so a transaction slot is paid once per element per run
+//! in Vanilla. The two large variants, the epoch-proof (88 B) and the
+//! hash-batch (144 B), therefore sit behind `Arc`s: a slot is 48 B, the
+//! size of an [`Element`] plus the tag, where inline they would make every
+//! slot 152 B. The
+//! ledger clones transactions freely (mempool, gossip, proposals, blocks),
+//! and with `Arc` each clone stays a refcount bump; a `Box` would allocate
+//! on every clone of a hash-batch.
 
 use std::sync::Arc;
 
@@ -107,17 +117,25 @@ impl HashBatch {
 }
 
 /// A ledger transaction produced by a Setchain server.
+///
+/// The epoch-proof and the hash-batch are behind `Arc`s so that a
+/// transaction is no larger than an element or a compressed batch (see the
+/// module docs): every committed block keeps its list for the run.
 #[derive(Clone, Debug)]
 pub enum SetchainTx {
     /// A single element (Vanilla).
     Element(Element),
     /// An epoch-proof appended directly to the ledger (Vanilla).
-    Proof(EpochProof),
+    Proof(Arc<EpochProof>),
     /// A compressed batch of elements and proofs (Compresschain).
     Compressed(CompressedBatch),
     /// A signed batch hash (Hashchain).
-    HashBatch(HashBatch),
+    HashBatch(Arc<HashBatch>),
 }
+
+// One slot per Vanilla element stays in a committed block for the run; keep
+// it the size of an element plus the tag.
+const _: () = assert!(std::mem::size_of::<SetchainTx>() <= 48);
 
 // Tags keep the id spaces of the four transaction kinds disjoint.
 const TAG_ELEMENT: u128 = 1 << 120;
@@ -182,9 +200,9 @@ mod tests {
         };
         let ids = [
             SetchainTx::Element(e).tx_id(),
-            SetchainTx::Proof(proof).tx_id(),
+            SetchainTx::Proof(proof.into()).tx_id(),
             SetchainTx::Compressed(cb).tx_id(),
-            SetchainTx::HashBatch(hb).tx_id(),
+            SetchainTx::HashBatch(hb.into()).tx_id(),
         ];
         for i in 0..ids.len() {
             for j in i + 1..ids.len() {
@@ -201,9 +219,9 @@ mod tests {
         let e = Element::new(&client, ElementId::new(0, 1), 438, 1);
         assert_eq!(SetchainTx::Element(e).wire_size(), 438);
         let proof = make_epoch_proof(&server, 1, &[e]);
-        assert_eq!(SetchainTx::Proof(proof).wire_size(), 139);
+        assert_eq!(SetchainTx::Proof(proof.into()).wire_size(), 139);
         let hb = HashBatch::new(&server, sha512(b"x"));
-        assert_eq!(SetchainTx::HashBatch(hb).wire_size(), 139);
+        assert_eq!(SetchainTx::HashBatch(hb.into()).wire_size(), 139);
         let cb = CompressedBatch {
             origin: server.id,
             seq: 0,
@@ -245,9 +263,29 @@ mod tests {
         let s0 = reg.lookup(ProcessId::server(0)).unwrap();
         let s1 = reg.lookup(ProcessId::server(1)).unwrap();
         let h = sha512(b"same batch");
-        let a = SetchainTx::HashBatch(HashBatch::new(&s0, h));
-        let b = SetchainTx::HashBatch(HashBatch::new(&s1, h));
+        let a = SetchainTx::HashBatch(HashBatch::new(&s0, h).into());
+        let b = SetchainTx::HashBatch(HashBatch::new(&s1, h).into());
         assert_ne!(a.tx_id(), b.tx_id());
+    }
+
+    #[test]
+    fn clones_share_the_proof_and_the_hash_batch() {
+        let reg = registry();
+        let server = reg.lookup(ProcessId::server(0)).unwrap();
+        let proof = SetchainTx::Proof(make_epoch_proof(&server, 1, &[]).into());
+        let hb = SetchainTx::HashBatch(HashBatch::new(&server, sha512(b"shared")).into());
+        match (&proof, proof.clone(), &hb, hb.clone()) {
+            (
+                SetchainTx::Proof(a),
+                SetchainTx::Proof(b),
+                SetchainTx::HashBatch(c),
+                SetchainTx::HashBatch(d),
+            ) => {
+                assert!(Arc::ptr_eq(a, &b), "a cloned proof copies nothing");
+                assert!(Arc::ptr_eq(c, &d), "a cloned hash-batch copies nothing");
+            }
+            _ => unreachable!("clones keep their variant"),
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub(crate) fn finalize_block(
     // 1. Extract the valid epoch-proofs of the block.
     for tx in block.txs.iter() {
         if let SetchainTx::Proof(p) = tx {
-            core.ingest_proof(*p, now, ctx);
+            core.ingest_proof(**p, now, ctx);
         }
     }
     // 2. The valid elements of the block that are not yet in an epoch
@@ -101,7 +101,7 @@ pub(crate) fn finalize_block(
     );
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
     let proof = core.create_epoch(&batch, true, ctx);
-    ctx.append(SetchainTx::Proof(proof));
+    ctx.append(SetchainTx::Proof(proof.into()));
 }
 
 /// The elements of `block`, in block order.
