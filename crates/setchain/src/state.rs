@@ -6,10 +6,9 @@
 //! epoch's elements as a [`Batch`], its digest and the epoch-proofs received
 //! for it. `epoch` is the number of records.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use setchain_crypto::Digest512;
+use setchain_crypto::{fmix64, Digest512, FxHashSet};
 
 use crate::collector::Batch;
 use crate::element::{Element, ElementId};
@@ -209,44 +208,36 @@ impl SetchainState {
 
     /// Property 5 (Unique-Epoch): epochs are pairwise disjoint.
     pub fn check_unique_epoch(&self) -> bool {
-        let mut seen = HashSet::new();
-        for g in &self.epochs {
-            for e in &g.batch.elements {
-                if !seen.insert(e.id) {
-                    return false;
-                }
-            }
-        }
-        true
+        let mut seen = id_set(self.stamped as usize);
+        self.epochs
+            .iter()
+            .all(|g| g.batch.elements.iter().all(|e| seen.insert(fmix64(e.id.0))))
     }
 
     /// Property 6 (Consistent-Gets) between two servers: the common prefix of
     /// epochs must be identical (as sets).
     pub fn check_consistent_with(&self, other: &SetchainState) -> bool {
-        let common = self.epoch().min(other.epoch());
-        for i in 1..=common {
-            let a: HashSet<ElementId> = self
-                .epoch_elements(i)
-                .expect("epoch in range")
-                .iter()
-                .map(|e| e.id)
-                .collect();
-            let b: HashSet<ElementId> = other
-                .epoch_elements(i)
-                .expect("epoch in range")
-                .iter()
-                .map(|e| e.id)
-                .collect();
-            if a != b {
-                return false;
-            }
-        }
-        true
+        let ids = |state: &SetchainState, i| {
+            let elements = state.epoch_elements(i).expect("epoch in range");
+            let mut set = id_set(elements.len());
+            set.extend(elements.iter().map(|e| fmix64(e.id.0)));
+            set
+        };
+        (1..=self.epoch().min(other.epoch())).all(|i| ids(self, i) == ids(other, i))
     }
+}
+
+/// A presized set of element ids, each keyed as its [`fmix64`] image: a
+/// bijection, so the set's verdicts are the ids', and the full avalanche
+/// keeps sender-chosen ids with equal sequence numbers apart under FxHash.
+fn id_set(capacity: usize) -> FxHashSet<u64> {
+    FxHashSet::with_capacity_and_hasher(capacity, Default::default())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::element::ElementId;
     use crate::proofs::{epoch_hash, make_epoch_proof};

@@ -127,13 +127,19 @@ fn epochs_are_identical_across_servers_for_all_algorithms() {
     }
 }
 
-/// Compresschain and Hashchain turn one batch into one epoch, and the run
-/// holds each batch once (the committed block, `hash_to_batch`). A clean run
-/// filters nothing out of any batch, so every server's epoch must be that
-/// one allocation rather than a per-server copy.
+/// Every algorithm turns one batch into one epoch, and the run holds each
+/// batch once (Hashchain's `hash_to_batch`, Compresschain's committed block,
+/// the memo of Vanilla's committed block). A clean run filters nothing out
+/// of any batch, so every server's epoch must be that one allocation rather
+/// than a per-server copy; `check_setchain_invariants` recomputes no digest
+/// for such an epoch.
 #[test]
 fn whole_batch_epochs_share_one_allocation_across_servers() {
-    for algorithm in [Algorithm::Hashchain, Algorithm::Compresschain] {
+    for algorithm in [
+        Algorithm::Hashchain,
+        Algorithm::Compresschain,
+        Algorithm::Vanilla,
+    ] {
         let deployment = run(algorithm, 505).deployment;
         check_setchain_invariants(&deployment)
             .unwrap_or_else(|e| panic!("{algorithm}: Setchain property violated: {e}"));
