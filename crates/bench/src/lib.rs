@@ -11,7 +11,8 @@
 //!   a debug build. `tests/paper_results.rs` regenerates it and the
 //!   analytic section and compares them byte for byte with the file.
 //! * [`full_section`]: the 52 distinct [`SHAPES`] at the [`FULL`] scale,
-//!   30-42 s in release on 2 cores (56-61 s with a per-server checker).
+//!   28-33 s in release on 2 cores, 3.4-3.9 s of it in the invariant
+//!   checker.
 //!
 //! The `paper` bin writes all three:
 //!

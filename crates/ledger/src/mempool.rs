@@ -164,8 +164,6 @@ pub struct Mempool<T> {
     bytes: usize,
     max_txs: usize,
     max_bytes: usize,
-    /// Peak number of transactions held at once (reported by experiments).
-    peak_len: usize,
 }
 
 impl<T: TxData> Mempool<T> {
@@ -178,7 +176,6 @@ impl<T: TxData> Mempool<T> {
             bytes: 0,
             max_txs,
             max_bytes,
-            peak_len: 0,
         }
     }
 
@@ -195,11 +192,6 @@ impl<T: TxData> Mempool<T> {
     /// Total bytes of pending transactions.
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// Largest number of transactions ever pending at once.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
     }
 
     /// True if `id` is pending or already committed.
@@ -223,7 +215,6 @@ impl<T: TxData> Mempool<T> {
         self.bytes += size;
         self.present.insert(id);
         self.queue.push_back(tx);
-        self.peak_len = self.peak_len.max(self.queue.len());
         Ok(())
     }
 
@@ -380,18 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_len_tracks_high_water_mark() {
-        let mut mp = Mempool::new(100, 10_000);
-        for i in 0..7u128 {
-            mp.push(Tx(i, 10)).unwrap();
-        }
-        mp.remove_committed((0..7u128).map(TxId).collect::<Vec<_>>().iter());
-        assert_eq!(mp.len(), 0);
-        assert!(mp.is_empty());
-        assert_eq!(mp.peak_len(), 7);
-    }
-
-    #[test]
     fn empty_remove_is_noop() {
         let mut mp: Mempool<Tx> = Mempool::new(10, 100);
         mp.remove_committed(std::iter::empty());
@@ -481,7 +460,6 @@ mod tests {
         struct Model {
             queue: VecDeque<(u128, usize)>,
             committed: BTreeSet<u128>,
-            peak_len: usize,
         }
 
         impl Model {
@@ -502,7 +480,6 @@ mod tests {
                     Err(MempoolRejection::FullByBytes)
                 } else {
                     self.queue.push_back((id, size));
-                    self.peak_len = self.peak_len.max(self.queue.len());
                     Ok(())
                 }
             }
@@ -539,7 +516,7 @@ mod tests {
 
             /// Against the model: every `push` result, `contains` on the
             /// drawn id and its neighbours, `reap` order, `len`, `bytes`,
-            /// `committed_count` and `peak_len` after every op.
+            /// and `committed_count` after every op.
             #[test]
             fn prop_matches_model(
                 ops in proptest::collection::vec((0u8..8, 0u8..4, 0u8..200, 1usize..60), 1..80),
@@ -582,7 +559,6 @@ mod tests {
                     prop_assert_eq!(mp.present.len(), model.queue.len());
                     prop_assert_eq!(mp.bytes(), model.bytes());
                     prop_assert_eq!(mp.committed_count(), model.committed.len());
-                    prop_assert_eq!(mp.peak_len(), model.peak_len);
                 }
                 let queued: Vec<u128> = mp.reap(usize::MAX).iter().map(|tx| tx.0).collect();
                 prop_assert_eq!(queued, model.reap(usize::MAX));

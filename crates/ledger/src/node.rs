@@ -227,11 +227,6 @@ impl<A: Application> LedgerNode<A> {
         self.mempool.len()
     }
 
-    /// Peak mempool occupancy.
-    pub fn mempool_peak(&self) -> usize {
-        self.mempool.peak_len()
-    }
-
     /// The committed block at `height`, if this node has committed it.
     pub fn committed_block(&self, height: u64) -> Option<&Block<A::Tx>> {
         self.committed.get(&height).map(|(b, _)| b)

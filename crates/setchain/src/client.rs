@@ -5,15 +5,14 @@
 //! epoch is correct: it asks for the epoch contents and the proofs the server
 //! holds for it, and accepts if at least `f + 1` proofs from distinct servers
 //! verify against the contents — at least one of them comes from a correct
-//! server.
+//! server. [`verify_epoch`] hashes the contents once and counts the proofs
+//! through `proofs::count_epoch_signers`, the one quorum rule.
 
-use std::collections::HashSet;
-
-use setchain_crypto::{KeyRegistry, ProcessId};
+use setchain_crypto::KeyRegistry;
 use setchain_simnet::SimDuration;
 
 use crate::element::Element;
-use crate::proofs::{verify_epoch_proof, EpochProof};
+use crate::proofs::{count_epoch_signers, epoch_hash, EpochProof};
 
 /// Per-missing-proof wait used to compute the
 /// [`NotEnoughProofs`](EpochVerification::NotEnoughProofs) retry-after hint.
@@ -70,7 +69,8 @@ impl EpochVerification {
 /// `servers` is the deployment size `n` and `f` the assumed maximum number of
 /// Byzantine servers; proofs from outside the server set, with invalid
 /// signatures, for a different epoch number, or duplicated signers are all
-/// ignored.
+/// ignored. The epoch's digest is computed once, whatever the number of
+/// proofs.
 pub fn verify_epoch(
     registry: &KeyRegistry,
     servers: usize,
@@ -79,24 +79,15 @@ pub fn verify_epoch(
     elements: &[Element],
     proofs: &[EpochProof],
 ) -> EpochVerification {
-    let mut valid_signers: HashSet<ProcessId> = HashSet::new();
-    for proof in proofs {
-        if proof.epoch != epoch {
-            continue;
-        }
-        if verify_epoch_proof(registry, servers, proof, elements) {
-            valid_signers.insert(proof.signer);
-        }
-    }
+    let digest = epoch_hash(epoch, elements);
+    let valid_proofs = count_epoch_signers(registry, servers, epoch, &digest, proofs);
     let required = f + 1;
-    if valid_signers.len() >= required {
-        EpochVerification::Verified {
-            valid_proofs: valid_signers.len(),
-        }
+    if valid_proofs >= required {
+        EpochVerification::Verified { valid_proofs }
     } else {
-        let missing = (required - valid_signers.len()) as u64;
+        let missing = (required - valid_proofs) as u64;
         EpochVerification::NotEnoughProofs {
-            valid_proofs: valid_signers.len(),
+            valid_proofs,
             required,
             retry_after: RETRY_AFTER_PER_MISSING_PROOF * missing,
         }
@@ -108,7 +99,7 @@ mod tests {
     use super::*;
     use crate::element::{Element, ElementId};
     use crate::proofs::make_epoch_proof;
-    use setchain_crypto::Signature;
+    use setchain_crypto::{ProcessId, Signature};
 
     fn setup(n: usize) -> (KeyRegistry, Vec<Element>) {
         let reg = KeyRegistry::bootstrap(21, n, 2);

@@ -107,12 +107,6 @@ impl StoreConfig {
             checkpoint_every: 0,
         }
     }
-
-    /// Sets the segment rotation budget.
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes;
-        self
-    }
 }
 
 /// Per-client admission quotas (see [`crate::quota`]).
@@ -280,8 +274,6 @@ mod tests {
         let store = StoreConfig::new("/tmp/setchain");
         assert_eq!(store.dir, "/tmp/setchain");
         assert_eq!(store.segment_bytes, 8 << 20);
-        let tuned = StoreConfig::new("d").with_segment_bytes(1024);
-        assert_eq!(tuned.segment_bytes, 1024);
     }
 
     #[test]

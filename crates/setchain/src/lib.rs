@@ -92,8 +92,7 @@ pub use idmap::IdMap;
 pub use messages::{GetSnapshot, SetchainMsg};
 pub use proofs::{
     epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof, make_epoch_proof_with_key,
-    prove_epoch_inclusion, verify_epoch_proof, ElementProof, EpochInclusionProof, EpochProof,
-    BATCH_CHUNK,
+    prove_epoch_inclusion, ElementProof, EpochInclusionProof, EpochProof, BATCH_CHUNK,
 };
 pub use quota::{QuotaState, QuotaVerdict, PENDING_RETRY};
 pub use server::{ServerCore, ServerStats};

@@ -4,7 +4,9 @@
 //! disseminated through the ledger (directly in Vanilla, inside batches in
 //! Compresschain and Hashchain) and a client that collects `f + 1` consistent
 //! proofs for an epoch knows at least one correct server vouches for it
-//! (Property 8, Valid-Epoch).
+//! (Property 8, Valid-Epoch). `count_epoch_signers` is that rule, written
+//! once: the light client's [`crate::verify_epoch`] and
+//! [`EpochInclusionProof::verify`] both count through it.
 //!
 //! This module also owns the epoch-root format: the chunked Merkle tree
 //! over an epoch's elements that the epoch digest commits to, and the
@@ -208,19 +210,9 @@ impl EpochInclusionProof {
         element: &Element,
         proofs: &[EpochProof],
     ) -> bool {
-        if !self.element.verify(element, &self.root) {
-            return false;
-        }
         let digest = epoch_hash_for_root(self.epoch, self.count, &self.root);
-        let mut signers = std::collections::HashSet::new();
-        for proof in proofs {
-            if proof.epoch == self.epoch
-                && verify_epoch_proof_digest(registry, servers, proof, &digest)
-            {
-                signers.insert(proof.signer);
-            }
-        }
-        signers.len() > f
+        self.element.verify(element, &self.root)
+            && count_epoch_signers(registry, servers, self.epoch, &digest, proofs) > f
     }
 }
 
@@ -278,20 +270,10 @@ pub fn make_epoch_proof_with_key(
     }
 }
 
-/// The paper's `valid_proof(j, p, w, history[j])`: checks that `proof` is a
-/// valid signature by its claimed signer over the hash of `elements` for its
-/// claimed epoch, and that the signer is one of the `n` Setchain servers.
-pub fn verify_epoch_proof(
-    registry: &KeyRegistry,
-    servers: usize,
-    proof: &EpochProof,
-    elements: &[Element],
-) -> bool {
-    verify_epoch_proof_digest(registry, servers, proof, &epoch_hash(proof.epoch, elements))
-}
-
-/// [`verify_epoch_proof`] against a cached epoch digest: same verdict, no
-/// re-hash of the epoch elements.
+/// The paper's `valid_proof(j, p, w, history[j])` against the epoch's digest
+/// ([`epoch_hash`] of `history[j]`): checks that `proof` is a valid signature
+/// by its claimed signer over `digest`, and that the signer is one of the `n`
+/// Setchain servers. The caller matches `proof.epoch` to the digest's epoch.
 pub fn verify_epoch_proof_digest(
     registry: &KeyRegistry,
     servers: usize,
@@ -305,6 +287,32 @@ pub fn verify_epoch_proof_digest(
         return false;
     }
     verify(registry, digest.as_bytes(), &proof.signature)
+}
+
+/// The Valid-Epoch quorum count: the number of distinct servers among
+/// `proofs` whose proof for `epoch` verifies against `digest` through
+/// [`verify_epoch_proof_digest`]. A client trusts the epoch once this exceeds
+/// `f`. Proofs for another epoch are skipped, and so is every later proof
+/// by a signer already counted, so each counted signer's signature is
+/// verified once.
+pub(crate) fn count_epoch_signers(
+    registry: &KeyRegistry,
+    servers: usize,
+    epoch: u64,
+    digest: &Digest512,
+    proofs: &[EpochProof],
+) -> usize {
+    // At most `servers` entries: a linear scan beats hashing them.
+    let mut signers: Vec<ProcessId> = Vec::new();
+    for proof in proofs {
+        if proof.epoch == epoch
+            && !signers.contains(&proof.signer)
+            && verify_epoch_proof_digest(registry, servers, proof, digest)
+        {
+            signers.push(proof.signer);
+        }
+    }
+    signers.len()
 }
 
 #[cfg(test)]
@@ -330,7 +338,12 @@ mod tests {
         assert_eq!(proof.epoch, 3);
         assert_eq!(proof.signer, ProcessId::server(1));
         assert_eq!(proof.wire_size(), 139);
-        assert!(verify_epoch_proof(&reg, 4, &proof, &elements));
+        assert!(verify_epoch_proof_digest(
+            &reg,
+            4,
+            &proof,
+            &epoch_hash(proof.epoch, &elements)
+        ));
     }
 
     #[test]
@@ -341,9 +354,19 @@ mod tests {
         // Different epoch number.
         let mut wrong_epoch = proof;
         wrong_epoch.epoch = 4;
-        assert!(!verify_epoch_proof(&reg, 4, &wrong_epoch, &elements));
+        assert!(!verify_epoch_proof_digest(
+            &reg,
+            4,
+            &wrong_epoch,
+            &epoch_hash(wrong_epoch.epoch, &elements)
+        ));
         // Different element set.
-        assert!(!verify_epoch_proof(&reg, 4, &proof, &elements[..9]));
+        assert!(!verify_epoch_proof_digest(
+            &reg,
+            4,
+            &proof,
+            &epoch_hash(proof.epoch, &elements[..9])
+        ));
     }
 
     #[test]
@@ -351,18 +374,38 @@ mod tests {
         let (reg, elements) = setup();
         let client = reg.lookup(ProcessId::client(0)).unwrap();
         let proof_by_client = make_epoch_proof(&client, 1, &elements);
-        assert!(!verify_epoch_proof(&reg, 4, &proof_by_client, &elements));
+        assert!(!verify_epoch_proof_digest(
+            &reg,
+            4,
+            &proof_by_client,
+            &epoch_hash(proof_by_client.epoch, &elements)
+        ));
 
         let server = reg.lookup(ProcessId::server(1)).unwrap();
         let mut mismatched = make_epoch_proof(&server, 1, &elements);
         mismatched.signer = ProcessId::server(2);
-        assert!(!verify_epoch_proof(&reg, 4, &mismatched, &elements));
+        assert!(!verify_epoch_proof_digest(
+            &reg,
+            4,
+            &mismatched,
+            &epoch_hash(mismatched.epoch, &elements)
+        ));
 
         // Signer outside the server set of this deployment.
         let outsider = reg.lookup(ProcessId::server(3)).unwrap();
         let proof = make_epoch_proof(&outsider, 1, &elements);
-        assert!(!verify_epoch_proof(&reg, 3, &proof, &elements));
-        assert!(verify_epoch_proof(&reg, 4, &proof, &elements));
+        assert!(!verify_epoch_proof_digest(
+            &reg,
+            3,
+            &proof,
+            &epoch_hash(proof.epoch, &elements)
+        ));
+        assert!(verify_epoch_proof_digest(
+            &reg,
+            4,
+            &proof,
+            &epoch_hash(proof.epoch, &elements)
+        ));
     }
 
     #[test]
@@ -438,6 +481,63 @@ mod tests {
         assert!(!wrong_root.verify(&reg, 4, 1, &elements[0], &proofs));
         // Absent ids have no proof.
         assert!(prove_epoch_inclusion(3, &elements, ElementId::new(7, 7)).is_none());
+    }
+
+    #[test]
+    fn the_quorum_counts_each_valid_server_signer_once() {
+        use crate::client::{verify_epoch, EpochVerification, RETRY_AFTER_PER_MISSING_PROOF};
+        use setchain_crypto::Signature;
+
+        // n = 3 of the registry's four servers, f = 1: server 3 is outside.
+        let (reg, elements) = setup();
+        let (n, f, epoch) = (3, 1, 3);
+        let digest = epoch_hash(epoch, &elements);
+        let by = |id: ProcessId| make_epoch_proof(&reg.lookup(id).unwrap(), epoch, &elements);
+        let (s0, s1) = (by(ProcessId::server(0)), by(ProcessId::server(1)));
+        let other_epoch = make_epoch_proof_for_digest(&reg.lookup(s0.signer).unwrap(), 4, &digest);
+        let forged = EpochProof {
+            signature: Signature::forged(ProcessId::server(2)),
+            ..by(ProcessId::server(2))
+        };
+        let mislabelled = EpochProof {
+            signer: ProcessId::server(2),
+            ..s1
+        };
+        let cases: [(&str, Vec<EpochProof>, usize); 8] = [
+            ("one signer", vec![s0], 1),
+            ("one signer three times", vec![s0, s0, s0], 1),
+            ("a proof for another epoch", vec![other_epoch], 0),
+            ("a client signer", vec![by(ProcessId::client(0))], 0),
+            ("a server index >= n", vec![by(ProcessId::server(3))], 0),
+            ("signature.signer != signer", vec![mislabelled], 0),
+            ("a forged signature", vec![forged], 0),
+            (
+                "every rejected proof, then two signers",
+                vec![forged, mislabelled, s1, s0, s1],
+                2,
+            ),
+        ];
+        for (case, proofs, want) in cases {
+            let got = count_epoch_signers(&reg, n, epoch, &digest, &proofs);
+            assert_eq!(got, want, "{case}");
+        }
+
+        // At f + 1 distinct valid signers both light-client checks accept.
+        let quorum = [forged, mislabelled, s0, s1];
+        let verdict = verify_epoch(&reg, n, f, epoch, &elements, &quorum);
+        assert_eq!(verdict, EpochVerification::Verified { valid_proofs: 2 });
+        let inclusion = prove_epoch_inclusion(epoch, &elements, elements[0].id).unwrap();
+        assert!(inclusion.verify(&reg, n, f, &elements[0], &quorum));
+        // At f they do not, and the retry hint is one missing proof's wait.
+        let short = [forged, mislabelled, s0, s0];
+        let verdict = verify_epoch(&reg, n, f, epoch, &elements, &short);
+        let want = EpochVerification::NotEnoughProofs {
+            valid_proofs: 1,
+            required: 2,
+            retry_after: RETRY_AFTER_PER_MISSING_PROOF,
+        };
+        assert_eq!(verdict, want);
+        assert!(!inclusion.verify(&reg, n, f, &elements[0], &short));
     }
 
     /// `n` elements of client `client`, in id order.

@@ -86,14 +86,6 @@ pub struct ServerStats {
     pub store_bytes: u64,
 }
 
-impl ServerStats {
-    /// Total rejected client adds across every cause (the pre-split
-    /// `adds_rejected` rollup).
-    pub fn adds_rejected(&self) -> u64 {
-        self.adds_rejected_invalid + self.adds_rejected_duplicate + self.adds_rejected_quota
-    }
-}
-
 /// Everything a [`SetchainServer`](crate::SetchainServer) holds that does not
 /// depend on the algorithm it runs.
 pub struct ServerCore {
@@ -772,9 +764,8 @@ impl ServerCore {
     }
 
     /// The paper's `valid_proof` signer/signature checks against an
-    /// already-computed digest, through the per-signer schedule cache:
-    /// semantically [`crate::verify_epoch_proof`] with the epoch hash
-    /// replaced by `digest`.
+    /// already-computed digest, through the per-signer schedule cache: same
+    /// verdict as [`crate::proofs::verify_epoch_proof_digest`].
     pub fn proof_valid_digest(&mut self, proof: &EpochProof, digest: &Digest512) -> bool {
         proof.signature.signer == proof.signer
             && self.config.is_server(proof.signer)
@@ -783,9 +774,10 @@ impl ServerCore {
                 .verify(&self.registry, digest.as_bytes(), &proof.signature)
     }
 
-    /// The paper's `valid_hash(h, s, w)` through the per-signer schedule
-    /// cache: same verdict as [`HashBatch::is_valid`], without rebuilding
-    /// the signer's HMAC key pads per hash-batch.
+    /// The paper's `valid_hash(h, s, w)`: the hash-batch's signature must be
+    /// a valid signature by its claimed signer `w`, a server of this
+    /// deployment, over `h`. Checked through the per-signer schedule cache,
+    /// so the signer's HMAC key pads are not rebuilt per hash-batch.
     pub fn hash_batch_valid(&mut self, hb: &HashBatch) -> bool {
         self.config.is_server(hb.signer)
             && hb.signature.signer == hb.signer
@@ -1092,6 +1084,38 @@ pub(crate) mod tests {
         sim.step();
         let node = sim.process::<LedgerNode<CtxProbe<F>>>(id).unwrap();
         assert!(node.app().0.is_none(), "the test body never ran");
+    }
+
+    #[test]
+    fn hash_batch_validation() {
+        // Four servers' keys in a three-server deployment: server 3's
+        // signature is genuine, but it is not one of the n signers.
+        let registry = KeyRegistry::bootstrap(11, 4, 2);
+        let mut core = ServerCore::new(
+            registry.lookup(ProcessId::server(0)).unwrap(),
+            registry.clone(),
+            SetchainConfig::new(3),
+            SetchainTrace::new(),
+            ServerByzMode::Correct,
+        );
+        let hash = setchain_crypto::sha512(b"contents");
+        let server = registry.lookup(ProcessId::server(2)).unwrap();
+        let hb = HashBatch::new(&server, hash);
+        assert!(core.hash_batch_valid(&hb));
+        // Signer outside the deployment's server set.
+        let outsider = HashBatch::new(&registry.lookup(ProcessId::server(3)).unwrap(), hash);
+        assert!(!core.hash_batch_valid(&outsider));
+        // Forged signature.
+        let mut forged = hb;
+        forged.signature = Signature::forged(server.id);
+        assert!(!core.hash_batch_valid(&forged));
+        // A client cannot produce a valid hash-batch.
+        let client = registry.lookup(ProcessId::client(0)).unwrap();
+        assert!(!core.hash_batch_valid(&HashBatch::new(&client, hash)));
+        // Mismatched claimed signer.
+        let mut mismatched = hb;
+        mismatched.signer = ProcessId::server(1);
+        assert!(!core.hash_batch_valid(&mismatched));
     }
 
     #[test]

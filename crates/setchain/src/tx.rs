@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use setchain_compress::ChunkedFrame;
-use setchain_crypto::{sign, verify, Digest512, KeyPair, KeyRegistry, ProcessId, Signature};
+use setchain_crypto::{sign, Digest512, KeyPair, ProcessId, Signature};
 use setchain_ledger::{TxData, TxId};
 
 use crate::collector::Batch;
@@ -104,15 +104,6 @@ impl HashBatch {
             signer: keys.id,
             signature: sign(keys, hash.as_bytes()),
         }
-    }
-
-    /// The paper's `valid_hash(h, s, w)`: the signature must be a valid
-    /// signature by `w` (a server of this deployment) over `h`.
-    pub fn is_valid(&self, registry: &KeyRegistry, servers: usize) -> bool {
-        self.signer.is_server()
-            && self.signer.server_index() < servers
-            && self.signature.signer == self.signer
-            && verify(registry, self.hash.as_bytes(), &self.signature)
     }
 }
 
@@ -232,29 +223,6 @@ mod tests {
         };
         assert_eq!(SetchainTx::Compressed(cb.clone()).wire_size(), 184);
         assert!((cb.ratio() - 438.0 / 160.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hash_batch_validation() {
-        let reg = registry();
-        let server = reg.lookup(ProcessId::server(2)).unwrap();
-        let hb = HashBatch::new(&server, sha512(b"contents"));
-        assert!(hb.is_valid(&reg, 4));
-        // Signer outside the deployment's server set.
-        assert!(!hb.is_valid(&reg, 2));
-        // Forged signature.
-        let mut forged = hb;
-        forged.signature = Signature::forged(server.id);
-        assert!(!forged.is_valid(&reg, 4));
-        // A client cannot produce a valid hash-batch.
-        let client = reg.lookup(ProcessId::client(0)).unwrap();
-        let hb_client = HashBatch::new(&client, sha512(b"contents"));
-        assert!(!hb_client.is_valid(&reg, 4));
-        // Mismatched claimed signer.
-        let other = reg.lookup(ProcessId::server(3)).unwrap();
-        let mut mismatched = HashBatch::new(&server, sha512(b"contents"));
-        mismatched.signer = other.id;
-        assert!(!mismatched.is_valid(&reg, 4));
     }
 
     #[test]

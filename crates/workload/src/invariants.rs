@@ -18,9 +18,11 @@
 //! * **valid proofs**: every held epoch-proof must verify against its
 //!   epoch's digest through [`verify_epoch_proof_digest`], and an epoch
 //!   counted as committed must hold `f + 1` such proofs by distinct servers;
-//! * **light-client inclusion**: for one element of every committed,
-//!   non-empty epoch, an [`EpochInclusionProof`] built from the reference's
-//!   epoch verifies against each server's proofs;
+//! * **light-client inclusion**: for one element of every non-empty
+//!   epoch, the element path of an [`EpochInclusionProof`] built from the
+//!   reference's epoch is checked under its root, once per epoch. That root
+//!   finishes the reference's digest, so the proof's `f + 1` quorum on each
+//!   server is the committed count above, not a second verification;
 //! * **add-before-get**: every element of every reference epoch was added
 //!   by a client. An injection client's element (client index below `n`)
 //!   must have an add record in [`Deployment::trace`]; the trace does not
@@ -56,8 +58,9 @@ pub struct InvariantReport {
     pub committed_epochs: u64,
     /// Epoch-proofs verified against a recomputed digest.
     pub proofs_verified: u64,
-    /// Element→epoch inclusion proofs, built once per epoch, verified per
-    /// server.
+    /// Element→epoch inclusion proofs accepted, summed over servers: the
+    /// path is built and checked once per epoch, and the quorum per server
+    /// (its committed epoch).
     pub inclusion_proofs: u64,
     /// Epoch elements traced back to their add, summed over servers.
     pub adds_before_gets: u64,
@@ -115,6 +118,12 @@ fn check_states(
         if recomputed != *digest {
             return Err(violation(r, "cached digest is not the epoch's hash".into()));
         }
+        if let (Some(inclusion), [first, ..]) = (&inclusion, shared) {
+            if !inclusion.element.verify(first, &inclusion.root) {
+                let what = format!("inclusion proof for {:?} rejected", first.id);
+                return Err(violation(r, what));
+            }
+        }
         for element in shared {
             let added = if (element.id.client_index() as usize) < n {
                 added.binary_search(&element.id).is_ok()
@@ -148,14 +157,7 @@ fn check_states(
                 continue;
             }
             report.committed_epochs += 1;
-            let (Some(inclusion), [element, ..]) = (&inclusion, shared) else {
-                continue;
-            };
-            if !inclusion.verify(registry, n, f, element, proofs) {
-                let what = format!("inclusion proof for {:?} rejected", element.id);
-                return Err(violation(i, what));
-            }
-            report.inclusion_proofs += 1;
+            report.inclusion_proofs += u64::from(inclusion.is_some());
         }
     }
     let quiescent = records.iter().all(|r| r.committed_at.is_some());
