@@ -12,9 +12,10 @@
 //! signature that correct processes accept, and signatures bind the signer
 //! identity to the signed bytes.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
+use crate::fxhash::FxHashMap;
 use crate::hash::sha256;
 use crate::hmac::HmacSha256Key;
 use crate::keys::{KeyPair, KeyRegistry, ProcessId, SecretKey};
@@ -119,10 +120,11 @@ pub fn sign_with(key: &SigningKey, signer: ProcessId, msg: &[u8]) -> Signature {
 /// caveat inherited from every schedule cache in the workspace: verdicts
 /// for *unknown* signers are not cached (a process registered later is
 /// still picked up), but replacing an already-registered key mid-run is
-/// not supported.
+/// not supported. Nothing iterates the schedule table, so its hasher
+/// decides no order.
 #[derive(Default)]
 pub struct SigVerifier {
-    keys: HashMap<ProcessId, SigningKey>,
+    keys: FxHashMap<ProcessId, SigningKey>,
 }
 
 impl SigVerifier {
@@ -134,16 +136,18 @@ impl SigVerifier {
     /// Verifies `sig` over `msg`, resolving the signer's schedule through
     /// `registry` on first use and from the cache afterwards.
     pub fn verify(&mut self, registry: &KeyRegistry, msg: &[u8], sig: &Signature) -> bool {
+        self.check(registry, msg, sig).unwrap_or(false)
+    }
+
+    /// [`Self::verify`], but `None` when the signer is not registered: that
+    /// rejection lasts only until the signer registers, so a caller that
+    /// remembers verdicts must not remember it.
+    pub fn check(&mut self, registry: &KeyRegistry, msg: &[u8], sig: &Signature) -> Option<bool> {
         let key = match self.keys.entry(sig.signer) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let Some(pair) = registry.lookup(sig.signer) else {
-                    return false;
-                };
-                e.insert(SigningKey::new(&pair.secret))
-            }
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(SigningKey::new(&registry.lookup(sig.signer)?.secret)),
         };
-        key.verifies(msg, sig)
+        Some(key.verifies(msg, sig))
     }
 }
 
@@ -314,8 +318,11 @@ mod tests {
         let late = KeyPair::derive(ProcessId::server(9), 555);
         let sig = sign(&late, b"late");
         assert!(!verifier.verify(&reg, b"late", &sig));
+        assert_eq!(verifier.check(&reg, b"late", &sig), None);
         reg.register(late);
         assert!(verifier.verify(&reg, b"late", &sig));
+        assert_eq!(verifier.check(&reg, b"late", &sig), Some(true));
+        assert_eq!(verifier.check(&reg, b"msg", &forged), Some(false));
     }
 
     #[test]

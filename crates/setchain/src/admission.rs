@@ -7,8 +7,11 @@
 //! server checks the HMAC once, at its first arrival, and every later
 //! arrival is a cache probe. The host follows the model, except that for an
 //! element of a shared batch it reads the verdict the batch remembers (see
-//! [`Batch`](crate::collector::Batch)): the first server to miss it
-//! computed it, and every server still counts and pays its own miss.
+//! [`Batch`](crate::collector::Batch)), and every server still counts and
+//! pays its own miss. A Hashchain or Compresschain batch leaves its
+//! origin's collector with every verdict known, since the origin admitted
+//! each element through this cache; a Vanilla block's verdicts are
+//! computed by the first server to miss each element.
 //!
 //! The cache is keyed on the element id and guarded by the full identity
 //! tuple `(client, size, content seed, mac)`: a hit requires *all* of them

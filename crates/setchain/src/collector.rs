@@ -9,12 +9,15 @@
 //! A flushed batch is shared: every server that learns it holds the origin's
 //! `Arc<Batch>`. The batch therefore remembers, for the host, what every
 //! server computes from its bytes alike — its [`epoch_root`], its
-//! [`batch_hash`] and each element's authenticator verdict — so the host
-//! computes each once per batch. The modelled servers still pay for each
-//! of them, at every server.
+//! [`batch_hash`], each element's authenticator verdict and each carried
+//! epoch-proof's signature verdict — so the host computes each once per
+//! run. A flushed batch starts with every element's verdict known: only
+//! elements the origin admitted through `add(e)` reach a collector, and the
+//! origin checked each authenticator there. The modelled servers still pay
+//! for each of them, at every server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, Weak};
 
 use setchain_crypto::{Digest256, Digest512, Sha512};
 use setchain_simnet::SimTime;
@@ -66,9 +69,11 @@ fn hash_for_root(count: usize, root: &Digest256, proofs: &[EpochProof]) -> Diges
 ///
 /// Build one with [`Batch::new`] (or [`Default`]). `Clone` copies the
 /// contents and starts with an empty memo, so a clone can be tampered with
-/// freely. The memo assumes the contents no longer change once it has been
-/// read: a batch is read through it only once it is shared behind an `Arc`,
-/// and debug builds check every read against a fresh computation.
+/// freely; only [`Collector::flush`] hands out a batch whose element
+/// verdicts are known from the start. The memo assumes the contents no
+/// longer change once it has been read: a batch is read through it only
+/// once it is shared behind an `Arc`, and debug builds check every read
+/// against a fresh computation.
 #[derive(Debug, Default)]
 pub struct Batch {
     /// Elements, in collection order.
@@ -80,20 +85,39 @@ pub struct Batch {
 }
 
 /// The host's memo of one batch: each value is computed by the first reader
-/// and read by every later one.
+/// (the element verdicts of a flushed batch, by the origin's admission) and
+/// read by every later one.
 #[derive(Debug, Default)]
 struct Memo {
     root: OnceLock<Digest256>,
     hash: OnceLock<Digest512>,
     /// Two bits per element, 32 elements to a word: bit `2i` says element
     /// `i`'s verdict is known, bit `2i + 1` holds it. Allocated by the first
-    /// verdict read. Atomic because one verdict is added at a time through
-    /// a shared `Arc`.
+    /// verdict read, or filled when the collector flushes the batch.
+    /// Atomic because one verdict is added at a time through a shared
+    /// `Arc`.
     verdicts: OnceLock<Box<[AtomicU64]>>,
+    /// One slot per proof, allocated by the first proof verdict read: the
+    /// epoch batch a server found proof `i` valid against (see
+    /// [`Batch::proof_verdict`]). 16 bytes a proof.
+    proofs: OnceLock<Box<[OnceLock<Weak<Batch>>]>>,
 }
+
+// A carried proof's slot in [`Memo::proofs`] costs 16 bytes.
+const _: () = assert!(std::mem::size_of::<OnceLock<Weak<Batch>>>() <= 16);
 
 /// Elements per word of [`Memo::verdicts`].
 const VERDICTS_PER_WORD: usize = 32;
+
+/// [`Memo::verdicts`] words with each of `count` elements known valid.
+fn all_valid(count: usize) -> Box<[AtomicU64]> {
+    (0..count.div_ceil(VERDICTS_PER_WORD))
+        .map(|word| match count - word * VERDICTS_PER_WORD {
+            n if n >= VERDICTS_PER_WORD => AtomicU64::new(u64::MAX),
+            n => AtomicU64::new((1 << (2 * n)) - 1),
+        })
+        .collect()
+}
 
 impl Clone for Batch {
     fn clone(&self) -> Self {
@@ -170,6 +194,43 @@ impl Batch {
         (verdict, stable)
     }
 
+    /// Proof `i`'s `valid_proof` verdict at a server whose record of the
+    /// proof's epoch is `epoch`: read from the memo if a server holding
+    /// that same allocation found the proof valid, else computed by
+    /// `check`, which returns `None` for a rejection that reflects only a
+    /// missing registry entry.
+    ///
+    /// The allocation is the key because it fixes the digest: a server's
+    /// epoch digest is `epoch_hash_for_root(e, root)` of the batch it
+    /// records, so two servers recording one `Arc` check the proof against
+    /// the same bytes. A server whose epoch is another allocation (a
+    /// filtered `G`, a batch its store replay built) checks in full. Only a
+    /// valid verdict is remembered, once; a rejection is checked at every
+    /// read. Debug builds check a remembered verdict against `check`.
+    pub(crate) fn proof_verdict(
+        &self,
+        i: usize,
+        epoch: &Arc<Batch>,
+        check: impl FnOnce() -> Option<bool>,
+    ) -> bool {
+        let slots = self
+            .memo
+            .proofs
+            .get_or_init(|| (0..self.proofs.len()).map(|_| OnceLock::new()).collect());
+        let slot = &slots[i];
+        if slot.get().is_some_and(|w| w.as_ptr() == Arc::as_ptr(epoch)) {
+            debug_assert_eq!(check(), Some(true), "a proof verdict memo is stale");
+            return true;
+        }
+        let valid = check() == Some(true);
+        if valid {
+            // The weak reference keeps the allocation's address from being
+            // reused by another batch while the slot names it.
+            let _ = slot.set(Arc::downgrade(epoch));
+        }
+        valid
+    }
+
     /// Number of entries (elements plus proofs).
     pub fn len(&self) -> usize {
         self.elements.len() + self.proofs.len()
@@ -214,6 +275,8 @@ pub struct Collector {
     limit: usize,
     current: Batch,
     last_flush: SimTime,
+    /// Every element of `current` came through [`Self::add_admitted`].
+    admitted: bool,
 }
 
 impl Collector {
@@ -224,6 +287,7 @@ impl Collector {
             limit,
             current: Batch::default(),
             last_flush: SimTime::ZERO,
+            admitted: true,
         }
     }
 
@@ -237,8 +301,17 @@ impl Collector {
         self.current.is_empty()
     }
 
-    /// Adds a client element.
+    /// Adds a client element whose authenticator nobody has checked: the
+    /// batch it is flushed in starts with no element verdict known.
     pub fn add_element(&mut self, element: Element) {
+        self.admitted = false;
+        self.current.elements.push(element);
+    }
+
+    /// Adds an element this server admitted through `add(e)`
+    /// ([`ServerCore::accept_add`](crate::ServerCore::accept_add)): its
+    /// authenticator verdict is known, valid and stable.
+    pub(crate) fn add_admitted(&mut self, element: Element) {
         self.current.elements.push(element);
     }
 
@@ -261,10 +334,18 @@ impl Collector {
     /// Drains the collector, returning the batch. Panics if empty (callers
     /// check `is_ready`/`is_timed_out` first, mirroring the algorithm's
     /// `assert batch ≠ ∅`).
+    ///
+    /// When every element was admitted (`Self::add_admitted`), the batch
+    /// starts with each element's verdict known valid, so no server that
+    /// learns it recomputes an authenticator the origin already checked.
     pub fn flush(&mut self, now: SimTime) -> Batch {
         assert!(!self.current.is_empty(), "flushing an empty collector");
         self.last_flush = now;
-        std::mem::take(&mut self.current)
+        let batch = std::mem::take(&mut self.current);
+        if std::mem::replace(&mut self.admitted, true) {
+            let _ = batch.memo.verdicts.set(all_valid(batch.elements.len()));
+        }
+        batch
     }
 }
 
@@ -337,6 +418,52 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_limit_panics() {
         let _ = Collector::new(0);
+    }
+
+    /// The element verdicts `batch`'s memo holds, `None` before any is.
+    fn known_verdicts(batch: &Batch) -> Option<Vec<(bool, bool)>> {
+        let words = batch.memo.verdicts.get()?;
+        let bits = |i: usize| {
+            words[i / VERDICTS_PER_WORD].load(Ordering::Relaxed) >> (2 * (i % VERDICTS_PER_WORD))
+        };
+        Some(
+            (0..batch.elements.len())
+                .map(|i| (bits(i) & 1 != 0, bits(i) & 2 != 0))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn only_a_flush_of_admitted_elements_starts_with_known_verdicts() {
+        // Forty elements fill one verdict word and part of a second.
+        let mut c = Collector::new(40);
+        for i in 0..40 {
+            c.add_admitted(element(i));
+        }
+        let flushed = c.flush(SimTime::ZERO);
+        assert_eq!(known_verdicts(&flushed), Some(vec![(true, true); 40]));
+        let words = flushed.memo.verdicts.get().unwrap();
+        assert_eq!(
+            words[1].load(Ordering::Relaxed),
+            (1 << 16) - 1,
+            "no bit past the last element"
+        );
+
+        // A hand-built batch and a clone know nothing.
+        let built = Batch::new(flushed.elements.clone(), vec![]);
+        assert_eq!(known_verdicts(&built), None);
+        assert_eq!(known_verdicts(&flushed.clone()), None);
+
+        // One element nobody checked leaves its whole batch unknown; the
+        // next batch of admitted elements is known again.
+        c.add_admitted(element(40));
+        c.add_element(element(41));
+        assert_eq!(known_verdicts(&c.flush(SimTime::ZERO)), None);
+        c.add_admitted(element(42));
+        assert_eq!(
+            known_verdicts(&c.flush(SimTime::ZERO)),
+            Some(vec![(true, true)])
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! per run, when the origin builds it: a [`ChunkedFrame`] keeps the frame's
 //! length and decode verdict, not its bytes.
 //! The decoded batch is shared the same way: every server checks its
-//! elements and digests its epoch, and the host computes each element
-//! verdict and the batch root once per run (see
+//! elements and proofs and digests its epoch, and the host computes the
+//! batch root and each proof verdict once per run and takes each element
+//! verdict from the origin's admission (see
 //! [`Batch`](crate::collector::Batch)).
 
 use std::sync::Arc;
@@ -77,7 +78,7 @@ impl Compresschain {
         element: Element,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        self.collector.add_element(element);
+        self.collector.add_admitted(element);
         self.maybe_flush(core, ctx);
     }
 
@@ -179,8 +180,8 @@ impl Compresschain {
                 continue;
             }
             // Valid epoch-proofs of the batch.
-            for p in &cb.batch.proofs {
-                core.ingest_proof(*p, now, ctx);
+            for i in 0..cb.batch.proofs.len() {
+                core.ingest_proof(&cb.batch, i, now, ctx);
             }
             // G: valid elements not yet in an epoch. The block is held once
             // per run, so a whole batch is shared, not copied, into history,

@@ -32,12 +32,16 @@
 //! are ingested and its elements admitted there. Later copies only count
 //! their signer towards `f + 1` (see `Hashchain::handle_hash_batch`).
 //!
-//! Every server that flushes, recovers or is pushed a batch checks it as
-//! the pseudocode does — the batch hash, and each element's authenticator
-//! at its own admission-cache miss — and pays the modelled CPU for it. The
-//! host does each of those computations once per batch: all servers hold the
-//! origin's `Arc<Batch>`, whose memo keeps the hash, its root and the
-//! element verdicts (see [`Batch`]).
+//! Every server checks what the pseudocode checks — each hash-batch's
+//! signature (`valid_hash`), the hash of a batch it flushes, recovers or is
+//! pushed, each element's authenticator at its own admission-cache miss
+//! and each carried epoch-proof — and pays the modelled CPU for it. The
+//! host does each of those computations once per run. All servers hold the
+//! origin's `Arc<Batch>`, whose memo keeps the hash, its root and the proof
+//! verdicts, and starts with every element verdict known, because the
+//! origin admitted each element before collecting it (see [`Batch`]). Every
+//! server's copy of a block shares each `Arc<HashBatch>`, which keeps its
+//! signature verdict (see [`ServerCore::valid_hash`]).
 //!
 //! The "Hashchain light" ablation of Fig. 2 (left) disables hash reversal and
 //! hash-batch validation (all servers assumed correct); batch availability is
@@ -168,7 +172,7 @@ impl HashRecord {
     fn next_to_ask(
         &self,
         hash: Digest512,
-        queue: &VecDeque<HashBatch>,
+        queue: &VecDeque<Arc<HashBatch>>,
         me: ProcessId,
     ) -> Option<ProcessId> {
         let queued = queue
@@ -191,8 +195,8 @@ pub(crate) struct Hashchain {
     /// refcount bumps of a record's batch, never a copy of the contents.
     records: HashMap<Digest512, HashRecord>,
     /// Hash-batches from finalized blocks awaiting processing, in ledger
-    /// order.
-    block_queue: VecDeque<HashBatch>,
+    /// order: each the block's own `Arc`, whose signature verdict is known.
+    block_queue: VecDeque<Arc<HashBatch>>,
     /// The queue head waits on its hash's request, until the contents
     /// arrive or the request gives up.
     paused: bool,
@@ -225,7 +229,7 @@ impl Hashchain {
         element: Element,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        self.collector.add_element(element);
+        self.collector.add_admitted(element);
         self.maybe_flush(core, ctx);
     }
 
@@ -286,14 +290,15 @@ impl Hashchain {
     /// head's contents are unknown.
     fn process_queue(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         while !self.paused {
-            let Some(hb) = self.block_queue.front().copied() else {
+            let Some((hash, signer)) = self.block_queue.front().map(|hb| (hb.hash, hb.signer))
+            else {
                 return;
             };
             // Light mode without contents anywhere counts the signer but
             // consolidates an empty epoch.
-            if self.knows(&hb.hash) || core.config.light {
+            if self.knows(&hash) || core.config.light {
                 self.block_queue.pop_front();
-                self.handle_hash_batch(core, hb, ctx);
+                self.handle_hash_batch(core, hash, signer, ctx);
                 continue;
             }
             // Request_batch(h) from the signer of the hash-batch — unless a
@@ -305,13 +310,13 @@ impl Hashchain {
             // hash-batches prefetched together then overlap instead of
             // serialising, while a merely slow-but-correct signer still gets
             // the same patience the head's own request grants.
-            let rec = self.records.entry(hb.hash).or_default();
+            let rec = self.records.entry(hash).or_default();
             let deadline = if rec.asked.is_empty() {
-                self.ask(core, hb.hash, hb.signer, REQUEST_TIMEOUT, ctx)
+                self.ask(core, hash, signer, REQUEST_TIMEOUT, ctx)
             } else {
                 // The head counts its own signer as the one asked, whoever
                 // the prefetch went to.
-                rec.asked = vec![hb.signer];
+                rec.asked = vec![signer];
                 if ctx.now() >= rec.deadline {
                     // The prefetch has been outstanding for its full
                     // allowance: fall back to another signer or skip the
@@ -374,25 +379,25 @@ impl Hashchain {
     /// is correct and holds the batch, so its signers are asked round after
     /// round until one answers.
     fn fail_request(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let Some(hb) = self.block_queue.front().copied() else {
+        let Some((hash, signer)) = self.block_queue.front().map(|hb| (hb.hash, hb.signer)) else {
             return;
         };
         self.paused = false;
         let me = core.id();
-        let rec = self.records.entry(hb.hash).or_default();
+        let rec = self.records.entry(hash).or_default();
         // The head copy's signer counts now, even if the copy is skipped.
-        let completes = rec.count_signer(hb.signer) >= core.config.proof_quorum();
+        let completes = rec.count_signer(signer) >= core.config.proof_quorum();
         let mut next = None;
         if rec.asked.len() < MAX_REQUEST_RETRIES || completes {
-            next = rec.next_to_ask(hb.hash, &self.block_queue, me);
+            next = rec.next_to_ask(hash, &self.block_queue, me);
             if next.is_none() && completes {
                 // Every signer was asked this round: start the next one.
                 rec.asked.clear();
-                next = rec.next_to_ask(hb.hash, &self.block_queue, me);
+                next = rec.next_to_ask(hash, &self.block_queue, me);
             }
         }
         if let Some(next) = next {
-            let deadline = self.ask(core, hb.hash, next, REQUEST_TIMEOUT, ctx);
+            let deadline = self.ask(core, hash, next, REQUEST_TIMEOUT, ctx);
             self.pause(deadline, ctx);
             return;
         }
@@ -411,9 +416,9 @@ impl Hashchain {
         }
     }
 
-    /// Processes one hash-batch whose position in the ledger order has been
-    /// reached; its record holds no contents only in light mode when they
-    /// are unavailable.
+    /// Processes one hash-batch, `signer`'s copy of `hash`, whose position
+    /// in the ledger order has been reached; its record holds no contents
+    /// only in light mode when they are unavailable.
     ///
     /// A batch's contents are applied once per server, at the first copy of
     /// its hash this server processes: its epoch-proofs are ingested and its
@@ -427,12 +432,13 @@ impl Hashchain {
     fn handle_hash_batch(
         &mut self,
         core: &mut ServerCore,
-        hb: HashBatch,
+        hash: Digest512,
+        signer: ProcessId,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let now = ctx.now();
         let validate = !core.config.light;
-        let rec = self.records.entry(hb.hash).or_default();
+        let rec = self.records.entry(hash).or_default();
 
         if let Some(batch) = &rec.batch {
             // If we had to recover the batch (we are not its origin and have
@@ -440,15 +446,15 @@ impl Hashchain {
             // so the f+1 consolidation quorum can form.
             if !rec.signed {
                 ctx.consume_cpu(core.config.costs.sign);
-                ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hb.hash).into()));
+                ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hash).into()));
                 rec.signed = true;
             }
             if !rec.applied {
                 // Valid epoch-proofs of the batch. Every proof is ingested,
                 // even after one whose epoch is not derived yet.
                 let mut settled = true;
-                for p in &batch.proofs {
-                    settled &= core.ingest_proof(*p, now, ctx);
+                for i in 0..batch.proofs.len() {
+                    settled &= core.ingest_proof(batch, i, now, ctx);
                 }
                 // Valid elements join the_set immediately (they join history
                 // only at consolidation); no candidate vector is
@@ -459,7 +465,7 @@ impl Hashchain {
         }
 
         // Track the signer and consolidate at f + 1.
-        let enough = rec.count_signer(hb.signer) >= core.config.proof_quorum();
+        let enough = rec.count_signer(signer) >= core.config.proof_quorum();
         if enough && !rec.consolidated {
             rec.consolidated = true;
             // A batch whose contents never arrived is an empty epoch.
@@ -489,9 +495,10 @@ impl Hashchain {
                 continue;
             };
             if !core.config.light {
-                // valid_hash(h, s_w, w)
+                // valid_hash(h, s_w, w): every server pays for the check,
+                // and the host reads the verdict the shared `Arc` keeps.
                 ctx.consume_cpu(core.config.costs.verify_signature);
-                if !core.hash_batch_valid(hb) {
+                if !core.valid_hash(hb) {
                     continue;
                 }
                 // Prefetch: start recovering unknown batch contents right
@@ -503,7 +510,7 @@ impl Hashchain {
                     self.ask(core, hb.hash, hb.signer, REQUEST_TIMEOUT * 2, ctx);
                 }
             }
-            self.block_queue.push_back(**hb);
+            self.block_queue.push_back(Arc::clone(hb));
         }
         self.process_queue(core, ctx);
     }
@@ -759,7 +766,7 @@ mod tests {
             let [s1, s2] = [1, 2].map(ProcessId::server);
             for s in [s1, s2] {
                 let keys = registry.lookup(s).unwrap();
-                h.block_queue.push_back(HashBatch::new(&keys, hash));
+                h.block_queue.push_back(HashBatch::new(&keys, hash).into());
             }
             wait_on(&mut h, hash, vec![s1], ctx.now() + REQUEST_TIMEOUT);
 
@@ -786,7 +793,7 @@ mod tests {
             // With no signer left to ask, a lie skips the hash-batch.
             let hash = batch_hash(&elements(registry, 20..30), &[]);
             let keys = registry.lookup(s1).unwrap();
-            h.block_queue.push_back(HashBatch::new(&keys, hash));
+            h.block_queue.push_back(HashBatch::new(&keys, hash).into());
             wait_on(&mut h, hash, vec![s1], ctx.now() + REQUEST_TIMEOUT);
             let batch = Arc::clone(&lie);
             h.on_batch_message(core, s1, SetchainMsg::BatchResponse { hash, batch }, ctx);
@@ -839,7 +846,7 @@ mod tests {
             let [s1, s2, s3] = [1, 2, 3].map(ProcessId::server);
             for s in [s1, s2] {
                 let keys = registry.lookup(s).unwrap();
-                h.block_queue.push_back(HashBatch::new(&keys, hash));
+                h.block_queue.push_back(HashBatch::new(&keys, hash).into());
             }
             // Server 1's copy has run out of signers to ask: it is skipped,
             // but its signer counts.
@@ -895,7 +902,7 @@ mod tests {
             // Asked for, then given up on: server 1's copy was the only one
             // and server 1 was the only signer to ask.
             let keys = registry.lookup(s1).unwrap();
-            h.block_queue.push_back(HashBatch::new(&keys, hash));
+            h.block_queue.push_back(HashBatch::new(&keys, hash).into());
             h.process_queue(core, ctx);
             assert!(h.paused);
             h.fail_request(core, ctx);
@@ -919,7 +926,7 @@ mod tests {
             let [s1, s2] = [1, 2].map(ProcessId::server);
             for s in [s1, s2] {
                 let keys = registry.lookup(s).unwrap();
-                h.block_queue.push_back(HashBatch::new(&keys, hash));
+                h.block_queue.push_back(HashBatch::new(&keys, hash).into());
             }
             // A prefetch to server 1 with time left: the head waits on it
             // and asks no one.
@@ -958,15 +965,13 @@ mod tests {
     fn process_copy(
         h: &mut Hashchain,
         core: &mut ServerCore,
-        registry: &KeyRegistry,
         signer: usize,
         hash: Digest512,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> SimDuration {
-        let keys = registry.lookup(ProcessId::server(signer)).unwrap();
         let before = ctx.cpu_consumed();
         assert!(h.knows(&hash), "contents are known");
-        h.handle_hash_batch(core, HashBatch::new(&keys, hash), ctx);
+        h.handle_hash_batch(core, hash, ProcessId::server(signer), ctx);
         ctx.cpu_consumed() - before
     }
 
@@ -978,7 +983,7 @@ mod tests {
             // Epoch 1 first, so that there is an epoch to carry proofs for.
             let b = know(&mut h, Batch::new(elements(registry, 0..10), vec![]));
             for signer in [1, 2] {
-                process_copy(&mut h, core, registry, signer, b, ctx);
+                process_copy(&mut h, core, signer, b, ctx);
             }
             assert_eq!(core.state.epoch(), 1);
 
@@ -999,7 +1004,7 @@ mod tests {
 
             // The first copy counter-signs, verifies both proofs and
             // validates the elements: eleven cache misses.
-            let first = process_copy(&mut h, core, registry, 1, a, ctx);
+            let first = process_copy(&mut h, core, 1, a, ctx);
             let apply = costs.verify_signature * 2 + costs.validate_cost(count);
             assert_eq!(first, costs.sign + apply);
             assert_eq!(core.stats.proofs_received, 2);
@@ -1010,7 +1015,7 @@ mod tests {
             // The second copy charges only the consolidation: f + 1 = 2
             // signers make epoch 2 out of the ten valid elements. Every
             // verdict is a cache hit, so no validation is charged.
-            let second = process_copy(&mut h, core, registry, 2, a, ctx);
+            let second = process_copy(&mut h, core, 2, a, ctx);
             let stamped = core.state.epoch_elements(2).unwrap();
             assert_eq!(stamped.len(), 10);
             let bytes = stamped.iter().map(|e| e.wire_size()).sum();
@@ -1022,7 +1027,7 @@ mod tests {
             assert_eq!(core.stats.elements_rejected, 2);
 
             // A third copy only adds its signer.
-            let third = process_copy(&mut h, core, registry, 3, a, ctx);
+            let third = process_copy(&mut h, core, 3, a, ctx);
             assert_eq!(third, SimDuration::ZERO);
             assert_eq!(h.records[&a].signers.len(), 3);
             assert_eq!(core.stats.proofs_received, 2);
@@ -1049,19 +1054,19 @@ mod tests {
 
             // Epoch 1 does not exist yet: the proof is rejected and `a`
             // stays unapplied.
-            process_copy(&mut h, core, registry, 1, a, ctx);
+            process_copy(&mut h, core, 1, a, ctx);
             assert_eq!(core.stats.proofs_rejected, 1);
             assert!(!h.records[&a].applied);
 
             // `b` consolidates into epoch 1.
-            process_copy(&mut h, core, registry, 1, b, ctx);
-            process_copy(&mut h, core, registry, 2, b, ctx);
+            process_copy(&mut h, core, 1, b, ctx);
+            process_copy(&mut h, core, 2, b, ctx);
             assert_eq!(core.state.epoch_digest(1), Some(&digest));
 
             // The next copy of `a` applies it again: the proof verifies now,
             // and `a` consolidates into epoch 2. Its elements were checked
             // at the first copy, so every verdict is a cache hit.
-            let retry = process_copy(&mut h, core, registry, 3, a, ctx);
+            let retry = process_copy(&mut h, core, 3, a, ctx);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.state.proof_count(1), 1);
             assert!(h.records[&a].applied);
@@ -1079,7 +1084,7 @@ mod tests {
             );
 
             // After that, copies ingest nothing.
-            let last = process_copy(&mut h, core, registry, 2, a, ctx);
+            let last = process_copy(&mut h, core, 2, a, ctx);
             assert_eq!(last, SimDuration::ZERO);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.stats.proofs_rejected, 1);

@@ -403,7 +403,8 @@ impl ServerCore {
     /// A cache miss on element `i` of a batch. The modelled server checks
     /// the authenticator and caches the verdict exactly as
     /// [`Self::validate_miss`] does; the host reads the verdict the batch
-    /// remembers, computed by the first server that missed it.
+    /// remembers: known since the origin's admission for a flushed batch,
+    /// else computed by the first server that missed it.
     fn validate_batch_miss(&mut self, batch: &Batch, i: usize) -> bool {
         let element = &batch.elements[i];
         let (verdict, cacheable) = batch.verdict(i, || {
@@ -608,10 +609,18 @@ impl ServerCore {
         }
     }
 
-    /// Validates and records an epoch-proof extracted from the ledger
-    /// (the paper's `valid_proof(j, p, w, history[j])` filter). When the
-    /// proof count for the epoch reaches `f + 1`, the commit is reported to
-    /// the experiment trace.
+    /// Validates and records epoch-proof `carrier.proofs[i]`, extracted
+    /// from the ledger (the paper's `valid_proof(j, p, w, history[j])`
+    /// filter). When the proof count for the epoch reaches `f + 1`, the
+    /// commit is reported to the experiment trace.
+    ///
+    /// The carrier is the batch the proof travels in, as the run holds it:
+    /// a Hashchain or Compresschain batch, or Vanilla's block batch, which
+    /// carries the block's `Proof` transactions. Every server pays
+    /// `verify_signature`; the host reads the verdict the carrier remembers
+    /// when this server's record of the epoch is the allocation it was
+    /// computed against, and verifies in full otherwise (see
+    /// `Batch::proof_verdict`).
     ///
     /// Returns `false` only for a proof naming an epoch this server has not
     /// derived yet: it is rejected, but the same bytes may verify once the
@@ -622,18 +631,21 @@ impl ServerCore {
     /// final for these bytes.
     pub fn ingest_proof(
         &mut self,
-        proof: EpochProof,
+        carrier: &Batch,
+        i: usize,
         now: SimTime,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> bool {
         ctx.consume_cpu(self.config.costs.verify_signature);
+        let proof = carrier.proofs[i];
         // The digest of every recorded epoch is cached at creation time, so
         // verifying the up-to-n proofs of an epoch re-hashes nothing.
-        let Some(digest) = self.state.epoch_digest(proof.epoch).copied() else {
+        let Some((epoch, digest)) = self.state.epoch_batch(proof.epoch) else {
             self.stats.proofs_rejected += 1;
             return proof.epoch <= self.state.epoch();
         };
-        if !self.proof_valid_digest(&proof, &digest) {
+        let (epoch, digest) = (Arc::clone(epoch), *digest);
+        if !carrier.proof_verdict(i, &epoch, || self.proof_valid_digest(&proof, &digest)) {
             self.stats.proofs_rejected += 1;
             return true;
         }
@@ -764,35 +776,49 @@ impl ServerCore {
     }
 
     /// The paper's `valid_proof` signer/signature checks against an
-    /// already-computed digest, through the per-signer schedule cache: same
-    /// verdict as [`crate::proofs::verify_epoch_proof_digest`].
-    pub fn proof_valid_digest(&mut self, proof: &EpochProof, digest: &Digest512) -> bool {
-        proof.signature.signer == proof.signer
-            && self.config.is_server(proof.signer)
-            && self
-                .verifier
-                .verify(&self.registry, digest.as_bytes(), &proof.signature)
+    /// already-computed digest, computed afresh through the per-signer
+    /// schedule cache: the verdict of
+    /// [`crate::proofs::verify_epoch_proof_digest`], or `None` when the
+    /// signer is a server of this deployment missing from the registry, a
+    /// rejection that lasts only until it registers. Block processing asks
+    /// it through [`Self::ingest_proof`], which reads the verdict the
+    /// proof's carrier remembers.
+    fn proof_valid_digest(&mut self, proof: &EpochProof, digest: &Digest512) -> Option<bool> {
+        if proof.signature.signer != proof.signer || !self.config.is_server(proof.signer) {
+            return Some(false);
+        }
+        self.verifier
+            .check(&self.registry, digest.as_bytes(), &proof.signature)
     }
 
-    /// The paper's `valid_hash(h, s, w)`: the hash-batch's signature must be
-    /// a valid signature by its claimed signer `w`, a server of this
-    /// deployment, over `h`. Checked through the per-signer schedule cache,
-    /// so the signer's HMAC key pads are not rebuilt per hash-batch.
-    pub fn hash_batch_valid(&mut self, hb: &HashBatch) -> bool {
-        self.config.is_server(hb.signer)
-            && hb.signature.signer == hb.signer
-            && self
-                .verifier
-                .verify(&self.registry, hb.hash.as_bytes(), &hb.signature)
+    /// The paper's `valid_hash(h, s, w)`, computed afresh: the hash-batch's
+    /// signature must be a valid signature by its claimed signer `w`, a
+    /// server of this deployment, over `h`. Checked through the per-signer
+    /// schedule cache, so the signer's HMAC key pads are not rebuilt per
+    /// hash-batch. `None` when the signer is missing from the registry, as
+    /// for [`Self::proof_valid_digest`]. Block processing asks it through
+    /// [`Self::valid_hash`].
+    fn hash_batch_valid(&mut self, hb: &HashBatch) -> Option<bool> {
+        if !self.config.is_server(hb.signer) || hb.signature.signer != hb.signer {
+            return Some(false);
+        }
+        self.verifier
+            .check(&self.registry, hb.hash.as_bytes(), &hb.signature)
+    }
+
+    /// `valid_hash(h, s, w)` as block processing asks it. The host computes
+    /// the verdict once per hash-batch allocation: every server's copy of
+    /// a block shares the transaction's `Arc<HashBatch>`, so one server
+    /// computes it and every other reads it (see `HashBatch::verdict`);
+    /// each still pays `verify_signature` at its call site.
+    pub fn valid_hash(&mut self, hb: &HashBatch) -> bool {
+        hb.verdict(|| self.hash_batch_valid(hb))
     }
 
     /// Signs a hash-batch with this server's precomputed key schedule.
     pub fn make_hash_batch(&self, hash: Digest512) -> HashBatch {
-        HashBatch {
-            hash,
-            signer: self.keys.id,
-            signature: sign_with(&self.own_key, self.keys.id, hash.as_bytes()),
-        }
+        let signature = sign_with(&self.own_key, self.keys.id, hash.as_bytes());
+        HashBatch::signed(hash, self.keys.id, signature)
     }
 
     /// Filters the elements of a batch/block down to the set `G` that forms a
@@ -1086,6 +1112,11 @@ pub(crate) mod tests {
         assert!(node.app().0.is_none(), "the test body never ran");
     }
 
+    /// Ingests `proof` carried alone, in a batch of its own.
+    fn ingest_alone(core: &mut ServerCore, proof: EpochProof, ctx: &mut Ctx<'_, '_, '_>) -> bool {
+        core.ingest_proof(&Batch::new(vec![], vec![proof]), 0, SimTime::ZERO, ctx)
+    }
+
     #[test]
     fn hash_batch_validation() {
         // Four servers' keys in a three-server deployment: server 3's
@@ -1101,21 +1132,21 @@ pub(crate) mod tests {
         let hash = setchain_crypto::sha512(b"contents");
         let server = registry.lookup(ProcessId::server(2)).unwrap();
         let hb = HashBatch::new(&server, hash);
-        assert!(core.hash_batch_valid(&hb));
+        assert!(core.valid_hash(&hb));
         // Signer outside the deployment's server set.
         let outsider = HashBatch::new(&registry.lookup(ProcessId::server(3)).unwrap(), hash);
-        assert!(!core.hash_batch_valid(&outsider));
+        assert!(!core.valid_hash(&outsider));
         // Forged signature.
-        let mut forged = hb;
+        let mut forged = hb.clone();
         forged.signature = Signature::forged(server.id);
-        assert!(!core.hash_batch_valid(&forged));
+        assert!(!core.valid_hash(&forged));
         // A client cannot produce a valid hash-batch.
         let client = registry.lookup(ProcessId::client(0)).unwrap();
-        assert!(!core.hash_batch_valid(&HashBatch::new(&client, hash)));
+        assert!(!core.valid_hash(&HashBatch::new(&client, hash)));
         // Mismatched claimed signer.
-        let mut mismatched = hb;
+        let mut mismatched = hb.clone();
         mismatched.signer = ProcessId::server(1);
-        assert!(!core.hash_batch_valid(&mismatched));
+        assert!(!core.valid_hash(&mismatched));
     }
 
     #[test]
@@ -1125,7 +1156,7 @@ pub(crate) mod tests {
         with_committed_core(|core, _registry, ctx| {
             let held = core.state.proofs_for(2)[1];
             let before = core.state.proof_count(2);
-            assert!(core.ingest_proof(held, SimTime::ZERO, ctx));
+            assert!(ingest_alone(core, held, ctx));
             assert_eq!(core.state.proof_count(2), before);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.stats.proofs_rejected, 0);
@@ -1141,7 +1172,7 @@ pub(crate) mod tests {
             for byte in [0, setchain_crypto::SIGNATURE_LEN - 1] {
                 let mut forged = held;
                 forged.signature.bytes[byte] ^= 1;
-                assert!(core.ingest_proof(forged, SimTime::ZERO, ctx));
+                assert!(ingest_alone(core, forged, ctx));
             }
             assert_eq!(core.stats.proofs_rejected, 2);
             assert_eq!(core.stats.proofs_received, 0);
@@ -1161,10 +1192,10 @@ pub(crate) mod tests {
             let valid = make_epoch_proof_for_digest(&signer, 2, &digest);
             let mut forged = valid;
             forged.signature = Signature::forged(signer.id);
-            core.ingest_proof(forged, SimTime::ZERO, ctx);
+            ingest_alone(core, forged, ctx);
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.state.proof_count(2), 2);
-            core.ingest_proof(valid, SimTime::ZERO, ctx);
+            ingest_alone(core, valid, ctx);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.state.proof_count(2), 3);
         });
@@ -1176,7 +1207,7 @@ pub(crate) mod tests {
             let signer = registry.lookup(ProcessId::server(1)).unwrap();
             let ahead = make_epoch_proof_for_digest(&signer, 9, &epoch_hash(9, &[]));
             // The one verdict that may change later.
-            assert!(!core.ingest_proof(ahead, SimTime::ZERO, ctx));
+            assert!(!ingest_alone(core, ahead, ctx));
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.stats.proofs_received, 0);
             assert_eq!(core.state.proof_count(9), 0);
@@ -1568,6 +1599,123 @@ pub(crate) mod tests {
             assert!(peer.state.contains(&e.id));
             assert_eq!(peer.stats.elements_rejected, 0);
             assert_eq!(peer.admission_cache().misses(), 1);
+        });
+    }
+
+    #[test]
+    fn forgeries_in_their_own_allocations_are_rejected_after_the_honest_verdict() {
+        with_committed_core(|core, registry, ctx| {
+            let signer = registry.lookup(ProcessId::server(2)).unwrap();
+            let mut peer = peer_core(registry, 1);
+
+            // The honest hash-batch's verdict is computed once and read by
+            // the peer; a clone with one signature byte flipped, and one
+            // claiming another hash, are checked afresh and rejected.
+            let honest = Arc::new(HashBatch::new(&signer, setchain_crypto::sha512(b"batch")));
+            assert!(core.valid_hash(&honest));
+            assert!(peer.valid_hash(&honest));
+            let mut forged = HashBatch::clone(&honest);
+            forged.signature.bytes[0] ^= 1;
+            assert!(!peer.valid_hash(&Arc::new(forged)));
+            let mut rehashed = HashBatch::clone(&honest);
+            rehashed.hash = setchain_crypto::sha512(b"another batch");
+            assert!(!peer.valid_hash(&Arc::new(rehashed)));
+
+            // The same for an epoch-proof: the honest carrier's verdict is
+            // remembered; a clone of the carrier with a flipped byte, and a
+            // carrier built around the forgery, are both rejected.
+            let digest = *core.state.epoch_digest(2).unwrap();
+            let carrier = Batch::new(
+                vec![],
+                vec![make_epoch_proof_for_digest(&signer, 2, &digest)],
+            );
+            assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+            assert_eq!(core.stats.proofs_received, 1);
+            let mut cloned = carrier.clone();
+            cloned.proofs[0].signature.bytes[63] ^= 1;
+            let built = Batch::new(vec![], cloned.proofs.clone());
+            for forged in [cloned, built] {
+                assert!(core.ingest_proof(&forged, 0, SimTime::ZERO, ctx));
+            }
+            assert_eq!(core.stats.proofs_rejected, 2);
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(core.state.proof_count(2), 3);
+        });
+    }
+
+    #[test]
+    fn a_proof_verdict_is_reused_only_against_the_same_epoch_batch() {
+        with_core(0, |core, registry, ctx| {
+            let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
+            let whole = Arc::new(Batch::new((0..4).map(valid).collect(), vec![]));
+            core.create_epoch(&whole, true, ctx);
+            // A peer that records the same batch as epoch 1 shares it; one
+            // whose batch lost a duplicate id to filtering records a `G` of
+            // its own, with a digest of its own.
+            let mut sharer = peer_core(registry, 1);
+            sharer.create_epoch(&whole, true, ctx);
+            let mut filtered = peer_core(registry, 2);
+            let twice = Arc::new(Batch::new(vec![valid(0), valid(1), valid(0)], vec![]));
+            filtered.create_epoch(&twice, true, ctx);
+            let digest = *core.state.epoch_digest(1).unwrap();
+            assert_eq!(sharer.state.epoch_digest(1), Some(&digest));
+            assert_ne!(filtered.state.epoch_digest(1), Some(&digest));
+
+            // Server 3's proof, valid for the whole batch's digest alone.
+            let signer = registry.lookup(ProcessId::server(3)).unwrap();
+            let carrier = Batch::new(
+                vec![],
+                vec![make_epoch_proof_for_digest(&signer, 1, &digest)],
+            );
+            for server in [&mut *core, &mut sharer, &mut filtered] {
+                assert!(server.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+            }
+            assert_eq!(core.stats.proofs_received, 1);
+            assert_eq!(sharer.stats.proofs_received, 1);
+            assert_eq!(filtered.stats.proofs_received, 0);
+            assert_eq!(filtered.stats.proofs_rejected, 1);
+            assert_eq!(filtered.state.proof_count(1), 0);
+        });
+    }
+
+    #[test]
+    fn a_rejection_for_a_missing_signer_key_is_not_remembered() {
+        with_core(0, |_, registry, ctx| {
+            // Two servers of a five-server deployment whose server 4
+            // registers late; both record the same batch as epoch 1.
+            let client = registry.lookup(ProcessId::client(0)).unwrap();
+            let e = Element::new(&client, ElementId::new(0, 1), 300, 1);
+            let epoch = Arc::new(Batch::new(vec![e], vec![]));
+            let mut servers = [0, 1].map(|i| {
+                let mut core = ServerCore::new(
+                    registry.lookup(ProcessId::server(i)).unwrap(),
+                    registry.clone(),
+                    SetchainConfig::new(5),
+                    SetchainTrace::new(),
+                    ServerByzMode::Correct,
+                );
+                core.create_epoch(&epoch, true, ctx);
+                core
+            });
+            let late = KeyPair::derive(ProcessId::server(4), 777);
+            let digest = *servers[0].state.epoch_digest(1).unwrap();
+            let hb = Arc::new(HashBatch::new(&late, setchain_crypto::sha512(b"late")));
+            let carrier = Batch::new(vec![], vec![make_epoch_proof_for_digest(&late, 1, &digest)]);
+
+            // Unregistered: each server rejects both, the second one too.
+            for core in &mut servers {
+                assert!(!core.valid_hash(&hb));
+                assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+                assert_eq!(core.stats.proofs_rejected, 1);
+            }
+
+            // Once the signer registers, the same allocations verify.
+            registry.register(late);
+            for core in &mut servers {
+                assert!(core.valid_hash(&hb));
+                assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+                assert_eq!(core.stats.proofs_received, 1);
+            }
         });
     }
 

@@ -142,6 +142,14 @@ impl SetchainState {
         self.record(epoch).map(|e| &e.digest)
     }
 
+    /// Epoch `i`'s batch (1-based) and its cached digest, if the epoch
+    /// exists. The digest is a function of the batch allocation, which is
+    /// what a carried proof's remembered verdict is keyed on (see
+    /// [`Batch::proof_verdict`]).
+    pub(crate) fn epoch_batch(&self, epoch: u64) -> Option<(&Arc<Batch>, &Digest512)> {
+        self.record(epoch).map(|e| (&e.batch, &e.digest))
+    }
+
     /// Records an epoch-proof for a recorded epoch. Returns the number of
     /// distinct signers now known for that epoch: 0 for an epoch not
     /// recorded, whose proof is not kept.

@@ -10,14 +10,13 @@
 //! Every committed block's transaction list lives until the run ends (block
 //! sync serves it), so a transaction slot is paid once per element per run
 //! in Vanilla. The two large variants, the epoch-proof (88 B) and the
-//! hash-batch (144 B), therefore sit behind `Arc`s: a slot is 48 B, the
-//! size of an [`Element`] plus the tag, where inline they would make every
-//! slot 152 B. The
-//! ledger clones transactions freely (mempool, gossip, proposals, blocks),
-//! and with `Arc` each clone stays a refcount bump; a `Box` would allocate
-//! on every clone of a hash-batch.
+//! hash-batch (152 B with its verdict memo), therefore sit behind `Arc`s: a
+//! slot is 48 B, the size of an [`Element`] plus the tag, where inline they
+//! would make every slot 160 B. The ledger clones transactions freely
+//! (mempool, gossip, proposals, blocks), and with `Arc` each clone stays a
+//! refcount bump; a `Box` would allocate on every clone of a hash-batch.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use setchain_compress::ChunkedFrame;
 use setchain_crypto::{sign, Digest512, KeyPair, ProcessId, Signature};
@@ -86,7 +85,13 @@ impl CompressedBatch {
 }
 
 /// A hash-batch `⟨h, s, v⟩`: the hash of a batch, signed by a server.
-#[derive(Clone, Copy, Debug)]
+///
+/// Every server's copy of a block shares the transaction's
+/// `Arc<HashBatch>`, so the hash-batch remembers its `valid_hash` verdict
+/// for the host, which checks the signature once per run (see
+/// `Self::verdict`); every server still pays `verify_signature`. `Clone`
+/// starts with no verdict, so a clone can be tampered with freely.
+#[derive(Debug)]
 pub struct HashBatch {
     /// SHA-512 hash of the batch contents.
     pub hash: Digest512,
@@ -94,15 +99,47 @@ pub struct HashBatch {
     pub signer: ProcessId,
     /// Signature over the hash.
     pub signature: Signature,
+    /// The host's `valid_hash` verdict, once a server has a stable one.
+    verdict: OnceLock<bool>,
+}
+
+impl Clone for HashBatch {
+    fn clone(&self) -> Self {
+        HashBatch::signed(self.hash, self.signer, self.signature)
+    }
 }
 
 impl HashBatch {
     /// Creates a hash-batch signed by `keys`.
     pub fn new(keys: &KeyPair, hash: Digest512) -> Self {
+        HashBatch::signed(hash, keys.id, sign(keys, hash.as_bytes()))
+    }
+
+    /// A hash-batch of these fields, with no verdict known.
+    pub(crate) fn signed(hash: Digest512, signer: ProcessId, signature: Signature) -> Self {
         HashBatch {
             hash,
-            signer: keys.id,
-            signature: sign(keys, hash.as_bytes()),
+            signer,
+            signature,
+            verdict: OnceLock::new(),
+        }
+    }
+
+    /// The `valid_hash` verdict, read from the memo or computed by `check`
+    /// (the server's own rule), which returns `None` for a rejection that
+    /// reflects only a missing registry entry. Such a rejection is computed
+    /// again at every read; any other verdict is remembered. The verdict
+    /// depends on the fields alone, so every server that reads it through
+    /// the same allocation gets its own answer. Debug builds check a
+    /// remembered verdict against `check`.
+    pub(crate) fn verdict(&self, check: impl FnOnce() -> Option<bool>) -> bool {
+        if let Some(&valid) = self.verdict.get() {
+            debug_assert_eq!(Some(valid), check(), "a hash-batch verdict memo is stale");
+            return valid;
+        }
+        match check() {
+            Some(valid) => *self.verdict.get_or_init(|| valid),
+            None => false,
         }
     }
 }
