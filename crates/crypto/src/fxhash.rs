@@ -22,10 +22,11 @@
 //!
 //! * epoch numbers (the trace's `epoch_committed`) — minted by the
 //!   servers, dense;
-//! * `ProcessId`s (`ServerCore::client_keys`, `QuotaState::clients`, simnet's
-//!   overflow slots) — registered or network-authenticated identities;
+//! * `ProcessId`s (`AdmissionCache`'s key schedules, `QuotaState::clients`,
+//!   simnet's overflow slots) — registered or network-authenticated
+//!   identities;
 //! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'
-//!   in-batch dedup, `admit_batch_elements`' rejected ids), bounded by one
+//!   in-batch dedup, `retain_valid`'s rejected ids), bounded by one
 //!   block's elements.
 //!
 //! The per-element `ElementId` maps — `the_set`, the admission cache, the

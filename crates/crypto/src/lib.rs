@@ -43,7 +43,3 @@ pub use hmac::{hmac_sha256, HmacSha256Key};
 pub use keys::{KeyPair, KeyRegistry, ProcessId, SecretKey};
 pub use merkle::{framed_hash, leaf_hash, merkle_root, MerkleProof, MerkleTree};
 pub use signature::{sign, sign_with, verify, SigVerifier, Signature, SigningKey, SIGNATURE_LEN};
-
-/// Length in bytes of an epoch-proof / hash-batch on the wire, as reported in
-/// the paper's evaluation section (Section 4): 139 bytes.
-pub const PROOF_WIRE_LEN: usize = 139;

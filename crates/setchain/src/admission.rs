@@ -1,4 +1,5 @@
-//! The per-server element admission cache.
+//! The per-server element admission cache: the paper's `valid_element(e)`
+//! as a server applies it, memoized.
 //!
 //! Every server must check each element's client authenticator (an HMAC)
 //! before admitting it — the validation floor of the whole pipeline. An
@@ -7,11 +8,11 @@
 //! server checks the HMAC once, at its first arrival, and every later
 //! arrival is a cache probe. The host follows the model, except that for an
 //! element of a shared batch it reads the verdict the batch remembers (see
-//! [`Batch`](crate::collector::Batch)), and every server still counts and
-//! pays its own miss. A Hashchain or Compresschain batch leaves its
-//! origin's collector with every verdict known, since the origin admitted
-//! each element through this cache; a Vanilla block's verdicts are
-//! computed by the first server to miss each element.
+//! [`Batch`]), and every server still counts and pays its own miss. A
+//! Hashchain or Compresschain batch leaves its origin's collector with
+//! every verdict known, since the origin admitted each element through this
+//! cache; a Vanilla block's verdicts are computed by the first server to
+//! miss each element.
 //!
 //! The cache is keyed on the element id and guarded by the full identity
 //! tuple `(client, size, content seed, mac)`: a hit requires *all* of them
@@ -22,8 +23,8 @@
 //!
 //! What is deliberately **not** cached: verdicts that depend on a client
 //! being absent from the PKI registry. Those can flip when the client
-//! registers later, so the caller must re-derive them (see
-//! [`ServerCore::element_valid`](crate::ServerCore::element_valid)).
+//! registers later, so the verdict rule below derives them again at every
+//! miss. Replacing an already-registered key mid-run is not supported.
 //!
 //! What is **not kept**: the verdict of an element once it is stamped into
 //! an epoch. The paper's `add(e)` needs `e ∉ the_set` and every epoch takes
@@ -33,8 +34,11 @@
 //! stamped. The cache therefore holds the ids a server has seen but not yet
 //! stamped, plus the rejected ones.
 
-use setchain_crypto::ProcessId;
+use std::collections::hash_map::Entry;
 
+use setchain_crypto::{FxHashMap, HmacSha256Key, KeyRegistry, ProcessId};
+
+use crate::collector::Batch;
 use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 
@@ -69,6 +73,12 @@ impl AdmissionEntry {
 #[derive(Default)]
 pub struct AdmissionCache {
     entries: IdMap<AdmissionEntry>,
+    /// HMAC key schedules, one per registered (non-server) client this
+    /// server has checked an element of. Bounded by the number of clients.
+    client_keys: FxHashMap<ProcessId, HmacSha256Key>,
+    /// Reused (verdict slot, element index) scratch of the misses of one
+    /// [`Self::verdicts`] call.
+    miss_scratch: Vec<(usize, usize)>,
     hits: u64,
     misses: u64,
 }
@@ -106,10 +116,71 @@ impl AdmissionCache {
         self.misses
     }
 
+    /// `valid_element` of `elements[i]` into `out[slot]`, for the `slot`-th
+    /// `i` of `picks`. Every lookup happens before any miss is checked, so
+    /// an element picked twice counts one miss per copy. `memo` is the batch
+    /// `elements` belong to, when they do: a miss then reads the verdict it
+    /// remembers (known since the origin's admission for a flushed batch,
+    /// else computed by the first server that missed it). Either way the
+    /// verdict is cached as [`Self::rule`] computes it.
+    pub(crate) fn verdicts(
+        &mut self,
+        registry: &KeyRegistry,
+        elements: &[Element],
+        memo: Option<&Batch>,
+        picks: impl ExactSizeIterator<Item = usize>,
+        out: &mut [bool],
+    ) {
+        debug_assert!(memo.is_none_or(|b| std::ptr::eq(b.elements.as_slice(), elements)));
+        debug_assert_eq!(picks.len(), out.len());
+        let mut misses = std::mem::take(&mut self.miss_scratch);
+        debug_assert!(misses.is_empty());
+        for (slot, i) in picks.enumerate() {
+            match self.lookup(&elements[i]) {
+                Some(verdict) => out[slot] = verdict,
+                None => misses.push((slot, i)),
+            }
+        }
+        for &(slot, i) in &misses {
+            let e = &elements[i];
+            let (verdict, stable) = match memo {
+                Some(batch) => batch.verdict(i, || self.rule(registry, e)),
+                None => self.rule(registry, e),
+            };
+            if stable {
+                self.record(e, verdict);
+            }
+            out[slot] = verdict;
+        }
+        misses.clear();
+        self.miss_scratch = misses;
+    }
+
+    /// The one verdict rule: `e.is_valid(registry)`, through the claimed
+    /// client's cached key schedule. The second value says whether the
+    /// verdict is stable enough to memoize: verdicts backed by a key
+    /// schedule or by an intrinsic property (degenerate size, server-claimed)
+    /// are; a `false` that merely reflects the client being absent from the
+    /// registry is not — the client may register later, and `is_valid` would
+    /// then change its answer. Unknown clients get no schedule either.
+    fn rule(&mut self, registry: &KeyRegistry, e: &Element) -> (bool, bool) {
+        if !e.size_in_bounds() || e.client.is_server() {
+            return (false, true);
+        }
+        let key = match self.client_keys.entry(e.client) {
+            Entry::Occupied(key) => key.into_mut(),
+            Entry::Vacant(slot) => match registry.lookup(e.client) {
+                Some(pair) => slot.insert(HmacSha256Key::new(&pair.secret.0)),
+                None => return (false, false),
+            },
+        };
+        (e.auth_matches(key), true)
+    }
+
     /// The cached verdict for exactly this element, if present. A `None`
     /// means the caller must validate and then [`record`](Self::record).
     #[inline]
-    pub fn lookup(&mut self, e: &Element) -> Option<bool> {
+    fn lookup(&mut self, e: &Element) -> Option<bool> {
         match self.entries.get(&e.id) {
             Some(entry) if entry.matches(e) => {
                 self.hits += 1;
@@ -125,7 +196,7 @@ impl AdmissionCache {
     /// Records the verdict for this exact element, replacing whatever was
     /// cached under its id.
     #[inline]
-    pub fn record(&mut self, e: &Element, verdict: bool) {
+    fn record(&mut self, e: &Element, verdict: bool) {
         self.entries.insert(
             e.id,
             AdmissionEntry {

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use setchain_crypto::{
-    sign_with, Digest512, FxHashMap, FxHashSet, HmacSha256Key, KeyPair, KeyRegistry, ProcessId,
-    SigVerifier, Signature, SigningKey,
+    sign_with, Digest512, FxHashSet, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature,
+    SigningKey,
 };
 use setchain_ledger::AppCtx;
 use setchain_simnet::SimTime;
@@ -103,17 +103,10 @@ pub struct ServerCore {
     pub byz: ServerByzMode,
     /// Counters.
     pub stats: ServerStats,
-    /// Precomputed HMAC key schedules, one per registered (non-server)
-    /// client this server has validated elements from. Populated lazily;
-    /// bounded by the number of clients.
-    client_keys: FxHashMap<ProcessId, HmacSha256Key>,
-    /// Memoized admission verdicts: an element's authenticator digest is
-    /// checked exactly once per server, keyed on the element id and guarded
-    /// by the full `(client, size, seed, mac)` identity — see
-    /// [`AdmissionCache`]. Verdicts that depend on registry *absence*
-    /// (unknown client) are never cached, so a client registered later is
-    /// still picked up; replacing an already-registered key mid-run is not
-    /// supported by the cache. Every lookup tests `history` first, and
+    /// Memoized admission verdicts and the rule behind them: an element's
+    /// authenticator is checked once per server, keyed on the element id
+    /// and guarded by the full `(client, size, seed, mac)` identity — see
+    /// [`AdmissionCache`]. Every lookup tests `history` first, and
     /// [`Self::note_stamped`] frees each verdict as its element is stamped.
     admission: AdmissionCache,
     /// This server's own signing schedule: signing proofs and hash-batches
@@ -121,9 +114,6 @@ pub struct ServerCore {
     own_key: SigningKey,
     /// Per-signer verification schedules for peer proofs and hash-batches.
     verifier: SigVerifier,
-    /// Reused (verdict slot, element index) scratch of batched validation's
-    /// cache misses.
-    miss_scratch: Vec<(usize, usize)>,
     /// Reused indices of the elements a batch step picks for validation:
     /// not stamped yet, and in [`Self::extract_epoch_candidates`] the first
     /// of their id.
@@ -180,11 +170,9 @@ impl ServerCore {
             trace,
             byz,
             stats: ServerStats::default(),
-            client_keys: FxHashMap::default(),
             admission: AdmissionCache::new(),
             own_key,
             verifier: SigVerifier::new(),
-            miss_scratch: Vec::new(),
             pick_scratch: Vec::new(),
             seen_scratch: FxHashSet::default(),
             derived_epochs: 0,
@@ -344,136 +332,78 @@ impl ServerCore {
         self.keys.id
     }
 
-    /// Resolves (and caches) the HMAC key schedule for a registered
-    /// non-server client. Unknown or server ids are never cached, so a
-    /// client registered later is still picked up.
-    fn client_key(&mut self, client: ProcessId) -> Option<&HmacSha256Key> {
-        if !self.client_keys.contains_key(&client) {
-            let pair = self.registry.lookup(client)?;
-            if pair.id.is_server() {
-                return None;
-            }
-            self.client_keys
-                .insert(client, HmacSha256Key::new(&pair.secret.0));
-        }
-        self.client_keys.get(&client)
-    }
-
-    /// Validates one element, memoized: semantically identical to
-    /// `element.is_valid(&self.registry)` but the authenticator digest is
-    /// computed at most once per element per server, and the per-client HMAC
-    /// key schedule is shared across elements.
-    pub fn element_valid(&mut self, element: &Element) -> bool {
-        match self.admission.lookup(element) {
-            Some(verdict) => verdict,
-            None => self.validate_miss(element),
-        }
-    }
-
-    /// Checks an element the admission cache had no verdict for, through
-    /// its client's cached key schedule, and memoizes the verdict when it
-    /// is stable.
-    fn validate_miss(&mut self, element: &Element) -> bool {
-        let key = self.client_key(element.client);
-        let (verdict, cacheable) = Self::verdict_with_key(element, key);
-        if cacheable {
-            self.admission.record(element, verdict);
-        }
-        verdict
-    }
-
-    /// The one verdict rule shared by the single-element and batched paths:
-    /// `key` is the claimed client's resolved schedule (`None` for unknown
-    /// clients and server-claimed elements). The second value says whether
-    /// the verdict is stable enough to memoize: verdicts backed by a key
-    /// schedule or by an intrinsic property (degenerate size, server-claimed)
-    /// are; a `false` that merely reflects the client being absent from the
-    /// registry is not — the client may register later, and `is_valid` would
-    /// then change its answer.
-    fn verdict_with_key(element: &Element, key: Option<&HmacSha256Key>) -> (bool, bool) {
-        if !element.size_in_bounds() || element.client.is_server() {
-            return (false, true);
-        }
-        match key {
-            Some(key) => (element.auth_matches(key), true),
-            None => (false, false),
-        }
-    }
-
-    /// A cache miss on element `i` of a batch. The modelled server checks
-    /// the authenticator and caches the verdict exactly as
-    /// [`Self::validate_miss`] does; the host reads the verdict the batch
-    /// remembers: known since the origin's admission for a flushed batch,
-    /// else computed by the first server that missed it.
-    fn validate_batch_miss(&mut self, batch: &Batch, i: usize) -> bool {
-        let element = &batch.elements[i];
-        let (verdict, cacheable) = batch.verdict(i, || {
-            let key = self.client_key(element.client);
-            Self::verdict_with_key(element, key)
-        });
-        if cacheable {
-            self.admission.record(element, verdict);
-        }
-        verdict
-    }
-
-    /// Validates a batch of elements, returning one verdict per element in
-    /// order — the batched core of server-side validation. Memoized verdicts
-    /// are served from the admission cache; the misses are then checked one
-    /// by one against per-client precomputed HMAC key schedules. Every
-    /// lookup happens before any miss is recorded, so an element repeated
-    /// inside the batch counts one cache miss per copy.
+    /// `valid_element` of each element, in order, through the admission
+    /// cache, with no modelled CPU charged.
     pub fn validate_elements(&mut self, elements: &[Element]) -> Vec<bool> {
-        let cached: Vec<Option<bool>> = elements.iter().map(|e| self.admission.lookup(e)).collect();
-        cached
-            .into_iter()
-            .zip(elements)
-            .map(|(cached, e)| cached.unwrap_or_else(|| self.validate_miss(e)))
-            .collect()
-    }
-
-    /// [`Self::validate_elements`] over the elements `batch.elements[i]`,
-    /// `i` in `picks` order; each miss reads the verdict the batch
-    /// remembers (see [`Self::validate_batch_miss`]).
-    fn validate_picked(
-        &mut self,
-        batch: &Batch,
-        picks: impl ExactSizeIterator<Item = usize>,
-    ) -> Vec<bool> {
-        let mut verdicts = vec![false; picks.len()];
-        let mut misses = std::mem::take(&mut self.miss_scratch);
-        debug_assert!(misses.is_empty());
-        for (slot, i) in picks.enumerate() {
-            match self.admission.lookup(&batch.elements[i]) {
-                Some(verdict) => verdicts[slot] = verdict,
-                None => misses.push((slot, i)),
-            }
-        }
-        for &(slot, i) in &misses {
-            verdicts[slot] = self.validate_batch_miss(batch, i);
-        }
-        misses.clear();
-        self.miss_scratch = misses;
+        let mut verdicts = vec![false; elements.len()];
+        let picks = 0..elements.len();
+        self.admission
+            .verdicts(&self.registry, elements, None, picks, &mut verdicts);
         verdicts
     }
 
-    /// The one place validation CPU is charged: runs `check`, an
-    /// [`element_valid`](Self::element_valid) or
-    /// [`validate_picked`](Self::validate_picked) call, and charges one
+    /// The one place validation CPU is charged: the admission cache's
+    /// verdicts for `elements[i]`, `i` in `picks` order, into `out` (`memo`
+    /// is the batch they belong to, if any), charging one
     /// [`validate_element`](crate::CostModel::validate_element) per
-    /// admission-cache miss it made. The modelled server keeps the same
-    /// cache, so it checks an authenticator exactly when the host does; a
-    /// cached verdict costs nothing.
-    fn validate_charged<T>(
+    /// admission-cache miss. The modelled server keeps the same cache, so it
+    /// checks an authenticator exactly when the host does; a cached verdict
+    /// costs nothing.
+    fn validate_charged(
         &mut self,
         ctx: &mut Ctx<'_, '_, '_>,
-        check: impl FnOnce(&mut Self) -> T,
-    ) -> T {
+        elements: &[Element],
+        memo: Option<&Batch>,
+        picks: impl ExactSizeIterator<Item = usize>,
+        out: &mut [bool],
+    ) {
         let misses_before = self.admission.misses();
-        let verdicts = check(self);
+        self.admission
+            .verdicts(&self.registry, elements, memo, picks, out);
         let misses = self.admission.misses() - misses_before;
         ctx.consume_cpu(self.config.costs.validate_cost(misses as usize));
-        verdicts
+    }
+
+    /// Keeps the `picks` whose element of `batch` is valid, unless
+    /// `validate` is false (the light ablations): validated through
+    /// [`Self::validate_charged`], so only cache misses are charged and a
+    /// miss reads the verdict `batch` remembers. Each rejected id is counted
+    /// once in [`ServerStats::elements_rejected`], so a Byzantine batch
+    /// repeating one forged element does not inflate the counter; the set
+    /// behind that is only built when a rejection occurs.
+    fn retain_valid(
+        &mut self,
+        batch: &Batch,
+        picks: &mut Vec<usize>,
+        validate: bool,
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        if !validate {
+            return;
+        }
+        let elements = batch.elements.as_slice();
+        let mut verdicts = vec![false; picks.len()];
+        self.validate_charged(
+            ctx,
+            elements,
+            Some(batch),
+            picks.iter().copied(),
+            &mut verdicts,
+        );
+        let mut verdicts = verdicts.into_iter();
+        let mut rejected: Option<FxHashSet<ElementId>> = None;
+        let stats = &mut self.stats;
+        picks.retain(|&i| {
+            let ok = verdicts.next().expect("one verdict per pick");
+            if !ok
+                && rejected
+                    .get_or_insert_with(FxHashSet::default)
+                    .insert(elements[i].id)
+            {
+                stats.elements_rejected += 1;
+            }
+            ok
+        });
     }
 
     /// Overload gate for client-facing submissions, called by every variant
@@ -550,7 +480,13 @@ impl ServerCore {
             self.stats.adds_rejected_duplicate += 1;
             return false;
         }
-        if !self.validate_charged(ctx, |core| core.element_valid(element)) {
+        // Verdicts go into a caller's slice so that this per-element path
+        // allocates nothing: returning a `Vec` per add lost 16 of 20
+        // alternating `hash_steady` pairs against a path without one, about
+        // 3 % of the wall rate (2-core host).
+        let mut valid = [false];
+        self.validate_charged(ctx, std::slice::from_ref(element), None, 0..1, &mut valid);
+        if !valid[0] {
             self.stats.adds_rejected_invalid += 1;
             return false;
         }
@@ -726,14 +662,11 @@ impl ServerCore {
     }
 
     /// First-pass admission of a recovered batch's elements: drops the
-    /// already-stamped ones, validates the rest (batched, memoized — the
-    /// same batch core the epoch path uses, charged per cache miss only)
-    /// and inserts the valid ids into `the_set`, through a reused scratch
-    /// buffer. A cache miss reads the verdict the batch remembers, as in
-    /// [`Self::create_epoch`]. The epoch itself is
-    /// built later, at consolidation, through [`Self::create_epoch`]; this
-    /// is the "valid elements join `the_set` immediately" half of batch
-    /// processing.
+    /// already-stamped ones, keeps the valid rest (unless `validate` is
+    /// false) through `retain_valid`, as the epoch path does, and
+    /// inserts their ids into `the_set`. The epoch itself is built later, at
+    /// consolidation, through [`Self::create_epoch`]; this is the "valid
+    /// elements join `the_set` immediately" half of batch processing.
     pub fn admit_batch_elements(
         &mut self,
         batch: &Batch,
@@ -741,35 +674,12 @@ impl ServerCore {
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
         let elements = batch.elements.as_slice();
-        if !validate {
-            for e in elements {
-                if !self.state.in_history(&e.id) {
-                    self.state.insert(e.id);
-                }
-            }
-            return;
-        }
         let mut picks = std::mem::take(&mut self.pick_scratch);
         debug_assert!(picks.is_empty());
         picks.extend((0..elements.len()).filter(|&i| !self.state.in_history(&elements[i].id)));
-        let verdicts = self.validate_charged(ctx, |core| {
-            core.validate_picked(batch, picks.iter().copied())
-        });
-        // Rejections are counted once per distinct id, matching the
-        // pre-validation dedup of the epoch path — a Byzantine batch
-        // repeating one forged element must not inflate the counter. The
-        // set is only materialized when a rejection actually occurs, so
-        // honest batches stay allocation-free.
-        let mut rejected_ids: Option<FxHashSet<ElementId>> = None;
-        for (e, ok) in picks.iter().map(|&i| &elements[i]).zip(verdicts) {
-            if ok {
-                self.state.insert(e.id);
-            } else if rejected_ids
-                .get_or_insert_with(FxHashSet::default)
-                .insert(e.id)
-            {
-                self.stats.elements_rejected += 1;
-            }
+        self.retain_valid(batch, &mut picks, validate, ctx);
+        for &i in &picks {
+            self.state.insert(elements[i].id);
         }
         picks.clear();
         self.pick_scratch = picks;
@@ -827,12 +737,9 @@ impl ServerCore {
     /// `batch` itself when nothing was filtered out, else a batch of the
     /// survivors.
     ///
-    /// Validation of the deduplicated candidates goes through
-    /// [`validate_picked`](Self::validate_picked): batched and memoized
-    /// per element, so only the cache misses are charged, and a miss reads
-    /// the verdict `batch` remembers. A Hashchain server cached these
-    /// verdicts in `admit_batch_elements`, so an honest batch costs nothing
-    /// here.
+    /// The deduplicated candidates are validated through
+    /// [`Self::retain_valid`]. A Hashchain server cached these verdicts in
+    /// `admit_batch_elements`, so an honest batch costs nothing here.
     fn extract_epoch_candidates(
         &mut self,
         batch: &Arc<Batch>,
@@ -851,15 +758,7 @@ impl ServerCore {
         }
         seen.clear();
         self.seen_scratch = seen;
-        if validate {
-            let verdicts = self.validate_charged(ctx, |core| {
-                core.validate_picked(batch, picks.iter().copied())
-            });
-            let candidates = picks.len();
-            let mut verdicts = verdicts.into_iter();
-            picks.retain(|_| verdicts.next().expect("one verdict per pick"));
-            self.stats.elements_rejected += (candidates - picks.len()) as u64;
-        }
+        self.retain_valid(batch, &mut picks, validate, ctx);
         let g = if picks.len() == elements.len() {
             Arc::clone(batch)
         } else {
@@ -1303,11 +1202,11 @@ pub(crate) mod tests {
         let late = KeyPair::derive(ProcessId::client(5), 777);
         let e = Element::new(&late, ElementId::new(5, 1), 300, 1);
         // Unknown client: invalid through every path, and not memoized.
-        assert!(!core.element_valid(&e));
+        assert!(!core.validate_elements(std::slice::from_ref(&e))[0]);
         assert_eq!(core.validate_elements(&[e]), vec![false]);
         // Once the client registers, the same element validates.
         registry.register(late);
-        assert!(core.element_valid(&e));
+        assert!(core.validate_elements(std::slice::from_ref(&e))[0]);
         assert_eq!(core.validate_elements(&[e]), vec![true]);
     }
 
@@ -1316,13 +1215,13 @@ pub(crate) mod tests {
         let (mut core, registry) = core_with(23, 4, 2);
         let keys = registry.lookup(ProcessId::client(0)).unwrap();
         let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
-        assert!(core.element_valid(&good));
+        assert!(core.validate_elements(std::slice::from_ref(&good))[0]);
         // Same id, different contents: the cached verdict must not leak.
         let mut tampered = good;
         tampered.content_seed ^= 0xFF;
-        assert!(!core.element_valid(&tampered));
+        assert!(!core.validate_elements(std::slice::from_ref(&tampered))[0]);
         // And the original still validates afterwards.
-        assert!(core.element_valid(&good));
+        assert!(core.validate_elements(std::slice::from_ref(&good))[0]);
     }
 
     #[test]
@@ -1371,6 +1270,32 @@ pub(crate) mod tests {
         assert_eq!(core.validate_elements(&[e; 3]), vec![true; 3]);
         assert_eq!(core.admission_cache().misses(), 3);
         assert_eq!(core.admission_cache().hits(), 3);
+    }
+
+    #[test]
+    fn a_batch_repeating_one_forgery_is_checked_per_copy_and_rejected_once() {
+        // Admission looks every copy up before it checks any, so a cold
+        // cache misses (and charges) three times, but the id is rejected
+        // once. The epoch cut from the same batch finds the rejection
+        // cached: no validation is charged, the one distinct id is counted
+        // once more, and the epoch is empty.
+        with_core(0, |core, _registry, ctx| {
+            let costs = core.config.costs;
+            let forged = Element::forged(ProcessId::client(0), ElementId::new(0, 7), 300);
+            let batch = own_batch(&[forged; 3]);
+            let before = ctx.cpu_consumed();
+            core.admit_batch_elements(&batch, true, ctx);
+            assert_eq!(ctx.cpu_consumed() - before, costs.validate_element * 3);
+            assert_eq!(core.stats.elements_rejected, 1);
+            assert!(!core.state.contains(&forged.id));
+
+            let before = ctx.cpu_consumed();
+            core.create_epoch(&batch, true, ctx);
+            assert_eq!(ctx.cpu_consumed() - before, costs.hash_cost(0) + costs.sign);
+            assert_eq!(core.stats.elements_rejected, 2);
+            assert_eq!(core.state.epoch(), 1);
+            assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(0));
+        });
     }
 
     #[test]
@@ -1751,7 +1676,7 @@ pub(crate) mod tests {
                 prop_assert_eq!(&core.validate_elements(&elements), &sequential);
                 // The single-element memoized path agrees too.
                 for (e, expected) in elements.iter().zip(&sequential) {
-                    prop_assert_eq!(core.element_valid(e), *expected);
+                    prop_assert_eq!(core.validate_elements(std::slice::from_ref(e))[0], *expected);
                 }
             }
 
@@ -1803,7 +1728,7 @@ pub(crate) mod tests {
                 let batched = core.validate_elements(&wave);
                 prop_assert_eq!(&batched, &sequential);
                 for (e, expected) in wave.iter().zip(&sequential) {
-                    prop_assert_eq!(core.element_valid(e), *expected);
+                    prop_assert_eq!(core.validate_elements(std::slice::from_ref(e))[0], *expected);
                 }
             }
 
@@ -1849,7 +1774,9 @@ pub(crate) mod tests {
                     // Every verdict the memo holds is `is_valid`'s.
                     let mut reader = peer_core(registry, 3);
                     let all = 0..elements.len();
-                    let verdicts = reader.validate_picked(&batch, all);
+                    let mut verdicts = vec![false; elements.len()];
+                    let (cache, keys) = (&mut reader.admission, &reader.registry);
+                    cache.verdicts(keys, &batch.elements, Some(&batch), all, &mut verdicts);
                     let sequential: Vec<bool> =
                         elements.iter().map(|e| e.is_valid(registry)).collect();
                     assert_eq!(verdicts, sequential);
@@ -1971,7 +1898,9 @@ pub(crate) mod tests {
                     // Every verdict the memo holds is `is_valid`'s.
                     let mut reader = peer_core(registry, 3);
                     let all = 0..elements.len();
-                    let verdicts = reader.validate_picked(&batch, all);
+                    let mut verdicts = vec![false; elements.len()];
+                    let (cache, keys) = (&mut reader.admission, &reader.registry);
+                    cache.verdicts(keys, &batch.elements, Some(&batch), all, &mut verdicts);
                     let sequential: Vec<bool> =
                         elements.iter().map(|e| e.is_valid(registry)).collect();
                     assert_eq!(verdicts, sequential);

@@ -117,12 +117,7 @@ fn every_preset_keeps_honest_clients_whole() {
                 let target = deployment.server(0);
                 let clients = target.quota().expect("quota enabled").clients();
                 assert_eq!(clients, 2, "churn must not bloat source-keyed quota state");
-                let misses: u64 = target
-                    .core()
-                    .admission_caches()
-                    .iter()
-                    .map(|c| c.misses())
-                    .sum();
+                let misses = target.core().admission_cache().misses();
                 assert!(
                     misses >= adversary.sent(),
                     "{} fresh signers should each miss the admission cache \
@@ -162,13 +157,7 @@ fn replay_storm_costs_each_server_64_macs_once() {
     );
     let honest = deployment.trace.added_count() as u64;
     for i in 0..4 {
-        let misses: u64 = deployment
-            .server(i)
-            .core()
-            .admission_caches()
-            .iter()
-            .map(|c| c.misses())
-            .sum();
+        let misses = deployment.server(i).core().admission_cache().misses();
         assert_eq!(
             misses,
             honest + REPLAY_BATCH,
