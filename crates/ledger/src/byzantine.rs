@@ -13,7 +13,10 @@ pub enum ByzMode {
     /// Follows the protocol.
     #[default]
     Correct,
-    /// Crashed / silent: never proposes, never votes, never gossips.
+    /// Crashed / silent: never proposes, never votes, never gossips. The
+    /// node stops it at its three `Process` entry points, `on_start` (after
+    /// the application's own start hook: no node timer is armed),
+    /// `on_message` and `on_timer`, and nowhere else.
     Silent,
     /// When acting as proposer, sends conflicting proposals to the two halves
     /// of the validator set (equivocation). Otherwise follows the protocol.

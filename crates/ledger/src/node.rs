@@ -17,12 +17,24 @@
 //! equivocation in the proposal phase, withheld precommits), as
 //! ARCHITECTURE.md's "Fault model and recovery" explains.
 //!
+//! # One record per height
+//!
+//! A node only ever decides one height, `committed.len() + 1`, so all of its
+//! consensus state is one `HeightState`: the first proposal seen per round
+//! (the node prevotes exactly when that entry is vacant), the proposed
+//! blocks, the prevoters per (round, block), one precommit signature per
+//! precommitter per block (the commit certificate, in voter order) and
+//! whether this node has precommitted. `handle_consensus_msg` drops stale
+//! proposals and votes and buffers future ones before any handler runs, and
+//! committing a block replaces the record with an empty one.
+//!
 //! # Timing
 //!
 //! After committing height `h` at time `t`, every validator arms a timer for
 //! `t + block_interval` and the next proposer proposes when it fires. With
 //! the default 1.25 s interval this yields the paper's ~0.8 blocks/s.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -33,7 +45,7 @@ use setchain_simnet::{Context, Process, SimDuration, TimerToken};
 
 use crate::app::{AppCtx, Application};
 use crate::byzantine::ByzMode;
-use crate::mempool::Mempool;
+use crate::mempool::{Mempool, MempoolRejection};
 use crate::messages::{
     certificate_sign_bytes, proposal_sign_bytes, vote_sign_bytes, NetMsg, VoteKind,
 };
@@ -99,6 +111,45 @@ const MAX_FUTURE_HEIGHTS: u64 = 4;
 
 type M<A> = NetMsg<<A as Application>::Tx, <A as Application>::Msg>;
 
+/// The consensus state of the height being decided (see the module docs).
+struct HeightState<T> {
+    /// First proposal block id seen per round: the node prevotes when it
+    /// fills a vacant entry, so equivocation never earns two prevotes.
+    first_proposal: HashMap<u32, BlockId>,
+    /// Proposed blocks by id, kept until the height commits.
+    proposals: HashMap<BlockId, Block<T>>,
+    /// Prevoters per (round, block).
+    prevotes: HashMap<(u32, BlockId), BTreeSet<ProcessId>>,
+    /// Each precommitter's signature per block, across rounds. Ordered by
+    /// voter: `try_advance` picks a block-sync peer out of it, and the pick
+    /// must not depend on a per-process hash seed.
+    precommits: HashMap<BlockId, BTreeMap<ProcessId, Signature>>,
+    /// This node has precommitted at this height (at most once).
+    precommitted: bool,
+}
+
+impl<T> Default for HeightState<T> {
+    fn default() -> Self {
+        HeightState {
+            first_proposal: HashMap::new(),
+            proposals: HashMap::new(),
+            prevotes: HashMap::new(),
+            precommits: HashMap::new(),
+            precommitted: false,
+        }
+    }
+}
+
+/// The bytes a vote signs. Precommit signatures double as
+/// commit-certificate entries, so they sign the round-independent
+/// certificate bytes.
+fn vote_bytes(kind: VoteKind, height: u64, round: u32, block_id: &BlockId) -> Vec<u8> {
+    match kind {
+        VoteKind::Prevote => vote_sign_bytes(kind, height, round, block_id),
+        VoteKind::Precommit => certificate_sign_bytes(height, block_id),
+    }
+}
+
 /// A ledger validator node running an [`Application`].
 pub struct LedgerNode<A: Application> {
     id: ProcessId,
@@ -124,27 +175,15 @@ pub struct LedgerNode<A: Application> {
     /// Per-signer verification schedules for votes and proposals.
     verifier: SigVerifier,
 
-    // Consensus state for the current height.
-    height: u64,
+    /// Round of the height being decided.
     round: u32,
-    /// First proposal block id seen per (height, round) — prevents double
-    /// prevotes under equivocation.
-    first_proposal: HashMap<(u64, u32), BlockId>,
-    /// Proposed blocks by (height, block id), kept until the height commits.
-    proposal_store: HashMap<(u64, BlockId), Block<A::Tx>>,
-    /// Voters per candidate. Ordered sets: `try_commit` picks a
-    /// block-sync peer out of one, and the pick must not depend on a
-    /// per-process hash seed.
-    prevotes: HashMap<(u64, u32, BlockId), BTreeSet<ProcessId>>,
-    precommits: HashMap<(u64, BlockId), BTreeSet<ProcessId>>,
-    precommit_sigs: HashMap<(u64, BlockId), Vec<Signature>>,
-    voted_prevote: HashSet<(u64, u32)>,
-    voted_precommit: HashSet<u64>,
-
-    /// Committed blocks with their commit certificates, by height. Each
+    /// Consensus state of the height being decided.
+    current: HeightState<A::Tx>,
+    /// Committed blocks with their commit certificates; height `h` is at
+    /// index `h - 1`, so the height being decided is `len() + 1`. Each
     /// block's transaction list is the allocation the proposer made, shared
     /// with every other validator that holds the block.
-    committed: BTreeMap<u64, (Block<A::Tx>, Vec<Signature>)>,
+    committed: Vec<(Block<A::Tx>, Vec<Signature>)>,
     /// Highest height seen referenced by any peer (used to trigger sync).
     max_seen_height: u64,
     /// Proposals and votes for heights we have not reached yet, replayed
@@ -191,16 +230,9 @@ impl<A: Application> LedgerNode<A> {
             submitted_scratch: Vec::new(),
             own_key: SigningKey::new(&keys.secret),
             verifier: SigVerifier::new(),
-            height: 1,
             round: 0,
-            first_proposal: HashMap::new(),
-            proposal_store: HashMap::new(),
-            prevotes: HashMap::new(),
-            precommits: HashMap::new(),
-            precommit_sigs: HashMap::new(),
-            voted_prevote: HashSet::new(),
-            voted_precommit: HashSet::new(),
-            committed: BTreeMap::new(),
+            current: HeightState::default(),
+            committed: Vec::new(),
             max_seen_height: 0,
             future_msgs: BTreeMap::new(),
             stats: NodeStats::default(),
@@ -214,7 +246,7 @@ impl<A: Application> LedgerNode<A> {
 
     /// Current consensus height (next block to commit).
     pub fn height(&self) -> u64 {
-        self.height
+        self.committed.len() as u64 + 1
     }
 
     /// Node statistics.
@@ -229,16 +261,18 @@ impl<A: Application> LedgerNode<A> {
 
     /// The committed block at `height`, if this node has committed it.
     pub fn committed_block(&self, height: u64) -> Option<&Block<A::Tx>> {
-        self.committed.get(&height).map(|(b, _)| b)
+        self.committed_entry(height).map(|(b, _)| b)
     }
 
     /// Heights committed so far, in order.
     pub fn committed_heights(&self) -> Vec<u64> {
-        self.committed.keys().copied().collect()
+        (1..self.height()).collect()
     }
 
-    fn is_proposer(&self, height: u64, round: u32) -> bool {
-        self.config.proposer(height, round) == self.id
+    /// The committed block at `height` with its commit certificate.
+    fn committed_entry(&self, height: u64) -> Option<&(Block<A::Tx>, Vec<Signature>)> {
+        let index = usize::try_from(height.checked_sub(1)?).ok()?;
+        self.committed.get(index)
     }
 
     // ------------------------------------------------------------------
@@ -261,41 +295,39 @@ impl<A: Application> LedgerNode<A> {
             };
             f(&mut self.app, &mut app_ctx);
         }
+        // Local submissions (the ledger `append` endpoint) are gossiped on;
+        // gossiped ones are not.
         for tx in submitted.drain(..) {
-            self.submit_local(tx, ctx);
+            if self.admit_tx(tx.clone(), ctx) {
+                self.pending_gossip.push(tx);
+            }
         }
         self.submitted_scratch = submitted;
     }
 
-    /// Local transaction submission path (the ledger `append` endpoint).
-    fn submit_local(&mut self, tx: A::Tx, ctx: &mut Context<'_, M<A>>) {
+    /// The one mempool admission path, for local submissions and gossip:
+    /// CheckTx, then the mempool. True if `tx` joined the mempool.
+    ///
+    /// Shedding is reject-newest and never silent: every refusal lands in
+    /// one per-cause counter. Duplicates are the dedup working as intended;
+    /// the `full_*` causes mean the node is overloaded and the arriving
+    /// transaction was dropped before consensus ever saw it.
+    fn admit_tx(&mut self, tx: A::Tx, ctx: &mut Context<'_, M<A>>) -> bool {
         if !self.app.check_tx(&tx) {
             self.stats.txs_rejected += 1;
-            return;
+            return false;
         }
         let id = tx.tx_id();
-        match self.mempool.push(tx.clone()) {
+        match self.mempool.push(tx) {
             Ok(()) => {
                 self.trace.record_mempool_arrival(id, self.id, ctx.now());
-                if !self.byz.is_silent() {
-                    self.pending_gossip.push(tx);
-                }
+                return true;
             }
-            Err(cause) => self.note_mempool_rejection(cause),
+            Err(MempoolRejection::Duplicate) => self.stats.mempool_rejected_duplicate += 1,
+            Err(MempoolRejection::FullByCount) => self.stats.mempool_rejected_full_count += 1,
+            Err(MempoolRejection::FullByBytes) => self.stats.mempool_rejected_full_bytes += 1,
         }
-    }
-
-    /// Attributes a mempool rejection to its per-cause counter. Shedding is
-    /// reject-newest and never silent: duplicates are the dedup working as
-    /// intended, the `full_*` causes mean the node is overloaded and the
-    /// arriving transaction was dropped before consensus ever saw it.
-    fn note_mempool_rejection(&mut self, cause: crate::mempool::MempoolRejection) {
-        use crate::mempool::MempoolRejection;
-        match cause {
-            MempoolRejection::Duplicate => self.stats.mempool_rejected_duplicate += 1,
-            MempoolRejection::FullByCount => self.stats.mempool_rejected_full_count += 1,
-            MempoolRejection::FullByBytes => self.stats.mempool_rejected_full_bytes += 1,
-        }
+        false
     }
 
     // ------------------------------------------------------------------
@@ -309,24 +341,44 @@ impl<A: Application> LedgerNode<A> {
         );
     }
 
-    fn schedule_round_timeout(&self, height: u64, round: u32, ctx: &mut Context<'_, M<A>>) {
+    fn start_round(&mut self, ctx: &mut Context<'_, M<A>>) {
+        let (height, round) = (self.height(), self.round);
         let payload = ((height & 0xFF_FFFF_FFFF) << 16) | u64::from(round & 0xFFFF);
         ctx.set_timer(ROUND_TIMEOUT, TIMER_ROUND_TIMEOUT | payload);
-    }
-
-    fn start_round(&mut self, ctx: &mut Context<'_, M<A>>) {
-        if self.byz.is_silent() {
-            return;
-        }
-        self.schedule_round_timeout(self.height, self.round, ctx);
-        if self.is_proposer(self.height, self.round) {
+        if self.config.proposer(height, round) == self.id {
             self.propose(ctx);
         }
     }
 
+    /// Sends `msg` to every peer, then loops it back to this node, so each
+    /// message is processed through the same code path everywhere. One
+    /// shared payload serves every recipient.
+    fn broadcast(&self, msg: Arc<M<A>>, ctx: &mut Context<'_, M<A>>) {
+        for peer in &self.peers {
+            ctx.send_shared(*peer, Arc::clone(&msg));
+        }
+        ctx.send_shared(self.id, msg);
+    }
+
+    /// `block` as this node's signed proposal for the current round.
+    fn signed_proposal(&self, block: Block<A::Tx>) -> Arc<M<A>> {
+        let (height, round) = (self.height(), self.round);
+        let signature = sign_with(
+            &self.own_key,
+            self.id,
+            &proposal_sign_bytes(height, round, &block.id()),
+        );
+        Arc::new(NetMsg::Proposal {
+            height,
+            round,
+            block,
+            signature,
+        })
+    }
+
     fn propose(&mut self, ctx: &mut Context<'_, M<A>>) {
         let txs = self.mempool.reap(self.config.max_block_bytes);
-        let block = Block::new(self.height, self.id, ctx.now(), txs.into());
+        let block = Block::new(self.height(), self.id, ctx.now(), txs.into());
         self.stats.proposals_made += 1;
 
         if self.byz == ByzMode::EquivocatingProposer && block.len() >= 2 {
@@ -344,28 +396,8 @@ impl<A: Application> LedgerNode<A> {
                 block.proposed_at,
                 swapped.into(),
             );
-            let alt_signature = sign_with(
-                &self.own_key,
-                self.id,
-                &proposal_sign_bytes(self.height, self.round, &alt.id()),
-            );
-            let signature = sign_with(
-                &self.own_key,
-                self.id,
-                &proposal_sign_bytes(self.height, self.round, &block.id()),
-            );
-            let alt_msg = Arc::new(NetMsg::Proposal {
-                height: self.height,
-                round: self.round,
-                block: alt,
-                signature: alt_signature,
-            });
-            let primary_msg = Arc::new(NetMsg::Proposal {
-                height: self.height,
-                round: self.round,
-                block,
-                signature,
-            });
+            let alt_msg = self.signed_proposal(alt);
+            let primary_msg = self.signed_proposal(block);
             let half = self.peers.len() / 2;
             for (i, peer) in self.peers.iter().enumerate() {
                 let m = if i < half { &primary_msg } else { &alt_msg };
@@ -375,48 +407,25 @@ impl<A: Application> LedgerNode<A> {
             ctx.send_shared(self.id, primary_msg);
             return;
         }
-
-        let signature = sign_with(
-            &self.own_key,
-            self.id,
-            &proposal_sign_bytes(self.height, self.round, &block.id()),
-        );
-        let msg = Arc::new(NetMsg::Proposal {
-            height: self.height,
-            round: self.round,
-            block,
-            signature,
-        });
-        // Broadcast to peers and loop back to ourselves so the proposal is
-        // processed through the same code path everywhere. One shared
-        // payload serves every recipient.
-        for peer in &self.peers {
-            ctx.send_shared(*peer, Arc::clone(&msg));
-        }
-        ctx.send_shared(self.id, msg);
+        self.broadcast(self.signed_proposal(block), ctx);
     }
 
     fn broadcast_vote(
         &mut self,
         kind: VoteKind,
-        height: u64,
         round: u32,
         block_id: BlockId,
         ctx: &mut Context<'_, M<A>>,
     ) {
-        if self.byz.is_silent() {
-            return;
-        }
         if self.byz == ByzMode::WithholdPrecommit && kind == VoteKind::Precommit {
             return;
         }
-        let bytes = match kind {
-            VoteKind::Prevote => vote_sign_bytes(kind, height, round, &block_id),
-            // Precommit signatures double as commit-certificate entries, so
-            // they sign the round-independent certificate bytes.
-            VoteKind::Precommit => certificate_sign_bytes(height, &block_id),
-        };
-        let signature = sign_with(&self.own_key, self.id, &bytes);
+        let height = self.height();
+        let signature = sign_with(
+            &self.own_key,
+            self.id,
+            &vote_bytes(kind, height, round, &block_id),
+        );
         let msg = Arc::new(NetMsg::Vote {
             kind,
             height,
@@ -425,27 +434,18 @@ impl<A: Application> LedgerNode<A> {
             voter: self.id,
             signature,
         });
-        for peer in &self.peers {
-            ctx.send_shared(*peer, Arc::clone(&msg));
-        }
-        ctx.send_shared(self.id, msg);
+        self.broadcast(msg, ctx);
     }
 
+    /// A proposal for the height being decided.
     fn on_proposal(
         &mut self,
-        height: u64,
         round: u32,
         block: Block<A::Tx>,
         signature: Signature,
         ctx: &mut Context<'_, M<A>>,
     ) {
-        if height < self.height {
-            return; // stale
-        }
-        self.note_peer_height(height, signature.signer, ctx);
-        if height > self.height {
-            return; // we will catch up through sync
-        }
+        let height = self.height();
         let expected_proposer = self.config.proposer(height, round);
         if signature.signer != expected_proposer || block.proposer != expected_proposer {
             return;
@@ -472,123 +472,79 @@ impl<A: Application> LedgerNode<A> {
             // The network has moved on; follow it.
             self.round = round;
         }
-        self.proposal_store.insert((height, block_id), block);
+        self.current.proposals.insert(block_id, block);
         // Prevote only for the first proposal seen in this round.
-        let first = *self
-            .first_proposal
-            .entry((height, round))
-            .or_insert(block_id);
-        if first == block_id && self.voted_prevote.insert((height, round)) {
-            self.broadcast_vote(VoteKind::Prevote, height, round, block_id, ctx);
+        if let Entry::Vacant(first) = self.current.first_proposal.entry(round) {
+            first.insert(block_id);
+            self.broadcast_vote(VoteKind::Prevote, round, block_id, ctx);
         }
-        self.try_advance(height, round, block_id, ctx);
+        self.try_advance(round, block_id, ctx);
     }
 
-    // The six vote fields arrive pre-destructured from `NetMsg::Vote`;
-    // re-bundling them into a struct here would just mirror the message type.
-    #[allow(clippy::too_many_arguments)]
+    /// A vote for the height being decided.
     fn on_vote(
         &mut self,
         kind: VoteKind,
-        height: u64,
         round: u32,
         block_id: BlockId,
         voter: ProcessId,
         signature: Signature,
         ctx: &mut Context<'_, M<A>>,
     ) {
-        if height < self.height {
-            return;
-        }
-        self.note_peer_height(height, voter, ctx);
-        if height > self.height {
-            return;
-        }
         if signature.signer != voter || !self.validators.contains(&voter) {
             return;
         }
-        let bytes = match kind {
-            VoteKind::Prevote => vote_sign_bytes(kind, height, round, &block_id),
-            VoteKind::Precommit => certificate_sign_bytes(height, &block_id),
-        };
+        let bytes = vote_bytes(kind, self.height(), round, &block_id);
         if !self.verifier.verify(&self.registry, &bytes, &signature) {
             return;
         }
         ctx.consume_cpu(self.config.sig_verify_cost);
         match kind {
             VoteKind::Prevote => {
-                self.prevotes
-                    .entry((height, round, block_id))
-                    .or_default()
-                    .insert(voter);
+                let voters = self.current.prevotes.entry((round, block_id)).or_default();
+                voters.insert(voter);
             }
             VoteKind::Precommit => {
-                let newly = self
-                    .precommits
-                    .entry((height, block_id))
-                    .or_default()
-                    .insert(voter);
-                if newly {
-                    self.precommit_sigs
-                        .entry((height, block_id))
-                        .or_default()
-                        .push(signature);
-                }
+                let sigs = self.current.precommits.entry(block_id).or_default();
+                sigs.entry(voter).or_insert(signature);
             }
         }
-        self.try_advance(height, round, block_id, ctx);
+        self.try_advance(round, block_id, ctx);
     }
 
-    /// Checks quorum conditions for (height, round, block id) and advances:
-    /// prevote quorum → precommit; precommit quorum → commit.
-    fn try_advance(
-        &mut self,
-        height: u64,
-        round: u32,
-        block_id: BlockId,
-        ctx: &mut Context<'_, M<A>>,
-    ) {
-        if height != self.height {
-            return;
-        }
+    /// Checks quorum conditions for (round, block id) at the height being
+    /// decided and advances: prevote quorum → precommit; precommit quorum →
+    /// commit.
+    fn try_advance(&mut self, round: u32, block_id: BlockId, ctx: &mut Context<'_, M<A>>) {
         let quorum = self.config.quorum();
-        let have_block = self.proposal_store.contains_key(&(height, block_id));
+        let have_block = self.current.proposals.contains_key(&block_id);
 
         let prevote_count = self
+            .current
             .prevotes
-            .get(&(height, round, block_id))
-            .map(|s| s.len())
-            .unwrap_or(0);
-        if prevote_count >= quorum && have_block && self.voted_precommit.insert(height) {
-            self.broadcast_vote(VoteKind::Precommit, height, round, block_id, ctx);
+            .get(&(round, block_id))
+            .map_or(0, |s| s.len());
+        if prevote_count >= quorum && have_block && !self.current.precommitted {
+            self.current.precommitted = true;
+            self.broadcast_vote(VoteKind::Precommit, round, block_id, ctx);
         }
 
-        let precommit_count = self
-            .precommits
-            .get(&(height, block_id))
-            .map(|s| s.len())
-            .unwrap_or(0);
-        if precommit_count >= quorum {
-            if have_block {
-                // Take the block out instead of cloning it: commit_block
-                // clears all per-height consensus state right after anyway.
-                let block = self
-                    .proposal_store
-                    .remove(&(height, block_id))
-                    .expect("checked above");
-                let cert = self
-                    .precommit_sigs
-                    .get(&(height, block_id))
-                    .cloned()
-                    .unwrap_or_default();
-                self.commit_block(block, cert, ctx);
-            } else if let Some(voters) = self.precommits.get(&(height, block_id)) {
-                // We saw a commit quorum but missed the proposal: fetch the
-                // block from the lowest-id precommitter.
-                if let Some(peer) = voters.iter().find(|p| **p != self.id) {
-                    ctx.send(*peer, NetMsg::BlockSyncRequest { height });
-                }
-            }
+        let Some(precommits) = self.current.precommits.get(&block_id) else {
+            return;
+        };
+        if precommits.len() < quorum {
+            return;
+        }
+        // Take the block out instead of cloning it: commit_block replaces
+        // the height's record right after anyway.
+        if let Some(block) = self.current.proposals.remove(&block_id) {
+            let certificate = precommits.values().copied().collect();
+            self.commit_block(block, certificate, ctx);
+        } else if let Some(peer) = precommits.keys().find(|p| **p != self.id) {
+            // We saw a commit quorum but missed the proposal: fetch the
+            // block from the lowest-id precommitter.
+            let height = self.height();
+            ctx.send(*peer, NetMsg::BlockSyncRequest { height });
         }
     }
 
@@ -598,7 +554,7 @@ impl<A: Application> LedgerNode<A> {
         certificate: Vec<Signature>,
         ctx: &mut Context<'_, M<A>>,
     ) {
-        debug_assert_eq!(block.height, self.height);
+        debug_assert_eq!(block.height, self.height());
         let now = ctx.now();
         let tx_ids: Vec<TxId> = block.txs.iter().map(|t| t.tx_id()).collect();
         for id in &tx_ids {
@@ -619,57 +575,27 @@ impl<A: Application> LedgerNode<A> {
         // local here, so the application borrows it directly — no copy.
         self.with_app(ctx, |app, app_ctx| app.finalize_block(&block, app_ctx));
 
-        self.committed.insert(block.height, (block, certificate));
-
-        // Clean up per-height consensus state and move to the next height.
-        let h = self.height;
-        self.first_proposal.retain(|(hh, _), _| *hh > h);
-        self.proposal_store.retain(|(hh, _), _| *hh > h);
-        self.prevotes.retain(|(hh, _, _), _| *hh > h);
-        self.precommits.retain(|(hh, _), _| *hh > h);
-        self.precommit_sigs.retain(|(hh, _), _| *hh > h);
-        self.voted_prevote.retain(|(hh, _)| *hh > h);
-        self.voted_precommit.retain(|hh| *hh > h);
-
-        self.height += 1;
+        // Move to the next height with an empty record.
+        self.committed.push((block, certificate));
+        self.current = HeightState::default();
         self.round = 0;
-        if !self.byz.is_silent() {
-            self.schedule_start_height(self.height, ctx);
-        }
+        let height = self.height();
+        self.schedule_start_height(height, ctx);
         // Replay consensus messages that arrived while this height was still
         // in our future. A perpetually-lagging node breaks out of the
         // sync-one-behind treadmill here: the buffered proposal and
         // precommit quorum for the new height let it commit (or even vote)
         // without waiting to hear about the height after it.
-        self.future_msgs.retain(|h, _| *h >= self.height);
-        if let Some(msgs) = self.future_msgs.remove(&self.height) {
+        self.future_msgs.retain(|h, _| *h >= height);
+        if let Some(msgs) = self.future_msgs.remove(&height) {
             for (from, msg) in msgs {
                 self.handle_consensus_msg(from, msg, ctx);
             }
         }
     }
 
-    /// Tracks the highest height peers reference and requests sync when we
-    /// are behind.
-    fn note_peer_height(&mut self, height: u64, peer: ProcessId, ctx: &mut Context<'_, M<A>>) {
-        if height > self.max_seen_height {
-            self.max_seen_height = height;
-        }
-        if height > self.height && peer != self.id && !self.byz.is_silent() {
-            ctx.send(
-                peer,
-                NetMsg::BlockSyncRequest {
-                    height: self.height,
-                },
-            );
-        }
-    }
-
     fn on_sync_request(&mut self, from: ProcessId, height: u64, ctx: &mut Context<'_, M<A>>) {
-        if self.byz.is_silent() {
-            return;
-        }
-        if let Some((block, cert)) = self.committed.get(&height) {
+        if let Some((block, cert)) = self.committed_entry(height) {
             // `block.clone()` shares the transaction list: the requester
             // commits the allocation this node holds.
             ctx.send(
@@ -688,7 +614,7 @@ impl<A: Application> LedgerNode<A> {
         certificate: Vec<Signature>,
         ctx: &mut Context<'_, M<A>>,
     ) {
-        if block.height != self.height {
+        if block.height != self.height() {
             return;
         }
         // Verify the commit certificate: 2f+1 valid signatures from distinct
@@ -716,72 +642,64 @@ impl<A: Application> LedgerNode<A> {
         self.stats.synced_blocks += 1;
         self.commit_block(block, certificate, ctx);
         // If still behind, keep pulling from any peer we know is ahead.
-        if self.max_seen_height > self.height {
+        let height = self.height();
+        if self.max_seen_height > height {
             if let Some(peer) = self.peers.first().copied() {
-                ctx.send(
-                    peer,
-                    NetMsg::BlockSyncRequest {
-                        height: self.height,
-                    },
-                );
+                ctx.send(peer, NetMsg::BlockSyncRequest { height });
             }
         }
     }
 
     /// Dispatches one non-application message (consensus, gossip, sync).
     fn handle_consensus_msg(&mut self, from: ProcessId, msg: M<A>, ctx: &mut Context<'_, M<A>>) {
-        // Proposals and votes for a height we have not reached yet cannot be
-        // processed in place; buffer a bounded window of them for replay so
-        // a node that is catching up can vote at the first height it reaches
-        // in time. They still count as peer-height sightings, which is what
-        // triggers the catch-up sync in the first place.
-        let future_height = match &msg {
-            NetMsg::Proposal { height, .. } | NetMsg::Vote { height, .. }
-                if *height > self.height =>
-            {
-                Some(*height)
+        let height = self.height();
+        match &msg {
+            NetMsg::Proposal { height: h, .. } | NetMsg::Vote { height: h, .. } if *h < height => {
+                return; // stale
             }
-            _ => None,
-        };
-        if let Some(h) = future_height {
-            self.note_peer_height(h, from, ctx);
-            if h <= self.height + MAX_FUTURE_HEIGHTS {
-                let slot = self.future_msgs.entry(h).or_default();
-                // Cap against a flooding peer: one proposal and two votes
-                // per validator is what a height legitimately produces.
-                if slot.len() < 4 * self.validators.len() {
-                    slot.push((from, msg));
-                    self.stats.future_buffered += 1;
+            // Proposals and votes for a height we have not reached yet
+            // cannot be processed in place; buffer a bounded window of them
+            // for replay so a node that is catching up can vote at the first
+            // height it reaches in time. They still count as peer-height
+            // sightings, which is what triggers the catch-up sync in the
+            // first place.
+            NetMsg::Proposal { height: h, .. } | NetMsg::Vote { height: h, .. } if *h > height => {
+                let h = *h;
+                self.max_seen_height = self.max_seen_height.max(h);
+                if from != self.id {
+                    ctx.send(from, NetMsg::BlockSyncRequest { height });
                 }
+                if h <= height + MAX_FUTURE_HEIGHTS {
+                    let slot = self.future_msgs.entry(h).or_default();
+                    // Cap against a flooding peer: one proposal and two votes
+                    // per validator is what a height legitimately produces.
+                    if slot.len() < 4 * self.validators.len() {
+                        slot.push((from, msg));
+                        self.stats.future_buffered += 1;
+                    }
+                }
+                return;
             }
-            return;
+            _ => {}
         }
         match msg {
             NetMsg::Proposal {
-                height,
                 round,
                 block,
                 signature,
-            } => self.on_proposal(height, round, block, signature, ctx),
+                ..
+            } => self.on_proposal(round, block, signature, ctx),
             NetMsg::Vote {
                 kind,
-                height,
                 round,
                 block_id,
                 voter,
                 signature,
-            } => self.on_vote(kind, height, round, block_id, voter, signature, ctx),
+                ..
+            } => self.on_vote(kind, round, block_id, voter, signature, ctx),
             NetMsg::TxGossip { txs } => {
                 for tx in txs {
-                    if !self.app.check_tx(&tx) {
-                        self.stats.txs_rejected += 1;
-                        continue;
-                    }
-                    let id = tx.tx_id();
-                    match self.mempool.push(tx) {
-                        Ok(()) => self.trace.record_mempool_arrival(id, self.id, ctx.now()),
-                        Err(cause) => self.note_mempool_rejection(cause),
-                    }
+                    self.admit_tx(tx, ctx);
                 }
             }
             NetMsg::BlockSyncRequest { height } => self.on_sync_request(from, height, ctx),
@@ -801,7 +719,7 @@ impl<A: Application> LedgerNode<A> {
         let payload = token & TIMER_PAYLOAD_MASK;
         match kind {
             TIMER_GOSSIP => {
-                if !self.pending_gossip.is_empty() && !self.byz.is_silent() {
+                if !self.pending_gossip.is_empty() {
                     let txs = std::mem::take(&mut self.pending_gossip);
                     let msg = Arc::new(NetMsg::TxGossip { txs });
                     for peer in &self.peers {
@@ -810,14 +728,14 @@ impl<A: Application> LedgerNode<A> {
                 }
                 ctx.set_timer(GOSSIP_INTERVAL, TIMER_GOSSIP);
             }
-            TIMER_START_HEIGHT if payload == self.height && self.round == 0 => {
+            TIMER_START_HEIGHT if payload == self.height() && self.round == 0 => {
                 self.start_round(ctx);
             }
             TIMER_START_HEIGHT => {}
             TIMER_ROUND_TIMEOUT => {
                 let height = payload >> 16;
                 let round = (payload & 0xFFFF) as u32;
-                if height == self.height && round == self.round {
+                if height == self.height() && round == self.round {
                     self.stats.round_timeouts += 1;
                     self.round += 1;
                     self.start_round(ctx);
@@ -828,6 +746,9 @@ impl<A: Application> LedgerNode<A> {
     }
 }
 
+/// A silent validator ([`ByzMode::Silent`]) is stopped at these three entry
+/// points and nowhere else: it arms no timer, handles no message and fires
+/// no timer, so nothing inside the node can run for it.
 impl<A: Application> Process<M<A>> for LedgerNode<A> {
     fn on_start(&mut self, ctx: &mut Context<'_, M<A>>) {
         self.with_app(ctx, |app, app_ctx| app.on_start(app_ctx));
@@ -852,10 +773,10 @@ impl<A: Application> Process<M<A>> for LedgerNode<A> {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, M<A>>) {
+        if self.byz.is_silent() {
+            return;
+        }
         if token & APP_TIMER_BASE != 0 {
-            if self.byz.is_silent() {
-                return;
-            }
             let app_token = token & !APP_TIMER_BASE;
             self.with_app(ctx, |app, app_ctx| app.on_timer(app_token, app_ctx));
         } else {
@@ -1106,6 +1027,11 @@ mod tests {
         // The other correct nodes agree.
         assert_eq!(committed_sequence(&cluster, 1), committed);
         assert_eq!(committed_sequence(&cluster, 2), committed);
+        // The three entry-point gates stop everything: the silent node
+        // counts nothing and never leaves height 1.
+        let silent = node(&cluster, 3);
+        assert_eq!(silent.stats(), NodeStats::default());
+        assert_eq!(silent.height(), 1);
     }
 
     #[test]
@@ -1187,7 +1113,7 @@ mod tests {
         // proposal stores before the round times out.
         cluster.sim.run_until(SimTime::from_millis(1500));
         let proposal = |i: usize| {
-            let store = &node(&cluster, i).proposal_store;
+            let store = &node(&cluster, i).current.proposals;
             assert_eq!(store.len(), 1, "node {i}: one proposal for height 1");
             let block = store.values().next().unwrap();
             assert_eq!(block.proposer, ProcessId::server(1));
@@ -1226,6 +1152,51 @@ mod tests {
         assert!(!a.is_empty());
         for of in [2, 3] {
             assert_blocks_shared(&cluster, 0, of);
+        }
+    }
+
+    #[test]
+    fn a_commit_certificate_holds_one_signature_per_precommitter() {
+        let mut cluster = build_cluster(4, vec![], 14);
+        for i in 0..40u128 {
+            submit(
+                &mut cluster.sim,
+                100 + i as u64 * 50,
+                (i % 4) as usize,
+                i,
+                150,
+            );
+        }
+        cluster.sim.run_until(SimTime::from_secs(15));
+        let quorum = LedgerConfig::with_validators(cluster.n).quorum();
+        for i in 0..cluster.n {
+            let n = node(&cluster, i);
+            let heights = n.committed_heights();
+            assert!(heights.len() >= 5, "node {i} committed {heights:?}");
+            assert_eq!(heights, (1..n.height()).collect::<Vec<_>>());
+            for h in heights {
+                let (block, certificate) = n.committed_entry(h).unwrap();
+                assert_eq!(block.height, h);
+                let signers: Vec<ProcessId> = certificate.iter().map(|s| s.signer).collect();
+                assert!(
+                    signers.windows(2).all(|w| w[0] < w[1]),
+                    "node {i} height {h}: signers {signers:?} are distinct and ascending"
+                );
+                assert!(
+                    signers.len() >= quorum,
+                    "node {i} height {h}: {} signers",
+                    signers.len()
+                );
+                let bytes = certificate_sign_bytes(h, &block.id());
+                let registry = &n.registry;
+                for sig in certificate {
+                    assert!(
+                        SigVerifier::new().verify(registry, &bytes, sig),
+                        "node {i} height {h}: {:?}'s signature verifies",
+                        sig.signer
+                    );
+                }
+            }
         }
     }
 

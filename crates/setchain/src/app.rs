@@ -5,10 +5,11 @@
 //! differ in exactly one step: how a batch of elements reaches the ledger.
 //! [`SetchainServer`] is that object. It owns the algorithm-agnostic
 //! [`ServerCore`] and writes the shared front door once — quota gate →
-//! `add(e)`, the `get` service, the collector tick — and hands the steps
-//! that differ (what happens to an admitted element, `check_tx`,
-//! `finalize_block`, Hashchain's batch service) to the variant modules
-//! [`crate::vanilla`], [`crate::compresschain`] and [`crate::hashchain`].
+//! `add(e)`, the `InjectInvalidElements` forgery, the `get` service, the
+//! collector tick — and hands the steps that differ (what happens to an
+//! admitted element, `check_tx`, `finalize_block`, Hashchain's batch
+//! service) to the variant modules [`crate::vanilla`],
+//! [`crate::compresschain`] and [`crate::hashchain`].
 //!
 //! ```
 //! use setchain::{Algorithm, ServerCore, SetchainConfig, SetchainServer, SetchainTrace};
@@ -38,7 +39,7 @@ use setchain_simnet::{SimDuration, TimerToken};
 use crate::byzantine::ServerByzMode;
 use crate::collector::Collector;
 use crate::compresschain::Compresschain;
-use crate::element::Element;
+use crate::element::{Element, ElementId};
 use crate::hashchain::{Hashchain, SharedBatchRegistry, REQUEST_TICK};
 use crate::messages::SetchainMsg;
 use crate::server::{Ctx, ServerCore, ServerStats};
@@ -64,11 +65,11 @@ enum Variant {
 
 impl Variant {
     /// The batch under construction, for the two collecting algorithms.
-    fn collector(&self) -> Option<&Collector> {
+    fn collector(&mut self) -> Option<&mut Collector> {
         match self {
             Variant::Vanilla => None,
-            Variant::Compresschain(c) => Some(&c.collector),
-            Variant::Hashchain(h) => Some(&h.collector),
+            Variant::Compresschain(c) => Some(&mut c.collector),
+            Variant::Hashchain(h) => Some(&mut h.collector),
         }
     }
 
@@ -84,18 +85,27 @@ impl Variant {
 
     /// What follows `add(e)`'s precondition check: an accepted element
     /// becomes a ledger transaction (Vanilla) or joins the collector.
-    fn on_add(
-        &mut self,
-        core: &mut ServerCore,
-        element: Element,
-        accepted: bool,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
+    fn on_add(&mut self, core: &mut ServerCore, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
         match self {
-            Variant::Vanilla => vanilla::on_add(core, element, accepted, ctx),
-            Variant::Compresschain(c) if accepted => c.collect(core, element, ctx),
-            Variant::Hashchain(h) if accepted => h.collect(core, element, ctx),
-            _ => {}
+            Variant::Vanilla => vanilla::on_add(core, element, ctx),
+            Variant::Compresschain(c) => c.collect(core, element, ctx),
+            Variant::Hashchain(h) => h.collect(core, element, ctx),
+        }
+    }
+
+    /// [`ServerByzMode::InjectInvalidElements`]: a forged element goes
+    /// where an accepted one would, unchecked. Vanilla appends it as its
+    /// own transaction; the collecting algorithms batch it through
+    /// [`Collector::add_element`], so the flushed batch starts with no
+    /// element verdict known.
+    fn inject(&mut self, core: &mut ServerCore, forged: Element, ctx: &mut Ctx<'_, '_, '_>) {
+        let Some(collector) = self.collector() else {
+            ctx.append(SetchainTx::Element(forged));
+            return;
+        };
+        collector.add_element(forged);
+        if collector.is_ready() {
+            self.flush(core, ctx);
         }
     }
 }
@@ -198,8 +208,20 @@ impl SetchainServer {
         for &element in elements {
             // The paper's `add(e)`: the shared precondition check, then the
             // one step that differs.
-            let accepted = self.core.accept_add(&element, ctx);
-            self.variant.on_add(&mut self.core, element, accepted, ctx);
+            if self.core.accept_add(&element, ctx) {
+                self.variant.on_add(&mut self.core, element, ctx);
+            }
+            if self.core.byz == ServerByzMode::InjectInvalidElements {
+                // A Byzantine server also submits a fabricated element for
+                // every add it handles, accepted or not; correct servers
+                // must filter it out when they process the block or batch.
+                let forged = Element::forged(
+                    ProcessId::client(0),
+                    ElementId::new(u32::MAX, element.id.seq()),
+                    200,
+                );
+                self.variant.inject(&mut self.core, forged, ctx);
+            }
         }
     }
 }

@@ -18,8 +18,11 @@ pub enum ServerByzMode {
     /// Hashchain only: appends hash-batches but never answers
     /// `Request_batch`, so other servers cannot recover its batches.
     RefuseBatchService,
-    /// Appends invalid (unauthenticated) elements to the ledger alongside
-    /// valid behaviour; correct servers must filter them out.
+    /// Submits a forged (unauthenticated) element next to every add it
+    /// handles, alongside valid behaviour, under all three algorithms:
+    /// Vanilla appends it as its own transaction, Compresschain and
+    /// Hashchain batch it with the elements they admitted. Correct servers
+    /// must filter it out when they process the block or batch.
     InjectInvalidElements,
     /// Produces epoch-proofs with invalid signatures; correct servers and
     /// clients must reject them.

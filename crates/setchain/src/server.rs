@@ -1790,7 +1790,7 @@ pub(crate) mod tests {
             /// and rejections, and end with the `the_set` and epoch of two
             /// servers each given a block of the same transactions with a
             /// memo of its own. Blocks mix valid elements, forged ones (as
-            /// `InjectInvalidElements` appends them, and by clients),
+            /// `InjectInvalidElements` submits them, and by clients),
             /// duplicate ids, ids already stamped, ids the server accepted
             /// as adds and epoch-proofs (valid, forged, by a non-server, for
             /// the past and for epochs ahead); some blocks are all honest.

@@ -21,41 +21,21 @@
 //! server still counts and pays its own validation, verification, hashing
 //! and signing.
 
-use setchain_crypto::ProcessId;
 use setchain_ledger::{Block, TxData};
 
-use crate::byzantine::ServerByzMode;
 use crate::collector::Batch;
 use crate::config::SetchainConfig;
-use crate::element::{Element, ElementId};
+use crate::element::Element;
 use crate::proofs::EpochProof;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::SetchainTx;
 
 /// The step after `add(e)`'s precondition check: an accepted element becomes
 /// its own ledger transaction (`L.append(e)`).
-pub(crate) fn on_add(
-    core: &mut ServerCore,
-    element: Element,
-    accepted: bool,
-    ctx: &mut Ctx<'_, '_, '_>,
-) {
-    if accepted {
-        let tx = SetchainTx::Element(element);
-        core.trace.record_tx_assignment(element.id, tx.tx_id());
-        ctx.append(tx);
-    }
-    if core.byz == ServerByzMode::InjectInvalidElements {
-        // A Byzantine server also appends a fabricated element for every add
-        // it handles, accepted or not; correct servers must filter it out
-        // during block processing.
-        let forged = Element::forged(
-            ProcessId::client(0),
-            ElementId::new(u32::MAX, element.id.seq()),
-            200,
-        );
-        ctx.append(SetchainTx::Element(forged));
-    }
+pub(crate) fn on_add(core: &mut ServerCore, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
+    let tx = SetchainTx::Element(element);
+    core.trace.record_tx_assignment(element.id, tx.tx_id());
+    ctx.append(tx);
 }
 
 /// ABCI `CheckTx` for Vanilla's two transaction kinds.

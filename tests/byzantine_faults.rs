@@ -88,35 +88,43 @@ fn forged_epoch_proofs_are_never_counted() {
 
 #[test]
 fn invalid_elements_injected_by_a_server_never_enter_epochs() {
-    let deployment = builder(Algorithm::Vanilla, 4, 3)
-        .server_fault(1, ServerByzMode::InjectInvalidElements)
-        .build();
-    let deployment = run(deployment, 45);
-    // Every element in every epoch of a correct server must be a client-added
-    // element recorded by the trace (forged ones are not in the trace).
-    let added: std::collections::HashSet<_> = deployment
-        .trace
-        .element_records()
-        .iter()
-        .map(|r| r.id)
-        .collect();
-    let server = deployment.server(0);
-    let state = server.state();
-    let mut checked = 0;
-    for epoch in 1..=state.epoch() {
-        for e in state.epoch_elements(epoch).unwrap() {
-            assert!(
-                added.contains(&e.id),
-                "forged element {:?} reached epoch {epoch}",
-                e.id
-            );
-            checked += 1;
+    for algorithm in Algorithm::ALL {
+        let deployment = builder(algorithm, 4, 3)
+            .server_fault(1, ServerByzMode::InjectInvalidElements)
+            .build();
+        let deployment = run(deployment, 45);
+        // Every element in every epoch of a correct server must be a
+        // client-added element recorded by the trace (forged ones are not in
+        // the trace).
+        let added: std::collections::HashSet<_> = deployment
+            .trace
+            .element_records()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        let server = deployment.server(0);
+        let state = server.state();
+        let mut checked = 0;
+        for epoch in 1..=state.epoch() {
+            for e in state.epoch_elements(epoch).unwrap() {
+                assert!(
+                    added.contains(&e.id),
+                    "{algorithm}: forged element {:?} reached epoch {epoch}",
+                    e.id
+                );
+                checked += 1;
+            }
         }
+        assert!(
+            checked > 500,
+            "{algorithm}: epochs actually contained elements ({checked})"
+        );
+        // The forgeries did reach the ledger, and were filtered there.
+        assert!(
+            server.stats().elements_rejected > 0,
+            "{algorithm}: no forged element reached server 0"
+        );
     }
-    assert!(
-        checked > 500,
-        "epochs actually contained elements ({checked})"
-    );
 }
 
 #[test]

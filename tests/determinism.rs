@@ -347,6 +347,8 @@ type BranchGolden = ((Algorithm, Branch), (u64, u64, usize, usize, &'static str)
 #[rustfmt::skip]
 const BRANCH_GOLDENS: &[BranchGolden] = &[
     ((Algorithm::Vanilla, Branch::InjectInvalid), (8292, 300, 1200, 1200, "4ac467873e3b6a6ed7ac7e3df6b7f810b5bdef7baa0333b46ec5a9bca6b6cd5a")),
+    ((Algorithm::Hashchain, Branch::InjectInvalid), (7618, 774, 1200, 1200, "2f2743adfd10a4984aa03a0dfb5c4a59af47f94fe7c0a6d57c65ac9411277b9a")),
+    ((Algorithm::Compresschain, Branch::InjectInvalid), (6915, 269, 1200, 1200, "659126ba1dd5fd279877bec69f962cef8af9991b7c3c647f34ac254d2f21b0e8")),
     ((Algorithm::Hashchain, Branch::DropClientAdds), (7442, 644, 1200, 900, "13516d3aec16caf6d735d3b26fef82c15a571d5f6e74db9019126eeb934a19d9")),
     ((Algorithm::Hashchain, Branch::ForgeProofs), (7588, 871, 1200, 1200, "5df9b4b8a139b65973ee850e0dbf785a045cc3ce7cb84b468c7300674a6550ba")),
     ((Algorithm::Hashchain, Branch::Light), (6996, 283, 1200, 1200, "2dc7b310672f72b7de47454fa69239bb1dd15d09e0fd614b8cf6ae70d263b704")),
