@@ -15,10 +15,18 @@
 //! elements the origin admitted through `add(e)` reach a collector, and the
 //! origin checked each authenticator there. The modelled servers still pay
 //! for each of them, at every server.
+//!
+//! A batch that becomes an epoch also holds, for the servers that record
+//! it, the longest list of epoch-proofs one of them has received for it.
+//! A server whose proofs so far are that list's prefix, and whose next
+//! proof is the list's next entry, adopts the list instead of copying it
+//! (see `Batch::extend_epoch_proofs`), so the servers that ingest the
+//! same proofs in the same order hold one list per epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
+use parking_lot::Mutex;
 use setchain_crypto::{Digest256, Digest512, Sha512};
 use setchain_simnet::SimTime;
 
@@ -101,6 +109,11 @@ struct Memo {
     /// epoch batch a server found proof `i` valid against (see
     /// [`Batch::proof_verdict`]). 16 bytes a proof.
     proofs: OnceLock<Box<[OnceLock<Weak<Batch>>]>>,
+    /// The longest epoch-proof list a server recording this batch as an
+    /// epoch has built, which the others adopt while their proofs are its
+    /// prefix (see [`Batch::extend_epoch_proofs`]). A `Mutex` because a
+    /// longer list replaces it through a shared `Arc`.
+    epoch_proofs: Mutex<Option<Arc<[EpochProof]>>>,
 }
 
 // A carried proof's slot in [`Memo::proofs`] costs 16 bytes.
@@ -229,6 +242,34 @@ impl Batch {
             let _ = slot.set(Arc::downgrade(epoch));
         }
         valid
+    }
+
+    /// The epoch-proof list of a server that records this batch as an
+    /// epoch, holds `held` and has just received `proof`, a signer `held`
+    /// lacks: `held` followed by `proof`. The memo's list is returned when
+    /// it starts with exactly those proofs, so servers that receive the
+    /// same proofs in the same order share one list; otherwise a new list
+    /// is built, and kept in the memo if it is the longest so far.
+    pub(crate) fn extend_epoch_proofs(
+        &self,
+        held: &[EpochProof],
+        proof: EpochProof,
+    ) -> Arc<[EpochProof]> {
+        let mut slot = self.memo.epoch_proofs.lock();
+        let k = held.len();
+        if let Some(list) = slot.as_ref() {
+            if list.len() > k && list[..k] == *held && list[k] == proof {
+                return Arc::clone(list);
+            }
+        }
+        let list: Arc<[EpochProof]> = held.iter().copied().chain([proof]).collect();
+        if slot
+            .as_ref()
+            .is_none_or(|longest| longest.len() < list.len())
+        {
+            *slot = Some(Arc::clone(&list));
+        }
+        list
     }
 
     /// Number of entries (elements plus proofs).

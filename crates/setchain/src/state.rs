@@ -5,6 +5,12 @@
 //! `history` and `proofs` are kept together, one record per epoch: the
 //! epoch's elements as a [`Batch`], its digest and the epoch-proofs received
 //! for it. `epoch` is the number of records.
+//!
+//! A record's proofs are a view: the first `held` entries of a list that
+//! every server recording the same batch allocation shares while it has
+//! received the same proofs in the same order (the batch's memo keeps the
+//! list, see `Batch::extend_epoch_proofs`). What a server holds is still
+//! exactly what it received, first proof per signer, in arrival order.
 
 use std::sync::Arc;
 
@@ -19,6 +25,9 @@ use crate::proofs::{epoch_hash_for_root, EpochProof};
 // `members` holds one `Option<bool>` slot per added id; keep it one byte.
 const _: () = assert!(std::mem::size_of::<Option<bool>>() == 1);
 
+// One record per epoch per server; the shared proof list must not grow it.
+const _: () = assert!(std::mem::size_of::<Epoch>() <= 96);
+
 /// One epoch: `history[i]`, its digest and its proofs.
 #[derive(Debug)]
 struct Epoch {
@@ -32,10 +41,22 @@ struct Epoch {
     /// when the epoch is recorded. Every proof made or verified for the
     /// epoch reuses it instead of re-hashing the elements.
     digest: Digest512,
-    /// Epoch-proofs received, at most one per signer. A `Vec` so
-    /// `proofs_for` can hand out a borrowed slice; signer sets are tiny
-    /// (≤ n servers) so the linear dedup is cheap.
-    proofs: Vec<EpochProof>,
+    /// The list whose first `held` entries are the epoch-proofs received,
+    /// at most one per signer, in arrival order. Servers that record the
+    /// same `batch` and receive the same proofs in the same order share
+    /// it; signer sets are tiny (≤ n servers) so the linear dedup is cheap.
+    proofs: Option<Arc<[EpochProof]>>,
+    /// How many of `proofs` this server has received.
+    held: u32,
+}
+
+impl Epoch {
+    /// The epoch-proofs this server has received.
+    fn proofs(&self) -> &[EpochProof] {
+        self.proofs
+            .as_deref()
+            .map_or(&[], |list| &list[..self.held as usize])
+    }
 }
 
 /// The four components of a Setchain returned by `get()`:
@@ -131,7 +152,8 @@ impl SetchainState {
         self.epochs.push(Epoch {
             batch,
             digest,
-            proofs: Vec::new(),
+            proofs: None,
+            held: 0,
         });
         epoch
     }
@@ -153,6 +175,10 @@ impl SetchainState {
     /// Records an epoch-proof for a recorded epoch. Returns the number of
     /// distinct signers now known for that epoch: 0 for an epoch not
     /// recorded, whose proof is not kept.
+    ///
+    /// A new signer's proof extends this server's view of the shared list
+    /// when it is the list's next entry, and otherwise takes the list the
+    /// epoch's batch holds for this prefix and proof, or a new one.
     pub fn add_proof(&mut self, proof: EpochProof) -> usize {
         let Some(record) = proof
             .epoch
@@ -161,10 +187,16 @@ impl SetchainState {
         else {
             return 0;
         };
-        if !record.proofs.iter().any(|p| p.signer == proof.signer) {
-            record.proofs.push(proof);
+        let held = record.proofs();
+        let k = held.len();
+        if held.iter().any(|p| p.signer == proof.signer) {
+            return k;
         }
-        record.proofs.len()
+        if record.proofs.as_ref().and_then(|list| list.get(k)) != Some(&proof) {
+            record.proofs = Some(record.batch.extend_epoch_proofs(held, proof));
+        }
+        record.held += 1;
+        k + 1
     }
 
     /// Number of distinct proof signers for `epoch`.
@@ -176,19 +208,19 @@ impl SetchainState {
     /// that need ownership (e.g. to ship the proofs to a client) copy
     /// explicitly with `.to_vec()`.
     pub fn proofs_for(&self, epoch: u64) -> &[EpochProof] {
-        self.record(epoch).map_or(&[], |e| &e.proofs)
+        self.record(epoch).map_or(&[], Epoch::proofs)
     }
 
     /// Total number of proofs held across all epochs.
     pub fn proofs_total(&self) -> u64 {
-        self.epochs.iter().map(|e| e.proofs.len() as u64).sum()
+        self.epochs.iter().map(|e| u64::from(e.held)).sum()
     }
 
     /// Number of epochs with at least `quorum` proofs.
     pub fn epochs_with_quorum(&self, quorum: usize) -> u64 {
         self.epochs
             .iter()
-            .filter(|e| e.proofs.len() >= quorum)
+            .filter(|e| e.held as usize >= quorum)
             .count() as u64
     }
 
@@ -405,6 +437,89 @@ mod tests {
         assert_eq!(st.epochs_with_quorum(1), 1);
     }
 
+    /// Server `i`'s proof for epoch 1 over `es`.
+    fn proof(reg: &KeyRegistry, i: usize, es: &[Element]) -> EpochProof {
+        make_epoch_proof(&reg.lookup(ProcessId::server(i)).unwrap(), 1, es)
+    }
+
+    #[test]
+    fn servers_that_ingest_the_same_proofs_share_one_list() {
+        let reg = KeyRegistry::bootstrap(1, 4, 1);
+        let es = elements(0..3);
+        let proofs: Vec<_> = (0..4).map(|i| proof(&reg, i, &es)).collect();
+        let shared = batch(es.clone());
+        let (mut a, mut b, mut late) = (
+            SetchainState::new(),
+            SetchainState::new(),
+            SetchainState::new(),
+        );
+        for st in [&mut a, &mut b, &mut late] {
+            st.record_epoch(Arc::clone(&shared));
+        }
+        for (k, &p) in proofs.iter().enumerate() {
+            assert_eq!(a.add_proof(p), k + 1);
+            assert_eq!(b.add_proof(p), k + 1);
+            assert_eq!(a.proofs_for(1), &proofs[..=k]);
+            assert_eq!(b.proofs_for(1), a.proofs_for(1));
+        }
+        assert_eq!(a.proofs_for(1).as_ptr(), b.proofs_for(1).as_ptr());
+        // A server that starts after the others holds a prefix view of
+        // their list from its first proof on.
+        for (k, &p) in proofs.iter().enumerate() {
+            assert_eq!(late.add_proof(p), k + 1);
+            assert_eq!(late.proofs_for(1), &proofs[..=k]);
+            assert_eq!(late.proofs_for(1).as_ptr(), a.proofs_for(1).as_ptr());
+        }
+        // A repeated signer, even over other bytes, changes nothing, and a
+        // proof for an epoch not recorded is not kept.
+        let again = proof(&reg, 2, &elements(5..6));
+        assert_eq!(b.add_proof(again), 4);
+        assert_eq!(b.proofs_for(1), &proofs[..]);
+        assert_eq!(b.proofs_for(1).as_ptr(), a.proofs_for(1).as_ptr());
+        let keys = reg.lookup(ProcessId::server(0)).unwrap();
+        assert_eq!(b.add_proof(make_epoch_proof(&keys, 2, &es)), 0);
+        assert_eq!(b.proofs_total(), 4);
+    }
+
+    #[test]
+    fn a_server_that_ingests_in_another_order_keeps_its_own_list() {
+        let reg = KeyRegistry::bootstrap(1, 3, 1);
+        let es = elements(0..3);
+        let proofs: Vec<_> = (0..3).map(|i| proof(&reg, i, &es)).collect();
+        let shared = batch(es.clone());
+        let (mut a, mut b) = (SetchainState::new(), SetchainState::new());
+        a.record_epoch(Arc::clone(&shared));
+        b.record_epoch(shared);
+        for &p in &proofs {
+            a.add_proof(p);
+        }
+        let order = [proofs[1], proofs[0], proofs[2]];
+        for (k, &p) in order.iter().enumerate() {
+            assert_eq!(b.add_proof(p), k + 1);
+            assert_eq!(b.proofs_for(1), &order[..=k]);
+        }
+        assert_eq!(a.proofs_for(1), &proofs[..]);
+        let span = |st: &SetchainState| st.proofs_for(1).as_ptr_range();
+        let (ours, theirs) = (span(&a), span(&b));
+        assert!(ours.end <= theirs.start || theirs.end <= ours.start);
+    }
+
+    #[test]
+    fn an_epoch_on_another_allocation_never_adopts() {
+        let reg = KeyRegistry::bootstrap(1, 3, 1);
+        let es = elements(0..3);
+        let (mut a, mut b) = (SetchainState::new(), SetchainState::new());
+        a.record_epoch(batch(es.clone()));
+        b.record_epoch(batch(es.clone()));
+        for i in 0..3 {
+            let p = proof(&reg, i, &es);
+            assert_eq!(a.add_proof(p), i + 1);
+            assert_eq!(b.add_proof(p), i + 1);
+        }
+        assert_eq!(a.proofs_for(1), b.proofs_for(1));
+        assert_ne!(a.proofs_for(1).as_ptr(), b.proofs_for(1).as_ptr());
+    }
+
     #[test]
     fn consistency_check_between_servers() {
         let mut a = SetchainState::new();
@@ -431,7 +546,8 @@ mod tests {
         st.epochs.push(Epoch {
             batch: batch(vec![es[0]]),
             digest: epoch_hash(2, &es[..1]),
-            proofs: Vec::new(),
+            proofs: None,
+            held: 0,
         });
         assert!(!st.check_unique_epoch());
     }
@@ -570,20 +686,65 @@ mod tests {
             }
 
             /// Proof bookkeeping: distinct signers accumulate, duplicates do
-            /// not, and the quorum counter matches a recount.
+            /// not, and the quorum counter matches a recount. Two servers
+            /// record one shared batch and take their proofs interleaved by
+            /// `turns`: the same sequence when `follow`, else each its own,
+            /// with repeated signers over either of two digests. After every
+            /// add each holds exactly its own arrival order, first proof per
+            /// signer; servers fed one sequence end on one list.
             #[test]
-            fn prop_proof_counting(signers in proptest::collection::vec(0usize..8, 0..40)) {
+            fn prop_proof_counting(
+                signers in proptest::collection::vec((0usize..8, 0usize..2), 0..40),
+                others in proptest::collection::vec((0usize..8, 0usize..2), 0..40),
+                follow in any::<bool>(),
+                turns in proptest::collection::vec(any::<bool>(), 0..80),
+            ) {
                 let reg = KeyRegistry::bootstrap(3, 8, 1);
-                let mut st = SetchainState::new();
                 let es = elements(0..4);
-                st.record_epoch(batch(es.clone()));
-                for &s in &signers {
+                let digests = [es.clone(), elements(4..5)];
+                let proof = |(s, d): (usize, usize)| {
                     let keys = reg.lookup(ProcessId::server(s)).unwrap();
-                    st.add_proof(make_epoch_proof(&keys, 1, &es));
+                    make_epoch_proof(&keys, 1, &digests[d])
+                };
+                let shared = batch(es.clone());
+                let mut states = [SetchainState::new(), SetchainState::new()];
+                for st in &mut states {
+                    st.record_epoch(Arc::clone(&shared));
                 }
-                let distinct: std::collections::HashSet<_> = signers.iter().collect();
+                let inputs = [&signers, if follow { &signers } else { &others }];
+                let mut models: [Vec<EpochProof>; 2] = Default::default();
+                let mut next = [0usize; 2];
+                let picks = turns
+                    .iter()
+                    .map(|&t| usize::from(!t))
+                    .chain(std::iter::repeat_n(0, signers.len()))
+                    .chain(std::iter::repeat_n(1, inputs[1].len()));
+                for who in picks {
+                    let Some(&pick) = inputs[who].get(next[who]) else {
+                        continue;
+                    };
+                    next[who] += 1;
+                    let p = proof(pick);
+                    let model = &mut models[who];
+                    if !model.iter().any(|q| q.signer == p.signer) {
+                        model.push(p);
+                    }
+                    prop_assert_eq!(states[who].add_proof(p), model.len());
+                    for (st, model) in states.iter().zip(&models) {
+                        prop_assert_eq!(st.proofs_for(1), &model[..]);
+                    }
+                }
+                if follow && !models[0].is_empty() {
+                    prop_assert_eq!(
+                        states[0].proofs_for(1).as_ptr(),
+                        states[1].proofs_for(1).as_ptr()
+                    );
+                }
+                let st = &states[0];
+                let distinct: HashSet<_> = signers.iter().map(|&(s, _)| s).collect();
                 prop_assert_eq!(st.proof_count(1), distinct.len());
                 prop_assert_eq!(st.proofs_for(1).len(), distinct.len());
+                prop_assert_eq!(st.proofs_total(), distinct.len() as u64);
                 for quorum in 1..=9usize {
                     let expected = if distinct.len() >= quorum { 1 } else { 0 };
                     prop_assert_eq!(st.epochs_with_quorum(quorum), expected);

@@ -243,6 +243,37 @@ fn correct_servers_agree_on_committed_epochs_within_a_run() {
     }
 }
 
+/// Every correct server ingests an epoch's proofs in ledger order, so the
+/// servers that record one batch as the epoch hold one proof list between
+/// them: for every committed epoch, the four servers' `proofs_for` slices
+/// are one allocation of one length.
+#[test]
+fn committed_epochs_share_one_proof_list_across_servers() {
+    for algorithm in Algorithm::ALL {
+        let builder = builder_at(algorithm, 71, 4, 400.0, 3);
+        let end = builder.scenario().injection_secs + 9;
+        let mut deployment = builder.max_run_secs(end).build();
+        deployment.sim.run_until(SimTime::from_secs(end));
+        let quorum = deployment.config.proof_quorum();
+        let reference = deployment.server(0).state();
+        let committed: Vec<u64> = (1..=reference.epoch())
+            .filter(|&e| reference.proof_count(e) >= quorum)
+            .collect();
+        assert!(!committed.is_empty(), "{algorithm:?}: nothing committed");
+        for i in 1..deployment.config.servers {
+            let state = deployment.server(i).state();
+            for &e in &committed {
+                let (ours, theirs) = (reference.proofs_for(e), state.proofs_for(e));
+                assert_eq!(
+                    (theirs.as_ptr(), theirs.len()),
+                    (ours.as_ptr(), ours.len()),
+                    "{algorithm:?} epoch {e}: server {i} holds a proof list of its own"
+                );
+            }
+        }
+    }
+}
+
 /// One pinned run: `(algorithm, servers, rate, injection_secs, seed)` →
 /// `(events_processed, messages_deferred, added, committed, digests_sha256)`.
 type Golden = (
