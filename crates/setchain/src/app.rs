@@ -123,10 +123,14 @@ impl SetchainServer {
     /// `shared` is the out-of-band batch availability every server of a
     /// "Hashchain light" deployment (`config.light`) must share; the
     /// ablation assumes all servers correct, so it also resets `core.byz`.
-    /// Every other configuration ignores it.
+    /// Every other configuration ignores it. Vanilla has no light ablation:
+    /// a Vanilla server clears `config.light` and validates every block.
     pub fn new(algorithm: Algorithm, mut core: ServerCore, shared: SharedBatchRegistry) -> Self {
         let variant = match algorithm {
-            Algorithm::Vanilla => Variant::Vanilla,
+            Algorithm::Vanilla => {
+                core.config.light = false;
+                Variant::Vanilla
+            }
             Algorithm::Compresschain => {
                 Variant::Compresschain(Box::new(Compresschain::new(&core.config)))
             }
@@ -355,6 +359,18 @@ mod tests {
         };
         let light = server(Algorithm::Hashchain, config, fault);
         assert_eq!(light.core().byz, ServerByzMode::Correct);
+    }
+
+    #[test]
+    fn vanilla_has_no_light_ablation() {
+        let config = SetchainConfig {
+            light: true,
+            ..SetchainConfig::new(4)
+        };
+        for algorithm in Algorithm::ALL {
+            let s = server(algorithm, config.clone(), ServerByzMode::Correct);
+            assert_eq!(s.core().config.light, algorithm != Algorithm::Vanilla);
+        }
     }
 
     #[test]

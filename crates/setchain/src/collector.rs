@@ -9,22 +9,23 @@
 //! A flushed batch is shared: every server that learns it holds the origin's
 //! `Arc<Batch>`. The batch therefore remembers, for the host, what every
 //! server computes from its bytes alike — its [`epoch_root`], its
-//! [`batch_hash`], each element's authenticator verdict and each carried
-//! epoch-proof's signature verdict — so the host computes each once per
-//! run. A flushed batch starts with every element's verdict known: only
-//! elements the origin admitted through `add(e)` reach a collector, and the
-//! origin checked each authenticator there. The modelled servers still pay
-//! for each of them, at every server.
+//! [`batch_hash`] and each element's authenticator verdict — so the host
+//! computes each once per run. A flushed batch starts with every element's
+//! verdict known: only elements the origin admitted through `add(e)` reach
+//! a collector, and the origin checked each authenticator there. The
+//! modelled servers still pay for each of them, at every server.
 //!
 //! A batch that becomes an epoch also holds, for the servers that record
 //! it, the longest list of epoch-proofs one of them has received for it.
 //! A server whose proofs so far are that list's prefix, and whose next
 //! proof is the list's next entry, adopts the list instead of copying it
 //! (see `Batch::extend_epoch_proofs`), so the servers that ingest the
-//! same proofs in the same order hold one list per epoch.
+//! same proofs in the same order hold one list per epoch. Every proof in
+//! such a list was found valid against the epoch's digest, so the list is
+//! also the host's memo of those verdicts (see `Batch::holds_epoch_proof`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use setchain_crypto::{Digest256, Digest512, Sha512};
@@ -105,19 +106,13 @@ struct Memo {
     /// Atomic because one verdict is added at a time through a shared
     /// `Arc`.
     verdicts: OnceLock<Box<[AtomicU64]>>,
-    /// One slot per proof, allocated by the first proof verdict read: the
-    /// epoch batch a server found proof `i` valid against (see
-    /// [`Batch::proof_verdict`]). 16 bytes a proof.
-    proofs: OnceLock<Box<[OnceLock<Weak<Batch>>]>>,
     /// The longest epoch-proof list a server recording this batch as an
     /// epoch has built, which the others adopt while their proofs are its
-    /// prefix (see [`Batch::extend_epoch_proofs`]). A `Mutex` because a
-    /// longer list replaces it through a shared `Arc`.
+    /// prefix (see [`Batch::extend_epoch_proofs`]), and whose entries they
+    /// read as valid (see [`Batch::holds_epoch_proof`]). A `Mutex` because
+    /// a longer list replaces it through a shared `Arc`.
     epoch_proofs: Mutex<Option<Arc<[EpochProof]>>>,
 }
-
-// A carried proof's slot in [`Memo::proofs`] costs 16 bytes.
-const _: () = assert!(std::mem::size_of::<OnceLock<Weak<Batch>>>() <= 16);
 
 /// Elements per word of [`Memo::verdicts`].
 const VERDICTS_PER_WORD: usize = 32;
@@ -207,43 +202,6 @@ impl Batch {
         (verdict, stable)
     }
 
-    /// Proof `i`'s `valid_proof` verdict at a server whose record of the
-    /// proof's epoch is `epoch`: read from the memo if a server holding
-    /// that same allocation found the proof valid, else computed by
-    /// `check`, which returns `None` for a rejection that reflects only a
-    /// missing registry entry.
-    ///
-    /// The allocation is the key because it fixes the digest: a server's
-    /// epoch digest is `epoch_hash_for_root(e, root)` of the batch it
-    /// records, so two servers recording one `Arc` check the proof against
-    /// the same bytes. A server whose epoch is another allocation (a
-    /// filtered `G`, a batch its store replay built) checks in full. Only a
-    /// valid verdict is remembered, once; a rejection is checked at every
-    /// read. Debug builds check a remembered verdict against `check`.
-    pub(crate) fn proof_verdict(
-        &self,
-        i: usize,
-        epoch: &Arc<Batch>,
-        check: impl FnOnce() -> Option<bool>,
-    ) -> bool {
-        let slots = self
-            .memo
-            .proofs
-            .get_or_init(|| (0..self.proofs.len()).map(|_| OnceLock::new()).collect());
-        let slot = &slots[i];
-        if slot.get().is_some_and(|w| w.as_ptr() == Arc::as_ptr(epoch)) {
-            debug_assert_eq!(check(), Some(true), "a proof verdict memo is stale");
-            return true;
-        }
-        let valid = check() == Some(true);
-        if valid {
-            // The weak reference keeps the allocation's address from being
-            // reused by another batch while the slot names it.
-            let _ = slot.set(Arc::downgrade(epoch));
-        }
-        valid
-    }
-
     /// The epoch-proof list of a server that records this batch as an
     /// epoch, holds `held` and has just received `proof`, a signer `held`
     /// lacks: `held` followed by `proof`. The memo's list is returned when
@@ -270,6 +228,18 @@ impl Batch {
             *slot = Some(Arc::clone(&list));
         }
         list
+    }
+
+    /// True if `proof` is in the memo's epoch-proof list: a server that
+    /// records this batch as the proof's epoch found it valid against the
+    /// epoch's digest, `epoch_hash_for_root(e, root)` of this batch, so it
+    /// is valid at every server that records the same allocation.
+    pub(crate) fn holds_epoch_proof(&self, proof: &EpochProof) -> bool {
+        self.memo
+            .epoch_proofs
+            .lock()
+            .as_ref()
+            .is_some_and(|list| list.contains(proof))
     }
 
     /// Number of entries (elements plus proofs).

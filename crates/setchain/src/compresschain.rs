@@ -17,9 +17,9 @@
 //! length and decode verdict, not its bytes.
 //! The decoded batch is shared the same way: every server checks its
 //! elements and proofs and digests its epoch, and the host computes the
-//! batch root and each proof verdict once per run and takes each element
-//! verdict from the origin's admission (see
-//! [`Batch`](crate::collector::Batch)).
+//! batch root once per run, takes each element verdict from the origin's
+//! admission (see [`Batch`](crate::collector::Batch)) and verifies each
+//! carried proof once per epoch batch (see [`ServerCore::ingest_proof`]).
 
 use std::sync::Arc;
 
@@ -147,13 +147,11 @@ impl Compresschain {
         block: &Block<SetchainTx>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        let now = ctx.now();
-        let validate = !core.config.light;
         for tx in block.txs.iter() {
             let SetchainTx::Compressed(cb) = tx else {
                 continue;
             };
-            if validate {
+            if !core.config.light {
                 // Decompress(B[i]) — charged as CPU time against the original
                 // (uncompressed) batch size.
                 ctx.consume_cpu(core.config.costs.decompress_cost(cb.original_size as usize));
@@ -180,13 +178,13 @@ impl Compresschain {
                 continue;
             }
             // Valid epoch-proofs of the batch.
-            for i in 0..cb.batch.proofs.len() {
-                core.ingest_proof(&cb.batch, i, now, ctx);
+            for &p in &cb.batch.proofs {
+                core.ingest_proof(p, ctx);
             }
             // G: valid elements not yet in an epoch. The block is held once
             // per run, so a whole batch is shared, not copied, into history,
             // and its epoch digest is finished from the batch's root.
-            let proof = core.create_epoch(&cb.batch, validate, ctx);
+            let proof = core.create_epoch(&cb.batch, ctx);
             // The epoch-proof goes back through the collector.
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);

@@ -37,11 +37,13 @@
 //! pushed, each element's authenticator at its own admission-cache miss
 //! and each carried epoch-proof — and pays the modelled CPU for it. The
 //! host does each of those computations once per run. All servers hold the
-//! origin's `Arc<Batch>`, whose memo keeps the hash, its root and the proof
-//! verdicts, and starts with every element verdict known, because the
-//! origin admitted each element before collecting it (see [`Batch`]). Every
-//! server's copy of a block shares each `Arc<HashBatch>`, which keeps its
-//! signature verdict (see [`ServerCore::valid_hash`]).
+//! origin's `Arc<Batch>`, whose memo keeps the hash and its root, and
+//! starts with every element verdict known, because the origin admitted
+//! each element before collecting it (see [`Batch`]). Every server's copy
+//! of a block shares each `Arc<HashBatch>`, which keeps its signature
+//! verdict (see [`ServerCore::valid_hash`]). A carried proof is verified
+//! once per epoch batch: the proof list the servers recording that batch
+//! share is the verdict memo (see [`ServerCore::ingest_proof`]).
 //!
 //! The "Hashchain light" ablation of Fig. 2 (left) disables hash reversal and
 //! hash-batch validation (all servers assumed correct); batch availability is
@@ -436,8 +438,6 @@ impl Hashchain {
         signer: ProcessId,
         ctx: &mut Ctx<'_, '_, '_>,
     ) {
-        let now = ctx.now();
-        let validate = !core.config.light;
         let rec = self.records.entry(hash).or_default();
 
         if let Some(batch) = &rec.batch {
@@ -453,13 +453,13 @@ impl Hashchain {
                 // Valid epoch-proofs of the batch. Every proof is ingested,
                 // even after one whose epoch is not derived yet.
                 let mut settled = true;
-                for i in 0..batch.proofs.len() {
-                    settled &= core.ingest_proof(batch, i, now, ctx);
+                for &p in &batch.proofs {
+                    settled &= core.ingest_proof(p, ctx);
                 }
                 // Valid elements join the_set immediately (they join history
                 // only at consolidation); no candidate vector is
                 // materialized here.
-                core.admit_batch_elements(batch, validate, ctx);
+                core.admit_batch_elements(batch, ctx);
                 rec.applied = settled;
             }
         }
@@ -470,7 +470,7 @@ impl Hashchain {
             rec.consolidated = true;
             // A batch whose contents never arrived is an empty epoch.
             let batch = rec.batch.clone().unwrap_or_default();
-            let proof = core.create_epoch(&batch, validate, ctx);
+            let proof = core.create_epoch(&batch, ctx);
             self.collector.add_proof(proof);
             self.maybe_flush(core, ctx);
         }

@@ -8,7 +8,6 @@ use setchain_crypto::{
     SigningKey,
 };
 use setchain_ledger::AppCtx;
-use setchain_simnet::SimTime;
 
 use setchain_store::{DiskStore, EpochRecord, StateStore};
 
@@ -364,21 +363,17 @@ impl ServerCore {
         ctx.consume_cpu(self.config.costs.validate_cost(misses as usize));
     }
 
-    /// Keeps the `picks` whose element of `batch` is valid, unless
-    /// `validate` is false (the light ablations): validated through
-    /// [`Self::validate_charged`], so only cache misses are charged and a
-    /// miss reads the verdict `batch` remembers. Each rejected id is counted
-    /// once in [`ServerStats::elements_rejected`], so a Byzantine batch
-    /// repeating one forged element does not inflate the counter; the set
-    /// behind that is only built when a rejection occurs.
-    fn retain_valid(
-        &mut self,
-        batch: &Batch,
-        picks: &mut Vec<usize>,
-        validate: bool,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
-        if !validate {
+    /// Keeps the `picks` whose element of `batch` is valid, unless the
+    /// deployment runs a light ablation (`config.light`, which a Vanilla
+    /// server never keeps: see
+    /// [`SetchainServer::new`](crate::SetchainServer::new)). Validated
+    /// through [`Self::validate_charged`], so only cache misses are charged
+    /// and a miss reads the verdict `batch` remembers. Each rejected id is
+    /// counted once in [`ServerStats::elements_rejected`], so a Byzantine
+    /// batch repeating one forged element does not inflate the counter; the
+    /// set behind that is only built when a rejection occurs.
+    fn retain_valid(&mut self, batch: &Batch, picks: &mut Vec<usize>, ctx: &mut Ctx<'_, '_, '_>) {
+        if self.config.light {
             return;
         }
         let elements = batch.elements.as_slice();
@@ -545,18 +540,18 @@ impl ServerCore {
         }
     }
 
-    /// Validates and records epoch-proof `carrier.proofs[i]`, extracted
-    /// from the ledger (the paper's `valid_proof(j, p, w, history[j])`
-    /// filter). When the proof count for the epoch reaches `f + 1`, the
-    /// commit is reported to the experiment trace.
+    /// Validates and records epoch-proof `proof`, extracted from the ledger
+    /// (the paper's `valid_proof(j, p, w, history[j])` filter): carried in
+    /// a Hashchain or Compresschain batch, or a Vanilla `Proof`
+    /// transaction. When the proof count for the epoch reaches `f + 1`,
+    /// the commit is reported to the experiment trace.
     ///
-    /// The carrier is the batch the proof travels in, as the run holds it:
-    /// a Hashchain or Compresschain batch, or Vanilla's block batch, which
-    /// carries the block's `Proof` transactions. Every server pays
-    /// `verify_signature`; the host reads the verdict the carrier remembers
-    /// when this server's record of the epoch is the allocation it was
-    /// computed against, and verifies in full otherwise (see
-    /// `Batch::proof_verdict`).
+    /// Every server pays `verify_signature`. The host verifies in full
+    /// only a proof that no list of proofs for the epoch's batch
+    /// allocation holds yet: this server's own list or the one the batch's
+    /// memo keeps, whose every entry was found valid against the same
+    /// digest (see `SetchainState::holds_verified_proof`). Debug builds
+    /// check every such hit against a fresh verification.
     ///
     /// Returns `false` only for a proof naming an epoch this server has not
     /// derived yet: it is rejected, but the same bytes may verify once the
@@ -565,37 +560,36 @@ impl ServerCore {
     /// asked of the signer: a server that is behind gets the blocks that
     /// derive the epoch through ledger block sync. Every other verdict is
     /// final for these bytes.
-    pub fn ingest_proof(
-        &mut self,
-        carrier: &Batch,
-        i: usize,
-        now: SimTime,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) -> bool {
+    pub fn ingest_proof(&mut self, proof: EpochProof, ctx: &mut Ctx<'_, '_, '_>) -> bool {
         ctx.consume_cpu(self.config.costs.verify_signature);
-        let proof = carrier.proofs[i];
         // The digest of every recorded epoch is cached at creation time, so
         // verifying the up-to-n proofs of an epoch re-hashes nothing.
-        let Some((epoch, digest)) = self.state.epoch_batch(proof.epoch) else {
+        let Some(&digest) = self.state.epoch_digest(proof.epoch) else {
             self.stats.proofs_rejected += 1;
             return proof.epoch <= self.state.epoch();
         };
-        let (epoch, digest) = (Arc::clone(epoch), *digest);
-        if !carrier.proof_verdict(i, &epoch, || self.proof_valid_digest(&proof, &digest)) {
+        let verify =
+            |core: &mut Self| core.server_signed(proof.signer, digest.as_bytes(), &proof.signature);
+        let held = self.state.holds_verified_proof(&proof);
+        debug_assert!(
+            !held || verify(self) == Some(true),
+            "an epoch-proof memo is stale"
+        );
+        if !held && verify(self) != Some(true) {
             self.stats.proofs_rejected += 1;
             return true;
         }
         self.stats.proofs_received += 1;
         let count = self.state.add_proof(proof);
         if count == self.config.proof_quorum() {
-            self.trace.record_epoch_commit(proof.epoch, now);
+            self.trace.record_epoch_commit(proof.epoch, ctx.now());
             self.persist_committed();
         }
         true
     }
 
     /// Creates the next epoch out of one batch or block: its valid (unless
-    /// `validate` is false, for the light ablations), not-yet-stamped,
+    /// the deployment runs a light ablation), not-yet-stamped,
     /// de-duplicated elements form `G`. The epoch is recorded in the state
     /// and the trace, and this server's epoch-proof for it is returned.
     ///
@@ -615,13 +609,8 @@ impl ServerCore {
     /// An epoch the store replay already recorded at open is not recorded
     /// again: this server signs its stored digest (the fast-forward path).
     /// The store is the only thing that puts `state` ahead of the ledger.
-    pub fn create_epoch(
-        &mut self,
-        batch: &Arc<Batch>,
-        validate: bool,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) -> EpochProof {
-        let g = self.extract_epoch_candidates(batch, validate, ctx);
+    pub fn create_epoch(&mut self, batch: &Arc<Batch>, ctx: &mut Ctx<'_, '_, '_>) -> EpochProof {
+        let g = self.extract_epoch_candidates(batch, ctx);
         self.derived_epochs += 1;
         if self.derived_epochs <= self.state.epoch() {
             // The store replay already recorded this epoch with its f+1
@@ -662,22 +651,18 @@ impl ServerCore {
     }
 
     /// First-pass admission of a recovered batch's elements: drops the
-    /// already-stamped ones, keeps the valid rest (unless `validate` is
-    /// false) through `retain_valid`, as the epoch path does, and
-    /// inserts their ids into `the_set`. The epoch itself is built later, at
-    /// consolidation, through [`Self::create_epoch`]; this is the "valid
-    /// elements join `the_set` immediately" half of batch processing.
-    pub fn admit_batch_elements(
-        &mut self,
-        batch: &Batch,
-        validate: bool,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
+    /// already-stamped ones, keeps the valid rest (unless the deployment
+    /// runs a light ablation) through `retain_valid`, as the epoch path
+    /// does, and inserts their ids into `the_set`. The epoch itself is
+    /// built later, at consolidation, through [`Self::create_epoch`]; this
+    /// is the "valid elements join `the_set` immediately" half of batch
+    /// processing.
+    pub fn admit_batch_elements(&mut self, batch: &Batch, ctx: &mut Ctx<'_, '_, '_>) {
         let elements = batch.elements.as_slice();
         let mut picks = std::mem::take(&mut self.pick_scratch);
         debug_assert!(picks.is_empty());
         picks.extend((0..elements.len()).filter(|&i| !self.state.in_history(&elements[i].id)));
-        self.retain_valid(batch, &mut picks, validate, ctx);
+        self.retain_valid(batch, &mut picks, ctx);
         for &i in &picks {
             self.state.insert(elements[i].id);
         }
@@ -685,35 +670,26 @@ impl ServerCore {
         self.pick_scratch = picks;
     }
 
-    /// The paper's `valid_proof` signer/signature checks against an
-    /// already-computed digest, computed afresh through the per-signer
-    /// schedule cache: the verdict of
-    /// [`crate::proofs::verify_epoch_proof_digest`], or `None` when the
-    /// signer is a server of this deployment missing from the registry, a
-    /// rejection that lasts only until it registers. Block processing asks
-    /// it through [`Self::ingest_proof`], which reads the verdict the
-    /// proof's carrier remembers.
-    fn proof_valid_digest(&mut self, proof: &EpochProof, digest: &Digest512) -> Option<bool> {
-        if proof.signature.signer != proof.signer || !self.config.is_server(proof.signer) {
+    /// True if `signature` is `signer`'s over `bytes` and `signer` is a
+    /// server of this deployment: the paper's `valid_proof` signature check
+    /// against an epoch digest (the verdict of
+    /// [`crate::proofs::verify_epoch_proof_digest`]) and its
+    /// `valid_hash(h, s, w)` against a batch hash, computed afresh through
+    /// the per-signer schedule cache, so a signer's HMAC key pads are not
+    /// rebuilt per check. `None` when the signer is missing from the
+    /// registry, a rejection that lasts only until it registers. Block
+    /// processing asks it through [`Self::ingest_proof`] and
+    /// [`Self::valid_hash`], which read the host's memos first.
+    fn server_signed(
+        &mut self,
+        signer: ProcessId,
+        bytes: &[u8],
+        signature: &Signature,
+    ) -> Option<bool> {
+        if signature.signer != signer || !self.config.is_server(signer) {
             return Some(false);
         }
-        self.verifier
-            .check(&self.registry, digest.as_bytes(), &proof.signature)
-    }
-
-    /// The paper's `valid_hash(h, s, w)`, computed afresh: the hash-batch's
-    /// signature must be a valid signature by its claimed signer `w`, a
-    /// server of this deployment, over `h`. Checked through the per-signer
-    /// schedule cache, so the signer's HMAC key pads are not rebuilt per
-    /// hash-batch. `None` when the signer is missing from the registry, as
-    /// for [`Self::proof_valid_digest`]. Block processing asks it through
-    /// [`Self::valid_hash`].
-    fn hash_batch_valid(&mut self, hb: &HashBatch) -> Option<bool> {
-        if !self.config.is_server(hb.signer) || hb.signature.signer != hb.signer {
-            return Some(false);
-        }
-        self.verifier
-            .check(&self.registry, hb.hash.as_bytes(), &hb.signature)
+        self.verifier.check(&self.registry, bytes, signature)
     }
 
     /// `valid_hash(h, s, w)` as block processing asks it. The host computes
@@ -722,7 +698,7 @@ impl ServerCore {
     /// computes it and every other reads it (see `HashBatch::verdict`);
     /// each still pays `verify_signature` at its call site.
     pub fn valid_hash(&mut self, hb: &HashBatch) -> bool {
-        hb.verdict(|| self.hash_batch_valid(hb))
+        hb.verdict(|| self.server_signed(hb.signer, hb.hash.as_bytes(), &hb.signature))
     }
 
     /// Signs a hash-batch with this server's precomputed key schedule.
@@ -732,8 +708,8 @@ impl ServerCore {
     }
 
     /// Filters the elements of a batch/block down to the set `G` that forms a
-    /// new epoch: valid elements (unless `validate` is false, for the light
-    /// ablations) that are not yet in `history`, de-duplicated. `G` is
+    /// new epoch: valid elements (unless the deployment runs a light
+    /// ablation) that are not yet in `history`, de-duplicated. `G` is
     /// `batch` itself when nothing was filtered out, else a batch of the
     /// survivors.
     ///
@@ -743,7 +719,6 @@ impl ServerCore {
     fn extract_epoch_candidates(
         &mut self,
         batch: &Arc<Batch>,
-        validate: bool,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Arc<Batch> {
         let elements = batch.elements.as_slice();
@@ -758,7 +733,7 @@ impl ServerCore {
         }
         seen.clear();
         self.seen_scratch = seen;
-        self.retain_valid(batch, &mut picks, validate, ctx);
+        self.retain_valid(batch, &mut picks, ctx);
         let g = if picks.len() == elements.len() {
             Arc::clone(batch)
         } else {
@@ -778,7 +753,7 @@ pub(crate) mod tests {
     use crate::hashchain::batch_hash;
     use crate::proofs::{epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
     use setchain_ledger::Block;
-    use setchain_simnet::SimDuration;
+    use setchain_simnet::{SimDuration, SimTime};
 
     fn core_with(seed: u64, servers: usize, clients: usize) -> (ServerCore, KeyRegistry) {
         let registry = KeyRegistry::bootstrap(seed, servers, clients);
@@ -1011,11 +986,6 @@ pub(crate) mod tests {
         assert!(node.app().0.is_none(), "the test body never ran");
     }
 
-    /// Ingests `proof` carried alone, in a batch of its own.
-    fn ingest_alone(core: &mut ServerCore, proof: EpochProof, ctx: &mut Ctx<'_, '_, '_>) -> bool {
-        core.ingest_proof(&Batch::new(vec![], vec![proof]), 0, SimTime::ZERO, ctx)
-    }
-
     #[test]
     fn hash_batch_validation() {
         // Four servers' keys in a three-server deployment: server 3's
@@ -1055,7 +1025,7 @@ pub(crate) mod tests {
         with_committed_core(|core, _registry, ctx| {
             let held = core.state.proofs_for(2)[1];
             let before = core.state.proof_count(2);
-            assert!(ingest_alone(core, held, ctx));
+            assert!(core.ingest_proof(held, ctx));
             assert_eq!(core.state.proof_count(2), before);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.stats.proofs_rejected, 0);
@@ -1071,7 +1041,7 @@ pub(crate) mod tests {
             for byte in [0, setchain_crypto::SIGNATURE_LEN - 1] {
                 let mut forged = held;
                 forged.signature.bytes[byte] ^= 1;
-                assert!(ingest_alone(core, forged, ctx));
+                assert!(core.ingest_proof(forged, ctx));
             }
             assert_eq!(core.stats.proofs_rejected, 2);
             assert_eq!(core.stats.proofs_received, 0);
@@ -1091,10 +1061,10 @@ pub(crate) mod tests {
             let valid = make_epoch_proof_for_digest(&signer, 2, &digest);
             let mut forged = valid;
             forged.signature = Signature::forged(signer.id);
-            ingest_alone(core, forged, ctx);
+            core.ingest_proof(forged, ctx);
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.state.proof_count(2), 2);
-            ingest_alone(core, valid, ctx);
+            core.ingest_proof(valid, ctx);
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(core.state.proof_count(2), 3);
         });
@@ -1106,7 +1076,7 @@ pub(crate) mod tests {
             let signer = registry.lookup(ProcessId::server(1)).unwrap();
             let ahead = make_epoch_proof_for_digest(&signer, 9, &epoch_hash(9, &[]));
             // The one verdict that may change later.
-            assert!(!ingest_alone(core, ahead, ctx));
+            assert!(!core.ingest_proof(ahead, ctx));
             assert_eq!(core.stats.proofs_rejected, 1);
             assert_eq!(core.stats.proofs_received, 0);
             assert_eq!(core.state.proof_count(9), 0);
@@ -1134,7 +1104,7 @@ pub(crate) mod tests {
             for (epoch, elements) in (1u64..).zip(cases) {
                 let batch = Arc::new(Batch::new(elements, vec![]));
                 let root = epoch_root(&batch.elements);
-                core.create_epoch(&batch, true, ctx);
+                core.create_epoch(&batch, ctx);
                 let stamped = core.state.epoch_elements(epoch).unwrap();
                 let recorded = *core.state.epoch_digest(epoch).unwrap();
                 assert_eq!(recorded, epoch_hash(epoch, stamped), "epoch {epoch}");
@@ -1284,13 +1254,13 @@ pub(crate) mod tests {
             let forged = Element::forged(ProcessId::client(0), ElementId::new(0, 7), 300);
             let batch = own_batch(&[forged; 3]);
             let before = ctx.cpu_consumed();
-            core.admit_batch_elements(&batch, true, ctx);
+            core.admit_batch_elements(&batch, ctx);
             assert_eq!(ctx.cpu_consumed() - before, costs.validate_element * 3);
             assert_eq!(core.stats.elements_rejected, 1);
             assert!(!core.state.contains(&forged.id));
 
             let before = ctx.cpu_consumed();
-            core.create_epoch(&batch, true, ctx);
+            core.create_epoch(&batch, ctx);
             assert_eq!(ctx.cpu_consumed() - before, costs.hash_cost(0) + costs.sign);
             assert_eq!(core.stats.elements_rejected, 2);
             assert_eq!(core.state.epoch(), 1);
@@ -1310,16 +1280,16 @@ pub(crate) mod tests {
                 ElementId::new(1, 99),
                 200,
             ));
-            core.admit_batch_elements(&own_batch(&batch), true, ctx);
+            core.admit_batch_elements(&own_batch(&batch), ctx);
             assert_eq!(core.admission_cache().len(), batch.len());
-            core.create_epoch(&own_batch(&batch), true, ctx);
+            core.create_epoch(&own_batch(&batch), ctx);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(16));
             // Only the rejected id keeps its verdict.
             assert_eq!(core.admission_cache().len(), 1);
             // A late copy of the batch looks up no stamped id, so nothing is
             // verified again and nothing is cached again.
             let misses = core.admission_cache().misses();
-            core.admit_batch_elements(&own_batch(&batch), true, ctx);
+            core.admit_batch_elements(&own_batch(&batch), ctx);
             assert_eq!(core.admission_cache().misses(), misses);
             assert_eq!(core.admission_cache().len(), 1);
         });
@@ -1331,7 +1301,7 @@ pub(crate) mod tests {
             let keys = registry.lookup(ProcessId::client(0)).unwrap();
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             assert!(core.accept_add(&good, ctx));
-            core.create_epoch(&own_batch(&[good]), true, ctx);
+            core.create_epoch(&own_batch(&[good]), ctx);
             assert!(core.state.in_history(&good.id));
             let misses = core.admission_cache().misses();
             // An honest re-send and a tampered replay of the stamped id.
@@ -1372,11 +1342,11 @@ pub(crate) mod tests {
             let add = charged(ctx, |ctx| assert!(core.accept_add(&good, ctx)));
             assert_eq!(add, costs.validate_element);
             let batch = charged(ctx, |ctx| {
-                core.admit_batch_elements(&own_batch(&[good]), true, ctx)
+                core.admit_batch_elements(&own_batch(&[good]), ctx)
             });
             assert_eq!(batch, SimDuration::ZERO);
             let epoch = charged(ctx, |ctx| {
-                core.create_epoch(&own_batch(&[good]), true, ctx);
+                core.create_epoch(&own_batch(&[good]), ctx);
             });
             assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
             assert!(core.state.in_history(&good.id));
@@ -1389,7 +1359,7 @@ pub(crate) mod tests {
             let add = charged(ctx, |ctx| assert!(core.accept_add(&next, ctx)));
             assert_eq!(add, costs.validate_element);
             let resend = charged(ctx, |ctx| {
-                core.admit_batch_elements(&own_batch(&[tampered]), true, ctx)
+                core.admit_batch_elements(&own_batch(&[tampered]), ctx)
             });
             assert_eq!(resend, costs.validate_element);
             assert_eq!(core.stats.elements_rejected, 1);
@@ -1400,9 +1370,7 @@ pub(crate) mod tests {
             for e in [good, stale] {
                 let replay = charged(ctx, |ctx| assert!(!core.accept_add(&e, ctx)));
                 assert_eq!(replay, SimDuration::ZERO);
-                let replay = charged(ctx, |ctx| {
-                    core.admit_batch_elements(&own_batch(&[e]), true, ctx)
-                });
+                let replay = charged(ctx, |ctx| core.admit_batch_elements(&own_batch(&[e]), ctx));
                 assert_eq!(replay, SimDuration::ZERO);
             }
         });
@@ -1443,9 +1411,9 @@ pub(crate) mod tests {
         batch: &Arc<Batch>,
         ctx: &mut Ctx<'_, '_, '_>,
     ) -> Outcome {
-        core.create_epoch(&own_batch(stamped), true, ctx);
+        core.create_epoch(&own_batch(stamped), ctx);
         let before = ctx.cpu_consumed();
-        core.admit_batch_elements(batch, true, ctx);
+        core.admit_batch_elements(batch, ctx);
         let admitted = ctx.cpu_consumed();
         let members = batch
             .elements
@@ -1453,7 +1421,7 @@ pub(crate) mod tests {
             .map(|e| core.state.contains(&e.id))
             .collect();
         let the_set_len = core.state.the_set_len();
-        core.create_epoch(batch, true, ctx);
+        core.create_epoch(batch, ctx);
         Outcome {
             admit_cpu: admitted - before,
             epoch_cpu: ctx.cpu_consumed() - admitted,
@@ -1476,7 +1444,7 @@ pub(crate) mod tests {
             let batch = Arc::new(Batch::new(elements, vec![]));
             let (root, hash) = (batch.root(), batch.hash());
             // Every verdict is a miss here, so the memo holds all forty.
-            core.admit_batch_elements(&batch, true, ctx);
+            core.admit_batch_elements(&batch, ctx);
             assert_eq!(core.state.the_set_len(), 40);
 
             // Element 33 sits in the second word of verdicts.
@@ -1488,7 +1456,7 @@ pub(crate) mod tests {
             assert_eq!(clone.root(), epoch_root(&clone.elements));
             assert_eq!(clone.hash(), batch_hash(&clone.elements, &clone.proofs));
             let mut peer = peer_core(registry, 1);
-            peer.admit_batch_elements(&clone, true, ctx);
+            peer.admit_batch_elements(&clone, ctx);
             assert_eq!(peer.stats.elements_rejected, 1);
             assert!(!peer.state.contains(&clone.elements[33].id));
             assert_eq!(peer.state.the_set_len(), 39);
@@ -1496,7 +1464,7 @@ pub(crate) mod tests {
             // The original keeps its own values.
             assert_eq!((batch.root(), batch.hash()), (root, hash));
             let mut other = peer_core(registry, 2);
-            other.admit_batch_elements(&batch, true, ctx);
+            other.admit_batch_elements(&batch, ctx);
             assert_eq!(other.state.the_set_len(), 40);
         });
     }
@@ -1507,7 +1475,7 @@ pub(crate) mod tests {
             let late = KeyPair::derive(ProcessId::client(5), 777);
             let e = Element::new(&late, ElementId::new(5, 1), 300, 1);
             let batch = Arc::new(Batch::new(vec![e], vec![]));
-            core.admit_batch_elements(&batch, true, ctx);
+            core.admit_batch_elements(&batch, ctx);
             assert_eq!(core.stats.elements_rejected, 1);
             assert!(!core.state.contains(&e.id));
 
@@ -1516,7 +1484,7 @@ pub(crate) mod tests {
             registry.register(late);
             let mut peer = peer_core(registry, 1);
             let before = ctx.cpu_consumed();
-            peer.admit_batch_elements(&batch, true, ctx);
+            peer.admit_batch_elements(&batch, ctx);
             assert_eq!(
                 ctx.cpu_consumed() - before,
                 peer.config.costs.validate_element
@@ -1546,21 +1514,22 @@ pub(crate) mod tests {
             rehashed.hash = setchain_crypto::sha512(b"another batch");
             assert!(!peer.valid_hash(&Arc::new(rehashed)));
 
-            // The same for an epoch-proof: the honest carrier's verdict is
-            // remembered; a clone of the carrier with a flipped byte, and a
-            // carrier built around the forgery, are both rejected.
+            // The same for an epoch-proof: the honest proof is remembered
+            // in the epoch's proof list; a clone of its carrier with a
+            // flipped byte, and a carrier built around the forgery, carry a
+            // proof no list holds, and both are rejected.
             let digest = *core.state.epoch_digest(2).unwrap();
             let carrier = Batch::new(
                 vec![],
                 vec![make_epoch_proof_for_digest(&signer, 2, &digest)],
             );
-            assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+            assert!(core.ingest_proof(carrier.proofs[0], ctx));
             assert_eq!(core.stats.proofs_received, 1);
             let mut cloned = carrier.clone();
             cloned.proofs[0].signature.bytes[63] ^= 1;
             let built = Batch::new(vec![], cloned.proofs.clone());
             for forged in [cloned, built] {
-                assert!(core.ingest_proof(&forged, 0, SimTime::ZERO, ctx));
+                assert!(core.ingest_proof(forged.proofs[0], ctx));
             }
             assert_eq!(core.stats.proofs_rejected, 2);
             assert_eq!(core.stats.proofs_received, 1);
@@ -1573,15 +1542,15 @@ pub(crate) mod tests {
         with_core(0, |core, registry, ctx| {
             let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
             let whole = Arc::new(Batch::new((0..4).map(valid).collect(), vec![]));
-            core.create_epoch(&whole, true, ctx);
+            core.create_epoch(&whole, ctx);
             // A peer that records the same batch as epoch 1 shares it; one
             // whose batch lost a duplicate id to filtering records a `G` of
             // its own, with a digest of its own.
             let mut sharer = peer_core(registry, 1);
-            sharer.create_epoch(&whole, true, ctx);
+            sharer.create_epoch(&whole, ctx);
             let mut filtered = peer_core(registry, 2);
             let twice = Arc::new(Batch::new(vec![valid(0), valid(1), valid(0)], vec![]));
-            filtered.create_epoch(&twice, true, ctx);
+            filtered.create_epoch(&twice, ctx);
             let digest = *core.state.epoch_digest(1).unwrap();
             assert_eq!(sharer.state.epoch_digest(1), Some(&digest));
             assert_ne!(filtered.state.epoch_digest(1), Some(&digest));
@@ -1593,7 +1562,7 @@ pub(crate) mod tests {
                 vec![make_epoch_proof_for_digest(&signer, 1, &digest)],
             );
             for server in [&mut *core, &mut sharer, &mut filtered] {
-                assert!(server.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+                assert!(server.ingest_proof(carrier.proofs[0], ctx));
             }
             assert_eq!(core.stats.proofs_received, 1);
             assert_eq!(sharer.stats.proofs_received, 1);
@@ -1619,7 +1588,7 @@ pub(crate) mod tests {
                     SetchainTrace::new(),
                     ServerByzMode::Correct,
                 );
-                core.create_epoch(&epoch, true, ctx);
+                core.create_epoch(&epoch, ctx);
                 core
             });
             let late = KeyPair::derive(ProcessId::server(4), 777);
@@ -1630,7 +1599,7 @@ pub(crate) mod tests {
             // Unregistered: each server rejects both, the second one too.
             for core in &mut servers {
                 assert!(!core.valid_hash(&hb));
-                assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+                assert!(core.ingest_proof(carrier.proofs[0], ctx));
                 assert_eq!(core.stats.proofs_rejected, 1);
             }
 
@@ -1638,9 +1607,52 @@ pub(crate) mod tests {
             registry.register(late);
             for core in &mut servers {
                 assert!(core.valid_hash(&hb));
-                assert!(core.ingest_proof(&carrier, 0, SimTime::ZERO, ctx));
+                assert!(core.ingest_proof(carrier.proofs[0], ctx));
                 assert_eq!(core.stats.proofs_received, 1);
             }
+        });
+    }
+
+    #[test]
+    fn the_proof_memo_answers_by_content_not_by_position() {
+        with_core(0, |core, registry, ctx| {
+            let valid = |seq| element_from_spec(registry, 2, (0, seq, 400, 0));
+            let epoch = Arc::new(Batch::new((0..4).map(valid).collect(), vec![]));
+            core.create_epoch(&epoch, ctx);
+            let mut peer = peer_core(registry, 1);
+            peer.create_epoch(&epoch, ctx);
+            let digest = *core.state.epoch_digest(1).unwrap();
+            let proofs: Vec<EpochProof> = (0..4)
+                .map(|i| {
+                    let signer = registry.lookup(ProcessId::server(i)).unwrap();
+                    make_epoch_proof_for_digest(&signer, 1, &digest)
+                })
+                .collect();
+
+            // The two servers receive the same valid proofs in opposite
+            // orders: the peer finds each in the list the first server
+            // built, at another position than its own, and accepts it. A
+            // copy of one with a signature byte flipped is in no list, and
+            // both reject it: the peer while the shared list holds proofs
+            // past its own, the first server once it holds them all.
+            let mut forged = proofs[1];
+            forged.signature.bytes[0] ^= 1;
+            for &p in &proofs {
+                assert!(core.ingest_proof(p, ctx));
+            }
+            assert!(core.ingest_proof(forged, ctx));
+            assert!(peer.ingest_proof(proofs[3], ctx));
+            assert!(peer.ingest_proof(forged, ctx));
+            for &p in proofs[..3].iter().rev() {
+                assert!(peer.ingest_proof(p, ctx));
+            }
+            for server in [&*core, &peer] {
+                assert_eq!(server.stats.proofs_received, 4);
+                assert_eq!(server.stats.proofs_rejected, 1);
+                assert_eq!(server.state.proof_count(1), 4);
+            }
+            assert_eq!(core.state.proofs_for(1), proofs.as_slice());
+            assert!(peer.state.proofs_for(1).iter().eq(proofs.iter().rev()));
         });
     }
 
@@ -1817,7 +1829,7 @@ pub(crate) mod tests {
                     // memo and once through a memo of its own.
                     let mut cores = [0, 1, 0, 1].map(|i| peer_core(registry, i));
                     for c in &mut cores {
-                        c.create_epoch(&stamped, true, ctx);
+                        c.create_epoch(&stamped, ctx);
                     }
                     let digest = *cores[0].state.epoch_digest(1).unwrap();
                     let mut txs: Vec<SetchainTx> = specs

@@ -11,6 +11,12 @@
 //! received the same proofs in the same order (the batch's memo keeps the
 //! list, see `Batch::extend_epoch_proofs`). What a server holds is still
 //! exactly what it received, first proof per signer, in arrival order.
+//!
+//! Every proof in such a list was found valid against the digest of the
+//! epoch's batch, so the lists are also the host's only memo of
+//! epoch-proof verdicts: a proof a list for its epoch already holds is
+//! valid at every server that records the same allocation (see
+//! `SetchainState::holds_verified_proof`).
 
 use std::sync::Arc;
 
@@ -164,17 +170,31 @@ impl SetchainState {
         self.record(epoch).map(|e| &e.digest)
     }
 
-    /// Epoch `i`'s batch (1-based) and its cached digest, if the epoch
-    /// exists. The digest is a function of the batch allocation, which is
-    /// what a carried proof's remembered verdict is keyed on (see
-    /// [`Batch::proof_verdict`]).
-    pub(crate) fn epoch_batch(&self, epoch: u64) -> Option<(&Arc<Batch>, &Digest512)> {
-        self.record(epoch).map(|e| (&e.batch, &e.digest))
+    /// True if a list of epoch-proofs for `proof`'s epoch holds `proof`:
+    /// this server's own, read first, or the longest one the epoch batch's
+    /// memo keeps. Every entry of either was found valid against the
+    /// epoch's digest, which is a function of the batch allocation (its
+    /// root) and the epoch number, so `proof` is valid here too. A server
+    /// whose epoch is another allocation (a filtered `G`, a batch its
+    /// store replay built) finds only its own proofs.
+    pub(crate) fn holds_verified_proof(&self, proof: &EpochProof) -> bool {
+        self.record(proof.epoch).is_some_and(|record| {
+            record
+                .proofs
+                .as_deref()
+                .is_some_and(|own| own.contains(proof))
+                || record.batch.holds_epoch_proof(proof)
+        })
     }
 
     /// Records an epoch-proof for a recorded epoch. Returns the number of
     /// distinct signers now known for that epoch: 0 for an epoch not
     /// recorded, whose proof is not kept.
+    ///
+    /// The proof must be valid for the epoch's digest (the paper's
+    /// `valid_proof`): every server recording the same batch allocation
+    /// reads the proofs its shared list holds as valid (see
+    /// `SetchainState::holds_verified_proof`).
     ///
     /// A new signer's proof extends this server's view of the shared list
     /// when it is the list's next entry, and otherwise takes the list the

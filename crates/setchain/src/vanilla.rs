@@ -11,22 +11,21 @@
 //! that calls them lives in [`crate::app`].
 //!
 //! In Vanilla the block *is* the batch. Every server commits the same
-//! block, so the host builds the block's element and proof lists once, as
-//! a [`Batch`] held in the block's memo ([`Block::shared`]), and every
-//! server ingests the proofs through [`ServerCore::ingest_proof`] and cuts
-//! its epoch through [`ServerCore::create_epoch`] with it, as a Hashchain
-//! or Compresschain batch does: the host checks each authenticator and
-//! each proof signature and roots the block once, and a block that becomes
-//! an epoch whole is one shared list in every server's history. Each
-//! server still counts and pays its own validation, verification, hashing
-//! and signing.
+//! block, so the host builds the block's element list once, as a [`Batch`]
+//! held in the block's memo ([`Block::shared`]), and every server cuts its
+//! epoch through [`ServerCore::create_epoch`] with it, as a Hashchain or
+//! Compresschain batch does: the host checks each authenticator and roots
+//! the block once, and a block that becomes an epoch whole is one shared
+//! list in every server's history. The block's `Proof` transactions go to
+//! [`ServerCore::ingest_proof`] one by one, which verifies each proof once
+//! per epoch batch. Each server still counts and pays its own validation,
+//! verification, hashing and signing.
 
 use setchain_ledger::{Block, TxData};
 
 use crate::collector::Batch;
 use crate::config::SetchainConfig;
 use crate::element::Element;
-use crate::proofs::EpochProof;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::SetchainTx;
 
@@ -60,30 +59,30 @@ pub(crate) fn finalize_block(
     block: &Block<SetchainTx>,
     ctx: &mut Ctx<'_, '_, '_>,
 ) {
-    let now = ctx.now();
-    // Every server processes the same block, so the block's element and
-    // proof lists are built once per run, as a batch all of them share:
-    // its verdicts and its root are computed once, and a whole-block epoch
-    // is that batch in every history.
+    // 1. Extract the valid epoch-proofs of the block.
+    for tx in block.txs.iter() {
+        if let SetchainTx::Proof(p) = tx {
+            core.ingest_proof(**p, ctx);
+        }
+    }
+    // Every server processes the same block, so the block's element list
+    // is built once per run, as a batch all of them share: its verdicts and
+    // its root are computed once, and a whole-block epoch is that batch in
+    // every history.
     let batch = block.shared(|| {
         // Exactly sized: the element list lives as long as the run.
         let mut elements = Vec::with_capacity(block_elements(block).count());
         elements.extend(block_elements(block));
-        Batch::new(elements, block_proofs(block).collect())
+        Batch::new(elements, Vec::new())
     });
     debug_assert!(
-        batch.elements.iter().copied().eq(block_elements(block))
-            && batch.proofs.iter().copied().eq(block_proofs(block)),
-        "a block's batch is its own elements and proofs"
+        batch.elements.iter().copied().eq(block_elements(block)),
+        "a block's batch is its own elements"
     );
-    // 1. Extract the valid epoch-proofs of the block.
-    for i in 0..batch.proofs.len() {
-        core.ingest_proof(&batch, i, now, ctx);
-    }
     // 2. The valid elements of the block that are not yet in an epoch
     //    form the new epoch G.
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
-    let proof = core.create_epoch(&batch, true, ctx);
+    let proof = core.create_epoch(&batch, ctx);
     ctx.append(SetchainTx::Proof(proof.into()));
 }
 
@@ -91,14 +90,6 @@ pub(crate) fn finalize_block(
 pub(crate) fn block_elements(block: &Block<SetchainTx>) -> impl Iterator<Item = Element> + '_ {
     block.txs.iter().filter_map(|tx| match tx {
         SetchainTx::Element(e) => Some(*e),
-        _ => None,
-    })
-}
-
-/// The epoch-proofs of `block`, in block order.
-fn block_proofs(block: &Block<SetchainTx>) -> impl Iterator<Item = EpochProof> + '_ {
-    block.txs.iter().filter_map(|tx| match tx {
-        SetchainTx::Proof(p) => Some(**p),
         _ => None,
     })
 }

@@ -43,8 +43,7 @@ const CHURN_BASE: usize = 1 << 20;
 /// An adversarial workload preset.
 ///
 /// The enum is `#[non_exhaustive]`: new attack shapes will be added as the
-/// protection surface grows. Parse user input with [`Adversary::parse`] and
-/// enumerate with [`Adversary::ALL`].
+/// protection surface grows. Enumerate with [`Adversary::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum Adversary {
@@ -78,7 +77,7 @@ impl Adversary {
         Adversary::ChurnStorm,
     ];
 
-    /// Short name used in bench labels and CLI flags.
+    /// Short name, what `Display` prints: test messages name a preset by it.
     pub fn name(&self) -> &'static str {
         match self {
             Adversary::FloodClient => "flood",
@@ -106,37 +105,11 @@ impl Adversary {
             Adversary::ChurnStorm => 200.0,
         }
     }
-
-    /// Parses a preset name as used on the bench command line
-    /// (`--adversary flood`).
-    pub fn parse(s: &str) -> Option<Adversary> {
-        match s {
-            "flood" => Some(Adversary::FloodClient),
-            "replay" => Some(Adversary::ReplayStorm),
-            "hotkey" => Some(Adversary::HotKeySkew),
-            "churn" => Some(Adversary::ChurnStorm),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Adversary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Adversary {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Adversary::parse(s).ok_or_else(|| {
-            let names: Vec<&str> = Adversary::ALL.iter().map(|a| a.name()).collect();
-            format!(
-                "unknown adversary {s:?} (expected one of {})",
-                names.join(", ")
-            )
-        })
     }
 }
 
@@ -331,14 +304,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_parse_round_trip() {
+    fn presets_display_their_names() {
         for preset in Adversary::ALL {
-            assert_eq!(Adversary::parse(preset.name()), Some(preset));
-            assert_eq!(preset.name().parse::<Adversary>(), Ok(preset));
             assert_eq!(preset.to_string(), preset.name());
         }
-        assert_eq!(Adversary::parse("ddos"), None);
-        assert!("ddos".parse::<Adversary>().unwrap_err().contains("flood"));
     }
 
     #[test]
