@@ -796,6 +796,7 @@ impl<A: Application> Process<M<A>> for LedgerNode<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::MAX_BLOCK_BYTES;
     use setchain_simnet::{NetworkConfig, SimTime, Simulation, SimulationConfig, Wire};
 
     /// Minimal application used to exercise the ledger: transactions are
@@ -974,7 +975,10 @@ mod tests {
         }
         cluster.sim.run_until(SimTime::from_secs(60));
         for b in cluster.trace.blocks() {
-            assert!(b.bytes <= 500_000, "block {b:?} exceeds the size limit");
+            assert!(
+                b.bytes <= MAX_BLOCK_BYTES,
+                "block {b:?} exceeds the size limit"
+            );
         }
         let total: usize = cluster.trace.blocks().iter().map(|b| b.txs).sum();
         assert_eq!(total, 200, "all transactions eventually committed");

@@ -159,6 +159,10 @@ impl<T: TxData> Block<T> {
     }
 }
 
+/// The paper's 0.5 MB block: 524,288 bytes, the block capacity behind
+/// Appendix D's throughput bounds (955 el/s for Vanilla) and the default of
+/// [`LedgerConfig::max_block_bytes`].
+pub const MAX_BLOCK_BYTES: usize = 512 * 1024;
 /// Maximum number of transactions held in a mempool (paper: 10 000 000).
 pub const MEMPOOL_MAX_TXS: usize = 10_000_000;
 /// Maximum total bytes held in a mempool (paper: 2 GB).
@@ -198,7 +202,7 @@ impl Default for LedgerConfig {
         LedgerConfig {
             validators: 4,
             block_interval: SimDuration::from_millis(1250),
-            max_block_bytes: 500_000,
+            max_block_bytes: MAX_BLOCK_BYTES,
             sig_verify_cost: SimDuration::from_micros(60),
             block_validate_cost_per_kib: SimDuration::from_micros(2),
         }
@@ -386,7 +390,7 @@ mod tests {
     #[test]
     fn default_matches_paper_constants() {
         let cfg = LedgerConfig::default();
-        assert_eq!(cfg.max_block_bytes, 500_000);
+        assert_eq!(cfg.max_block_bytes, MAX_BLOCK_BYTES);
         assert_eq!(MEMPOOL_MAX_TXS, 10_000_000);
         assert!((cfg.block_interval.as_secs_f64() - 1.25).abs() < 1e-9);
     }

@@ -4,12 +4,18 @@
 //! implementations of one object (`add`, `get`, epochs, epoch-proofs) that
 //! differ in exactly one step: how a batch of elements reaches the ledger.
 //! [`SetchainServer`] is that object. It owns the algorithm-agnostic
-//! [`ServerCore`] and writes the shared front door once — quota gate →
-//! `add(e)`, the `InjectInvalidElements` forgery, the `get` service, the
-//! collector tick — and hands the steps that differ (what happens to an
-//! admitted element, `check_tx`, `finalize_block`, Hashchain's batch
-//! service) to the variant modules [`crate::vanilla`],
-//! [`crate::compresschain`] and [`crate::hashchain`].
+//! [`ServerCore`] and writes the shared front door once: quota gate →
+//! `add(e)` → the element's way to the ledger, for an admitted element and
+//! an `InjectInvalidElements` forgery alike; the `get` service; the
+//! collector tick; and one `CheckTx` table of the three algorithms'
+//! transaction kinds. The paper's `batch` is the core's collector, which
+//! the two batching algorithms have and Vanilla does not; the core also
+//! routes each of the server's own epoch-proofs
+//! (`ServerCore::route_own_proof`) and ends every flush
+//! (`ServerCore::append_batch`). What is left to the variant modules
+//! [`crate::vanilla`], [`crate::compresschain`] and [`crate::hashchain`] is
+//! what differs: `finalize_block`, how a flushed batch reaches the ledger
+//! (compressed, or as a signed hash) and Hashchain's batch service.
 //!
 //! ```
 //! use setchain::{Algorithm, ServerCore, SetchainConfig, SetchainServer, SetchainTrace};
@@ -33,7 +39,7 @@
 //! ```
 
 use setchain_crypto::ProcessId;
-use setchain_ledger::{Application, Block};
+use setchain_ledger::{Application, Block, TxData};
 use setchain_simnet::{SimDuration, TimerToken};
 
 use crate::byzantine::ServerByzMode;
@@ -64,48 +70,14 @@ enum Variant {
 }
 
 impl Variant {
-    /// The batch under construction, for the two collecting algorithms.
-    fn collector(&mut self) -> Option<&mut Collector> {
-        match self {
-            Variant::Vanilla => None,
-            Variant::Compresschain(c) => Some(&mut c.collector),
-            Variant::Hashchain(h) => Some(&mut h.collector),
-        }
-    }
-
     /// `upon isReady(batch)`: the collected batch goes to the ledger the
-    /// algorithm's way — compressed, or as a signed hash.
+    /// algorithm's way — compressed, or as a signed hash. Vanilla collects
+    /// no batch, so it never flushes one.
     fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         match self {
-            Variant::Vanilla => {}
+            Variant::Vanilla => unreachable!("Vanilla collects no batch"),
             Variant::Compresschain(c) => c.flush(core, ctx),
             Variant::Hashchain(h) => h.flush(core, ctx),
-        }
-    }
-
-    /// What follows `add(e)`'s precondition check: an accepted element
-    /// becomes a ledger transaction (Vanilla) or joins the collector.
-    fn on_add(&mut self, core: &mut ServerCore, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
-        match self {
-            Variant::Vanilla => vanilla::on_add(core, element, ctx),
-            Variant::Compresschain(c) => c.collect(core, element, ctx),
-            Variant::Hashchain(h) => h.collect(core, element, ctx),
-        }
-    }
-
-    /// [`ServerByzMode::InjectInvalidElements`]: a forged element goes
-    /// where an accepted one would, unchecked. Vanilla appends it as its
-    /// own transaction; the collecting algorithms batch it through
-    /// [`Collector::add_element`], so the flushed batch starts with no
-    /// element verdict known.
-    fn inject(&mut self, core: &mut ServerCore, forged: Element, ctx: &mut Ctx<'_, '_, '_>) {
-        let Some(collector) = self.collector() else {
-            ctx.append(SetchainTx::Element(forged));
-            return;
-        };
-        collector.add_element(forged);
-        if collector.is_ready() {
-            self.flush(core, ctx);
         }
     }
 }
@@ -126,23 +98,21 @@ impl SetchainServer {
     /// Every other configuration ignores it. Vanilla has no light ablation:
     /// a Vanilla server clears `config.light` and validates every block.
     pub fn new(algorithm: Algorithm, mut core: ServerCore, shared: SharedBatchRegistry) -> Self {
+        core.collector = algorithm
+            .uses_collector()
+            .then(|| Collector::new(core.config.collector_limit));
         let variant = match algorithm {
             Algorithm::Vanilla => {
                 core.config.light = false;
                 Variant::Vanilla
             }
-            Algorithm::Compresschain => {
-                Variant::Compresschain(Box::new(Compresschain::new(&core.config)))
-            }
+            Algorithm::Compresschain => Variant::Compresschain(Box::default()),
             Algorithm::Hashchain => {
                 let light = core.config.light;
                 if light {
                     core.byz = ServerByzMode::Correct;
                 }
-                Variant::Hashchain(Box::new(Hashchain::new(
-                    &core.config,
-                    light.then_some(shared),
-                )))
+                Variant::Hashchain(Box::new(Hashchain::new(light.then_some(shared))))
             }
         };
         SetchainServer { core, variant }
@@ -211,9 +181,9 @@ impl SetchainServer {
         }
         for &element in elements {
             // The paper's `add(e)`: the shared precondition check, then the
-            // one step that differs.
+            // element's way to the ledger.
             if self.core.accept_add(&element, ctx) {
-                self.variant.on_add(&mut self.core, element, ctx);
+                self.submit(element, true, ctx);
             }
             if self.core.byz == ServerByzMode::InjectInvalidElements {
                 // A Byzantine server also submits a fabricated element for
@@ -224,8 +194,34 @@ impl SetchainServer {
                     ElementId::new(u32::MAX, element.id.seq()),
                     200,
                 );
-                self.variant.inject(&mut self.core, forged, ctx);
+                self.submit(forged, false, ctx);
             }
+        }
+    }
+
+    /// What follows `add(e)`, for an element it `admitted` or one forged
+    /// under [`ServerByzMode::InjectInvalidElements`], which goes where an
+    /// admitted one would, unchecked. Vanilla appends the element as its
+    /// own transaction (`L.append(e)`). The batching algorithms add it to
+    /// the batch and flush the batch once it is ready; a batch holding a
+    /// forgery starts with no element verdict known (see
+    /// [`Collector::add_element`]).
+    fn submit(&mut self, element: Element, admitted: bool, ctx: &mut Ctx<'_, '_, '_>) {
+        let Some(collector) = self.core.collector.as_mut() else {
+            let tx = SetchainTx::Element(element);
+            if admitted {
+                self.core.trace.record_tx_assignment(element.id, tx.tx_id());
+            }
+            ctx.append(tx);
+            return;
+        };
+        if admitted {
+            collector.add_admitted(element);
+        } else {
+            collector.add_element(element);
+        }
+        if collector.is_ready() {
+            self.variant.flush(&mut self.core, ctx);
         }
     }
 }
@@ -235,7 +231,7 @@ impl Application for SetchainServer {
     type Msg = SetchainMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.algorithm().uses_collector() {
+        if self.core.collector.is_some() {
             ctx.set_app_timer(COLLECTOR_TIMEOUT, COLLECTOR_TICK);
         }
         // After a restart (retained state) re-arm an outstanding batch
@@ -246,12 +242,20 @@ impl Application for SetchainServer {
         }
     }
 
+    /// ABCI `CheckTx`: each algorithm admits its own transaction kinds
+    /// into the mempool, from a server of this deployment where a server
+    /// builds or signs them. This is a structural check only: block
+    /// processing validates every transaction again (a Byzantine server
+    /// may have gossiped anything), so a Vanilla element is only kept out
+    /// when its size is malformed.
     fn check_tx(&self, tx: &SetchainTx) -> bool {
         let config = &self.core.config;
-        match self.variant {
-            Variant::Vanilla => vanilla::check_tx(config, tx),
-            Variant::Compresschain(_) => Compresschain::check_tx(config, tx),
-            Variant::Hashchain(_) => Hashchain::check_tx(config, tx),
+        match (self.algorithm(), tx) {
+            (Algorithm::Vanilla, SetchainTx::Element(e)) => e.size_in_bounds(),
+            (Algorithm::Vanilla, SetchainTx::Proof(p)) => config.is_server(p.signer),
+            (Algorithm::Compresschain, SetchainTx::Compressed(b)) => config.is_server(b.origin),
+            (Algorithm::Hashchain, SetchainTx::HashBatch(hb)) => config.is_server(hb.signer),
+            _ => false,
         }
     }
 
@@ -284,8 +288,9 @@ impl Application for SetchainServer {
             COLLECTOR_TICK => {
                 // The timeout half of `isReady(batch)`.
                 let timed_out = self
-                    .variant
-                    .collector()
+                    .core
+                    .collector
+                    .as_ref()
                     .is_some_and(|c| c.is_timed_out(ctx.now(), COLLECTOR_TIMEOUT));
                 if timed_out {
                     self.variant.flush(&mut self.core, ctx);
@@ -318,12 +323,23 @@ impl Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::Batch;
     use crate::config::SetchainConfig;
+    use crate::hashchain::batch_hash;
+    use crate::proofs::{epoch_hash, make_epoch_proof_for_digest, EpochProof};
     use crate::trace::SetchainTrace;
+    use crate::tx::{CompressedBatch, HashBatch};
+    use parking_lot::Mutex;
+    use setchain_compress::ChunkedFrame;
     use setchain_crypto::KeyRegistry;
+    use std::sync::Arc;
+
+    fn registry() -> KeyRegistry {
+        KeyRegistry::bootstrap(13, 4, 2)
+    }
 
     fn server(algorithm: Algorithm, config: SetchainConfig, byz: ServerByzMode) -> SetchainServer {
-        let registry = KeyRegistry::bootstrap(13, 4, 2);
+        let registry = registry();
         let keys = registry.lookup(ProcessId::server(0)).unwrap();
         let core = ServerCore::new(keys, registry, config, SetchainTrace::new(), byz);
         SetchainServer::new(algorithm, core, SharedBatchRegistry::new())
@@ -371,6 +387,189 @@ mod tests {
             let s = server(algorithm, config.clone(), ServerByzMode::Correct);
             assert_eq!(s.core().config.light, algorithm != Algorithm::Vanilla);
         }
+    }
+
+    /// Hosts `server` on a one-node ledger and hands it and a live context
+    /// to `body` when the node starts. Returns what the body appended to
+    /// the ledger, in order: the node passes each appended transaction
+    /// through `check_tx`, which the host records.
+    fn appended_by<F>(server: SetchainServer, body: F) -> Vec<SetchainTx>
+    where
+        F: FnOnce(&mut SetchainServer, &mut Ctx<'_, '_, '_>) + Send + 'static,
+    {
+        use setchain_ledger::{ByzMode, LedgerConfig, LedgerNode, LedgerTrace};
+        use setchain_simnet::{Simulation, SimulationConfig};
+
+        struct Host<F> {
+            run: Option<(SetchainServer, F)>,
+            appended: Arc<Mutex<Vec<SetchainTx>>>,
+        }
+
+        impl<F> Application for Host<F>
+        where
+            F: FnOnce(&mut SetchainServer, &mut Ctx<'_, '_, '_>) + Send + 'static,
+        {
+            type Tx = SetchainTx;
+            type Msg = SetchainMsg;
+
+            fn on_start(&mut self, ctx: &mut Ctx<'_, '_, '_>) {
+                let (mut server, body) = self.run.take().expect("started once");
+                body(&mut server, ctx);
+            }
+
+            fn check_tx(&self, tx: &SetchainTx) -> bool {
+                self.appended.lock().push(tx.clone());
+                true
+            }
+
+            fn finalize_block(&mut self, _: &Block<SetchainTx>, _: &mut Ctx<'_, '_, '_>) {}
+        }
+
+        let id = server.core().id();
+        let registry = server.core().registry.clone();
+        let appended = Arc::default();
+        let host = Host {
+            run: Some((server, body)),
+            appended: Arc::clone(&appended),
+        };
+        let mut sim = Simulation::new(SimulationConfig::default());
+        sim.add_process(
+            id,
+            Box::new(LedgerNode::new(
+                id,
+                LedgerConfig::with_validators(4),
+                registry.lookup(id).unwrap(),
+                registry,
+                host,
+                LedgerTrace::new(),
+                ByzMode::Correct,
+            )),
+        );
+        // The first step starts the node, which runs the body.
+        sim.step();
+        let node = sim.process::<LedgerNode<Host<F>>>(id).unwrap();
+        assert!(node.app().run.is_none(), "the test body never ran");
+        let appended = std::mem::take(&mut *appended.lock());
+        appended
+    }
+
+    /// Elements `range` of client 0.
+    fn client_elements(range: std::ops::Range<u64>) -> Vec<Element> {
+        let keys = registry().lookup(ProcessId::client(0)).unwrap();
+        range
+            .map(|i| Element::new(&keys, ElementId::new(0, i), 438, i * 7 + 1))
+            .collect()
+    }
+
+    /// Server 0's epoch-proof for an epoch of exactly `elements`.
+    fn own_proof(epoch: u64, elements: &[Element]) -> EpochProof {
+        let keys = registry().lookup(ProcessId::server(0)).unwrap();
+        make_epoch_proof_for_digest(&keys, epoch, &epoch_hash(epoch, elements))
+    }
+
+    /// `origin`'s Compresschain transaction number `seq`, carrying `batch`
+    /// in a frame that decodes.
+    fn compressed(origin: ProcessId, seq: u64, batch: Batch) -> SetchainTx {
+        let mut raw = Vec::new();
+        let original_size = batch.encode_elements_into(&mut raw) as u32;
+        let payload = ChunkedFrame::from(setchain_compress::compress_chunked_with(&raw, 1 << 14));
+        SetchainTx::Compressed(CompressedBatch {
+            origin,
+            seq,
+            batch: Arc::new(batch),
+            compressed_size: payload.len() as u32,
+            payload: Arc::new(payload),
+            original_size,
+        })
+    }
+
+    /// A server running `algorithm` whose batch is ready at two entries
+    /// (with push dissemination on, which only Hashchain reads).
+    fn limit_two(algorithm: Algorithm) -> SetchainServer {
+        let config = SetchainConfig {
+            collector_limit: 2,
+            push_batches: true,
+            ..SetchainConfig::new(4)
+        };
+        server(algorithm, config, ServerByzMode::Correct)
+    }
+
+    // The two tests below pin that every flush is immediate: an own
+    // epoch-proof that makes the batch ready flushes it before the next
+    // transaction of the block is handled, so no flushed batch holds more
+    // than `collector_limit` entries, elements and proofs together. A
+    // flush deferred to the end of the block would append one batch of
+    // three entries; one deferred to the next add or tick, none.
+
+    #[test]
+    fn a_compresschain_proof_that_fills_the_batch_flushes_before_the_next_batch() {
+        let e = client_elements(0..1)[0];
+        let [a, b] = [10..20, 20..30].map(client_elements);
+        let p1 = own_proof(1, &a);
+        let origin = ProcessId::server(1);
+        let block_txs: Vec<_> = [a, b]
+            .into_iter()
+            .zip(0..)
+            .map(|(elements, seq)| compressed(origin, seq, Batch::new(elements, vec![])))
+            .collect();
+        let appended = appended_by(limit_two(Algorithm::Compresschain), move |s, ctx| {
+            s.on_message(ProcessId::client(0), SetchainMsg::Add(e), ctx);
+            assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
+            // Two compressed batches make epochs 1 and 2: epoch 1's proof
+            // fills the batch, epoch 2's starts the next one.
+            let block = Block::new(1, origin, ctx.now(), block_txs.into());
+            s.finalize_block(&block, ctx);
+            assert_eq!(s.state().epoch(), 2);
+            assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
+        });
+        let [SetchainTx::Compressed(cb)] = appended.as_slice() else {
+            panic!("one compressed batch appended, got {appended:?}");
+        };
+        assert_eq!((cb.origin, cb.seq), (ProcessId::server(0), 0));
+        assert_eq!(cb.batch.elements, [e]);
+        assert_eq!(cb.batch.proofs, [p1]);
+    }
+
+    #[test]
+    fn a_hashchain_proof_that_fills_the_batch_flushes_before_the_next_hash_batch() {
+        let registry = registry();
+        let e = client_elements(0..1)[0];
+        let [a, b] = [10..20, 20..30].map(|r| Arc::new(Batch::new(client_elements(r), vec![])));
+        let p1 = own_proof(1, &a.elements);
+        let [s1, s2] = [1, 2].map(ProcessId::server);
+        // Servers 1 and 2 each sign both hashes: f + 1 = 2 signers
+        // consolidate each, at its second copy.
+        let block_txs: Vec<_> = [(&a, s1), (&a, s2), (&b, s1), (&b, s2)]
+            .into_iter()
+            .map(|(batch, signer)| {
+                let keys = registry.lookup(signer).unwrap();
+                SetchainTx::HashBatch(HashBatch::new(&keys, batch.hash()).into())
+            })
+            .collect();
+        let hashes = [a.hash(), batch_hash(&[e], &[p1]), b.hash()];
+        let appended = appended_by(limit_two(Algorithm::Hashchain), move |s, ctx| {
+            s.on_message(ProcessId::client(0), SetchainMsg::Add(e), ctx);
+            assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
+            // Server 1 pushes both batches, so no copy waits on a request.
+            for batch in [a, b] {
+                let hash = batch.hash();
+                s.on_message(s1, SetchainMsg::PushBatch { hash, batch }, ctx);
+            }
+            let block = Block::new(1, s1, ctx.now(), block_txs.into());
+            s.finalize_block(&block, ctx);
+            assert_eq!(s.state().epoch(), 2);
+            assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
+        });
+        // This server counter-signs `a`, flushes the batch that epoch 1's
+        // proof filled, and only then counter-signs `b`.
+        let signed: Vec<_> = appended
+            .iter()
+            .map(|tx| match tx {
+                SetchainTx::HashBatch(hb) if hb.signer == ProcessId::server(0) => hb.hash,
+                other => panic!("server 0 appends hash-batches only, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(signed, hashes);
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! travel inside the batches. The "Compresschain light" ablation of Fig. 2
 //! (left) skips decompression and validation on delivery.
 //!
-//! `Compresschain` holds what only this algorithm needs — the collector,
-//! the encode buffer, the ratio accounting — and the steps that differ from
-//! the other two; the add/get front door that drives it lives in
-//! [`crate::app`]. On delivery every server pays the modelled
-//! decompression of every frame, while the host decodes each frame once
-//! per run, when the origin builds it: a [`ChunkedFrame`] keeps the frame's
-//! length and decode verdict, not its bytes.
+//! `Compresschain` holds what only this algorithm needs — the batch
+//! sequence, the encode buffer, the ratio accounting — and the steps that
+//! differ from the other two: `flush`, which compresses the batch the
+//! server core collected, and `finalize_block`. The add/get front door and
+//! the batch itself live in [`crate::app`] and [`ServerCore`].
+//!
+//! On delivery every server pays the modelled decompression of every
+//! frame, while the host decodes each frame once per run, when the origin
+//! builds it: a [`ChunkedFrame`] keeps the frame's length and decode
+//! verdict, not its bytes.
 //! The decoded batch is shared the same way: every server checks its
 //! elements and proofs and digests its epoch, and the host computes the
 //! batch root once per run, takes each element verdict from the origin's
@@ -24,11 +27,8 @@
 use std::sync::Arc;
 
 use setchain_compress::ChunkedFrame;
-use setchain_ledger::{Block, TxData};
+use setchain_ledger::Block;
 
-use crate::collector::Collector;
-use crate::config::SetchainConfig;
-use crate::element::Element;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{CompressedBatch, SetchainTx};
 
@@ -39,8 +39,8 @@ use crate::tx::{CompressedBatch, SetchainTx};
 const BATCH_CHUNK_LEN: usize = 16 * 1024;
 
 /// Compresschain's per-server state.
+#[derive(Default)]
 pub(crate) struct Compresschain {
-    pub(crate) collector: Collector,
     next_batch_seq: u64,
     /// Sum of measured compression ratios and count, for reporting. Ratios
     /// are measured on the *shipped* chunked frame (headers included), so
@@ -53,16 +53,6 @@ pub(crate) struct Compresschain {
 }
 
 impl Compresschain {
-    pub(crate) fn new(config: &SetchainConfig) -> Self {
-        Compresschain {
-            collector: Collector::new(config.collector_limit),
-            next_batch_seq: 0,
-            ratio_sum: 0.0,
-            ratio_count: 0,
-            encode_buf: Vec::new(),
-        }
-    }
-
     /// Average compression ratio measured on flushed batches.
     pub(crate) fn average_ratio(&self) -> f64 {
         if self.ratio_count == 0 {
@@ -71,27 +61,9 @@ impl Compresschain {
         self.ratio_sum / self.ratio_count as f64
     }
 
-    /// An admitted element joins the batch under construction.
-    pub(crate) fn collect(
-        &mut self,
-        core: &mut ServerCore,
-        element: Element,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
-        self.collector.add_admitted(element);
-        self.maybe_flush(core, ctx);
-    }
-
-    /// Flushes the collector when the size threshold is reached.
-    fn maybe_flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.collector.is_ready() {
-            self.flush(core, ctx);
-        }
-    }
-
     /// `upon isReady(batch)`: compress the batch and append it to the ledger.
     pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let batch = self.collector.flush(ctx.now());
+        let batch = Arc::new(core.take_batch(ctx.now()));
         // Materialize the batch bytes once, into the reusable encode buffer,
         // and run the real compressor (chunked frame) so the transaction
         // occupies a realistic number of bytes in blocks. The frame is
@@ -114,30 +86,16 @@ impl Compresschain {
             self.ratio_sum += raw_len as f64 / payload.len().max(1) as f64;
             self.ratio_count += 1;
         }
-        core.stats.batches_flushed += 1;
         let cb = CompressedBatch {
             origin: core.id(),
             seq: self.next_batch_seq,
-            batch: Arc::new(batch),
+            batch: Arc::clone(&batch),
             payload: Arc::new(payload),
             compressed_size,
             original_size,
         };
         self.next_batch_seq += 1;
-        let tx = SetchainTx::Compressed(cb);
-        let tx_id = tx.tx_id();
-        if let SetchainTx::Compressed(cb) = &tx {
-            for e in &cb.batch.elements {
-                core.trace.record_tx_assignment(e.id, tx_id);
-            }
-        }
-        ctx.append(tx);
-    }
-
-    /// ABCI `CheckTx`: only batch transactions from a server of this
-    /// deployment enter the mempool.
-    pub(crate) fn check_tx(config: &SetchainConfig, tx: &SetchainTx) -> bool {
-        matches!(tx, SetchainTx::Compressed(b) if config.is_server(b.origin))
+        core.append_batch(SetchainTx::Compressed(cb), &batch.elements, ctx);
     }
 
     /// `new_block(B)`: every batch of the block becomes one epoch.
@@ -184,10 +142,12 @@ impl Compresschain {
             // G: valid elements not yet in an epoch. The block is held once
             // per run, so a whole batch is shared, not copied, into history,
             // and its epoch digest is finished from the batch's root.
+            // The epoch-proof goes into the next batch, which is flushed
+            // before the block's next batch if the proof fills it.
             let proof = core.create_epoch(&cb.batch, ctx);
-            // The epoch-proof goes back through the collector.
-            self.collector.add_proof(proof);
-            self.maybe_flush(core, ctx);
+            if core.route_own_proof(proof, ctx) {
+                self.flush(core, ctx);
+            }
         }
     }
 }

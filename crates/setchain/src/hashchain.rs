@@ -50,23 +50,23 @@
 //! then modelled by a [`SharedBatchRegistry`] standing in for out-of-band
 //! data dissemination.
 //!
-//! `Hashchain` holds what only this algorithm needs — the collector, the
-//! batch registry, the ledger-order queue and the per-hash records — and the
-//! steps that differ from the other two; the add/get front door that drives
-//! it lives in [`crate::app`].
+//! `Hashchain` holds what only this algorithm needs — the batch registry,
+//! the ledger-order queue and the per-hash records — and the steps that
+//! differ from the other two: `flush`, which hashes and signs the batch the
+//! server core collected, `finalize_block` and the batch service. The
+//! add/get front door and the batch itself live in [`crate::app`] and
+//! [`ServerCore`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use setchain_crypto::{Digest512, ProcessId};
-use setchain_ledger::{Block, TxData};
+use setchain_ledger::Block;
 use setchain_simnet::{SimDuration, SimTime, TimerToken};
 
 use crate::byzantine::ServerByzMode;
-use crate::collector::{Batch, Collector};
-use crate::config::SetchainConfig;
-use crate::element::Element;
+use crate::collector::Batch;
 use crate::messages::SetchainMsg;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
@@ -191,7 +191,6 @@ impl HashRecord {
 
 /// Hashchain's per-server state.
 pub(crate) struct Hashchain {
-    pub(crate) collector: Collector,
     /// One record per hash this server has flushed, recovered or seen on
     /// the ledger. Queue processing, serving a request and pushing hand out
     /// refcount bumps of a record's batch, never a copy of the contents.
@@ -209,9 +208,8 @@ pub(crate) struct Hashchain {
 impl Hashchain {
     /// `shared` is the out-of-band batch availability of the "Hashchain
     /// light" ablation; `None` runs the full protocol with hash reversal.
-    pub(crate) fn new(config: &SetchainConfig, shared: Option<SharedBatchRegistry>) -> Self {
+    pub(crate) fn new(shared: Option<SharedBatchRegistry>) -> Self {
         Hashchain {
-            collector: Collector::new(config.collector_limit),
             records: HashMap::new(),
             block_queue: VecDeque::new(),
             paused: false,
@@ -224,27 +222,10 @@ impl Hashchain {
         self.records.values().filter(|r| r.batch.is_some()).count()
     }
 
-    /// An admitted element joins the batch under construction.
-    pub(crate) fn collect(
-        &mut self,
-        core: &mut ServerCore,
-        element: Element,
-        ctx: &mut Ctx<'_, '_, '_>,
-    ) {
-        self.collector.add_admitted(element);
-        self.maybe_flush(core, ctx);
-    }
-
-    fn maybe_flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        if self.collector.is_ready() {
-            self.flush(core, ctx);
-        }
-    }
-
     /// `upon isReady(batch)`: hash the batch, register it, and append the
     /// signed hash-batch to the ledger.
     pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
-        let batch = Arc::new(self.collector.flush(ctx.now()));
+        let batch = Arc::new(core.take_batch(ctx.now()));
         let hash = batch.hash();
         ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
         // Register_batch(h, batch): keep the contents so other servers can
@@ -255,13 +236,7 @@ impl Hashchain {
         ctx.consume_cpu(core.config.costs.sign);
         let hb = core.make_hash_batch(hash);
         self.remember(hash, Arc::clone(&batch)).signed = true;
-        core.stats.batches_flushed += 1;
-        let tx = SetchainTx::HashBatch(hb.into());
-        let tx_id = tx.tx_id();
-        for e in &batch.elements {
-            core.trace.record_tx_assignment(e.id, tx_id);
-        }
-        ctx.append(tx);
+        core.append_batch(SetchainTx::HashBatch(hb.into()), &batch.elements, ctx);
         // Push-based dissemination variant: ship the batch contents to every
         // other server out of band, so that when the hash-batch lands in a
         // block they already hold the contents and skip `Request_batch`.
@@ -471,15 +446,12 @@ impl Hashchain {
             // A batch whose contents never arrived is an empty epoch.
             let batch = rec.batch.clone().unwrap_or_default();
             let proof = core.create_epoch(&batch, ctx);
-            self.collector.add_proof(proof);
-            self.maybe_flush(core, ctx);
+            // The epoch-proof goes into the next batch, which is flushed
+            // before the next queued hash-batch if the proof fills it.
+            if core.route_own_proof(proof, ctx) {
+                self.flush(core, ctx);
+            }
         }
-    }
-
-    /// ABCI `CheckTx`: only hash-batches signed by a server of this
-    /// deployment enter the mempool.
-    pub(crate) fn check_tx(config: &SetchainConfig, tx: &SetchainTx) -> bool {
-        matches!(tx, SetchainTx::HashBatch(hb) if config.is_server(hb.signer))
     }
 
     /// `new_block(B)`: the block's valid hash-batches join the ledger-order
@@ -617,6 +589,8 @@ impl Hashchain {
 mod tests {
     use super::*;
     use crate::app::SetchainServer;
+    use crate::collector::Collector;
+    use crate::config::SetchainConfig;
     use crate::element::{Element, ElementId};
     use crate::proofs::{make_epoch_proof, make_epoch_proof_for_digest};
     use crate::trace::SetchainTrace;
@@ -634,6 +608,13 @@ mod tests {
         range
             .map(|i| Element::new(&keys, ElementId::new(0, i), 438, i * 31 + 1))
             .collect()
+    }
+
+    /// A full-protocol Hashchain over `core`, which collects its batch as a
+    /// Hashchain server's core does.
+    fn hashchain(core: &mut ServerCore) -> Hashchain {
+        core.collector = Some(Collector::new(core.config.collector_limit));
+        Hashchain::new(None)
     }
 
     /// The contents `h` keeps for `hash`, if any.
@@ -758,7 +739,7 @@ mod tests {
     #[test]
     fn a_shared_batch_that_hashes_wrong_is_dropped_and_fails_the_request() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             let honest = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&honest.elements, &honest.proofs);
             // Servers 1 and 2 both put `hash` on the ledger; the queue head
@@ -807,7 +788,7 @@ mod tests {
     #[test]
     fn a_push_is_kept_only_from_another_server_with_push_on() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             let batch = Arc::new(Batch::new(elements(registry, 0..100), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let push = |h: &mut Hashchain, core: &mut ServerCore, from, ctx: &mut Ctx| {
@@ -840,7 +821,7 @@ mod tests {
     #[test]
     fn a_skipped_copy_counts_its_signer_and_the_completing_copy_waits() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             let batch = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let [s1, s2, s3] = [1, 2, 3].map(ProcessId::server);
@@ -881,7 +862,7 @@ mod tests {
     #[test]
     fn a_response_with_no_request_in_flight_is_dropped_unhashed() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             let batch = Arc::new(Batch::new(elements(registry, 0..10), vec![]));
             let hash = batch_hash(&batch.elements, &batch.proofs);
             let s1 = ProcessId::server(1);
@@ -921,7 +902,7 @@ mod tests {
     #[test]
     fn a_head_whose_prefetch_ran_out_fails_over_without_a_tick() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             let hash = batch_hash(&elements(registry, 0..10), &[]);
             let [s1, s2] = [1, 2].map(ProcessId::server);
             for s in [s1, s2] {
@@ -979,7 +960,7 @@ mod tests {
     fn a_known_batch_is_applied_once_however_many_copies_arrive() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let costs = core.config.costs;
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             // Epoch 1 first, so that there is an epoch to carry proofs for.
             let b = know(&mut h, Batch::new(elements(registry, 0..10), vec![]));
             for signer in [1, 2] {
@@ -1042,7 +1023,7 @@ mod tests {
     fn a_proof_for_an_epoch_not_derived_yet_is_retried_at_the_next_copy() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
             let costs = core.config.costs;
-            let mut h = Hashchain::new(&core.config, None);
+            let mut h = hashchain(core);
             // Batch `b` will become epoch 1; batch `a` carries server 2's
             // proof for that epoch and reaches the queue head first.
             let b = elements(registry, 0..10);

@@ -41,10 +41,10 @@ const TOKEN_SCALE: u64 = 1_000_000;
 
 /// `retry_after` hint for a pending-cap shed. Rate sheds compute the exact
 /// bucket-refill instant; the pending cap drains on epoch stamping, whose
-/// timing depends on the collector and ledger, so the hint is one default
-/// collector timeout — the cadence at which pending elements leave for an
-/// epoch under load.
-pub const PENDING_RETRY: SimDuration = SimDuration(200_000);
+/// timing depends on the collector and ledger, so the hint is one collector
+/// timeout ([`COLLECTOR_TIMEOUT`](crate::app::COLLECTOR_TIMEOUT)) — the
+/// cadence at which pending elements leave for an epoch under load.
+pub const PENDING_RETRY: SimDuration = crate::app::COLLECTOR_TIMEOUT;
 
 /// Outcome of a quota probe: admit the submission, or shed it and tell the
 /// sender when a retry could succeed.

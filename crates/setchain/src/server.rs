@@ -7,13 +7,14 @@ use setchain_crypto::{
     sign_with, Digest512, FxHashSet, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature,
     SigningKey,
 };
-use setchain_ledger::AppCtx;
+use setchain_ledger::{AppCtx, TxData};
+use setchain_simnet::SimTime;
 
 use setchain_store::{DiskStore, EpochRecord, StateStore};
 
 use crate::admission::AdmissionCache;
 use crate::byzantine::ServerByzMode;
-use crate::collector::Batch;
+use crate::collector::{Batch, Collector};
 use crate::config::{SetchainConfig, StoreConfig};
 use crate::element::{Element, ElementId};
 use crate::messages::SetchainMsg;
@@ -139,6 +140,11 @@ pub struct ServerCore {
     /// [`Self::admit_source`] ahead of every client-facing admission path;
     /// `None` is the exact pre-quota pipeline (no probe, no reply, no CPU).
     quota: Option<crate::quota::QuotaState>,
+    /// The paper's `batch` with its `isReady` condition: the batch under
+    /// construction of the two batching algorithms, which
+    /// `SetchainServer::new` sets. `None` for Vanilla, whose block is the
+    /// batch.
+    pub(crate) collector: Option<Collector>,
 }
 
 impl ServerCore {
@@ -178,6 +184,7 @@ impl ServerCore {
             store: None,
             persisted: 0,
             quota: None,
+            collector: None,
         };
         if let Some(quota_cfg) = core.config.quota {
             core.quota = Some(crate::quota::QuotaState::new(quota_cfg));
@@ -648,6 +655,50 @@ impl ServerCore {
             proof.signature = Signature::forged(self.keys.id);
         }
         proof
+    }
+
+    /// Where this server's own epoch-proof goes: Vanilla appends it as its
+    /// own transaction (`L.append(p)`), the batching algorithms add it to
+    /// the batch under construction. True if that makes the batch ready
+    /// (`isReady(batch)`): the caller flushes it before it handles the
+    /// next transaction.
+    pub(crate) fn route_own_proof(&mut self, proof: EpochProof, ctx: &mut Ctx<'_, '_, '_>) -> bool {
+        let Some(collector) = self.collector.as_mut() else {
+            ctx.append(SetchainTx::Proof(proof.into()));
+            return false;
+        };
+        collector.add_proof(proof);
+        collector.is_ready()
+    }
+
+    /// Drains the batch under construction for a flush.
+    ///
+    /// # Panics
+    ///
+    /// If this server collects no batch (Vanilla) or the batch is empty
+    /// (the algorithm's `assert batch ≠ ∅`).
+    pub(crate) fn take_batch(&mut self, now: SimTime) -> Batch {
+        self.collector
+            .as_mut()
+            .expect("only a batching algorithm flushes")
+            .flush(now)
+    }
+
+    /// The end of every flush: `tx`, the ledger transaction that carries
+    /// the flushed batch's `elements`, is appended and counted, and each
+    /// element is traced to it.
+    pub(crate) fn append_batch(
+        &mut self,
+        tx: SetchainTx,
+        elements: &[Element],
+        ctx: &mut Ctx<'_, '_, '_>,
+    ) {
+        self.stats.batches_flushed += 1;
+        let tx_id = tx.tx_id();
+        for e in elements {
+            self.trace.record_tx_assignment(e.id, tx_id);
+        }
+        ctx.append(tx);
     }
 
     /// First-pass admission of a recovered batch's elements: drops the

@@ -6,9 +6,12 @@
 //! are therefore those of the underlying ledger — this is the reference point
 //! the other two algorithms improve on.
 //!
-//! Vanilla keeps no state of its own (no collector, no timers), so its steps
-//! are free functions over the shared [`ServerCore`]; the add/get front door
-//! that calls them lives in [`crate::app`].
+//! Vanilla keeps no state of its own (no batch, no timers), so its one step
+//! that differs, `finalize_block`, is a free function over the shared
+//! [`ServerCore`]. The add/get front door that appends each accepted element
+//! as its own transaction lives in [`crate::app`], and the block's
+//! epoch-proof leaves through `ServerCore::route_own_proof`, which
+//! appends it as its own transaction too.
 //!
 //! In Vanilla the block *is* the batch. Every server commits the same
 //! block, so the host builds the block's element list once, as a [`Batch`]
@@ -21,36 +24,12 @@
 //! per epoch batch. Each server still counts and pays its own validation,
 //! verification, hashing and signing.
 
-use setchain_ledger::{Block, TxData};
+use setchain_ledger::Block;
 
 use crate::collector::Batch;
-use crate::config::SetchainConfig;
 use crate::element::Element;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::SetchainTx;
-
-/// The step after `add(e)`'s precondition check: an accepted element becomes
-/// its own ledger transaction (`L.append(e)`).
-pub(crate) fn on_add(core: &mut ServerCore, element: Element, ctx: &mut Ctx<'_, '_, '_>) {
-    let tx = SetchainTx::Element(element);
-    core.trace.record_tx_assignment(element.id, tx.tx_id());
-    ctx.append(tx);
-}
-
-/// ABCI `CheckTx` for Vanilla's two transaction kinds.
-pub(crate) fn check_tx(config: &SetchainConfig, tx: &SetchainTx) -> bool {
-    match tx {
-        // Full element validation happens again at block processing time
-        // (a Byzantine server may have gossiped anything); here we only
-        // keep obviously malformed sizes out of the mempool.
-        SetchainTx::Element(e) => e.size > 0 && e.size <= 1_000_000,
-        // Structural check only; content is verified against history when
-        // the proof is extracted from a block.
-        SetchainTx::Proof(p) => config.is_server(p.signer),
-        // Vanilla never uses batch transactions.
-        SetchainTx::Compressed(_) | SetchainTx::HashBatch(_) => false,
-    }
-}
 
 /// `new_block(B)`: the block's proofs are ingested and its valid,
 /// not-yet-stamped elements form the next epoch.
@@ -82,8 +61,9 @@ pub(crate) fn finalize_block(
     // 2. The valid elements of the block that are not yet in an epoch
     //    form the new epoch G.
     // 3. epoch ← epoch + 1; history[epoch] ← G; append the epoch-proof.
+    //    Vanilla has no batch, so the proof is its own transaction.
     let proof = core.create_epoch(&batch, ctx);
-    ctx.append(SetchainTx::Proof(proof.into()));
+    core.route_own_proof(proof, ctx);
 }
 
 /// The elements of `block`, in block order.

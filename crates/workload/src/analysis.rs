@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use setchain::Algorithm;
+use setchain_ledger::types::MAX_BLOCK_BYTES;
 
 /// Parameters of the analytical model (defaults are the paper's evaluation
 /// constants: n = 10, C = 0.5 MB, l_e = 438 B, l_p = l_h = 139 B,
@@ -44,7 +45,7 @@ impl Default for AnalysisParams {
     fn default() -> Self {
         AnalysisParams {
             servers: 10,
-            block_capacity: 524_288.0, // 0.5 MB
+            block_capacity: MAX_BLOCK_BYTES as f64,
             element_len: 438.0,
             proof_len: 139.0,
             hash_batch_len: 139.0,

@@ -3,6 +3,7 @@
 //! space of Table 1.
 
 use setchain::Algorithm;
+use setchain_ledger::types::MAX_BLOCK_BYTES;
 
 use crate::adversary::Adversary;
 
@@ -38,7 +39,8 @@ pub struct Scenario {
     pub injection_secs: u64,
     /// Hard stop for the run even if elements remain uncommitted.
     pub max_run_secs: u64,
-    /// Ledger block size in bytes (paper default 0.5 MB).
+    /// Ledger block size in bytes (paper default 0.5 MB,
+    /// [`MAX_BLOCK_BYTES`]).
     pub block_bytes: usize,
     /// Adversarial workload preset (see [`crate::adversary`]): one extra
     /// misbehaving client attacking server 0 alongside the honest injection
@@ -64,7 +66,7 @@ impl Scenario {
             loss_rate: 0.0,
             injection_secs: 50,
             max_run_secs: 300,
-            block_bytes: 524_288, // 0.5 MB, as in the paper's analysis
+            block_bytes: MAX_BLOCK_BYTES,
             adversary: None,
             detailed_trace: false,
             seed: 42,

@@ -371,7 +371,10 @@ type BranchGolden = ((Algorithm, Branch), (u64, u64, usize, usize, &'static str)
 /// CPU and bytes as an accepted one, and f + 1 honest signers still commit
 /// every epoch — the row pins that the rejection branch of `ingest_proof`
 /// stays schedule-neutral. Likewise the Vanilla `Light` row reads the same
-/// as the n = 4 Vanilla row of [`GOLDENS`]: Vanilla ignores `light`. The
+/// as the n = 4 Vanilla row of [`GOLDENS`]: it pins that `light` leaves a
+/// Vanilla schedule unchanged. It cannot pin that Vanilla still validates
+/// under `light`, because the run has no invalid element;
+/// `app::tests::vanilla_has_no_light_ablation` pins that. The
 /// `RefuseBatchService` and `Lossy` rows pin Hashchain's request timeouts,
 /// failover to another signer and skipped hash-batches, which no fault-free
 /// row reaches; neither drains.
