@@ -12,8 +12,6 @@
 //!   handles the whole run in one handler invocation (one `on_message` per
 //!   delivery), so no arrival waits behind another's CPU charge.
 
-use std::any::Any;
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use setchain_simnet::{
     Context, NetworkConfig, Process, ProcessId, SimDuration, SimTime, Simulation, SimulationConfig,
@@ -51,12 +49,6 @@ impl Process<Ping> for Pinger {
             ctx.send(from, msg);
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct Ticker {
@@ -72,12 +64,6 @@ impl Process<Ping> for Ticker {
     fn on_timer(&mut self, _: TimerToken, ctx: &mut Context<'_, Ping>) {
         self.fired += 1;
         ctx.set_timer(self.period, 1);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -99,12 +85,6 @@ impl Process<Ping> for Broadcaster {
             ctx.set_timer(SimDuration::from_micros(100), 1);
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counts messages and charges 1 µs of CPU for each.
@@ -117,12 +97,6 @@ impl Process<Ping> for Sink {
     fn on_message(&mut self, _: ProcessId, _: Ping, ctx: &mut Context<'_, Ping>) {
         self.received += 1;
         ctx.consume_cpu(SimDuration::from_micros(1));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

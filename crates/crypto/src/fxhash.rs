@@ -20,7 +20,7 @@
 //!
 //! What is still keyed through it, and why that is safe or bounded:
 //!
-//! * epoch numbers (the trace's `epoch_committed`) — minted by the
+//! * epoch numbers (the trace's per-epoch records) — minted by the
 //!   servers, dense;
 //! * `ProcessId`s (`AdmissionCache`'s key schedules, `QuotaState::clients`,
 //!   simnet's overflow slots) — registered or network-authenticated
@@ -31,11 +31,12 @@
 //!
 //! The per-element `ElementId` maps — `the_set`, the admission cache, the
 //! trace's per-element maps — are `setchain::IdMap`s, whose hash fallback is
-//! keyed through the full-avalanche [`fmix64`] because those ids are chosen
-//! by the sender. The ledger mempool's `TxId`s are not digests either but
+//! an [`IdHashMap`], keyed through the full-avalanche [`fmix64`] because
+//! those ids are chosen by the sender; so are the Setchain property
+//! checks' id sets. The ledger mempool's `TxId`s are not digests either but
 //! structured `(tag, client, seq)` and `(tag, epoch, signer)` values; they
 //! live in `setchain_ledger::mempool::TxIdSet`, 64 consecutive ids to an
-//! entry, keyed through [`fmix64`] too.
+//! entry, in an [`IdHashMap`] too.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -44,6 +45,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed through [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+/// `HashMap` keyed through [`IdHasher`].
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// `HashSet` keyed through [`IdHasher`].
+pub type IdHashSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -57,6 +62,42 @@ pub fn fmix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     h ^ (h >> 33)
+}
+
+/// Hashes ids made of `u64` words: the words folded into one, then
+/// [`fmix64`], in which every input bit reaches every output bit. One word
+/// hashes to exactly its `fmix64` image.
+///
+/// Meant for ids a sender chooses, whose streams are structured: the same
+/// `seq` under many clients, ids differing only above bit 40, one client's
+/// ids a fixed stride apart. [`FxHasher`] multiplies once, so a
+/// bucket index (the hash's low bits) sees only the key's low bits and such
+/// ids share one probe sequence; here they spread. The function is fixed
+/// (same table layout every run) and cheap (a flood's ids are probed as
+/// often as honest ones; SipHash cost `hash_flood` 16 % of its
+/// throughput). It is also invertible: it does nothing against a sender who
+/// computes preimages, which only a per-process secret key would, at the
+/// price of the repeatable layout.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        fmix64(self.0)
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("an id hashes as u64 words");
+    }
+
+    /// Folds `word` in: an odd multiplier is a bijection, so two ids with
+    /// the same last word and different earlier ones reach the finaliser
+    /// apart.
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ word;
+    }
 }
 
 /// The rustc `FxHash` function: rotate, xor, multiply per word.
@@ -159,6 +200,30 @@ mod tests {
     }
 
     #[test]
+    fn id_hasher_values_are_pinned() {
+        // Table layouts depend on these values: one word is its fmix64
+        // image, two words fold through the odd multiplier first.
+        let hash_id = |words: &[u64]| {
+            let mut h = IdHasher::default();
+            words.iter().for_each(|&w| h.write_u64(w));
+            h.finish()
+        };
+        let one = 3 << 40 | 17;
+        assert_eq!(hash_id(&[one]), fmix64(one));
+        assert_eq!(hash_id(&[one]), 0x3b47_3500_7f7b_6980);
+        let (hi, lo) = (0x0001_0000_0000_0002, 0x40);
+        assert_eq!(
+            hash_id(&[hi, lo]),
+            fmix64(hi.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ lo)
+        );
+        assert_eq!(hash_id(&[hi, lo]), 0x2bf7_105f_7f56_270b);
+        assert_eq!(
+            BuildHasherDefault::<IdHasher>::default().hash_one(one),
+            fmix64(one)
+        );
+    }
+
+    #[test]
     fn map_and_set_aliases_work() {
         let mut map: FxHashMap<u64, &str> = FxHashMap::default();
         map.insert(7, "seven");
@@ -166,5 +231,11 @@ mod tests {
         let mut set: FxHashSet<u128> = FxHashSet::default();
         assert!(set.insert(1 << 100));
         assert!(!set.insert(1 << 100));
+        let mut ids: IdHashSet<(u64, u64)> = IdHashSet::default();
+        assert!(ids.insert((1, 2)));
+        assert!(!ids.insert((1, 2)));
+        let mut by_id: IdHashMap<u64, u8> = IdHashMap::default();
+        by_id.insert(1 << 40, 1);
+        assert_eq!(by_id.get(&(1 << 40)), Some(&1));
     }
 }

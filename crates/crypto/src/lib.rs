@@ -37,7 +37,7 @@ pub mod merkle;
 mod sha256_x86;
 pub mod signature;
 
-pub use fxhash::{fmix64, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{fmix64, FxHashMap, FxHashSet, FxHasher, IdHashMap, IdHashSet, IdHasher};
 pub use hash::{sha256, sha256_backend, sha256_many, sha512, Digest256, Digest512, Sha256, Sha512};
 pub use hmac::{hmac_sha256, HmacSha256Key};
 pub use keys::{KeyPair, KeyRegistry, ProcessId, SecretKey};

@@ -15,10 +15,9 @@
 //! one proof (`tag | epoch << 64 | signer`) or of one hash batch
 //! (`tag | hash << 48 | signer`).
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
-use setchain_crypto::fmix64;
+use setchain_crypto::IdHashMap;
 
 use crate::types::{TxData, TxId};
 
@@ -42,38 +41,6 @@ fn split(id: TxId) -> (Group, u64) {
     (group, 1 << (id.0 & 63))
 }
 
-/// Hashes a [`Group`]: its two words folded into one, then the 64-bit
-/// finaliser of MurmurHash3, in which every input bit reaches every output
-/// bit.
-///
-/// Ids come from the network (Vanilla's `check_tx` checks only the size),
-/// and the streams that matter are structured: one `seq` under many
-/// clients differs only above bit 40. `FxHasher` multiplies once, so a
-/// bucket index (the hash's low bits) sees only the key's low bits and
-/// such ids share one probe sequence; here they spread. The function is
-/// fixed (same layout every run) and invertible, so like `IdMap`'s fallback
-/// it does nothing against a sender who computes preimages.
-#[derive(Clone, Copy, Default)]
-struct GroupHasher(u64);
-
-impl Hasher for GroupHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        fmix64(self.0)
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("a Group hashes as two u64 words");
-    }
-
-    /// Folds `word` in: an odd multiplier is a bijection, so two groups
-    /// with the same `lo` and different `hi` reach the finaliser apart.
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.0 = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ word;
-    }
-}
-
 /// An exact set of [`TxId`]s that stores each group of 64 consecutive ids
 /// (`id >> 6`) as one 64-bit occupancy word.
 ///
@@ -85,7 +52,10 @@ impl Hasher for GroupHasher {
 /// non-empty words.
 #[derive(Clone, Debug, Default)]
 pub struct TxIdSet {
-    groups: HashMap<Group, u64, BuildHasherDefault<GroupHasher>>,
+    /// Keyed through [`IdHasher`](setchain_crypto::IdHasher): ids come
+    /// from the network (Vanilla's `check_tx` checks only the size), and
+    /// one `seq` under many clients differs only above bit 40.
+    groups: IdHashMap<Group, u64>,
     len: usize,
 }
 

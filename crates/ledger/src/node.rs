@@ -783,14 +783,6 @@ impl<A: Application> Process<M<A>> for LedgerNode<A> {
             self.on_internal_timer(token, ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -40,10 +40,8 @@
 //! hold more slots than the same stream without them would.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use setchain_crypto::fmix64;
+use setchain_crypto::IdHashMap;
 
 use crate::element::ElementId;
 
@@ -57,39 +55,10 @@ const PAGE: usize = 64;
 /// A page-table entry with no page behind it.
 const NO_PAGE: u32 = u32::MAX;
 
-type Fallback<V> = HashMap<ElementId, V, BuildHasherDefault<IdHasher>>;
-
-/// Hashes an [`ElementId`] for the fallback: the 64-bit finaliser of
-/// MurmurHash3, in which every input bit reaches every output bit.
-///
-/// Fallback ids are whatever a sender made up, and the streams that land
-/// there are structured — same `seq` under many clients, one client's ids a
-/// fixed stride apart. `FxHasher` multiplies once, so a bucket index (the
-/// hash's low bits) sees only the id's low bits and ids that differ above
-/// bit 40 share one probe sequence; here they spread. The function is fixed
-/// (same table layout every run) and cheap (a flood's ids are probed as often
-/// as honest ones; SipHash cost `hash_flood` 16 % of its throughput). It
-/// is also invertible: it does nothing against a sender who computes
-/// preimages, which only a per-process secret key would, at the price of the
-/// repeatable layout.
-#[derive(Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("an ElementId hashes as one u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = fmix64(id);
-    }
-}
+/// Fallback ids are whatever a sender made up, so the fallback is keyed
+/// through [`IdHasher`](setchain_crypto::IdHasher), whose full avalanche
+/// spreads the structured streams that land there.
+type Fallback<V> = IdHashMap<ElementId, V>;
 
 /// The row-table rule: `index` is already covered, or within twice the rows
 /// ever used plus [`SLACK`].

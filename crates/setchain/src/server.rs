@@ -629,17 +629,15 @@ impl ServerCore {
             return self.own_proof(self.derived_epochs);
         }
         self.note_stamped(&g.elements);
-        let epoch = self.state.record_epoch(g);
+        let epoch = self.state.record_epoch(Arc::clone(&g));
         debug_assert_eq!(
             epoch, self.derived_epochs,
             "ledger-derived epochs are sequential"
         );
         self.stats.epochs_created += 1;
-        let stamped = self.state.epoch_elements(epoch).expect("just created");
-        self.trace
-            .record_epoch_assignments(stamped.iter().map(|e| e.id), epoch);
+        self.trace.record_epoch(epoch, &g);
         // Hash + sign cost for the epoch-proof.
-        let bytes: usize = stamped.iter().map(|e| e.wire_size()).sum();
+        let bytes: usize = g.elements.iter().map(|e| e.wire_size()).sum();
         ctx.consume_cpu(self.config.costs.hash_cost(bytes));
         ctx.consume_cpu(self.config.costs.sign);
         self.own_proof(epoch)

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use setchain_crypto::{fmix64, Digest512, FxHashSet};
+use setchain_crypto::{Digest512, IdHashSet};
 
 use crate::collector::Batch;
 use crate::element::{Element, ElementId};
@@ -271,7 +271,7 @@ impl SetchainState {
         let mut seen = id_set(self.stamped as usize);
         self.epochs
             .iter()
-            .all(|g| g.batch.elements.iter().all(|e| seen.insert(fmix64(e.id.0))))
+            .all(|g| g.batch.elements.iter().all(|e| seen.insert(e.id)))
     }
 
     /// Property 6 (Consistent-Gets) between two servers: the common prefix of
@@ -280,18 +280,18 @@ impl SetchainState {
         let ids = |state: &SetchainState, i| {
             let elements = state.epoch_elements(i).expect("epoch in range");
             let mut set = id_set(elements.len());
-            set.extend(elements.iter().map(|e| fmix64(e.id.0)));
+            set.extend(elements.iter().map(|e| e.id));
             set
         };
         (1..=self.epoch().min(other.epoch())).all(|i| ids(self, i) == ids(other, i))
     }
 }
 
-/// A presized set of element ids, each keyed as its [`fmix64`] image: a
-/// bijection, so the set's verdicts are the ids', and the full avalanche
-/// keeps sender-chosen ids with equal sequence numbers apart under FxHash.
-fn id_set(capacity: usize) -> FxHashSet<u64> {
-    FxHashSet::with_capacity_and_hasher(capacity, Default::default())
+/// A presized set of element ids, keyed through
+/// [`IdHasher`](setchain_crypto::IdHasher): its full avalanche keeps
+/// sender-chosen ids with equal sequence numbers apart.
+fn id_set(capacity: usize) -> IdHashSet<ElementId> {
+    IdHashSet::with_capacity_and_hasher(capacity, Default::default())
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Experiment instrumentation for Setchain runs.
 //!
-//! The paper's metrics are all derived from three per-element facts: when the
-//! client added it, which epoch it was stamped with, and when that epoch
-//! reached `f + 1` epoch-proofs on the ledger ("committed"). The
-//! [`SetchainTrace`] is an `Arc`-shared sink recording exactly those facts;
-//! the `setchain-workload` crate turns them into throughput-over-time series,
-//! efficiency values, commit-time percentiles and latency CDFs.
+//! The paper's metrics are all derived from when the client added each
+//! element, which elements each epoch holds, and when that epoch reached
+//! `f + 1` epoch-proofs on the ledger ("committed"). The [`SetchainTrace`]
+//! is an `Arc`-shared sink recording exactly those facts: an add time per
+//! element and one record per epoch, which shares the epoch's `G` with the
+//! first correct server to create it. The `setchain-workload` crate turns
+//! them into throughput-over-time series, efficiency values, commit-time
+//! percentiles and latency CDFs.
 
-use std::num::{NonZeroU32, NonZeroU64};
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -15,7 +17,8 @@ use setchain_crypto::FxHashMap;
 use setchain_ledger::TxId;
 use setchain_simnet::SimTime;
 
-use crate::element::ElementId;
+use crate::collector::Batch;
+use crate::element::{Element, ElementId};
 use crate::idmap::IdMap;
 
 /// Per-element record assembled after a run.
@@ -31,9 +34,6 @@ pub struct ElementRecord {
     pub committed_at: Option<SimTime>,
 }
 
-// `element_epoch` holds one `Option<NonZeroU32>` slot per added id; keep it
-// four bytes.
-const _: () = assert!(std::mem::size_of::<Option<NonZeroU32>>() == 4);
 // `added` holds one `Option<NonZeroU64>` slot per added id; keep it eight
 // bytes, where an `Option<SimTime>` takes sixteen.
 const _: () = assert!(std::mem::size_of::<Option<NonZeroU64>>() == 8);
@@ -51,14 +51,41 @@ fn decode_added(at: NonZeroU64) -> SimTime {
     SimTime(at.get() - 1)
 }
 
+/// One epoch as the trace holds it (first observation wins for both
+/// fields; all correct servers create the same `G`).
+#[derive(Default)]
+struct TracedEpoch {
+    /// `G`, as the first correct server to create the epoch recorded it.
+    batch: Option<Arc<Batch>>,
+    /// When a correct server first saw the epoch reach `f + 1` proofs. The
+    /// only field set for an epoch replayed from a store and never created
+    /// in this run.
+    committed_at: Option<SimTime>,
+}
+
+impl TracedEpoch {
+    /// The epoch's elements; none when no correct server created it here.
+    fn elements(&self) -> &[Element] {
+        self.batch.as_deref().map_or(&[], |g| g.elements.as_slice())
+    }
+}
+
 #[derive(Default)]
 struct TraceInner {
     /// Add times, encoded by [`encode_added`].
     added: IdMap<NonZeroU64>,
-    /// Epochs start at 1, so a `NonZeroU32` holds every epoch of a run.
-    element_epoch: IdMap<NonZeroU32>,
-    epoch_committed: FxHashMap<u64, SimTime>,
+    epochs: FxHashMap<u64, TracedEpoch>,
     element_tx: IdMap<TxId>,
+}
+
+impl TraceInner {
+    /// The element lists of the epochs committed no later than `t`.
+    fn committed_by(&self, t: SimTime) -> impl Iterator<Item = &[Element]> {
+        self.epochs
+            .values()
+            .filter(move |epoch| epoch.committed_at.is_some_and(|at| at <= t))
+            .map(TracedEpoch::elements)
+    }
 }
 
 /// Shared experiment trace for one Setchain run.
@@ -116,30 +143,21 @@ impl SetchainTrace {
         }
     }
 
-    /// Records that a correct server stamped `id` with `epoch` (first
-    /// observation wins; all correct servers assign the same epoch).
-    pub fn record_epoch_assignment(&self, id: ElementId, epoch: u64) {
-        self.record_epoch_assignments(std::iter::once(id), epoch);
-    }
-
-    /// Batched form of [`Self::record_epoch_assignment`]: one lock
-    /// acquisition for a whole epoch's elements. Servers create epochs a
-    /// batch at a time, so this is the hot-path entry point.
-    pub fn record_epoch_assignments(&self, ids: impl IntoIterator<Item = ElementId>, epoch: u64) {
-        let narrow = u32::try_from(epoch)
-            .ok()
-            .and_then(NonZeroU32::new)
-            .expect("epochs are numbered from 1, and 2^32 epochs exceed any run");
+    /// Records `g`, the elements a correct server stamped with `epoch`
+    /// (first observation wins; all correct servers create the same `G`).
+    /// One call per epoch and server; the trace shares `g`.
+    pub fn record_epoch(&self, epoch: u64, g: &Arc<Batch>) {
         let mut inner = self.inner.lock();
-        for id in ids {
-            inner.element_epoch.insert_if_absent(id, narrow);
-        }
+        let traced = inner.epochs.entry(epoch).or_default();
+        traced.batch.get_or_insert_with(|| Arc::clone(g));
     }
 
     /// Records that `epoch` reached the proof quorum (`f + 1` proofs) at `at`
     /// in the view of a correct server (first observation wins).
     pub fn record_epoch_commit(&self, epoch: u64, at: SimTime) {
-        self.inner.lock().epoch_committed.entry(epoch).or_insert(at);
+        let mut inner = self.inner.lock();
+        let traced = inner.epochs.entry(epoch).or_default();
+        traced.committed_at.get_or_insert(at);
     }
 
     /// Number of elements added.
@@ -147,32 +165,35 @@ impl SetchainTrace {
         self.inner.lock().added.len()
     }
 
-    /// Number of epochs that reached the proof quorum.
-    pub fn committed_epochs(&self) -> usize {
-        self.inner.lock().epoch_committed.len()
-    }
-
     /// Time at which an epoch reached the proof quorum.
     pub fn epoch_committed_at(&self, epoch: u64) -> Option<SimTime> {
-        self.inner.lock().epoch_committed.get(&epoch).copied()
+        self.inner.lock().epochs.get(&epoch)?.committed_at
     }
 
     /// Assembles the per-element records for analysis. Elements added but
-    /// never stamped/committed appear with `None` fields.
+    /// never stamped/committed appear with `None` fields. Each element's
+    /// epoch comes from one id → epoch index built here, fed in epoch order
+    /// so that each client's ids fill its row of the index in sequence.
     pub fn element_records(&self) -> Vec<ElementRecord> {
         let inner = self.inner.lock();
+        let mut epochs: Vec<_> = inner.epochs.iter().collect();
+        epochs.sort_unstable_by_key(|&(&epoch, _)| epoch);
+        let mut stamped_in = IdMap::default();
+        for (&epoch, traced) in epochs {
+            for e in traced.elements() {
+                stamped_in.insert_if_absent(e.id, epoch);
+            }
+        }
         let mut out: Vec<ElementRecord> = inner
             .added
             .iter()
             .map(|(id, &added_at)| {
-                let added_at = decode_added(added_at);
-                let epoch = inner.element_epoch.get(&id).map(|e| u64::from(e.get()));
-                let committed_at = epoch.and_then(|e| inner.epoch_committed.get(&e).copied());
+                let epoch = stamped_in.get(&id).copied();
                 ElementRecord {
                     id,
-                    added_at,
+                    added_at: decode_added(added_at),
                     epoch,
-                    committed_at,
+                    committed_at: epoch.and_then(|e| inner.epochs[&e].committed_at),
                 }
             })
             .collect();
@@ -182,18 +203,7 @@ impl SetchainTrace {
 
     /// Number of elements whose epoch reached the quorum no later than `t`.
     pub fn committed_count_by(&self, t: SimTime) -> usize {
-        let inner = self.inner.lock();
-        inner
-            .element_epoch
-            .iter()
-            .filter(|(_, epoch)| {
-                inner
-                    .epoch_committed
-                    .get(&u64::from(epoch.get()))
-                    .map(|&ct| ct <= t)
-                    .unwrap_or(false)
-            })
-            .count()
+        self.inner.lock().committed_by(t).map(<[_]>::len).sum()
     }
 
     /// Number of *trace-recorded* elements — those with a [`Self::record_add`]
@@ -207,16 +217,9 @@ impl SetchainTrace {
     pub fn honest_committed_count_by(&self, t: SimTime) -> usize {
         let inner = self.inner.lock();
         inner
-            .added
-            .iter()
-            .filter(|(id, _)| {
-                inner
-                    .element_epoch
-                    .get(id)
-                    .and_then(|epoch| inner.epoch_committed.get(&u64::from(epoch.get())))
-                    .map(|&ct| ct <= t)
-                    .unwrap_or(false)
-            })
+            .committed_by(t)
+            .flatten()
+            .filter(|e| inner.added.contains_key(&e.id))
             .count()
     }
 }
@@ -224,6 +227,7 @@ impl SetchainTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setchain_crypto::ProcessId;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -233,18 +237,25 @@ mod tests {
         ElementId::new(0, i)
     }
 
+    /// An epoch's `G` holding the elements `ids`.
+    fn g(ids: &[u64]) -> Arc<Batch> {
+        let elements = ids
+            .iter()
+            .map(|&i| Element::forged(ProcessId::client(0), id(i), 100))
+            .collect();
+        Arc::new(Batch::new(elements, Vec::new()))
+    }
+
     #[test]
     fn end_to_end_element_lifecycle() {
         let trace = SetchainTrace::new();
         trace.record_add(id(1), t(100));
         trace.record_add(id(2), t(200));
         trace.record_add(id(3), t(300));
-        trace.record_epoch_assignment(id(1), 1);
-        trace.record_epoch_assignment(id(2), 1);
+        trace.record_epoch(1, &g(&[1, 2]));
         trace.record_epoch_commit(1, t(3000));
 
         assert_eq!(trace.added_count(), 3);
-        assert_eq!(trace.committed_epochs(), 1);
         assert_eq!(trace.epoch_committed_at(1), Some(t(3000)));
         assert_eq!(trace.committed_count_by(t(2999)), 0);
         assert_eq!(trace.committed_count_by(t(3000)), 2);
@@ -259,7 +270,8 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(id(1), t(100)), (id(2), t(200)), (id(3), t(300))]
         );
-        // An element's commit time is its epoch's.
+        // An element's epoch and commit time are its epoch's.
+        assert_eq!(records[0].epoch, Some(1));
         assert_eq!(records[0].committed_at, Some(t(3000)));
         assert_eq!(records[1].committed_at, Some(t(3000)));
         assert_eq!(records[2].epoch, None);
@@ -271,20 +283,36 @@ mod tests {
         let trace = SetchainTrace::new();
         trace.record_add(id(1), t(100));
         trace.record_add(id(1), t(500)); // duplicate add ignored
-        trace.record_epoch_assignment(id(1), 1);
-        trace.record_epoch_assignment(id(1), 2); // second server's view ignored
+        let first = g(&[1]);
+        trace.record_epoch(1, &first);
+        trace.record_epoch(1, &g(&[1, 2])); // second server's view ignored
         trace.record_epoch_commit(1, t(2000));
         trace.record_epoch_commit(1, t(1500)); // later observation ignored
         let rec = &trace.element_records()[0];
         assert_eq!(rec.added_at, t(100));
         assert_eq!(rec.epoch, Some(1));
         assert_eq!(rec.committed_at, Some(t(2000)));
+        assert_eq!(trace.committed_count_by(t(2000)), 1);
+        // The trace shares the first server's `G` rather than copying it.
+        assert_eq!(Arc::strong_count(&first), 2);
     }
 
     #[test]
-    #[should_panic(expected = "2^32 epochs exceed any run")]
-    fn an_epoch_past_u32_is_refused() {
-        SetchainTrace::new().record_epoch_assignment(id(1), 1 << 32);
+    fn an_epoch_with_only_a_commit_time_counts_no_elements() {
+        // A store replay can commit an epoch this run never created: the
+        // trace knows when it committed but not which elements it holds.
+        let trace = SetchainTrace::new();
+        trace.record_add(id(1), t(100));
+        trace.record_epoch_commit(1, t(2000));
+        assert_eq!(trace.epoch_committed_at(1), Some(t(2000)));
+        assert_eq!(trace.committed_count_by(t(2000)), 0);
+        assert_eq!(trace.honest_committed_count_by(t(2000)), 0);
+        assert_eq!(trace.element_records()[0].epoch, None);
+        // A later creation fills in the epoch's elements.
+        trace.record_epoch(1, &g(&[1]));
+        assert_eq!(trace.epoch_committed_at(1), Some(t(2000)));
+        assert_eq!(trace.committed_count_by(t(2000)), 1);
+        assert_eq!(trace.element_records()[0].committed_at, Some(t(2000)));
     }
 
     #[test]
@@ -314,8 +342,7 @@ mod tests {
         // leave it out while the raw count includes it.
         let trace = SetchainTrace::new();
         trace.record_add(id(1), t(100));
-        trace.record_epoch_assignment(id(1), 1);
-        trace.record_epoch_assignment(id(2), 1); // attack element
+        trace.record_epoch(1, &g(&[1, 2])); // 2 is an attack element
         trace.record_epoch_commit(1, t(2000));
         assert_eq!(trace.committed_count_by(t(2000)), 2);
         assert_eq!(trace.honest_committed_count_by(t(2000)), 1);
@@ -339,7 +366,6 @@ mod tests {
     fn empty_trace_queries() {
         let trace = SetchainTrace::new();
         assert_eq!(trace.added_count(), 0);
-        assert_eq!(trace.committed_epochs(), 0);
         assert_eq!(trace.epoch_committed_at(1), None);
         assert!(trace.element_records().is_empty());
         assert_eq!(trace.committed_count_by(t(1000)), 0);

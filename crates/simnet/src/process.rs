@@ -128,9 +128,10 @@ impl<'a, M> Context<'a, M> {
 
 /// A simulated process (server, client, validator…).
 ///
-/// Implementations must also provide `as_any`/`as_any_mut` so the experiment
-/// harness can inspect actor state after a run; the one-line bodies are
-/// always `self`.
+/// `Any` is a supertrait, so the experiment harness inspects actor state
+/// after a run by upcasting to `dyn Any` and downcasting
+/// ([`Simulation::process`](crate::Simulation::process)); implementations
+/// provide nothing for it.
 pub trait Process<M: Wire>: Any + Send {
     /// Called once when the simulation starts, before any event is delivered.
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
@@ -141,11 +142,24 @@ pub trait Process<M: Wire>: Any + Send {
     /// Called when a timer set by this process fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, M>) {}
 
-    /// Upcast for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
+    /// Kept so that implementations that still define it (the `benchmark`
+    /// package's replay process) compile; nothing calls it.
+    #[doc(hidden)]
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Mutable upcast for post-run inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// See [`Process::as_any`].
+    #[doc(hidden)]
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@
 //! the simulation and reused across events, so steady-state event processing
 //! allocates only what the handlers themselves allocate.
 
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -381,14 +382,15 @@ impl<M: Wire> Simulation<M> {
 
     /// Typed read access to a process, for post-run inspection.
     pub fn process<T: 'static>(&self, id: ProcessId) -> Option<&T> {
-        self.slot_index(id)
-            .and_then(|i| self.slots[i].process.as_any().downcast_ref::<T>())
+        let process: &dyn Any = &*self.slots[self.slot_index(id)?].process;
+        process.downcast_ref()
     }
 
     /// Typed mutable access to a process.
     pub fn process_mut<T: 'static>(&mut self, id: ProcessId) -> Option<&mut T> {
         let i = self.slot_index(id)?;
-        self.slots[i].process.as_any_mut().downcast_mut::<T>()
+        let process: &mut dyn Any = &mut *self.slots[i].process;
+        process.downcast_mut()
     }
 
     /// Schedules a message injection from outside the simulation (used by
@@ -706,7 +708,6 @@ impl<M: Wire> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::any::Any;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -746,12 +747,6 @@ mod tests {
                 self.last_pong_at = ctx.now();
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Replies to pings, optionally consuming CPU per ping.
@@ -769,12 +764,6 @@ mod tests {
                 }
                 ctx.send(from, Msg::Pong(i));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -798,12 +787,6 @@ mod tests {
             if self.remaining > 0 {
                 ctx.set_timer(self.period, 1);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -982,12 +965,6 @@ mod tests {
                 ctx.send(ProcessId::server(1), Msg::Ping(0));
             }
             fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<'_, Msg>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         struct Receiver {
             arrivals: Vec<(SimTime, bool)>, // (time, is_big)
@@ -995,12 +972,6 @@ mod tests {
         impl Process<Msg> for Receiver {
             fn on_message(&mut self, _: ProcessId, msg: Msg, ctx: &mut Context<'_, Msg>) {
                 self.arrivals.push((ctx.now(), matches!(msg, Msg::Big(_))));
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
@@ -1027,12 +998,6 @@ mod tests {
     struct Sender0;
     impl Process<Msg> for Sender0 {
         fn on_message(&mut self, _: ProcessId, _: Msg, _: &mut Context<'_, Msg>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Charges 100 µs of CPU for each ping and records when each event ran
@@ -1050,12 +1015,6 @@ mod tests {
         }
         fn on_timer(&mut self, _: TimerToken, ctx: &mut Context<'_, Msg>) {
             self.log.push((ctx.now(), None));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1171,12 +1130,6 @@ mod tests {
             if self.remaining > 0 {
                 ctx.set_timer(SimDuration::from_millis(100), 1);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

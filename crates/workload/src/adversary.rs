@@ -10,8 +10,6 @@
 //! totals. Everything the driver does derives from its own seeded RNG and
 //! the simulated clock, so same-seed reruns are bit-identical.
 
-use std::any::Any;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -288,14 +286,6 @@ impl Process<Msg> for AdversaryDriver {
         }
         self.on_tick(ctx);
         ctx.set_timer(self.tick, ATTACK_TICK);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

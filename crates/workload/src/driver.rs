@@ -2,8 +2,6 @@
 //! Setchain server at a configured rate (the paper's
 //! `sending_rate / server_count` per client).
 
-use std::any::Any;
-
 use setchain::{SetchainMsg, SetchainTrace, SetchainTx};
 use setchain_crypto::ProcessId;
 use setchain_ledger::NetMsg;
@@ -111,14 +109,6 @@ impl Process<Msg> for ClientDriver {
             ctx.send(self.server, NetMsg::App(SetchainMsg::AddBatch(elements)));
         }
         ctx.set_timer(self.tick, INJECT_TICK);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

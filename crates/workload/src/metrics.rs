@@ -75,7 +75,7 @@ impl Efficiency {
     pub fn compute(trace: &SetchainTrace, injection_secs: u64) -> Self {
         let added = trace.added_count().max(1) as f64;
         let values = Self::checkpoints(injection_secs)
-            .map(|secs| trace.committed_count_by(SimTime::from_secs(secs)) as f64 / added);
+            .map(|secs| trace.honest_committed_count_by(SimTime::from_secs(secs)) as f64 / added);
         Efficiency { values }
     }
 }
@@ -188,8 +188,12 @@ impl StageLatencies {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use setchain::ElementId;
+    use setchain::collector::Batch;
+    use setchain::{Element, ElementId};
+    use setchain_crypto::ProcessId;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -199,13 +203,22 @@ mod tests {
         ElementId::new(0, i)
     }
 
+    /// An epoch's `G` holding the elements with sequence numbers `seqs`.
+    fn g(seqs: impl IntoIterator<Item = u64>) -> Arc<Batch> {
+        let elements = seqs
+            .into_iter()
+            .map(|i| Element::forged(ProcessId::client(0), id(i), 100))
+            .collect();
+        Arc::new(Batch::new(elements, Vec::new()))
+    }
+
     /// Builds a trace where `count` elements are added at 1 el/s starting at
     /// t=0 and each commits exactly `delay_s` later.
     fn uniform_trace(count: u64, delay_s: u64) -> SetchainTrace {
         let trace = SetchainTrace::new();
         for i in 0..count {
             trace.record_add(id(i), SimTime::from_secs(i));
-            trace.record_epoch_assignment(id(i), i + 1);
+            trace.record_epoch(i + 1, &g([i]));
             trace.record_epoch_commit(i + 1, SimTime::from_secs(i + delay_s));
         }
         trace
@@ -235,7 +248,7 @@ mod tests {
         let trace = SetchainTrace::new();
         for i in 0..100u64 {
             trace.record_add(id(i), t(i * 100));
-            trace.record_epoch_assignment(id(i), i + 1);
+            trace.record_epoch(i + 1, &g([i]));
             let commit = if i < 50 {
                 t(i * 100 + 500)
             } else {
@@ -275,7 +288,6 @@ mod tests {
 
     #[test]
     fn stage_latencies_join_setchain_and_ledger_traces() {
-        use setchain_crypto::ProcessId;
         use setchain_ledger::TxId;
         let trace = SetchainTrace::detailed();
         let ledger = LedgerTrace::new();
@@ -296,8 +308,8 @@ mod tests {
                 1,
                 added + setchain_simnet::SimDuration::from_millis(1_000),
             );
-            trace.record_epoch_assignment(id(i), 1);
         }
+        trace.record_epoch(1, &g(0..10));
         trace.record_epoch_commit(1, t(5_000));
         let stages = StageLatencies::compute(&trace, &ledger, 1, n);
         assert_eq!(stages.samples.len(), 10);

@@ -14,7 +14,9 @@ pub struct RunResult {
     pub deployment: Deployment,
     /// Elements added by the clients.
     pub added: u64,
-    /// Elements whose epoch reached `f + 1` proofs by the end of the run.
+    /// Of those, the elements whose epoch reached `f + 1` proofs by the end
+    /// of the run. An adversary's or a scripted session's elements count in
+    /// neither.
     pub committed: u64,
     /// Simulated time at which the run stopped.
     pub finished_at: SimTime,
@@ -45,13 +47,14 @@ impl RunResult {
         self.dropped_loss + self.dropped_partition + self.dropped_crashed
     }
 
-    /// Average committed throughput over the first `secs` seconds of the run
-    /// (the paper's Table 2 reports this for the first 50 s).
+    /// Average committed throughput of the clients' elements over the first
+    /// `secs` seconds of the run (the paper's Table 2 reports this for the
+    /// first 50 s).
     pub fn average_throughput(&self, secs: u64) -> f64 {
         let committed = self
             .deployment
             .trace
-            .committed_count_by(SimTime::from_secs(secs));
+            .honest_committed_count_by(SimTime::from_secs(secs));
         committed as f64 / secs as f64
     }
 }
@@ -74,7 +77,7 @@ pub fn run_deployment(mut deployment: Deployment) -> RunResult {
         now = next;
         if now > injection_end {
             let added = deployment.trace.added_count();
-            let committed = deployment.trace.committed_count_by(now);
+            let committed = deployment.trace.honest_committed_count_by(now);
             if added > 0 && committed >= added {
                 all_committed_at = Some(now);
                 break;
@@ -83,7 +86,7 @@ pub fn run_deployment(mut deployment: Deployment) -> RunResult {
     }
 
     let added = deployment.trace.added_count() as u64;
-    let committed = deployment.trace.committed_count_by(now) as u64;
+    let committed = deployment.trace.honest_committed_count_by(now) as u64;
     RunResult {
         added,
         committed,

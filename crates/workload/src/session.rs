@@ -43,7 +43,6 @@
 //! }
 //! ```
 
-use std::any::Any;
 use std::collections::HashSet;
 
 use setchain::{
@@ -657,14 +656,6 @@ impl Process<Msg> for ClientSession {
         } else if let Some((_, server, msg)) = self.script.get(token as usize) {
             ctx.send(*server, NetMsg::App(msg.clone()));
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -199,6 +199,45 @@ fn flood_goodput_stays_within_envelope_of_attack_free_twin() {
     }
 }
 
+/// The runner's committed count, its stop rule and its efficiency measure
+/// the honest workload alone: the flood's admitted elements are stamped and
+/// committed too, but were never added by a traced client, so counting them
+/// would end the run before the honest elements commit and report an
+/// efficiency above 1.
+#[test]
+fn runner_counts_honest_commits_only_under_a_flood() {
+    let result = Deployment::builder(Algorithm::Hashchain)
+        .servers(4)
+        .rate(400.0)
+        .collector(32)
+        .injection_secs(4)
+        .max_run_secs(40)
+        .seed(5005)
+        .quota(QuotaConfig::new())
+        .adversary(Adversary::FloodClient)
+        .run();
+    let trace = &result.deployment.trace;
+    assert_eq!(result.added, trace.added_count() as u64);
+    assert!(
+        result.committed <= result.added,
+        "committed {} > added {}",
+        result.committed,
+        result.added
+    );
+    assert!(
+        result.final_efficiency() <= 1.0,
+        "efficiency {}",
+        result.final_efficiency()
+    );
+    assert_eq!(
+        result.committed,
+        trace.honest_committed_count_by(result.finished_at) as u64
+    );
+    // The flood's elements did commit: the raw count is larger.
+    assert!(trace.committed_count_by(result.finished_at) as u64 > result.committed);
+    check_setchain_invariants(&result.deployment).expect("Setchain properties");
+}
+
 /// Fingerprint of an attack run: enough to detect any divergence — event
 /// counts, honest totals, per-cause sheds, the attacker's own view, and
 /// every server's full epoch history.

@@ -127,6 +127,41 @@ fn epochs_are_identical_across_servers_for_all_algorithms() {
     }
 }
 
+/// The trace holds each epoch's `G` once and derives an element's epoch
+/// from it, so every record must name the epoch that the servers' histories
+/// hold the element in, and carry that epoch's commit time.
+#[test]
+fn traced_epochs_are_the_server_history_epochs() {
+    for algorithm in Algorithm::ALL {
+        let result = run(algorithm, 606);
+        let deployment = &result.deployment;
+        let state = deployment.server(0).state();
+        let mut history = std::collections::HashMap::new();
+        for epoch in 1..=state.epoch() {
+            for e in state.epoch_elements(epoch).unwrap() {
+                history.insert(e.id, epoch);
+            }
+        }
+        let records = deployment.trace.element_records();
+        assert!(records.len() > 1_500, "{algorithm}: {}", records.len());
+        for r in &records {
+            let epoch = history.get(&r.id).copied();
+            assert!(epoch.is_some(), "{algorithm}: {:?} was never stamped", r.id);
+            assert_eq!(r.epoch, epoch, "{algorithm}: {:?} traced elsewhere", r.id);
+            assert_eq!(
+                r.committed_at,
+                deployment.trace.epoch_committed_at(epoch.unwrap()),
+                "{algorithm}: {:?} commit time is not its epoch's",
+                r.id
+            );
+        }
+        assert_eq!(
+            result.committed,
+            records.iter().filter(|r| r.committed_at.is_some()).count() as u64
+        );
+    }
+}
+
 /// Every algorithm turns one batch into one epoch, and the run holds each
 /// batch once (Hashchain's `hash_to_batch`, Compresschain's committed block,
 /// the memo of Vanilla's committed block). A clean run filters nothing out
