@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the cryptographic substrate: hashing, signing,
 //! verification, Merkle tree construction and Hashchain's batch hash. These
-//! are the per-operation costs behind the `CostModel` used by the
-//! simulation.
+//! are what the host pays per operation. The simulation does not charge
+//! them: it charges fixed, assumed costs (the constants in
+//! `setchain::config` and `setchain_ledger::types::SIG_VERIFY_COST`), two
+//! to three orders of magnitude above these.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use setchain::hashchain::batch_hash;

@@ -11,8 +11,8 @@
 //!   a debug build. `tests/paper_results.rs` regenerates it and the
 //!   analytic section and compares them byte for byte with the file.
 //! * [`full_section`]: the 52 distinct [`SHAPES`] at the [`FULL`] scale,
-//!   28-33 s in release on 2 cores, 3.4-3.9 s of it in the invariant
-//!   checker.
+//!   19.5 s in release on 2 cores (one run), 3.4-3.9 s of it in the
+//!   invariant checker.
 //!
 //! The `paper` bin writes all three:
 //!

@@ -17,7 +17,7 @@
 //! This crate provides those guarantees with a faithful (if simplified)
 //! Tendermint consensus: rotating proposers, prevote/precommit rounds with
 //! 2f+1 quorums, a gossiped mempool with CometBFT's size limits, a
-//! configurable block interval and block size, commit certificates, and
+//! fixed block interval, a configurable block size, commit certificates, and
 //! catch-up block sync. The application hook mirrors ABCI's `CheckTx` /
 //! `FinalizeBlock` (plus peer-to-peer application messages, which Hashchain
 //! needs for hash reversal).

@@ -31,8 +31,8 @@
 //! # Timing
 //!
 //! After committing height `h` at time `t`, every validator arms a timer for
-//! `t + block_interval` and the next proposer proposes when it fires. With
-//! the default 1.25 s interval this yields the paper's ~0.8 blocks/s.
+//! `t + BLOCK_INTERVAL` and the next proposer proposes when it fires. Its
+//! 1.25 s yields the paper's ~0.8 blocks/s.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -41,7 +41,7 @@ use std::sync::Arc;
 use setchain_crypto::{
     sign_with, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature, SigningKey,
 };
-use setchain_simnet::{Context, Process, SimDuration, TimerToken};
+use setchain_simnet::{Context, Process, TimerToken};
 
 use crate::app::{AppCtx, Application};
 use crate::byzantine::ByzMode;
@@ -51,8 +51,8 @@ use crate::messages::{
 };
 use crate::trace::{BlockSummary, LedgerTrace};
 use crate::types::{
-    Block, BlockId, LedgerConfig, TxData, TxId, GOSSIP_INTERVAL, MEMPOOL_MAX_BYTES,
-    MEMPOOL_MAX_TXS, ROUND_TIMEOUT,
+    Block, BlockId, LedgerConfig, TxData, TxId, BLOCK_INTERVAL, BLOCK_VALIDATE_COST_PER_KIB,
+    GOSSIP_INTERVAL, MEMPOOL_MAX_BYTES, MEMPOOL_MAX_TXS, ROUND_TIMEOUT, SIG_VERIFY_COST,
 };
 
 /// Application timers are namespaced above this bit so they never collide
@@ -336,7 +336,7 @@ impl<A: Application> LedgerNode<A> {
 
     fn schedule_start_height(&self, height: u64, ctx: &mut Context<'_, M<A>>) {
         ctx.set_timer(
-            self.config.block_interval,
+            BLOCK_INTERVAL,
             TIMER_START_HEIGHT | (height & TIMER_PAYLOAD_MASK),
         );
     }
@@ -458,13 +458,11 @@ impl<A: Application> LedgerNode<A> {
         ) {
             return;
         }
-        ctx.consume_cpu(self.config.sig_verify_cost);
+        ctx.consume_cpu(SIG_VERIFY_COST);
         // Validate transactions (CheckTx on proposed content) and charge CPU
         // proportional to the block payload.
         let payload_kib = (block.payload_bytes() / 1024) as u64;
-        ctx.consume_cpu(SimDuration::from_micros(
-            self.config.block_validate_cost_per_kib.as_micros() * payload_kib,
-        ));
+        ctx.consume_cpu(BLOCK_VALIDATE_COST_PER_KIB * payload_kib);
         if !block.txs.iter().all(|tx| self.app.check_tx(tx)) {
             return; // invalid block: do not prevote
         }
@@ -498,7 +496,7 @@ impl<A: Application> LedgerNode<A> {
         if !self.verifier.verify(&self.registry, &bytes, &signature) {
             return;
         }
-        ctx.consume_cpu(self.config.sig_verify_cost);
+        ctx.consume_cpu(SIG_VERIFY_COST);
         match kind {
             VoteKind::Prevote => {
                 let voters = self.current.prevotes.entry((round, block_id)).or_default();
@@ -630,7 +628,7 @@ impl<A: Application> LedgerNode<A> {
                 signers.insert(sig.signer);
             }
         }
-        ctx.consume_cpu(self.config.sig_verify_cost * certificate.len() as u64);
+        ctx.consume_cpu(SIG_VERIFY_COST * certificate.len() as u64);
         if signers.len() < self.config.quorum() {
             return;
         }

@@ -172,39 +172,41 @@ pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_millis(10);
 /// Round timeout: how long a validator waits in a round before moving to
 /// the next one (covers silent/faulty proposers).
 pub const ROUND_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+/// Interval between the commit of one block and the proposal of the next:
+/// 1.25 s, the paper's ~0.8 blocks/s.
+pub const BLOCK_INTERVAL: SimDuration = SimDuration::from_millis(1250);
+/// CPU time charged for verifying one signature: here a proposal, a vote
+/// or each signature of a commit certificate, and in `setchain` an
+/// epoch-proof or a hash-batch. Both crates run `SigningKey::verifies` and
+/// charge this one value.
+pub const SIG_VERIFY_COST: SimDuration = SimDuration::from_micros(60);
+/// CPU time charged per whole KiB of transaction data when validating a
+/// proposed block (`CheckTx` before the prevote).
+pub const BLOCK_VALIDATE_COST_PER_KIB: SimDuration = SimDuration::from_micros(2);
 
 /// Configuration of the ledger (CometBFT stand-in).
 ///
-/// Defaults follow the constants reported in the paper's evaluation: one
-/// block roughly every 1.25 s (0.8 blocks/s) and a 0.5 MB block size. The
-/// fields are the knobs a run varies; the mempool caps (the paper's 10
-/// million transactions or 2 GB), the gossip interval and the round timeout
-/// are fixed: [`MEMPOOL_MAX_TXS`], [`MEMPOOL_MAX_BYTES`], [`GOSSIP_INTERVAL`]
-/// and [`ROUND_TIMEOUT`].
+/// The fields are the knobs a run varies: the validator count and the
+/// block size (the paper's 0.5 MB by default). Everything else is fixed:
+/// the block interval, the mempool caps (the paper's 10 million
+/// transactions or 2 GB), the gossip interval, the round timeout and the
+/// modelled CPU costs: [`BLOCK_INTERVAL`], [`MEMPOOL_MAX_TXS`],
+/// [`MEMPOOL_MAX_BYTES`], [`GOSSIP_INTERVAL`], [`ROUND_TIMEOUT`],
+/// [`SIG_VERIFY_COST`] and [`BLOCK_VALIDATE_COST_PER_KIB`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LedgerConfig {
     /// Number of validators (the paper's `server_count`: 4, 7 or 10).
     pub validators: usize,
-    /// Interval between the commit of one block and the proposal of the next.
-    pub block_interval: SimDuration,
     /// Maximum total transaction bytes in a block (paper: 0.5 MB default,
     /// swept up to 128 MB in Fig. 2 right).
     pub max_block_bytes: usize,
-    /// CPU time charged for verifying one signature (vote or certificate).
-    pub sig_verify_cost: SimDuration,
-    /// CPU time charged per 1 KiB of transaction data when validating a
-    /// proposed block.
-    pub block_validate_cost_per_kib: SimDuration,
 }
 
 impl Default for LedgerConfig {
     fn default() -> Self {
         LedgerConfig {
             validators: 4,
-            block_interval: SimDuration::from_millis(1250),
             max_block_bytes: MAX_BLOCK_BYTES,
-            sig_verify_cost: SimDuration::from_micros(60),
-            block_validate_cost_per_kib: SimDuration::from_micros(2),
         }
     }
 }
@@ -392,6 +394,6 @@ mod tests {
         let cfg = LedgerConfig::default();
         assert_eq!(cfg.max_block_bytes, MAX_BLOCK_BYTES);
         assert_eq!(MEMPOOL_MAX_TXS, 10_000_000);
-        assert!((cfg.block_interval.as_secs_f64() - 1.25).abs() < 1e-9);
+        assert!((BLOCK_INTERVAL.as_secs_f64() - 1.25).abs() < 1e-9);
     }
 }

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use setchain_compress::ChunkedFrame;
 use setchain_ledger::Block;
 
+use crate::config::{compress_cost, decompress_cost};
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{CompressedBatch, SetchainTx};
 
@@ -74,7 +75,7 @@ impl Compresschain {
             &self.encode_buf,
             BATCH_CHUNK_LEN,
         ));
-        ctx.consume_cpu(core.config.costs.compress_cost(raw_len));
+        ctx.consume_cpu(compress_cost(raw_len));
         // Proofs contribute their wire size but are high-entropy signatures;
         // account for them uncompressed. The compressed side charges the
         // whole shipped frame — chunk headers included — so reported ratios
@@ -112,7 +113,7 @@ impl Compresschain {
             if !core.config.light {
                 // Decompress(B[i]) — charged as CPU time against the original
                 // (uncompressed) batch size.
-                ctx.consume_cpu(core.config.costs.decompress_cost(cb.original_size as usize));
+                ctx.consume_cpu(decompress_cost(cb.original_size as usize));
                 // ...and checked for real: the recovered byte count must
                 // equal the batch's declared element bytes. Every server
                 // checks every frame, its own included — `origin` is an

@@ -1,71 +1,45 @@
-//! Configuration shared by the three Setchain algorithms.
+//! Configuration shared by the three Setchain algorithms, and the modelled
+//! CPU costs every server is charged.
+//!
+//! The discrete-event simulator does not run on the paper's hardware, so
+//! cryptographic and compression work is charged as simulated CPU time
+//! (`consume_cpu`) at fixed per-operation costs, the constants below; every
+//! value is assumed. Verifying a signature (an epoch-proof or a hash-batch)
+//! costs [`setchain_ledger::types::SIG_VERIFY_COST`], the one value the ledger
+//! charges for each vote and certificate signature too.
 
 use setchain_simnet::SimDuration;
 
-/// CPU cost model for the work Setchain servers perform.
-///
-/// The discrete-event simulator does not execute on the paper's hardware, so
-/// cryptographic and compression work is charged as simulated CPU time using
-/// these per-operation costs (calibrated to a mid-range Xeon: SHA-512 at
-/// ~500 MB/s, ed25519 sign/verify in the tens of microseconds, Brotli at
-/// ~100 MB/s). No run in this repository sets them yet; they stay fields of
-/// [`SetchainConfig`] so that a sensitivity sweep can vary them one at a
-/// time.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Validating one element: one client authenticator (MAC) check;
-    /// parsing is free. Charged once per admission-cache miss, by
-    /// `ServerCore::validate_charged`, so a server pays for each
-    /// element once however many copies reach it, and again only for a
-    /// re-send whose contents differ.
-    pub validate_element: SimDuration,
-    /// Producing one signature (epoch-proof or hash-batch).
-    pub sign: SimDuration,
-    /// Verifying one signature.
-    pub verify_signature: SimDuration,
-    /// Hashing 1 KiB of batch data.
-    pub hash_per_kib: SimDuration,
-    /// Compressing 1 KiB of batch data.
-    pub compress_per_kib: SimDuration,
-    /// Decompressing 1 KiB of batch data.
-    pub decompress_per_kib: SimDuration,
+/// Validating one element: one client authenticator (MAC) check; parsing
+/// is free. Charged once per admission-cache miss, by
+/// `ServerCore::validate_charged`, so a server pays for each element once
+/// however many copies reach it, and again only for a re-send whose
+/// contents differ.
+pub const VALIDATE_ELEMENT_COST: SimDuration = SimDuration::from_micros(5);
+/// Producing one signature (epoch-proof or hash-batch).
+pub const SIGN_COST: SimDuration = SimDuration::from_micros(30);
+/// Hashing 1 KiB of batch data (see [`hash_cost`]).
+pub const HASH_COST_PER_KIB: SimDuration = SimDuration::from_micros(2);
+/// Compressing 1 KiB of batch data (see [`compress_cost`]).
+pub const COMPRESS_COST_PER_KIB: SimDuration = SimDuration::from_micros(10);
+/// Decompressing 1 KiB of batch data (see [`decompress_cost`]).
+pub const DECOMPRESS_COST_PER_KIB: SimDuration = SimDuration::from_micros(5);
+
+/// Cost of hashing `bytes` of data, a partial KiB counting as a whole one.
+pub fn hash_cost(bytes: usize) -> SimDuration {
+    HASH_COST_PER_KIB * (bytes as u64).div_ceil(1024)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            validate_element: SimDuration::from_micros(5),
-            sign: SimDuration::from_micros(30),
-            verify_signature: SimDuration::from_micros(60),
-            hash_per_kib: SimDuration::from_micros(2),
-            compress_per_kib: SimDuration::from_micros(10),
-            decompress_per_kib: SimDuration::from_micros(5),
-        }
-    }
+/// Cost of compressing `bytes` of data, a partial KiB counting as a whole
+/// one.
+pub fn compress_cost(bytes: usize) -> SimDuration {
+    COMPRESS_COST_PER_KIB * (bytes as u64).div_ceil(1024)
 }
 
-impl CostModel {
-    /// Cost of hashing `bytes` of data.
-    pub fn hash_cost(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros(self.hash_per_kib.as_micros() * (bytes as u64).div_ceil(1024))
-    }
-
-    /// Cost of compressing `bytes` of data.
-    pub fn compress_cost(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros(self.compress_per_kib.as_micros() * (bytes as u64).div_ceil(1024))
-    }
-
-    /// Cost of decompressing into `bytes` of data.
-    pub fn decompress_cost(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros(
-            self.decompress_per_kib.as_micros() * (bytes as u64).div_ceil(1024),
-        )
-    }
-
-    /// Cost of validating `count` elements.
-    pub fn validate_cost(&self, count: usize) -> SimDuration {
-        SimDuration::from_micros(self.validate_element.as_micros() * count as u64)
-    }
+/// Cost of decompressing into `bytes` of data, a partial KiB counting as a
+/// whole one.
+pub fn decompress_cost(bytes: usize) -> SimDuration {
+    DECOMPRESS_COST_PER_KIB * (bytes as u64).div_ceil(1024)
 }
 
 /// The paper's per-element client authentication, the only admission path.
@@ -171,7 +145,7 @@ impl QuotaConfig {
 }
 
 /// Configuration of a Setchain deployment (shared by all servers of a run):
-/// the one home of every Setchain knob.
+/// the one home of every Setchain knob a run sets.
 ///
 /// Runs are configured through `setchain_workload::Deployment::builder`,
 /// which writes each of its Setchain methods straight into this struct
@@ -183,7 +157,8 @@ impl QuotaConfig {
 /// request timeout and retry count are constants, not configuration:
 /// [`COLLECTOR_TIMEOUT`](crate::app::COLLECTOR_TIMEOUT),
 /// [`REQUEST_TIMEOUT`](crate::hashchain::REQUEST_TIMEOUT) and
-/// [`MAX_REQUEST_RETRIES`](crate::hashchain::MAX_REQUEST_RETRIES).
+/// [`MAX_REQUEST_RETRIES`](crate::hashchain::MAX_REQUEST_RETRIES); so are
+/// the modelled CPU costs, such as [`SIGN_COST`] and [`hash_cost`].
 #[derive(Clone, Debug)]
 pub struct SetchainConfig {
     /// Number of Setchain servers (the paper's `server_count`).
@@ -210,8 +185,6 @@ pub struct SetchainConfig {
     /// Per-client admission quotas; `None` (the default) leaves admission
     /// unmetered — the exact pre-quota path.
     pub quota: Option<QuotaConfig>,
-    /// CPU cost model.
-    pub costs: CostModel,
 }
 
 impl SetchainConfig {
@@ -227,7 +200,6 @@ impl SetchainConfig {
             push_batches: false,
             store: None,
             quota: None,
-            costs: CostModel::default(),
         }
     }
 
@@ -257,12 +229,11 @@ mod tests {
 
     #[test]
     fn cost_model_scales_with_size() {
-        let costs = CostModel::default();
-        assert_eq!(costs.hash_cost(1024).as_micros(), 2);
-        assert_eq!(costs.hash_cost(4096).as_micros(), 8);
-        assert_eq!(costs.hash_cost(1).as_micros(), 2); // rounds up to one KiB
-        assert_eq!(costs.validate_cost(100).as_micros(), 500);
-        assert!(costs.compress_cost(10_000) > costs.decompress_cost(10_000));
+        assert_eq!(hash_cost(1024).as_micros(), 2);
+        assert_eq!(hash_cost(4096).as_micros(), 8);
+        assert_eq!(hash_cost(1).as_micros(), 2); // rounds up to one KiB
+        assert_eq!((VALIDATE_ELEMENT_COST * 100).as_micros(), 500);
+        assert!(compress_cost(10_000) > decompress_cost(10_000));
     }
 
     #[test]

@@ -62,11 +62,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use setchain_crypto::{Digest512, ProcessId};
+use setchain_ledger::types::SIG_VERIFY_COST;
 use setchain_ledger::Block;
 use setchain_simnet::{SimDuration, SimTime, TimerToken};
 
 use crate::byzantine::ServerByzMode;
 use crate::collector::Batch;
+use crate::config::{hash_cost, SIGN_COST};
 use crate::messages::SetchainMsg;
 use crate::server::{Ctx, ServerCore};
 use crate::tx::{HashBatch, SetchainTx};
@@ -227,13 +229,13 @@ impl Hashchain {
     pub(crate) fn flush(&mut self, core: &mut ServerCore, ctx: &mut Ctx<'_, '_, '_>) {
         let batch = Arc::new(core.take_batch(ctx.now()));
         let hash = batch.hash();
-        ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
+        ctx.consume_cpu(hash_cost(batch.wire_size()));
         // Register_batch(h, batch): keep the contents so other servers can
         // request them. The registry shares the same `Arc` — no copy.
         if let Some(shared) = &self.shared_registry {
             shared.register(hash, Arc::clone(&batch));
         }
-        ctx.consume_cpu(core.config.costs.sign);
+        ctx.consume_cpu(SIGN_COST);
         let hb = core.make_hash_batch(hash);
         self.remember(hash, Arc::clone(&batch)).signed = true;
         core.append_batch(SetchainTx::HashBatch(hb.into()), &batch.elements, ctx);
@@ -420,7 +422,7 @@ impl Hashchain {
             // not signed it yet), sign the hash and append our own hash-batch
             // so the f+1 consolidation quorum can form.
             if !rec.signed {
-                ctx.consume_cpu(core.config.costs.sign);
+                ctx.consume_cpu(SIGN_COST);
                 ctx.append(SetchainTx::HashBatch(core.make_hash_batch(hash).into()));
                 rec.signed = true;
             }
@@ -469,7 +471,7 @@ impl Hashchain {
             if !core.config.light {
                 // valid_hash(h, s_w, w): every server pays for the check,
                 // and the host reads the verdict the shared `Arc` keeps.
-                ctx.consume_cpu(core.config.costs.verify_signature);
+                ctx.consume_cpu(SIG_VERIFY_COST);
                 if !core.valid_hash(hb) {
                     continue;
                 }
@@ -520,7 +522,7 @@ impl Hashchain {
                 // Shared contents are checked exactly like owned ones: hashed
                 // and charged in full before the `Arc` is kept. The host
                 // reads the hash the batch computed for its first reader.
-                ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
+                ctx.consume_cpu(hash_cost(batch.wire_size()));
                 if batch.hash() == hash {
                     self.accept(core, hash, batch, ctx);
                 } else if self.head_waits_for(&hash) {
@@ -542,7 +544,7 @@ impl Hashchain {
                 if !core.config.push_batches || !pusher || known {
                     return;
                 }
-                ctx.consume_cpu(core.config.costs.hash_cost(batch.wire_size()));
+                ctx.consume_cpu(hash_cost(batch.wire_size()));
                 if batch.hash() == hash {
                     self.accept(core, hash, batch, ctx);
                 }
@@ -590,7 +592,7 @@ mod tests {
     use super::*;
     use crate::app::SetchainServer;
     use crate::collector::Collector;
-    use crate::config::SetchainConfig;
+    use crate::config::{SetchainConfig, VALIDATE_ELEMENT_COST};
     use crate::element::{Element, ElementId};
     use crate::proofs::{make_epoch_proof, make_epoch_proof_for_digest};
     use crate::trace::SetchainTrace;
@@ -959,7 +961,6 @@ mod tests {
     #[test]
     fn a_known_batch_is_applied_once_however_many_copies_arrive() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let costs = core.config.costs;
             let mut h = hashchain(core);
             // Epoch 1 first, so that there is an epoch to carry proofs for.
             let b = know(&mut h, Batch::new(elements(registry, 0..10), vec![]));
@@ -986,8 +987,8 @@ mod tests {
             // The first copy counter-signs, verifies both proofs and
             // validates the elements: eleven cache misses.
             let first = process_copy(&mut h, core, 1, a, ctx);
-            let apply = costs.verify_signature * 2 + costs.validate_cost(count);
-            assert_eq!(first, costs.sign + apply);
+            let apply = SIG_VERIFY_COST * 2 + VALIDATE_ELEMENT_COST * count as u64;
+            assert_eq!(first, SIGN_COST + apply);
             assert_eq!(core.stats.proofs_received, 2);
             assert_eq!(core.stats.elements_rejected, 1);
             assert!(core.state.contains(&ElementId::new(0, 100)));
@@ -1000,7 +1001,7 @@ mod tests {
             let stamped = core.state.epoch_elements(2).unwrap();
             assert_eq!(stamped.len(), 10);
             let bytes = stamped.iter().map(|e| e.wire_size()).sum();
-            let consolidate = costs.hash_cost(bytes) + costs.sign;
+            let consolidate = hash_cost(bytes) + SIGN_COST;
             assert_eq!(second, consolidate);
             assert_eq!(h.records[&a].signers.len(), 2);
             assert_eq!(core.stats.proofs_received, 2);
@@ -1022,7 +1023,6 @@ mod tests {
     #[test]
     fn a_proof_for_an_epoch_not_derived_yet_is_retried_at_the_next_copy() {
         crate::server::tests::with_core(0, |core, registry, ctx| {
-            let costs = core.config.costs;
             let mut h = hashchain(core);
             // Batch `b` will become epoch 1; batch `a` carries server 2's
             // proof for that epoch and reaches the queue head first.
@@ -1059,10 +1059,7 @@ mod tests {
                 .iter()
                 .map(|e| e.wire_size())
                 .sum();
-            assert_eq!(
-                retry,
-                costs.verify_signature + costs.hash_cost(bytes) + costs.sign
-            );
+            assert_eq!(retry, SIG_VERIFY_COST + hash_cost(bytes) + SIGN_COST);
 
             // After that, copies ingest nothing.
             let last = process_copy(&mut h, core, 2, a, ctx);

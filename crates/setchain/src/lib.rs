@@ -85,7 +85,7 @@ pub use app::SetchainServer;
 pub use byzantine::ServerByzMode;
 pub use client::{verify_epoch, EpochVerification, RETRY_AFTER_PER_MISSING_PROOF};
 pub use collector::Collector;
-pub use config::{AuthMode, CostModel, QuotaConfig, SetchainConfig, StoreConfig};
+pub use config::{AuthMode, QuotaConfig, SetchainConfig, StoreConfig};
 pub use element::{Element, ElementGenerator, ElementId};
 pub use hashchain::SharedBatchRegistry;
 pub use idmap::IdMap;

@@ -7,6 +7,7 @@ use setchain_crypto::{
     sign_with, Digest512, FxHashSet, KeyPair, KeyRegistry, ProcessId, SigVerifier, Signature,
     SigningKey,
 };
+use setchain_ledger::types::SIG_VERIFY_COST;
 use setchain_ledger::{AppCtx, TxData};
 use setchain_simnet::SimTime;
 
@@ -15,7 +16,7 @@ use setchain_store::{DiskStore, EpochRecord, StateStore};
 use crate::admission::AdmissionCache;
 use crate::byzantine::ServerByzMode;
 use crate::collector::{Batch, Collector};
-use crate::config::{SetchainConfig, StoreConfig};
+use crate::config::{hash_cost, SetchainConfig, StoreConfig, SIGN_COST};
 use crate::element::{Element, ElementId};
 use crate::messages::SetchainMsg;
 use crate::proofs::{make_epoch_proof_with_key, EpochProof};
@@ -351,7 +352,7 @@ impl ServerCore {
     /// The one place validation CPU is charged: the admission cache's
     /// verdicts for `elements[i]`, `i` in `picks` order, into `out` (`memo`
     /// is the batch they belong to, if any), charging one
-    /// [`validate_element`](crate::CostModel::validate_element) per
+    /// [`VALIDATE_ELEMENT_COST`](crate::config::VALIDATE_ELEMENT_COST) per
     /// admission-cache miss. The modelled server keeps the same cache, so it
     /// checks an authenticator exactly when the host does; a cached verdict
     /// costs nothing.
@@ -367,7 +368,7 @@ impl ServerCore {
         self.admission
             .verdicts(&self.registry, elements, memo, picks, out);
         let misses = self.admission.misses() - misses_before;
-        ctx.consume_cpu(self.config.costs.validate_cost(misses as usize));
+        ctx.consume_cpu(crate::config::VALIDATE_ELEMENT_COST * misses);
     }
 
     /// Keeps the `picks` whose element of `batch` is valid, unless the
@@ -553,7 +554,7 @@ impl ServerCore {
     /// transaction. When the proof count for the epoch reaches `f + 1`,
     /// the commit is reported to the experiment trace.
     ///
-    /// Every server pays `verify_signature`. The host verifies in full
+    /// Every server pays `SIG_VERIFY_COST`. The host verifies in full
     /// only a proof that no list of proofs for the epoch's batch
     /// allocation holds yet: this server's own list or the one the batch's
     /// memo keeps, whose every entry was found valid against the same
@@ -568,7 +569,7 @@ impl ServerCore {
     /// derive the epoch through ledger block sync. Every other verdict is
     /// final for these bytes.
     pub fn ingest_proof(&mut self, proof: EpochProof, ctx: &mut Ctx<'_, '_, '_>) -> bool {
-        ctx.consume_cpu(self.config.costs.verify_signature);
+        ctx.consume_cpu(SIG_VERIFY_COST);
         // The digest of every recorded epoch is cached at creation time, so
         // verifying the up-to-n proofs of an epoch re-hashes nothing.
         let Some(&digest) = self.state.epoch_digest(proof.epoch) else {
@@ -625,7 +626,7 @@ impl ServerCore {
             // recording it again would double-stamp its elements. Sign the
             // stored digest instead, so peers still receive this server's
             // proof for the epoch.
-            ctx.consume_cpu(self.config.costs.sign);
+            ctx.consume_cpu(SIGN_COST);
             return self.own_proof(self.derived_epochs);
         }
         self.note_stamped(&g.elements);
@@ -638,8 +639,8 @@ impl ServerCore {
         self.trace.record_epoch(epoch, &g);
         // Hash + sign cost for the epoch-proof.
         let bytes: usize = g.elements.iter().map(|e| e.wire_size()).sum();
-        ctx.consume_cpu(self.config.costs.hash_cost(bytes));
-        ctx.consume_cpu(self.config.costs.sign);
+        ctx.consume_cpu(hash_cost(bytes));
+        ctx.consume_cpu(SIGN_COST);
         self.own_proof(epoch)
     }
 
@@ -745,7 +746,7 @@ impl ServerCore {
     /// the verdict once per hash-batch allocation: every server's copy of
     /// a block shares the transaction's `Arc<HashBatch>`, so one server
     /// computes it and every other reads it (see `HashBatch::verdict`);
-    /// each still pays `verify_signature` at its call site.
+    /// each still pays `SIG_VERIFY_COST` at its call site.
     pub fn valid_hash(&mut self, hb: &HashBatch) -> bool {
         hb.verdict(|| self.server_signed(hb.signer, hb.hash.as_bytes(), &hb.signature))
     }
@@ -798,6 +799,7 @@ impl ServerCore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::config::VALIDATE_ELEMENT_COST;
     use crate::element::ElementId;
     use crate::hashchain::batch_hash;
     use crate::proofs::{epoch_hash, epoch_hash_for_root, epoch_root, make_epoch_proof_for_digest};
@@ -1299,18 +1301,17 @@ pub(crate) mod tests {
         // cached: no validation is charged, the one distinct id is counted
         // once more, and the epoch is empty.
         with_core(0, |core, _registry, ctx| {
-            let costs = core.config.costs;
             let forged = Element::forged(ProcessId::client(0), ElementId::new(0, 7), 300);
             let batch = own_batch(&[forged; 3]);
             let before = ctx.cpu_consumed();
             core.admit_batch_elements(&batch, ctx);
-            assert_eq!(ctx.cpu_consumed() - before, costs.validate_element * 3);
+            assert_eq!(ctx.cpu_consumed() - before, VALIDATE_ELEMENT_COST * 3);
             assert_eq!(core.stats.elements_rejected, 1);
             assert!(!core.state.contains(&forged.id));
 
             let before = ctx.cpu_consumed();
             core.create_epoch(&batch, ctx);
-            assert_eq!(ctx.cpu_consumed() - before, costs.hash_cost(0) + costs.sign);
+            assert_eq!(ctx.cpu_consumed() - before, hash_cost(0) + SIGN_COST);
             assert_eq!(core.stats.elements_rejected, 2);
             assert_eq!(core.state.epoch(), 1);
             assert_eq!(core.state.epoch_elements(1).map(<[_]>::len), Some(0));
@@ -1384,12 +1385,11 @@ pub(crate) mod tests {
         }
 
         with_core(0, |core, registry, ctx| {
-            let costs = core.config.costs;
             let keys = registry.lookup(ProcessId::client(0)).unwrap();
             // An honest element's add, its batch and its epoch: one check.
             let good = Element::new(&keys, ElementId::new(0, 1), 400, 9);
             let add = charged(ctx, |ctx| assert!(core.accept_add(&good, ctx)));
-            assert_eq!(add, costs.validate_element);
+            assert_eq!(add, VALIDATE_ELEMENT_COST);
             let batch = charged(ctx, |ctx| {
                 core.admit_batch_elements(&own_batch(&[good]), ctx)
             });
@@ -1397,7 +1397,7 @@ pub(crate) mod tests {
             let epoch = charged(ctx, |ctx| {
                 core.create_epoch(&own_batch(&[good]), ctx);
             });
-            assert_eq!(epoch, costs.hash_cost(good.wire_size()) + costs.sign);
+            assert_eq!(epoch, hash_cost(good.wire_size()) + SIGN_COST);
             assert!(core.state.in_history(&good.id));
 
             // A tampered re-send under an admitted id is a miss: checked
@@ -1406,11 +1406,11 @@ pub(crate) mod tests {
             let mut tampered = next;
             tampered.content_seed ^= 0xFF;
             let add = charged(ctx, |ctx| assert!(core.accept_add(&next, ctx)));
-            assert_eq!(add, costs.validate_element);
+            assert_eq!(add, VALIDATE_ELEMENT_COST);
             let resend = charged(ctx, |ctx| {
                 core.admit_batch_elements(&own_batch(&[tampered]), ctx)
             });
-            assert_eq!(resend, costs.validate_element);
+            assert_eq!(resend, VALIDATE_ELEMENT_COST);
             assert_eq!(core.stats.elements_rejected, 1);
 
             // Replays of the stamped id, honest or tampered, cost nothing.
@@ -1534,10 +1534,7 @@ pub(crate) mod tests {
             let mut peer = peer_core(registry, 1);
             let before = ctx.cpu_consumed();
             peer.admit_batch_elements(&batch, ctx);
-            assert_eq!(
-                ctx.cpu_consumed() - before,
-                peer.config.costs.validate_element
-            );
+            assert_eq!(ctx.cpu_consumed() - before, VALIDATE_ELEMENT_COST);
             assert!(peer.state.contains(&e.id));
             assert_eq!(peer.stats.elements_rejected, 0);
             assert_eq!(peer.admission_cache().misses(), 1);

@@ -74,14 +74,6 @@ impl CompressedBatch {
             .checked_sub(proof_bytes)
             .is_some_and(|element_bytes| self.payload.decoded_len() == Ok(element_bytes))
     }
-
-    /// Compression ratio achieved on this batch.
-    pub fn ratio(&self) -> f64 {
-        if self.compressed_size == 0 {
-            return 1.0;
-        }
-        self.original_size as f64 / self.compressed_size as f64
-    }
 }
 
 /// A hash-batch `⟨h, s, v⟩`: the hash of a batch, signed by a server.
@@ -89,7 +81,7 @@ impl CompressedBatch {
 /// Every server's copy of a block shares the transaction's
 /// `Arc<HashBatch>`, so the hash-batch remembers its `valid_hash` verdict
 /// for the host, which checks the signature once per run (see
-/// `Self::verdict`); every server still pays `verify_signature`. `Clone`
+/// `Self::verdict`); every server still pays `SIG_VERIFY_COST`. `Clone`
 /// starts with no verdict, so a clone can be tampered with freely.
 #[derive(Debug)]
 pub struct HashBatch {
@@ -258,8 +250,7 @@ mod tests {
             compressed_size: 160,
             original_size: 438,
         };
-        assert_eq!(SetchainTx::Compressed(cb.clone()).wire_size(), 184);
-        assert!((cb.ratio() - 438.0 / 160.0).abs() < 1e-9);
+        assert_eq!(SetchainTx::Compressed(cb).wire_size(), 184);
     }
 
     #[test]
@@ -319,18 +310,5 @@ mod tests {
             assert!(!batch(wire - 1).payload_decodes(), "proofs exceed size");
         }
         assert_eq!(frame.decoded_len(), Ok(300));
-    }
-
-    #[test]
-    fn degenerate_compressed_batch_ratio() {
-        let cb = CompressedBatch {
-            origin: ProcessId::server(0),
-            seq: 0,
-            batch: Batch::default().into(),
-            payload: std::sync::Arc::new(Vec::new().into()),
-            compressed_size: 0,
-            original_size: 0,
-        };
-        assert_eq!(cb.ratio(), 1.0);
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! * every server/client is a [`Process`] actor driven by messages and timers,
 //! * the network ([`NetworkConfig`], `network::Network`) delivers messages
-//!   with configurable propagation delay, jitter, added latency (the paper's
-//!   `network_delay` parameter), loss and partitions, and models per-sender
-//!   link bandwidth so that shipping large batches (Hashchain's
-//!   hash-reversal) has a realistic cost,
+//!   with a fixed propagation delay and per-sender link bandwidth, plus
+//!   configurable jitter, added latency (the paper's `network_delay`
+//!   parameter), loss and partitions; the bandwidth model gives shipping
+//!   large batches (Hashchain's hash-reversal) a realistic cost,
 //! * node CPU time consumed by hashing/validation is modelled through
 //!   [`Context::consume_cpu`], which delays subsequent deliveries to that node.
 //!

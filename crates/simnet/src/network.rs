@@ -4,8 +4,10 @@
 //! The paper's evaluation platform is a LAN cluster (sub-millisecond RTT,
 //! 1 Gbps links between Docker hosts) with an optional artificial
 //! `network_delay` of 30 ms or 100 ms added to every message to emulate a
-//! WAN (Fig. 3c). [`NetworkConfig`] captures exactly those knobs plus fault
-//! injection (loss, partitions) used by the robustness tests.
+//! WAN (Fig. 3c). The link itself is fixed: [`BASE_DELAY`],
+//! [`BANDWIDTH_BYTES_PER_SEC`] and [`LOOPBACK_DELAY`]. [`NetworkConfig`]
+//! holds what a run varies on top of it: jitter, the artificial delay and
+//! loss; partitions are installed on the [`Network`] itself.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -14,25 +16,27 @@ use std::collections::{HashMap, HashSet};
 
 use crate::time::{SimDuration, SimTime};
 
+/// One-way propagation delay between any two distinct processes: 0.25 ms,
+/// a LAN.
+pub const BASE_DELAY: SimDuration = SimDuration::from_micros(250);
+/// Bandwidth of each sender's link, 1 Gbps: the link transmits one message
+/// at a time, taking `size / BANDWIDTH_BYTES_PER_SEC` per message, so large
+/// messages (batches) serialise.
+pub const BANDWIDTH_BYTES_PER_SEC: u64 = 125_000_000;
+/// Delay applied to messages a process sends to itself.
+pub const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(10);
+
 /// Configuration of the simulated network.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NetworkConfig {
-    /// Base one-way propagation delay between any two distinct processes.
-    pub base_delay: SimDuration,
-    /// Uniform random jitter added on top of the base delay, `[0, jitter]`.
+    /// Uniform random jitter added on top of [`BASE_DELAY`], `[0, jitter]`.
     pub jitter: SimDuration,
     /// Artificial latency added to every message (the paper's
     /// `network_delay` parameter: 0, 30 or 100 ms).
     pub extra_delay: SimDuration,
-    /// Link bandwidth in bytes per second (positive): each sender's link
-    /// transmits one message at a time, taking `size / bandwidth` per
-    /// message, so large messages (batches) serialise.
-    pub bandwidth_bytes_per_sec: u64,
     /// Probability in `[0, 1]` that a message between distinct processes is
     /// silently dropped. Loopback messages are never dropped.
     pub loss_rate: f64,
-    /// Delay applied to messages a process sends to itself.
-    pub loopback_delay: SimDuration,
 }
 
 impl Default for NetworkConfig {
@@ -42,16 +46,14 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// LAN profile matching the paper's cluster: 0.25 ms one-way delay,
-    /// 0.1 ms jitter, 1 Gbps links, no loss.
+    /// LAN profile matching the paper's cluster: 0.1 ms jitter on top of
+    /// the fixed 0.25 ms [`BASE_DELAY`] and 1 Gbps links, no added delay,
+    /// no loss.
     pub fn lan() -> Self {
         NetworkConfig {
-            base_delay: SimDuration::from_micros(250),
             jitter: SimDuration::from_micros(100),
             extra_delay: SimDuration::ZERO,
-            bandwidth_bytes_per_sec: 125_000_000, // 1 Gbps
             loss_rate: 0.0,
-            loopback_delay: SimDuration::from_micros(10),
         }
     }
 
@@ -192,7 +194,7 @@ impl Network {
         if from == to {
             self.delivered += 1;
             self.bytes_sent += size_bytes as u64;
-            return Some(now + self.config.loopback_delay);
+            return Some(now + LOOPBACK_DELAY);
         }
         if self.partitions.iter().any(|p| p.blocks(from, to)) {
             self.dropped += 1;
@@ -208,8 +210,7 @@ impl Network {
         // Transmission: the sender's link serialises messages one at a time.
         let free_at = *self.link_free_at.get(&from).unwrap_or(&SimTime::ZERO);
         let start = if free_at > now { free_at } else { now };
-        let tx_micros =
-            (size_bytes as u64).saturating_mul(1_000_000) / self.config.bandwidth_bytes_per_sec;
+        let tx_micros = (size_bytes as u64).saturating_mul(1_000_000) / BANDWIDTH_BYTES_PER_SEC;
         let departure = start + SimDuration::from_micros(tx_micros);
         self.link_free_at.insert(from, departure);
 
@@ -218,7 +219,7 @@ impl Network {
         } else {
             SimDuration::from_micros(rng.gen_range(0..=self.config.jitter.as_micros()))
         };
-        let arrival = departure + self.config.base_delay + jitter + self.config.extra_delay;
+        let arrival = departure + BASE_DELAY + jitter + self.config.extra_delay;
         self.delivered += 1;
         self.bytes_sent += size_bytes as u64;
         Some(arrival)
@@ -346,22 +347,22 @@ mod tests {
         let (a, b, _) = ids();
         let mut cfg = NetworkConfig::lan();
         cfg.jitter = SimDuration::ZERO;
-        cfg.bandwidth_bytes_per_sec = 1_000_000; // 1 MB/s
         let mut net = Network::new(cfg);
         let mut rng = StdRng::seed_from_u64(5);
-        // Two 1 MB messages sent back to back: the second waits for the first
-        // to finish transmitting.
+        // Two messages of one second's worth of link bytes each, sent back
+        // to back: the second waits for the first to finish transmitting.
+        let size = BANDWIDTH_BYTES_PER_SEC as usize;
         let t1 = net
-            .delivery_time(&mut rng, SimTime::ZERO, a, b, 1_000_000)
+            .delivery_time(&mut rng, SimTime::ZERO, a, b, size)
             .unwrap();
         let t2 = net
-            .delivery_time(&mut rng, SimTime::ZERO, a, b, 1_000_000)
+            .delivery_time(&mut rng, SimTime::ZERO, a, b, size)
             .unwrap();
         assert!(t1.as_secs_f64() > 0.99 && t1.as_secs_f64() < 1.1, "{t1:?}");
         assert!(t2.as_secs_f64() > 1.99 && t2.as_secs_f64() < 2.1, "{t2:?}");
         // A different sender's link is independent.
         let t3 = net
-            .delivery_time(&mut rng, SimTime::ZERO, b, a, 1_000_000)
+            .delivery_time(&mut rng, SimTime::ZERO, b, a, size)
             .unwrap();
         assert!(t3.as_secs_f64() < 1.1, "{t3:?}");
     }
