@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setchain::hashchain::batch_hash;
 use setchain::{Collector, Element};
-use setchain_compress::compress;
+use setchain_compress::compress_chunked_with;
 use setchain_crypto::{KeyRegistry, ProcessId};
 use setchain_simnet::SimTime;
 use setchain_workload::ArbitrumWorkload;
@@ -43,7 +43,8 @@ fn bench_batch_preparation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hashchain_hash", limit), &es, |b, es| {
             b.iter(|| batch_hash(es, &[]))
         });
-        // Compresschain's per-batch work: materialize and compress.
+        // Compresschain's per-batch work: materialize and compress into the
+        // frame it ships (16 KiB chunks).
         group.bench_with_input(
             BenchmarkId::new("compresschain_compress", limit),
             &es,
@@ -53,7 +54,7 @@ fn bench_batch_preparation(c: &mut Criterion) {
                     for e in es {
                         raw.extend_from_slice(&e.materialize());
                     }
-                    compress(&raw)
+                    compress_chunked_with(&raw, 16 * 1024)
                 })
             },
         );

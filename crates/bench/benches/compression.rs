@@ -1,12 +1,12 @@
 //! Compression micro-benchmarks: what Compresschain pays per batch flush and
 //! per batch delivery, for the two collector sizes of the paper. Every row
 //! runs on one thread: the payload generator that builds a batch's bytes
-//! (`materialize`), the single-stream codec, and the chunked frame with the
-//! chunk length Compresschain servers use.
+//! (`materialize`) and the chunked frame that ships, with the chunk length
+//! Compresschain servers use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use setchain::Element;
-use setchain_compress::{compress, compress_chunked_with, decompress, decompress_chunked};
+use setchain_compress::{compress_chunked_with, decompress_chunked};
 use setchain_crypto::{KeyRegistry, ProcessId};
 use setchain_workload::ArbitrumWorkload;
 
@@ -34,12 +34,12 @@ fn bench_compression(c: &mut Criterion) {
         let elements = batch_elements(collector);
         let mut raw = Vec::new();
         materialize_batch(&elements, &mut raw);
-        let compressed = compress(&raw);
-        let ratio = raw.len() as f64 / compressed.len() as f64;
+        let frame = compress_chunked_with(&raw, BATCH_CHUNK_LEN);
+        let ratio = raw.len() as f64 / frame.len() as f64;
         println!(
             "collector={collector}: batch {} B -> {} B (ratio {:.2}, paper reports 2.5-3.5)",
             raw.len(),
-            compressed.len(),
+            frame.len(),
             ratio
         );
         group.throughput(Throughput::Bytes(raw.len() as u64));
@@ -49,15 +49,6 @@ fn bench_compression(c: &mut Criterion) {
             &elements,
             |b, e| b.iter(|| materialize_batch(e, &mut buf)),
         );
-        group.bench_with_input(BenchmarkId::new("compress", collector), &raw, |b, d| {
-            b.iter(|| compress(d))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("decompress", collector),
-            &compressed,
-            |b, d| b.iter(|| decompress(d).unwrap()),
-        );
-        let frame = compress_chunked_with(&raw, BATCH_CHUNK_LEN);
         group.bench_with_input(
             BenchmarkId::new("compress_chunked", collector),
             &raw,

@@ -1,14 +1,12 @@
-//! Framed, chunked LZ77 format.
+//! Framed, chunked LZ77 format: the codec's one public format.
 //!
 //! The single-stream format of [`crate::lz77`] lets every token reference
-//! bytes produced by any earlier token. Compresschain flushes batches on a
-//! hot path and decompresses every batch delivered through the ledger, so
-//! this module adds a *chunked* framing that splits the input into
+//! bytes produced by any earlier token. The frame splits the input into
 //! independent chunks, each compressed as its own single stream with a
 //! bounded match window. Both directions run on the calling thread, chunk
 //! by chunk: compression codes each chunk through the thread-local
-//! [`crate::Compressor`] scratch, and decompression decodes each chunk
-//! straight into the caller's buffer. A [`ChunkedFrame`] decodes a frame
+//! [`crate::lz77::Compressor`] scratch, and decompression decodes each
+//! chunk straight into one output buffer. A [`ChunkedFrame`] decodes a frame
 //! once, when it is built, and keeps only its length and that verdict, so
 //! many readers share one decode and none of them holds the bytes.
 //!
@@ -32,7 +30,7 @@
 //! follow the last chunk.
 //!
 //! Byte budget: the frame header costs `5 + len(total_len) + len(chunk_count)`
-//! bytes plus one `compressed_len` varint per chunk — a few bytes per 64 KiB
+//! bytes plus one `compressed_len` varint per chunk — a few bytes per 16 KiB
 //! chunk, which is why Compresschain's `CompressedBatch` accounting charges
 //! the whole frame, headers included.
 
@@ -43,28 +41,20 @@ use crate::varint::{read_u64, write_u64};
 /// greater than [`MAX_DECLARED`] (the single-stream decoder rejects any
 /// stream whose leading varint exceeds that), so no single stream passes
 /// the frame's magic check.
-pub const CHUNKED_MAGIC: u64 = 0x43_484E_4B31; // "CHNK1", read as a number
-
-/// Default chunk length: 64 KiB, the match window of a single stream, so a
-/// chunk loses only the matches that would cross its start.
-pub const DEFAULT_CHUNK_LEN: usize = 64 * 1024;
+pub(crate) const CHUNKED_MAGIC: u64 = 0x43_484E_4B31; // "CHNK1", read as a number
 
 const _: () = assert!(CHUNKED_MAGIC > MAX_DECLARED);
 
-/// Compresses `data` as a chunked frame with [`DEFAULT_CHUNK_LEN`] chunks.
+/// Compresses `data` as a chunked frame with the given chunk length
+/// (Compresschain ships 16 KiB chunks).
 ///
 /// ```
-/// use setchain_compress::{compress_chunked, decompress_chunked};
+/// use setchain_compress::{compress_chunked_with, decompress_chunked};
 /// let data: Vec<u8> = b"setchain ".iter().copied().cycle().take(100_000).collect();
-/// let frame = compress_chunked(&data);
+/// let frame = compress_chunked_with(&data, 16 * 1024);
 /// assert!(frame.len() < data.len());
 /// assert_eq!(decompress_chunked(&frame).unwrap(), data);
 /// ```
-pub fn compress_chunked(data: &[u8]) -> Vec<u8> {
-    compress_chunked_with(data, DEFAULT_CHUNK_LEN)
-}
-
-/// Compresses `data` as a chunked frame with the given chunk length.
 ///
 /// # Panics
 ///
@@ -101,23 +91,12 @@ pub fn compress_chunked_with(data: &[u8], chunk_len: usize) -> Vec<u8> {
     out
 }
 
-/// Decompresses a chunked frame produced by [`compress_chunked`] /
-/// [`compress_chunked_with`]. Every frame invariant is validated (see the
-/// module docs); malformed input returns a [`DecompressError`], never
-/// panics.
+/// Decompresses a chunked frame produced by [`compress_chunked_with`].
+/// Every frame invariant is validated: the magic, the declared total
+/// against [`MAX_DECLARED`], a chunk count the frame can hold, every chunk
+/// body, the exact total and no trailing bytes. Malformed input returns a
+/// [`DecompressError`], never panics.
 pub fn decompress_chunked(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::new();
-    decompress_chunked_into(data, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress_chunked`] into a caller-owned buffer (cleared first): a
-/// caller that decodes many frames reuses one buffer and performs no
-/// per-frame output allocation. Each chunk
-/// decodes straight into `out`. Returns the decompressed length; `out` holds
-/// partial data on error.
-pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, DecompressError> {
-    out.clear();
     let mut pos = 0usize;
     let magic = read_u64(data, &mut pos).ok_or(DecompressError::Truncated)?;
     if magic != CHUNKED_MAGIC {
@@ -155,9 +134,9 @@ pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, 
         return Err(DecompressError::TrailingBytes(data.len() - pos));
     }
 
-    out.reserve(total as usize);
+    let mut out = Vec::with_capacity(total as usize);
     for body in &bodies {
-        crate::lz77::decompress_into(body, out)?;
+        crate::lz77::decompress_into(body, &mut out)?;
     }
     if out.len() as u64 != total {
         return Err(DecompressError::LengthMismatch {
@@ -165,21 +144,22 @@ pub fn decompress_chunked_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, 
             actual: out.len(),
         });
     }
-    Ok(out.len())
+    Ok(out)
 }
 
 /// A frame's length and the verdict of decoding it, without its bytes.
 ///
-/// `From<Vec<u8>>` runs [`decompress_chunked_into`] on the bytes once, keeps
-/// their length and the result, and drops them. The verdict depends on the
-/// bytes alone, so every holder of one `Arc<ChunkedFrame>` (each server of a
-/// simulated deployment delivering the same block) reads the result of one
-/// real decode of those exact bytes, and a run holds no frame bytes past
-/// the moment the frame is built.
+/// `From<Vec<u8>>` runs [`decompress_chunked`] on the bytes once, keeps
+/// their length and the decoded length or error, and drops the bytes and
+/// the output. The verdict depends on the bytes alone, so every holder of
+/// one `Arc<ChunkedFrame>` (each server of a simulated deployment
+/// delivering the same block) reads the result of one real decode of those
+/// exact bytes, and a run holds no frame bytes past the moment the frame is
+/// built.
 ///
 /// ```
-/// use setchain_compress::{compress_chunked, ChunkedFrame, DecompressError};
-/// let bytes = compress_chunked(&[7u8; 1000]);
+/// use setchain_compress::{compress_chunked_with, ChunkedFrame, DecompressError};
+/// let bytes = compress_chunked_with(&[7u8; 1000], 16 * 1024);
 /// let len = bytes.len();
 /// let frame = ChunkedFrame::from(bytes);
 /// assert_eq!((frame.len(), frame.decoded_len()), (len, Ok(1000)));
@@ -205,7 +185,7 @@ impl ChunkedFrame {
         self.len == 0
     }
 
-    /// What [`decompress_chunked_into`] returned on the frame bytes: the
+    /// What [`decompress_chunked`] returned on the frame bytes: the
     /// decompressed length, or the first error.
     pub fn decoded_len(&self) -> Result<usize, DecompressError> {
         self.verdict.clone()
@@ -216,7 +196,7 @@ impl From<Vec<u8>> for ChunkedFrame {
     fn from(bytes: Vec<u8>) -> Self {
         ChunkedFrame {
             len: bytes.len(),
-            verdict: decompress_chunked_into(&bytes, &mut Vec::new()),
+            verdict: decompress_chunked(&bytes).map(|out| out.len()),
         }
     }
 }
@@ -224,7 +204,10 @@ impl From<Vec<u8>> for ChunkedFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lz77::compress as compress_single;
+    use crate::lz77::tests::{compress as compress_single, decompress as decompress_single};
+
+    /// The chunk length Compresschain ships.
+    const CHUNK_LEN: usize = 16 * 1024;
 
     fn sample(len: usize) -> Vec<u8> {
         // Compressible, structured, non-trivial content.
@@ -239,16 +222,9 @@ mod tests {
 
     #[test]
     fn chunked_roundtrip_across_sizes() {
-        for len in [
-            0usize,
-            1,
-            100,
-            DEFAULT_CHUNK_LEN - 1,
-            DEFAULT_CHUNK_LEN,
-            300_000,
-        ] {
+        for len in [0usize, 1, 100, CHUNK_LEN - 1, CHUNK_LEN, 300_000] {
             let data = sample(len);
-            let frame = compress_chunked(&data);
+            let frame = compress_chunked_with(&data, CHUNK_LEN);
             assert_eq!(decompress_chunked(&frame).unwrap(), data, "len={len}");
         }
     }
@@ -266,7 +242,7 @@ mod tests {
     fn single_stream_is_not_mistaken_for_chunked() {
         let data = sample(5_000);
         let single = compress_single(&data);
-        assert_eq!(crate::lz77::decompress(&single).unwrap(), data);
+        assert_eq!(decompress_single(&single).unwrap(), data);
         assert!(matches!(
             decompress_chunked(&single),
             Err(DecompressError::NotChunked)
@@ -323,7 +299,7 @@ mod tests {
     #[test]
     fn trailing_bytes_rejected() {
         let data = sample(10_000);
-        let mut frame = compress_chunked(&data);
+        let mut frame = compress_chunked_with(&data, CHUNK_LEN);
         frame.push(0x00);
         assert!(matches!(
             decompress_chunked(&frame),
@@ -334,7 +310,7 @@ mod tests {
     #[test]
     fn tampered_declared_total_is_caught() {
         let data = sample(10_000);
-        let frame = compress_chunked(&data);
+        let frame = compress_chunked_with(&data, CHUNK_LEN);
         // Rebuild the frame with a wrong total; chunk bodies unchanged.
         let mut pos = 0;
         assert_eq!(read_u64(&frame, &mut pos), Some(CHUNKED_MAGIC));
@@ -383,7 +359,7 @@ mod tests {
             ) {
                 let single = compress_single(&data);
                 let chunked = compress_chunked_with(&data, chunk_len);
-                prop_assert_eq!(crate::lz77::decompress(&single).unwrap(), data.clone());
+                prop_assert_eq!(decompress_single(&single).unwrap(), data.clone());
                 prop_assert_eq!(decompress_chunked(&chunked).unwrap(), data);
                 prop_assert!(matches!(
                     decompress_chunked(&single),
@@ -409,7 +385,7 @@ mod tests {
                     inputs.push(flipped);
                 }
                 for bytes in inputs {
-                    let expected = decompress_chunked_into(&bytes, &mut Vec::new());
+                    let expected = decompress_chunked(&bytes).map(|out| out.len());
                     let frame = ChunkedFrame::from(bytes);
                     prop_assert_eq!(frame.decoded_len(), expected.clone());
                     prop_assert_eq!(frame.decoded_len(), expected);

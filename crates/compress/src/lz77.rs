@@ -82,7 +82,7 @@ pub enum DecompressError {
     /// exhaustion from Byzantine input).
     DeclaredTooLarge(u64),
     /// A chunked frame was expected but the stream does not start with the
-    /// chunked magic (see [`crate::chunked`]).
+    /// chunked magic (see [`crate::decompress_chunked`]).
     NotChunked,
     /// A chunked frame declared more chunks than its total length allows.
     BadChunkCount(u64),
@@ -156,53 +156,31 @@ fn common_prefix_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 /// Reusable LZ77 compressor.
 ///
 /// Owns the `head` hash table (64 KiB) so repeated compressions — one per
-/// Compresschain batch flush, one per chunk of the chunked format — do not
-/// reallocate it. The table is cleared at the start of every call, so the
-/// output depends only on the input, never on compressor history.
-///
-/// ```
-/// let mut c = setchain_compress::Compressor::new();
-/// let data = b"to be or not to be, that is the question".repeat(8);
-/// let packed = c.compress(&data);
-/// assert!(packed.len() < data.len());
-/// assert_eq!(setchain_compress::decompress(&packed).unwrap(), data);
-/// ```
-pub struct Compressor {
+/// chunk of every Compresschain frame — do not reallocate it. The table is
+/// cleared at the start of every call, so the output depends only on the
+/// input, never on compressor history.
+pub(crate) struct Compressor {
     /// `head[h]`: most recent position whose 5-byte hash is `h`.
     head: Vec<u32>,
 }
 
-impl Default for Compressor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Compressor {
     /// Creates a compressor with a freshly allocated hash table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Compressor {
             head: vec![EMPTY; HASH_BUCKETS],
         }
     }
 
-    /// Compresses `data` into a new buffer (single-stream format).
+    /// Compresses `data` as one single stream, appending it to `out`
+    /// (which is not cleared).
     ///
     /// # Panics
     ///
-    /// Panics if `data` is longer than [`MAX_DECLARED`] — such a stream
-    /// could never be decompressed, so refusing to build it keeps
-    /// `decompress(compress(x)) == x` unconditional.
-    pub fn compress(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() / 2 + 16);
-        self.compress_into(data, &mut out);
-        out
-    }
-
-    /// Compresses `data`, appending the stream to `out` (which is not
-    /// cleared). Panics on inputs longer than [`MAX_DECLARED`], like
-    /// [`Self::compress`].
-    pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+    /// Panics if `data` is longer than [`MAX_DECLARED`]: such a stream
+    /// could never be decompressed, so refusing to build it keeps every
+    /// stream decodable.
+    pub(crate) fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
         assert!(
             data.len() as u64 <= MAX_DECLARED,
             "input exceeds MAX_DECLARED"
@@ -337,53 +315,13 @@ fn flush_literals(data: &[u8], out: &mut Vec<u8>, start: usize, end: usize) {
 }
 
 std::thread_local! {
-    /// Per-thread compressor scratch backing the [`compress`] free function
-    /// and the chunked frame writer.
+    /// Per-thread compressor scratch backing the chunked frame writer.
     static SCRATCH: std::cell::RefCell<Compressor> = std::cell::RefCell::new(Compressor::new());
 }
 
 /// Runs `f` on this thread's reusable [`Compressor`].
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Compressor) -> R) -> R {
     SCRATCH.with(|c| f(&mut c.borrow_mut()))
-}
-
-/// Compresses `data` (single-stream format). The output always starts with
-/// the original length so decompression can pre-allocate and validate.
-///
-/// Uses a per-thread reusable [`Compressor`]; callers that want explicit
-/// control over scratch ownership use [`Compressor::compress`] directly.
-/// Panics on inputs longer than [`MAX_DECLARED`].
-///
-/// ```
-/// use setchain_compress::{compress, decompress};
-/// let data = b"abcabcabcabcabcabcabcabc";
-/// let packed = compress(data);
-/// assert_eq!(decompress(&packed).unwrap(), data);
-/// ```
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    with_scratch(|c| c.compress(data))
-}
-
-/// Decompresses a single stream produced by [`compress`]. For the chunked
-/// framing use [`crate::chunked::decompress_chunked`].
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::new();
-    decompress_into(data, &mut out)?;
-    Ok(out)
-}
-
-/// Decompresses a single stream, *appending* to `out` (hot-path variant: a
-/// reused buffer makes repeated decompression allocation-free). Distances
-/// resolve only against bytes this stream appended, never against earlier
-/// buffer contents. Returns the number of bytes appended; on error the
-/// buffer is truncated back to its original length.
-pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, DecompressError> {
-    let base = out.len();
-    let result = decompress_append(data, out, base);
-    if result.is_err() {
-        out.truncate(base);
-    }
-    result
 }
 
 /// Varint read with a single-byte fast path: almost every varint in a real
@@ -399,11 +337,13 @@ fn read_varint_fast(data: &[u8], pos: &mut usize) -> Option<u64> {
     read_u64(data, pos)
 }
 
-fn decompress_append(
-    data: &[u8],
-    out: &mut Vec<u8>,
-    base: usize,
-) -> Result<usize, DecompressError> {
+/// Decompresses a single stream, *appending* to `out`: the chunked frame
+/// decoder writes every chunk into one buffer. Distances resolve only
+/// against bytes this stream appended, never against earlier buffer
+/// contents. Returns the number of bytes appended; on error `out` holds
+/// partial output, which the frame decoder drops with the error.
+pub(crate) fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize, DecompressError> {
+    let base = out.len();
     let mut pos = 0usize;
     let declared = read_u64(data, &mut pos).ok_or(DecompressError::Truncated)?;
     if declared > MAX_DECLARED {
@@ -477,47 +417,25 @@ fn decompress_append(
     Ok(produced)
 }
 
-/// Summary of a compression operation, used by experiment reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressionStats {
-    /// Size of the input in bytes.
-    pub original: usize,
-    /// Size of the compressed output in bytes.
-    pub compressed: usize,
-}
-
-impl CompressionStats {
-    /// Compresses `data` and records sizes (the output itself is discarded).
-    pub fn measure(data: &[u8]) -> Self {
-        let compressed = compress(data);
-        CompressionStats {
-            original: data.len(),
-            compressed: compressed.len(),
-        }
-    }
-
-    /// Compression ratio `original / compressed`.
-    ///
-    /// ```
-    /// let stats = setchain_compress::CompressionStats { original: 300, compressed: 100 };
-    /// assert_eq!(stats.ratio(), 3.0);
-    /// // The degenerate empty measurement reports a neutral ratio.
-    /// let empty = setchain_compress::CompressionStats { original: 0, compressed: 0 };
-    /// assert_eq!(empty.ratio(), 1.0);
-    /// ```
-    pub fn ratio(&self) -> f64 {
-        if self.compressed == 0 {
-            return 1.0;
-        }
-        self.original as f64 / self.compressed as f64
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
+
+    /// One single stream from a fresh [`Compressor`].
+    pub(crate) fn compress(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        Compressor::new().compress_into(data, &mut out);
+        out
+    }
+
+    /// [`decompress_into`] on an empty buffer.
+    pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>, DecompressError> {
+        let mut out = Vec::new();
+        decompress_into(data, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn empty_roundtrip() {
@@ -576,13 +494,10 @@ mod tests {
                 .as_bytes(),
             );
         }
-        let stats = CompressionStats::measure(&batch);
-        assert!(
-            stats.ratio() > 2.0,
-            "expected ratio above 2, got {:.2}",
-            stats.ratio()
-        );
-        assert_eq!(decompress(&compress(&batch)).unwrap(), batch);
+        let packed = compress(&batch);
+        let ratio = batch.len() as f64 / packed.len() as f64;
+        assert!(ratio > 2.0, "expected ratio above 2, got {ratio:.2}");
+        assert_eq!(decompress(&packed).unwrap(), batch);
     }
 
     #[test]
@@ -602,9 +517,10 @@ mod tests {
         let a: Vec<u8> = (0..40_000u32).flat_map(|i| i.to_le_bytes()).collect();
         let b: Vec<u8> = b"abcdefgh".iter().copied().cycle().take(30_000).collect();
         let mut reused = Compressor::new();
-        let _ = reused.compress(&a);
-        let with_history = reused.compress(&b);
-        let fresh = Compressor::new().compress(&b);
+        reused.compress_into(&a, &mut Vec::new());
+        let mut with_history = Vec::new();
+        reused.compress_into(&b, &mut with_history);
+        let fresh = compress(&b);
         assert_eq!(with_history, fresh);
         assert_eq!(decompress(&with_history).unwrap(), b);
     }
@@ -713,20 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_ratio() {
-        let stats = CompressionStats {
-            original: 100,
-            compressed: 40,
-        };
-        assert!((stats.ratio() - 2.5).abs() < 1e-9);
-        let degenerate = CompressionStats {
-            original: 0,
-            compressed: 0,
-        };
-        assert_eq!(degenerate.ratio(), 1.0);
-    }
-
-    #[test]
     fn error_display_strings() {
         assert!(DecompressError::Truncated.to_string().contains("truncated"));
         assert!(DecompressError::BadToken(9).to_string().contains("token"));
@@ -781,9 +683,10 @@ mod tests {
                 second in proptest::collection::vec(0u8..16, 0..2048),
             ) {
                 let mut reused = Compressor::new();
-                let _ = reused.compress(&first);
-                let fresh = Compressor::new().compress(&second);
-                prop_assert_eq!(reused.compress(&second), fresh);
+                reused.compress_into(&first, &mut Vec::new());
+                let mut with_history = Vec::new();
+                reused.compress_into(&second, &mut with_history);
+                prop_assert_eq!(with_history, compress(&second));
             }
         }
     }

@@ -22,9 +22,8 @@
 //!
 //! * epoch numbers (the trace's per-epoch records) — minted by the
 //!   servers, dense;
-//! * `ProcessId`s (`AdmissionCache`'s key schedules, `QuotaState::clients`,
-//!   simnet's overflow slots) — registered or network-authenticated
-//!   identities;
+//! * `ProcessId`s (`AdmissionCache`'s key schedules, `QuotaState::clients`)
+//!   — registered or network-authenticated identities;
 //! * `ElementId`s only in per-call scratch sets (`extract_epoch_candidates`'
 //!   in-batch dedup, `retain_valid`'s rejected ids), bounded by one
 //!   block's elements.

@@ -269,7 +269,6 @@ impl Application for SetchainServer {
 
     fn on_message(&mut self, from: ProcessId, msg: SetchainMsg, ctx: &mut Ctx<'_, '_, '_>) {
         match msg {
-            SetchainMsg::Add(e) => self.handle_adds(from, &[e], ctx),
             SetchainMsg::AddBatch(es) => self.handle_adds(from, &es, ctx),
             other => {
                 // `get` and `get_epoch` are served by the core;
@@ -513,7 +512,7 @@ mod tests {
             .map(|(elements, seq)| compressed(origin, seq, Batch::new(elements, vec![])))
             .collect();
         let appended = appended_by(limit_two(Algorithm::Compresschain), move |s, ctx| {
-            s.on_message(ProcessId::client(0), SetchainMsg::Add(e), ctx);
+            s.on_message(ProcessId::client(0), SetchainMsg::AddBatch(vec![e]), ctx);
             assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
             // Two compressed batches make epochs 1 and 2: epoch 1's proof
             // fills the batch, epoch 2's starts the next one.
@@ -548,7 +547,7 @@ mod tests {
             .collect();
         let hashes = [a.hash(), batch_hash(&[e], &[p1]), b.hash()];
         let appended = appended_by(limit_two(Algorithm::Hashchain), move |s, ctx| {
-            s.on_message(ProcessId::client(0), SetchainMsg::Add(e), ctx);
+            s.on_message(ProcessId::client(0), SetchainMsg::AddBatch(vec![e]), ctx);
             assert_eq!(s.core.collector.as_ref().unwrap().len(), 1);
             // Server 1 pushes both batches, so no copy waits on a request.
             for batch in [a, b] {

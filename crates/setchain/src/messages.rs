@@ -30,11 +30,10 @@ pub struct GetSnapshot {
 /// Setchain servers themselves.
 #[derive(Clone, Debug)]
 pub enum SetchainMsg {
-    /// `S.add_v(e)`: a client asks server `v` to add one element.
-    Add(Element),
-    /// Bulk variant of `Add` used by the workload driver: semantically the
-    /// same as sending each `Add` individually, but keeps the number of
-    /// simulated messages manageable at high sending rates.
+    /// `S.add_v(e)` for each carried element: a client asks server `v` to
+    /// add them. A session sends one element per message; the workload
+    /// driver sends many, which keeps the number of simulated messages
+    /// manageable at high sending rates.
     AddBatch(Vec<Element>),
     /// `S.get_v()`: returns a summary of the server's Setchain state.
     Get {
@@ -111,7 +110,6 @@ const MSG_HEADER: usize = 32;
 impl Wire for SetchainMsg {
     fn wire_size(&self) -> usize {
         match self {
-            SetchainMsg::Add(e) => MSG_HEADER + e.wire_size(),
             SetchainMsg::AddBatch(es) => {
                 MSG_HEADER + es.iter().map(|e| e.wire_size()).sum::<usize>()
             }
@@ -145,7 +143,7 @@ mod tests {
         let reg = KeyRegistry::bootstrap(1, 2, 1);
         let client = reg.lookup(ProcessId::client(0)).unwrap();
         let e = Element::new(&client, ElementId::new(0, 1), 438, 1);
-        assert_eq!(SetchainMsg::Add(e).wire_size(), 32 + 438);
+        assert_eq!(SetchainMsg::AddBatch(vec![e]).wire_size(), 32 + 438);
         assert_eq!(SetchainMsg::AddBatch(vec![e, e]).wire_size(), 32 + 876);
         assert_eq!(SetchainMsg::Get { request_id: 1 }.wire_size(), 32);
         assert_eq!(

@@ -289,9 +289,9 @@ mod tests {
         let reg = registry();
         let server = reg.lookup(ProcessId::server(0)).unwrap();
         let proof = make_epoch_proof(&server, 1, &[]);
-        let frame = Arc::new(ChunkedFrame::from(setchain_compress::compress_chunked(
-            &[b'x'; 300],
-        )));
+        let frame = Arc::new(ChunkedFrame::from(
+            setchain_compress::compress_chunked_with(&[b'x'; 300], 1 << 14),
+        ));
         let batch = |original_size: u32| CompressedBatch {
             origin: server.id,
             seq: 0,

@@ -16,6 +16,8 @@
 //!   [`ProcessId`] resolves to its slab position through two dense
 //!   per-range index arrays (one for server ids, one for client ids), so an
 //!   event dispatch is two array reads instead of a `BTreeMap` tree walk.
+//!   These tables are the only lookup: registering an id whose index is
+//!   2^20 or more panics, and a message to an unregistered id is dropped.
 //! * **Split timer queue.** Timer events carry no message payload, so they
 //!   live in their own heap of small `Copy` records instead of sharing the
 //!   delivery heap's `Arc<M>`-carrying entries. The two heaps are merged at
@@ -42,7 +44,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use setchain_crypto::{FxHashMap, ProcessId};
+use setchain_crypto::ProcessId;
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::network::{Network, NetworkConfig, Partition};
@@ -158,9 +160,10 @@ struct Slot<M: Wire> {
 
 /// Sentinel for "no process registered at this index".
 const NO_SLOT: u32 = u32::MAX;
-/// Ids whose per-range index is below this resolve through the dense
-/// tables; pathological indexes fall back to the overflow map so a stray
-/// huge id cannot balloon the dense tables.
+/// Registered ids must have a per-range index below this, so a stray huge
+/// id cannot balloon the dense tables. Deployments register servers and
+/// client sessions in the hundreds; a lookup past a table misses, so a
+/// message to an unregistered id is dropped.
 const DENSE_LIMIT: usize = 1 << 20;
 
 /// A deterministic discrete-event simulation.
@@ -175,8 +178,6 @@ pub struct Simulation<M: Wire> {
     server_slots: Vec<u32>,
     /// Dense index: client index → slab position (`NO_SLOT` if absent).
     client_slots: Vec<u32>,
-    /// Fallback for ids whose index exceeds `DENSE_LIMIT`.
-    overflow_slots: FxHashMap<ProcessId, u32>,
     /// Registered ids, kept sorted (start order and `process_ids` order).
     ids: Vec<ProcessId>,
     network: Network,
@@ -209,7 +210,6 @@ impl<M: Wire> Simulation<M> {
             slots: Vec::new(),
             server_slots: Vec::new(),
             client_slots: Vec::new(),
-            overflow_slots: FxHashMap::default(),
             ids: Vec::new(),
             network: Network::new(config.network),
             rng: StdRng::seed_from_u64(config.seed),
@@ -224,7 +224,8 @@ impl<M: Wire> Simulation<M> {
         }
     }
 
-    /// Registers a process. Panics if the id is already taken or if the
+    /// Registers a process. Panics if the id is already taken, if its
+    /// per-range index is not below `DENSE_LIMIT` (2^20), or if the
     /// simulation has already started.
     pub fn add_process(&mut self, id: ProcessId, process: Box<dyn Process<M>>) {
         assert!(
@@ -232,6 +233,12 @@ impl<M: Wire> Simulation<M> {
             "cannot add processes after the simulation started"
         );
         assert!(self.slot_index(id).is_none(), "duplicate process id {id}");
+        let index = if id.is_server() {
+            id.server_index()
+        } else {
+            id.client_index()
+        };
+        assert!(index < DENSE_LIMIT, "process id {id} beyond DENSE_LIMIT");
         let slot = self.slots.len() as u32;
         self.slots.push(Slot {
             id,
@@ -240,24 +247,15 @@ impl<M: Wire> Simulation<M> {
             crashed: false,
             timer_barrier: 0,
         });
-        let index = if id.is_server() {
-            id.server_index()
+        let table = if id.is_server() {
+            &mut self.server_slots
         } else {
-            id.client_index()
+            &mut self.client_slots
         };
-        if index < DENSE_LIMIT {
-            let table = if id.is_server() {
-                &mut self.server_slots
-            } else {
-                &mut self.client_slots
-            };
-            if table.len() <= index {
-                table.resize(index + 1, NO_SLOT);
-            }
-            table[index] = slot;
-        } else {
-            self.overflow_slots.insert(id, slot);
+        if table.len() <= index {
+            table.resize(index + 1, NO_SLOT);
         }
+        table[index] = slot;
         // Registration is cold; keep the id list sorted as we go.
         let pos = self.ids.partition_point(|existing| *existing < id);
         self.ids.insert(pos, id);
@@ -271,13 +269,9 @@ impl<M: Wire> Simulation<M> {
         } else {
             (&self.client_slots, id.client_index())
         };
-        if index < DENSE_LIMIT {
-            match table.get(index) {
-                Some(&slot) if slot != NO_SLOT => Some(slot as usize),
-                _ => None,
-            }
-        } else {
-            self.overflow_slots.get(&id).map(|&s| s as usize)
+        match table.get(index) {
+            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+            _ => None,
         }
     }
 
@@ -1280,16 +1274,25 @@ mod tests {
     }
 
     #[test]
-    fn overflow_ids_beyond_the_dense_tables_still_resolve() {
-        let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
+    fn ids_beyond_the_dense_tables_are_refused_and_unreachable() {
         let huge = ProcessId::client(DENSE_LIMIT + 17);
-        sim.add_process(
-            huge,
+        let ponger = || {
             Box::new(Ponger {
                 cpu_per_ping: SimDuration::ZERO,
                 pings_handled: 0,
-            }),
-        );
+            })
+        };
+        let registered = std::panic::catch_unwind(|| {
+            let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
+            sim.add_process(huge, ponger());
+        });
+        let message = registered.expect_err("registering past DENSE_LIMIT panics");
+        assert!(message
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("beyond DENSE_LIMIT")));
+
+        let mut sim: Simulation<Msg> = Simulation::new(SimulationConfig::default());
+        sim.add_process(ProcessId::client(17), ponger());
         sim.schedule_message(
             SimTime::from_millis(1),
             ProcessId::server(0),
@@ -1297,7 +1300,9 @@ mod tests {
             Msg::Ping(1),
         );
         sim.run_until_quiescent(SimTime::from_secs(1));
-        let p: &Ponger = sim.process(huge).unwrap();
-        assert_eq!(p.pings_handled, 1);
+        assert_eq!(sim.events_processed(), 0, "the message is dropped");
+        assert!(sim.process::<Ponger>(huge).is_none());
+        let p: &Ponger = sim.process(ProcessId::client(17)).unwrap();
+        assert_eq!(p.pings_handled, 0);
     }
 }

@@ -259,7 +259,10 @@ impl AdversaryDriver {
                     let mut fresh = ArbitrumWorkload::new(keys, self.rng.gen());
                     let element = fresh.next_element();
                     self.sent += 1;
-                    ctx.send(self.target, NetMsg::App(SetchainMsg::Add(element)));
+                    ctx.send(
+                        self.target,
+                        NetMsg::App(SetchainMsg::AddBatch(vec![element])),
+                    );
                 }
             }
         }

@@ -341,7 +341,8 @@ impl ClientSession {
         self.assert_scriptable();
         let server = ProcessId::server(server);
         self.added.insert(element.id);
-        self.script.push((at, server, SetchainMsg::Add(element)));
+        self.script
+            .push((at, server, SetchainMsg::AddBatch(vec![element])));
         AddReceipt {
             id: element.id,
             element,
@@ -481,7 +482,10 @@ impl ClientSession {
         }
         let target = r.target(r.receipt.attempts, servers);
         r.receipt.attempts += 1;
-        ctx.send(target, NetMsg::App(SetchainMsg::Add(r.receipt.element)));
+        ctx.send(
+            target,
+            NetMsg::App(SetchainMsg::AddBatch(vec![r.receipt.element])),
+        );
         let backoff = RETRY_DEADLINE * (1u64 << (r.receipt.attempts - 1).min(6));
         r.due = ctx.now() + backoff;
         ctx.set_timer(backoff, ATTEMPT_BASE + i as TimerToken);

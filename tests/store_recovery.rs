@@ -262,7 +262,7 @@ fn a_replayed_element_stays_a_duplicate_after_restart() {
         SimTime::from_millis(100),
         old.client,
         ProcessId::server(0),
-        NetMsg::App(SetchainMsg::Add(old)),
+        NetMsg::App(SetchainMsg::AddBatch(vec![old])),
     );
     reopened.sim.run_until(SimTime::from_secs(1));
     let after = reopened.server(0).stats();

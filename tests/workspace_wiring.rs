@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use setchain::collector::Batch;
 use setchain::{Algorithm, Element, ElementId, SetchainConfig, SetchainState};
-use setchain_compress::{compress, decompress};
+use setchain_compress::{compress_chunked_with, decompress_chunked};
 use setchain_crypto::{sha256, sign, verify, KeyPair, KeyRegistry, MerkleTree, ProcessId};
 use setchain_ledger::Mempool;
 use setchain_simnet::{SimDuration, SimTime};
@@ -36,9 +36,9 @@ fn crypto_entry_points() {
 #[test]
 fn compress_entry_points() {
     let data: Vec<u8> = b"abcabcabcabc".repeat(16);
-    let packed = compress(&data);
+    let packed = compress_chunked_with(&data, 16 * 1024);
     assert!(packed.len() < data.len(), "repetitive input must shrink");
-    assert_eq!(decompress(&packed).expect("roundtrip"), data);
+    assert_eq!(decompress_chunked(&packed).expect("roundtrip"), data);
 }
 
 #[test]
